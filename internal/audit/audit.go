@@ -172,15 +172,8 @@ func (s *Service) grantsForApp(view *store.View, dict *store.Dict, app store.ID,
 
 	partOfID, _ := dict.Lookup(rdf.IRI(rdf.MDWPartOf))
 	hasRoleID, _ := dict.Lookup(rdf.IRI(rdf.MDWHasRole))
-	typeID, _ := dict.Lookup(rdf.Type)
-	roleClass, haveRoleClass := dict.Lookup(rdf.IRI(rdf.DMNS + "Role"))
 	if partOfID != store.Wildcard && hasRoleID != store.Wildcard {
-		for _, role := range view.Subjects(partOfID, app) {
-			// Roles sit directly partOf their application; other children
-			// (databases etc.) are filtered by the Role typing.
-			if haveRoleClass && !view.Contains(store.ETriple{S: role, P: typeID, O: roleClass}) {
-				continue
-			}
+		for _, role := range rolesOf(view, dict, partOfID, app) {
 			roleName := s.nameOf(view, dict, role)
 			roleCls := s.roleClassOf(view, dict, role)
 			for _, user := range view.Subjects(hasRoleID, role) {
@@ -202,6 +195,27 @@ func (s *Service) grantsForApp(view *store.View, dict *store.Dict, app store.ID,
 		}
 	}
 	return out
+}
+
+// rolesOf returns the roles tied to the application: the nodes typed
+// dm:Role that sit partOf it. It starts from the roles, not from the
+// application: under the materialized partOf closure an application has
+// tens of thousands of descendants (26k for the paper-scale warehouse)
+// against a few hundred roles in the whole landscape. A model without
+// the Role class has nothing to select by, and every child counts.
+func rolesOf(view *store.View, dict *store.Dict, partOfID, app store.ID) []store.ID {
+	typeID, haveType := dict.Lookup(rdf.Type)
+	roleClass, haveRoleClass := dict.Lookup(rdf.IRI(rdf.DMNS + "Role"))
+	if !haveType || !haveRoleClass {
+		return view.Subjects(partOfID, app)
+	}
+	var roles []store.ID
+	for _, role := range view.Subjects(typeID, roleClass) {
+		if view.Contains(store.ETriple{S: role, P: partOfID, O: app}) {
+			roles = append(roles, role)
+		}
+	}
+	return roles
 }
 
 // roleClassOf returns the most specific dm: role class local name.

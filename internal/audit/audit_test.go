@@ -170,3 +170,76 @@ func TestLandscapeScaleAudit(t *testing.T) {
 		t.Errorf("expected at least dwh + source app, got %v", rep.Apps)
 	}
 }
+
+// rolesByDescendants is the enumeration grantsForApp used before rolesOf:
+// every partOf descendant of the application, kept when typed dm:Role.
+// It stays here as the oracle for the selective probe.
+func rolesByDescendants(view *store.View, dict *store.Dict, partOfID, app store.ID) []store.ID {
+	typeID, _ := dict.Lookup(rdf.Type)
+	roleClass, haveRoleClass := dict.Lookup(rdf.IRI(rdf.DMNS + "Role"))
+	var roles []store.ID
+	for _, role := range view.Subjects(partOfID, app) {
+		if haveRoleClass && !view.Contains(store.ETriple{S: role, P: typeID, O: roleClass}) {
+			continue
+		}
+		roles = append(roles, role)
+	}
+	return roles
+}
+
+// TestRoleProbeMatchesDescendantEnumeration audits every mart column of
+// a generated landscape (lineage included, so the warehouse application
+// and the source applications all come up) and requires the role grants
+// of each report to be exactly those the old enumeration yields for the
+// report's applications.
+func TestRoleProbeMatchesDescendantEnumeration(t *testing.T) {
+	l := landscape.Generate(landscape.Small())
+	st := store.New()
+	if _, err := (staging.Pipeline{Store: st, Model: "m"}).Run(l.Exports, l.Ontology.Triples()); err != nil {
+		t.Fatal(err)
+	}
+	svc := New(st, "m")
+	view, err := svc.indexedView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict := st.Dict()
+	partOfID, _ := dict.Lookup(rdf.IRI(rdf.MDWPartOf))
+	hasRoleID, _ := dict.Lookup(rdf.IRI(rdf.MDWHasRole))
+
+	type key struct{ user, role, app rdf.Term }
+	roleGrants := 0
+	for _, col := range l.MartColumns {
+		rep, err := svc.WhoCanAccess(item(col), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[key]int{}
+		for _, app := range rep.Apps {
+			appID, _ := dict.Lookup(app)
+			for _, role := range rolesByDescendants(view, dict, partOfID, appID) {
+				for _, user := range view.Subjects(hasRoleID, role) {
+					want[key{dict.Term(user), dict.Term(role), app}]++
+				}
+			}
+		}
+		got := map[key]int{}
+		for _, g := range rep.Grants {
+			if g.Via != "owner" {
+				got[key{g.User, g.Role, g.App}]++
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d role grants, old enumeration finds %d", col, len(got), len(want))
+		}
+		for k, n := range want {
+			if got[k] != n {
+				t.Fatalf("%s: grant %v reported %d times, old enumeration %d", col, k, got[k], n)
+			}
+		}
+		roleGrants += len(got)
+	}
+	if roleGrants == 0 {
+		t.Fatal("no role grant in any report: the comparison checked nothing")
+	}
+}

@@ -167,12 +167,24 @@ func (s *Server) handleLoad(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, http.StatusOK, map[string]int{"parsed": len(ts), "added": added})
 }
 
+// writeJSON answers every route but the two SPARQL ones (see
+// serveResult) with v as compact JSON; pipe through `jq .` to read it.
 func writeJSON(rw http.ResponseWriter, status int, v any) {
 	rw.Header().Set("Content-Type", "application/json")
 	rw.WriteHeader(status)
-	enc := json.NewEncoder(rw)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	// The status line is out, so a failed write (client gone) has no one
+	// left to tell; the observe middleware counts it.
+	_ = json.NewEncoder(rw).Encode(v)
+}
+
+// presized returns an empty slice with room for n elements, or nil when
+// n is 0: an empty list has always been encoded as null (a search term
+// that matches nothing answers "groups":null), and stays so.
+func presized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
 }
 
 func writeError(rw http.ResponseWriter, status int, err error) {
@@ -252,9 +264,11 @@ func (s *Server) handleSearch(rw http.ResponseWriter, r *http.Request) {
 		Term:      res.Term,
 		Expanded:  res.Expanded,
 		Instances: res.Instances,
+		Groups:    presized[SearchGroup](len(res.Groups)),
 	}
 	for _, g := range res.Groups {
 		sg := SearchGroup{Class: g.Class.Value, Label: g.Label, Count: g.Count}
+		sg.Hits = presized[SearchHit](len(g.Hits))
 		for _, h := range g.Hits {
 			sg.Hits = append(sg.Hits, SearchHit{IRI: h.IRI.Value, Name: h.Name, Matched: h.Matched})
 		}
@@ -347,9 +361,12 @@ func (s *Server) handleLineage(rw http.ResponseWriter, r *http.Request) {
 		Root:      g.Root.Value,
 		Direction: g.Direction.String(),
 		Level:     level.String(),
+		Nodes:     presized[LineageNode](len(g.Nodes)),
+		Edges:     presized[LineageEdge](len(g.Edges)),
 	}
 	for _, n := range g.Nodes {
 		node := LineageNode{IRI: n.IRI.Value, Name: n.Name, Depth: n.Depth}
+		node.Classes = presized[string](len(n.Classes))
 		for _, c := range n.Classes {
 			node.Classes = append(node.Classes, rdf.LocalName(c))
 		}
@@ -399,7 +416,12 @@ func (s *Server) handleAudit(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusNotFound, err)
 		return
 	}
-	resp := AuditResponse{Item: rep.Item.Value, Users: rep.Users()}
+	resp := AuditResponse{
+		Item:   rep.Item.Value,
+		Users:  rep.Users(),
+		Apps:   presized[string](len(rep.Apps)),
+		Grants: presized[AuditGrant](len(rep.Grants)),
+	}
 	for _, a := range rep.Apps {
 		resp.Apps = append(resp.Apps, a.Value)
 	}
@@ -414,7 +436,9 @@ func (s *Server) handleAudit(rw http.ResponseWriter, r *http.Request) {
 
 // --- query ---
 
-// QueryResponse is the JSON shape of a SPARQL result.
+// QueryResponse is the JSON shape of a SPARQL result, for clients to
+// decode into. The server never builds one: serveResult streams the same
+// members straight from the sparql.Result.
 type QueryResponse struct {
 	Vars []string            `json:"vars"`
 	Rows []map[string]string `json:"rows"`
@@ -458,27 +482,7 @@ func (s *Server) handleQuery(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-	resp := QueryResponse{Vars: res.Vars}
-	if stats != nil {
-		resp.Stats = stats
-		resp.AnalyzedPlan = stats.String()
-	}
-	if len(res.Triples) > 0 {
-		for _, tr := range res.Triples {
-			resp.Triples = append(resp.Triples, tr.NTriple())
-		}
-	} else if len(res.Vars) == 0 && len(res.Rows) == 0 {
-		ask := res.Ask
-		resp.Ask = &ask
-	}
-	for _, b := range res.Rows {
-		row := map[string]string{}
-		for v, t := range b {
-			row[v] = t.Value
-		}
-		resp.Rows = append(resp.Rows, row)
-	}
-	writeJSON(rw, http.StatusOK, resp)
+	serveResult(rw, r, res, stats)
 }
 
 // handleSemMatch executes an Oracle-style SEM_MATCH call posted as the
@@ -500,19 +504,7 @@ func (s *Server) handleSemMatch(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-	resp := QueryResponse{Vars: res.Vars}
-	if stats != nil {
-		resp.Stats = stats
-		resp.AnalyzedPlan = stats.String()
-	}
-	for _, b := range res.Rows {
-		row := map[string]string{}
-		for v, t := range b {
-			row[v] = t.Value
-		}
-		resp.Rows = append(resp.Rows, row)
-	}
-	writeJSON(rw, http.StatusOK, resp)
+	serveResult(rw, r, res, stats)
 }
 
 // --- stats / versions ---

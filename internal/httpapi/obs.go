@@ -15,13 +15,17 @@ func init() {
 	r := obs.Default()
 	r.SetHelp("mdw_http_requests_total", "HTTP requests by route pattern and status class.")
 	r.SetHelp("mdw_http_request_seconds", "HTTP request latency by route pattern.")
+	r.SetHelp("mdw_http_write_errors_total", "Responses cut short by a failed body write (client gone), by route pattern.")
 }
 
 // statusRecorder captures the status code a handler writes so the
-// middleware can attribute the request to a status class.
+// middleware can attribute the request to a status class, and the first
+// body write that failed: by then the status line is out, so the counter
+// is the only place a truncated response shows.
 type statusRecorder struct {
 	http.ResponseWriter
-	status int
+	status   int
+	writeErr error
 }
 
 func (sr *statusRecorder) WriteHeader(code int) {
@@ -33,7 +37,11 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 	if sr.status == 0 {
 		sr.status = http.StatusOK
 	}
-	return sr.ResponseWriter.Write(b)
+	n, err := sr.ResponseWriter.Write(b)
+	if err != nil && sr.writeErr == nil {
+		sr.writeErr = err
+	}
+	return n, err
 }
 
 // statusClass buckets a status code into "2xx"/"3xx"/"4xx"/"5xx" without
@@ -84,6 +92,9 @@ func (s *Server) observe(rw http.ResponseWriter, r *http.Request) {
 	reg := obs.Default()
 	reg.Histogram("mdw_http_request_seconds", nil, "route", pattern).Observe(d)
 	reg.Counter("mdw_http_requests_total", "route", pattern, "class", class).Inc()
+	if sr.writeErr != nil {
+		reg.Counter("mdw_http_write_errors_total", "route", pattern).Inc()
+	}
 }
 
 // MountPprof registers the net/http/pprof profiling handlers under

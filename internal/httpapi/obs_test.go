@@ -1,6 +1,8 @@
 package httpapi
 
 import (
+	"bytes"
+	"io"
 	"net/http"
 	"strconv"
 	"testing"
@@ -8,13 +10,23 @@ import (
 	"mdw/internal/obs"
 )
 
-// get issues a plain GET and returns the response (caller closes Body).
+// get issues a plain GET and returns the response with its body already
+// read to EOF (and replayable from resp.Body). The middleware counts and
+// publishes the trace after the handler returns; only the reply's last
+// chunk is sent later than that, so a caller that closed the body early
+// could look before the middleware had finished.
 func get(t *testing.T, url string) *http.Response {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
 	return resp
 }
 

@@ -500,7 +500,14 @@ func (s *Service) searchView(ctx context.Context, v *store.View, ix *textindex.I
 	for id, hit := range matched {
 		order = append(order, hitRef{id, hit})
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i].hit.Name < order[j].hit.Name })
+	// Names tie (the same column name in many tables): the IRI decides,
+	// so the hits a capped group shows do not depend on map order.
+	sort.Slice(order, func(i, j int) bool {
+		if order[i].hit.Name != order[j].hit.Name {
+			return order[i].hit.Name < order[j].hit.Name
+		}
+		return order[i].hit.IRI.Value < order[j].hit.IRI.Value
+	})
 
 	// Accumulate int indexes into order rather than Hit values: a hit
 	// lands in every inherited-class group, and regrowing []Hit (several
@@ -544,7 +551,12 @@ func (s *Service) searchView(ctx context.Context, v *store.View, ix *textindex.I
 		}
 		res.Groups = append(res.Groups, g.group)
 	}
-	sort.Slice(res.Groups, func(i, j int) bool { return res.Groups[i].Label < res.Groups[j].Label })
+	sort.Slice(res.Groups, func(i, j int) bool {
+		if res.Groups[i].Label != res.Groups[j].Label {
+			return res.Groups[i].Label < res.Groups[j].Label
+		}
+		return res.Groups[i].Class.Value < res.Groups[j].Class.Value
+	})
 	return res, nil
 }
 

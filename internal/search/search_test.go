@@ -1,6 +1,8 @@
 package search
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -379,5 +381,67 @@ func TestGovernanceTagFilter(t *testing.T) {
 	}
 	if none.Instances != 0 {
 		t.Errorf("unknown tag matched %d items", none.Instances)
+	}
+}
+
+// TestOrderUnderTiesIsDeterministic loads the same triples into several
+// stores in shuffled order — what two server processes that staged their
+// exports differently hold — with forty instances sharing one name and
+// two classes sharing one label. The capped hit lists and the group
+// order must agree everywhere: ties are broken on IRI, not on whatever
+// order a map or an unstable sort happened to produce.
+func TestOrderUnderTiesIsDeterministic(t *testing.T) {
+	inst := func(s string) rdf.Term { return rdf.IRI(rdf.InstNS + s) }
+	dm := func(s string) rdf.Term { return rdf.IRI(rdf.DMNS + s) }
+	var triples []rdf.Triple
+	for _, cls := range []string{"Tie_A", "Tie_B"} {
+		triples = append(triples, rdf.T(dm(cls), rdf.Label, rdf.Literal("Tied Label")))
+	}
+	for i := 0; i < 40; i++ {
+		col := inst(fmt.Sprintf("app/db/schema/table%02d/customer_id", i))
+		triples = append(triples,
+			rdf.T(col, rdf.HasName, rdf.Literal("customer_id")),
+			rdf.T(col, rdf.Type, dm("Tie_A")),
+			rdf.T(col, rdf.Type, dm("Tie_B")))
+	}
+
+	render := func(r *Result) string {
+		var b strings.Builder
+		for _, g := range r.Groups {
+			fmt.Fprintf(&b, "%s %s %d:", g.Label, g.Class.Value, g.Count)
+			for _, h := range g.Hits {
+				b.WriteString(" " + h.IRI.Value)
+			}
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	var want string
+	for process := 0; process < 6; process++ {
+		shuffled := append([]rdf.Triple(nil), triples...)
+		rand.New(rand.NewSource(int64(process))).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		st := store.New()
+		st.AddAll("m", shuffled)
+		svc := New(st, "m", nil)
+		for _, opt := range []Options{{MaxHitsPerGroup: 3}, {MaxHitsPerGroup: 3, ForceScan: true}} {
+			for run := 0; run < 5; run++ {
+				res, err := svc.Search("customer", opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := render(res)
+				if want == "" {
+					if len(res.Groups) != 2 || len(res.Groups[0].Hits) != 3 {
+						t.Fatalf("fixture does not produce two capped groups:\n%s", got)
+					}
+					want = got
+				}
+				if got != want {
+					t.Fatalf("process %d (%+v) run %d answers\n%s\nwant\n%s", process, opt, run, got, want)
+				}
+			}
+		}
 	}
 }

@@ -12,6 +12,7 @@ package semmatch
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 
 	"mdw/internal/obs"
@@ -143,8 +144,15 @@ func (r Request) source(st *store.Store) (store.Source, error) {
 // constant SEM_MATCH calls with exactly the text Exec would parse.
 func (r Request) QueryText() string {
 	var b strings.Builder
-	for p, ns := range r.Aliases {
-		fmt.Fprintf(&b, "PREFIX %s: <%s>\n", p, ns)
+	// Sorted, so that one call has one text: the results cache and the
+	// statement table key on it.
+	prefixes := make([]string, 0, len(r.Aliases))
+	for p := range r.Aliases {
+		prefixes = append(prefixes, p)
+	}
+	sort.Strings(prefixes)
+	for _, p := range prefixes {
+		fmt.Fprintf(&b, "PREFIX %s: <%s>\n", p, r.Aliases[p])
 	}
 	b.WriteString("SELECT ")
 	if r.Distinct {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mdw/internal/rdf"
+	"mdw/internal/rescache"
 	"mdw/internal/store"
 )
 
@@ -181,5 +182,42 @@ func TestDistinctProjection(t *testing.T) {
 	}
 	if len(res.Rows) != 2 {
 		t.Errorf("rows = %d", len(res.Rows))
+	}
+}
+
+// TestOneCallOneQueryText: a call with several aliases (the paper's own
+// Listing 1 has two) must render one SPARQL text however often it is
+// rendered, and so occupy one results-cache entry. Aliases live in a
+// map; rendered in map order, the same call had as many texts as the map
+// had iteration orders, each a separate cache miss.
+func TestOneCallOneQueryText(t *testing.T) {
+	c := rescache.Enable(0, 0)
+	defer rescache.Enable(0, 0)
+	st := fixture()
+	req := Request{
+		Pattern:   `?x rdf:type dm:Attribute . ?x dm:hasName ?n`,
+		Models:    []string{"DWH_CURR"},
+		Rulebases: []string{"OWLPRIME"},
+		Aliases: map[string]string{
+			"dm":   rdf.DMNS,
+			"inst": rdf.InstNS,
+			"dt":   "http://www.credit-suisse.com/dwh/mdm/data_transfer#",
+		},
+	}
+	first := req.QueryText()
+	for i := 0; i < 100; i++ {
+		if got := req.QueryText(); got != first {
+			t.Fatalf("rendering %d differs:\n%s\nvs\n%s", i, got, first)
+		}
+		res, err := req.Exec(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 1 {
+			t.Fatalf("rows = %d, want 1", len(res.Rows))
+		}
+	}
+	if n := c.Len(); n != 1 {
+		t.Errorf("results cache holds %d entries after 100 executions of one call, want 1", n)
 	}
 }
