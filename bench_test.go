@@ -9,6 +9,7 @@
 package mdw
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -65,7 +66,7 @@ func smallLandscape(b *testing.B) *fixture {
 			panic(err)
 		}
 		st.AddAll("DWH_CURR", l.ExtraTriples())
-		if _, _, err := reason.NewEngine(st).Materialize("DWH_CURR"); err != nil {
+		if _, err := reason.Materialize(st, "DWH_CURR"); err != nil {
 			panic(err)
 		}
 		smallFix = &fixture{l: l, st: st, stats: stats}
@@ -83,7 +84,7 @@ func paperLandscape(b *testing.B) *fixture {
 			panic(err)
 		}
 		st.AddAll("DWH_CURR", l.ExtraTriples())
-		if _, _, err := reason.NewEngine(st).Materialize("DWH_CURR"); err != nil {
+		if _, err := reason.Materialize(st, "DWH_CURR"); err != nil {
 			panic(err)
 		}
 		paperFix = &fixture{l: l, st: st, stats: stats}
@@ -505,6 +506,67 @@ func BenchmarkOWLPrimeIndex(b *testing.B) {
 			}
 		}
 	})
+}
+
+// ---------------------------------------------------------------------
+// E18 — Figure 4: a release is loaded by additions, and the OWLPRIME
+// index is extended from what was added instead of derived again. Both
+// cases are one algorithm; "scratch" is its worst case (no index, the
+// delta is the whole model) and "extend-3pct" the release the mdwbench
+// release_cycle workload loads (landscape.Evolve at 3% growth).
+// Run with -benchtime 5x: every iteration sets up a model of its own.
+
+func BenchmarkMaterialize(b *testing.B) {
+	f := paperLandscape(b)
+	ctx := context.Background()
+	next := landscape.Generate(landscape.PaperScale())
+	if _, err := landscape.Evolve(next, 2, 0.03); err != nil {
+		b.Fatal(err)
+	}
+	var release []rdf.Triple // AddAll keeps only what release 2 added
+	for _, e := range next.Exports {
+		ts, err := staging.Transform(e)
+		if err != nil {
+			b.Fatal(err)
+		}
+		release = append(release, ts...)
+	}
+	models := 0
+	run := func(b *testing.B, extend bool) {
+		var delta, derived int
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			models++
+			m := fmt.Sprintf("materialize-%d", models)
+			if err := f.st.CloneModel("DWH_CURR", m); err != nil {
+				b.Fatal(err)
+			}
+			idx := reason.IndexModelName(m, reason.RulebaseOWLPrime)
+			delta = f.st.Len(m)
+			if extend {
+				if _, err := reason.MaterializeCtx(ctx, f.st, m); err != nil {
+					b.Fatal(err)
+				}
+				delta = f.st.AddAll(m, release)
+			}
+			before := f.st.Len(idx)
+			b.StartTimer()
+			if _, err := reason.MaterializeCtx(ctx, f.st, m); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if !f.st.Current(m, idx) {
+				b.Fatal("index not current after Materialize")
+			}
+			derived = f.st.Len(idx) - before
+			f.st.DropModel(m)
+			f.st.DropModel(idx)
+		}
+		b.ReportMetric(float64(delta), "delta-triples")
+		b.ReportMetric(float64(derived), "derived-triples")
+	}
+	b.Run("scratch", func(b *testing.B) { run(b, false) })
+	b.Run("extend-3pct", func(b *testing.B) { run(b, true) })
 }
 
 // ---------------------------------------------------------------------

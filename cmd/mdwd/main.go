@@ -146,14 +146,14 @@ func main() {
 		errc <- http.Serve(ln, srv)
 	}()
 
-	// Materialize the entailment index up front so the first query is
-	// fast — unless recovery already brought back a current one, in which
-	// case rebuilding would only bloat the WAL with an identical index.
-	if !w.Stats().IndexCurrent {
-		if _, err := w.Reindex(); err != nil {
-			fmt.Fprintln(os.Stderr, "mdwd:", err)
-			os.Exit(1)
-		}
+	// Bring the entailment index up to date up front so the first query
+	// is fast: from scratch on a fresh store, by extension when recovery
+	// replayed loads the recovered index has not seen, not at all when it
+	// brought back a current one.
+	derived, err := w.Reindex()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mdwd:", err)
+		os.Exit(1)
 	}
 	stage.Store("building text index")
 	if _, err := w.TextIndex(); err != nil {
@@ -162,9 +162,10 @@ func main() {
 	}
 	ready.Store(true)
 
-	s := w.Stats()
+	// Len, not Stats: a census here would walk the store while the first
+	// requests, which may be loads, are already being served.
 	log.Printf("serving model %s (%d base + %d derived triples) on %s, ready",
-		s.Model, s.Triples, s.Derived, ln.Addr())
+		w.Model(), w.Store().Len(w.Model()), derived, ln.Addr())
 	err = <-errc
 	wg.Wait()
 	fmt.Fprintln(os.Stderr, "mdwd:", err)
@@ -198,7 +199,7 @@ func buildWarehouse(dataDir, dump, scale, durableDir, fsync string, ckptEvery ti
 	if rec.TornTail != "" {
 		log.Printf("durable: torn WAL tail truncated: %s", rec.TornTail)
 	}
-	if w.Stats().Triples > 0 {
+	if w.Store().Len(w.Model()) > 0 {
 		if dataDir != "" || scale != "" {
 			log.Printf("durable: data directory already populated; ignoring -data/-scale")
 		}

@@ -80,7 +80,7 @@ func New(st *store.Store, model string) *Service {
 // item's data flows (both directions), which is what an actual
 // data-protection review needs.
 func (s *Service) WhoCanAccess(item rdf.Term, includeLineage bool) (*Report, error) {
-	view, err := s.indexedView()
+	view, err := reason.IndexedView(s.st, s.model)
 	if err != nil {
 		return nil, err
 	}
@@ -250,19 +250,6 @@ func (s *Service) nameOf(view *store.View, dict *store.Dict, id store.ID) string
 		}
 	}
 	return rdf.LocalName(dict.Term(id).Value)
-}
-
-func (s *Service) indexedView() (*store.View, error) {
-	idx := reason.IndexModelName(s.model, reason.RulebaseOWLPrime)
-	if !s.st.HasModel(idx) {
-		if !s.st.HasModel(s.model) {
-			return nil, fmt.Errorf("audit: no such model %q", s.model)
-		}
-		if _, _, err := reason.NewEngine(s.st).Materialize(s.model); err != nil {
-			return nil, err
-		}
-	}
-	return s.st.ViewOf(s.model, idx), nil
 }
 
 // Format renders the report for the terminal.

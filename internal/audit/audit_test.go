@@ -7,6 +7,7 @@ import (
 	"mdw/internal/landscape"
 	"mdw/internal/ontology"
 	"mdw/internal/rdf"
+	"mdw/internal/reason"
 	"mdw/internal/staging"
 	"mdw/internal/store"
 )
@@ -199,7 +200,7 @@ func TestRoleProbeMatchesDescendantEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := New(st, "m")
-	view, err := svc.indexedView()
+	view, err := reason.IndexedView(st, "m")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,11 +121,13 @@ func (w *Warehouse) IntegrateDBpedia(extract []rdf.Triple) int {
 	return n
 }
 
-// Reindex forces rematerialization of the OWLPRIME index and returns the
-// number of derived triples.
+// Reindex brings the OWLPRIME index up to date with the base model — by
+// extension from what was loaded since it was derived, from scratch when
+// there is no index to extend — and returns the number of derived triples
+// it holds. A current index is left alone.
 func (w *Warehouse) Reindex() (int, error) {
-	_, n, err := reason.NewEngine(w.st).Materialize(w.model)
-	return n, err
+	idx, err := reason.Materialize(w.st, w.model)
+	return w.st.Len(idx), err
 }
 
 // TextIndex returns the full-text index over the current graph (base
@@ -212,20 +214,12 @@ func (w *Warehouse) QueryCtx(ctx context.Context, query string) (*sparql.Result,
 		root.SetLabel("error", "parse")
 		return nil, err
 	}
-	idx := reason.IndexModelName(w.model, reason.RulebaseOWLPrime)
-	// Re-materialize when the base model has mutated since the index was
-	// derived (the generation check catches both a missing and a stale
-	// index).
-	if !w.st.Current(w.model, idx) {
-		sp := root.Child("reindex")
-		_, err := w.Reindex()
-		sp.Finish()
-		if err != nil {
-			root.SetLabel("error", "reindex")
-			return nil, err
-		}
+	view, err := reason.IndexedViewCtx(ctx, w.st, w.model)
+	if err != nil {
+		root.SetLabel("error", "reindex")
+		return nil, err
 	}
-	res, err := q.ExecCtx(ctx, w.st.ViewOf(w.model, idx), w.st.Dict())
+	res, err := q.ExecCtx(ctx, view, w.st.Dict())
 	if err == nil {
 		root.SetLabel("rows", strconv.Itoa(len(res.Rows)))
 	}
@@ -250,17 +244,12 @@ func (w *Warehouse) QueryAnalyzeCtx(ctx context.Context, query string) (*sparql.
 		root.SetLabel("error", "parse")
 		return nil, nil, err
 	}
-	idx := reason.IndexModelName(w.model, reason.RulebaseOWLPrime)
-	if !w.st.Current(w.model, idx) {
-		sp := root.Child("reindex")
-		_, err := w.Reindex()
-		sp.Finish()
-		if err != nil {
-			root.SetLabel("error", "reindex")
-			return nil, nil, err
-		}
+	view, err := reason.IndexedViewCtx(ctx, w.st, w.model)
+	if err != nil {
+		root.SetLabel("error", "reindex")
+		return nil, nil, err
 	}
-	res, stats, err := q.ExecAnalyzeCtx(ctx, w.st.ViewOf(w.model, idx), w.st.Dict())
+	res, stats, err := q.ExecAnalyzeCtx(ctx, view, w.st.Dict())
 	if err == nil {
 		root.SetLabel("rows", strconv.Itoa(len(res.Rows)))
 	}
@@ -322,13 +311,11 @@ func (w *Warehouse) ExplainCtx(ctx context.Context, query string) (string, error
 	if err != nil {
 		return "", err
 	}
-	idx := reason.IndexModelName(w.model, reason.RulebaseOWLPrime)
-	if !w.st.Current(w.model, idx) {
-		if _, err := w.Reindex(); err != nil {
-			return "", err
-		}
+	view, err := reason.IndexedViewCtx(ctx, w.st, w.model)
+	if err != nil {
+		return "", err
 	}
-	return q.ExplainOn(w.st.ViewOf(w.model, idx), w.st.Dict()), nil
+	return q.ExplainOn(view, w.st.Dict()), nil
 }
 
 // ExplainSemMatch renders the evaluation plan of an Oracle-style

@@ -219,6 +219,83 @@ func TestLoadInvalidatesIndex(t *testing.T) {
 	}
 }
 
+// Every service that reads the OWLPRIME view must see a load's inherited
+// types on its own first call after the load — not only after a search or
+// a query happened to bring the index up to date (SEM_MATCH, lineage and
+// audit used to derive a missing index but keep answering from a stale
+// one).
+func TestLoadVisibleToEveryIndexedService(t *testing.T) {
+	dm := func(s string) rdf.Term { return rdf.IRI(rdf.DMNS + s) }
+	item := staging.InstanceIRI("application1", "dwhdb", "mart", "v_customer", "customer_id")
+	app := staging.InstanceIRI("application1")
+	roleMatch := `SEM_MATCH({?r rdf:type dm:Role}, SEM_MODELS('DWH_CURR'), SEM_RULEBASES('OWLPRIME'),
+		SEM_ALIASES(SEM_ALIAS('dm', '` + rdf.DMNS + `')), null)`
+
+	services := map[string]func(t *testing.T, w *Warehouse) bool{
+		"semmatch": func(t *testing.T, w *Warehouse) bool {
+			res, err := w.SemMatch(roleMatch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range res.Rows {
+				if row["r"] == rdf.IRI(rdf.InstNS+"auditor") {
+					return true // typed Support, a Role only by inheritance
+				}
+			}
+			return false
+		},
+		"lineage": func(t *testing.T, w *Warehouse) bool {
+			g, err := w.Lineage(item, lineage.Backward, lineage.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := g.Nodes[rdf.IRI(rdf.InstNS+"feed_col")]
+			if n == nil {
+				return false
+			}
+			for _, c := range n.Classes {
+				if c == rdf.DMNS+"Attribute" {
+					return true // typed Application1_View_Column only
+				}
+			}
+			return false
+		},
+		"audit": func(t *testing.T, w *Warehouse) bool {
+			rep, err := w.Audit(item, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range rep.Grants {
+				if g.User == rdf.IRI(rdf.InstNS+"eve") {
+					return true // found through auditor's inherited type Role
+				}
+			}
+			return false
+		},
+	}
+	for name, sees := range services {
+		t.Run(name, func(t *testing.T) {
+			w := buildWarehouse(t)
+			if sees(t, w) {
+				t.Fatal("the load's facts are visible before the load")
+			}
+			w.LoadTriples([]rdf.Triple{
+				rdf.T(rdf.IRI(rdf.InstNS+"auditor"), rdf.Type, dm("Support")),
+				rdf.T(rdf.IRI(rdf.InstNS+"auditor"), rdf.IRI(rdf.MDWPartOf), app),
+				rdf.T(rdf.IRI(rdf.InstNS+"eve"), rdf.IRI(rdf.MDWHasRole), rdf.IRI(rdf.InstNS+"auditor")),
+				rdf.T(rdf.IRI(rdf.InstNS+"feed_col"), rdf.Type, dm("Application1_View_Column")),
+				rdf.T(rdf.IRI(rdf.InstNS+"feed_col"), rdf.IsMappedTo, item),
+			})
+			if !sees(t, w) {
+				t.Error("first call after the load answered from the stale index")
+			}
+			if !w.Stats().IndexCurrent {
+				t.Error("index not current after the call")
+			}
+		})
+	}
+}
+
 func TestWarehouseCloneModel(t *testing.T) {
 	w := buildWarehouse(t)
 	n, err := w.CloneModel("", "SANDBOX")

@@ -61,7 +61,7 @@ func benchFixture(b *testing.B, scale string) *benchEnv {
 		b.Fatal(err)
 	}
 	st.AddAll("DWH_CURR", l.ExtraTriples())
-	if _, _, err := reason.NewEngine(st).Materialize("DWH_CURR"); err != nil {
+	if _, err := reason.Materialize(st, "DWH_CURR"); err != nil {
 		b.Fatal(err)
 	}
 	cp, err := mgr.Checkpoint()

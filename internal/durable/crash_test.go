@@ -10,6 +10,7 @@ import (
 
 	"mdw/internal/durable"
 	"mdw/internal/rdf"
+	"mdw/internal/reason"
 	"mdw/internal/store"
 )
 
@@ -80,6 +81,27 @@ func TestTruncateAtEveryByte(t *testing.T) {
 		}
 	})
 	commit(func() { st.DropModel("m_clone") })
+	// An index installed whole and then extended: a crash anywhere inside
+	// either record must leave the previous index, never a partial one.
+	materialize := func() {
+		if _, err := reason.Materialize(st, "m"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(func() {
+		st.AddAll("m", []rdf.Triple{
+			rdf.T(iri("Sub"), rdf.SubClassOf, iri("Super")),
+			rdf.T(iri("a"), rdf.Type, iri("Sub")),
+		})
+	})
+	commit(materialize)
+	commit(func() {
+		st.AddAll("m", []rdf.Triple{
+			rdf.T(iri("c"), rdf.Type, iri("Sub")),
+			rdf.T(iri("a"), rdf.Type, iri("Super")),
+		})
+	})
+	commit(materialize)
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}

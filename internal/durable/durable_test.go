@@ -1,6 +1,8 @@
 package durable_test
 
 import (
+	"context"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -75,14 +77,186 @@ func scriptedMutations(t *testing.T, st *store.Store) {
 	if !st.DropModel("m3") {
 		t.Fatal("DropModel returned false")
 	}
-	// InstallModel via the real reasoner path (what reason.Materialize
-	// does after every staging load).
+	// A from-scratch index through the real reasoner path: one OpInstall.
 	st.AddAll("m1", []rdf.Triple{
 		rdf.T(iri("Sub"), rdf.IRI(rdf.RDFSSubClassOf), iri("Super")),
 		rdf.T(iri("inst"), rdf.Type, iri("Sub")),
 	})
-	if _, _, err := reason.NewEngine(st).Materialize("m1"); err != nil {
+	if _, err := reason.Materialize(st, "m1"); err != nil {
 		t.Fatalf("Materialize: %v", err)
+	}
+	// And an extension of it, one OpExtend: a new fact to derive from and
+	// the assertion of a triple the index had derived.
+	st.AddAll("m1", []rdf.Triple{
+		rdf.T(iri("inst2"), rdf.Type, iri("Sub")),
+		rdf.T(iri("inst"), rdf.Type, iri("Super")),
+	})
+	if _, err := reason.Materialize(st, "m1"); err != nil {
+		t.Fatalf("Materialize: %v", err)
+	}
+}
+
+// walPayloads slices every intact record frame's payload out of the data
+// directory's WAL segments, in log order.
+func walPayloads(tb testing.TB, dir string) [][]byte {
+	tb.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var payloads [][]byte
+	for _, seg := range segs { // Glob sorts, and the names sort by LSN
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for off := 16; off+8 <= len(data); {
+			n := int(binary.LittleEndian.Uint32(data[off:]))
+			if off+8+n > len(data) {
+				break
+			}
+			payloads = append(payloads, data[off+8:off+8+n])
+			off += 8 + n
+		}
+	}
+	return payloads
+}
+
+// walRecords decodes walPayloads.
+func walRecords(tb testing.TB, dir string) []*durable.Record {
+	tb.Helper()
+	var recs []*durable.Record
+	for _, p := range walPayloads(tb, dir) {
+		rec, err := durable.DecodePayload(p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// An extension must come back as the model, generation and basis it
+// produced, whether recovery starts from the WAL alone or from a snapshot
+// taken before the extension; and a crash between the load and the
+// extension must leave a store whose next Materialize is again an
+// extension — the replayed OpAdds rebuild the delta log — with the same
+// result.
+func TestExtensionRecordReplay(t *testing.T) {
+	for _, checkpoint := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpoint=%v", checkpoint), func(t *testing.T) {
+			dir := t.TempDir()
+			mgr, st := openTest(t, dir, nil)
+			defer mgr.Close()
+			ctx := context.Background()
+			st.AddAll("m", []rdf.Triple{
+				rdf.T(iri("Sub"), rdf.SubClassOf, iri("Mid")),
+				rdf.T(iri("a"), rdf.Type, iri("Sub")),
+			})
+			idx, err := reason.MaterializeCtx(ctx, st, "m")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if checkpoint {
+				if _, err := mgr.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st.AddAll("m", []rdf.Triple{
+				rdf.T(iri("Mid"), rdf.SubClassOf, iri("Top")), // schema after the facts it applies to
+				rdf.T(iri("b"), rdf.Type, iri("Sub")),
+				rdf.T(iri("a"), rdf.Type, iri("Mid")), // derived before, asserted now
+			})
+			if err := mgr.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			before := copyDir(t, dir)
+			prevGen := st.Generation(idx)
+			if _, err := reason.MaterializeCtx(ctx, st, "m"); err != nil {
+				t.Fatal(err)
+			}
+			if err := mgr.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			after := copyDir(t, dir)
+			want := fingerprint(st)
+
+			recs := walRecords(t, after)
+			last := recs[len(recs)-1]
+			if last.Op != store.OpExtend || last.Model != idx || last.PrevGen != prevGen ||
+				last.Gen != st.Generation(idx) || last.Basis != st.Generation("m") ||
+				len(last.Triples) != 4 || len(last.Removed) != 1 {
+				t.Fatalf("last WAL record is not the extension: %+v", last)
+			}
+
+			// Crash after the record.
+			rst, _, err := durable.Recover(after, t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fingerprint(rst); got != want {
+				t.Errorf("state after replaying the extension diverged:\n--- want ---\n%s--- got ---\n%s", want, got)
+			}
+			if !rst.Current("m", idx) {
+				t.Error("index not current after replaying the extension")
+			}
+
+			// Crash before it.
+			rst, _, err = durable.Recover(before, t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rst.Current("m", idx) {
+				t.Fatal("index current although the crash preceded the extension")
+			}
+			var ops []store.Op
+			rst.SetCommitHook(func(m store.Mutation) { ops = append(ops, m.Op) })
+			if _, err := reason.MaterializeCtx(ctx, rst, "m"); err != nil {
+				t.Fatal(err)
+			}
+			if len(ops) != 1 || ops[0] != store.OpExtend {
+				t.Errorf("Materialize after recovery published %v, want one extension", ops)
+			}
+			if got, want := rst.Triples(idx), st.Triples(idx); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("index extended after recovery:\n%v\nindex extended before the crash:\n%v", got, want)
+			}
+		})
+	}
+}
+
+// testdata/datadir-pr14 was written by the commit before OpExtend
+// existed: a snapshot, then a WAL tail with a load, a full OpInstall of
+// the index, and one more load. It must recover to the state that commit
+// recorded, and the stale index must then extend.
+func TestOldFormatDataDirRecovers(t *testing.T) {
+	dir := copyDir(t, filepath.Join("testdata", "datadir-pr14"))
+	rst, stats, err := durable.Recover(dir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.SnapshotLSN != 2 || stats.ReplayedRecords != 3 {
+		t.Errorf("recovered from snapshot LSN %d with %d records replayed, want 2 and 3", stats.SnapshotLSN, stats.ReplayedRecords)
+	}
+	const want = `@model m1 gen=5 basis=0 n=4
+@model m1$OWLPRIME gen=3 basis=4 n=2
+m1|<http://example.com/Sub> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://example.com/Super> .
+m1|<http://example.com/inst> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.com/Sub> .
+m1|<http://example.com/inst2> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.com/Sub> .
+m1|<http://example.com/inst3> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.com/Sub> .
+m1$OWLPRIME|<http://example.com/inst> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.com/Super> .
+m1$OWLPRIME|<http://example.com/inst2> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://example.com/Super> .
+`
+	if got := fingerprint(rst); got != want {
+		t.Fatalf("old-format directory recovered to:\n%s\nwant:\n%s", got, want)
+	}
+	var ext store.Mutation
+	rst.SetCommitHook(func(m store.Mutation) { ext = m })
+	idx, err := reason.Materialize(rst, "m1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ext.Op != store.OpExtend || len(ext.Triples) != 1 || rst.Len(idx) != 3 || !rst.Current("m1", idx) {
+		t.Errorf("Materialize on the recovered store: %v of %d triples, index now %d triples", ext.Op, len(ext.Triples), rst.Len(idx))
 	}
 }
 

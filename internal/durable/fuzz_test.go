@@ -1,13 +1,12 @@
 package durable_test
 
 import (
-	"encoding/binary"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"mdw/internal/durable"
 	"mdw/internal/rdf"
+	"mdw/internal/reason"
 	"mdw/internal/store"
 )
 
@@ -30,25 +29,24 @@ func realWALPayloads(f *testing.F) [][]byte {
 	st.Remove("m", rdf.T(rdf.IRI("http://a"), rdf.IRI("http://p"), rdf.IRI("http://b")))
 	st.CloneModel("m", "m2")
 	st.DropModel("m2")
-	mgr.Close()
-
-	matches, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if err != nil || len(matches) == 0 {
-		f.Fatalf("no WAL segment written: %v", err)
-	}
-	data, err := os.ReadFile(matches[0])
-	if err != nil {
+	// An index installed whole, then an extension that adds and removes.
+	st.AddAll("m", []rdf.Triple{
+		rdf.T(rdf.IRI("http://Sub"), rdf.SubClassOf, rdf.IRI("http://Super")),
+		rdf.T(rdf.IRI("http://a"), rdf.Type, rdf.IRI("http://Sub")),
+	})
+	if _, err := reason.Materialize(st, "m"); err != nil {
 		f.Fatal(err)
 	}
-	var payloads [][]byte
-	for off := 16; off+8 <= len(data); {
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if off+8+n > len(data) {
-			break
-		}
-		payloads = append(payloads, data[off+8:off+8+n])
-		off += 8 + n
+	st.AddAll("m", []rdf.Triple{
+		rdf.T(rdf.IRI("http://b"), rdf.Type, rdf.IRI("http://Sub")),
+		rdf.T(rdf.IRI("http://a"), rdf.Type, rdf.IRI("http://Super")),
+	})
+	if _, err := reason.Materialize(st, "m"); err != nil {
+		f.Fatal(err)
 	}
+	mgr.Close()
+
+	payloads := walPayloads(f, dir)
 	if len(payloads) == 0 {
 		f.Fatal("no frames extracted from the WAL segment")
 	}

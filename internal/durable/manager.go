@@ -228,12 +228,7 @@ func (m *Manager) appendMutation(b []byte, lsn uint64, mut store.Mutation) []byt
 	switch mut.Op {
 	case store.OpAdd, store.OpRemove:
 		b = appendU64(b, mut.Gen)
-		b = appendUvarint(b, uint64(len(mut.Triples)))
-		for _, et := range mut.Triples {
-			b = appendTerm(b, m.dict.Term(et.S))
-			b = appendTerm(b, m.dict.Term(et.P))
-			b = appendTerm(b, m.dict.Term(et.O))
-		}
+		b = m.appendETriples(b, mut.Triples)
 	case store.OpDrop:
 	case store.OpClone:
 		b = appendString(b, mut.Src)
@@ -248,6 +243,22 @@ func (m *Manager) appendMutation(b []byte, lsn uint64, mut store.Mutation) []byt
 			b = appendTerm(b, m.dict.Term(et.O))
 			return true
 		})
+	case store.OpExtend:
+		b = appendU64(b, mut.PrevGen)
+		b = appendU64(b, mut.Gen)
+		b = appendU64(b, mut.Basis)
+		b = m.appendETriples(b, mut.Triples)
+		b = m.appendETriples(b, mut.Removed)
+	}
+	return b
+}
+
+func (m *Manager) appendETriples(b []byte, ts []store.ETriple) []byte {
+	b = appendUvarint(b, uint64(len(ts)))
+	for _, et := range ts {
+		b = appendTerm(b, m.dict.Term(et.S))
+		b = appendTerm(b, m.dict.Term(et.P))
+		b = appendTerm(b, m.dict.Term(et.O))
 	}
 	return b
 }

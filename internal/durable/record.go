@@ -30,8 +30,10 @@ type Record struct {
 	Model   string
 	Src     string // OpClone source
 	Gen     uint64 // model generation after the mutation
-	Basis   uint64 // OpInstall derivation basis
+	Basis   uint64 // OpInstall/OpExtend derivation basis
+	PrevGen uint64 // OpExtend: generation of the model the extension applies to
 	Triples []rdf.Triple
+	Removed []rdf.Triple // OpExtend: triples the extension takes away
 }
 
 // Term kind tags in the binary encoding. Literal sub-kinds are split out
@@ -46,7 +48,7 @@ const (
 
 // maxRecordBytes bounds a record frame's declared payload length. A
 // length field beyond it is unconditionally invalid (the biggest real
-// records — full index-model installs — stay far below).
+// records — from-scratch index-model installs — stay far below).
 const maxRecordBytes = 1 << 30
 
 func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
@@ -92,12 +94,7 @@ func appendPayload(b []byte, rec *Record) []byte {
 	switch rec.Op {
 	case store.OpAdd, store.OpRemove:
 		b = appendU64(b, rec.Gen)
-		b = appendUvarint(b, uint64(len(rec.Triples)))
-		for _, t := range rec.Triples {
-			b = appendTerm(b, t.S)
-			b = appendTerm(b, t.P)
-			b = appendTerm(b, t.O)
-		}
+		b = appendTriples(b, rec.Triples)
 	case store.OpDrop:
 	case store.OpClone:
 		b = appendString(b, rec.Src)
@@ -105,12 +102,23 @@ func appendPayload(b []byte, rec *Record) []byte {
 	case store.OpInstall:
 		b = appendU64(b, rec.Gen)
 		b = appendU64(b, rec.Basis)
-		b = appendUvarint(b, uint64(len(rec.Triples)))
-		for _, t := range rec.Triples {
-			b = appendTerm(b, t.S)
-			b = appendTerm(b, t.P)
-			b = appendTerm(b, t.O)
-		}
+		b = appendTriples(b, rec.Triples)
+	case store.OpExtend:
+		b = appendU64(b, rec.PrevGen)
+		b = appendU64(b, rec.Gen)
+		b = appendU64(b, rec.Basis)
+		b = appendTriples(b, rec.Triples)
+		b = appendTriples(b, rec.Removed)
+	}
+	return b
+}
+
+func appendTriples(b []byte, ts []rdf.Triple) []byte {
+	b = appendUvarint(b, uint64(len(ts)))
+	for _, t := range ts {
+		b = appendTerm(b, t.S)
+		b = appendTerm(b, t.P)
+		b = appendTerm(b, t.O)
 	}
 	return b
 }
@@ -260,6 +268,12 @@ func DecodePayload(data []byte) (*Record, error) {
 		rec.Gen = c.u64()
 		rec.Basis = c.u64()
 		rec.Triples = c.triples()
+	case store.OpExtend:
+		rec.PrevGen = c.u64()
+		rec.Gen = c.u64()
+		rec.Basis = c.u64()
+		rec.Triples = c.triples()
+		rec.Removed = c.triples()
 	default:
 		if c.err == nil {
 			c.fail("unknown op %d", rec.Op)

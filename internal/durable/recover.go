@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"mdw/internal/rdf"
 	"mdw/internal/store"
 )
 
@@ -220,9 +221,8 @@ func applyRecord(st *store.Store, rec *Record) error {
 		return verifyGen(st, rec.Model, rec.Gen)
 	case store.OpInstall:
 		m := store.NewModel(rec.Model)
-		dict := st.Dict()
 		for _, t := range rec.Triples {
-			m.Add(store.ETriple{S: dict.Intern(t.S), P: dict.Intern(t.P), O: dict.Intern(t.O)})
+			m.Add(intern(st.Dict(), t))
 		}
 		if m.Len() != len(rec.Triples) {
 			return fmt.Errorf("install: %d distinct triples, record declared %d", m.Len(), len(rec.Triples))
@@ -231,9 +231,37 @@ func applyRecord(st *store.Store, rec *Record) error {
 		m.SetBasis(rec.Basis)
 		st.InstallModel(m)
 		return nil
+	case store.OpExtend:
+		// The record holds a difference, so it only means something
+		// against the model it was computed from.
+		if err := verifyGen(st, rec.Model, rec.PrevGen); err != nil {
+			return err
+		}
+		m := st.SnapshotModel(rec.Model)
+		if m == nil {
+			return fmt.Errorf("extend: model %q absent (replay divergence)", rec.Model)
+		}
+		for _, t := range rec.Removed {
+			if !m.Remove(intern(st.Dict(), t)) {
+				return fmt.Errorf("extend: removed triple absent (replay divergence)")
+			}
+		}
+		for _, t := range rec.Triples {
+			if !m.Add(intern(st.Dict(), t)) {
+				return fmt.Errorf("extend: added triple already present (replay divergence)")
+			}
+		}
+		m.SetGen(rec.Gen)
+		m.SetBasis(rec.Basis)
+		st.InstallModel(m)
+		return nil
 	default:
 		return fmt.Errorf("unknown op %d", rec.Op)
 	}
+}
+
+func intern(dict *store.Dict, t rdf.Triple) store.ETriple {
+	return store.ETriple{S: dict.Intern(t.S), P: dict.Intern(t.P), O: dict.Intern(t.O)}
 }
 
 func verifyGen(st *store.Store, model string, want uint64) error {

@@ -112,7 +112,7 @@ func (a *Analyzer) Analyze(from, to int) (*Analysis, error) {
 	}
 
 	// Roll the affected set up to applications and reports.
-	view, err := a.indexedView()
+	view, err := reason.IndexedView(a.st, a.model)
 	if err != nil {
 		return nil, err
 	}
@@ -173,16 +173,6 @@ func containerOfClass(view *store.View, dict *store.Dict, id store.ID, classIRI 
 		}
 	}
 	return rdf.Term{}, false
-}
-
-func (a *Analyzer) indexedView() (*store.View, error) {
-	idx := reason.IndexModelName(a.model, reason.RulebaseOWLPrime)
-	if !a.st.HasModel(idx) {
-		if _, _, err := reason.NewEngine(a.st).Materialize(a.model); err != nil {
-			return nil, err
-		}
-	}
-	return a.st.ViewOf(a.model, idx), nil
 }
 
 // Format renders the analysis for the terminal.

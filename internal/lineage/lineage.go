@@ -110,11 +110,11 @@ func (s *Service) Trace(item rdf.Term, dir Direction, opt Options) (*Graph, erro
 // a "lineage.trace" span, nested in the request's trace when ctx carries
 // one, the root of a new trace otherwise.
 func (s *Service) TraceCtx(ctx context.Context, item rdf.Term, dir Direction, opt Options) (*Graph, error) {
-	sp, _ := obs.StartChildCtx(ctx, "lineage.trace")
+	sp, ctx := obs.StartChildCtx(ctx, "lineage.trace")
 	sp.SetLabel("item", item.Value).SetLabel("direction", dir.String())
 	defer sp.Finish()
 	defer obsTraceHist.ObserveSince(time.Now())
-	view, err := s.indexedView()
+	view, err := reason.IndexedViewCtx(ctx, s.st, s.model)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +305,7 @@ func (s *Service) Impact(item rdf.Term, opt Options) ([]rdf.Term, error) {
 // with memoization, so the count itself stays cheap even when it is
 // exponential in the number of stages.
 func (s *Service) CountPaths(item rdf.Term, dir Direction, opt Options) (int, error) {
-	view, err := s.indexedView()
+	view, err := reason.IndexedView(s.st, s.model)
 	if err != nil {
 		return 0, err
 	}
@@ -364,19 +364,6 @@ func (s *Service) CountPaths(item rdf.Term, dir Direction, opt Options) (int, er
 		return n
 	}
 	return count(rootID), nil
-}
-
-func (s *Service) indexedView() (*store.View, error) {
-	idx := reason.IndexModelName(s.model, reason.RulebaseOWLPrime)
-	if !s.st.HasModel(idx) {
-		if !s.st.HasModel(s.model) {
-			return nil, fmt.Errorf("lineage: no such model %q", s.model)
-		}
-		if _, _, err := reason.NewEngine(s.st).Materialize(s.model); err != nil {
-			return nil, err
-		}
-	}
-	return s.st.ViewOf(s.model, idx), nil
 }
 
 // Format renders a lineage graph for the terminal, one edge per line in

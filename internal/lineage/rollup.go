@@ -7,6 +7,7 @@ import (
 
 	"mdw/internal/obs"
 	"mdw/internal/rdf"
+	"mdw/internal/reason"
 	"mdw/internal/store"
 )
 
@@ -66,7 +67,7 @@ func (s *Service) RollupSides(g *Graph, sourceLevel, targetLevel Level) (*Graph,
 	if sourceLevel == targetLevel {
 		return s.Rollup(g, sourceLevel)
 	}
-	view, err := s.indexedView()
+	view, err := reason.IndexedView(s.st, s.model)
 	if err != nil {
 		return nil, err
 	}
@@ -96,10 +97,10 @@ func (s *Service) RollupCtx(ctx context.Context, g *Graph, level Level) (*Graph,
 	if level == LevelAttribute {
 		return g, nil
 	}
-	sp, _ := obs.StartChildCtx(ctx, "lineage.rollup")
+	sp, ctx := obs.StartChildCtx(ctx, "lineage.rollup")
 	sp.SetLabel("level", level.String())
 	defer sp.Finish()
-	view, err := s.indexedView()
+	view, err := reason.IndexedViewCtx(ctx, s.st, s.model)
 	if err != nil {
 		return nil, err
 	}

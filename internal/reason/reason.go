@@ -11,9 +11,17 @@
 // does not explicitly contain a reference to one of these OWL indexes,
 // then only the meta-data facts are considered."
 //
-// Materialize therefore writes derived triples into a *separate* index
+// Materialize therefore keeps derived triples in a *separate* index
 // model (named <model>$<rulebase>); queries opt in by unioning the base
 // model with its index model, exactly mirroring the paper's semantics.
+//
+// The warehouse is loaded by additions and every rule below is monotone,
+// so the index is maintained, not rebuilt: Materialize starts the rules
+// from the base triples added since the index was derived (the store's
+// delta log) and extends the installed index with what they newly
+// entail. Deriving from scratch is the same run with an empty index and
+// every base triple as the delta; it happens for a first derivation and
+// after anything that is not an addition (see store.SnapshotDelta).
 //
 // Supported rules:
 //
@@ -28,7 +36,9 @@
 package reason
 
 import (
+	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"mdw/internal/obs"
@@ -40,12 +50,14 @@ import (
 var (
 	obsMaterializeHist = obs.Default().Histogram("mdw_reason_materialize_seconds", nil)
 	obsDerived         = obs.Default().Counter("mdw_reason_derived_total")
+	obsDelta           = obs.Default().Counter("mdw_reason_delta_triples_total")
 )
 
 func init() {
 	r := obs.Default()
-	r.SetHelp("mdw_reason_materialize_seconds", "Full OWLPRIME materialization latency.")
-	r.SetHelp("mdw_reason_derived_total", "Derived triples produced by materializations.")
+	r.SetHelp("mdw_reason_materialize_seconds", "Latency of one OWLPRIME index maintenance run (extension or from-scratch derivation).")
+	r.SetHelp("mdw_reason_derived_total", "Triples newly derived by index maintenance runs.")
+	r.SetHelp("mdw_reason_delta_triples_total", "Base triples index maintenance runs started from (a from-scratch run starts from the whole model).")
 }
 
 // RulebaseOWLPrime names the default rulebase, matching the paper's
@@ -58,11 +70,16 @@ func IndexModelName(model, rulebase string) string {
 	return model + "$" + rulebase
 }
 
-// Engine materializes entailments for models of one Store.
-type Engine struct {
-	st *store.Store
+// engine is one maintenance run: the rules probe the closure base ∪ idx
+// and write what they derive into idx.
+type engine struct {
+	dict *store.Dict
+	// base is a read-only snapshot of the base model; idx holds the
+	// derived-only triples and is this run's to mutate. The two are
+	// disjoint, so their union needs no de-duplication.
+	base, idx *store.Model
 
-	// Interned vocabulary IDs, resolved once per engine.
+	// Interned vocabulary IDs.
 	typeID, subClassID, subPropID store.ID
 	domainID, rangeID             store.ID
 	symmetricID, transitiveID     store.ID
@@ -70,110 +87,167 @@ type Engine struct {
 	equivClassID, equivPropID     store.ID
 }
 
-// NewEngine returns an engine bound to st.
-func NewEngine(st *store.Store) *Engine {
-	d := st.Dict()
-	return &Engine{
-		st:           st,
-		typeID:       d.Intern(rdf.IRI(rdf.RDFType)),
-		subClassID:   d.Intern(rdf.IRI(rdf.RDFSSubClassOf)),
-		subPropID:    d.Intern(rdf.IRI(rdf.RDFSSubPropertyOf)),
-		domainID:     d.Intern(rdf.IRI(rdf.RDFSDomain)),
-		rangeID:      d.Intern(rdf.IRI(rdf.RDFSRange)),
-		symmetricID:  d.Intern(rdf.IRI(rdf.OWLSymmetricProperty)),
-		transitiveID: d.Intern(rdf.IRI(rdf.OWLTransitiveProperty)),
-		inverseID:    d.Intern(rdf.IRI(rdf.OWLInverseOf)),
-		sameAsID:     d.Intern(rdf.IRI(rdf.OWLSameAs)),
-		equivClassID: d.Intern(rdf.IRI(rdf.OWLEquivalentClass)),
-		equivPropID:  d.Intern(rdf.IRI(rdf.OWLEquivalentProperty)),
+func newEngine(dict *store.Dict, base, idx *store.Model) *engine {
+	return &engine{
+		dict:         dict,
+		base:         base,
+		idx:          idx,
+		typeID:       dict.Intern(rdf.IRI(rdf.RDFType)),
+		subClassID:   dict.Intern(rdf.IRI(rdf.RDFSSubClassOf)),
+		subPropID:    dict.Intern(rdf.IRI(rdf.RDFSSubPropertyOf)),
+		domainID:     dict.Intern(rdf.IRI(rdf.RDFSDomain)),
+		rangeID:      dict.Intern(rdf.IRI(rdf.RDFSRange)),
+		symmetricID:  dict.Intern(rdf.IRI(rdf.OWLSymmetricProperty)),
+		transitiveID: dict.Intern(rdf.IRI(rdf.OWLTransitiveProperty)),
+		inverseID:    dict.Intern(rdf.IRI(rdf.OWLInverseOf)),
+		sameAsID:     dict.Intern(rdf.IRI(rdf.OWLSameAs)),
+		equivClassID: dict.Intern(rdf.IRI(rdf.OWLEquivalentClass)),
+		equivPropID:  dict.Intern(rdf.IRI(rdf.OWLEquivalentProperty)),
 	}
 }
 
-// Materialize computes the OWLPRIME entailment of the named model and
-// stores the *derived-only* triples in the corresponding index model,
-// replacing any previous contents. It returns the index model name and
-// the number of derived triples.
+// Materialize is MaterializeCtx with a background context.
+func Materialize(st *store.Store, model string) (string, error) {
+	return MaterializeCtx(context.Background(), st, model)
+}
+
+// MaterializeCtx brings the OWLPRIME index model of the named base model up
+// to date with the base's present generation and returns its name. The
+// index holds the *derived-only* triples. When it is already current the
+// call costs one generation comparison; runs are single-flighted per base
+// model, so concurrent callers that find the index stale wait for one
+// run instead of starting their own.
 //
-// The closure is computed over a locked snapshot of the base model and
-// the finished index model is swapped in atomically, with the base
-// generation it was derived from recorded as its basis: concurrent
-// writers never race with the rule engine, readers never observe a
-// half-built index, and store.Current(model, idxName) reports whether
-// the index still reflects the base model.
-func (e *Engine) Materialize(model string) (string, int, error) {
-	t0 := time.Now()
+// A run works on one consistent cut (store.SnapshotDelta): a snapshot of
+// the base, a copy-on-write clone of the installed index, and the base
+// triples added since the index's basis. It drops from the index the
+// delta triples that are now asserted, forward-chains from the delta
+// against base ∪ index, and publishes the extended index atomically with
+// the snapshot's generation as its basis: concurrent writers never race
+// with the rule engine, readers never observe a half-built index, and
+// store.Current(model, idxName) reports whether the index still reflects
+// the base model. Because every rule is monotone and has at most one
+// premise outside the closure at the moment the other is processed, the
+// result is the index a from-scratch derivation would produce.
+func MaterializeCtx(ctx context.Context, st *store.Store, model string) (string, error) {
 	idxName := IndexModelName(model, RulebaseOWLPrime)
-	// Working closure starts as a detached snapshot of the base model;
-	// everything the rules add beyond the base goes to the index model.
-	work := e.st.SnapshotModel(model)
-	if work == nil {
-		return "", 0, fmt.Errorf("reason: no such model %q", model)
+	if st.Current(model, idxName) {
+		return idxName, nil
 	}
-	// The snapshot carries its own fresh generation; the base generation
-	// it was taken at — the derivation basis — is its Basis.
-	basis := work.Basis()
-	derived := store.NewModel(idxName)
+	mu := st.DeriveLock(model)
+	mu.Lock()
+	defer mu.Unlock()
+	if st.Current(model, idxName) {
+		return idxName, nil // the run we waited for did it
+	}
+	sp, _ := obs.ChildCtx(ctx, "reindex")
+	defer sp.Finish()
+	t0 := time.Now()
+	d := st.SnapshotDelta(model, idxName)
+	if d == nil {
+		return "", fmt.Errorf("reason: no such model %q", model)
+	}
+	e := newEngine(st.Dict(), d.Base, d.Derived)
 
-	var queue []store.ETriple
-	work.ForEach(store.Wildcard, store.Wildcard, store.Wildcard, func(t store.ETriple) bool {
-		queue = append(queue, t)
-		return true
-	})
-
+	// The queue starts as the delta; everything the rules add beyond the
+	// closure goes to the index and to the queue's tail.
+	queue, nDelta := d.Added, len(d.Added)
+	var asserted []store.ETriple
+	for _, t := range queue {
+		if e.idx.Remove(t) {
+			asserted = append(asserted, t)
+		}
+	}
 	emit := func(t store.ETriple) {
-		if work.Add(t) {
-			derived.Add(t)
+		if !e.base.Contains(t) && e.idx.Add(t) {
 			queue = append(queue, t)
 		}
 	}
-
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
-		e.applyRules(work, t, emit)
+	for i := 0; i < len(queue); i++ {
+		e.applyRules(queue[i], emit)
 	}
-	derived.SetBasis(basis)
-	e.st.InstallModel(derived)
+	e.idx.SetBasis(d.Base.Basis())
+	st.InstallExtension(e.idx, d.PrevGen, queue[nDelta:], asserted)
+
 	obsMaterializeHist.ObserveSince(t0)
-	obsDerived.Add(int64(derived.Len()))
-	return idxName, derived.Len(), nil
+	obsDelta.Add(int64(nDelta))
+	obsDerived.Add(int64(len(queue) - nDelta))
+	sp.SetLabel("delta", strconv.Itoa(nDelta)).SetLabel("derived", strconv.Itoa(len(queue)-nDelta))
+	return idxName, nil
+}
+
+// IndexedView is IndexedViewCtx with a background context.
+func IndexedView(st *store.Store, model string) (*store.View, error) {
+	return IndexedViewCtx(context.Background(), st, model)
+}
+
+// IndexedViewCtx returns the view the paper's rulebase queries run
+// against — the named base model ∪ its OWLPRIME index — with the index
+// brought up to date first.
+func IndexedViewCtx(ctx context.Context, st *store.Store, model string) (*store.View, error) {
+	idx, err := MaterializeCtx(ctx, st, model)
+	if err != nil {
+		return nil, err
+	}
+	return st.ViewOf(model, idx), nil
+}
+
+// contains, objects, subjects and forEach read the closure base ∪ idx.
+// The slices are fresh copies: emit mutates idx while callers range.
+
+func (e *engine) contains(t store.ETriple) bool {
+	return e.base.Contains(t) || e.idx.Contains(t)
+}
+
+func (e *engine) objects(s, p store.ID) []store.ID {
+	return append(e.base.Objects(s, p), e.idx.Objects(s, p)...)
+}
+
+func (e *engine) subjects(p, o store.ID) []store.ID {
+	return append(e.base.Subjects(p, o), e.idx.Subjects(p, o)...)
+}
+
+// forEach visits every statement of the closure with predicate p.
+func (e *engine) forEach(p store.ID, fn func(store.ETriple)) {
+	visit := func(t store.ETriple) bool { fn(t); return true }
+	e.base.ForEach(store.Wildcard, p, store.Wildcard, visit)
+	e.idx.ForEach(store.Wildcard, p, store.Wildcard, visit)
 }
 
 // applyRules derives the immediate consequences of triple t against the
 // current closure and hands each to emit.
-func (e *Engine) applyRules(all *store.Model, t store.ETriple, emit func(store.ETriple)) {
+func (e *engine) applyRules(t store.ETriple, emit func(store.ETriple)) {
 	s, p, o := t.S, t.P, t.O
 
 	switch p {
 	case e.subClassID:
 		// Transitivity, both join directions.
-		for _, c := range all.Objects(o, e.subClassID) {
+		for _, c := range e.objects(o, e.subClassID) {
 			emit(store.ETriple{S: s, P: e.subClassID, O: c})
 		}
-		for _, a := range all.Subjects(e.subClassID, s) {
+		for _, a := range e.subjects(e.subClassID, s) {
 			emit(store.ETriple{S: a, P: e.subClassID, O: o})
 		}
 		// Type inheritance for existing instances of the subclass.
-		for _, x := range all.Subjects(e.typeID, s) {
+		for _, x := range e.subjects(e.typeID, s) {
 			emit(store.ETriple{S: x, P: e.typeID, O: o})
 		}
 
 	case e.subPropID:
-		for _, c := range all.Objects(o, e.subPropID) {
+		for _, c := range e.objects(o, e.subPropID) {
 			emit(store.ETriple{S: s, P: e.subPropID, O: c})
 		}
-		for _, a := range all.Subjects(e.subPropID, s) {
+		for _, a := range e.subjects(e.subPropID, s) {
 			emit(store.ETriple{S: a, P: e.subPropID, O: o})
 		}
 		// Statement inheritance: every (x s y) also holds under o.
-		all.ForEach(store.Wildcard, s, store.Wildcard, func(st store.ETriple) bool {
+		e.forEach(s, func(st store.ETriple) {
 			emit(store.ETriple{S: st.S, P: o, O: st.O})
-			return true
 		})
 
 	case e.typeID:
 		// Class membership propagates up the hierarchy.
-		for _, c := range all.Objects(o, e.subClassID) {
+		for _, c := range e.objects(o, e.subClassID) {
 			emit(store.ETriple{S: s, P: e.typeID, O: c})
 		}
 		if e.isSchemaPredicate(s) {
@@ -183,44 +257,39 @@ func (e *Engine) applyRules(all *store.Model, t store.ETriple, emit func(store.E
 		}
 		switch o {
 		case e.symmetricID:
-			all.ForEach(store.Wildcard, s, store.Wildcard, func(st store.ETriple) bool {
+			e.forEach(s, func(st store.ETriple) {
 				emit(store.ETriple{S: st.O, P: s, O: st.S})
-				return true
 			})
 		case e.transitiveID:
-			all.ForEach(store.Wildcard, s, store.Wildcard, func(st store.ETriple) bool {
-				for _, z := range all.Objects(st.O, s) {
+			e.forEach(s, func(st store.ETriple) {
+				for _, z := range e.objects(st.O, s) {
 					emit(store.ETriple{S: st.S, P: s, O: z})
 				}
-				return true
 			})
 		}
 
 	case e.domainID:
 		// t = (prop, domain, class): type every existing subject.
-		for _, x := range all.SubjectsOf(s) {
-			emit(store.ETriple{S: x, P: e.typeID, O: o})
-		}
+		e.forEach(s, func(st store.ETriple) {
+			emit(store.ETriple{S: st.S, P: e.typeID, O: o})
+		})
 
 	case e.rangeID:
-		all.ForEach(store.Wildcard, s, store.Wildcard, func(st store.ETriple) bool {
+		e.forEach(s, func(st store.ETriple) {
 			if !e.isLiteral(st.O) {
 				emit(store.ETriple{S: st.O, P: e.typeID, O: o})
 			}
-			return true
 		})
 
 	case e.inverseID:
 		// t = (p', inverseOf, q): swap all existing statements both ways,
 		// and record the symmetric inverse declaration.
 		emit(store.ETriple{S: o, P: e.inverseID, O: s})
-		all.ForEach(store.Wildcard, s, store.Wildcard, func(st store.ETriple) bool {
+		e.forEach(s, func(st store.ETriple) {
 			emit(store.ETriple{S: st.O, P: o, O: st.S})
-			return true
 		})
-		all.ForEach(store.Wildcard, o, store.Wildcard, func(st store.ETriple) bool {
+		e.forEach(o, func(st store.ETriple) {
 			emit(store.ETriple{S: st.O, P: s, O: st.S})
-			return true
 		})
 
 	case e.equivClassID:
@@ -233,7 +302,7 @@ func (e *Engine) applyRules(all *store.Model, t store.ETriple, emit func(store.E
 
 	case e.sameAsID:
 		emit(store.ETriple{S: o, P: e.sameAsID, O: s})
-		for _, z := range all.Objects(o, e.sameAsID) {
+		for _, z := range e.objects(o, e.sameAsID) {
 			if z != s {
 				emit(store.ETriple{S: s, P: e.sameAsID, O: z})
 			}
@@ -246,37 +315,37 @@ func (e *Engine) applyRules(all *store.Model, t store.ETriple, emit func(store.E
 	if e.isSchemaPredicate(p) {
 		return
 	}
-	if all.Contains(store.ETriple{S: p, P: e.typeID, O: e.symmetricID}) {
+	if e.contains(store.ETriple{S: p, P: e.typeID, O: e.symmetricID}) {
 		emit(store.ETriple{S: o, P: p, O: s})
 	}
-	if all.Contains(store.ETriple{S: p, P: e.typeID, O: e.transitiveID}) {
-		for _, z := range all.Objects(o, p) {
+	if e.contains(store.ETriple{S: p, P: e.typeID, O: e.transitiveID}) {
+		for _, z := range e.objects(o, p) {
 			emit(store.ETriple{S: s, P: p, O: z})
 		}
-		for _, a := range all.Subjects(p, s) {
+		for _, a := range e.subjects(p, s) {
 			emit(store.ETriple{S: a, P: p, O: o})
 		}
 	}
-	for _, q := range all.Objects(p, e.subPropID) {
+	for _, q := range e.objects(p, e.subPropID) {
 		emit(store.ETriple{S: s, P: q, O: o})
 	}
-	for _, q := range all.Objects(p, e.inverseID) {
+	for _, q := range e.objects(p, e.inverseID) {
 		emit(store.ETriple{S: o, P: q, O: s})
 	}
-	for _, q := range all.Subjects(e.inverseID, p) {
+	for _, q := range e.subjects(e.inverseID, p) {
 		emit(store.ETriple{S: o, P: q, O: s})
 	}
-	for _, c := range all.Objects(p, e.domainID) {
+	for _, c := range e.objects(p, e.domainID) {
 		emit(store.ETriple{S: s, P: e.typeID, O: c})
 	}
 	if !e.isLiteral(o) {
-		for _, c := range all.Objects(p, e.rangeID) {
+		for _, c := range e.objects(p, e.rangeID) {
 			emit(store.ETriple{S: o, P: e.typeID, O: c})
 		}
 	}
 }
 
-func (e *Engine) isSchemaPredicate(p store.ID) bool {
+func (e *engine) isSchemaPredicate(p store.ID) bool {
 	switch p {
 	case e.typeID, e.subClassID, e.subPropID, e.domainID, e.rangeID,
 		e.inverseID, e.sameAsID, e.equivClassID, e.equivPropID:
@@ -285,8 +354,8 @@ func (e *Engine) isSchemaPredicate(p store.ID) bool {
 	return false
 }
 
-func (e *Engine) isLiteral(id store.ID) bool {
-	return e.st.Dict().Term(id).IsLiteral()
+func (e *engine) isLiteral(id store.ID) bool {
+	return e.dict.Term(id).IsLiteral()
 }
 
 // Entail is a convenience for tests and small graphs: it loads ts into a
@@ -294,8 +363,7 @@ func (e *Engine) isLiteral(id store.ID) bool {
 func Entail(ts []rdf.Triple) ([]rdf.Triple, error) {
 	st := store.New()
 	st.AddAll("m", ts)
-	eng := NewEngine(st)
-	idx, _, err := eng.Materialize("m")
+	idx, err := Materialize(st, "m")
 	if err != nil {
 		return nil, err
 	}

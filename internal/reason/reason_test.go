@@ -223,11 +223,11 @@ func TestDerivedTriplesSeparateFromBase(t *testing.T) {
 		rdf.T(iri("A"), rdf.SubClassOf, iri("B")),
 	})
 	baseLen := st.Len("DWH_CURR")
-	eng := NewEngine(st)
-	idx, n, err := eng.Materialize("DWH_CURR")
+	idx, err := Materialize(st, "DWH_CURR")
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := st.Len(idx)
 	if idx != "DWH_CURR$OWLPRIME" {
 		t.Errorf("index model name = %q", idx)
 	}
@@ -251,23 +251,22 @@ func TestMaterializeIdempotent(t *testing.T) {
 		rdf.T(iri("x"), rdf.Type, iri("A")),
 		rdf.T(iri("A"), rdf.SubClassOf, iri("B")),
 	})
-	eng := NewEngine(st)
-	_, n1, err := eng.Materialize("m")
+	idx, err := Materialize(st, "m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, n2, err := eng.Materialize("m")
-	if err != nil {
+	gen, n := st.Generation(idx), st.Len(idx)
+	if _, err := Materialize(st, "m"); err != nil {
 		t.Fatal(err)
 	}
-	if n1 != n2 {
-		t.Errorf("re-materialization changed count: %d vs %d", n1, n2)
+	if st.Generation(idx) != gen || st.Len(idx) != n {
+		t.Errorf("materializing a current index replaced it: generation %d -> %d, %d -> %d triples",
+			gen, st.Generation(idx), n, st.Len(idx))
 	}
 }
 
 func TestMaterializeMissingModel(t *testing.T) {
-	eng := NewEngine(store.New())
-	if _, _, err := eng.Materialize("missing"); err == nil {
+	if _, err := Materialize(store.New(), "missing"); err == nil {
 		t.Error("expected error for missing model")
 	}
 }

@@ -205,10 +205,8 @@ func (s *Service) SearchCtx(ctx context.Context, term string, opt Options) (*Res
 		// Bring the entailment up to date outside the read lock
 		// (Materialize snapshots the base and swaps the index model in
 		// atomically).
-		if !s.st.Current(s.model, idxName) {
-			if _, _, err := reason.NewEngine(s.st).Materialize(s.model); err != nil {
-				return nil, err
-			}
+		if _, err := reason.MaterializeCtx(ctx, s.st, s.model); err != nil {
+			return nil, err
 		}
 		if !opt.ForceScan && !opt.ViaSPARQL {
 			// Bring the full-text index up to date before taking the read
@@ -268,10 +266,8 @@ func EnsureIndex(st *store.Store, model string, mgr *textindex.Manager) (*textin
 		if !st.HasModel(model) {
 			return nil, fmt.Errorf("search: no such model %q", model)
 		}
-		if !st.Current(model, idxName) {
-			if _, _, err := reason.NewEngine(st).Materialize(model); err != nil {
-				return nil, err
-			}
+		if _, err := reason.Materialize(st, model); err != nil {
+			return nil, err
 		}
 		if ix := ensureFresh(st, model, idxName, mgr, true); ix != nil {
 			return ix, nil

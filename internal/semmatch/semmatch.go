@@ -46,7 +46,7 @@ type Request struct {
 }
 
 // Exec runs the request against st. Index models for requested rulebases
-// are materialized on demand.
+// are brought up to date first.
 func (r Request) Exec(st *store.Store) (*sparql.Result, error) {
 	return r.ExecCtx(context.Background(), st)
 }
@@ -58,7 +58,7 @@ func (r Request) Exec(st *store.Store) (*sparql.Result, error) {
 func (r Request) ExecCtx(ctx context.Context, st *store.Store) (*sparql.Result, error) {
 	sp, ctx := obs.StartChildCtx(ctx, "semmatch")
 	defer sp.Finish()
-	src, err := r.source(st)
+	src, err := r.source(ctx, st)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func (r Request) ExecAnalyze(st *store.Store) (*sparql.Result, *sparql.ExecStats
 func (r Request) ExecAnalyzeCtx(ctx context.Context, st *store.Store) (*sparql.Result, *sparql.ExecStats, error) {
 	sp, ctx := obs.StartChildCtx(ctx, "semmatch")
 	defer sp.Finish()
-	src, err := r.source(st)
+	src, err := r.source(ctx, st)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -94,14 +94,19 @@ func (r Request) ExecAnalyzeCtx(ctx context.Context, st *store.Store) (*sparql.R
 // Explain renders the evaluation plan the request would execute —
 // the statistics-driven join order with estimated cardinalities against
 // the request's model view. It is the same Plan structure Exec runs.
-// Index models are materialized on demand exactly as Exec would, so the
+// Index models are brought up to date exactly as Exec would, so the
 // explained plan sees the statistics execution would see.
 func (r Request) Explain(st *store.Store) (string, error) {
-	src, err := r.source(st)
+	return r.ExplainCtx(context.Background(), st)
+}
+
+// ExplainCtx is Explain carrying a request context.
+func (r Request) ExplainCtx(ctx context.Context, st *store.Store) (string, error) {
+	src, err := r.source(ctx, st)
 	if err != nil {
 		return "", err
 	}
-	q, err := sparql.Parse(r.QueryText())
+	q, err := sparql.ParseCtx(ctx, r.QueryText())
 	if err != nil {
 		return "", err
 	}
@@ -109,9 +114,9 @@ func (r Request) Explain(st *store.Store) (string, error) {
 }
 
 // source resolves the request's SEM_MODELS/SEM_RULEBASES combination to
-// the union view execution runs against, materializing index models on
-// demand.
-func (r Request) source(st *store.Store) (store.Source, error) {
+// the union view execution runs against, bringing the index models up to
+// date first.
+func (r Request) source(ctx context.Context, st *store.Store) (store.Source, error) {
 	if len(r.Models) == 0 {
 		return nil, fmt.Errorf("semmatch: no models given")
 	}
@@ -127,11 +132,9 @@ func (r Request) source(st *store.Store) (store.Source, error) {
 		}
 		names = append(names, m)
 		for _, rb := range r.Rulebases {
-			idx := reason.IndexModelName(m, rb)
-			if !st.HasModel(idx) {
-				if _, _, err := reason.NewEngine(st).Materialize(m); err != nil {
-					return nil, fmt.Errorf("semmatch: materializing %s: %w", idx, err)
-				}
+			idx, err := reason.MaterializeCtx(ctx, st, m)
+			if err != nil {
+				return nil, fmt.Errorf("semmatch: materializing %s: %w", reason.IndexModelName(m, rb), err)
 			}
 			names = append(names, idx)
 		}

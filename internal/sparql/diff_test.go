@@ -95,7 +95,7 @@ func entailedFixture(rng *rand.Rand) diffFixture {
 		objects = append(objects, class(i))
 	}
 	st.AddAll("DWH", ts)
-	if _, _, err := reason.NewEngine(st).Materialize("DWH"); err != nil {
+	if _, err := reason.Materialize(st, "DWH"); err != nil {
 		panic(err)
 	}
 	idx := reason.IndexModelName("DWH", reason.RulebaseOWLPrime)

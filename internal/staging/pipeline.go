@@ -97,7 +97,7 @@ type LoadStats struct {
 }
 
 // BulkLoad moves the staged triples into the named model of st and, when
-// materialize is true, rebuilds the model's OWLPRIME index — the
+// materialize is true, brings the model's OWLPRIME index up to date — the
 // "indexes for semantic web reasoning" of Figure 4. On success only the
 // snapshot that was actually loaded is removed from the staging table:
 // triples inserted concurrently while the load ran stay staged for the
@@ -111,7 +111,7 @@ func (t *Table) BulkLoad(st *store.Store, model string, materialize bool) (LoadS
 // ctx carries one, the root of a new trace otherwise — labelled with the
 // staged/loaded/derived triple counts.
 func (t *Table) BulkLoadCtx(ctx context.Context, st *store.Store, model string, materialize bool) (LoadStats, error) {
-	sp, _ := obs.StartChildCtx(ctx, "staging.bulkload")
+	sp, ctx := obs.StartChildCtx(ctx, "staging.bulkload")
 	sp.SetLabel("model", model)
 	defer sp.Finish()
 	t0 := time.Now()
@@ -124,12 +124,12 @@ func (t *Table) BulkLoadCtx(ctx context.Context, st *store.Store, model string, 
 	stats := LoadStats{Staged: n, Model: model}
 	stats.Loaded = st.AddAll(model, staged)
 	if materialize {
-		idx, nDerived, err := reason.NewEngine(st).Materialize(model)
+		idx, err := reason.MaterializeCtx(ctx, st, model)
 		if err != nil {
 			return stats, err
 		}
 		stats.IndexMod = idx
-		stats.Derived = nDerived
+		stats.Derived = st.Len(idx)
 	}
 	// Trim exactly the loaded prefix under the same mutex the insert
 	// paths use; anything appended since the snapshot shifts down.

@@ -10,7 +10,8 @@ import (
 // CommitHook. The set mirrors the store's mutating entry points: triple
 // insertion (Add/AddAll and the staging bulk loads built on them),
 // removal, model lifecycle (DropModel/CloneModel), and atomic publication
-// of derived models (InstallModel, used by reason.Materialize).
+// of derived models, whole (InstallModel) or as an extension of the
+// installed one (InstallExtension, used by reason.Materialize).
 type Op uint8
 
 const (
@@ -24,6 +25,9 @@ const (
 	OpClone
 	// OpInstall records atomic publication of a model via InstallModel.
 	OpInstall
+	// OpExtend records atomic publication, via InstallExtension, of a
+	// model that differs from the one it replaces by the listed triples.
+	OpExtend
 )
 
 // String returns the canonical lower-case name of the op.
@@ -39,6 +43,8 @@ func (o Op) String() string {
 		return "clone"
 	case OpInstall:
 		return "install"
+	case OpExtend:
+		return "extend"
 	default:
 		return "op?"
 	}
@@ -51,23 +57,31 @@ func (o Op) String() string {
 //
 // Triples are dictionary-encoded; the hook decodes them through the
 // store's Dict (safe under the write lock: the Dict has its own lock and
-// is append-only).
+// is append-only). The slices belong to the store (an OpAdd's is a
+// window of the model's delta log): the hook must not modify them or
+// retain them past the call.
 type Mutation struct {
 	Op    Op
 	Model string // target model (destination for OpClone)
 	Src   string // source model (OpClone only)
-	// Triples holds the triples actually inserted (OpAdd) or the triple
-	// actually removed (OpRemove). Duplicates that changed nothing are
-	// never reported.
+	// Triples holds the triples actually inserted (OpAdd), the triple
+	// actually removed (OpRemove), or the triples the published model has
+	// and its predecessor lacked (OpExtend). Duplicates that changed
+	// nothing are never reported.
 	Triples []ETriple
+	// Removed holds the triples the predecessor had and the published
+	// model lacks (OpExtend only).
+	Removed []ETriple
+	// PrevGen is the generation of the model an OpExtend replaced.
+	PrevGen uint64
 	// Gen is the target model's generation after the mutation (the clone's
-	// generation for OpClone, the installed model's for OpInstall, 0 for
-	// OpDrop). Replaying the same mutations onto the same prior state
-	// reproduces these generations exactly, which lets recovery verify
-	// convergence record by record.
+	// generation for OpClone, the published model's for OpInstall and
+	// OpExtend, 0 for OpDrop). Replaying the same mutations onto the same
+	// prior state reproduces these generations exactly, which lets
+	// recovery verify convergence record by record.
 	Gen uint64
-	// Basis is the installed model's recorded derivation basis
-	// (OpInstall only).
+	// Basis is the published model's recorded derivation basis
+	// (OpInstall and OpExtend).
 	Basis uint64
 	// Installed is the model just published (OpInstall only). The hook may
 	// read it — under the write lock nothing else mutates it — but must

@@ -29,11 +29,21 @@ type Store struct {
 	// carrying it is dropped (a reused (name, generation) pair could
 	// alias stale results-cache entries).
 	cloneEpoch uint64
+	// deltas holds, per model name, the log of triples added since some
+	// generation (see deltaLog); deriveMu the per-base derivation locks.
+	// Both guarded by mu.
+	deltas   map[string]*deltaLog
+	deriveMu map[string]*sync.Mutex
 }
 
 // New returns an empty store.
 func New() *Store {
-	return &Store{dict: NewDict(), models: make(map[string]*Model)}
+	return &Store{
+		dict:     NewDict(),
+		models:   make(map[string]*Model),
+		deltas:   make(map[string]*deltaLog),
+		deriveMu: make(map[string]*sync.Mutex),
+	}
 }
 
 // Dict exposes the shared term dictionary.
@@ -50,9 +60,16 @@ func (s *Store) modelLocked(name string) *Model {
 	m, ok := s.models[name]
 	if !ok {
 		m = NewModel(name)
-		s.models[name] = m
+		s.publishLocked(m)
 	}
 	return m
+}
+
+// publishLocked makes m the store's model of its name. The store now
+// knows m's whole content at m.gen, so m's delta log starts there.
+func (s *Store) publishLocked(m *Model) {
+	s.models[m.name] = m
+	s.deltas[m.name] = &deltaLog{start: m.gen}
 }
 
 // HasModel reports whether a model with the given name exists.
@@ -132,12 +149,18 @@ func (s *Store) nextCloneGenLocked() uint64 {
 func (s *Store) InstallModel(m *Model) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.models[m.name] = m
+	s.installLocked(m, Mutation{Op: OpInstall, Model: m.name, Gen: m.gen, Basis: m.basis, Installed: m})
+}
+
+// installLocked publishes m and delivers mut, the description of the
+// publication, to the commit hook.
+func (s *Store) installLocked(m *Model, mut Mutation) {
+	s.publishLocked(m)
 	if hi := m.gen >> 32; hi > s.cloneEpoch {
 		s.cloneEpoch = hi
 	}
 	obsInstalls.Inc()
-	s.commit(Mutation{Op: OpInstall, Model: m.name, Gen: m.gen, Basis: m.basis, Installed: m})
+	s.commit(mut)
 }
 
 // ModelInfo is a point-in-time summary of one model, as observed inside
@@ -183,6 +206,7 @@ func (s *Store) DropModel(name string) bool {
 		return false
 	}
 	delete(s.models, name)
+	delete(s.deltas, name)
 	s.commit(Mutation{Op: OpDrop, Model: name})
 	return true
 }
@@ -209,6 +233,8 @@ func (s *Store) Add(model string, t rdf.Triple) bool {
 	added := m.Add(et)
 	if added {
 		obsAdds.Inc()
+		l := s.deltas[model]
+		l.adds = append(l.adds, et)
 		s.commit(Mutation{Op: OpAdd, Model: model, Triples: []ETriple{et}, Gen: m.gen})
 	}
 	return added
@@ -220,20 +246,19 @@ func (s *Store) AddAll(model string, ts []rdf.Triple) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := s.modelLocked(model)
-	n := 0
-	var added []ETriple
+	// What was actually added goes to the model's delta log, and the
+	// commit hook reads it from there.
+	l := s.deltas[model]
+	n0 := len(l.adds)
 	for _, t := range ts {
-		et := s.encode(t)
-		if m.Add(et) {
-			n++
-			if s.hook != nil {
-				added = append(added, et)
-			}
+		if et := s.encode(t); m.Add(et) {
+			l.adds = append(l.adds, et)
 		}
 	}
+	n := len(l.adds) - n0
 	obsAdds.Add(int64(n))
 	if n > 0 {
-		s.commit(Mutation{Op: OpAdd, Model: model, Triples: added, Gen: m.gen})
+		s.commit(Mutation{Op: OpAdd, Model: model, Triples: l.adds[n0:], Gen: m.gen})
 	}
 	return n
 }
@@ -254,6 +279,9 @@ func (s *Store) Remove(model string, t rdf.Triple) bool {
 	removed := m.Remove(et)
 	if removed {
 		obsRemoves.Inc()
+		// What the model gained since a generation no longer describes how
+		// it differs from that generation: the log starts over.
+		s.deltas[model] = &deltaLog{start: m.gen}
 		s.commit(Mutation{Op: OpRemove, Model: model, Triples: []ETriple{et}, Gen: m.gen})
 	}
 	return removed
@@ -432,7 +460,7 @@ func (s *Store) cloneModelLocked(src, dst string, gen uint64) error {
 		gen = s.nextCloneGenLocked()
 	}
 	c := sm.cloneAt(dst, gen)
-	s.models[dst] = c
+	s.publishLocked(c)
 	obsClones.Inc()
 	s.commit(Mutation{Op: OpClone, Model: dst, Src: src, Gen: c.gen})
 	return nil
