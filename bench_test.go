@@ -271,7 +271,7 @@ func BenchmarkListing1(b *testing.B) {
 	req.GroupBy = []string{"class", "object"}
 	var rows int
 	for i := 0; i < b.N; i++ {
-		res, err := req.Exec(f.st)
+		res, _, err := req.Run(context.Background(), f.st, sparql.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -328,56 +328,11 @@ func BenchmarkFigure8Lineage(b *testing.B) {
 		q := sparql.MustParse(`PREFIX dt: <` + rdf.DTNS + `>
 			SELECT ?s WHERE { ?s dt:isMappedTo* <` + target.Value + `> }`)
 		for i := 0; i < b.N; i++ {
-			if _, err := q.Exec(src, f.st.Dict()); err != nil {
+			if _, _, err := q.Run(context.Background(), src, f.st.Dict(), sparql.RunOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-}
-
-// BenchmarkFigure8LineagePaper reruns the Figure 8 lineage workload at
-// paper scale through the SPARQL engine, sweeping the parallel
-// executor's worker cap (par=all is the process-wide default,
-// GOMAXPROCS or MDW_PARALLELISM). Every sub-benchmark reports the
-// plan-selected degree of parallelism as the "workers" metric — the CI
-// smoke asserts it exceeds 1 at par=all on multi-core runners — and
-// BENCH_parallel.json records the sweep.
-func BenchmarkFigure8LineagePaper(b *testing.B) {
-	f := paperLandscape(b)
-	idx := reason.IndexModelName("DWH_CURR", reason.RulebaseOWLPrime)
-	src := f.st.ViewOf("DWH_CURR", idx)
-	dict := f.st.Dict()
-	target := pathTerm(f.l.MartColumns[0])
-	origin := pathTerm(f.l.Chains[0][0])
-	prefix := `PREFIX dt: <` + rdf.DTNS + `> PREFIX dm: <` + rdf.DMNS + `> `
-	queries := []struct{ name, text string }{
-		// Backward lineage: the Figure 8 trace as a property path.
-		{"path-to-target", prefix + `SELECT ?s WHERE { ?s dt:isMappedTo* <` + target.Value + `> }`},
-		// Forward impact closure from a chain origin.
-		{"path-impact", prefix + `SELECT ?o WHERE { <` + origin.Value + `> dt:isMappedTo+ ?o }`},
-		// Mapping scan joined with names: the morsel-driven strategy.
-		{"join", prefix + `SELECT ?s ?n WHERE { ?s dt:isMappedTo ?t . ?s dm:hasName ?n }`},
-		// Root-level UNION over the two data-transfer predicates.
-		{"union", prefix + `SELECT ?s WHERE { { ?s dt:isMappedTo ?t } UNION { ?s dt:feeds ?t } }`},
-	}
-	levels := []struct {
-		label string
-		n     int
-	}{{"par=1", 1}, {"par=2", 2}, {"par=4", 4}, {"par=all", sparql.MaxParallelism()}}
-	for _, qc := range queries {
-		q := sparql.MustParse(qc.text)
-		for _, lv := range levels {
-			p := q.PlanOpts(src, dict, sparql.ParOptions{MaxWorkers: lv.n})
-			b.Run(qc.name+"/"+lv.label, func(b *testing.B) {
-				b.ReportMetric(float64(p.Parallelism()), "workers")
-				for i := 0; i < b.N; i++ {
-					if _, err := p.Exec(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkListing2 runs the paper's Listing 2 lineage SEM_MATCH call.
@@ -399,7 +354,7 @@ func BenchmarkListing2(b *testing.B) {
 	}
 	req.Select = []string{"source_id", "target_id", "target_name"}
 	for i := 0; i < b.N; i++ {
-		res, err := req.Exec(f.st)
+		res, _, err := req.Run(context.Background(), f.st, sparql.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -484,7 +439,7 @@ func BenchmarkOWLPrimeIndex(b *testing.B) {
 		src := f.st.ViewOf("DWH_CURR", idx)
 		var n string
 		for i := 0; i < b.N; i++ {
-			res, err := q.Exec(src, f.st.Dict())
+			res, _, err := q.Run(context.Background(), src, f.st.Dict(), sparql.RunOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -497,7 +452,7 @@ func BenchmarkOWLPrimeIndex(b *testing.B) {
 	b.Run("query-facts-only", func(b *testing.B) {
 		src := f.st.ViewOf("DWH_CURR")
 		for i := 0; i < b.N; i++ {
-			res, err := q.Exec(src, f.st.Dict())
+			res, _, err := q.Run(context.Background(), src, f.st.Dict(), sparql.RunOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -874,7 +829,7 @@ func BenchmarkViewUnionAblation(b *testing.B) {
 	b.Run("two-model-view", func(b *testing.B) {
 		src := f.st.ViewOf("DWH_CURR", idx)
 		for i := 0; i < b.N; i++ {
-			if _, err := q.Exec(src, f.st.Dict()); err != nil {
+			if _, _, err := q.Run(context.Background(), src, f.st.Dict(), sparql.RunOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -882,7 +837,7 @@ func BenchmarkViewUnionAblation(b *testing.B) {
 	b.Run("merged-model", func(b *testing.B) {
 		src := merged.ViewOf("all")
 		for i := 0; i < b.N; i++ {
-			if _, err := q.Exec(src, merged.Dict()); err != nil {
+			if _, _, err := q.Run(context.Background(), src, merged.Dict(), sparql.RunOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -955,7 +910,7 @@ func BenchmarkSPARQLJoin(b *testing.B) {
 			?y dm:hasName ?name .
 		}`)
 	for i := 0; i < b.N; i++ {
-		if _, err := q.Exec(src, f.st.Dict()); err != nil {
+		if _, _, err := q.Run(context.Background(), src, f.st.Dict(), sparql.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -389,25 +389,19 @@ func cmdQuery(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("query: want exactly one SPARQL argument")
 	}
-	if *explain {
-		q, err := sparql.Parse(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		fmt.Print(q.Explain())
-		return nil
-	}
 	w, err := buildWarehouse(*data)
 	if err != nil {
 		return err
 	}
-	res, err := w.Query(fs.Arg(0))
-	if *factsOnly {
-		res, err = w.QueryFacts(fs.Arg(0))
-	}
+	resp, err := w.Query(context.Background(), fs.Arg(0), core.QueryOptions{FactsOnly: *factsOnly, ExplainOnly: *explain})
 	if err != nil {
 		return err
 	}
+	if *explain {
+		fmt.Print(resp.Plan)
+		return nil
+	}
+	res := resp.Result
 	if len(res.Triples) > 0 {
 		fmt.Print(ntriples.Marshal(res.Triples))
 		fmt.Printf("(%d triples)\n", len(res.Triples))
@@ -437,30 +431,19 @@ func cmdExplain(args []string) error {
 	if err != nil {
 		return err
 	}
-	text := fs.Arg(0)
-	if *analyze {
-		var stats *sparql.ExecStats
-		if strings.Contains(text, "SEM_MATCH") {
-			_, stats, err = w.SemMatchAnalyzeCtx(context.Background(), text)
-		} else {
-			_, stats, err = w.QueryAnalyze(text)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Print(stats.String())
-		return nil
+	run := w.Query
+	if strings.Contains(fs.Arg(0), "SEM_MATCH") {
+		run = w.SemMatch
 	}
-	var plan string
-	if strings.Contains(text, "SEM_MATCH") {
-		plan, err = w.ExplainSemMatch(text)
-	} else {
-		plan, err = w.Explain(text)
-	}
+	resp, err := run(context.Background(), fs.Arg(0), core.QueryOptions{Analyze: *analyze, ExplainOnly: !*analyze})
 	if err != nil {
 		return err
 	}
-	fmt.Print(plan)
+	if *analyze {
+		fmt.Print(resp.Stats.String())
+		return nil
+	}
+	fmt.Print(resp.Plan)
 	return nil
 }
 
@@ -477,11 +460,11 @@ func cmdSemMatch(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := w.SemMatch(fs.Arg(0))
+	resp, err := w.SemMatch(context.Background(), fs.Arg(0), core.QueryOptions{})
 	if err != nil {
 		return err
 	}
-	printResultTable(res.Vars, resultRows(res))
+	printResultTable(resp.Result.Vars, resultRows(resp.Result))
 	return nil
 }
 
@@ -648,7 +631,7 @@ func cmdMetrics(args []string) error {
 		}
 		q := `PREFIX dm: <` + rdf.DMNS + `>
 SELECT ?n WHERE { ?x a dm:Attribute . ?x dm:hasName ?n }`
-		if _, err := w.Query(q); err != nil {
+		if _, err := w.Query(context.Background(), q, core.QueryOptions{}); err != nil {
 			return err
 		}
 		item := staging.InstanceIRI("application1", "dwhdb", "mart", "v_customer", "customer_id")
@@ -963,11 +946,7 @@ func topWorkload(w *core.Warehouse, runs int, analyzed bool) error {
 	}
 	l2.Select = []string{"source_id", "target_id", "target_name"}
 	run := func(req semmatch.Request) error {
-		if analyzed {
-			_, _, err := req.ExecAnalyze(w.Store())
-			return err
-		}
-		_, err := req.Exec(w.Store())
+		_, _, err := req.Run(context.Background(), w.Store(), sparql.RunOptions{Analyze: analyzed})
 		return err
 	}
 	for i := 0; i < runs; i++ {

@@ -68,8 +68,6 @@ func main() {
 	slow := flag.Duration("slow-query", obs.DefaultSlowQueryThreshold,
 		"log queries slower than this to /api/traces (0s = every query, <0 = off)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
-	parallelism := flag.Int("parallelism", sparql.MaxParallelism(),
-		"max workers per query (default GOMAXPROCS, or MDW_PARALLELISM; 1 = serial execution)")
 	rcEntries := flag.Int("rescache", rescache.DefaultMaxEntries,
 		"max entries in the generation-keyed results cache (0 disables it)")
 	rcBytes := flag.Int64("rescache-bytes", rescache.DefaultMaxBytes,
@@ -78,7 +76,6 @@ func main() {
 		"report analyzed executions whose worst operator estimate is off by this factor (GET /api/misestimates)")
 	flag.Parse()
 	obs.DefaultSlowLog().SetThreshold(*slow)
-	sparql.SetMaxParallelism(*parallelism)
 	sparql.SetMisestimateThreshold(*misestThr)
 	if *rcEntries <= 0 {
 		rescache.Disable()

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -89,16 +90,17 @@ func main() {
 	}
 
 	// 3. Technology phase-out impact: which applications still use Java 6?
-	qr, err := w.Query(`
-		PREFIX dm: <` + rdf.DMNS + `>
+	resp, err := w.Query(context.Background(), `
+		PREFIX dm: <`+rdf.DMNS+`>
 		SELECT ?app ?v WHERE {
-			?a dm:usesTechnology <` + staging.InstanceIRI("tech", "java").Value + `> .
-			<` + staging.InstanceIRI("tech", "java").Value + `> dm:hasVersion ?v .
+			?a dm:usesTechnology <`+staging.InstanceIRI("tech", "java").Value+`> .
+			<`+staging.InstanceIRI("tech", "java").Value+`> dm:hasVersion ?v .
 			?a dm:hasName ?app .
-		} ORDER BY ?app`)
+		} ORDER BY ?app`, core.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	qr := resp.Result
 	version := ""
 	if len(qr.Rows) > 0 {
 		version = qr.Rows[0]["v"].Value

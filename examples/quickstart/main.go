@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -58,10 +59,11 @@ func main() {
 	// 5. Ask the graph directly with SPARQL, using the OWLPRIME index.
 	q := `PREFIX dm: <http://www.credit-suisse.com/dwh/mdm/data_modeling#>
 	      SELECT ?name WHERE { ?x a dm:Attribute . ?x dm:hasName ?name } ORDER BY ?name`
-	qr, err := w.Query(q)
+	resp, err := w.Query(context.Background(), q, core.QueryOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	qr := resp.Result
 	fmt.Println("\nall attributes in the graph:")
 	for _, row := range qr.Rows {
 		fmt.Println("  " + row["name"].Value)

@@ -33,12 +33,11 @@ type entryPoint struct {
 var entryPoints = []entryPoint{
 	{"mdw/internal/sparql", "Parse", 0, KindSPARQL},
 	{"mdw/internal/sparql", "MustParse", 0, KindSPARQL},
-	{"mdw/internal/semmatch", "Exec", 1, KindSemMatch},
 	{"mdw/internal/semmatch", "ParseCall", 0, KindSemMatch},
-	// Warehouse façade methods forward verbatim to the parsers above.
-	{"mdw/internal/core", "Query", 0, KindSPARQL},
-	{"mdw/internal/core", "QueryFacts", 0, KindSPARQL},
-	{"mdw/internal/core", "SemMatch", 0, KindSemMatch},
+	// Warehouse façade methods forward verbatim to the parsers above; the
+	// text follows the context.
+	{"mdw/internal/core", "Query", 1, KindSPARQL},
+	{"mdw/internal/core", "SemMatch", 1, KindSemMatch},
 }
 
 // CallSite is one discovered query call with a constant argument.

@@ -3,10 +3,11 @@
 package a
 
 import (
+	"context"
+
 	"mdw/internal/core"
 	"mdw/internal/semmatch"
 	"mdw/internal/sparql"
-	"mdw/internal/store"
 )
 
 // brokenListing2 is the paper's Listing 2 lineage query with the
@@ -41,16 +42,16 @@ func badKeyword() {
 	_, _ = sparql.Parse("SELECTT ?x WHERE { ?x ?p ?o }") // want `unexpected identifier`
 }
 
-func badSemMatch(st *store.Store) {
-	_, _ = semmatch.Exec(st, brokenSemMatch) // want `does not parse`
+func badSemMatch(ctx context.Context, w *core.Warehouse) {
+	_, _ = w.SemMatch(ctx, brokenSemMatch, core.QueryOptions{}) // want `does not parse`
 }
 
 func noPattern() {
 	_, _ = semmatch.ParseCall(noPatternCall) // want `missing graph pattern`
 }
 
-func facadeBroken(w *core.Warehouse) {
-	_, _ = w.Query(`SELECT ?x WHERE { ?x `) // want `does not parse`
+func facadeBroken(ctx context.Context, w *core.Warehouse) {
+	_, _ = w.Query(ctx, `SELECT ?x WHERE { ?x `, core.QueryOptions{}) // want `does not parse`
 }
 
 // cartesianQuery joins two patterns sharing no variable: a cartesian
@@ -76,6 +77,6 @@ const cartesianSemMatchCall = `SEM_MATCH(
 	SEM_RULEBASES('OWLPRIME'),
 	null)`
 
-func cartesianSemMatch(st *store.Store) {
-	_, _ = semmatch.Exec(st, cartesianSemMatchCall) // want `cartesian product`
+func cartesianSemMatch(ctx context.Context, w *core.Warehouse) {
+	_, _ = w.SemMatch(ctx, cartesianSemMatchCall, core.QueryOptions{}) // want `cartesian product`
 }

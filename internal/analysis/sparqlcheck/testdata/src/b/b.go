@@ -4,7 +4,6 @@ package b
 import (
 	"mdw/internal/semmatch"
 	"mdw/internal/sparql"
-	"mdw/internal/store"
 )
 
 // listing1 mirrors the paper's search query: concept members by name.
@@ -42,8 +41,8 @@ func good() {
 	_ = sparql.MustParse(listing2)
 }
 
-func goodSemMatch(st *store.Store) {
-	_, _ = semmatch.Exec(st, paperCall)
+func goodSemMatch() {
+	_, _ = semmatch.ParseCall(paperCall)
 }
 
 // dynamic queries are out of sparqlcheck's reach and must not be

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -27,9 +28,9 @@ func TestOpenDurableFullLifecycle(t *testing.T) {
 	if _, err := w.Snapshot("release-1", time.Date(2026, 8, 8, 0, 0, 0, 0, time.UTC)); err != nil {
 		t.Fatal(err)
 	}
-	res, err := w.Query(`SELECT ?s WHERE { ?s ?p ?o } LIMIT 1`)
-	if err != nil || len(res.Rows) == 0 {
-		t.Fatalf("query before close: %v (%d rows)", err, len(res.Rows))
+	res, err := w.Query(context.Background(), `SELECT ?s WHERE { ?s ?p ?o } LIMIT 1`, core.QueryOptions{})
+	if err != nil || len(res.Result.Rows) == 0 {
+		t.Fatalf("query before close: %v", err)
 	}
 	before := w.Stats()
 	if err := mgr.Close(); err != nil {
@@ -55,8 +56,8 @@ func TestOpenDurableFullLifecycle(t *testing.T) {
 	if len(vs) != 1 || vs[0].Tag != "release-1" {
 		t.Errorf("recovered versions %+v, want the release-1 snapshot", vs)
 	}
-	res, err = w2.Query(`SELECT ?s WHERE { ?s ?p ?o } LIMIT 1`)
-	if err != nil || len(res.Rows) == 0 {
+	res, err = w2.Query(context.Background(), `SELECT ?s WHERE { ?s ?p ?o } LIMIT 1`, core.QueryOptions{})
+	if err != nil || len(res.Result.Rows) == 0 {
 		t.Fatalf("query after reopen: %v", err)
 	}
 }

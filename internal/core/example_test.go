@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -69,16 +70,17 @@ func ExampleWarehouse_Query() {
 	q := `PREFIX dm: <http://www.credit-suisse.com/dwh/mdm/data_modeling#>
 	      SELECT (COUNT(?x) AS ?n) WHERE { ?x a dm:Attribute }`
 
-	with, err := w.Query(q) // base facts ∪ OWLPRIME index
+	ctx := context.Background()
+	with, err := w.Query(ctx, q, core.QueryOptions{}) // base facts ∪ OWLPRIME index
 	if err != nil {
 		log.Fatal(err)
 	}
-	without, err := w.QueryFacts(q) // base facts only
+	without, err := w.Query(ctx, q, core.QueryOptions{FactsOnly: true}) // base facts only
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("attributes with index: %s, facts only: %s\n",
-		with.Rows[0]["n"].Value, without.Rows[0]["n"].Value)
+		with.Result.Rows[0]["n"].Value, without.Result.Rows[0]["n"].Value)
 
 	// Output:
 	// attributes with index: 5, facts only: 0

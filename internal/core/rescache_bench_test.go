@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"mdw/internal/landscape"
@@ -55,13 +56,13 @@ func BenchmarkListing1Repeat(b *testing.B) {
 			defer rescache.Enable(0, 0)
 			w := benchWarehouse(b)
 			call := listing1()
-			if _, err := w.SemMatch(call); err != nil { // warm: plan + (maybe) cache fill
+			if _, err := w.SemMatch(context.Background(), call, QueryOptions{}); err != nil { // warm: plan + (maybe) cache fill
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := w.SemMatch(call); err != nil {
+				if _, err := w.SemMatch(context.Background(), call, QueryOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -78,7 +79,7 @@ func BenchmarkListing1Invalidated(b *testing.B) {
 	defer rescache.Enable(0, 0)
 	w := benchWarehouse(b)
 	call := listing1()
-	if _, err := w.SemMatch(call); err != nil {
+	if _, err := w.SemMatch(context.Background(), call, QueryOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -88,7 +89,7 @@ func BenchmarkListing1Invalidated(b *testing.B) {
 			rdf.IRI("http://bench/churn"),
 			rdf.IRI(rdf.MDWHasName),
 			rdf.Integer(int64(i)))})
-		if _, err := w.SemMatch(call); err != nil {
+		if _, err := w.SemMatch(context.Background(), call, QueryOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

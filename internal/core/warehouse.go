@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -195,137 +196,132 @@ func (w *Warehouse) ImpactOfRelease(from, to int) (*impact.Analysis, error) {
 	return impact.New(w.st, w.hist).Analyze(from, to)
 }
 
-// Query parses and executes a SPARQL query against the base model plus
-// its OWLPRIME index (materializing it if needed).
-func (w *Warehouse) Query(query string) (*sparql.Result, error) {
-	return w.QueryCtx(context.Background(), query)
+// QueryOptions selects what one Query or SemMatch call does. The zero
+// value executes against the entailed graph and returns the result.
+type QueryOptions struct {
+	// FactsOnly leaves the rulebases out: the query sees the asserted base
+	// facts only — the paper's default when no rulebase is named.
+	FactsOnly bool
+	// Analyze executes with operator-level instrumentation (EXPLAIN
+	// ANALYZE): Response.Stats mirrors the executed plan with actual rows,
+	// loops, and wall time per operator, plus query-wide resource
+	// accounting. An analyzed call always executes — its statistics never
+	// come from the results cache.
+	Analyze bool
+	// ExplainOnly plans without executing: Response.Plan renders the
+	// statistics-driven join order with estimated cardinalities against
+	// the view execution would run on (the entailment index is brought up
+	// to date first, so the plan sees the statistics execution would see).
+	ExplainOnly bool
 }
 
-// QueryCtx is Query carrying a request context: the call runs under a
-// "warehouse.query" span — nested in the request's trace when ctx
-// carries one, the root of a new trace otherwise — with the "sparql
-// parse"/"sparql plan"/"sparql exec" spans of the engine (and a
-// "reindex" span when the entailment was stale) below it.
+// Response is what a Query or SemMatch call produced: the Result (with
+// Stats when QueryOptions.Analyze was set), or the Plan rendering when
+// QueryOptions.ExplainOnly was.
+type Response struct {
+	Result *sparql.Result
+	Stats  *sparql.ExecStats
+	Plan   string
+}
+
+// ErrBadQuery marks the errors that are the caller's to fix: text that
+// does not parse as SPARQL or as a SEM_MATCH call, and calls naming a
+// model or rulebase the store does not have. Test with errors.Is; the
+// message is the underlying error's.
+var ErrBadQuery = errors.New("core: bad query")
+
+type badQueryError struct{ cause error }
+
+func (e badQueryError) Error() string        { return e.cause.Error() }
+func (e badQueryError) Unwrap() error        { return e.cause }
+func (e badQueryError) Is(target error) bool { return target == ErrBadQuery }
+
+// Query parses and runs a SPARQL query against the base model plus its
+// OWLPRIME index (brought up to date first) — the view a
+// SEM_MATCH(..., SEM_MODELS(model), SEM_RULEBASES('OWLPRIME'), ...) call
+// would name.
+func (w *Warehouse) Query(ctx context.Context, query string, opt QueryOptions) (Response, error) {
+	return w.run(ctx, query, false, opt)
+}
+
+// SemMatch parses and runs an Oracle-style SEM_MATCH call (Listings 1
+// and 2) against the models and rulebases the call names.
+func (w *Warehouse) SemMatch(ctx context.Context, call string, opt QueryOptions) (Response, error) {
+	return w.run(ctx, call, true, opt)
+}
+
+// run is the one query path. The call runs under a "warehouse.query"
+// span — nested in the request's trace when ctx carries one, the root of
+// a new trace otherwise — with the "sparql parse"/"sparql plan"/"sparql
+// exec" spans of the engine (and a "reindex" span when the entailment was
+// stale) below it.
+func (w *Warehouse) run(ctx context.Context, text string, isCall bool, opt QueryOptions) (Response, error) {
+	root, ctx := obs.StartChildCtx(ctx, "warehouse.query")
+	defer root.Finish()
+	fail := func(stage string, err error) (Response, error) {
+		root.SetLabel("error", stage)
+		return Response{}, err
+	}
+	// What to query: a plain query means the warehouse's own model with
+	// the OWLPRIME rulebase, a SEM_MATCH call says so itself.
+	from := semmatch.Request{Models: []string{w.model}, Rulebases: []string{reason.RulebaseOWLPrime}}
+	if isCall {
+		req, err := semmatch.ParseCall(text)
+		if err != nil {
+			return fail("parse", badQueryError{err})
+		}
+		from, text = *req, req.QueryText()
+	}
+	if opt.FactsOnly {
+		from.Rulebases = nil
+	}
+	q, err := sparql.ParseCtx(ctx, text)
+	if err != nil {
+		return fail("parse", badQueryError{err})
+	}
+	src, err := from.Source(ctx, w.st)
+	if err != nil {
+		return fail("source", badQueryError{err})
+	}
+	if opt.ExplainOnly {
+		return Response{Plan: q.ExplainOn(src, w.st.Dict())}, nil
+	}
+	res, stats, err := q.Run(ctx, src, w.st.Dict(), sparql.RunOptions{Analyze: opt.Analyze})
+	if err != nil {
+		return fail("exec", err)
+	}
+	root.SetLabel("rows", strconv.Itoa(len(res.Rows)))
+	return Response{Result: res, Stats: stats}, nil
+}
+
+// The four methods below are pinned by bench/ladder.go, which this tree
+// may not edit alongside the code it measures: each is one delegation to
+// Query or SemMatch, to be dropped once the ladder calls those.
+
+func plainResult(r Response, err error) (*sparql.Result, error) { return r.Result, err }
+
+func analyzedResult(r Response, err error) (*sparql.Result, *sparql.ExecStats, error) {
+	return r.Result, r.Stats, err
+}
+
+// QueryCtx is Query with the zero QueryOptions.
 func (w *Warehouse) QueryCtx(ctx context.Context, query string) (*sparql.Result, error) {
-	root, ctx := obs.StartChildCtx(ctx, "warehouse.query")
-	defer root.Finish()
-	q, err := sparql.ParseCtx(ctx, query)
-	if err != nil {
-		root.SetLabel("error", "parse")
-		return nil, err
-	}
-	view, err := reason.IndexedViewCtx(ctx, w.st, w.model)
-	if err != nil {
-		root.SetLabel("error", "reindex")
-		return nil, err
-	}
-	res, err := q.ExecCtx(ctx, view, w.st.Dict())
-	if err == nil {
-		root.SetLabel("rows", strconv.Itoa(len(res.Rows)))
-	}
-	return res, err
+	return plainResult(w.Query(ctx, query, QueryOptions{}))
 }
 
-// QueryAnalyze is QueryAnalyzeCtx with a background context.
-func (w *Warehouse) QueryAnalyze(query string) (*sparql.Result, *sparql.ExecStats, error) {
-	return w.QueryAnalyzeCtx(context.Background(), query)
-}
-
-// QueryAnalyzeCtx is QueryCtx with operator-level instrumentation
-// (EXPLAIN ANALYZE): the returned ExecStats mirrors the executed plan
-// with actual rows, loops, and wall time per operator, plus query-wide
-// resource accounting. It always executes — analyzed statistics never
-// come from the results cache.
+// QueryAnalyzeCtx is Query with QueryOptions.Analyze.
 func (w *Warehouse) QueryAnalyzeCtx(ctx context.Context, query string) (*sparql.Result, *sparql.ExecStats, error) {
-	root, ctx := obs.StartChildCtx(ctx, "warehouse.query")
-	defer root.Finish()
-	q, err := sparql.ParseCtx(ctx, query)
-	if err != nil {
-		root.SetLabel("error", "parse")
-		return nil, nil, err
-	}
-	view, err := reason.IndexedViewCtx(ctx, w.st, w.model)
-	if err != nil {
-		root.SetLabel("error", "reindex")
-		return nil, nil, err
-	}
-	res, stats, err := q.ExecAnalyzeCtx(ctx, view, w.st.Dict())
-	if err == nil {
-		root.SetLabel("rows", strconv.Itoa(len(res.Rows)))
-	}
-	return res, stats, err
+	return analyzedResult(w.Query(ctx, query, QueryOptions{Analyze: true}))
 }
 
-// QueryFacts executes a SPARQL query against the base facts only — the
-// paper's default when no rulebase is named.
-func (w *Warehouse) QueryFacts(query string) (*sparql.Result, error) {
-	return w.QueryFactsCtx(context.Background(), query)
-}
-
-// QueryFactsCtx is QueryFacts carrying a request context.
-func (w *Warehouse) QueryFactsCtx(ctx context.Context, query string) (*sparql.Result, error) {
-	q, err := sparql.ParseCtx(ctx, query)
-	if err != nil {
-		return nil, err
-	}
-	return q.ExecCtx(ctx, w.st.ViewOf(w.model), w.st.Dict())
-}
-
-// QueryFactsAnalyzeCtx is QueryFactsCtx with operator-level
-// instrumentation (see QueryAnalyzeCtx).
-func (w *Warehouse) QueryFactsAnalyzeCtx(ctx context.Context, query string) (*sparql.Result, *sparql.ExecStats, error) {
-	q, err := sparql.ParseCtx(ctx, query)
-	if err != nil {
-		return nil, nil, err
-	}
-	return q.ExecAnalyzeCtx(ctx, w.st.ViewOf(w.model), w.st.Dict())
-}
-
-// SemMatch executes an Oracle-style SEM_MATCH call (Listings 1 and 2).
-func (w *Warehouse) SemMatch(call string) (*sparql.Result, error) {
-	return semmatch.Exec(w.st, call)
-}
-
-// SemMatchCtx is SemMatch carrying a request context.
+// SemMatchCtx is SemMatch with the zero QueryOptions.
 func (w *Warehouse) SemMatchCtx(ctx context.Context, call string) (*sparql.Result, error) {
-	return semmatch.ExecCtx(ctx, w.st, call)
+	return plainResult(w.SemMatch(ctx, call, QueryOptions{}))
 }
 
-// SemMatchAnalyzeCtx is SemMatchCtx with operator-level instrumentation
-// (see QueryAnalyzeCtx).
+// SemMatchAnalyzeCtx is SemMatch with QueryOptions.Analyze.
 func (w *Warehouse) SemMatchAnalyzeCtx(ctx context.Context, call string) (*sparql.Result, *sparql.ExecStats, error) {
-	return semmatch.ExecAnalyzeCtx(ctx, w.st, call)
-}
-
-// Explain renders the evaluation plan Query would execute: the
-// statistics-driven join order with estimated cardinalities against the
-// base-plus-index view. The index is (re)materialized first so the plan
-// sees the same statistics execution would.
-func (w *Warehouse) Explain(query string) (string, error) {
-	return w.ExplainCtx(context.Background(), query)
-}
-
-// ExplainCtx is Explain carrying a request context.
-func (w *Warehouse) ExplainCtx(ctx context.Context, query string) (string, error) {
-	q, err := sparql.ParseCtx(ctx, query)
-	if err != nil {
-		return "", err
-	}
-	view, err := reason.IndexedViewCtx(ctx, w.st, w.model)
-	if err != nil {
-		return "", err
-	}
-	return q.ExplainOn(view, w.st.Dict()), nil
-}
-
-// ExplainSemMatch renders the evaluation plan of an Oracle-style
-// SEM_MATCH call with the model/rulebase view the call names.
-func (w *Warehouse) ExplainSemMatch(call string) (string, error) {
-	req, err := semmatch.ParseCall(call)
-	if err != nil {
-		return "", err
-	}
-	return req.Explain(w.st)
+	return analyzedResult(w.SemMatch(ctx, call, QueryOptions{Analyze: true}))
 }
 
 // CloneModel clones model src ("" selects the base model) into dst via

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -99,41 +101,42 @@ func TestEndToEndLineage(t *testing.T) {
 func TestQueryWithAndWithoutIndex(t *testing.T) {
 	w := buildWarehouse(t)
 	q := `PREFIX dm: <` + rdf.DMNS + `> SELECT ?x WHERE { ?x a dm:Attribute }`
-	withIdx, err := w.Query(q)
+	ctx := context.Background()
+	withIdx, err := w.Query(ctx, q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	factsOnly, err := w.QueryFacts(q)
+	factsOnly, err := w.Query(ctx, q, QueryOptions{FactsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(withIdx.Rows) == 0 {
+	if len(withIdx.Result.Rows) == 0 {
 		t.Error("indexed query found nothing")
 	}
-	if len(factsOnly.Rows) != 0 {
-		t.Errorf("facts-only query saw %d inferred rows", len(factsOnly.Rows))
+	if len(factsOnly.Result.Rows) != 0 {
+		t.Errorf("facts-only query saw %d inferred rows", len(factsOnly.Result.Rows))
 	}
-	if _, err := w.Query("NOT SPARQL"); err == nil {
-		t.Error("bad query accepted")
+	if _, err := w.Query(ctx, "NOT SPARQL", QueryOptions{}); !errors.Is(err, ErrBadQuery) {
+		t.Errorf("bad query: err = %v, want ErrBadQuery", err)
 	}
-	if _, err := w.QueryFacts("NOT SPARQL"); err == nil {
-		t.Error("bad facts query accepted")
+	if _, err := w.Query(ctx, "NOT SPARQL", QueryOptions{FactsOnly: true}); !errors.Is(err, ErrBadQuery) {
+		t.Errorf("bad facts query: err = %v, want ErrBadQuery", err)
 	}
 }
 
 func TestSemMatchListing(t *testing.T) {
 	w := buildWarehouse(t)
-	res, err := w.SemMatch(`SEM_MATCH(
+	resp, err := w.SemMatch(context.Background(), `SEM_MATCH(
 		{?object rdf:type dm:Application1_View_Column .
 		 ?object dm:hasName ?term},
 		SEM_MODELS('DWH_CURR'),
 		SEM_RULEBASES('OWLPRIME'),
-		SEM_ALIASES(SEM_ALIAS('dm', '` + rdf.DMNS + `')),
-		null)`)
+		SEM_ALIASES(SEM_ALIAS('dm', '`+rdf.DMNS+`')),
+		null)`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0]["term"].Value != "customer_id" {
+	if res := resp.Result; len(res.Rows) != 1 || res.Rows[0]["term"].Value != "customer_id" {
 		t.Errorf("rows = %v", res.Rows)
 	}
 }
@@ -209,12 +212,12 @@ func TestLoadInvalidatesIndex(t *testing.T) {
 		rdf.T(rdf.IRI(rdf.DMNS+"Fresh"), rdf.SubClassOf, rdf.IRI(rdf.DMNS+"Attribute")),
 		rdf.T(rdf.IRI(rdf.InstNS+"fresh1"), rdf.Type, rdf.IRI(rdf.DMNS+"Fresh")),
 	})
-	res, err := w.Query(`PREFIX dm: <` + rdf.DMNS + `> PREFIX inst: <` + rdf.InstNS + `>
-		ASK { inst:fresh1 a dm:Attribute }`)
+	res, err := w.Query(context.Background(), `PREFIX dm: <`+rdf.DMNS+`> PREFIX inst: <`+rdf.InstNS+`>
+		ASK { inst:fresh1 a dm:Attribute }`, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Ask {
+	if !res.Result.Ask {
 		t.Error("stale index served after load")
 	}
 }
@@ -233,11 +236,11 @@ func TestLoadVisibleToEveryIndexedService(t *testing.T) {
 
 	services := map[string]func(t *testing.T, w *Warehouse) bool{
 		"semmatch": func(t *testing.T, w *Warehouse) bool {
-			res, err := w.SemMatch(roleMatch)
+			res, err := w.SemMatch(context.Background(), roleMatch, QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, row := range res.Rows {
+			for _, row := range res.Result.Rows {
 				if row["r"] == rdf.IRI(rdf.InstNS+"auditor") {
 					return true // typed Support, a Role only by inheritance
 				}

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -130,11 +131,11 @@ func analyzedStats(t *testing.T) []*sparql.ExecStats {
 		`SELECT DISTINCT ?s WHERE { ?s ?p ?o . OPTIONAL { ?o <` + rdf.HasName.Value + `> ?n } FILTER regex(?n, "<b>") }`,
 		`ASK { ?s <` + rdf.IsMappedTo.Value + `>+ ?o }`,
 	} {
-		_, stats, err := w.QueryAnalyze(q)
+		resp, err := w.Query(context.Background(), q, core.QueryOptions{Analyze: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, stats)
+		out = append(out, resp.Stats)
 	}
 	return out
 }

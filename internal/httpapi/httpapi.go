@@ -6,7 +6,9 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -452,10 +454,32 @@ type QueryResponse struct {
 	AnalyzedPlan string            `json:"analyzedPlan,omitempty"`
 }
 
-// wantAnalyze reports whether the request opted into EXPLAIN ANALYZE.
-func wantAnalyze(r *http.Request) bool {
-	v := r.URL.Query().Get("analyze")
-	return v == "1" || v == "true"
+// queryOptions reads the options both SPARQL routes take from the URL:
+// ?analyze=1 opts into EXPLAIN ANALYZE, ?facts=only leaves the entailment
+// out.
+func queryOptions(r *http.Request) core.QueryOptions {
+	q := r.URL.Query()
+	return core.QueryOptions{
+		FactsOnly: q.Get("facts") == "only",
+		Analyze:   q.Get("analyze") == "1" || q.Get("analyze") == "true",
+	}
+}
+
+// serveQuery answers with the outcome of a Warehouse.Query or SemMatch
+// call: the streamed result, or the error under the status its kind
+// deserves — 400 when the query is the client's to fix, 503 when the
+// request was cancelled or ran out of time, 500 otherwise.
+func serveQuery(rw http.ResponseWriter, r *http.Request, resp core.Response, err error) {
+	switch {
+	case err == nil:
+		serveResult(rw, r, resp.Result, resp.Stats)
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		writeError(rw, http.StatusServiceUnavailable, err)
+	case errors.Is(err, core.ErrBadQuery):
+		writeError(rw, http.StatusBadRequest, err)
+	default:
+		writeError(rw, http.StatusInternalServerError, err)
+	}
 }
 
 func (s *Server) handleQuery(rw http.ResponseWriter, r *http.Request) {
@@ -464,25 +488,8 @@ func (s *Server) handleQuery(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, fmt.Errorf("missing ?q"))
 		return
 	}
-	factsOnly := r.URL.Query().Get("facts") == "only"
-	var res *sparql.Result
-	var stats *sparql.ExecStats
-	var err error
-	switch {
-	case wantAnalyze(r) && factsOnly:
-		res, stats, err = s.w.QueryFactsAnalyzeCtx(r.Context(), q)
-	case wantAnalyze(r):
-		res, stats, err = s.w.QueryAnalyzeCtx(r.Context(), q)
-	case factsOnly:
-		res, err = s.w.QueryFactsCtx(r.Context(), q)
-	default:
-		res, err = s.w.QueryCtx(r.Context(), q)
-	}
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, err)
-		return
-	}
-	serveResult(rw, r, res, stats)
+	resp, err := s.w.Query(r.Context(), q, queryOptions(r))
+	serveQuery(rw, r, resp, err)
 }
 
 // handleSemMatch executes an Oracle-style SEM_MATCH call posted as the
@@ -493,18 +500,8 @@ func (s *Server) handleSemMatch(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-	var res *sparql.Result
-	var stats *sparql.ExecStats
-	if wantAnalyze(r) {
-		res, stats, err = s.w.SemMatchAnalyzeCtx(r.Context(), string(body))
-	} else {
-		res, err = s.w.SemMatchCtx(r.Context(), string(body))
-	}
-	if err != nil {
-		writeError(rw, http.StatusBadRequest, err)
-		return
-	}
-	serveResult(rw, r, res, stats)
+	resp, err := s.w.SemMatch(r.Context(), string(body), queryOptions(r))
+	serveQuery(rw, r, resp, err)
 }
 
 // --- stats / versions ---

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"mdw/internal/landscape"
 	"mdw/internal/obs"
 	"mdw/internal/ontology"
+	"mdw/internal/sparql"
 	"mdw/internal/staging"
 )
 
@@ -491,5 +493,48 @@ func TestLoadEndpointInvalidatesCache(t *testing.T) {
 	}
 	if res.Parsed != 2 || res.Added != 1 {
 		t.Errorf("load response = %+v, want parsed=2 added=1 (duplicate dropped)", res)
+	}
+}
+
+// TestQueryErrorStatuses: the two SPARQL routes answer 400 only for what
+// the client can fix — with the parser's message as the body, as before —
+// and not for a request that was cancelled.
+func TestQueryErrorStatuses(t *testing.T) {
+	srv := testServer(t)
+	_, parseErr := sparql.Parse("NOT SPARQL")
+	var body map[string]string
+	if code := getJSON(t, srv, "/api/query?q=NOT+SPARQL", &body); code != 400 || body["error"] != parseErr.Error() {
+		t.Errorf("malformed query: status %d body %v, want 400 %q", code, body, parseErr)
+	}
+	if code := getJSON(t, srv, "/api/query?facts=only&analyze=1&q=NOT+SPARQL", nil); code != 400 {
+		t.Errorf("malformed facts-only analyzed query: status %d, want 400", code)
+	}
+	for name, call := range map[string]string{
+		"malformed call":    `SEM_MATCH no parens`,
+		"malformed pattern": `SEM_MATCH({?s ?p}, SEM_MODELS('DWH_CURR'), null)`,
+		"unknown model":     `SEM_MATCH({?s ?p ?o}, SEM_MODELS('NOPE'), null)`,
+		"unknown rulebase":  `SEM_MATCH({?s ?p ?o}, SEM_MODELS('DWH_CURR'), SEM_RULEBASES('RDFS'), null)`,
+	} {
+		resp, err := http.Post(srv.URL+"/api/semmatch", "text/plain", strings.NewReader(call))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, req := range []*http.Request{
+		httptest.NewRequest("GET", "/api/query?q="+url.QueryEscape(`SELECT ?cancelled WHERE { ?cancelled ?p ?o }`), nil),
+		httptest.NewRequest("POST", "/api/semmatch", strings.NewReader(`SEM_MATCH({?cancelled ?p ?o}, SEM_MODELS('DWH_CURR'), null)`)),
+	} {
+		rec := httptest.NewRecorder()
+		srv.Config.Handler.ServeHTTP(rec, req.WithContext(ctx))
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Errorf("cancelled %s %s: status %d, want 503: %s", req.Method, req.URL.Path, rec.Code, rec.Body)
+		}
 	}
 }

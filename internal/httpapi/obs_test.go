@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 	"testing"
 
 	"mdw/internal/obs"
+	"mdw/internal/rdf"
 )
 
 // get issues a plain GET and returns the response with its body already
@@ -227,5 +230,77 @@ func TestObserveMiddlewareMetrics(t *testing.T) {
 	_, histAfter := reg.Histogram("mdw_http_request_seconds", nil, "route", "GET /api/search").Buckets()
 	if d := histAfter[len(histAfter)-1] - countBefore; d != 3 {
 		t.Errorf("search route histogram observation delta = %d, want 3 (2xx and 4xx alike)", d)
+	}
+}
+
+// TestQueryRoutesOneTraceEach: every way of asking the two SPARQL routes
+// — entailed, ?facts=only, ?analyze=1, both, and a SEM_MATCH call — yields
+// one trace, http → warehouse.query → sparql parse / sparql exec. The
+// facts-only and analyzed variants used to run outside the
+// warehouse.query span.
+func TestQueryRoutesOneTraceEach(t *testing.T) {
+	srv := testServer(t)
+	q := url.QueryEscape(`PREFIX dm: <` + rdf.DMNS + `> SELECT ?x WHERE { ?x a dm:Attribute }`)
+	call := `SEM_MATCH({?x rdf:type dm:Attribute}, SEM_MODELS('DWH_CURR'), SEM_RULEBASES('OWLPRIME'),
+		SEM_ALIASES(SEM_ALIAS('dm', '` + rdf.DMNS + `')), null)`
+	requests := map[string]func() (*http.Response, error){
+		"entailed":      func() (*http.Response, error) { return http.Get(srv.URL + "/api/query?q=" + q) },
+		"facts":         func() (*http.Response, error) { return http.Get(srv.URL + "/api/query?facts=only&q=" + q) },
+		"analyze":       func() (*http.Response, error) { return http.Get(srv.URL + "/api/query?analyze=1&q=" + q) },
+		"facts+analyze": func() (*http.Response, error) { return http.Get(srv.URL + "/api/query?facts=only&analyze=1&q=" + q) },
+		"semmatch": func() (*http.Response, error) {
+			return http.Post(srv.URL+"/api/semmatch", "text/plain", strings.NewReader(call))
+		},
+		"semmatch+analyze": func() (*http.Response, error) {
+			return http.Post(srv.URL+"/api/semmatch?analyze=1", "text/plain", strings.NewReader(call))
+		},
+	}
+	for name, do := range requests {
+		t.Run(name, func(t *testing.T) {
+			startedBefore := obs.DefaultTracer().Started()
+			resp, err := do()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Read to EOF: the middleware publishes the trace before the
+			// reply's last chunk goes out.
+			_, err = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != 200 {
+				t.Fatalf("status = %d", resp.StatusCode)
+			}
+			if started := obs.DefaultTracer().Started() - startedBefore; started != 1 {
+				t.Errorf("request started %d traces, want 1", started)
+			}
+			var trace obs.Trace
+			if code := getJSON(t, srv, "/api/traces?id="+resp.Header.Get("X-Mdw-Trace"), &trace); code != 200 {
+				t.Fatalf("traces?id status = %d", code)
+			}
+			byID := map[uint64]obs.SpanData{}
+			for _, sp := range trace.Spans {
+				byID[sp.ID] = sp
+			}
+			seen := map[string]bool{}
+			for _, sp := range trace.Spans {
+				if sp.Name != "sparql parse" && sp.Name != "sparql exec" {
+					continue
+				}
+				seen[sp.Name] = true
+				// sparql exec may sit below the sparql plan span of a replan.
+				up := byID[sp.Parent]
+				for up.Name != "warehouse.query" && up.Parent != 0 {
+					up = byID[up.Parent]
+				}
+				if up.Name != "warehouse.query" || up.Parent != trace.ID {
+					t.Errorf("%s is not below a warehouse.query span under the http root: %+v", sp.Name, trace.Spans)
+				}
+			}
+			if !seen["sparql parse"] || !seen["sparql exec"] {
+				t.Errorf("trace lacks sparql parse/exec spans: %+v", trace.Spans)
+			}
+		})
 	}
 }

@@ -402,7 +402,7 @@ func (s *Service) searchView(ctx context.Context, v *store.View, ix *textindex.I
 					sparqlErr = fmt.Errorf("search: via-sparql parse: %w", err)
 					return
 				}
-				res, err := q.ExecCtx(ctx, v, dict)
+				res, _, err := q.Run(ctx, v, dict, sparql.RunOptions{})
 				if err != nil {
 					sparqlErr = fmt.Errorf("search: via-sparql exec: %w", err)
 					return

@@ -1,9 +1,12 @@
 package semmatch
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // Golden plans for the paper's two listings. The rendering comes from
-// the same Plan structure Exec runs, so these tests pin down the
+// the same Plan structure Run executes, so these tests pin down the
 // planner's observable decisions: Listing 1 must start from the
 // hasName pattern with the regex filter pushed immediately behind it,
 // and Listing 2 must start from the constant-class rdf:type pattern.
@@ -21,7 +24,7 @@ func TestListing1Plan(t *testing.T) {
 		Select:    []string{"class", "object"},
 		GroupBy:   []string{"class", "object"},
 	}
-	got, err := req.Explain(st)
+	got, err := req.Explain(context.Background(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +52,7 @@ func TestListing2Plan(t *testing.T) {
 		Aliases:   PaperAliases(),
 		Select:    []string{"source_id", "target_id", "target_name"},
 	}
-	got, err := req.Explain(st)
+	got, err := req.Explain(context.Background(), st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +69,10 @@ func TestListing2Plan(t *testing.T) {
 
 func TestExplainErrors(t *testing.T) {
 	st := fixture()
-	if _, err := (Request{Pattern: "?s ?p ?o"}).Explain(st); err == nil {
+	if _, err := (Request{Pattern: "?s ?p ?o"}).Explain(context.Background(), st); err == nil {
 		t.Error("no models should error")
 	}
-	if _, err := (Request{Pattern: "?s ?p ?o", Models: []string{"nope"}}).Explain(st); err == nil {
+	if _, err := (Request{Pattern: "?s ?p ?o", Models: []string{"nope"}}).Explain(context.Background(), st); err == nil {
 		t.Error("missing model should error")
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"sort"
 	"strings"
 
-	"mdw/internal/obs"
 	"mdw/internal/rdf"
 	"mdw/internal/reason"
 	"mdw/internal/sparql"
@@ -45,78 +44,47 @@ type Request struct {
 	Distinct bool
 }
 
-// Exec runs the request against st. Index models for requested rulebases
-// are brought up to date first.
-func (r Request) Exec(st *store.Store) (*sparql.Result, error) {
-	return r.ExecCtx(context.Background(), st)
-}
-
-// ExecCtx is Exec carrying a request context: the call runs under a
-// "semmatch" span — nested in the request's trace when ctx carries one,
-// the root of a new trace otherwise — with the SPARQL parse/plan/exec
-// spans below it.
-func (r Request) ExecCtx(ctx context.Context, st *store.Store) (*sparql.Result, error) {
-	sp, ctx := obs.StartChildCtx(ctx, "semmatch")
-	defer sp.Finish()
-	src, err := r.source(ctx, st)
-	if err != nil {
-		return nil, err
-	}
-	q, err := sparql.ParseCtx(ctx, r.QueryText())
-	if err != nil {
-		return nil, err
-	}
-	return q.ExecCtx(ctx, src, st.Dict())
-}
-
-// ExecAnalyze is ExecAnalyzeCtx with a background context.
-func (r Request) ExecAnalyze(st *store.Store) (*sparql.Result, *sparql.ExecStats, error) {
-	return r.ExecAnalyzeCtx(context.Background(), st)
-}
-
-// ExecAnalyzeCtx is ExecCtx with operator-level instrumentation: the
-// returned ExecStats carries actual rows, loops, and wall time for every
-// operator of the plan the call executed (EXPLAIN ANALYZE).
-func (r Request) ExecAnalyzeCtx(ctx context.Context, st *store.Store) (*sparql.Result, *sparql.ExecStats, error) {
-	sp, ctx := obs.StartChildCtx(ctx, "semmatch")
-	defer sp.Finish()
-	src, err := r.source(ctx, st)
+// Run executes the request against st, bringing the index models of the
+// requested rulebases up to date first. The SPARQL parse/plan/exec spans
+// nest in the trace ctx carries; the ExecStats are nil unless opt.Analyze
+// is set (see sparql.Query.Run).
+func (r Request) Run(ctx context.Context, st *store.Store, opt sparql.RunOptions) (*sparql.Result, *sparql.ExecStats, error) {
+	q, src, err := r.prepare(ctx, st)
 	if err != nil {
 		return nil, nil, err
 	}
-	q, err := sparql.ParseCtx(ctx, r.QueryText())
-	if err != nil {
-		return nil, nil, err
-	}
-	return q.ExecAnalyzeCtx(ctx, src, st.Dict())
+	return q.Run(ctx, src, st.Dict(), opt)
 }
 
-// Explain renders the evaluation plan the request would execute —
-// the statistics-driven join order with estimated cardinalities against
-// the request's model view. It is the same Plan structure Exec runs.
-// Index models are brought up to date exactly as Exec would, so the
+// Explain renders the evaluation plan the request would execute — the
+// statistics-driven join order with estimated cardinalities against the
+// request's model view. It is the same Plan structure Run executes, and
+// index models are brought up to date exactly as Run would, so the
 // explained plan sees the statistics execution would see.
-func (r Request) Explain(st *store.Store) (string, error) {
-	return r.ExplainCtx(context.Background(), st)
-}
-
-// ExplainCtx is Explain carrying a request context.
-func (r Request) ExplainCtx(ctx context.Context, st *store.Store) (string, error) {
-	src, err := r.source(ctx, st)
-	if err != nil {
-		return "", err
-	}
-	q, err := sparql.ParseCtx(ctx, r.QueryText())
+func (r Request) Explain(ctx context.Context, st *store.Store) (string, error) {
+	q, src, err := r.prepare(ctx, st)
 	if err != nil {
 		return "", err
 	}
 	return q.ExplainOn(src, st.Dict()), nil
 }
 
-// source resolves the request's SEM_MODELS/SEM_RULEBASES combination to
+// prepare is what Run and Explain share: the parsed query text and the
+// view it runs against.
+func (r Request) prepare(ctx context.Context, st *store.Store) (*sparql.Query, store.Source, error) {
+	q, err := sparql.ParseCtx(ctx, r.QueryText())
+	if err != nil {
+		return nil, nil, err
+	}
+	src, err := r.Source(ctx, st)
+	return q, src, err
+}
+
+// Source resolves the request's SEM_MODELS/SEM_RULEBASES combination to
 // the union view execution runs against, bringing the index models up to
-// date first.
-func (r Request) source(ctx context.Context, st *store.Store) (store.Source, error) {
+// date first. It fails when the request names no model, or a model or
+// rulebase the store does not have.
+func (r Request) Source(ctx context.Context, st *store.Store) (store.Source, error) {
 	if len(r.Models) == 0 {
 		return nil, fmt.Errorf("semmatch: no models given")
 	}
@@ -144,7 +112,7 @@ func (r Request) source(ctx context.Context, st *store.Store) (store.Source, err
 
 // QueryText assembles the SPARQL text the request executes. It is
 // exported so static checkers (mdwlint's sparqlcheck) can validate
-// constant SEM_MATCH calls with exactly the text Exec would parse.
+// constant SEM_MATCH calls with exactly the text Run would parse.
 func (r Request) QueryText() string {
 	var b strings.Builder
 	// Sorted, so that one call has one text: the results cache and the
@@ -193,8 +161,8 @@ func (r Request) QueryText() string {
 	return b.String()
 }
 
-// Exec parses a textual SEM_MATCH call and runs it. The accepted syntax
-// is the argument list of the listings:
+// ParseCall parses the textual SEM_MATCH argument list into a Request.
+// The accepted syntax is the argument list of the listings:
 //
 //	SEM_MATCH(
 //	  {?s dt:isMappedTo ?t . ...},
@@ -204,30 +172,6 @@ func (r Request) QueryText() string {
 //	  null)
 //
 // with an optional leading "SEM_MATCH(" and trailing ")".
-func Exec(st *store.Store, call string) (*sparql.Result, error) {
-	return ExecCtx(context.Background(), st, call)
-}
-
-// ExecCtx is Exec carrying a request context (see Request.ExecCtx).
-func ExecCtx(ctx context.Context, st *store.Store, call string) (*sparql.Result, error) {
-	req, err := ParseCall(call)
-	if err != nil {
-		return nil, err
-	}
-	return req.ExecCtx(ctx, st)
-}
-
-// ExecAnalyzeCtx parses a textual SEM_MATCH call and runs it analyzed
-// (see Request.ExecAnalyzeCtx).
-func ExecAnalyzeCtx(ctx context.Context, st *store.Store, call string) (*sparql.Result, *sparql.ExecStats, error) {
-	req, err := ParseCall(call)
-	if err != nil {
-		return nil, nil, err
-	}
-	return req.ExecAnalyzeCtx(ctx, st)
-}
-
-// ParseCall parses the textual SEM_MATCH argument list into a Request.
 func ParseCall(call string) (*Request, error) {
 	s := strings.TrimSpace(call)
 	if i := strings.Index(s, "SEM_MATCH"); i >= 0 {

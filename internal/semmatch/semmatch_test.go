@@ -1,10 +1,12 @@
 package semmatch
 
 import (
+	"context"
 	"testing"
 
 	"mdw/internal/rdf"
 	"mdw/internal/rescache"
+	"mdw/internal/sparql"
 	"mdw/internal/store"
 )
 
@@ -24,6 +26,12 @@ func fixture() *store.Store {
 	return st
 }
 
+// run executes the request plainly under a background context.
+func run(r Request, st *store.Store) (*sparql.Result, error) {
+	res, _, err := r.Run(context.Background(), st, sparql.RunOptions{})
+	return res, err
+}
+
 func TestRequestWithoutRulebaseSeesOnlyFacts(t *testing.T) {
 	st := fixture()
 	req := Request{
@@ -31,7 +39,7 @@ func TestRequestWithoutRulebaseSeesOnlyFacts(t *testing.T) {
 		Models:  []string{"DWH_CURR"},
 		Aliases: PaperAliases(),
 	}
-	res, err := req.Exec(st)
+	res, err := run(req, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +56,7 @@ func TestRequestWithRulebaseSeesInferred(t *testing.T) {
 		Rulebases: []string{"OWLPRIME"},
 		Aliases:   PaperAliases(),
 	}
-	res, err := req.Exec(st)
+	res, err := run(req, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +70,13 @@ func TestRequestWithRulebaseSeesInferred(t *testing.T) {
 
 func TestRequestErrors(t *testing.T) {
 	st := fixture()
-	if _, err := (Request{Pattern: "?s ?p ?o"}).Exec(st); err == nil {
+	if _, err := run(Request{Pattern: "?s ?p ?o"}, st); err == nil {
 		t.Error("no models should error")
 	}
-	if _, err := (Request{Pattern: "?s ?p ?o", Models: []string{"nope"}}).Exec(st); err == nil {
+	if _, err := run(Request{Pattern: "?s ?p ?o", Models: []string{"nope"}}, st); err == nil {
 		t.Error("missing model should error")
 	}
-	if _, err := (Request{Pattern: "?s ?p ?o", Models: []string{"DWH_CURR"}, Rulebases: []string{"RDFS"}}).Exec(st); err == nil {
+	if _, err := run(Request{Pattern: "?s ?p ?o", Models: []string{"DWH_CURR"}, Rulebases: []string{"RDFS"}}, st); err == nil {
 		t.Error("unsupported rulebase should error")
 	}
 }
@@ -93,7 +101,7 @@ func TestListing1(t *testing.T) {
 	req.Filter = `regex(?term, "customer", "i")`
 	req.Select = []string{"class", "object"}
 	req.GroupBy = []string{"class", "object"}
-	res, err := req.Exec(st)
+	res, err := run(*req, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +137,7 @@ func TestListing2(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Select = []string{"source_id", "target_id", "target_name"}
-	res, err := req.Exec(st)
+	res, err := run(*req, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +184,7 @@ func TestDistinctProjection(t *testing.T) {
 		Select:   []string{"?y"},
 		Distinct: true,
 	}
-	res, err := req.Exec(st)
+	res, err := run(req, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +217,7 @@ func TestOneCallOneQueryText(t *testing.T) {
 		if got := req.QueryText(); got != first {
 			t.Fatalf("rendering %d differs:\n%s\nvs\n%s", i, got, first)
 		}
-		res, err := req.Exec(st)
+		res, err := run(req, st)
 		if err != nil {
 			t.Fatal(err)
 		}

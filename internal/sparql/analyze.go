@@ -18,7 +18,7 @@ import (
 // time (assignStatSlots, construction-only, so the Plan immutability
 // contract holds). An analyzed execution carries one execStatsRec whose
 // flat ops slice is indexed by those slots; the evaluator updates it
-// through atomic adds, so morsel/union/path workers can share the record
+// through atomic adds, so morsel workers can share the record
 // race-free. When no analysis was requested the record pointer is nil
 // and every instrumentation site costs exactly one pointer check.
 //
@@ -28,7 +28,7 @@ import (
 // for the worst per-operator misestimation (see misest reporting below).
 
 // opStats accumulates runtime evidence for one plan operator. All fields
-// are atomics because parallel strategies update them from worker
+// are atomics because morsel scans update them from worker
 // goroutines sharing one record.
 type opStats struct {
 	// loops counts how often the operator started (for a triple pattern:
@@ -147,8 +147,8 @@ type ExecStats struct {
 	Root     *OpStats      `json:"root"`
 	Rows     int           `json:"rows"`
 	Duration time.Duration `json:"durationNs"`
-	// Strategy is the parallel strategy actually used ("serial" when the
-	// execution never fanned out), with the workers and tasks launched.
+	// Strategy is "morsel" when the execution fanned out as a morsel scan,
+	// with the workers and tasks launched, "serial" when it never did.
 	Strategy string `json:"strategy"`
 	Workers  int    `json:"workers,omitempty"`
 	Tasks    int    `json:"tasks,omitempty"`
@@ -183,7 +183,7 @@ func (p *Plan) finishAnalyze(rec *execStatsRec, info execInfo, d time.Duration, 
 	st := &ExecStats{
 		Rows:            rows,
 		Duration:        d,
-		Strategy:        info.strategy,
+		Strategy:        "serial",
 		Workers:         info.workers,
 		Tasks:           info.tasks,
 		RowsScanned:     rec.scanned.Load(),
@@ -194,8 +194,8 @@ func (p *Plan) finishAnalyze(rec *execStatsRec, info execInfo, d time.Duration, 
 		plan:            p,
 		rec:             rec,
 	}
-	if st.Strategy == "" {
-		st.Strategy = "serial"
+	if info.workers > 1 {
+		st.Strategy = "morsel"
 	}
 	st.Root = &OpStats{Op: "plan", Estimate: -1, Rows: int64(rows), Loops: 1, Time: d}
 	st.Root.Children = p.buildOpTree(p.root, rec)
@@ -320,7 +320,7 @@ func (st *ExecStats) String() string {
 	var b strings.Builder
 	b.WriteString(st.plan.render(st.rec))
 	fmt.Fprintf(&b, "ACTUAL: %d rows in %s", st.Rows, fmtDur(st.Duration))
-	if st.Strategy != "serial" && st.Strategy != "" {
+	if st.Strategy != "serial" {
 		fmt.Fprintf(&b, ", %s x%d workers (%d tasks)", st.Strategy, st.Workers, st.Tasks)
 	}
 	fmt.Fprintf(&b, "; scanned %d triples, decoded %d terms", st.RowsScanned, st.TermDecodes)

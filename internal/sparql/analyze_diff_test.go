@@ -9,6 +9,7 @@ package sparql_test
 // record (atomics updated from worker goroutines) gets hunted too.
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -74,16 +75,15 @@ func TestDifferentialAnalyze(t *testing.T) {
 			}
 			for _, workers := range levels {
 				opts := sparql.ParOptions{
-					MaxWorkers:        workers,
-					MorselSize:        4,
-					SerialThreshold:   1,
-					FrontierThreshold: 1,
+					MaxWorkers:      workers,
+					MorselSize:      4,
+					SerialThreshold: 1,
 				}
-				plain, err := q.PlanOpts(fx.src, fx.dict, opts).Exec()
+				plain, _, err := q.PlanOpts(fx.src, fx.dict, opts).Run(context.Background(), sparql.RunOptions{})
 				if err != nil {
 					t.Fatalf("[%s #%d w=%d] plain exec failed for %q: %v", fx.name, i, workers, full, err)
 				}
-				res, stats, err := q.PlanOpts(fx.src, fx.dict, opts).ExecAnalyze()
+				res, stats, err := q.PlanOpts(fx.src, fx.dict, opts).Run(context.Background(), sparql.RunOptions{Analyze: true})
 				if err != nil {
 					t.Fatalf("[%s #%d w=%d] analyzed exec failed for %q: %v", fx.name, i, workers, full, err)
 				}

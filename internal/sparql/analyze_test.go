@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -58,12 +59,12 @@ func TestAnalyzeTreeShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := q.Plan(src, st.Dict())
-	res, stats, err := p.ExecAnalyze()
+	res, stats, err := p.Run(context.Background(), RunOptions{Analyze: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats == nil || stats.Root == nil {
-		t.Fatal("ExecAnalyze returned no stats tree")
+		t.Fatal("analyzed Run returned no stats tree")
 	}
 	if got := countOps(stats.Root.Children); got != p.nstats {
 		t.Errorf("tree has %d operator nodes, plan assigned %d stat slots", got, p.nstats)
@@ -119,7 +120,7 @@ func TestAnalyzeRendering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := q.ExecAnalyze(src, st.Dict())
+	_, stats, err := analyze(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestAnalyzeNeverExecuted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := q.ExecAnalyze(src, st.Dict())
+	res, stats, err := analyze(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestAnalyzeDistinctLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := q.ExecAnalyze(src, st.Dict())
+	_, stats, err := analyze(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestAnalyzeDistinctLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, lstats, err := lq.ExecAnalyze(src, st.Dict())
+	res, lstats, err := analyze(lq, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestMisestimateReporting(t *testing.T) {
 
 	SetMisestimateThreshold(1)
 	before := obsMisestimate.Value()
-	if _, stats, err := q.ExecAnalyze(src, st.Dict()); err != nil {
+	if _, stats, err := analyze(q, src, st.Dict()); err != nil {
 		t.Fatal(err)
 	} else if stats.MaxRatio < 1 || stats.WorstOp == "" {
 		t.Fatalf("analyzed execution found no worst operator: ratio=%v op=%q", stats.MaxRatio, stats.WorstOp)
@@ -234,7 +235,7 @@ func TestMisestimateReporting(t *testing.T) {
 	}
 
 	// Re-report: the entry folds, count climbs.
-	if _, _, err := q.ExecAnalyze(src, st.Dict()); err != nil {
+	if _, _, err := analyze(q, src, st.Dict()); err != nil {
 		t.Fatal(err)
 	}
 	if got := log.Snapshot()[0].Count; got != 2 {
@@ -245,7 +246,7 @@ func TestMisestimateReporting(t *testing.T) {
 	SetMisestimateThreshold(1e12)
 	log.Reset()
 	before = obsMisestimate.Value()
-	if _, _, err := q.ExecAnalyze(src, st.Dict()); err != nil {
+	if _, _, err := analyze(q, src, st.Dict()); err != nil {
 		t.Fatal(err)
 	}
 	if obsMisestimate.Value() != before || log.Len() != 0 {
@@ -274,7 +275,7 @@ func TestSlowQueryAutoAnalyze(t *testing.T) {
 	fp := q.Fingerprint()
 	defer disarmAnalyze(fp)
 
-	if _, err := q.Exec(src, st.Dict()); err != nil {
+	if _, err := run(q, src, st.Dict()); err != nil {
 		t.Fatal(err)
 	}
 	if e := sl.Entries()[0]; e.Analyzed {
@@ -284,7 +285,7 @@ func TestSlowQueryAutoAnalyze(t *testing.T) {
 		t.Fatal("slow execution did not arm its fingerprint")
 	}
 
-	if _, err := q.Exec(src, st.Dict()); err != nil {
+	if _, err := run(q, src, st.Dict()); err != nil {
 		t.Fatal(err)
 	}
 	e := sl.Entries()[0]
@@ -295,7 +296,7 @@ func TestSlowQueryAutoAnalyze(t *testing.T) {
 		t.Error("arming is one-shot; fingerprint still armed after analyzed run")
 	}
 
-	if _, err := q.Exec(src, st.Dict()); err != nil {
+	if _, err := run(q, src, st.Dict()); err != nil {
 		t.Fatal(err)
 	}
 	// The third run re-arms (it was slow and un-analyzed again, by the
@@ -313,7 +314,7 @@ func TestAnalyzeResourceAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := q.ExecAnalyze(src, st.Dict())
+	_, stats, err := analyze(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}

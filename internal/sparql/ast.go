@@ -48,10 +48,10 @@ type Query struct {
 	Limit    int // -1 when absent
 	Offset   int
 
-	// cachedPlan memoizes the last plan Exec built, so a parsed query
+	// cachedPlan memoizes the last plan Run built, so a parsed query
 	// executed repeatedly against the same source (the prepared-query
 	// pattern every warehouse service uses) pays the planning cost once.
-	// See Query.Exec for the revalidation rule.
+	// See Query.Run for the revalidation rule.
 	cachedPlan atomic.Pointer[Plan]
 
 	// cachedFp memoizes Fingerprint(): the AST never mutates after

@@ -12,7 +12,7 @@ func TestConstructBasic(t *testing.T) {
 	q := MustParse(`PREFIX dt: <` + rdf.DTNS + `>
 		CONSTRUCT { ?s dt:feeds ?t }
 		WHERE { ?s dt:isMappedTo+ ?t }`)
-	res, err := q.Exec(src, st.Dict())
+	res, err := run(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestConstructMultiTemplate(t *testing.T) {
 			?x mdw:exportName ?n .
 		}
 		WHERE { ?x dm:hasName ?n }`)
-	res, err := q.Exec(src, st.Dict())
+	res, err := run(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestConstructConstantsAndDedup(t *testing.T) {
 	q := MustParse(`PREFIX dm: <` + rdf.DMNS + `> PREFIX mdw: <` + rdf.MDWNS + `>
 		CONSTRUCT { mdw:summary mdw:hasItem ?x }
 		WHERE { ?x dm:hasName ?n }`)
-	res, err := q.Exec(src, st.Dict())
+	res, err := run(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestConstructSkipsLiteralSubjects(t *testing.T) {
 	q := MustParse(`PREFIX dm: <` + rdf.DMNS + `> PREFIX mdw: <` + rdf.MDWNS + `>
 		CONSTRUCT { ?n mdw:isNameOf ?x }
 		WHERE { ?x dm:hasName ?n }`)
-	res, err := q.Exec(src, st.Dict())
+	res, err := run(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestConstructVariablePredicate(t *testing.T) {
 	q := MustParse(`PREFIX inst: <` + rdf.InstNS + `>
 		CONSTRUCT { inst:customer_id ?p ?o }
 		WHERE { inst:customer_id ?p ?o }`)
-	res, err := q.Exec(src, st.Dict())
+	res, err := run(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}

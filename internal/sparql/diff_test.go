@@ -1,7 +1,7 @@
 package sparql_test
 
 // Differential correctness harness for the cost-based planner: seeded
-// random queries run through both the planned evaluator (Query.Exec)
+// random queries run through both the planned evaluator (Query.Run)
 // and the retained naive reference evaluator (Query.ExecNaive), and
 // their solution multisets must agree. The naive evaluator performs no
 // join reordering, no filter pushdown, and no early termination, so any
@@ -9,6 +9,7 @@ package sparql_test
 // join order, an overeager LIMIT cut — shows up as a divergence.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -272,11 +273,11 @@ func subsetOf(a, b []string) bool {
 
 // TestDifferentialParallel is the parallel twin of the harness below:
 // the same class of random queries (plus property paths), executed
-// through plans forced into parallel strategies at several worker
-// counts, must agree with the naive reference at every level. The
-// thresholds are floored to 1 so even these tiny fixtures take the
-// morsel / parallel-UNION / frontier-BFS code paths; run it with -race
-// to make it a data-race hunt as well as a semantics check.
+// through plans forced to fan out at several worker counts, must agree
+// with the naive reference at every level. The thresholds are floored to
+// 1 so even these tiny fixtures take the morsel code path (UNION roots
+// and property paths run serially at every level); run it with -race to
+// make it a data-race hunt as well as a semantics check.
 func TestDifferentialParallel(t *testing.T) {
 	levels := []int{1, 2, 4}
 	if n := runtime.GOMAXPROCS(0); n != 1 && n != 2 && n != 4 {
@@ -314,12 +315,11 @@ func TestDifferentialParallel(t *testing.T) {
 			nk := rowKeys(naive)
 			for _, workers := range levels {
 				p := q.PlanOpts(fx.src, fx.dict, sparql.ParOptions{
-					MaxWorkers:        workers,
-					MorselSize:        4,
-					SerialThreshold:   1,
-					FrontierThreshold: 1,
+					MaxWorkers:      workers,
+					MorselSize:      4,
+					SerialThreshold: 1,
 				})
-				res, err := p.Exec()
+				res, _, err := p.Run(context.Background(), sparql.RunOptions{})
 				if err != nil {
 					t.Fatalf("[%s #%d w=%d] parallel exec failed for %q: %v", fx.name, i, workers, full, err)
 				}
@@ -367,7 +367,7 @@ func TestDifferentialPlannerVsNaive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("[%s #%d] generator emitted unparsable query %q: %v", fx.name, i, full, err)
 			}
-			planned, err := q.Exec(fx.src, fx.dict)
+			planned, _, err := q.Run(context.Background(), fx.src, fx.dict, sparql.RunOptions{})
 			if err != nil {
 				t.Fatalf("[%s #%d] planned exec failed for %q: %v", fx.name, i, full, err)
 			}

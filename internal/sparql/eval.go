@@ -30,40 +30,48 @@ type Result struct {
 	Triples []rdf.Triple
 }
 
-// Exec runs the query against a triple source. The dict must be the
-// dictionary underlying the source's models. Exec plans and executes:
-// it is exactly Plan followed by Plan.Exec, except that the plan is
-// memoized on the query. A cached plan is reused when it was built for
-// the same source and dictionary and its constant resolution cannot
-// have gone stale: the dictionary only grows, so a fully resolved plan
-// stays valid, and one with unresolved constants is revalidated by
+// RunOptions selects how one execution runs.
+type RunOptions struct {
+	// Analyze arms operator-level instrumentation (EXPLAIN ANALYZE): the
+	// run returns an ExecStats tree with actual rows, loops, and wall time
+	// per operator. An analyzed run always executes — it bypasses the
+	// results cache, because its statistics must come from a real
+	// execution, never from a cached result that executed nothing.
+	Analyze bool
+}
+
+// Run executes the query against a triple source; the dict must be the
+// dictionary underlying the source's models. It is Plan followed by
+// Plan.Run, except that the plan is memoized on the query and the
+// results cache is probed first. A cached plan is reused when it was
+// built for the same source and dictionary and its constant resolution
+// cannot have gone stale: the dictionary only grows, so a fully resolved
+// plan stays valid, and one with unresolved constants is revalidated by
 // dictionary length. Join-order statistics may age with the data — that
 // only costs speed, never correctness — and new data is always visible
 // because the plan probes the live indexes.
-func (q *Query) Exec(src store.Source, dict *store.Dict) (*Result, error) {
-	return q.ExecCtx(context.Background(), src, dict)
-}
-
-// ExecCtx is Exec carrying a request context: when ctx holds a trace
-// span (obs.ContextWithSpan), planning and execution attach "sparql
-// plan" and "sparql exec" child spans to it. Untraced contexts pay one
-// context lookup and no span allocation.
-func (q *Query) ExecCtx(ctx context.Context, src store.Source, dict *store.Dict) (*Result, error) {
+//
+// When ctx holds a trace span (obs.ContextWithSpan), planning and
+// execution attach "sparql plan" and "sparql exec" child spans to it;
+// untraced contexts pay one context lookup and no span allocation. The
+// ExecStats are nil unless opt.Analyze is set.
+func (q *Query) Run(ctx context.Context, src store.Source, dict *store.Dict, opt RunOptions) (*Result, *ExecStats, error) {
 	// Results cache first: a hit skips planning and execution entirely.
 	// The key embeds every model generation of the source, so it can only
 	// match a result computed from the exact store state being queried.
 	rc := rescache.Default()
 	var genKey string
-	if rc != nil && q.resultsCacheable() {
+	if rc != nil && !opt.Analyze && q.resultsCacheable() {
 		if gk, ok := sourceGenKey(src); ok {
 			genKey = gk
 			t0 := time.Now()
 			if v, ok := rc.Get(q.resultCacheKey(genKey)); ok {
-				return q.serveCachedResult(ctx, v.(*Result), time.Since(t0))
+				return q.serveCachedResult(ctx, v.(*Result), time.Since(t0)), nil, nil
 			}
 		}
 	}
-	res, err := q.execUncached(ctx, src, dict)
+	p, ctx := q.planFor(ctx, src, dict)
+	res, stats, err := p.Run(ctx, opt)
 	if genKey != "" && err == nil && res != nil {
 		// Store only if no model mutated while we executed: a result
 		// computed from a moving source under a pre-move key would be
@@ -72,29 +80,7 @@ func (q *Query) ExecCtx(ctx context.Context, src store.Source, dict *store.Dict)
 			rc.Put(q.resultCacheKey(genKey), res, estimateResultSize(res))
 		}
 	}
-	return res, err
-}
-
-// execUncached is the pre-results-cache execution path: plan-cache
-// probe, (re)planning, execution.
-func (q *Query) execUncached(ctx context.Context, src store.Source, dict *store.Dict) (*Result, error) {
-	p, ctx := q.planFor(ctx, src, dict)
-	return p.ExecCtx(ctx)
-}
-
-// ExecAnalyze is ExecAnalyzeCtx with a background context.
-func (q *Query) ExecAnalyze(src store.Source, dict *store.Dict) (*Result, *ExecStats, error) {
-	return q.ExecAnalyzeCtx(context.Background(), src, dict)
-}
-
-// ExecAnalyzeCtx executes the query with operator-level instrumentation
-// and returns the runtime statistics next to the result (EXPLAIN
-// ANALYZE). It reuses the memoized plan exactly like ExecCtx but always
-// bypasses the results cache: analyzed statistics must come from a real
-// execution, never from a cached result that executed nothing.
-func (q *Query) ExecAnalyzeCtx(ctx context.Context, src store.Source, dict *store.Dict) (*Result, *ExecStats, error) {
-	p, ctx := q.planFor(ctx, src, dict)
-	return p.ExecAnalyzeCtx(ctx)
+	return res, stats, err
 }
 
 // planFor returns the plan to execute — the memoized one when it is
@@ -118,7 +104,7 @@ func (q *Query) planFor(ctx context.Context, src store.Source, dict *store.Dict)
 
 // cacheableSource limits plan memoization to pointer-shaped sources,
 // whose identity comparison is cheap and panic-free. Exotic Source
-// implementations simply replan per Exec.
+// implementations simply replan per Run.
 func cacheableSource(src store.Source) bool {
 	switch src.(type) {
 	case *store.Model, *store.View:
@@ -137,51 +123,31 @@ func sameSource(cached, src store.Source) bool {
 	return cached == src
 }
 
-// Exec executes the plan with a streaming, depth-first pipeline: one
+// Run executes the plan with a streaming, depth-first pipeline: one
 // solution flows through join steps, pushed filters, and the projection
 // before the next is produced, so ASK stops at the first solution and a
-// streamable LIMIT stops at row N. It also feeds the observability
-// layer: execution latency and streamed-row counts go to the default
-// metrics registry, and any execution at or over the slow-query
-// threshold is captured — with the query text and the rendered plan —
-// in the default slow-query log. The plan string is only rendered on
-// that slow path.
-func (p *Plan) Exec() (*Result, error) {
-	return p.ExecCtx(context.Background())
-}
-
-// ExecCtx is Exec carrying a request context: a traced context gets a
-// "sparql exec" child span labelled with the row count. Every
-// successful execution — traced or not — also folds into the default
-// statement-statistics table under the query's fingerprint.
-func (p *Plan) ExecCtx(ctx context.Context) (*Result, error) {
-	res, _, err := p.execMeasured(ctx, nil)
-	return res, err
-}
-
-// ExecAnalyze is ExecAnalyzeCtx with a background context.
-func (p *Plan) ExecAnalyze() (*Result, *ExecStats, error) {
-	return p.ExecAnalyzeCtx(context.Background())
-}
-
-// ExecAnalyzeCtx executes the plan with an operator stats record armed
-// (EXPLAIN ANALYZE): every operator counts its loops, rows, and wall
-// time into the returned ExecStats tree.
-func (p *Plan) ExecAnalyzeCtx(ctx context.Context) (*Result, *ExecStats, error) {
-	return p.execMeasured(ctx, newExecStatsRec(p))
-}
-
-// execMeasured is the observed execution path shared by ExecCtx and
-// ExecAnalyzeCtx: tracing, metrics, statement statistics, and the
-// slow-query log. rec is nil for plain execution — unless the query's
-// fingerprint was armed by an earlier slow execution, in which case this
-// execution collects stats once so its slow-log entry (and the
-// misestimation channel) gets an analyzed plan.
-func (p *Plan) execMeasured(ctx context.Context, rec *execStatsRec) (*Result, *ExecStats, error) {
+// streamable LIMIT stops at row N. A traced context gets a "sparql exec"
+// child span labelled with the row count. Every successful execution —
+// traced or not — also feeds the observability layer: execution latency
+// and streamed-row counts go to the default metrics registry, the
+// execution folds into the default statement-statistics table under the
+// query's fingerprint, and any execution at or over the slow-query
+// threshold is captured — with the query text and the rendered plan — in
+// the default slow-query log. The plan string is only rendered on that
+// slow path.
+//
+// With opt.Analyze an operator stats record is armed: every operator
+// counts its loops, rows, and wall time into the returned ExecStats tree,
+// which is nil otherwise. A plain run whose fingerprint an earlier slow
+// execution armed collects stats once as well, so that its slow-log entry
+// (and the misestimation channel) gets an analyzed plan; the caller still
+// gets none.
+func (p *Plan) Run(ctx context.Context, opt RunOptions) (*Result, *ExecStats, error) {
 	fp := p.query.Fingerprint()
-	armed := false
-	if rec == nil && analyzeArmed(fp) {
-		rec, armed = newExecStatsRec(p), true
+	armed := !opt.Analyze && analyzeArmed(fp)
+	var rec *execStatsRec
+	if opt.Analyze || armed {
+		rec = newExecStatsRec(p)
 	}
 	sp, _ := obs.ChildCtx(ctx, "sparql exec")
 	t0 := time.Now()
@@ -198,7 +164,7 @@ func (p *Plan) execMeasured(ctx context.Context, rec *execStatsRec) (*Result, *E
 		rows = 1
 	}
 	if info.workers > 1 {
-		sp.SetLabel("parallel", info.strategy)
+		sp.SetLabel("parallel", "morsel")
 		sp.SetLabel("workers", strconv.Itoa(info.workers))
 		sp.SetLabel("morsels", strconv.Itoa(info.tasks))
 	}
@@ -232,16 +198,16 @@ func (p *Plan) execMeasured(ctx context.Context, rec *execStatsRec) (*Result, *E
 	}
 	if armed {
 		disarmAnalyze(fp)
+		stats = nil
 	}
-	return res, stats, err
+	return res, stats, nil
 }
 
 // execInfo is the parallel-execution evidence one exec produced, fed to
 // the trace span labels.
 type execInfo struct {
-	strategy string
-	workers  int
-	tasks    int
+	workers int
+	tasks   int
 }
 
 func (p *Plan) exec(ctx context.Context, rec *execStatsRec) (*Result, execInfo, error) {
@@ -256,7 +222,7 @@ func (p *Plan) exec(ctx context.Context, rec *execStatsRec) (*Result, execInfo, 
 	q := p.query
 	ev := &evaluator{src: p.src, dict: p.dict, ctx: ctx, plan: p, stats: rec}
 	res, err := ev.execKind(q)
-	return res, execInfo{strategy: ev.parStrategy, workers: ev.parWorkers, tasks: ev.parTasks}, err
+	return res, execInfo{workers: ev.parWorkers, tasks: ev.parTasks}, err
 }
 
 func (ev *evaluator) execKind(q *Query) (*Result, error) {
@@ -335,16 +301,10 @@ type evaluator struct {
 	// parent's record (its counters are atomic); nil means no analysis —
 	// every instrumentation site pays one pointer check and nothing else.
 	stats *execStatsRec
-	// pathWorkers/frontierMin arm parallel frontier BFS in the path
-	// engine (0 = serial traversal).
-	pathWorkers int
-	frontierMin int
-	// Parallel execution evidence, reported on trace spans: the strategy
-	// actually used, the workers launched, and the tasks (morsels,
-	// branches, or BFS levels) processed.
-	parStrategy string
-	parWorkers  int
-	parTasks    int
+	// Parallel execution evidence, reported on trace spans: the workers
+	// launched (0 = the execution stayed serial) and the morsels processed.
+	parWorkers int
+	parTasks   int
 }
 
 // term decodes an ID through the per-execution filter decode cache.

@@ -14,7 +14,7 @@ func TestFilterNotExists(t *testing.T) {
 			?s dt:isMappedTo ?t .
 			FILTER NOT EXISTS { ?t dt:isMappedTo ?next }
 		}`)
-	res, err := q.Exec(src, st.Dict())
+	res, err := run(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestFilterExists(t *testing.T) {
 			?x dm:hasName ?n .
 			FILTER EXISTS { ?x dt:isMappedTo ?y }
 		}`)
-	res, err := q.Exec(src, st.Dict())
+	res, err := run(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestNotExistsUsesOuterBindings(t *testing.T) {
 			?x dm:hasName ?n .
 			FILTER NOT EXISTS { ?x dm:hasName "no_such_name" }
 		}`)
-	res, err := q.Exec(src, st.Dict())
+	res, err := run(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestNotExistsUsesOuterBindings(t *testing.T) {
 			?x dm:hasName ?n .
 			FILTER NOT EXISTS { ?x dm:hasName "partner_id" }
 		}`)
-	res, err = q.Exec(src, st.Dict())
+	res, err = run(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}

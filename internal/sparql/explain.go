@@ -13,7 +13,7 @@ import (
 // Without a data source it plans from static selectivity heuristics;
 // pass the actual source via ExplainOn to see the statistics-driven
 // order with estimated cardinalities. Either way the rendering comes
-// from the same Plan structure Exec runs, so it can never drift from
+// from the same Plan structure Run executes, so it can never drift from
 // the evaluator.
 func (q *Query) Explain() string {
 	return q.Plan(nil, nil).String()

@@ -23,7 +23,7 @@ func TestOptionalInsideOptional(t *testing.T) {
 			OPTIONAL { ?c <http://t/r> ?d }
 		}
 	}`)
-	res, err := q.Exec(st.ViewOf("m"), st.Dict())
+	res, err := run(q, st.ViewOf("m"), st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestUnionInsideOptional(t *testing.T) {
 			{ ?b <http://t/q1> ?v } UNION { ?b <http://t/q2> ?v }
 		}
 	}`)
-	res, err := q.Exec(st.ViewOf("m"), st.Dict())
+	res, err := run(q, st.ViewOf("m"), st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestFilterScopedToInnerGroup(t *testing.T) {
 		?s <http://t/len> ?x .
 		OPTIONAL { ?s <http://t/len> ?l . FILTER (?l > 10) }
 	}`)
-	res, err := q.Exec(st.ViewOf("m"), st.Dict())
+	res, err := run(q, st.ViewOf("m"), st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestChainedUnions(t *testing.T) {
 	q := MustParse(`SELECT ?s WHERE {
 		{ ?s <http://t/p1> ?v } UNION { ?s <http://t/p2> ?v } UNION { ?s <http://t/p3> ?v }
 	}`)
-	res, err := q.Exec(st.ViewOf("m"), st.Dict())
+	res, err := run(q, st.ViewOf("m"), st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}

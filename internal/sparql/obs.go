@@ -4,7 +4,7 @@ import "mdw/internal/obs"
 
 // Metric handles, resolved once at package init. Exec-path updates are
 // single atomic operations; the slow-query log's plan rendering is only
-// paid for queries that cross the threshold (see Plan.Exec).
+// paid for queries that cross the threshold (see Plan.Run).
 var (
 	obsParseHist     = obs.Default().Histogram("mdw_sparql_parse_seconds", nil)
 	obsParseErrors   = obs.Default().Counter("mdw_sparql_parse_errors_total")
@@ -16,16 +16,13 @@ var (
 	obsEarlyAsk      = obs.Default().Counter("mdw_sparql_early_terminations_total", "kind", "ask")
 	obsEarlyLimit    = obs.Default().Counter("mdw_sparql_early_terminations_total", "kind", "limit")
 
-	// Intra-query parallelism: executions per strategy, executions whose
-	// plan chose a strategy but fell back to serial at runtime (stale
-	// estimates, narrow frontiers), and the fan-out volumes.
+	// Intra-query parallelism: executions that fanned out, executions
+	// whose plan chose a morsel scan but fell back to serial at runtime
+	// (stale estimates), and the fan-out volumes.
 	obsParExecMorsel = obs.Default().Counter("mdw_sparql_parallel_execs_total", "strategy", "morsel")
-	obsParExecUnion  = obs.Default().Counter("mdw_sparql_parallel_execs_total", "strategy", "union")
-	obsParExecPath   = obs.Default().Counter("mdw_sparql_parallel_execs_total", "strategy", "path")
 	obsParFallback   = obs.Default().Counter("mdw_sparql_parallel_fallbacks_total")
 	obsParWorkers    = obs.Default().Counter("mdw_sparql_parallel_workers_total")
 	obsParMorsels    = obs.Default().Counter("mdw_sparql_parallel_morsels_total")
-	obsParPathLevels = obs.Default().Counter("mdw_sparql_parallel_path_levels_total")
 
 	// Misestimation feedback: analyzed executions whose worst operator
 	// estimate was off by at least the threshold factor.
@@ -38,13 +35,12 @@ func init() {
 	r.SetHelp("mdw_sparql_parse_errors_total", "SPARQL parses rejected with an error.")
 	r.SetHelp("mdw_sparql_plan_seconds", "Query planning latency (cache misses only).")
 	r.SetHelp("mdw_sparql_exec_seconds", "Plan execution latency.")
-	r.SetHelp("mdw_sparql_plancache_total", "Memoized-plan lookups in Query.Exec by result.")
+	r.SetHelp("mdw_sparql_plancache_total", "Memoized-plan lookups in Query.Run by result.")
 	r.SetHelp("mdw_sparql_rows_total", "Solutions streamed to clients (rows, or triples for CONSTRUCT).")
 	r.SetHelp("mdw_sparql_early_terminations_total", "Executions stopped before exhausting the search space (ASK first solution, LIMIT reached).")
-	r.SetHelp("mdw_sparql_parallel_execs_total", "Executions that fanned out to the parallel strategy.")
-	r.SetHelp("mdw_sparql_parallel_fallbacks_total", "Executions whose plan chose a parallel strategy but ran serially (live data under the threshold).")
+	r.SetHelp("mdw_sparql_parallel_execs_total", "Executions that fanned out as a morsel-parallel scan.")
+	r.SetHelp("mdw_sparql_parallel_fallbacks_total", "Executions whose plan chose a morsel scan but ran serially (live data under the threshold).")
 	r.SetHelp("mdw_sparql_parallel_workers_total", "Workers launched by parallel executions.")
 	r.SetHelp("mdw_sparql_parallel_morsels_total", "Candidate morsels dispatched by parallel BGP scans.")
-	r.SetHelp("mdw_sparql_parallel_path_levels_total", "BFS frontier levels expanded in parallel by path closures.")
 	r.SetHelp("mdw_sparql_misestimate_total", "Analyzed executions whose worst per-operator estimate/actual ratio reached the misestimation threshold.")
 }

@@ -2,32 +2,23 @@ package sparql
 
 import (
 	"math"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
-	"mdw/internal/rdf"
 	"mdw/internal/store"
 )
 
-// Intra-query parallelism. The planner picks one of three strategies from
-// its existing cardinality estimates; execution then fans work out to a
-// bounded pool while preserving the engine's contracts:
-//
-//   - morsel-driven BGP scans: the first join step's candidate triples are
-//     materialized once (store.Matcher), split into fixed-size morsels, and
-//     each worker runs the ordinary streaming depth-first pipeline over its
-//     morsel with a private binding env. A merger emits buffered solutions
-//     in morsel order, so downstream consumers (DISTINCT, LIMIT,
-//     aggregation) observe exactly the serial solution order.
-//   - parallel UNION branches: each branch streams into its own buffer;
-//     the merger emits left-then-right, the serial order.
-//   - parallel frontier BFS for p*/p+ property paths: each frontier level
-//     is expanded across workers against the frozen visited set of the
-//     previous levels, then merged sequentially in frontier order —
-//     reproducing the serial BFS discovery order exactly.
+// Intra-query parallelism: morsel-driven BGP scans. When the planner's
+// cardinality estimate for the root group's first join step is large
+// enough, that step's candidate triples are materialized once
+// (store.Matcher), split into fixed-size morsels, and each worker runs the
+// ordinary streaming depth-first pipeline over its morsel with a private
+// binding env. A merger emits buffered solutions in morsel order, so
+// downstream consumers (DISTINCT, LIMIT, aggregation) observe exactly the
+// serial solution order. Everything else — UNION branches, property-path
+// closures — runs on the serial pipeline: measured end to end, fanning
+// those out never beat it (DESIGN.md "Parallel execution").
 //
 // Streaming semantics survive: ASK stops all workers at the first emitted
 // solution, LIMIT-without-ORDER-BY stops after N merged rows, and context
@@ -36,11 +27,12 @@ import (
 // the decision is taken once at plan time, not per execution.
 
 // ParOptions tunes intra-query parallelism for one plan. The zero value
-// of any field means "use the default"; DefaultParOptions is what
-// Query.Plan applies.
+// of any field means "use the default"; Query.Plan applies the zero
+// value. It is the seam the differential tests use to force fan-out on
+// tiny graphs.
 type ParOptions struct {
-	// MaxWorkers caps the worker pool (default: MaxParallelism(), itself
-	// defaulting to GOMAXPROCS). 1 disables parallel execution.
+	// MaxWorkers caps the worker pool (default: GOMAXPROCS, read when the
+	// plan is built). 1 disables parallel execution.
 	MaxWorkers int
 	// MorselSize is the number of first-step candidate triples per morsel
 	// (default 256): large enough that per-morsel overhead (one buffer,
@@ -52,28 +44,16 @@ type ParOptions struct {
 	// and a buffer per morsel, which only pays off when the scan is at
 	// least thousands of probes.
 	SerialThreshold int
-	// FrontierThreshold is the BFS frontier width below which a level is
-	// expanded serially (default 64): a narrow frontier — the common case
-	// for the paper's linear lineage chains — has too little work per
-	// level to amortize a barrier.
-	FrontierThreshold int
 }
 
 const (
-	defaultMorselSize        = 256
-	defaultSerialThreshold   = 4096
-	defaultFrontierThreshold = 64
+	defaultMorselSize      = 256
+	defaultSerialThreshold = 4096
 )
-
-// DefaultParOptions returns the options Query.Plan uses: everything at
-// its default, capped by the process-wide MaxParallelism.
-func DefaultParOptions() ParOptions {
-	return ParOptions{MaxWorkers: MaxParallelism()}
-}
 
 func (o ParOptions) normalized() ParOptions {
 	if o.MaxWorkers <= 0 {
-		o.MaxWorkers = MaxParallelism()
+		o.MaxWorkers = runtime.GOMAXPROCS(0)
 	}
 	if o.MorselSize <= 0 {
 		o.MorselSize = defaultMorselSize
@@ -81,99 +61,40 @@ func (o ParOptions) normalized() ParOptions {
 	if o.SerialThreshold <= 0 {
 		o.SerialThreshold = defaultSerialThreshold
 	}
-	if o.FrontierThreshold <= 0 {
-		o.FrontierThreshold = defaultFrontierThreshold
-	}
 	return o
 }
-
-// maxPar is the process-wide worker cap: GOMAXPROCS, overridden by the
-// MDW_PARALLELISM environment variable at init and by SetMaxParallelism
-// (the mdwd -parallelism flag) at runtime. Plans snapshot it when built,
-// so changing it does not retune already-cached plans.
-var maxPar atomic.Int32
-
-func init() {
-	n := runtime.GOMAXPROCS(0)
-	if s := os.Getenv("MDW_PARALLELISM"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v >= 1 {
-			n = v
-		}
-	}
-	maxPar.Store(int32(n))
-}
-
-// MaxParallelism returns the process-wide cap on workers per query.
-func MaxParallelism() int { return int(maxPar.Load()) }
-
-// SetMaxParallelism sets the process-wide cap on workers per query;
-// values below 1 clamp to 1 (serial execution).
-func SetMaxParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	maxPar.Store(int32(n))
-}
-
-type parStrategy int
-
-const (
-	parNone parStrategy = iota
-	parMorsel
-	parUnion
-	parPath
-)
 
 // parDecision is the plan-time parallelism choice, rendered by
 // Plan.String and acted on by the evaluator's runRoot.
 type parDecision struct {
-	strategy    parStrategy
-	workers     int
-	morsel      int
-	frontierMin int
-	est         float64 // estimate that justified the choice
+	workers int     // 0 = serial
+	morsel  int     // candidate triples per morsel
+	est     float64 // estimate that justified the choice
 }
 
-// decidePar picks the execution strategy for the plan's root group. Only
-// executable plans (src and dict present) with a worker budget of at
-// least 2 parallelize; everything else — including every Explain-only
-// plan — keeps the zero-value decision, parNone.
+// decidePar decides whether the plan's root group runs as a morsel scan.
+// Only executable plans (src and dict present) with a worker budget of at
+// least 2 whose root group starts with a large enough triple-pattern scan
+// parallelize; everything else — including every Explain-only plan and
+// every plan starting with a property path (the path engine materializes
+// endpoint pairs itself, so morsels cannot partition it) — keeps the
+// zero-value decision, serial.
 func (p *Plan) decidePar(o ParOptions) {
 	o = o.normalized()
 	if p.src == nil || p.dict == nil || o.MaxWorkers < 2 || len(p.root.steps) == 0 {
 		return
 	}
-	switch st := p.root.steps[0].(type) {
-	case *bgpStep:
-		pp := st.patterns[0]
-		if pp.pk == pkPath {
-			// The first step is a property path: morsels cannot partition
-			// it (the path engine materializes endpoint pairs itself), but
-			// a closure over a large edge set parallelizes level by level.
-			est := p.pathEdgeEstimate(pp.tp.P)
-			if hasRepeat(pp.tp.P) && est >= float64(o.SerialThreshold) {
-				p.par = parDecision{strategy: parPath, workers: o.MaxWorkers,
-					morsel: o.MorselSize, frontierMin: o.FrontierThreshold, est: est}
-			}
-			return
-		}
-		if pp.est < float64(o.SerialThreshold) {
-			return
-		}
-		w := int(math.Ceil(pp.est / float64(o.MorselSize)))
-		if w > o.MaxWorkers {
-			w = o.MaxWorkers
-		}
-		if w >= 2 {
-			p.par = parDecision{strategy: parMorsel, workers: w,
-				morsel: o.MorselSize, frontierMin: o.FrontierThreshold, est: pp.est}
-		}
-	case *unionStep:
-		est := branchEstimate(st.left) + branchEstimate(st.right)
-		if est >= float64(o.SerialThreshold) {
-			p.par = parDecision{strategy: parUnion, workers: 2,
-				morsel: o.MorselSize, frontierMin: o.FrontierThreshold, est: est}
-		}
+	st, ok := p.root.steps[0].(*bgpStep)
+	if !ok {
+		return
+	}
+	pp := st.patterns[0]
+	if pp.pk == pkPath || pp.est < float64(o.SerialThreshold) {
+		return
+	}
+	w := min(int(math.Ceil(pp.est/float64(o.MorselSize))), o.MaxWorkers)
+	if w >= 2 {
+		p.par = parDecision{workers: w, morsel: o.MorselSize, est: pp.est}
 	}
 }
 
@@ -181,111 +102,23 @@ func (p *Plan) decidePar(o ParOptions) {
 // serial plans, the worker cap otherwise. Statement statistics record it
 // per fingerprint (obs.ParallelPlan).
 func (p *Plan) Parallelism() int {
-	if p.par.strategy == parNone {
-		return 1
-	}
-	return p.par.workers
-}
-
-// branchEstimate is the estimated cardinality of a UNION branch's first
-// join step — the work a branch worker would own.
-func branchEstimate(g *planGroup) float64 {
-	for _, st := range g.steps {
-		if b, ok := st.(*bgpStep); ok && len(b.patterns) > 0 {
-			return b.patterns[0].est
-		}
-	}
-	return 0
-}
-
-// pathEdgeEstimate estimates the number of edges a path traversal can
-// touch: the triple count of every predicate the path mentions.
-func (p *Plan) pathEdgeEstimate(pt Path) float64 {
-	switch pp := pt.(type) {
-	case PathIRI:
-		pid, ok := p.dict.Lookup(rdf.IRI(pp.IRI))
-		if !ok {
-			return 0
-		}
-		return float64(estCountOn(p.src, store.Wildcard, pid, store.Wildcard))
-	case PathInverse:
-		return p.pathEdgeEstimate(pp.P)
-	case PathAlt:
-		var n float64
-		for _, part := range pp.Parts {
-			n += p.pathEdgeEstimate(part)
-		}
-		return n
-	case PathSeq:
-		var n float64
-		for _, part := range pp.Parts {
-			n += p.pathEdgeEstimate(part)
-		}
-		return n
-	case PathRepeat:
-		return p.pathEdgeEstimate(pp.P)
-	default:
-		return 0
-	}
-}
-
-// hasRepeat reports whether the path contains a closure (p* / p+ / p{n,m}).
-func hasRepeat(pt Path) bool {
-	switch pp := pt.(type) {
-	case PathRepeat:
-		return true
-	case PathInverse:
-		return hasRepeat(pp.P)
-	case PathAlt:
-		for _, part := range pp.Parts {
-			if hasRepeat(part) {
-				return true
-			}
-		}
-	case PathSeq:
-		for _, part := range pp.Parts {
-			if hasRepeat(part) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func estCountOn(src store.Source, s, p, o store.ID) int {
-	if ce, ok := src.(store.CardEstimator); ok {
-		return ce.EstCount(s, p, o)
-	}
-	return src.Count(s, p, o)
+	return max(1, p.par.workers)
 }
 
 // ---------------------------------------------------------------------
 // Evaluator integration.
 
-// runRoot streams the root group's solutions into emit, dispatching to
-// the plan's parallel strategy when one was chosen. Every solution passed
-// to emit is already cloned when it crossed a worker boundary; emit runs
-// exclusively on the calling goroutine, so downstream state (DISTINCT
-// sets, LIMIT counters, aggregation maps) needs no locking.
+// runRoot streams the root group's solutions into emit, as a morsel scan
+// when the plan chose one. Every solution passed to emit is already
+// cloned when it crossed a worker boundary; emit runs exclusively on the
+// calling goroutine, so downstream state (DISTINCT sets, LIMIT counters,
+// aggregation maps) needs no locking.
 func (ev *evaluator) runRoot(emit func(env) bool) {
-	p := ev.plan
-	switch p.par.strategy {
-	case parMorsel:
+	if ev.plan.par.workers > 1 {
 		ev.runMorselRoot(emit)
-	case parUnion:
-		ev.runUnionRoot(emit)
-	case parPath:
-		ev.pathWorkers = p.par.workers
-		ev.frontierMin = p.par.frontierMin
-		ev.runGroup(p.root, env{}, emit)
-		if ev.parStrategy == "" {
-			// Eligible but the traversal never grew a frontier wide
-			// enough to fan out.
-			obsParFallback.Inc()
-		}
-	default: // parNone
-		ev.runGroup(p.root, env{}, emit)
+		return
 	}
+	ev.runGroup(ev.plan.root, env{}, emit)
 }
 
 // runMorselRoot partitions the first join step's candidates into morsels
@@ -331,7 +164,7 @@ func (ev *evaluator) runMorselRoot(emit func(env) bool) {
 	obsParExecMorsel.Inc()
 	obsParMorsels.Add(int64(ntasks))
 	obsParWorkers.Add(int64(workers))
-	ev.parStrategy, ev.parWorkers, ev.parTasks = "morsel", workers, ntasks
+	ev.parWorkers, ev.parTasks = workers, ntasks
 	ev.orderedRun(workers, ntasks, func(wev *evaluator, task int, bufEmit func(env) bool) {
 		lo := task * msize
 		hi := min(lo+msize, len(cands))
@@ -364,29 +197,6 @@ func (ev *evaluator) runMorsel(b *bgpStep, root *planGroup, cands []store.ETripl
 			return
 		}
 	}
-}
-
-// runUnionRoot evaluates the two branches of a root-level UNION
-// concurrently, then emits left-buffer solutions before right-buffer
-// ones — the serial order.
-func (ev *evaluator) runUnionRoot(emit func(env) bool) {
-	p := ev.plan
-	u := p.root.steps[0].(*unionStep)
-	branches := [2]*planGroup{u.left, u.right}
-	obsParExecUnion.Inc()
-	obsParWorkers.Add(2)
-	ev.parStrategy, ev.parWorkers, ev.parTasks = "union", 2, 2
-	if st := ev.stats; st != nil {
-		st.ops[u.si].loops.Add(1)
-	}
-	ev.orderedRun(2, 2, func(wev *evaluator, task int, bufEmit func(env) bool) {
-		wev.runGroup(branches[task], env{}, func(s env) bool {
-			if st := wev.stats; st != nil {
-				st.ops[u.si].rows.Add(1)
-			}
-			return wev.runSteps(p.root.steps, 1, s, bufEmit)
-		})
-	}, emit)
 }
 
 // collectMatches materializes the candidate triples of one pattern.

@@ -1,9 +1,9 @@
 package sparql_test
 
-// Tests for intra-query parallelism: strategy selection, the
+// Tests for intra-query parallelism: morsel-scan selection, the
 // deterministic-order guarantee (parallel execution returns the exact
 // row sequence serial execution does, not just the same multiset),
-// cancellation (no goroutine outlives ExecCtx), and early termination.
+// cancellation (no goroutine outlives Run), and early termination.
 
 import (
 	"context"
@@ -24,10 +24,9 @@ import (
 // exercise the worker pool.
 func forcedPar(workers int) sparql.ParOptions {
 	return sparql.ParOptions{
-		MaxWorkers:        workers,
-		MorselSize:        8,
-		SerialThreshold:   1,
-		FrontierThreshold: 1,
+		MaxWorkers:      workers,
+		MorselSize:      8,
+		SerialThreshold: 1,
 	}
 }
 
@@ -85,9 +84,15 @@ func rowStrings(res *sparql.Result) []string {
 	return out
 }
 
+// runPlan executes a plan plainly under ctx.
+func runPlan(ctx context.Context, p *sparql.Plan) (*sparql.Result, error) {
+	res, _, err := p.Run(ctx, sparql.RunOptions{})
+	return res, err
+}
+
 func mustExec(t *testing.T, q *sparql.Query, src store.Source, dict *store.Dict, opts sparql.ParOptions) *sparql.Result {
 	t.Helper()
-	res, err := q.PlanOpts(src, dict, opts).Exec()
+	res, err := runPlan(context.Background(), q.PlanOpts(src, dict, opts))
 	if err != nil {
 		t.Fatalf("exec failed: %v", err)
 	}
@@ -113,7 +118,7 @@ func TestParallelDeterministicOrder(t *testing.T) {
 			if p.Parallelism() < 2 {
 				t.Fatalf("parallelism %d not selected for %q (got %d)", par, text, p.Parallelism())
 			}
-			res, err := p.Exec()
+			res, err := runPlan(context.Background(), p)
 			if err != nil {
 				t.Fatalf("parallel exec (%d workers) failed: %v", par, err)
 			}
@@ -131,25 +136,15 @@ func TestParallelDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestParallelUnionOrder: both UNION branches are slice-backed scans, so
-// the parallel left-then-right merge must reproduce the serial sequence.
+// TestParallelUnionOrder: a root UNION is not a morsel scan, so a plan
+// given a worker budget runs it on the serial pipeline and reproduces the
+// left-then-right sequence.
 func TestParallelUnionOrder(t *testing.T) {
 	src, dict := typedFixture(t, 2000)
 	text := `SELECT ?s WHERE { { ?s <` + rdf.RDFType + `> <http://d/C> } UNION { ?s <` + rdf.RDFType + `> <http://d/C2> } }`
 	q := sparql.MustParse(text)
 	serial := rowStrings(mustExec(t, q, src, dict, serialPar()))
-	p := q.PlanOpts(src, dict, forcedPar(4))
-	if got := p.Parallelism(); got != 2 {
-		t.Fatalf("UNION parallelism = %d, want 2", got)
-	}
-	if !strings.Contains(p.String(), "PARALLEL UNION") {
-		t.Fatalf("plan rendering lacks PARALLEL UNION line:\n%s", p)
-	}
-	res, err := p.Exec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := rowStrings(res)
+	got := rowStrings(mustExec(t, q, src, dict, forcedPar(4)))
 	if len(got) != len(serial) {
 		t.Fatalf("row count: got %d, want %d", len(got), len(serial))
 	}
@@ -180,9 +175,9 @@ func chainFixture(t testing.TB, n int) (store.Source, *store.Dict) {
 	return st.ViewOf("g"), st.Dict()
 }
 
-// TestParallelPathOrder: closures run level-synchronously, so forward,
-// backward, and both-unbound path queries must return the serial BFS
-// discovery order at any worker count.
+// TestParallelPathOrder: forward, backward, and both-unbound path
+// queries must return the serial BFS discovery order whatever worker
+// budget the plan was given.
 func TestParallelPathOrder(t *testing.T) {
 	src, dict := chainFixture(t, 1500)
 	smallSrc, smallDict := chainFixture(t, 250) // all-pairs closure: keep the universe small
@@ -200,11 +195,7 @@ func TestParallelPathOrder(t *testing.T) {
 		q := sparql.MustParse(text)
 		serial := rowStrings(mustExec(t, q, src, dict, serialPar()))
 		for _, par := range parLevels()[1:] {
-			res, err := q.PlanOpts(src, dict, forcedPar(par)).Exec()
-			if err != nil {
-				t.Fatalf("parallel path exec (%d workers) failed: %v", par, err)
-			}
-			got := rowStrings(res)
+			got := rowStrings(mustExec(t, q, src, dict, forcedPar(par)))
 			if len(got) != len(serial) {
 				t.Fatalf("path rows at %d workers: got %d, want %d (%q)", par, len(got), len(serial), text)
 			}
@@ -237,8 +228,8 @@ func TestParallelAggregateParity(t *testing.T) {
 	}
 }
 
-// TestParallelSelection checks the planner's thresholds: big scans pick
-// the morsel strategy under default options, small ones stay serial, and
+// TestParallelSelection checks the planner's thresholds: big scans run as
+// morsel scans under default options, small ones stay serial, and
 // the decision is visible in the plan rendering and Parallelism().
 func TestParallelSelection(t *testing.T) {
 	big, bigDict := typedFixture(t, 6000)
@@ -277,10 +268,7 @@ func TestParallelEarlyTermination(t *testing.T) {
 		`SELECT ?s WHERE { ?s <` + rdf.RDFType + `> <http://d/C> } LIMIT 1`,
 	} {
 		q := sparql.MustParse(text)
-		res, err := q.PlanOpts(src, dict, forcedPar(4)).Exec()
-		if err != nil {
-			t.Fatalf("%q: %v", text, err)
-		}
+		res := mustExec(t, q, src, dict, forcedPar(4))
 		if q.Kind == sparql.AskQuery && !res.Ask {
 			t.Fatalf("%q returned false", text)
 		}
@@ -292,7 +280,7 @@ func TestParallelEarlyTermination(t *testing.T) {
 }
 
 // TestParallelCancellation is the satellite coverage: a context
-// cancelled mid-execution stops every worker promptly, ExecCtx returns
+// cancelled mid-execution stops every worker promptly, Run returns
 // ctx.Err(), and the goroutine count settles back to the baseline.
 func TestParallelCancellation(t *testing.T) {
 	// A wide cross-ish join: 700 subjects each probing 700 candidates
@@ -313,7 +301,7 @@ func TestParallelCancellation(t *testing.T) {
 	// Cancelled before execution starts: the error surfaces immediately.
 	pre, preCancel := context.WithCancel(context.Background())
 	preCancel()
-	if _, err := q.PlanOpts(src, dict, forcedPar(4)).ExecCtx(pre); !errors.Is(err, context.Canceled) {
+	if _, err := runPlan(pre, q.PlanOpts(src, dict, forcedPar(4))); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled exec returned %v, want context.Canceled", err)
 	}
 
@@ -323,7 +311,7 @@ func TestParallelCancellation(t *testing.T) {
 		time.Sleep(500 * time.Microsecond)
 		cancel()
 	}()
-	_, err := q.PlanOpts(src, dict, forcedPar(4)).ExecCtx(ctx)
+	_, err := runPlan(ctx, q.PlanOpts(src, dict, forcedPar(4)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-execution cancel returned %v, want context.Canceled", err)
 	}
@@ -335,12 +323,12 @@ func TestParallelCancellation(t *testing.T) {
 		time.Sleep(500 * time.Microsecond)
 		scancel()
 	}()
-	if _, err := q.PlanOpts(src, dict, serialPar()).ExecCtx(sctx); !errors.Is(err, context.Canceled) {
+	if _, err := runPlan(sctx, q.PlanOpts(src, dict, serialPar())); !errors.Is(err, context.Canceled) {
 		t.Fatalf("serial cancel returned %v, want context.Canceled", err)
 	}
 }
 
-// TestParallelPathCancellation cancels a parallel all-pairs closure.
+// TestParallelPathCancellation cancels an all-pairs closure.
 func TestParallelPathCancellation(t *testing.T) {
 	src, dict := chainFixture(t, 4000)
 	q := sparql.MustParse(`SELECT ?s ?o WHERE { ?s <http://d/e>+ ?o }`)
@@ -350,14 +338,14 @@ func TestParallelPathCancellation(t *testing.T) {
 		time.Sleep(500 * time.Microsecond)
 		cancel()
 	}()
-	if _, err := q.PlanOpts(src, dict, forcedPar(4)).ExecCtx(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := runPlan(ctx, q.PlanOpts(src, dict, forcedPar(4))); !errors.Is(err, context.Canceled) {
 		t.Fatalf("path cancel returned %v, want context.Canceled", err)
 	}
 	waitForGoroutines(t, base)
 }
 
 // waitForGoroutines asserts the goroutine count returns to (near) the
-// baseline: the pool's WaitGroup guarantees no worker outlives Exec, so
+// baseline: the pool's WaitGroup guarantees no worker outlives Run, so
 // anything persistently above the baseline is a leak.
 func waitForGoroutines(t *testing.T, base int) {
 	t.Helper()

@@ -2,8 +2,6 @@ package sparql
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"mdw/internal/rdf"
 	"mdw/internal/store"
@@ -38,12 +36,8 @@ func (ev *evaluator) evalPath(p Path, sid, oid store.ID) [][2]store.ID {
 		return out
 	default:
 		// Both ends unbound: evaluate from every node in the graph.
-		nodes := ev.allNodes()
-		if ev.pathWorkers > 1 && len(nodes) >= ev.frontierMin {
-			return ev.allPairsParallel(p, nodes)
-		}
 		var out [][2]store.ID
-		for _, n := range nodes {
+		for _, n := range ev.allNodes() {
 			if ev.cancelled() {
 				return out
 			}
@@ -53,65 +47,6 @@ func (ev *evaluator) evalPath(p Path, sid, oid store.ID) [][2]store.ID {
 		}
 		return out
 	}
-}
-
-// allPairsParallel partitions the node universe across workers, each
-// running the ordinary serial reachability from its nodes, and merges the
-// per-chunk pair lists in node order — the same order the serial loop
-// would produce over the (sorted) universe.
-func (ev *evaluator) allPairsParallel(p Path, nodes []store.ID) [][2]store.ID {
-	workers := ev.pathWorkers
-	chunk := max(ev.frontierMin/2, (len(nodes)+workers*4-1)/(workers*4))
-	nchunks := (len(nodes) + chunk - 1) / chunk
-	if workers > nchunks {
-		workers = nchunks
-	}
-	obsParExecPath.Inc()
-	obsParWorkers.Add(int64(workers))
-	ev.parStrategy, ev.parWorkers = "path", workers
-	ev.parTasks += nchunks
-	results := make([][][2]store.ID, nchunks)
-	var next atomic.Int64
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wev := &evaluator{src: ev.src, dict: ev.dict, ctx: ev.ctx, parStop: ev.parStop, stats: ev.stats}
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= nchunks || cancelled.Load() {
-					return
-				}
-				lo := ci * chunk
-				hi := min(lo+chunk, len(nodes))
-				var out [][2]store.ID
-				for _, n := range nodes[lo:hi] {
-					if wev.cancelled() || wev.stopped() {
-						cancelled.Store(true)
-						return
-					}
-					for _, e := range wev.pathReach(p, n, true) {
-						out = append(out, [2]store.ID{n, e})
-					}
-				}
-				results[ci] = out
-			}
-		}()
-	}
-	wg.Wait()
-	if cancelled.Load() {
-		if ev.err == nil && ev.ctx != nil {
-			ev.err = ev.ctx.Err()
-		}
-		return nil
-	}
-	var out [][2]store.ID
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	return out
 }
 
 // step returns the nodes reachable from 'from' by one application of the
@@ -191,9 +126,6 @@ func (ev *evaluator) pathReach(p Path, from store.ID, forward bool) []store.ID {
 }
 
 // repeatReach performs a breadth-first closure of the repeated sub-path.
-// When the evaluator is armed for parallel paths and a frontier level is
-// wide enough, the level's neighbor lists are computed across workers and
-// merged sequentially — exactly the serial discovery order.
 func (ev *evaluator) repeatReach(pp PathRepeat, from store.ID, forward bool) []store.ID {
 	visited := map[store.ID]int{from: 0}
 	frontier := []store.ID{from}
@@ -211,101 +143,21 @@ func (ev *evaluator) repeatReach(pp PathRepeat, from store.ID, forward bool) []s
 		}
 		depth++
 		var next []store.ID
-		if ev.pathWorkers > 1 && len(frontier) >= ev.frontierMin {
-			next = ev.expandFrontier(pp.P, frontier, visited, depth, pp.Min, &out, forward)
-		} else {
-			for _, n := range frontier {
-				for _, m := range ev.step(pp.P, n, forward) {
-					if _, seen := visited[m]; seen {
-						continue
-					}
-					visited[m] = depth
-					next = append(next, m)
-					if depth >= pp.Min {
-						out = append(out, m)
-					}
+		for _, n := range frontier {
+			for _, m := range ev.step(pp.P, n, forward) {
+				if _, seen := visited[m]; seen {
+					continue
+				}
+				visited[m] = depth
+				next = append(next, m)
+				if depth >= pp.Min {
+					out = append(out, m)
 				}
 			}
 		}
 		frontier = next
 	}
 	return out
-}
-
-// expandFrontier computes one BFS level in parallel. Workers claim
-// frontier chunks, compute each node's neighbor list, and pre-filter it
-// against the visited set — frozen for the duration of the level, so the
-// reads are race-free. The sequential merge then applies the within-level
-// dedup in frontier order, reproducing the serial BFS discovery order
-// bit for bit (the pre-filter only drops nodes the merge would drop too).
-func (ev *evaluator) expandFrontier(p Path, frontier []store.ID, visited map[store.ID]int, depth, minDepth int, out *[]store.ID, forward bool) []store.ID {
-	workers := ev.pathWorkers
-	chunk := max(8, (len(frontier)+workers*4-1)/(workers*4))
-	nchunks := (len(frontier) + chunk - 1) / chunk
-	if workers > nchunks {
-		workers = nchunks
-	}
-	obsParPathLevels.Inc()
-	if ev.parStrategy == "" {
-		obsParExecPath.Inc()
-		obsParWorkers.Add(int64(workers))
-		ev.parStrategy, ev.parWorkers = "path", workers
-	}
-	ev.parTasks++
-	neigh := make([][]store.ID, len(frontier))
-	var nextChunk atomic.Int64
-	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wev := &evaluator{src: ev.src, dict: ev.dict, ctx: ev.ctx, parStop: ev.parStop, stats: ev.stats}
-			for {
-				ci := int(nextChunk.Add(1)) - 1
-				if ci >= nchunks || cancelled.Load() {
-					return
-				}
-				lo := ci * chunk
-				hi := min(lo+chunk, len(frontier))
-				for i := lo; i < hi; i++ {
-					if wev.cancelled() || wev.stopped() {
-						cancelled.Store(true)
-						return
-					}
-					ns := wev.step(p, frontier[i], forward)
-					kept := ns[:0] // step returns caller-owned slices
-					for _, m := range ns {
-						if _, seen := visited[m]; !seen {
-							kept = append(kept, m)
-						}
-					}
-					neigh[i] = kept
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if cancelled.Load() {
-		if ev.err == nil && ev.ctx != nil {
-			ev.err = ev.ctx.Err()
-		}
-		return nil
-	}
-	var next []store.ID
-	for _, ns := range neigh {
-		for _, m := range ns {
-			if _, seen := visited[m]; seen {
-				continue
-			}
-			visited[m] = depth
-			next = append(next, m)
-			if depth >= minDepth {
-				*out = append(*out, m)
-			}
-		}
-	}
-	return next
 }
 
 // pathConnects reports whether the path links start to end.
@@ -321,9 +173,8 @@ func (ev *evaluator) pathConnects(p Path, start, end store.ID) bool {
 // allNodes returns every distinct subject and non-literal object in the
 // source; it is the node universe used when both path endpoints are
 // unbound. The result is sorted: the full scan walks index maps, whose
-// order varies per call, and both the serial per-node loop and the
-// parallel partitioning want a stable universe so `?s p* ?o` answers in
-// the same order every run.
+// order varies per call, and the per-node loop wants a stable universe so
+// `?s p* ?o` answers in the same order every run.
 func (ev *evaluator) allNodes() []store.ID {
 	seen := map[store.ID]bool{}
 	var out []store.ID

@@ -79,7 +79,7 @@ func TestPathClosureMatchesBFSProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			res, err := q.Exec(st.ViewOf("m"), st.Dict())
+			res, err := run(q, st.ViewOf("m"), st.Dict())
 			if err != nil {
 				return false
 			}
@@ -122,7 +122,7 @@ func TestPathForwardBackwardAgreeProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			res, err := q.Exec(st.ViewOf("m"), st.Dict())
+			res, err := run(q, st.ViewOf("m"), st.Dict())
 			if err != nil {
 				return false
 			}
@@ -147,7 +147,7 @@ func TestPathSequenceEqualsTwoHopsProperty(t *testing.T) {
 
 		q := MustParse(fmt.Sprintf(
 			`SELECT DISTINCT ?x WHERE { <%s> <http://t/edge>/<http://t/edge> ?x }`, start.Value))
-		res, err := q.Exec(st.ViewOf("m"), st.Dict())
+		res, err := run(q, st.ViewOf("m"), st.Dict())
 		if err != nil {
 			return false
 		}

@@ -13,7 +13,7 @@ import (
 
 // Plan is the executable, explainable evaluation plan of a query: the
 // single source of truth for join order, filter placement, and early
-// termination. Exec executes it; String renders it. Both views therefore
+// termination. Run executes it; String renders it. Both views therefore
 // can never drift apart.
 //
 // A Plan is bound to the (source, dict) pair it was built against: the
@@ -44,7 +44,7 @@ type Plan struct {
 
 	// par is the parallel-execution decision taken at plan time from the
 	// same cardinality estimates that chose the join order. The zero
-	// value (parNone) means serial execution.
+	// value means serial execution.
 	par parDecision
 
 	// nstats is the number of operator stat slots assignStatSlots handed
@@ -181,7 +181,7 @@ func (vs varset) hasAll(names []string) bool {
 // can use real cardinalities; a nil src yields a statistics-free plan
 // (static heuristics) good only for rendering and analysis.
 func (q *Query) Plan(src store.Source, dict *store.Dict) *Plan {
-	return q.PlanOpts(src, dict, DefaultParOptions())
+	return q.PlanOpts(src, dict, ParOptions{})
 }
 
 // PlanOpts is Plan with explicit parallelism options: the worker cap,
@@ -633,7 +633,7 @@ func (pl *planner) heuristicEstimate(tp *TriplePattern, certain varset) float64 
 
 // eachPatternVar calls fn for every variable a triple pattern binds.
 // A callback (rather than a returned slice) keeps the planner's hot
-// loops allocation-free; planning runs on every Exec, so its constant
+// loops allocation-free; planning runs on every Run, so its constant
 // cost is visible on small queries.
 func eachPatternVar(tp *TriplePattern, fn func(string)) {
 	if tp.S.IsVar() {
@@ -712,7 +712,7 @@ func exprVars(e Expr) []string {
 
 // ---------------------------------------------------------------------
 // Rendering. Plan.String is what Explain prints: the same structures
-// Exec runs, annotated with the estimates that chose the order.
+// Run executes, annotated with the estimates that chose the order.
 
 // String renders the plan as indented text: the group structure, the
 // join order chosen for each basic graph pattern with the cardinality
@@ -756,15 +756,9 @@ func (p *Plan) render(rec *execStatsRec) string {
 		}
 		b.WriteByte('\n')
 	}
-	switch p.par.strategy {
-	case parMorsel:
+	if p.par.workers > 1 {
 		fmt.Fprintf(&b, "PARALLEL morsel scan: up to %d workers, %d-triple morsels (first step est %.0f rows)\n",
 			p.par.workers, p.par.morsel, p.par.est)
-	case parUnion:
-		fmt.Fprintf(&b, "PARALLEL UNION: branches evaluated concurrently (est %.0f rows)\n", p.par.est)
-	case parPath:
-		fmt.Fprintf(&b, "PARALLEL path BFS: up to %d workers on frontiers >= %d (est %.0f edges)\n",
-			p.par.workers, p.par.frontierMin, p.par.est)
 	}
 	p.renderGroup(&b, p.root, 1, rec)
 	if len(q.GroupBy) > 0 {

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -83,7 +84,7 @@ func TestPlanFastPathEquality(t *testing.T) {
 	if out := q.Plan(src, dict).String(); !strings.Contains(out, "ID fast path") {
 		t.Errorf("IRI equality should use the ID fast path:\n%s", out)
 	}
-	res, err := q.Exec(src, dict)
+	res, err := run(q, src, dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestPlanFastPathEquality(t *testing.T) {
 		?x <http://t/rare> ?y .
 		FILTER (?x != <http://t/sA>)
 	}`)
-	res, err = qn.Exec(src, dict)
+	res, err = run(qn, src, dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestPlanFastPathEquality(t *testing.T) {
 		?x <http://t/rare> ?y .
 		FILTER (?x = <http://t/never-seen>)
 	}`)
-	res, err = qu.Exec(src, dict)
+	res, err = run(qu, src, dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestPlanFastPathEquality(t *testing.T) {
 		?x <http://t/rare> ?y .
 		FILTER (?x != <http://t/never-seen>)
 	}`)
-	res, err = qun.Exec(src, dict)
+	res, err = run(qun, src, dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestPlanWarningsCartesian(t *testing.T) {
 
 func TestPlanExecWithoutSource(t *testing.T) {
 	q := MustParse(`ASK { ?s ?p ?o }`)
-	if _, err := q.Plan(nil, nil).Exec(); err == nil {
+	if _, _, err := q.Plan(nil, nil).Run(context.Background(), RunOptions{}); err == nil {
 		t.Fatal("executing a source-free plan must error")
 	}
 }
@@ -180,7 +181,7 @@ func TestAskStopsAtFirstSolution(t *testing.T) {
 	_, src, dict := planFixture()
 	cs := &countingSource{Source: src}
 	q := MustParse(`ASK { ?x <http://t/common> ?y }`)
-	res, err := q.Exec(cs, dict)
+	res, err := run(q, cs, dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestLimitStreamsEarly(t *testing.T) {
 	_, src, dict := planFixture()
 	cs := &countingSource{Source: src}
 	q := MustParse(`SELECT ?x WHERE { ?x <http://t/common> ?y } LIMIT 3`)
-	res, err := q.Exec(cs, dict)
+	res, err := run(q, cs, dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestLimitStreamsEarly(t *testing.T) {
 	// ORDER BY disables streaming: every solution must be seen.
 	cs.calls = 0
 	qo := MustParse(`SELECT ?x WHERE { ?x <http://t/common> ?y } ORDER BY ASC(?x) LIMIT 3`)
-	if _, err := qo.Exec(cs, dict); err != nil {
+	if _, err := run(qo, cs, dict); err != nil {
 		t.Fatal(err)
 	}
 	if cs.calls != 50 {
@@ -227,7 +228,7 @@ func TestPlanCacheRevalidation(t *testing.T) {
 	})
 	src, dict := st.ViewOf("m"), st.Dict()
 	q := MustParse(`SELECT ?x WHERE { ?x <http://t/p> <http://t/late> }`)
-	res, err := q.Exec(src, dict)
+	res, err := run(q, src, dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestPlanCacheRevalidation(t *testing.T) {
 	st.AddAll("m", []rdf.Triple{
 		rdf.T(rdf.IRI("http://t/c"), rdf.IRI("http://t/p"), rdf.IRI("http://t/late")),
 	})
-	res, err = q.Exec(src, dict)
+	res, err = run(q, src, dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,13 +249,13 @@ func TestPlanCacheRevalidation(t *testing.T) {
 
 	// A fully resolved cached plan keeps seeing live data without replan.
 	q2 := MustParse(`SELECT ?x WHERE { ?x <http://t/p> ?y }`)
-	if res, _ := q2.Exec(src, dict); len(res.Rows) != 2 {
+	if res, _ := run(q2, src, dict); len(res.Rows) != 2 {
 		t.Fatalf("want 2 rows, got %d", len(res.Rows))
 	}
 	st.AddAll("m", []rdf.Triple{
 		rdf.T(rdf.IRI("http://t/d"), rdf.IRI("http://t/p"), rdf.IRI("http://t/b")),
 	})
-	if res, _ := q2.Exec(src, dict); len(res.Rows) != 3 {
+	if res, _ := run(q2, src, dict); len(res.Rows) != 3 {
 		t.Fatalf("cached plan must read live indexes, got %d rows", len(res.Rows))
 	}
 }

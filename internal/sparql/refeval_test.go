@@ -17,7 +17,7 @@ import (
 // agree.
 
 // ExecNaive runs the query with the reference evaluator: no statistics,
-// no filter pushdown, no streaming. Production callers want Exec; this
+// no filter pushdown, no streaming. Production callers want Run; this
 // exists as the correctness oracle for differential testing.
 func (q *Query) ExecNaive(src store.Source, dict *store.Dict) (*Result, error) {
 	ev := &evaluator{src: src, dict: dict}

@@ -11,7 +11,7 @@ import (
 	"mdw/internal/store"
 )
 
-// Results caching: before planning, Exec consults the process-wide
+// Results caching: before planning, Run consults the process-wide
 // rescache keyed by (fingerprint, query text, sorted per-model
 // generations of the source). Any mutation bumps a model generation, so
 // a stale key simply never matches again — invalidation is implicit.
@@ -98,7 +98,7 @@ func estimateResultSize(res *Result) int64 {
 // counters — and returns a shallow copy of the cached result (callers
 // own the Result struct; the row data is shared and treated as
 // immutable by every read path).
-func (q *Query) serveCachedResult(ctx context.Context, res *Result, d time.Duration) (*Result, error) {
+func (q *Query) serveCachedResult(ctx context.Context, res *Result, d time.Duration) *Result {
 	sp, _ := obs.ChildCtx(ctx, "sparql exec")
 	rows := len(res.Rows)
 	if q.Kind == AskQuery {
@@ -108,5 +108,5 @@ func (q *Query) serveCachedResult(ctx context.Context, res *Result, d time.Durat
 	obsRows.Add(int64(rows))
 	obs.DefaultStatements().Record(q.Fingerprint(), q.Text, rows, d, nil)
 	out := *res
-	return &out, nil
+	return &out
 }

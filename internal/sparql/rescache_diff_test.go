@@ -10,6 +10,7 @@ package sparql_test
 // the naive reference, which always sees current data.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -82,11 +83,11 @@ func checkCacheDiff(t *testing.T, fx diffFixture, q *sparql.Query, full, unlimit
 	if err != nil {
 		t.Fatalf("[%s] naive exec failed for %q: %v", fx.name, full, err)
 	}
-	r1, err := q.Exec(fx.src, fx.dict)
+	r1, _, err := q.Run(context.Background(), fx.src, fx.dict, sparql.RunOptions{})
 	if err != nil {
 		t.Fatalf("[%s] first exec failed for %q: %v", fx.name, full, err)
 	}
-	r2, err := q.Exec(fx.src, fx.dict)
+	r2, _, err := q.Run(context.Background(), fx.src, fx.dict, sparql.RunOptions{})
 	if err != nil {
 		t.Fatalf("[%s] repeat exec failed for %q: %v", fx.name, full, err)
 	}

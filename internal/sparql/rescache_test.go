@@ -37,14 +37,14 @@ func TestResultsCacheHitAndInvalidation(t *testing.T) {
 	m := st.ViewOf("m")
 	q := mustParse(t, `SELECT ?s ?o WHERE { ?s <http://x/p> ?o }`)
 
-	r1, err := q.Exec(m, st.Dict())
+	r1, err := run(q, m, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stats(); got.Hits != 0 || got.Misses != 1 || got.Entries != 1 {
 		t.Fatalf("after first exec: %+v", got)
 	}
-	r2, err := q.Exec(m, st.Dict())
+	r2, err := run(q, m, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestResultsCacheHitAndInvalidation(t *testing.T) {
 
 	// A single mutation bumps the generation: stale key never matches.
 	st.Add("m", rdf.T(rdf.IRI("http://x/z"), rdf.IRI("http://x/p"), rdf.IRI("http://x/w")))
-	r3, err := q.Exec(st.ViewOf("m"), st.Dict())
+	r3, err := run(q, st.ViewOf("m"), st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +78,10 @@ func TestResultsCacheViewKeysEveryMember(t *testing.T) {
 	st.Add("m$IDX", rdf.T(rdf.IRI("http://x/a"), rdf.IRI("http://x/p"), rdf.IRI("http://x/c")))
 	q := mustParse(t, `ASK { <http://x/a> <http://x/p> ?o }`)
 
-	if _, err := q.Exec(st.ViewOf("m", "m$IDX"), st.Dict()); err != nil {
+	if _, err := run(q, st.ViewOf("m", "m$IDX"), st.Dict()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Exec(st.ViewOf("m", "m$IDX"), st.Dict()); err != nil {
+	if _, err := run(q, st.ViewOf("m", "m$IDX"), st.Dict()); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stats(); got.Hits != 1 {
@@ -89,7 +89,7 @@ func TestResultsCacheViewKeysEveryMember(t *testing.T) {
 	}
 	// Mutate only the index member.
 	st.Add("m$IDX", rdf.T(rdf.IRI("http://x/n"), rdf.IRI("http://x/p"), rdf.IRI("http://x/o2")))
-	if _, err := q.Exec(st.ViewOf("m", "m$IDX"), st.Dict()); err != nil {
+	if _, err := run(q, st.ViewOf("m", "m$IDX"), st.Dict()); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Stats(); got.Hits != 1 {
@@ -110,8 +110,8 @@ func TestResultsCacheCloneDoesNotAlias(t *testing.T) {
 	if err := st.CloneModel("m", "m2"); err != nil {
 		t.Fatal(err)
 	}
-	rSrc, _ := q.Exec(st.ViewOf("m"), st.Dict())
-	rClone, err := q.Exec(st.ViewOf("m2"), st.Dict())
+	rSrc, _ := run(q, st.ViewOf("m"), st.Dict())
+	rClone, err := run(q, st.ViewOf("m2"), st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestResultsCacheCloneDoesNotAlias(t *testing.T) {
 	}
 	// Diverge the source; the clone's entry stays valid and correct.
 	st.Add("m", rdf.T(rdf.IRI("http://x/new"), rdf.IRI("http://x/p"), rdf.IRI("http://x/v")))
-	rClone2, err := q.Exec(st.ViewOf("m2"), st.Dict())
+	rClone2, err := run(q, st.ViewOf("m2"), st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +151,10 @@ func TestResultsCacheBypasses(t *testing.T) {
 		{"construct", `CONSTRUCT { ?s <http://x/p2> ?o } WHERE { ?s <http://x/p> ?o }`},
 	} {
 		q := mustParse(t, tc.q)
-		if _, err := q.Exec(m, st.Dict()); err != nil {
+		if _, err := run(q, m, st.Dict()); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if _, err := q.Exec(m, st.Dict()); err != nil {
+		if _, err := run(q, m, st.Dict()); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 	}
@@ -163,15 +163,15 @@ func TestResultsCacheBypasses(t *testing.T) {
 	}
 	// LIMIT with a full ORDER BY is deterministic and cacheable.
 	q := mustParse(t, `SELECT ?s WHERE { ?s <http://x/p> ?o } ORDER BY ?s LIMIT 1`)
-	q.Exec(m, st.Dict())
-	q.Exec(m, st.Dict())
+	run(q, m, st.Dict())
+	run(q, m, st.Dict())
 	if got := c.Stats(); got.Hits != 1 {
 		t.Fatalf("ordered LIMIT should cache: %+v", got)
 	}
 	// Disabled cache: everything executes, nothing caches.
 	rescache.Disable()
 	q2 := mustParse(t, `SELECT ?o WHERE { ?s <http://x/q> ?o }`)
-	if _, err := q2.Exec(m, st.Dict()); err != nil {
+	if _, err := run(q2, m, st.Dict()); err != nil {
 		t.Fatal(err)
 	}
 	if rescache.Default() != nil {
@@ -192,7 +192,7 @@ func TestExplainAnnotatesCacheHit(t *testing.T) {
 	if out := q.ExplainOn(m, st.Dict()); strings.Contains(out, "results cache") {
 		t.Fatalf("explain annotated before any execution:\n%s", out)
 	}
-	if _, err := q.Exec(m, st.Dict()); err != nil {
+	if _, err := run(q, m, st.Dict()); err != nil {
 		t.Fatal(err)
 	}
 	if out := q.ExplainOn(m, st.Dict()); !strings.Contains(out, "results cache: HIT") {

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
@@ -37,6 +38,17 @@ func fixture() (*store.Store, store.Source) {
 	return st, st.ViewOf("m")
 }
 
+// run executes q plainly, analyze with operator instrumentation: the two
+// RunOptions values, under a background context.
+func run(q *Query, src store.Source, dict *store.Dict) (*Result, error) {
+	res, _, err := q.Run(context.Background(), src, dict, RunOptions{})
+	return res, err
+}
+
+func analyze(q *Query, src store.Source, dict *store.Dict) (*Result, *ExecStats, error) {
+	return q.Run(context.Background(), src, dict, RunOptions{Analyze: true})
+}
+
 func exec(t *testing.T, q string) *Result {
 	t.Helper()
 	st, src := fixture()
@@ -44,7 +56,7 @@ func exec(t *testing.T, q string) *Result {
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
-	res, err := parsed.Exec(src, st.Dict())
+	res, err := run(parsed, src, st.Dict())
 	if err != nil {
 		t.Fatalf("exec %q: %v", q, err)
 	}
@@ -339,7 +351,7 @@ func TestAsk(t *testing.T) {
 	st, src := fixture()
 	q := MustParse(`PREFIX dt: <` + rdf.DTNS + `> PREFIX inst: <` + rdf.InstNS + `>
 		ASK { inst:client_information_id dt:isMappedTo+ inst:customer_id }`)
-	res, err := q.Exec(src, st.Dict())
+	res, err := run(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +360,7 @@ func TestAsk(t *testing.T) {
 	}
 	q = MustParse(`PREFIX dt: <` + rdf.DTNS + `> PREFIX inst: <` + rdf.InstNS + `>
 		ASK { inst:customer_id dt:isMappedTo inst:partner_id }`)
-	res, err = q.Exec(src, st.Dict())
+	res, err = run(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +384,7 @@ func TestSharedVariableInSubjectAndObject(t *testing.T) {
 	st.Add("m", rdf.T(rdf.IRI("http://t/self"), rdf.IRI("http://t/p"), rdf.IRI("http://t/self")))
 	st.Add("m", rdf.T(rdf.IRI("http://t/a"), rdf.IRI("http://t/p"), rdf.IRI("http://t/b")))
 	q := MustParse(`SELECT ?x WHERE { ?x <http://t/p> ?x }`)
-	res, err := q.Exec(st.ViewOf("m"), st.Dict())
+	res, err := run(q, st.ViewOf("m"), st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +437,7 @@ func TestListing1Shape(t *testing.T) {
 			FILTER regex(?term, "customer", "i")
 		}
 		GROUP BY ?class ?object`)
-	res, err := q.Exec(src, st.Dict())
+	res, err := run(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestConcurrentRecordSnapshotReplan(t *testing.T) {
 	go func() { // executor: Record + revalidation/replan churn
 		defer wg.Done()
 		for i := 0; i < 300; i++ {
-			if _, err := q.Exec(src, st.Dict()); err != nil {
+			if _, err := run(q, src, st.Dict()); err != nil {
 				t.Errorf("exec: %v", err)
 				return
 			}

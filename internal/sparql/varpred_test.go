@@ -11,7 +11,7 @@ func TestVariablePredicate(t *testing.T) {
 	st, src := fixture()
 	q := MustParse(`PREFIX inst: <` + rdf.InstNS + `>
 		SELECT ?p ?o WHERE { inst:customer_id ?p ?o }`)
-	res, err := q.Exec(src, st.Dict())
+	res, err := run(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestVariablePredicate(t *testing.T) {
 func TestFullWildcardPattern(t *testing.T) {
 	st, src := fixture()
 	q := MustParse(`SELECT (COUNT(*) AS ?n) WHERE { ?s ?p ?o }`)
-	res, err := q.Exec(src, st.Dict())
+	res, err := run(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestFullWildcardPattern(t *testing.T) {
 func TestAskWildcard(t *testing.T) {
 	st, src := fixture()
 	q := MustParse(`ASK { ?s ?p ?o }`)
-	res, err := q.Exec(src, st.Dict())
+	res, err := run(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestVariablePredicateJoin(t *testing.T) {
 	// Which predicates link two named nodes?
 	q := MustParse(`PREFIX inst: <` + rdf.InstNS + `>
 		SELECT ?p WHERE { inst:partner_id ?p inst:customer_id }`)
-	res, err := q.Exec(src, st.Dict())
+	res, err := run(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestVariablePredicateBoundByJoin(t *testing.T) {
 			inst:client_information_id ?p inst:partner_id .
 			inst:partner_id ?p ?b .
 		}`)
-	res, err := q.Exec(src, st.Dict())
+	res, err := run(q, src, st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestSharedSubjectPredicateVariable(t *testing.T) {
 		rdf.T(rdf.IRI("http://t/a"), rdf.IRI("http://t/b"), rdf.IRI("http://t/c")),
 	})
 	q := MustParse(`SELECT ?s WHERE { ?s ?s ?o }`)
-	res, err := q.Exec(st.ViewOf("m"), st.Dict())
+	res, err := run(q, st.ViewOf("m"), st.Dict())
 	if err != nil {
 		t.Fatal(err)
 	}
