@@ -14,7 +14,7 @@
 //	mdw explain      [-data DIR] [-analyze] 'SPARQL'|'SEM_MATCH(...)'  print (or run and annotate) the plan
 //	mdw semmatch     [-data DIR] 'SEM_MATCH(...)'  Oracle-style call (Listings 1/2)
 //	mdw audit        [-data DIR] ITEM              who can access the item
-//	mdw impact       [-wh DUMP] -from N -to M      release change impact
+//	mdw impact       [-data-dir DIR] -from N -to M  release change impact
 //	mdw stats        [-data DIR] [-validate]       census + validation
 //	mdw learn-schema [-data DIR] [-migrate]        §VII schema learning
 //	mdw metrics      [-data DIR] [-slow-query D]   workload + Prometheus metrics dump
@@ -48,7 +48,6 @@ import (
 	"mdw/internal/lineage"
 	"mdw/internal/ntriples"
 	"mdw/internal/obs"
-	"mdw/internal/ontology"
 	"mdw/internal/rdf"
 	"mdw/internal/relstore"
 	"mdw/internal/schemalearn"
@@ -145,7 +144,7 @@ func cmdGenerate(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg, err := scaleConfig(*scale)
+	cfg, err := landscape.ScaleConfig(*scale)
 	if err != nil {
 		return err
 	}
@@ -189,32 +188,14 @@ func cmdGenerate(args []string) error {
 	return nil
 }
 
-func scaleConfig(scale string) (landscape.Config, error) {
-	switch scale {
-	case "small":
-		return landscape.Small(), nil
-	case "paper":
-		return landscape.PaperScale(), nil
-	default:
-		return landscape.Config{}, fmt.Errorf("unknown scale %q (want small or paper)", scale)
-	}
-}
-
 // buildWarehouse loads a warehouse either from a data directory written
 // by `mdw generate` or from the built-in Figure 3 example.
 func buildWarehouse(dataDir string) (*core.Warehouse, error) {
 	w := core.New("")
-	if dataDir == "" {
-		if _, err := w.LoadOntology(ontology.DWH()); err != nil {
-			return nil, err
-		}
-		if _, err := w.LoadExports([]*staging.Export{landscape.Figure3Export()}); err != nil {
-			return nil, err
-		}
-		w.IntegrateDBpedia(dbpedia.Banking())
-		return w, nil
+	if err := core.Seed(w, dataDir, ""); err != nil {
+		return nil, err
 	}
-	return core.LoadDir(dataDir)
+	return w, nil
 }
 
 func cmdSearch(args []string) error {
@@ -493,7 +474,7 @@ func cmdAudit(args []string) error {
 
 func cmdImpact(args []string) error {
 	fs := flag.NewFlagSet("impact", flag.ContinueOnError)
-	dump := fs.String("wh", "", "warehouse dump (with release history) written by core.Warehouse.Save")
+	dataDir := fs.String("data-dir", "", "durable data directory written by mdwd -data-dir, holding the historized releases; read, never written")
 	from := fs.Int("from", 1, "baseline release number")
 	to := fs.Int("to", 2, "target release number")
 	if err := fs.Parse(args); err != nil {
@@ -501,8 +482,8 @@ func cmdImpact(args []string) error {
 	}
 	var w *core.Warehouse
 	var err error
-	if *dump != "" {
-		w, err = core.Open(*dump, "")
+	if *dataDir != "" {
+		w, err = core.OpenReadOnly(*dataDir, "")
 		if err != nil {
 			return err
 		}
@@ -521,7 +502,7 @@ func cmdImpact(args []string) error {
 		if _, err := w.Snapshot("R2", time.Date(2009, 3, 1, 0, 0, 0, 0, time.UTC)); err != nil {
 			return err
 		}
-		fmt.Println("(no -wh given: analyzing the built-in Figure 3 demo scenario)")
+		fmt.Println("(no -data-dir given: analyzing the built-in Figure 3 demo scenario)")
 	}
 	an, err := w.ImpactOfRelease(*from, *to)
 	if err != nil {
@@ -703,8 +684,6 @@ func cmdTop(args []string) error {
 	n := fs.Int("n", 10, "list at most this many statements")
 	runs := fs.Int("runs", 3, "repetitions of each workload query (local mode)")
 	misest := fs.Bool("misest", false, "show the planner-misestimation log instead of the statement table")
-	misestThr := fs.Float64("misest-threshold", sparql.DefaultMisestimateThreshold,
-		"misestimation reporting threshold for the local analyzed replay")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -736,7 +715,6 @@ func cmdTop(args []string) error {
 	}
 	// -misest replays the workload analyzed, so every execution feeds the
 	// misestimation channel instead of sampling via the slow-query path.
-	sparql.SetMisestimateThreshold(*misestThr)
 	if err := topWorkload(w, *runs, *misest); err != nil {
 		return err
 	}

@@ -1,11 +1,19 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"mdw/internal/core"
+	"mdw/internal/durable"
+	"mdw/internal/impact"
+	"mdw/internal/rdf"
+	"mdw/internal/staging"
 )
 
 // capture runs fn with stdout redirected and returns what it printed.
@@ -221,6 +229,76 @@ func TestImpactCommand(t *testing.T) {
 	}
 }
 
+// TestImpactCommandDataDir: `impact -data-dir` reads the releases a
+// durable warehouse historized — the report equals the one the warehouse
+// that wrote the directory computes — and leaves the directory as it was.
+func TestImpactCommandDataDir(t *testing.T) {
+	dir := t.TempDir()
+	opts := durable.Options{Dir: dir, Fsync: durable.FsyncNone}
+	w, mgr, err := core.OpenDurable("", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.Seed(w, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Snapshot("R1", time.Date(2009, 1, 15, 0, 0, 0, 0, time.UTC)); err != nil {
+		t.Fatal(err)
+	}
+	src := staging.InstanceIRI("pb_frontend", "pbdb", "clients", "client_info", "client_information_id")
+	w.LoadTriples([]rdf.Triple{rdf.T(src, rdf.IRI(rdf.MDWLength), rdf.Integer(64))})
+	if _, err := w.Snapshot("R2", time.Date(2009, 3, 1, 0, 0, 0, 0, time.UTC)); err != nil {
+		t.Fatal(err)
+	}
+	an, err := w.ImpactOfRelease(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := impact.Format(an)
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirListing(t, dir)
+
+	out, err := capture(t, func() error { return run([]string{"impact", "-data-dir", dir, "-from", "1", "-to", "2"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != want || !contains(out, "application1") {
+		t.Errorf("impact -data-dir printed:\n%s\nthe writing warehouse computes:\n%s", out, want)
+	}
+	if after := dirListing(t, dir); after != before {
+		t.Errorf("impact -data-dir changed the directory:\n%s\nwas:\n%s", after, before)
+	}
+
+	// A directory without releases fails in the historian, not in recovery.
+	empty := t.TempDir()
+	if err := run([]string{"impact", "-data-dir", empty}); err == nil || !contains(err.Error(), "no version 1") {
+		t.Errorf("impact on a directory without releases: %v, want the historian's no version 1", err)
+	}
+	if err := run([]string{"impact", "-data-dir", filepath.Join(empty, "missing")}); err == nil {
+		t.Error("impact on a missing directory did not fail")
+	}
+}
+
+// dirListing renders the names and sizes of the files in dir.
+func dirListing(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s %d\n", e.Name(), info.Size())
+	}
+	return b.String()
+}
+
 func TestAuditCommand(t *testing.T) {
 	out, err := capture(t, func() error {
 		return run([]string{"audit", "application1/dwhdb/mart/v_customer/customer_id"})
@@ -273,5 +351,8 @@ func TestCloneCommand(t *testing.T) {
 	}
 	if !strings.Contains(out, "cloned DWH_CURR -> SANDBOX") || !strings.Contains(out, "copy-on-write") {
 		t.Errorf("clone output = %q", out)
+	}
+	if err := run([]string{"clone", "MDW$META"}); err == nil || !contains(err.Error(), "reserved") {
+		t.Errorf("clone into a reserved name: %v, want the reserved-name error", err)
 	}
 }

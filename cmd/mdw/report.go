@@ -59,7 +59,7 @@ func cmdReport(args []string) error {
 // eight releases in a year, each historized completely, with the graph
 // growing 20–30% over the year.
 func reportGrowth(scale string) error {
-	cfg, err := scaleConfig(scale)
+	cfg, err := landscape.ScaleConfig(scale)
 	if err != nil {
 		return err
 	}
@@ -102,7 +102,7 @@ func reportGrowth(scale string) error {
 }
 
 func loadLandscape(scale string) (*landscape.Landscape, *store.Store, staging.LoadStats, error) {
-	cfg, err := scaleConfig(scale)
+	cfg, err := landscape.ScaleConfig(scale)
 	if err != nil {
 		return nil, nil, staging.LoadStats{}, err
 	}

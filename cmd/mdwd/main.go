@@ -4,20 +4,19 @@
 //
 // Usage:
 //
-//	mdwd [-addr :8080] [-data DIR | -wh DUMP] [-data-dir DIR]
+//	mdwd [-addr :8080] [-data DIR | -scale small|paper] [-data-dir DIR]
 //	     [-fsync always|interval|none] [-checkpoint-every 5m]
-//	     [-slow-query 250ms] [-rescache N] [-rescache-bytes B]
-//	     [-misest-threshold 8] [-pprof]
+//	     [-slow-query 250ms] [-rescache N] [-rescache-bytes B] [-pprof]
 //
-// Without -data/-wh the server hosts the built-in Figure 3 example.
-// With -data-dir the warehouse is durable: every mutation is
-// write-ahead logged to the directory, checkpoints condense the log
-// into binary snapshots (periodically via -checkpoint-every, or on
-// demand via POST /api/checkpoint), and a restart recovers the exact
-// pre-crash state from the newest snapshot plus the WAL tail. On a
-// fresh (empty) data directory the usual seeding flags apply once;
-// afterwards the directory itself is the source of truth and -data and
-// -scale are ignored.
+// Without -data/-scale the server hosts the built-in Figure 3 example.
+// With -data-dir the warehouse is durable, and that directory is its one
+// on-disk form: every mutation is write-ahead logged to it, checkpoints
+// condense the log into binary snapshots (periodically via
+// -checkpoint-every, or on demand via POST /api/checkpoint), and a
+// restart recovers the exact pre-crash state from the newest snapshot
+// plus the WAL tail. On a fresh (empty) data directory the usual seeding
+// flags apply once; afterwards the directory itself is the source of
+// truth and -data and -scale are ignored.
 // Metrics are served at /api/metrics (Prometheus text exposition,
 // including runtime gauges refreshed by a background sampler), recent
 // traces plus the slow-query log at /api/traces (every response carries
@@ -25,7 +24,7 @@
 // /api/statements. GET /api/query?...&analyze=1 executes with
 // operator-level instrumentation and returns the runtime statistics
 // tree alongside the results; analyzed executions whose worst operator
-// estimate is off by -misest-threshold land in GET /api/misestimates.
+// estimate is off by a factor of 8 or more land in GET /api/misestimates.
 // /healthz answers 200 as soon as the process serves (liveness);
 // /readyz answers 503 with the blocking startup stage until recovery
 // and index builds finish, then 200 (readiness). -pprof additionally
@@ -46,21 +45,15 @@ import (
 	"time"
 
 	"mdw/internal/core"
-	"mdw/internal/dbpedia"
 	"mdw/internal/durable"
 	"mdw/internal/httpapi"
-	"mdw/internal/landscape"
 	"mdw/internal/obs"
-	"mdw/internal/ontology"
 	"mdw/internal/rescache"
-	"mdw/internal/sparql"
-	"mdw/internal/staging"
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	data := flag.String("data", "", "data directory written by `mdw generate`")
-	dump := flag.String("wh", "", "warehouse dump written by core.Warehouse.Save")
 	scale := flag.String("scale", "", "serve a freshly generated landscape: small or paper")
 	dataDir := flag.String("data-dir", "", "durable data directory (write-ahead log + snapshots); recovered on start")
 	fsync := flag.String("fsync", string(durable.FsyncInterval), "WAL fsync policy: always, interval, or none")
@@ -72,11 +65,8 @@ func main() {
 		"max entries in the generation-keyed results cache (0 disables it)")
 	rcBytes := flag.Int64("rescache-bytes", rescache.DefaultMaxBytes,
 		"byte budget of the results cache")
-	misestThr := flag.Float64("misest-threshold", sparql.DefaultMisestimateThreshold,
-		"report analyzed executions whose worst operator estimate is off by this factor (GET /api/misestimates)")
 	flag.Parse()
 	obs.DefaultSlowLog().SetThreshold(*slow)
-	sparql.SetMisestimateThreshold(*misestThr)
 	if *rcEntries <= 0 {
 		rescache.Disable()
 	} else {
@@ -92,7 +82,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mdwd:", err)
 		os.Exit(1)
 	}
-	w, mgr, err := buildWarehouse(*data, *dump, *scale, *dataDir, *fsync, *ckptEvery)
+	w, mgr, err := buildWarehouse(*data, *scale, *dataDir, *fsync, *ckptEvery)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mdwd:", err)
 		os.Exit(1)
@@ -169,13 +159,17 @@ func main() {
 	os.Exit(1)
 }
 
-func buildWarehouse(dataDir, dump, scale, durableDir, fsync string, ckptEvery time.Duration) (*core.Warehouse, *durable.Manager, error) {
+// buildWarehouse returns the warehouse to serve: in memory and seeded
+// from -scale, -data or the built-in example, or — with a durable
+// directory — recovered from it, and seeded the same way only while the
+// directory is still empty.
+func buildWarehouse(dataDir, scale, durableDir, fsync string, ckptEvery time.Duration) (*core.Warehouse, *durable.Manager, error) {
 	if durableDir == "" {
-		w, err := buildEphemeral(dataDir, dump, scale)
-		return w, nil, err
-	}
-	if dump != "" {
-		return nil, nil, fmt.Errorf("-wh cannot be combined with -data-dir (the data directory is the source of truth)")
+		w := core.New("")
+		if err := core.Seed(w, dataDir, scale); err != nil {
+			return nil, nil, err
+		}
+		return w, nil, nil
 	}
 	policy, err := durable.ParseFsyncPolicy(fsync)
 	if err != nil {
@@ -202,61 +196,9 @@ func buildWarehouse(dataDir, dump, scale, durableDir, fsync string, ckptEvery ti
 		}
 		return w, mgr, nil
 	}
-	if err := seedWarehouse(w, dataDir, scale); err != nil {
+	if err := core.Seed(w, dataDir, scale); err != nil {
 		mgr.Close()
 		return nil, nil, err
 	}
 	return w, mgr, nil
-}
-
-// buildEphemeral constructs the in-memory warehouse of the pre-durability
-// modes: from a dump, a generated landscape, a data directory, or the
-// built-in example.
-func buildEphemeral(dataDir, dump, scale string) (*core.Warehouse, error) {
-	if dump != "" {
-		return core.Open(dump, "")
-	}
-	w := core.New("")
-	if err := seedWarehouse(w, dataDir, scale); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// seedWarehouse populates an empty warehouse from -scale, -data, or the
-// built-in Figure 3 example (in that precedence).
-func seedWarehouse(w *core.Warehouse, dataDir, scale string) error {
-	switch {
-	case scale != "":
-		var cfg landscape.Config
-		switch scale {
-		case "small":
-			cfg = landscape.Small()
-		case "paper":
-			cfg = landscape.PaperScale()
-		default:
-			return fmt.Errorf("unknown scale %q", scale)
-		}
-		l := landscape.Generate(cfg)
-		if _, err := w.LoadOntology(l.Ontology); err != nil {
-			return err
-		}
-		if _, err := w.LoadExports(l.Exports); err != nil {
-			return err
-		}
-		w.LoadTriples(l.ExtraTriples())
-		w.IntegrateDBpedia(dbpedia.Banking())
-		return nil
-	case dataDir != "":
-		return core.LoadDirInto(w, dataDir)
-	default:
-		if _, err := w.LoadOntology(ontology.DWH()); err != nil {
-			return err
-		}
-		if _, err := w.LoadExports([]*staging.Export{landscape.Figure3Export()}); err != nil {
-			return err
-		}
-		w.IntegrateDBpedia(dbpedia.Banking())
-		return nil
-	}
 }

@@ -4,15 +4,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"mdw/internal/httpapi"
 )
 
 func TestBuildWarehouseDefault(t *testing.T) {
-	w, mgr, err := buildWarehouse("", "", "", "", "interval", 0)
+	w, mgr, err := buildWarehouse("", "", "", "interval", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,36 +23,15 @@ func TestBuildWarehouseDefault(t *testing.T) {
 }
 
 func TestBuildWarehouseScale(t *testing.T) {
-	w, _, err := buildWarehouse("", "", "small", "", "interval", 0)
+	w, _, err := buildWarehouse("", "small", "", "interval", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if w.Stats().Triples < 1000 {
 		t.Errorf("small landscape too small: %d", w.Stats().Triples)
 	}
-	if _, _, err := buildWarehouse("", "", "bogus", "", "interval", 0); err == nil {
+	if _, _, err := buildWarehouse("", "bogus", "", "interval", 0); err == nil {
 		t.Error("bad scale should error")
-	}
-}
-
-func TestBuildWarehouseFromDump(t *testing.T) {
-	w, _, err := buildWarehouse("", "", "", "", "interval", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "wh.mdw")
-	if err := w.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	back, _, err := buildWarehouse("", path, "", "", "interval", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Stats().Triples != w.Stats().Triples {
-		t.Error("dump round trip lost triples")
-	}
-	if _, _, err := buildWarehouse("", "/no/such/file", "", "", "interval", 0); err == nil {
-		t.Error("missing dump should error")
 	}
 }
 
@@ -64,15 +41,11 @@ func TestBuildWarehouseFromDump(t *testing.T) {
 // ignored on the second start.
 func TestBuildWarehouseDurable(t *testing.T) {
 	dir := t.TempDir()
-	if _, _, err := buildWarehouse("", "dump.mdw", "", dir, "interval", 0); err == nil ||
-		!strings.Contains(err.Error(), "-wh") {
-		t.Errorf("-wh with -data-dir not rejected: %v", err)
-	}
-	if _, _, err := buildWarehouse("", "", "", dir, "sometimes", 0); err == nil {
+	if _, _, err := buildWarehouse("", "", dir, "sometimes", 0); err == nil {
 		t.Error("bad fsync policy not rejected")
 	}
 
-	w, mgr, err := buildWarehouse("", "", "", dir, "none", 0)
+	w, mgr, err := buildWarehouse("", "", dir, "none", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +79,7 @@ func TestBuildWarehouseDurable(t *testing.T) {
 
 	// Restart: -scale would reseed an empty store, but the directory is
 	// populated, so it must be ignored.
-	w2, mgr2, err := buildWarehouse("", "", "small", dir, "none", 0)
+	w2, mgr2, err := buildWarehouse("", "small", dir, "none", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +95,7 @@ func TestBuildWarehouseDurable(t *testing.T) {
 // TestCheckpointWithoutDurability documents the 503 contract of
 // POST /api/checkpoint on an ephemeral server.
 func TestCheckpointWithoutDurability(t *testing.T) {
-	w, _, err := buildWarehouse("", "", "", "", "interval", 0)
+	w, _, err := buildWarehouse("", "", "", "interval", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +112,7 @@ func TestCheckpointWithoutDurability(t *testing.T) {
 }
 
 func TestServerEndToEnd(t *testing.T) {
-	w, _, err := buildWarehouse("", "", "", "", "interval", 0)
+	w, _, err := buildWarehouse("", "", "", "interval", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,13 @@
 package mdw
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
 
 	"mdw/internal/core"
-	"mdw/internal/dbpedia"
+	"mdw/internal/durable"
+	"mdw/internal/impact"
 	"mdw/internal/landscape"
 	"mdw/internal/lineage"
 	"mdw/internal/metamodel"
@@ -164,48 +164,103 @@ func TestIndexedQueriesMatchOntologyClosure(t *testing.T) {
 	}
 }
 
-// TestWarehouseDumpPreservesBehaviour: a save/restore cycle must preserve
-// search and lineage results exactly.
+// TestWarehouseDumpPreservesBehaviour: the data directory is the
+// warehouse's one on-disk form, and a close/reopen cycle through it must
+// preserve search, lineage and release history exactly — for the server's
+// read-write open and for the read-only open of the offline commands.
 func TestWarehouseDumpPreservesBehaviour(t *testing.T) {
-	w, l := buildSmall(t)
-	w.IntegrateDBpedia(dbpedia.Banking())
-	if _, err := w.Snapshot("R1", time.Date(2009, 3, 1, 0, 0, 0, 0, time.UTC)); err != nil {
+	opts := durable.Options{Dir: t.TempDir(), Fsync: durable.FsyncNone}
+	w, mgr, err := core.OpenDurable("", opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := w.WriteDump(&buf); err != nil {
+	if err := core.Seed(w, "", "small"); err != nil {
 		t.Fatal(err)
 	}
-	back, err := core.ReadFrom(&buf, "")
+	l := landscape.Generate(landscape.Small())
+	r1 := time.Date(2009, 3, 1, 0, 0, 0, 0, time.UTC)
+	if _, err := w.Snapshot("R1", r1); err != nil {
+		t.Fatal(err)
+	}
+	// Release 2 widens the column the first mapping chain starts from.
+	origin := staging.InstanceIRI(strings.Split(l.Chains[0][0], "/")...)
+	w.LoadTriples([]rdf.Triple{rdf.T(origin, rdf.IRI(rdf.MDWLength), rdf.Integer(64))})
+	if _, err := w.Snapshot("R2", r1.AddDate(0, 2, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, mgr2, err := core.OpenDurable("", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := core.OpenReadOnly(opts.Dir, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, term := range []string{"customer", "portfolio"} {
-		a, err := w.Search(term, search.Options{Semantic: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := back.Search(term, search.Options{Semantic: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Instances != b.Instances || len(a.Groups) != len(b.Groups) {
-			t.Errorf("term %q: %d/%d vs %d/%d", term, a.Instances, len(a.Groups), b.Instances, len(b.Groups))
-		}
-	}
 	target := staging.InstanceIRI(strings.Split(l.MartColumns[0], "/")...)
 	ga, err := w.Lineage(target, lineage.Backward, lineage.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := back.Lineage(target, lineage.Backward, lineage.Options{})
+	ia, err := w.ImpactOfRelease(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ga.Nodes) != len(gb.Nodes) || len(ga.Edges) != len(gb.Edges) {
-		t.Errorf("lineage differs after restore: %d/%d vs %d/%d",
-			len(ga.Nodes), len(ga.Edges), len(gb.Nodes), len(gb.Edges))
+	for name, b := range map[string]*core.Warehouse{"reopened": back, "read-only": ro} {
+		for _, term := range []string{"customer", "portfolio"} {
+			a, err := w.Search(term, search.Options{Semantic: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := b.Search(term, search.Options{Semantic: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Instances != got.Instances || len(a.Groups) != len(got.Groups) || len(a.Expanded) != len(got.Expanded) {
+				t.Errorf("%s, term %q: %d/%d/%v vs %d/%d/%v", name, term,
+					a.Instances, len(a.Groups), a.Expanded, got.Instances, len(got.Groups), got.Expanded)
+			}
+		}
+		gb, err := b.Lineage(target, lineage.Backward, lineage.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ga.Nodes) != len(gb.Nodes) || len(ga.Edges) != len(gb.Edges) {
+			t.Errorf("%s: lineage differs after restore: %d/%d vs %d/%d", name,
+				len(ga.Nodes), len(ga.Edges), len(gb.Nodes), len(gb.Edges))
+		}
+		vs := b.History().Versions()
+		if len(vs) != 2 || vs[0].Tag != "R1" || vs[0].Number != 1 || !vs[0].At.Equal(r1) || vs[1].Tag != "R2" {
+			t.Errorf("%s: versions = %+v", name, vs)
+		}
+		ib, err := b.ImpactOfRelease(1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if impact.Format(ia) != impact.Format(ib) {
+			t.Errorf("%s: impact of R1 -> R2 differs:\n%s\nwant:\n%s", name, impact.Format(ib), impact.Format(ia))
+		}
+		// New snapshots continue the numbering.
+		v3, err := b.Snapshot("R3", r1.AddDate(0, 4, 0))
+		if err != nil || v3.Number != 3 {
+			t.Errorf("%s: third release = %+v, %v", name, v3, err)
+		}
+	}
+
+	// What the read-only warehouse did stayed in memory: the directory
+	// holds the reopened warehouse's R3 and no second one.
+	if err := mgr2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := core.OpenReadOnly(opts.Dir, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs := again.History().Versions(); len(vs) != 3 {
+		t.Errorf("directory holds %d releases after the read-only open snapshotted, want 3: %+v", len(vs), vs)
 	}
 }
 
@@ -311,28 +366,6 @@ func TestConcurrentSearches(t *testing.T) {
 	for i := 0; i < len(terms)*4; i++ {
 		if err := <-errc; err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// TestStoreDumpAtScale: dump/restore round-trips the whole multi-model
-// store byte-for-content.
-func TestStoreDumpAtScale(t *testing.T) {
-	w, _ := buildSmall(t)
-	if _, err := w.Reindex(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := w.Store().WriteDump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := store.ReadDump(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range w.Store().ModelNames() {
-		if back.Len(m) != w.Store().Len(m) {
-			t.Errorf("model %s: %d vs %d", m, back.Len(m), w.Store().Len(m))
 		}
 	}
 }

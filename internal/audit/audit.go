@@ -87,7 +87,7 @@ func (s *Service) WhoCanAccess(item rdf.Term, includeLineage bool) (*Report, err
 	dict := s.st.Dict()
 	itemID, ok := dict.Lookup(item)
 	if !ok {
-		return nil, fmt.Errorf("audit: unknown item %s", item)
+		return nil, fmt.Errorf("audit: %w %s", lineage.ErrUnknownItem, item)
 	}
 
 	rep := &Report{Item: item}

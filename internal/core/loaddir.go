@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 
+	"mdw/internal/dbpedia"
+	"mdw/internal/landscape"
 	"mdw/internal/ntriples"
 	"mdw/internal/ontology"
 	"mdw/internal/rdf"
@@ -13,20 +15,44 @@ import (
 	"mdw/internal/turtle"
 )
 
-// LoadDir builds a warehouse from a data directory in the layout written
-// by `mdw generate`: *.xml meta-data exports, *.ttl ontology documents,
-// dbpedia.nt synonym/homonym extract, and any other *.nt raw triples.
-func LoadDir(dir string) (*Warehouse, error) {
-	w := New("")
-	if err := LoadDirInto(w, dir); err != nil {
-		return nil, err
+// Seed populates an empty warehouse from, in this precedence: a freshly
+// generated landscape of the named scale ("small" or "paper"), a data
+// directory (see LoadDirInto), or — with neither — the built-in Figure 3
+// example, so every command works out of the box.
+func Seed(w *Warehouse, dataDir, scale string) error {
+	switch {
+	case scale != "":
+		cfg, err := landscape.ScaleConfig(scale)
+		if err != nil {
+			return err
+		}
+		l := landscape.Generate(cfg)
+		if _, err := w.LoadOntology(l.Ontology); err != nil {
+			return err
+		}
+		if _, err := w.LoadExports(l.Exports); err != nil {
+			return err
+		}
+		w.LoadTriples(l.ExtraTriples())
+	case dataDir != "":
+		return LoadDirInto(w, dataDir)
+	default:
+		if _, err := w.LoadOntology(ontology.DWH()); err != nil {
+			return err
+		}
+		if _, err := w.LoadExports([]*staging.Export{landscape.Figure3Export()}); err != nil {
+			return err
+		}
 	}
-	return w, nil
+	w.IntegrateDBpedia(dbpedia.Banking())
+	return nil
 }
 
-// LoadDirInto loads the same directory layout into an existing warehouse
-// — typically one opened with OpenDurable whose recovered store turned
-// out to be empty and needs seeding.
+// LoadDirInto loads a data directory in the layout written by `mdw
+// generate` — *.xml meta-data exports, *.ttl ontology documents,
+// dbpedia.nt synonym/homonym extract, and any other *.nt raw triples —
+// into an existing warehouse, typically an empty one: a fresh New, or an
+// OpenDurable whose directory held nothing yet.
 func LoadDirInto(w *Warehouse, dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

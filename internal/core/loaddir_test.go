@@ -42,9 +42,15 @@ func writeDataDir(t *testing.T) string {
 	return dir
 }
 
+// seedFrom seeds a fresh warehouse from a data directory.
+func seedFrom(dir string) (*Warehouse, error) {
+	w := New("")
+	return w, Seed(w, dir, "")
+}
+
 func TestLoadDir(t *testing.T) {
 	dir := writeDataDir(t)
-	w, err := LoadDir(dir)
+	w, err := seedFrom(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,35 +78,35 @@ func TestLoadDir(t *testing.T) {
 }
 
 func TestLoadDirErrors(t *testing.T) {
-	if _, err := LoadDir("/no/such/dir"); err == nil {
+	if _, err := seedFrom("/no/such/dir"); err == nil {
 		t.Error("missing dir should error")
 	}
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "broken.xml"), []byte("<not-xml"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadDir(dir); err == nil {
+	if _, err := seedFrom(dir); err == nil {
 		t.Error("broken XML should error")
 	}
 	dir2 := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir2, "broken.ttl"), []byte("not turtle ."), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadDir(dir2); err == nil {
+	if _, err := seedFrom(dir2); err == nil {
 		t.Error("broken Turtle should error")
 	}
 	dir3 := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir3, "broken.nt"), []byte("junk line\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadDir(dir3); err == nil {
+	if _, err := seedFrom(dir3); err == nil {
 		t.Error("broken N-Triples should error")
 	}
 	dir4 := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir4, "dbpedia.nt"), []byte("junk\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadDir(dir4); err == nil {
+	if _, err := seedFrom(dir4); err == nil {
 		t.Error("broken dbpedia.nt should error")
 	}
 }
@@ -114,12 +120,5 @@ func TestAuditThroughFacade(t *testing.T) {
 	}
 	if len(rep.Users()) == 0 {
 		t.Error("no users in audit")
-	}
-}
-
-func TestSaveErrorPath(t *testing.T) {
-	w := New("")
-	if err := w.Save("/no/such/dir/wh.mdw"); err == nil {
-		t.Error("save into missing directory should error")
 	}
 }

@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"time"
@@ -12,58 +9,12 @@ import (
 	"mdw/internal/dbpedia"
 	"mdw/internal/history"
 	"mdw/internal/rdf"
-	"mdw/internal/store"
-	"mdw/internal/textindex"
 )
 
-// metaModel holds warehouse bookkeeping (release history records) so a
-// dump is self-describing.
+// metaModel holds warehouse bookkeeping (release history records) as
+// triples, so the records reach the write-ahead log of a durable
+// warehouse and come back with the rest of the data directory.
 const metaModel = "MDW$META"
-
-// Save writes the whole warehouse — every model including historization
-// snapshots, entailment indexes, and the release metadata — to path. The
-// dump is written to a temp file in the target directory, synced, and
-// renamed into place, so a crash mid-save can never leave a truncated
-// dump where a good one (or nothing) used to be.
-func (w *Warehouse) Save(path string) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".mdw-save-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	defer func() {
-		if tmp != "" {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	if err := w.WriteDump(f); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	tmp = "" // renamed away; nothing to clean up
-	if d, err := os.Open(dir); err == nil {
-		err = d.Sync()
-		d.Close()
-		return err
-	}
-	return nil
-}
-
-// WriteDump streams the warehouse dump to wr.
-func (w *Warehouse) WriteDump(wr io.Writer) error {
-	w.syncMeta()
-	return w.st.WriteDump(wr)
-}
 
 // syncMeta rewrites the meta model from the historian's records.
 func (w *Warehouse) syncMeta() {
@@ -80,47 +31,6 @@ func (w *Warehouse) syncMeta() {
 			w.st.Add(metaModel, rdf.T(subj, rdf.IRI(rdf.MDWVersionPruned), rdf.Literal("true")))
 		}
 	}
-}
-
-// Open loads a warehouse previously written by Save. The model name must
-// match the one the warehouse was created with ("" = DefaultModel).
-func Open(path, model string) (*Warehouse, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadFrom(f, model)
-}
-
-// ReadFrom reconstructs a warehouse from a dump stream.
-func ReadFrom(r io.Reader, model string) (*Warehouse, error) {
-	if model == "" {
-		model = DefaultModel
-	}
-	st, err := store.ReadDump(r)
-	if err != nil {
-		return nil, err
-	}
-	if !st.HasModel(model) {
-		return nil, fmt.Errorf("core: dump has no model %q (models: %v)", model, st.ModelNames())
-	}
-	w := &Warehouse{
-		st:    st,
-		model: model,
-		hist:  history.NewHistorian(st, model),
-		tix:   textindex.NewManager(textindex.Config{}),
-	}
-	if err := w.restoreMeta(); err != nil {
-		return nil, err
-	}
-	w.restoreThesaurus()
-	// Build-on-load: a dump carries its entailment index (adopted as
-	// current by ReadDump), so this only constructs the full-text index.
-	if _, err := w.TextIndex(); err != nil {
-		return nil, err
-	}
-	return w, nil
 }
 
 // restoreMeta rebuilds the historian's version records from the meta

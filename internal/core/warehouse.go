@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"mdw/internal/audit"
@@ -51,11 +52,17 @@ type Warehouse struct {
 // New returns an empty warehouse storing its graph in the named model
 // ("" selects DefaultModel).
 func New(model string) *Warehouse {
+	return newWarehouse(store.New(), model)
+}
+
+// newWarehouse wires a warehouse around st — empty, or recovered from a
+// data directory — making sure the base model exists even before any
+// load.
+func newWarehouse(st *store.Store, model string) *Warehouse {
 	if model == "" {
 		model = DefaultModel
 	}
-	st := store.New()
-	st.Model(model) // ensure the base model exists even before any load
+	st.Model(model)
 	return &Warehouse{
 		st:    st,
 		model: model,
@@ -138,13 +145,6 @@ func (w *Warehouse) TextIndex() (*textindex.Index, error) {
 	return search.EnsureIndex(w.st, w.model, w.tix)
 }
 
-// TextIndexStats reports the size counters of every cached full-text
-// index (the current model plus any historized releases searched so
-// far).
-func (w *Warehouse) TextIndexStats() []textindex.Stats {
-	return w.tix.StatsAll()
-}
-
 // Search runs the Section IV.A search service over the warehouse's
 // shared full-text index.
 func (w *Warehouse) Search(term string, opt search.Options) (*search.Result, error) {
@@ -152,8 +152,7 @@ func (w *Warehouse) Search(term string, opt search.Options) (*search.Result, err
 }
 
 // SearchCtx is Search carrying a request context: under a traced request
-// (obs.ContextWithSpan) the search — and, with opt.ViaSPARQL, the SPARQL
-// work inside it — nests in the request's trace.
+// (obs.ContextWithSpan) the search nests in the request's trace.
 func (w *Warehouse) SearchCtx(ctx context.Context, term string, opt search.Options) (*search.Result, error) {
 	return search.New(w.st, w.model, w.thesaurus).WithIndexManager(w.tix).SearchCtx(ctx, term, opt)
 }
@@ -225,9 +224,9 @@ type Response struct {
 }
 
 // ErrBadQuery marks the errors that are the caller's to fix: text that
-// does not parse as SPARQL or as a SEM_MATCH call, and calls naming a
-// model or rulebase the store does not have. Test with errors.Is; the
-// message is the underlying error's.
+// does not parse as SPARQL or as a SEM_MATCH call, calls naming a model
+// or rulebase the store does not have, and a clone into a reserved model
+// name. Test with errors.Is; the message is the underlying error's.
 var ErrBadQuery = errors.New("core: bad query")
 
 type badQueryError struct{ cause error }
@@ -329,10 +328,16 @@ func (w *Warehouse) SemMatchAnalyzeCtx(ctx context.Context, call string) (*sparq
 // copy-on-write and the clone starts at a fresh salted generation, so
 // cached query results and entailment-currency checks can never alias
 // source and clone. On a durable warehouse the clone is one WAL record,
-// not a triple-by-triple copy, and survives recovery.
+// not a triple-by-triple copy, and survives recovery. Names containing
+// '$' belong to the warehouse — entailment indexes, historized releases
+// and the meta model are rewritten or dropped by name — so a destination
+// containing one is refused.
 func (w *Warehouse) CloneModel(src, dst string) (int, error) {
 	if src == "" {
 		src = w.model
+	}
+	if strings.Contains(dst, "$") {
+		return 0, badQueryError{fmt.Errorf("core: clone destination %q: '$' is reserved for derived, historization and meta models", dst)}
 	}
 	if err := w.st.CloneModel(src, dst); err != nil {
 		return 0, err
@@ -343,7 +348,7 @@ func (w *Warehouse) CloneModel(src, dst string) (int, error) {
 // Snapshot historizes the current graph as a new release version. The
 // historian's record is mirrored into the meta model immediately, so it
 // reaches the write-ahead log of a durable warehouse and survives a
-// restart — not just an explicit Save.
+// restart.
 func (w *Warehouse) Snapshot(tag string, at time.Time) (history.Version, error) {
 	v, err := w.hist.Snapshot(tag, at)
 	if err == nil {

@@ -319,6 +319,20 @@ func TestWarehouseCloneModel(t *testing.T) {
 	if _, err := w.CloneModel("no-such-model", "OTHER"); err == nil {
 		t.Error("unknown src accepted")
 	}
+	// Names with '$' belong to the warehouse: a clone into the meta model
+	// would be dropped by the next Snapshot, one into the next release's
+	// name would make that Snapshot fail.
+	for _, dst := range []string{"MDW$META", "DWH_CURR$HIST0001", "SANDBOX$OWLPRIME"} {
+		if _, err := w.CloneModel("", dst); !errors.Is(err, ErrBadQuery) {
+			t.Errorf("clone into %s: err = %v, want ErrBadQuery", dst, err)
+		}
+		if w.Store().HasModel(dst) {
+			t.Errorf("refused clone left a model %s behind", dst)
+		}
+	}
+	if _, err := w.Snapshot("R1", time.Date(2009, 3, 1, 0, 0, 0, 0, time.UTC)); err != nil {
+		t.Errorf("snapshot after the refused clones: %v", err)
+	}
 	// The clone diverges independently of the base.
 	w.Store().Add("SANDBOX", rdf.T(rdf.IRI("http://x/s"), rdf.IRI(rdf.MDWHasName), rdf.Literal("only-in-clone")))
 	if w.Store().Len("SANDBOX") != n+1 || w.Stats().Triples != n {

@@ -412,6 +412,57 @@ func TestRecoveryPrefersNewestValidSnapshot(t *testing.T) {
 	}
 }
 
+// TestRecoverReadOnlyLeavesTornTailAlone: a reader that does not own the
+// directory sees the committed prefix and writes nothing — neither to a
+// record torn mid-payload nor to the still-headerless segment of a
+// manager that has the directory open. The owner's Recover trims later.
+func TestRecoverReadOnlyLeavesTornTailAlone(t *testing.T) {
+	dir := t.TempDir()
+	mgr, st := openTest(t, dir, nil)
+	st.Add("m", rdf.T(iri("a"), iri("p"), iri("b")))
+	st.Add("m", rdf.T(iri("c"), iri("p"), iri("d")))
+	mgr.Close()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments = %v, %v", segs, err)
+	}
+	fi, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := fi.Size() - 3
+	if err := os.Truncate(segs[0], torn); err != nil {
+		t.Fatal(err)
+	}
+
+	rst, stats, err := durable.RecoverReadOnly(dir, nil)
+	if err != nil {
+		t.Fatalf("read-only recovery with torn tail failed: %v", err)
+	}
+	if stats.TornTail == "" || stats.LastLSN != 1 || rst.Len("m") != 1 {
+		t.Errorf("TornTail=%q LastLSN=%d Len=%d, want a report and 1/1", stats.TornTail, stats.LastLSN, rst.Len("m"))
+	}
+	if fi, err := os.Stat(segs[0]); err != nil || fi.Size() != torn {
+		t.Errorf("read-only recovery changed the torn segment: %v, %v", fi, err)
+	}
+
+	// The owner reopens (trimming the tail, starting a new segment whose
+	// header is still in its buffer); a reader must leave that stub be.
+	mgr2, st2 := openTest(t, dir, nil)
+	defer mgr2.Close()
+	if _, _, err := durable.RecoverReadOnly(dir, nil); err != nil {
+		t.Fatalf("read-only recovery beside a live manager: %v", err)
+	}
+	st2.Add("m", rdf.T(iri("e"), iri("p"), iri("f")))
+	if err := mgr2.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	rst, _, err = durable.RecoverReadOnly(dir, nil)
+	if err != nil || rst.Len("m") != 2 {
+		t.Errorf("after the owner's next commit a reader sees %d triples (%v), want 2", rst.Len("m"), err)
+	}
+}
+
 func TestFreshDirIsEmptyStore(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "nested", "data")
 	mgr, st := openTest(t, dir, nil)

@@ -32,6 +32,18 @@ type RecoveryStats struct {
 // is checked against the generation the record logged at commit time, so
 // replay divergence cannot pass silently.
 func Recover(dir string, logf func(string, ...any)) (*store.Store, *RecoveryStats, error) {
+	return recoverDir(dir, logf, true)
+}
+
+// RecoverReadOnly is Recover for a reader that does not own the
+// directory: it writes nothing, so a torn final record is skipped and
+// left for the owner's next Recover to trim. Trimming it here could cut
+// the record a running server is in the middle of appending.
+func RecoverReadOnly(dir string, logf func(string, ...any)) (*store.Store, *RecoveryStats, error) {
+	return recoverDir(dir, logf, false)
+}
+
+func recoverDir(dir string, logf func(string, ...any), repair bool) (*store.Store, *RecoveryStats, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -49,7 +61,7 @@ func Recover(dir string, logf func(string, ...any)) (*store.Store, *RecoveryStat
 	}
 	stats.LastLSN = snapLSN
 
-	if err := replayWAL(dir, st, snapLSN, stats, logf); err != nil {
+	if err := replayWAL(dir, st, snapLSN, stats, logf, repair); err != nil {
 		return nil, stats, err
 	}
 
@@ -113,10 +125,10 @@ func LoadSnapshot(st *store.Store, snap *Snapshot) error {
 }
 
 // replayWAL applies every WAL record above snapLSN to st, enforcing
-// cross-segment LSN contiguity, tolerating (and truncating) a torn tail
-// in the final segment, and reporting mid-log corruption as a hard
-// error.
-func replayWAL(dir string, st *store.Store, snapLSN uint64, stats *RecoveryStats, logf func(string, ...any)) error {
+// cross-segment LSN contiguity, tolerating (and, with repair, truncating)
+// a torn tail in the final segment, and reporting mid-log corruption as a
+// hard error.
+func replayWAL(dir string, st *store.Store, snapLSN uint64, stats *RecoveryStats, logf func(string, ...any), repair bool) error {
 	segs, err := listSegments(dir)
 	if err != nil {
 		return err
@@ -163,12 +175,15 @@ func replayWAL(dir string, st *store.Store, snapLSN uint64, stats *RecoveryStats
 			obsReplayedTrip.Add(int64(len(rec.Triples)))
 		}
 		if scan.torn != nil {
+			stats.TornTail = scan.torn.Error()
+			if !repair {
+				break // the final segment: its tail is the owner's to trim
+			}
 			// The crash interrupted the final append: everything before it
 			// is applied, the partial record never committed. Truncate so
 			// the garbage can't shadow future appends or be misread as
 			// mid-log corruption on the next recovery.
 			logf("durable: truncating torn WAL tail: %v", scan.torn)
-			stats.TornTail = scan.torn.Error()
 			obsTornTails.Inc()
 			if scan.validLen < int64(segHeaderSize) {
 				// Not even the header survived: drop the file instead of

@@ -136,7 +136,13 @@ func (s *Server) handleClone(rw http.ResponseWriter, r *http.Request) {
 	}
 	n, err := s.w.CloneModel(q.Get("src"), dst)
 	if err != nil {
-		writeError(rw, http.StatusConflict, err)
+		// A reserved destination name is the caller's to fix; a taken
+		// destination or a missing source conflicts with the store's state.
+		status := http.StatusConflict
+		if errors.Is(err, core.ErrBadQuery) {
+			status = http.StatusBadRequest
+		}
+		writeError(rw, status, err)
 		return
 	}
 	src := q.Get("src")
@@ -193,6 +199,23 @@ func writeError(rw http.ResponseWriter, status int, err error) {
 	writeJSON(rw, status, map[string]string{"error": err.Error()})
 }
 
+// serveError answers a failed service call under the status its kind
+// deserves: 503 when the request was cancelled or ran out of time, 400
+// when the request is the client's to fix, 404 when it names an item the
+// graph does not hold, 500 otherwise.
+func serveError(rw http.ResponseWriter, err error) {
+	status := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, core.ErrBadQuery):
+		status = http.StatusBadRequest
+	case errors.Is(err, lineage.ErrUnknownItem):
+		status = http.StatusNotFound
+	}
+	writeError(rw, status, err)
+}
+
 // --- search ---
 
 // SearchHit is the JSON shape of one search hit.
@@ -221,7 +244,7 @@ type SearchResponse struct {
 func (s *Server) handleSearch(rw http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	term := q.Get("term")
-	if term == "" {
+	if strings.TrimSpace(term) == "" {
 		writeError(rw, http.StatusBadRequest, fmt.Errorf("missing ?term"))
 		return
 	}
@@ -236,19 +259,6 @@ func (s *Server) handleSearch(rw http.ResponseWriter, r *http.Request) {
 	if n, err := strconv.Atoi(q.Get("hits")); err == nil && n >= 0 {
 		opt.MaxHitsPerGroup = n
 	}
-	// ?via=sparql routes candidate matching through the SPARQL engine —
-	// same results, but the request's trace shows the full http → search
-	// → sparql nesting and the queries land in /api/statements.
-	switch q.Get("via") {
-	case "", "index":
-	case "sparql":
-		opt.ViaSPARQL = true
-	case "scan":
-		opt.ForceScan = true
-	default:
-		writeError(rw, http.StatusBadRequest, fmt.Errorf("bad ?via (want index, sparql, or scan)"))
-		return
-	}
 	for _, c := range strings.Split(q.Get("class"), ",") {
 		if c = strings.TrimSpace(c); c != "" {
 			if !strings.Contains(c, "://") {
@@ -259,7 +269,7 @@ func (s *Server) handleSearch(rw http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.w.SearchCtx(r.Context(), term, opt)
 	if err != nil {
-		writeError(rw, http.StatusInternalServerError, err)
+		serveError(rw, err)
 		return
 	}
 	resp := SearchResponse{
@@ -351,12 +361,11 @@ func (s *Server) handleLineage(rw http.ResponseWriter, r *http.Request) {
 	}
 	svc := s.w.LineageService()
 	g, err := svc.TraceCtx(r.Context(), item, dir, opt)
-	if err != nil {
-		writeError(rw, http.StatusNotFound, err)
-		return
+	if err == nil {
+		g, err = svc.RollupCtx(r.Context(), g, level)
 	}
-	if g, err = svc.RollupCtx(r.Context(), g, level); err != nil {
-		writeError(rw, http.StatusInternalServerError, err)
+	if err != nil {
+		serveError(rw, err)
 		return
 	}
 	resp := LineageResponse{
@@ -415,7 +424,7 @@ func (s *Server) handleAudit(rw http.ResponseWriter, r *http.Request) {
 	withLineage := q.Get("lineage") != "false"
 	rep, err := s.w.Audit(item, withLineage)
 	if err != nil {
-		writeError(rw, http.StatusNotFound, err)
+		serveError(rw, err)
 		return
 	}
 	resp := AuditResponse{
@@ -467,19 +476,13 @@ func queryOptions(r *http.Request) core.QueryOptions {
 
 // serveQuery answers with the outcome of a Warehouse.Query or SemMatch
 // call: the streamed result, or the error under the status its kind
-// deserves — 400 when the query is the client's to fix, 503 when the
-// request was cancelled or ran out of time, 500 otherwise.
+// deserves (see serveError).
 func serveQuery(rw http.ResponseWriter, r *http.Request, resp core.Response, err error) {
-	switch {
-	case err == nil:
-		serveResult(rw, r, resp.Result, resp.Stats)
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		writeError(rw, http.StatusServiceUnavailable, err)
-	case errors.Is(err, core.ErrBadQuery):
-		writeError(rw, http.StatusBadRequest, err)
-	default:
-		writeError(rw, http.StatusInternalServerError, err)
+	if err != nil {
+		serveError(rw, err)
+		return
 	}
+	serveResult(rw, r, resp.Result, resp.Stats)
 }
 
 func (s *Server) handleQuery(rw http.ResponseWriter, r *http.Request) {

@@ -3,10 +3,13 @@ package httpapi
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -14,8 +17,10 @@ import (
 	"mdw/internal/core"
 	"mdw/internal/dbpedia"
 	"mdw/internal/landscape"
+	"mdw/internal/lineage"
 	"mdw/internal/obs"
 	"mdw/internal/ontology"
+	"mdw/internal/rdf"
 	"mdw/internal/sparql"
 	"mdw/internal/staging"
 )
@@ -334,7 +339,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"mdw_store_adds_total",
 		"mdw_store_lookups_total",
 		"mdw_sparql_exec_seconds_count",
-		"mdw_sparql_plancache_total",
+		"mdw_sparql_plan_seconds_count",
 		"mdw_search_seconds_count",
 		"mdw_lineage_trace_seconds_count",
 		"mdw_http_requests_total",
@@ -451,6 +456,14 @@ func TestCloneEndpoint(t *testing.T) {
 	if code := post("/api/clone?dst=SANDBOX", nil); code != 409 {
 		t.Errorf("duplicate dst: status = %d, want 409", code)
 	}
+	// A destination in the warehouse's own '$' namespace is refused before
+	// the next Snapshot could drop it (the meta model) or trip over it (the
+	// next release's name).
+	for _, dst := range []string{"MDW$META", "DWH_CURR$HIST0002"} {
+		if code := post("/api/clone?dst="+url.QueryEscape(dst), nil); code != 400 {
+			t.Errorf("reserved dst %s: status = %d, want 400", dst, code)
+		}
+	}
 	// An unknown source model is a conflict too, not a 500.
 	if code := post("/api/clone?src=nope&dst=OTHER", nil); code != 409 {
 		t.Errorf("unknown src: status = %d, want 409", code)
@@ -493,6 +506,59 @@ func TestLoadEndpointInvalidatesCache(t *testing.T) {
 	}
 	if res.Parsed != 2 || res.Added != 1 {
 		t.Errorf("load response = %+v, want parsed=2 added=1 (duplicate dropped)", res)
+	}
+}
+
+// TestServiceErrorStatuses: every route that calls a service answers a
+// failure through serveError — under the status the error's kind
+// deserves, with the error's message as the body — and search validates
+// its term like every other parameter, before the service runs.
+func TestServiceErrorStatuses(t *testing.T) {
+	w := core.New("")
+	_, reserved := w.CloneModel("", "A$B")
+	_, unknownLineage := w.LineageService().Trace(rdf.IRI("http://x/nothing"), lineage.Backward, lineage.Options{})
+	_, unknownAudit := w.Audit(rdf.IRI("http://x/nothing"), false)
+	for _, c := range []struct {
+		name string
+		err  error
+		want int
+	}{
+		{"cancelled", fmt.Errorf("reindex: %w", context.Canceled), 503},
+		{"deadline", fmt.Errorf("exec: %w", context.DeadlineExceeded), 503},
+		{"caller's fault", reserved, 400},
+		{"lineage of an unknown item", unknownLineage, 404},
+		{"audit of an unknown item", unknownAudit, 404},
+		{"anything else", errors.New("search: no such model \"DWH_CURR\""), 500},
+	} {
+		rec := httptest.NewRecorder()
+		serveError(rec, c.err)
+		var body map[string]string
+		if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if rec.Code != c.want || body["error"] != c.err.Error() {
+			t.Errorf("%s: status %d body %v, want %d %q", c.name, rec.Code, body, c.want, c.err)
+		}
+	}
+
+	srv := testServer(t)
+	for path, want := range map[string]int{
+		"/api/search?term=%20":               400,
+		"/api/search?term=":                  400,
+		"/api/audit?item=no/such/thing":      404,
+		"/api/lineage?item=no/such/thing":    404,
+		"/api/search?term=customer&via=scan": 200,
+	} {
+		if code := getJSON(t, srv, path, nil); code != want {
+			t.Errorf("GET %s: status %d, want %d", path, code, want)
+		}
+	}
+	// There is no ?via=: like any unknown parameter it changes nothing.
+	var plain, via SearchResponse
+	getJSON(t, srv, "/api/search?term=customer", &plain)
+	getJSON(t, srv, "/api/search?term=customer&via=anything", &via)
+	if !reflect.DeepEqual(plain, via) || plain.Instances == 0 {
+		t.Errorf("?via=anything changed the reply:\n%+v\nwithout:\n%+v", via, plain)
 	}
 }
 

@@ -34,17 +34,18 @@ func get(t *testing.T, url string) *http.Response {
 }
 
 // TestTraceHeaderAndSingleTrace is the end-to-end propagation test of
-// the acceptance criterion: one HTTP search request (candidates via the
-// SPARQL engine) yields ONE trace — http → search → sparql parse/exec —
-// retrievable through GET /api/traces?id= with the X-Mdw-Trace value.
+// the acceptance criterion: one HTTP query request yields ONE trace —
+// http → warehouse.query → sparql parse/plan/exec — retrievable through
+// GET /api/traces?id= with the X-Mdw-Trace value.
 func TestTraceHeaderAndSingleTrace(t *testing.T) {
 	srv := testServer(t)
 	startedBefore := obs.DefaultTracer().Started()
 
-	resp := get(t, srv.URL+"/api/search?term=customer&via=sparql")
+	resp := get(t, srv.URL+"/api/query?q="+url.QueryEscape(
+		`SELECT ?x WHERE { ?x <`+rdf.MDWHasName+`> ?n . FILTER CONTAINS(LCASE(?n), "customer") }`))
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
-		t.Fatalf("search status = %d", resp.StatusCode)
+		t.Fatalf("query status = %d", resp.StatusCode)
 	}
 	hdr := resp.Header.Get("X-Mdw-Trace")
 	if hdr == "" {
@@ -65,11 +66,11 @@ func TestTraceHeaderAndSingleTrace(t *testing.T) {
 	if code := getJSON(t, srv, "/api/traces?id="+hdr, &trace); code != 200 {
 		t.Fatalf("traces?id status = %d", code)
 	}
-	if trace.ID != id || trace.Name != "http GET /api/search" {
+	if trace.ID != id || trace.Name != "http GET /api/query" {
 		t.Fatalf("trace = id %d name %q", trace.ID, trace.Name)
 	}
 
-	// Verify the nesting chain http → search → … → sparql exec by
+	// Verify the nesting chain http → warehouse.query → sparql exec by
 	// walking Parent links up from the exec span to the root.
 	byID := map[uint64]obs.SpanData{}
 	var root obs.SpanData
@@ -79,14 +80,14 @@ func TestTraceHeaderAndSingleTrace(t *testing.T) {
 			root = sp
 		}
 	}
-	if root.Name != "http GET /api/search" {
+	if root.Name != "http GET /api/query" {
 		t.Fatalf("root span = %q", root.Name)
 	}
 	names := map[string]bool{}
 	for _, sp := range trace.Spans {
 		names[sp.Name] = true
 	}
-	for _, want := range []string{"search", "sparql parse", "sparql exec"} {
+	for _, want := range []string{"warehouse.query", "sparql parse", "sparql plan", "sparql exec"} {
 		if !names[want] {
 			t.Errorf("trace lacks a %q span; spans: %v", want, names)
 		}
@@ -95,16 +96,16 @@ func TestTraceHeaderAndSingleTrace(t *testing.T) {
 		if sp.Name != "sparql exec" {
 			continue
 		}
-		sawSearch := false
+		sawService := false
 		cur := sp
 		for cur.Parent != 0 {
 			cur = byID[cur.Parent]
-			if cur.Name == "search" {
-				sawSearch = true
+			if cur.Name == "warehouse.query" {
+				sawService = true
 			}
 		}
-		if !sawSearch {
-			t.Errorf("sparql exec span not nested under the search span")
+		if !sawService {
+			t.Errorf("sparql exec span not nested under the warehouse.query span")
 		}
 		if cur.ID != root.ID {
 			t.Errorf("sparql exec span does not chain up to the http root")
@@ -154,10 +155,11 @@ func TestStatementsEndpoint(t *testing.T) {
 	// Two executions of the same query shape with different literals must
 	// aggregate under one fingerprint.
 	for _, term := range []string{"customer", "branch"} {
-		resp := get(t, srv.URL+"/api/search?term="+term+"&via=sparql")
+		resp := get(t, srv.URL+"/api/query?q="+url.QueryEscape(
+			`SELECT ?x WHERE { ?x <`+rdf.MDWHasName+`> ?n . FILTER CONTAINS(LCASE(?n), "`+term+`") }`))
 		resp.Body.Close()
 		if resp.StatusCode != 200 {
-			t.Fatalf("search %q status = %d", term, resp.StatusCode)
+			t.Fatalf("query for %q status = %d", term, resp.StatusCode)
 		}
 	}
 	var stmts StatementsResponse

@@ -53,6 +53,18 @@ type Config struct {
 	RelatedPerApp int
 }
 
+// ScaleConfig returns the configuration a -scale flag names.
+func ScaleConfig(scale string) (Config, error) {
+	switch scale {
+	case "small":
+		return Small(), nil
+	case "paper":
+		return PaperScale(), nil
+	default:
+		return Config{}, fmt.Errorf("unknown scale %q (want small or paper)", scale)
+	}
+}
+
 // Small returns a compact configuration for tests and examples.
 func Small() Config {
 	return Config{

@@ -19,6 +19,7 @@ package lineage
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -90,6 +91,11 @@ type Options struct {
 	TargetClasses []string
 }
 
+// ErrUnknownItem marks the error of asking about an item the graph does
+// not hold — here and in the audit service, which traces lineage too.
+// Test with errors.Is.
+var ErrUnknownItem = errors.New("unknown item")
+
 // Service answers lineage queries over one model of a store.
 type Service struct {
 	st    *store.Store
@@ -121,7 +127,7 @@ func (s *Service) TraceCtx(ctx context.Context, item rdf.Term, dir Direction, op
 	dict := s.st.Dict()
 	rootID, ok := dict.Lookup(item)
 	if !ok {
-		return nil, fmt.Errorf("lineage: unknown item %s", item)
+		return nil, fmt.Errorf("lineage: %w %s", ErrUnknownItem, item)
 	}
 	mappedID, ok := dict.Lookup(rdf.IsMappedTo)
 	if !ok {
@@ -312,7 +318,7 @@ func (s *Service) CountPaths(item rdf.Term, dir Direction, opt Options) (int, er
 	dict := s.st.Dict()
 	rootID, ok := dict.Lookup(item)
 	if !ok {
-		return 0, fmt.Errorf("lineage: unknown item %s", item)
+		return 0, fmt.Errorf("lineage: %w %s", ErrUnknownItem, item)
 	}
 	mappedID, ok := dict.Lookup(rdf.IsMappedTo)
 	if !ok {

@@ -33,6 +33,22 @@ func canon(r *Result) *Result {
 	return r
 }
 
+// TestOptionsFields pins the search options: the Figure 6 filters plus
+// ForceScan, the oracle switch the parity tests below set. Candidates come
+// from the text index and from nowhere else, so there is no option that
+// selects a candidate path.
+func TestOptionsFields(t *testing.T) {
+	want := []string{"FilterClasses", "Area", "Layer", "Semantic", "MatchDescriptions", "Tag", "MaxHitsPerGroup", "ForceScan"}
+	typ := reflect.TypeOf(Options{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("fields of search.Options = %v, want %v", got, want)
+	}
+}
+
 // TestIndexedScanParity is the differential test of the inverted-index
 // search path: on a generated landscape, the indexed path and the
 // retained literal-scan oracle must return identical results for a
@@ -85,16 +101,6 @@ func TestIndexedScanParity(t *testing.T) {
 			if !reflect.DeepEqual(canon(indexed), canon(scanned)) {
 				t.Errorf("term %q opts %+v: indexed and scan results differ\nindexed: %+v\nscan:    %+v",
 					term, opt, indexed, scanned)
-			}
-			sparqlOpt := opt
-			sparqlOpt.ViaSPARQL = true
-			viaSparql, err := svc.Search(term, sparqlOpt)
-			if err != nil {
-				t.Fatalf("via-sparql %q/%d: %v", term, i, err)
-			}
-			if !reflect.DeepEqual(canon(indexed), canon(viaSparql)) {
-				t.Errorf("term %q opts %+v: indexed and SPARQL-path results differ\nindexed: %+v\nsparql:  %+v",
-					term, opt, indexed, viaSparql)
 			}
 		}
 	}

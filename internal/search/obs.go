@@ -7,13 +7,12 @@ var (
 	obsSearchHist   = obs.Default().Histogram("mdw_search_seconds", nil)
 	obsSearchIdx    = obs.Default().Counter("mdw_search_path_total", "path", "index")
 	obsSearchScan   = obs.Default().Counter("mdw_search_path_total", "path", "scan")
-	obsSearchSPARQL = obs.Default().Counter("mdw_search_path_total", "path", "sparql")
 	obsScanFallback = obs.Default().Counter("mdw_search_scan_fallbacks_total")
 )
 
 func init() {
 	r := obs.Default()
 	r.SetHelp("mdw_search_seconds", "Search service latency (full three-step algorithm).")
-	r.SetHelp("mdw_search_path_total", "Searches answered by the inverted index, the literal scan, or the SPARQL candidate path.")
+	r.SetHelp("mdw_search_path_total", "Searches answered by the inverted index or the literal scan.")
 	r.SetHelp("mdw_search_scan_fallbacks_total", "Searches that wanted the index but fell back to scanning (index cold, mid-build, or outrun by writers).")
 }

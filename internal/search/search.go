@@ -50,7 +50,6 @@ import (
 	"mdw/internal/obs"
 	"mdw/internal/rdf"
 	"mdw/internal/reason"
-	"mdw/internal/sparql"
 	"mdw/internal/store"
 	"mdw/internal/textindex"
 )
@@ -119,15 +118,6 @@ type Options struct {
 	// executed naively, kept as the correctness oracle for the indexed
 	// path.
 	ForceScan bool
-	// ViaSPARQL generates match candidates by issuing Listing-1-shaped
-	// SPARQL queries (CONTAINS(LCASE(?text), term)) against the same
-	// consistent view instead of probing the full-text index or scanning
-	// literals directly. Filtering and grouping are shared with the
-	// other paths, so results are identical (up to exotic-Unicode case
-	// folding); the point is observability: under a traced request the
-	// whole search nests as http → search → sparql parse/plan/exec, and
-	// the queries aggregate in the statement table.
-	ViaSPARQL bool
 }
 
 // Hit is one matching instance.
@@ -176,8 +166,7 @@ func (s *Service) Search(term string, opt Options) (*Result, error) {
 
 // SearchCtx is Search carrying a request context: the search runs under
 // a "search" span — nested in the request's trace when ctx carries one
-// (obs.ContextWithSpan), the root of a new trace otherwise — and any
-// SPARQL work below it (Options.ViaSPARQL) attaches to the same trace.
+// (obs.ContextWithSpan), the root of a new trace otherwise.
 func (s *Service) SearchCtx(ctx context.Context, term string, opt Options) (*Result, error) {
 	if strings.TrimSpace(term) == "" {
 		return nil, fmt.Errorf("search: empty term")
@@ -208,7 +197,7 @@ func (s *Service) SearchCtx(ctx context.Context, term string, opt Options) (*Res
 		if _, err := reason.MaterializeCtx(ctx, s.st, s.model); err != nil {
 			return nil, err
 		}
-		if !opt.ForceScan && !opt.ViaSPARQL {
+		if !opt.ForceScan {
 			// Bring the full-text index up to date before taking the read
 			// lock, so its tokenization never runs under it. Best-effort:
 			// on failure (another goroutine is mid-build, or writers keep
@@ -233,21 +222,18 @@ func (s *Service) SearchCtx(ctx context.Context, term string, opt Options) (*Res
 			// build was skipped) serve this consistent snapshot via the
 			// scan path. Never build under the read lock.
 			var ix *textindex.Index
-			if !opt.ForceScan && !opt.ViaSPARQL && fresh {
+			if !opt.ForceScan && fresh {
 				ix, _ = s.tix.Get(s.model, infos[0].Gen)
 			}
-			switch {
-			case opt.ViaSPARQL:
-				obsSearchSPARQL.Inc()
-			case ix != nil:
+			if ix != nil {
 				obsSearchIdx.Inc()
-			default:
+			} else {
 				obsSearchScan.Inc()
 				if !opt.ForceScan {
 					obsScanFallback.Inc()
 				}
 			}
-			res, err = s.searchView(ctx, v, ix, term, expanded, homonyms, opt)
+			res = s.searchView(v, ix, term, expanded, homonyms, opt)
 			done = true
 		}, s.model, idxName)
 		if done {
@@ -328,12 +314,9 @@ func ensureFresh(st *store.Store, model, idxName string, mgr *textindex.Manager,
 
 // searchView evaluates the query against one consistent view (held under
 // the store's read lock by the caller). ix is a full-text index over
-// exactly that view's generation, or nil to take the literal-scan path
-// (or, with Options.ViaSPARQL, the SPARQL candidate path). The SPARQL
-// path queries v directly — a lock-free snapshot handle — so it honours
-// the ReadView contract of never calling locking Store methods.
-func (s *Service) searchView(ctx context.Context, v *store.View, ix *textindex.Index,
-	term string, expanded, homonyms []string, opt Options) (*Result, error) {
+// exactly that view's generation, or nil to take the literal-scan path.
+func (s *Service) searchView(v *store.View, ix *textindex.Index,
+	term string, expanded, homonyms []string, opt Options) *Result {
 	dict := s.st.Dict()
 
 	// Steps 1+2: resolve the filter classes. Because instance membership
@@ -345,7 +328,7 @@ func (s *Service) searchView(ctx context.Context, v *store.View, ix *textindex.I
 		id, ok := dict.Lookup(rdf.IRI(c))
 		if !ok {
 			// Unknown class: nothing can match.
-			return &Result{Term: term, Expanded: expanded, Homonyms: homonyms}, nil
+			return &Result{Term: term, Expanded: expanded, Homonyms: homonyms}
 		}
 		filterIDs = append(filterIDs, id)
 	}
@@ -381,55 +364,8 @@ func (s *Service) searchView(ctx context.Context, v *store.View, ix *textindex.I
 		matched[subj] = Hit{IRI: dict.Term(subj), Name: name, Matched: expanded[termIdx]}
 	}
 
-	var sparqlErr error
 	match := func(predID store.ID, field textindex.Field, isName bool) {
-		if predID == store.Wildcard || sparqlErr != nil {
-			return
-		}
-		if opt.ViaSPARQL {
-			// SPARQL path: per term, a Listing-1-shaped query — match the
-			// predicate's literals by case-insensitive substring — executed
-			// by the query engine against this same snapshot. Among a
-			// subject's several matching literals the lowest object ID
-			// wins, the shared tie-break of the other two paths.
-			predIRI := dict.Term(predID).Value
-			for i := range expanded {
-				qtext := fmt.Sprintf(
-					`SELECT ?x ?text WHERE { ?x <%s> ?text . FILTER CONTAINS(LCASE(?text), "%s") }`,
-					predIRI, rdf.EscapeLiteral(strings.ToLower(expanded[i])))
-				q, err := sparql.ParseCtx(ctx, qtext)
-				if err != nil {
-					sparqlErr = fmt.Errorf("search: via-sparql parse: %w", err)
-					return
-				}
-				res, _, err := q.Run(ctx, v, dict, sparql.RunOptions{})
-				if err != nil {
-					sparqlErr = fmt.Errorf("search: via-sparql exec: %w", err)
-					return
-				}
-				best := map[store.ID]store.ID{}
-				for _, row := range res.Rows {
-					subjTerm, okS := row["x"]
-					textTerm, okT := row["text"]
-					if !okS || !okT {
-						continue
-					}
-					subj, okS := dict.Lookup(subjTerm)
-					obj, okT := dict.Lookup(textTerm)
-					if !okS || !okT {
-						continue
-					}
-					if _, done := matched[subj]; done || rejected[subj] {
-						continue
-					}
-					if prev, seen := best[subj]; !seen || obj < prev {
-						best[subj] = obj
-					}
-				}
-				for subj, obj := range best {
-					admit(subj, dict.Term(obj).Value, isName, i)
-				}
-			}
+		if predID == store.Wildcard {
 			return
 		}
 		if ix != nil {
@@ -477,9 +413,6 @@ func (s *Service) searchView(ctx context.Context, v *store.View, ix *textindex.I
 	match(nameID, textindex.FieldName, true)
 	if opt.MatchDescriptions {
 		match(commentID, textindex.FieldDescription, false)
-	}
-	if sparqlErr != nil {
-		return nil, sparqlErr
 	}
 
 	// Group by every class the instance belongs to (via the index, so an
@@ -553,7 +486,7 @@ func (s *Service) searchView(ctx context.Context, v *store.View, ix *textindex.I
 		}
 		return res.Groups[i].Class.Value < res.Groups[j].Class.Value
 	})
-	return res, nil
+	return res
 }
 
 // passesFilters applies the class-intersection, area, and layer filters.

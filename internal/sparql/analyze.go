@@ -387,8 +387,8 @@ func MisestimateThreshold() float64 {
 	return math.Float64frombits(misestThreshold.Load())
 }
 
-// SetMisestimateThreshold replaces the reporting threshold (mdwd's
-// -misest-threshold flag); values below 1 clamp to 1.
+// SetMisestimateThreshold replaces the reporting threshold (tests lower
+// it to provoke reports); values below 1 clamp to 1.
 func SetMisestimateThreshold(x float64) {
 	if x < 1 || math.IsNaN(x) {
 		x = 1

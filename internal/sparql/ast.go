@@ -48,12 +48,6 @@ type Query struct {
 	Limit    int // -1 when absent
 	Offset   int
 
-	// cachedPlan memoizes the last plan Run built, so a parsed query
-	// executed repeatedly against the same source (the prepared-query
-	// pattern every warehouse service uses) pays the planning cost once.
-	// See Query.Run for the revalidation rule.
-	cachedPlan atomic.Pointer[Plan]
-
 	// cachedFp memoizes Fingerprint(): the AST never mutates after
 	// parsing, so the normalized rendering is computed at most once.
 	cachedFp atomic.Pointer[string]

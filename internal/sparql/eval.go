@@ -42,14 +42,8 @@ type RunOptions struct {
 
 // Run executes the query against a triple source; the dict must be the
 // dictionary underlying the source's models. It is Plan followed by
-// Plan.Run, except that the plan is memoized on the query and the
-// results cache is probed first. A cached plan is reused when it was
-// built for the same source and dictionary and its constant resolution
-// cannot have gone stale: the dictionary only grows, so a fully resolved
-// plan stays valid, and one with unresolved constants is revalidated by
-// dictionary length. Join-order statistics may age with the data — that
-// only costs speed, never correctness — and new data is always visible
-// because the plan probes the live indexes.
+// Plan.Run, with the results cache probed first. New data is always
+// visible because the plan probes the live indexes.
 //
 // When ctx holds a trace span (obs.ContextWithSpan), planning and
 // execution attach "sparql plan" and "sparql exec" child spans to it;
@@ -70,7 +64,9 @@ func (q *Query) Run(ctx context.Context, src store.Source, dict *store.Dict, opt
 			}
 		}
 	}
-	p, ctx := q.planFor(ctx, src, dict)
+	sp, _ := obs.ChildCtx(ctx, "sparql plan")
+	p := q.Plan(src, dict)
+	sp.Finish()
 	res, stats, err := p.Run(ctx, opt)
 	if genKey != "" && err == nil && res != nil {
 		// Store only if no model mutated while we executed: a result
@@ -81,46 +77,6 @@ func (q *Query) Run(ctx context.Context, src store.Source, dict *store.Dict, opt
 		}
 	}
 	return res, stats, err
-}
-
-// planFor returns the plan to execute — the memoized one when it is
-// still valid for (src, dict), a fresh one otherwise — plus the context
-// to execute under (carrying the planning span on a replan).
-func (q *Query) planFor(ctx context.Context, src store.Source, dict *store.Dict) (*Plan, context.Context) {
-	if p := q.cachedPlan.Load(); p != nil && p.dict == dict && sameSource(p.src, src) &&
-		(!p.unresolved || p.dictLen == dict.Len()) {
-		obsPlanCacheHit.Inc()
-		return p, ctx
-	}
-	obsPlanCacheMiss.Inc()
-	sp, ctx := obs.ChildCtx(ctx, "sparql plan")
-	p := q.Plan(src, dict)
-	sp.Finish()
-	if cacheableSource(src) {
-		q.cachedPlan.Store(p)
-	}
-	return p, ctx
-}
-
-// cacheableSource limits plan memoization to pointer-shaped sources,
-// whose identity comparison is cheap and panic-free. Exotic Source
-// implementations simply replan per Run.
-func cacheableSource(src store.Source) bool {
-	switch src.(type) {
-	case *store.Model, *store.View:
-		return true
-	}
-	return false
-}
-
-// sameSource compares the cached plan's source to the incoming one.
-// Only cacheable (pointer-shaped) sources are ever stored, so the
-// interface comparison cannot panic on a non-comparable dynamic type.
-func sameSource(cached, src store.Source) bool {
-	if !cacheableSource(src) {
-		return false
-	}
-	return cached == src
 }
 
 // Run executes the plan with a streaming, depth-first pipeline: one

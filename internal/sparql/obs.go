@@ -6,15 +6,13 @@ import "mdw/internal/obs"
 // single atomic operations; the slow-query log's plan rendering is only
 // paid for queries that cross the threshold (see Plan.Run).
 var (
-	obsParseHist     = obs.Default().Histogram("mdw_sparql_parse_seconds", nil)
-	obsParseErrors   = obs.Default().Counter("mdw_sparql_parse_errors_total")
-	obsPlanHist      = obs.Default().Histogram("mdw_sparql_plan_seconds", nil)
-	obsExecHist      = obs.Default().Histogram("mdw_sparql_exec_seconds", nil)
-	obsPlanCacheHit  = obs.Default().Counter("mdw_sparql_plancache_total", "result", "hit")
-	obsPlanCacheMiss = obs.Default().Counter("mdw_sparql_plancache_total", "result", "miss")
-	obsRows          = obs.Default().Counter("mdw_sparql_rows_total")
-	obsEarlyAsk      = obs.Default().Counter("mdw_sparql_early_terminations_total", "kind", "ask")
-	obsEarlyLimit    = obs.Default().Counter("mdw_sparql_early_terminations_total", "kind", "limit")
+	obsParseHist   = obs.Default().Histogram("mdw_sparql_parse_seconds", nil)
+	obsParseErrors = obs.Default().Counter("mdw_sparql_parse_errors_total")
+	obsPlanHist    = obs.Default().Histogram("mdw_sparql_plan_seconds", nil)
+	obsExecHist    = obs.Default().Histogram("mdw_sparql_exec_seconds", nil)
+	obsRows        = obs.Default().Counter("mdw_sparql_rows_total")
+	obsEarlyAsk    = obs.Default().Counter("mdw_sparql_early_terminations_total", "kind", "ask")
+	obsEarlyLimit  = obs.Default().Counter("mdw_sparql_early_terminations_total", "kind", "limit")
 
 	// Intra-query parallelism: executions that fanned out, executions
 	// whose plan chose a morsel scan but fell back to serial at runtime
@@ -33,9 +31,8 @@ func init() {
 	r := obs.Default()
 	r.SetHelp("mdw_sparql_parse_seconds", "SPARQL parse latency.")
 	r.SetHelp("mdw_sparql_parse_errors_total", "SPARQL parses rejected with an error.")
-	r.SetHelp("mdw_sparql_plan_seconds", "Query planning latency (cache misses only).")
+	r.SetHelp("mdw_sparql_plan_seconds", "Query planning latency (results-cache misses only).")
 	r.SetHelp("mdw_sparql_exec_seconds", "Plan execution latency.")
-	r.SetHelp("mdw_sparql_plancache_total", "Memoized-plan lookups in Query.Run by result.")
 	r.SetHelp("mdw_sparql_rows_total", "Solutions streamed to clients (rows, or triples for CONSTRUCT).")
 	r.SetHelp("mdw_sparql_early_terminations_total", "Executions stopped before exhausting the search space (ASK first solution, LIMIT reached).")
 	r.SetHelp("mdw_sparql_parallel_execs_total", "Executions that fanned out as a morsel-parallel scan.")

@@ -23,8 +23,8 @@ import (
 // Streaming semantics survive: ASK stops all workers at the first emitted
 // solution, LIMIT-without-ORDER-BY stops after N merged rows, and context
 // cancellation propagates through every worker. Small queries stay serial
-// (SerialThreshold), so plan-cache-hot point lookups pay zero overhead —
-// the decision is taken once at plan time, not per execution.
+// (SerialThreshold), so point lookups pay zero overhead — the decision is
+// taken at plan time from the estimates the planner already has.
 
 // ParOptions tunes intra-query parallelism for one plan. The zero value
 // of any field means "use the default"; Query.Plan applies the zero

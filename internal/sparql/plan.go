@@ -29,17 +29,8 @@ type Plan struct {
 	dict     *store.Dict
 	warnings []string
 
-	// Cache-revalidation state. A plan resolves constant terms against
-	// the dictionary once at build time; the dictionary is append-only,
-	// so a plan whose constants all resolved stays valid forever. A plan
-	// with an unresolved constant (treated as zero matches) is only valid
-	// while the dictionary has not grown, because the term may have been
-	// interned since.
-	unresolved bool
-	dictLen    int
-
-	// planDur is how long planning took; cached plans keep reporting the
-	// original cost in the slow-query log's stage breakdown.
+	// planDur is how long planning took, for the slow-query log's stage
+	// breakdown.
 	planDur time.Duration
 
 	// par is the parallel-execution decision taken at plan time from the
@@ -81,7 +72,7 @@ type patternPlan struct {
 	// always are).
 	s, o nodeRef
 	pk   pathKind
-	pid  store.ID // pk == pkSimple: the predicate's ID
+	pid  store.ID // pk == pkSimple: the predicate's ID, Wildcard when the dictionary lacks it
 	pvar string   // pk == pkVar: the predicate variable's name
 	// si is the operator's stat slot (assignStatSlots).
 	si int
@@ -191,9 +182,6 @@ func (q *Query) Plan(src store.Source, dict *store.Dict) *Plan {
 func (q *Query) PlanOpts(src store.Source, dict *store.Dict, par ParOptions) *Plan {
 	t0 := time.Now()
 	p := &Plan{query: q, src: src, dict: dict}
-	if dict != nil {
-		p.dictLen = dict.Len()
-	}
 	pl := &planner{src: src, dict: dict, plan: p}
 	p.root, _ = pl.group(q.Where, varset{})
 	p.decidePar(par)
@@ -391,9 +379,6 @@ func (pl *planner) resolvePattern(pp *patternPlan) {
 			return nodeRef{}
 		}
 		id, ok := pl.dict.Lookup(n.Term)
-		if !ok {
-			pl.plan.unresolved = true
-		}
 		return nodeRef{id: id, known: ok}
 	}
 	pp.s = resolve(tp.S)
@@ -402,11 +387,7 @@ func (pl *planner) resolvePattern(pp *patternPlan) {
 	case PathIRI:
 		pp.pk = pkSimple
 		if pl.dict != nil {
-			if id, ok := pl.dict.Lookup(rdf.IRI(p.IRI)); ok {
-				pp.pid = id
-			} else {
-				pl.plan.unresolved = true
-			}
+			pp.pid, _ = pl.dict.Lookup(rdf.IRI(p.IRI))
 		}
 	case PathVar:
 		pp.pk = pkVar
@@ -440,9 +421,6 @@ func (pl *planner) detectFastPath(c *plannedConstraint) {
 	c.fastVar = v.name
 	c.fastNeg = cmp.op == "!="
 	c.fastID, c.fastKnown = pl.dict.Lookup(k.term)
-	if !c.fastKnown {
-		pl.plan.unresolved = true
-	}
 }
 
 // checkConnected records a warning when a BGP of two or more patterns
@@ -718,12 +696,11 @@ func exprVars(e Expr) []string {
 // join order chosen for each basic graph pattern with the cardinality
 // estimates that drove it, and where each filter was placed.
 //
-// Concurrency contract: a Plan is immutable once published (stored in
-// Query.cachedPlan or handed to obs.Statements.Record) — every field
-// String reads is written during PlanOpts, never after. Statements
-// renders memoized plans outside its lock, and revalidation builds a
-// fresh Plan rather than touching the cached one, so rendering may run
-// concurrently with Record, Snapshot, and replanning. The -race test
+// Concurrency contract: a Plan is immutable once published (handed to
+// obs.Statements.Record) — every field String reads is written during
+// PlanOpts, never after. Statements renders the plans it keeps outside
+// its lock, and every Query.Run builds a fresh Plan, so rendering may run
+// concurrently with Record, Snapshot, and planning. The -race test
 // TestConcurrentRecordSnapshotReplan enforces this; keep any new Plan
 // field construction-only or the statement table will race.
 func (p *Plan) String() string { return p.render(nil) }

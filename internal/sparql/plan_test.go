@@ -218,48 +218,6 @@ func TestLimitStreamsEarly(t *testing.T) {
 	}
 }
 
-// TestPlanCacheRevalidation exercises the memoized-plan staleness rule:
-// a plan holding a constant the dictionary did not know must be rebuilt
-// once the dictionary grows.
-func TestPlanCacheRevalidation(t *testing.T) {
-	st := store.New()
-	st.AddAll("m", []rdf.Triple{
-		rdf.T(rdf.IRI("http://t/a"), rdf.IRI("http://t/p"), rdf.IRI("http://t/b")),
-	})
-	src, dict := st.ViewOf("m"), st.Dict()
-	q := MustParse(`SELECT ?x WHERE { ?x <http://t/p> <http://t/late> }`)
-	res, err := run(q, src, dict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 0 {
-		t.Fatalf("object not in data yet, got %d rows", len(res.Rows))
-	}
-	// The object IRI appears later; the same parsed query must see it.
-	st.AddAll("m", []rdf.Triple{
-		rdf.T(rdf.IRI("http://t/c"), rdf.IRI("http://t/p"), rdf.IRI("http://t/late")),
-	})
-	res, err = run(q, src, dict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("stale plan: new triple invisible, got %d rows", len(res.Rows))
-	}
-
-	// A fully resolved cached plan keeps seeing live data without replan.
-	q2 := MustParse(`SELECT ?x WHERE { ?x <http://t/p> ?y }`)
-	if res, _ := run(q2, src, dict); len(res.Rows) != 2 {
-		t.Fatalf("want 2 rows, got %d", len(res.Rows))
-	}
-	st.AddAll("m", []rdf.Triple{
-		rdf.T(rdf.IRI("http://t/d"), rdf.IRI("http://t/p"), rdf.IRI("http://t/b")),
-	})
-	if res, _ := run(q2, src, dict); len(res.Rows) != 3 {
-		t.Fatalf("cached plan must read live indexes, got %d rows", len(res.Rows))
-	}
-}
-
 func TestExplainOnShowsEstimates(t *testing.T) {
 	_, src, dict := planFixture()
 	q := MustParse(`SELECT ?x WHERE { ?x <http://t/rare> ?y }`)

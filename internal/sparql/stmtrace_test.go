@@ -15,14 +15,13 @@ import (
 // TestConcurrentRecordSnapshotReplan is the -race proof for the
 // statement table's lazy plan rendering: Snapshot copies the memoized
 // fmt.Stringer under the lock and renders it outside, while executions
-// keep recording plans and the append-only dictionary keeps growing —
-// which revalidates plans with unresolved constants by dictionary
-// length and replaces them with freshly built ones. The invariant under
-// test: revalidation never mutates a published plan (it builds a new
-// one), so rendering outside the lock cannot race. See Plan.String.
+// keep planning and recording fresh plans and the append-only dictionary
+// keeps growing under the planner's constant lookups. The invariant under
+// test: nothing mutates a published plan, so rendering outside the lock
+// cannot race. See Plan.String.
 func TestConcurrentRecordSnapshotReplan(t *testing.T) {
-	// The results cache would serve repeats without replanning; this
-	// test needs every execution to reach the plan-cache revalidation.
+	// The results cache would serve repeats without planning; this test
+	// needs every execution to plan and record.
 	rescache.Disable()
 	defer rescache.Enable(0, 0)
 
@@ -34,8 +33,7 @@ func TestConcurrentRecordSnapshotReplan(t *testing.T) {
 	src := st.SnapshotModel("m")
 
 	// The constant <http://x/never-interned> never enters the dictionary,
-	// so the plan stays unresolved and every dictionary growth forces a
-	// replan on the next execution.
+	// so every plan carries an unresolved constant.
 	q, err := Parse(`SELECT ?s WHERE { ?s <http://x/p> ?o . ?s <http://x/never-interned> ?z }`)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +43,7 @@ func TestConcurrentRecordSnapshotReplan(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(3)
-	go func() { // executor: Record + revalidation/replan churn
+	go func() { // executor: plan + Record churn
 		defer wg.Done()
 		for i := 0; i < 300; i++ {
 			if _, err := run(q, src, st.Dict()); err != nil {
@@ -71,7 +69,7 @@ func TestConcurrentRecordSnapshotReplan(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // dictionary growth: invalidates the unresolved plan
+	go func() { // dictionary growth under the planner's lookups
 		defer wg.Done()
 		for i := 0; ; i++ {
 			select {

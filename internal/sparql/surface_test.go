@@ -26,3 +26,25 @@ func TestExportedMethods(t *testing.T) {
 		}
 	}
 }
+
+// TestNoPerQueryCaches pins the fields of Query and Plan: a query passes
+// one cache, the generation-keyed results cache, so a Query memoizes only
+// its own fingerprint and a Plan carries no revalidation state.
+func TestNoPerQueryCaches(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want []string
+	}{
+		{&Query{}, []string{"Kind", "Prefixes", "Text", "Distinct", "Select", "Template", "Where", "GroupBy", "OrderBy", "Limit", "Offset", "cachedFp"}},
+		{&Plan{}, []string{"query", "root", "src", "dict", "warnings", "planDur", "par", "nstats"}},
+	} {
+		typ := reflect.TypeOf(c.v).Elem()
+		var got []string
+		for i := 0; i < typ.NumField(); i++ {
+			got = append(got, typ.Field(i).Name)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("fields of %v = %v, want %v", typ, got, c.want)
+		}
+	}
+}

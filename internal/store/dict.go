@@ -72,13 +72,6 @@ func (d *Dict) Term(id ID) rdf.Term {
 	return d.terms[id-1]
 }
 
-// Len returns the number of interned terms.
-func (d *Dict) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.terms)
-}
-
 // Snapshot returns a copy of the term table in ID order: element i is the
 // term with ID i+1. The dictionary is append-only, so the copy stays a
 // valid prefix of the live dictionary forever — the durable snapshot

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"testing"
 
 	"mdw/internal/rdf"
@@ -118,37 +117,5 @@ func TestReadViewInfos(t *testing.T) {
 	}
 	if infos[1].Exists || infos[1].Gen != 0 || infos[1].Name != "missing" {
 		t.Errorf("info[missing] = %+v", infos[1])
-	}
-}
-
-// TestDumpAdoptsDerivedBasis checks the load-time adoption rule: a dump
-// is written from a consistent store, so "<base>$<rulebase>" models come
-// back current without re-entailment.
-func TestDumpAdoptsDerivedBasis(t *testing.T) {
-	st := New()
-	st.Add("m", rdf.T(iri("s"), iri("p"), iri("o")))
-	st.Add("m$OWLPRIME", rdf.T(iri("s"), iri("p"), iri("o")))
-	st.Add("m$OWLPRIME", rdf.T(iri("s"), iri("p2"), iri("o")))
-	st.Add("other", rdf.T(iri("x"), iri("p"), iri("o")))
-
-	var buf bytes.Buffer
-	if err := st.WriteDump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDump(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Current("m", "m$OWLPRIME") {
-		t.Error("derived model not adopted as current after ReadDump")
-	}
-	// Non-derived models gain no basis.
-	if got.Current("m", "other") {
-		t.Error("unrelated model reported current")
-	}
-	// And the adoption breaks as soon as the base moves on.
-	got.Add("m", rdf.T(iri("s9"), iri("p"), iri("o")))
-	if got.Current("m", "m$OWLPRIME") {
-		t.Error("adopted basis survived a base write")
 	}
 }

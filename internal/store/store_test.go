@@ -24,8 +24,8 @@ func TestDictInternIdempotent(t *testing.T) {
 	if d.Term(a) != iri("a") {
 		t.Errorf("Term(%d) = %v", a, d.Term(a))
 	}
-	if d.Len() != 2 {
-		t.Errorf("Len = %d, want 2", d.Len())
+	if n := len(d.Snapshot()); n != 2 {
+		t.Errorf("%d terms interned, want 2", n)
 	}
 	if _, ok := d.Lookup(iri("zzz")); ok {
 		t.Error("Lookup of unknown term succeeded")

@@ -34,9 +34,6 @@ func NewManager(cfg Config) *Manager {
 	}
 }
 
-// Config returns the predicate configuration the manager builds with.
-func (m *Manager) Config() Config { return m.cfg }
-
 // Fields interns the manager's configured predicates and returns the
 // predicate → field map (see Config.Fields).
 func (m *Manager) Fields(dict *store.Dict) map[store.ID]Field {
@@ -91,36 +88,6 @@ func (m *Manager) Install(ix *Index) *Index {
 	}
 	m.idx[ix.model] = ix
 	return ix
-}
-
-// Refresh returns an index for model at generation gen, building or
-// delta-updating as needed and caching the result. The view must be a
-// consistent snapshot of the model (plus its entailment index) at gen
-// for the whole call; callers obtain one via store.ReadView. Callers
-// that cannot afford tokenization under the store's read lock split the
-// work themselves (Collect under the lock, BuildPostings/UpdateWith and
-// Install outside it) — that is what the search service does.
-func (m *Manager) Refresh(model string, gen uint64, v *store.View, dict *store.Dict) *Index {
-	if ix, ok := m.Get(model, gen); ok {
-		return ix
-	}
-	field := m.Fields(dict)
-	posts := Collect(v, field)
-	var ix *Index
-	if prev := m.Cached(model); prev != nil {
-		ix, _, _ = prev.UpdateWith(gen, field, posts)
-	} else {
-		ix = BuildPostings(model, gen, dict, field, posts)
-	}
-	return m.Install(ix)
-}
-
-// Drop forgets the cached index for model (e.g. when the model is
-// dropped or bulk-replaced and a delta update would be wasteful).
-func (m *Manager) Drop(model string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.idx, model)
 }
 
 // StatsAll reports the stats of every cached index, sorted by model.

@@ -1,0 +1,55 @@
+package textindex
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// TestExportedNames pins the package's exported functions and methods.
+// Index maintenance has one form — Collect under the store's read lock,
+// BuildPostings or UpdateWith outside it, Install to publish — so there
+// is no Build, Index.Update or Manager.Refresh that would tokenize while
+// the lock is held.
+func TestExportedNames(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range pkgs["textindex"].Files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
+			}
+			name := fn.Name.Name
+			if fn.Recv != nil {
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				name = recv.(*ast.Ident).Name + "." + name
+			}
+			got = append(got, name)
+		}
+	}
+	sort.Strings(got)
+	want := []string{
+		"BuildPostings", "Collect", "Config.Fields", "DefaultConfig", "Fold",
+		"Index.Gen", "Index.Model", "Index.Search", "Index.SearchAny", "Index.Stats",
+		"Index.TokensContaining", "Index.TokensWithPrefix", "Index.UpdateWith",
+		"Manager.BuildLock", "Manager.Cached", "Manager.Fields", "Manager.Get",
+		"Manager.Install", "Manager.StatsAll", "NewManager", "Tokenize",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("exported functions of textindex = %v, want %v", got, want)
+	}
+}

@@ -24,7 +24,7 @@
 //     current model and each historized release (internal/history) get
 //     their own consistent index.
 //
-// Index values are immutable once published: Update returns a new Index
+// Index values are immutable once published: UpdateWith returns a new Index
 // sharing unchanged posting lists with its predecessor, so readers can
 // keep querying an old generation lock-free while a writer installs the
 // next one.
@@ -189,18 +189,6 @@ func uniqueTokens(toks []string) []string {
 	return out
 }
 
-// Build indexes the configured predicates of the view, which must
-// represent the named model (plus its entailment index) at generation
-// gen. The caller is responsible for excluding writers while Build reads
-// the view (store.ReadView does exactly that). Callers that must not
-// hold the store's read lock for the whole O(all literals) tokenization
-// use the two-phase form instead: Collect under the lock, then
-// BuildPostings outside it.
-func Build(model string, gen uint64, v *store.View, dict *store.Dict, cfg Config) *Index {
-	field := cfg.Fields(dict)
-	return BuildPostings(model, gen, dict, field, Collect(v, field))
-}
-
 // Collect gathers every (subject, predicate, object) occurrence of a
 // field predicate in the view — possibly with duplicates when the view
 // spans overlapping models; indexing is idempotent per occurrence.
@@ -257,7 +245,7 @@ func (ix *Index) add(p Posting) {
 }
 
 // remove deletes one literal occurrence. Affected posting lists must be
-// private to ix (Update copies them before calling remove). The ftext
+// private to ix (UpdateWith copies them before calling remove). The ftext
 // entry is kept: a dictionary ID never changes its term, so the cached
 // folded text stays correct even if another posting still references it.
 func (ix *Index) remove(p Posting) {
@@ -302,24 +290,16 @@ func (ix *Index) sortPostings(tokens map[string]bool) {
 	}
 }
 
-// Update returns an index over the view's current state at generation
-// gen, reusing the receiver's postings for unchanged literals — the
-// incremental maintenance path for the additive growth the paper
-// describes (§III.A: meta-data only ever accumulates between releases).
-// The receiver is not modified; in-flight queries against it stay valid.
-// It also reports how many literal occurrences were added and removed.
-// Like Build it runs entirely under the caller's view protection; the
-// lock-splitting form is Collect + UpdateWith.
-func (ix *Index) Update(v *store.View, gen uint64) (*Index, int, int) {
-	return ix.UpdateWith(gen, ix.field, Collect(v, ix.field))
-}
-
-// UpdateWith is the tokenization half of an incremental update: cur is
-// the complete occurrence set of the field predicates, as returned by
-// Collect under the store's read lock; UpdateWith itself needs no store
-// lock. field becomes the successor's predicate map (it may be a
-// superset of the receiver's — predicates configured but unseen when the
-// receiver was built).
+// UpdateWith returns an index at generation gen over posts — the complete
+// occurrence set of the field predicates, as returned by Collect under
+// the store's read lock; UpdateWith itself needs no store lock — reusing
+// the receiver's postings for unchanged literals: the incremental
+// maintenance path for the additive growth the paper describes (§III.A:
+// meta-data only ever accumulates between releases). The receiver is not
+// modified; in-flight queries against it stay valid. field becomes the
+// successor's predicate map (it may be a superset of the receiver's —
+// predicates configured but unseen when the receiver was built). It also
+// reports how many literal occurrences were added and removed.
 func (ix *Index) UpdateWith(gen uint64, field map[store.ID]Field, posts []Posting) (*Index, int, int) {
 	defer obsDeltaHist.ObserveSince(time.Now())
 	cur := make(map[Posting]struct{}, len(posts))
