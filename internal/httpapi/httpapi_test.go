@@ -575,11 +575,16 @@ func TestQueryErrorStatuses(t *testing.T) {
 	if code := getJSON(t, srv, "/api/query?facts=only&analyze=1&q=NOT+SPARQL", nil); code != 400 {
 		t.Errorf("malformed facts-only analyzed query: status %d, want 400", code)
 	}
+	badFlag := url.QueryEscape(`SELECT ?s WHERE { ?s ?p ?o FILTER regex(?o, "a", "x") }`)
+	if code := getJSON(t, srv, "/api/query?q="+badFlag, &body); code != 400 || !strings.Contains(body["error"], "regex flag") {
+		t.Errorf("unsupported regex flag: status %d body %v, want 400 naming the flag", code, body)
+	}
 	for name, call := range map[string]string{
 		"malformed call":    `SEM_MATCH no parens`,
 		"malformed pattern": `SEM_MATCH({?s ?p}, SEM_MODELS('DWH_CURR'), null)`,
 		"unknown model":     `SEM_MATCH({?s ?p ?o}, SEM_MODELS('NOPE'), null)`,
 		"unknown rulebase":  `SEM_MATCH({?s ?p ?o}, SEM_MODELS('DWH_CURR'), SEM_RULEBASES('RDFS'), null)`,
+		"bad regex flag":    `SEM_MATCH({?s ?p ?o FILTER regex(?o, "a", "bogus")}, SEM_MODELS('DWH_CURR'), null)`,
 	} {
 		resp, err := http.Post(srv.URL+"/api/semmatch", "text/plain", strings.NewReader(call))
 		if err != nil {

@@ -123,9 +123,9 @@ type OpStats struct {
 	Op string `json:"op"`
 	// Detail is the operator's rendered form (the pattern or expression).
 	Detail string `json:"detail,omitempty"`
-	// Estimate is the planner's per-loop cardinality estimate; -1 when
-	// the operator carries none (constraints, structural steps, plans
-	// built without a source).
+	// Estimate is the planner's per-loop cardinality estimate (for a
+	// constraint: Loops times the selectivity the join order assumed); -1
+	// when there is none (structural steps, plans built without a source).
 	Estimate float64 `json:"estimate"`
 	// Rows is the total number of solutions produced across all loops.
 	Rows int64 `json:"rows"`
@@ -134,7 +134,7 @@ type OpStats struct {
 	// Time is the inclusive wall time (patterns and constraints only).
 	Time time.Duration `json:"timeNs"`
 	// Ratio is the symmetric misestimation factor between Estimate and
-	// per-loop actual rows (>= 1; 0 when no estimate applies).
+	// per-loop actual rows, a constraint's Rows (>= 1; 0 when none applies).
 	Ratio    float64    `json:"ratio,omitempty"`
 	Children []*OpStats `json:"children,omitempty"`
 }
@@ -199,8 +199,8 @@ func (p *Plan) finishAnalyze(rec *execStatsRec, info execInfo, d time.Duration, 
 	}
 	st.Root = &OpStats{Op: "plan", Estimate: -1, Rows: int64(rows), Loops: 1, Time: d}
 	st.Root.Children = p.buildOpTree(p.root, rec)
-	// The worst misestimation: only triple patterns carry estimates, and
-	// only operators that actually ran are evidence (an operator with
+	// The worst misestimation: patterns and constraints carry estimates,
+	// and only operators that actually ran are evidence (an operator with
 	// zero loops was starved by its upstream, not misestimated).
 	if p.src != nil {
 		var scan func(ops []*OpStats)
@@ -252,12 +252,17 @@ func (p *Plan) buildOpTree(g *planGroup, rec *execStatsRec) []*OpStats {
 		} else {
 			detail = exprString(c.filter.Expr)
 		}
-		return &OpStats{
-			Op: kind, Detail: detail, Estimate: -1,
+		node := &OpStats{
+			Op: kind, Detail: detail,
 			Rows: op.rows.Load(), Loops: op.loops.Load(),
 			Time:     time.Duration(op.durNs.Load()),
 			Children: p.buildOpTree(c.group, rec),
 		}
+		node.Estimate = float64(node.Loops) * selectivity(c)
+		if node.Loops > 0 {
+			node.Ratio = misestRatio(node.Estimate, float64(node.Rows))
+		}
+		return node
 	}
 	for _, st := range g.steps {
 		switch s := st.(type) {

@@ -336,3 +336,35 @@ func TestAnalyzeResourceAccounting(t *testing.T) {
 			row.RowsScanned, row.TermDecodes, stats.RowsScanned, stats.TermDecodes)
 	}
 }
+
+// TestAnalyzeMorselScanFilter: the driving pattern of a morsel scan is
+// charged the scan's time, and a FILTER carries the count the planner
+// expected to pass — its input times the selectivity the join order
+// assumed — so a selectivity that is far off becomes the execution's
+// worst misestimate.
+func TestAnalyzeMorselScanFilter(t *testing.T) {
+	src, dict := namesFixture(5_000)
+	q := MustParse(`SELECT ?o WHERE { ?o <` + rdf.MDWHasName + `> ?t FILTER regex(?t, "customer_account_0", "i") }`)
+	p := q.PlanOpts(src, dict, ParOptions{MaxWorkers: 2, MorselSize: 64, SerialThreshold: 64})
+	_, stats, err := p.Run(context.Background(), RunOptions{Analyze: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Strategy != "morsel" {
+		t.Fatalf("strategy = %q, want morsel", stats.Strategy)
+	}
+	scan := stats.Root.Children[0]
+	if scan.Op != "pattern" || scan.Time <= 0 {
+		t.Errorf("driving pattern %q has time %v, want the scan's time", scan.Detail, scan.Time)
+	}
+	filter := scan.Children[0]
+	if filter.Op != "filter" || filter.Loops != 5_000 || filter.Rows != 1 || filter.Estimate != 500 {
+		t.Errorf("filter node = %+v, want 5000 in, 1 passed, 500 estimated", *filter)
+	}
+	if stats.WorstOp != filter.Detail || stats.MaxRatio < 100 {
+		t.Errorf("worst operator = %q (x%.1f), want the filter", stats.WorstOp, stats.MaxRatio)
+	}
+	if out := stats.String(); !strings.Contains(out, "[in=5000 estimated=500 actual=1 (x250.5) time=") {
+		t.Errorf("filter annotation missing from:\n%s", out)
+	}
+}

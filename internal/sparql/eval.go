@@ -232,11 +232,10 @@ func (e env) clone() env {
 type evaluator struct {
 	src  store.Source
 	dict *store.Dict
-	// terms caches decoded terms per dictionary ID for filter
-	// evaluation, where the same value is decoded once per solution per
-	// filter; projection decodes straight from the dictionary since its
-	// values rarely repeat.
-	terms map[store.ID]rdf.Term
+	// scratch is the Binding constraintEval refills for every plain FILTER
+	// evaluation, so a filtered scan allocates nothing per solution:
+	// Expr.Eval neither re-enters the evaluator nor keeps the map.
+	scratch Binding
 	// err records the first execution error; recursion unwinds by
 	// returning false once it is set.
 	err error
@@ -261,22 +260,6 @@ type evaluator struct {
 	// launched (0 = the execution stayed serial) and the morsels processed.
 	parWorkers int
 	parTasks   int
-}
-
-// term decodes an ID through the per-execution filter decode cache.
-func (ev *evaluator) term(id store.ID) rdf.Term {
-	if t, ok := ev.terms[id]; ok {
-		return t
-	}
-	if st := ev.stats; st != nil {
-		st.decodes.Add(1)
-	}
-	t := ev.dict.Term(id)
-	if ev.terms == nil {
-		ev.terms = make(map[store.ID]rdf.Term)
-	}
-	ev.terms[id] = t
-	return t
 }
 
 // runGroup streams every solution of the planned group that extends s
@@ -575,11 +558,19 @@ func (ev *evaluator) constraintEval(c *plannedConstraint, s env) bool {
 		}
 		return eq
 	}
-	b := make(Binding, len(c.vars))
+	b := ev.scratch
+	if b == nil {
+		b = make(Binding, len(c.vars))
+		ev.scratch = b
+	}
+	clear(b)
 	for _, v := range c.vars {
 		if id, ok := s[v]; ok {
-			b[v] = ev.term(id)
+			b[v] = ev.dict.Term(id)
 		}
+	}
+	if st := ev.stats; st != nil {
+		st.decodes.Add(int64(len(b)))
 	}
 	v, err := c.filter.Expr.Eval(b)
 	if err != nil {

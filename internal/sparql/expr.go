@@ -227,6 +227,36 @@ func isNumeric(t rdf.Term) bool {
 type regexExpr struct {
 	text Expr
 	re   *regexp.Regexp
+	// lit is the pattern when it is a non-empty ASCII string with no
+	// metacharacter and the flags are "" or "i": an ASCII subject is then
+	// answered by a substring search, case-folding when fold is set. Go's
+	// (?i) folds s with U+017F and k with U+212A, so a subject holding any
+	// byte >= 0x80 goes to re, which keeps this exact.
+	lit  string
+	fold bool
+}
+
+// newRegexExpr compiles pattern under the SPARQL flags i, s and m (Go's
+// (?ism)); any other flag letter is an error.
+func newRegexExpr(text Expr, pattern, flags string) (regexExpr, error) {
+	for _, f := range flags {
+		if !strings.ContainsRune("ism", f) {
+			return regexExpr{}, fmt.Errorf("unsupported regex flag %q (supported: i, s, m)", f)
+		}
+	}
+	src := pattern
+	if flags != "" {
+		src = "(?" + flags + ")" + pattern
+	}
+	re, err := regexp.Compile(src)
+	if err != nil {
+		return regexExpr{}, fmt.Errorf("invalid regex %q: %v", pattern, err)
+	}
+	e := regexExpr{text: text, re: re}
+	if (flags == "" || flags == "i") && pattern != "" && regexp.QuoteMeta(pattern) == pattern && isASCII(pattern) {
+		e.lit, e.fold = pattern, flags == "i"
+	}
+	return e, nil
 }
 
 func (e regexExpr) Eval(b Binding) (Value, error) {
@@ -234,7 +264,35 @@ func (e regexExpr) Eval(b Binding) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	return boolVal(e.re.MatchString(stringValue(v.Term))), nil
+	s := stringValue(v.Term)
+	if e.lit != "" && isASCII(s) {
+		if e.fold {
+			return boolVal(containsFoldASCII(s, e.lit)), nil
+		}
+		return boolVal(strings.Contains(s, e.lit)), nil
+	}
+	return boolVal(e.re.MatchString(s)), nil
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
+}
+
+// containsFoldASCII reports whether the ASCII string s contains the
+// non-empty ASCII string lit, ignoring case. Bytes equal under folding
+// agree outside the case bit; EqualFold settles the rest.
+func containsFoldASCII(s, lit string) bool {
+	for i := 0; i+len(lit) <= len(s); i++ {
+		if s[i]|0x20 == lit[0]|0x20 && strings.EqualFold(s[i:i+len(lit)], lit) {
+			return true
+		}
+	}
+	return false
 }
 
 // boundExpr implements BOUND(?v).
@@ -457,18 +515,14 @@ func (p *qparser) builtinCall() (Expr, error) {
 			}
 			flags = f.text
 		}
-		expr := pat.text
-		if strings.Contains(flags, "i") {
-			expr = "(?i)" + expr
-		}
-		re, err := regexp.Compile(expr)
+		e, err := newRegexExpr(text, pat.text, flags)
 		if err != nil {
-			return nil, p.errf("invalid regex %q: %v", pat.text, err)
+			return nil, p.errf("%v", err)
 		}
 		if _, err := p.expect(tkRParen, "')'"); err != nil {
 			return nil, err
 		}
-		return regexExpr{text: text, re: re}, nil
+		return e, nil
 	case "BOUND":
 		v, err := p.expect(tkVar, "variable")
 		if err != nil {

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"math/rand"
 	"testing"
 
 	"mdw/internal/rdf"
@@ -174,6 +175,74 @@ func TestRegexFlags(t *testing.T) {
 	}
 	if truth(t, `regex(?n, "^cust")`, b) {
 		t.Error("case-sensitive regex matched wrongly")
+	}
+	lines := Binding{"n": rdf.Literal("a\nb")}
+	for expr, want := range map[string]bool{
+		`regex(?n, "a.b")`:       false,
+		`regex(?n, "a.b", "s")`:  true,
+		`regex(?n, "^b")`:        false,
+		`regex(?n, "^b", "m")`:   true,
+		`regex(?n, "A.B", "si")`: true,
+	} {
+		if got := truth(t, expr, lines); got != want {
+			t.Errorf("%s = %v, want %v", expr, got, want)
+		}
+	}
+}
+
+// TestRegexLiteralEquivalence: the substring kernel answers exactly what
+// the compiled regexp answers — over ASCII and non-ASCII subjects, the
+// characters Go's (?i) folds onto ASCII letters (U+017F onto s, U+212A
+// onto k) and the one it does not (U+0130), the empty subject, patterns
+// longer than the subject, and both flag values.
+func TestRegexLiteralEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	ascii := []rune("kKsSiIcustomer_ 0-")
+	wide := append([]rune("\u017f\u212a\u0130\u00e9"), ascii...)
+	word := func(alphabet []rune, n int) string {
+		r := make([]rune, n)
+		for i := range r {
+			r[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(r)
+	}
+	kernel := 0
+	for i := 0; i < 20000; i++ {
+		patAlphabet, subjAlphabet := ascii, ascii
+		if i%4 == 0 {
+			patAlphabet = wide
+		}
+		if i%3 == 0 {
+			subjAlphabet = wide
+		}
+		pattern, subject := word(patAlphabet, rng.Intn(5)), word(subjAlphabet, rng.Intn(9))
+		for _, flags := range []string{"", "i"} {
+			e, err := newRegexExpr(varExpr{"x"}, pattern, flags)
+			if err != nil {
+				t.Fatalf("regex(%q, %q): %v", pattern, flags, err)
+			}
+			if e.lit != "" && isASCII(subject) {
+				kernel++
+			}
+			got, err := e.Eval(Binding{"x": rdf.Literal(subject)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := e.re.MatchString(subject); got.Bool != want {
+				t.Fatalf("regex(%q, %q, %q) = %v, regexp says %v", subject, pattern, flags, got.Bool, want)
+			}
+		}
+	}
+	if kernel == 0 {
+		t.Error("no case took the literal kernel")
+	}
+	for _, pattern := range []string{"a.b", "a|b", "^a", "caf\u00e9"} {
+		if e, _ := newRegexExpr(varExpr{"x"}, pattern, "i"); e.lit != "" {
+			t.Errorf("pattern %q must not take the literal kernel", pattern)
+		}
+	}
+	if e, _ := newRegexExpr(varExpr{"x"}, "ab", "s"); e.lit != "" {
+		t.Error("flags other than \"\" and \"i\" must not take the literal kernel")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mdw/internal/store"
 )
@@ -144,12 +145,16 @@ func (ev *evaluator) runMorselRoot(emit func(env) bool) {
 		}
 		pid = pp.pid
 	}
-	cands := collectMatches(ev.src, sid, pid, oid)
 	if st := ev.stats; st != nil {
 		// The first pattern runs as one logical scan over the candidate
 		// set; its matches are counted per morsel as workers replay them.
-		st.ops[pp.si].loops.Add(1)
+		// Its time is the whole scan's, collecting the candidates included.
+		op := &st.ops[pp.si]
+		op.loops.Add(1)
+		start := time.Now()
+		defer func() { op.durNs.Add(int64(time.Since(start))) }()
 	}
+	cands := collectMatches(ev.src, sid, pid, oid)
 	msize := p.par.morsel
 	if len(cands) < 2*msize {
 		obsParFallback.Inc()

@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -255,6 +256,57 @@ func TestParallelSelection(t *testing.T) {
 	// Worker cap 1 disables fan-out regardless of size.
 	if got := q.PlanOpts(big, bigDict, serialPar()).Parallelism(); got != 1 {
 		t.Fatalf("MaxWorkers 1 still parallel: %d", got)
+	}
+}
+
+// TestParallelFilteredDrivingPattern: a FILTER pushed onto the pattern
+// the morsel scan drives runs inside every worker — each with its own
+// scratch binding — and the rows are the naive evaluator's, in one order
+// at every worker count (the scan's candidates come sorted from
+// store.Matcher; the serial walk of the same index map has no fixed
+// order). Under -race this is the check that the filter loop shares
+// nothing.
+func TestParallelFilteredDrivingPattern(t *testing.T) {
+	src, dict := typedFixture(t, 600)
+	for _, filter := range []string{
+		`regex(?n, "N1", "i")`, // literal kernel
+		`regex(?n, "^n1[0-6]$")`,
+		`CONTAINS(?n, "1") && ?s != <http://d/s00001>`,
+	} {
+		q := sparql.MustParse(`SELECT ?s ?n ?c WHERE {
+			?s <` + rdf.RDFType + `> ?c .
+			?s <` + rdf.MDWHasName + `> ?n .
+			FILTER (` + filter + `) }`)
+		naive, err := q.ExecNaive(src, dict)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rowKeys(naive)
+		if len(want) == 0 {
+			t.Fatalf("%s keeps no row", filter)
+		}
+		var first []string
+		for _, workers := range parLevels() {
+			p := q.PlanOpts(src, dict, forcedPar(workers))
+			if out := p.String(); !strings.Contains(out, "1. ?s dm:hasName ?n") {
+				t.Fatalf("%s: the filtered pattern must drive the scan:\n%s", filter, out)
+			}
+			res, err := runPlan(context.Background(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rowKeys(res); !sameMultiset(got, want) {
+				t.Errorf("%s, %d workers: %d rows, naive evaluator has %d", filter, workers, len(got), len(want))
+			}
+			if workers < 2 {
+				continue
+			}
+			if got := rowStrings(res); first == nil {
+				first = got
+			} else if !reflect.DeepEqual(got, first) {
+				t.Errorf("%s, %d workers: row order differs from the first parallel run", filter, workers)
+			}
+		}
 	}
 }
 

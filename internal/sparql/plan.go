@@ -3,6 +3,7 @@ package sparql
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -55,6 +56,10 @@ type planStep interface{ planStep() }
 // bgpStep is one basic graph pattern in chosen join order.
 type bgpStep struct {
 	patterns []*patternPlan
+	// cost is the model cost of the chosen order and seedCost that of the
+	// greedy order the search started from; cost <= seedCost by
+	// construction (joinOrder).
+	cost, seedCost float64
 }
 
 // patternPlan is one triple pattern plus the constraints pushed to run
@@ -128,7 +133,7 @@ type plannedConstraint struct {
 	exists *ExistsFilter // (NOT) EXISTS constraint
 	group  *planGroup    // planned body of the exists pattern
 	// vars lists every variable the filter expression references; the
-	// executor decodes exactly these (through its term cache) instead of
+	// executor decodes exactly these into its scratch Binding instead of
 	// rebuilding a full Binding per solution.
 	vars []string
 	// need lists the variables that must be bound before the constraint
@@ -276,29 +281,13 @@ func (pl *planner) group(g *GroupPattern, certainIn varset) (*planGroup, varset)
 			}
 		blockDone:
 			pl.checkConnected(block)
-			bgp := &bgpStep{}
-			remaining := block // freshly built above; safe to consume
-			for len(remaining) > 0 {
-				best, bestEst := 0, math.Inf(1)
-				for j, tp := range remaining {
-					if est := pl.estimate(tp, certain); est < bestEst {
-						best, bestEst = j, est
-					}
-				}
-				tp := remaining[best]
-				remaining = append(remaining[:best], remaining[best+1:]...)
-				pp := &patternPlan{tp: tp, est: bestEst}
+			jo := pl.orderJoins(block, certain, pending)
+			bgp := &bgpStep{cost: jo.bestCost, seedCost: jo.seedCost}
+			for _, j := range jo.best {
+				pp := &patternPlan{tp: block[j], est: jo.est(j)}
 				pl.resolvePattern(pp)
 				bgp.patterns = append(bgp.patterns, pp)
-				if tp.S.IsVar() {
-					certain[tp.S.Var] = true
-				}
-				if pv, ok := tp.P.(PathVar); ok {
-					certain[pv.Name] = true
-				}
-				if tp.O.IsVar() {
-					certain[tp.O.Var] = true
-				}
+				eachPatternVar(pp.tp, func(v string) { certain[v] = true })
 				pending = pl.attachReady(pending, certain, pg, pp)
 			}
 			pg.steps = append(pg.steps, bgp)
@@ -365,6 +354,158 @@ func (pl *planner) attachReady(pending []*plannedConstraint, certain varset, pg 
 		}
 	}
 	return kept
+}
+
+// ---------------------------------------------------------------------
+// Join ordering.
+
+// selectivity is the fraction of solutions the cost model assumes a
+// constraint keeps: regex, CONTAINS, STRSTARTS, STRENDS and = 0.1; the
+// range comparisons 0.33; != 1; (NOT) EXISTS and everything else 0.5.
+// Fixed, not tunable: the constants only have to rank orders, and EXPLAIN
+// ANALYZE holds each against the actual (estimated= beside actual=, fed
+// to the misestimate log), so a wrong one shows there, not in a latency.
+func selectivity(c *plannedConstraint) float64 {
+	if c.exists != nil {
+		return 0.5
+	}
+	switch e := c.filter.Expr.(type) {
+	case regexExpr, binStrFuncExpr:
+		return 0.1
+	case cmpExpr:
+		switch e.op {
+		case "=":
+			return 0.1
+		case "!=":
+			return 1
+		default:
+			return 0.33
+		}
+	}
+	return 0.5
+}
+
+// joinOrderBudget bounds the pattern placements one search may try beyond
+// the greedy seed: blocks of up to five patterns are searched
+// exhaustively, longer ones return the best order found when it runs out.
+const joinOrderBudget = 1024
+
+// joinOrder is the search for one basic graph pattern's join order: the
+// left-deep order minimising the sum of intermediate cardinalities, where
+// each step multiplies the running cardinality by its estimate and then by
+// the selectivity of every pending constraint its bindings complete — the
+// point where attachReady pushes it. Branch and bound, depth first in
+// textual order; the first incumbent is the greedy order (smallest
+// estimate next), replaced only by an order costing strictly less, so
+// plans are deterministic. certain is mutated in place and restored.
+type joinOrder struct {
+	pl      *planner
+	block   []*TriplePattern
+	certain varset
+	pending []*plannedConstraint
+	// memo caches estimate per pattern and per combination of its bound
+	// S/P/O positions (all estimate depends on); have marks filled cells.
+	memo      [][8]float64
+	have      []uint8
+	cur, best []int
+	// bestCost is the cost of best; seedCost that of the greedy seed.
+	bestCost, seedCost float64
+	budget             int
+}
+
+func (pl *planner) orderJoins(block []*TriplePattern, certain varset, pending []*plannedConstraint) *joinOrder {
+	n := len(block)
+	jo := &joinOrder{
+		pl: pl, block: block, certain: certain, pending: pending,
+		memo: make([][8]float64, n), have: make([]uint8, n),
+		cur: make([]int, n), best: make([]int, n),
+		budget: joinOrderBudget,
+	}
+	jo.visit(0, 1, 0, true)
+	jo.seedCost = jo.bestCost
+	jo.visit(0, 1, 0, false)
+	return jo
+}
+
+// est is estimate(block[j], certain), computed at most once per
+// combination of the pattern's bound positions.
+func (jo *joinOrder) est(j int) float64 {
+	tp := jo.block[j]
+	k := 0
+	if tp.S.IsVar() && jo.certain[tp.S.Var] {
+		k |= 1
+	}
+	if pv, ok := tp.P.(PathVar); ok && jo.certain[pv.Name] {
+		k |= 2
+	}
+	if tp.O.IsVar() && jo.certain[tp.O.Var] {
+		k |= 4
+	}
+	if jo.have[j]&(1<<k) == 0 {
+		jo.memo[j][k] = jo.pl.estimate(tp, jo.certain)
+		jo.have[j] |= 1 << k
+	}
+	return jo.memo[j][k]
+}
+
+// visit extends the partial order cur[:depth], which yields card
+// solutions and has cost so far, by every unused pattern — or, for the
+// seed, by the one with the smallest estimate.
+func (jo *joinOrder) visit(depth int, card, cost float64, seed bool) {
+	if depth == len(jo.block) {
+		if seed || cost < jo.bestCost {
+			jo.bestCost = cost
+			copy(jo.best, jo.cur)
+		}
+		return
+	}
+	unused := func(j int) bool { return !slices.Contains(jo.cur[:depth], j) }
+	lo, hi := 0, len(jo.block)
+	if seed {
+		lo = -1
+		for j := range jo.block {
+			if unused(j) && (lo < 0 || jo.est(j) < jo.est(lo)) {
+				lo = j
+			}
+		}
+		hi = lo + 1
+	}
+	for j := lo; j < hi; j++ {
+		if !unused(j) {
+			continue
+		}
+		rows := card * jo.est(j)
+		if !seed {
+			if jo.budget == 0 {
+				return
+			}
+			jo.budget--
+			if !(cost+rows < jo.bestCost) {
+				continue // cost only grows from here: cannot beat the incumbent
+			}
+		}
+		jo.cur[depth] = j
+		var buf [3]string // a pattern binds at most three variables
+		added := buf[:0]
+		eachPatternVar(jo.block[j], func(v string) {
+			if !jo.certain[v] {
+				jo.certain[v] = true
+				added = append(added, v)
+			}
+		})
+		next := rows
+		for _, c := range jo.pending {
+			// Still pending before this step, so completed by it exactly
+			// when it needed one of the step's new variables.
+			if jo.certain.hasAll(c.need) && slices.ContainsFunc(added, func(v string) bool { return slices.Contains(c.need, v) }) {
+				next *= selectivity(c)
+			}
+		}
+		jo.visit(depth+1, next, cost+rows, seed)
+		for _, v := range added {
+			delete(jo.certain, v)
+		}
+	}
 }
 
 // resolvePattern resolves the pattern's constant terms and predicate
@@ -803,7 +944,7 @@ func (p *Plan) renderConstraint(b *strings.Builder, c *plannedConstraint, depth 
 		if c.exists.Negated {
 			neg = "NOT "
 		}
-		fmt.Fprintf(b, "%sFILTER %sEXISTS (%s, per-solution subquery)%s:\n", pad, neg, where, constraintLabel(c.si, rec))
+		fmt.Fprintf(b, "%sFILTER %sEXISTS (%s, per-solution subquery)%s:\n", pad, neg, where, constraintLabel(c, rec))
 		p.renderGroup(b, c.group, depth+1, rec)
 		return
 	}
@@ -811,7 +952,7 @@ func (p *Plan) renderConstraint(b *strings.Builder, c *plannedConstraint, depth 
 	if c.fastVar != "" {
 		note = ", ID fast path"
 	}
-	fmt.Fprintf(b, "%sFILTER %s (%s%s)%s\n", pad, exprString(c.filter.Expr), where, note, constraintLabel(c.si, rec))
+	fmt.Fprintf(b, "%sFILTER %s (%s%s)%s\n", pad, exprString(c.filter.Expr), where, note, constraintLabel(c, rec))
 }
 
 // patternLabel annotates a triple pattern with its estimate and, in
@@ -840,14 +981,17 @@ func (p *Plan) patternLabel(pp *patternPlan, rec *execStatsRec) string {
 }
 
 // constraintLabel annotates a FILTER with tested/passed counts in
-// analyze mode.
-func constraintLabel(si int, rec *execStatsRec) string {
+// analyze mode, and with the count the planner expected to pass: the
+// input times the selectivity it ordered the joins by.
+func constraintLabel(c *plannedConstraint, rec *execStatsRec) string {
 	if rec == nil {
 		return ""
 	}
-	op := &rec.ops[si]
-	return fmt.Sprintf(" [in=%d actual=%d time=%s]",
-		op.loops.Load(), op.rows.Load(), fmtDur(time.Duration(op.durNs.Load())))
+	op := &rec.ops[c.si]
+	in, rows := op.loops.Load(), op.rows.Load()
+	est := float64(in) * selectivity(c)
+	return fmt.Sprintf(" [in=%d estimated=%s actual=%d (x%.1f) time=%s]",
+		in, fmtCount(est), rows, misestRatio(est, float64(rows)), fmtDur(time.Duration(op.durNs.Load())))
 }
 
 // stepLabel annotates a structural step (OPTIONAL/UNION/GROUP) with its

@@ -2,6 +2,8 @@ package sparql
 
 import (
 	"context"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -224,5 +226,115 @@ func TestExplainOnShowsEstimates(t *testing.T) {
 	out := q.ExplainOn(src, dict)
 	if !strings.Contains(out, "[est 3]") {
 		t.Errorf("ExplainOn must render real cardinalities:\n%s", out)
+	}
+}
+
+// paperShapedFixture is a graph with the proportions of the paper-scale
+// landscape that decide Listing 1's join order: few labelled classes, five
+// rdf:type triples per object, one dm:hasName per object, and one
+// dt:isMappedTo chain through all objects for Listing 2.
+func paperShapedFixture(objects int) (store.Source, *store.Dict) {
+	const classes = 20
+	st := store.New()
+	class := func(i int) rdf.Term { return rdf.IRI(rdf.DMNS + "C" + strconv.Itoa(i%classes)) }
+	var ts []rdf.Triple
+	for c := 0; c < classes; c++ {
+		ts = append(ts, rdf.T(class(c), rdf.Label, rdf.Literal("Class "+strconv.Itoa(c))))
+	}
+	for i := 0; i < objects; i++ {
+		o := rdf.IRI(rdf.InstNS + "o" + strconv.Itoa(i))
+		for k := 0; k < 5; k++ {
+			ts = append(ts, rdf.T(o, rdf.Type, class(i+k)))
+		}
+		name := "position_" + strconv.Itoa(i)
+		if i%40 == 0 {
+			name = "Customer_" + strconv.Itoa(i)
+		}
+		ts = append(ts, rdf.T(o, rdf.HasName, rdf.Literal(name)))
+		if i > 0 {
+			ts = append(ts, rdf.T(rdf.IRI(rdf.InstNS+"o"+strconv.Itoa(i-1)), rdf.IsMappedTo, o))
+		}
+	}
+	st.AddAll("m", ts)
+	return st.ViewOf("m"), st.Dict()
+}
+
+// firstPatterns returns the numbered pattern lines of a rendered plan,
+// trimmed of their estimates.
+func firstPatterns(plan string) []string {
+	var out []string
+	for _, line := range strings.Split(plan, "\n") {
+		line = strings.TrimSpace(line)
+		if len(line) > 2 && line[1] == '.' && line[0] >= '1' && line[0] <= '9' {
+			pat, _, _ := strings.Cut(line[3:], "  [")
+			out = append(out, pat)
+		}
+	}
+	return out
+}
+
+// TestPlanListing1CostOrder: with the FILTER's selectivity in the cost,
+// Listing 1 starts at the dm:hasName scan the regex prunes and that scan
+// is the morsel plan; without the FILTER it keeps starting from the
+// class labels, and Listing 2 from its constant class.
+func TestPlanListing1CostOrder(t *testing.T) {
+	src, dict := paperShapedFixture(2000)
+	prefix := `PREFIX dm: <` + rdf.DMNS + `> PREFIX dt: <` + rdf.DTNS + `> `
+	listing1 := `?object rdf:type ?c . ?c rdfs:label ?class . ?object dm:hasName ?term . `
+	par := ParOptions{MaxWorkers: 4, MorselSize: 16, SerialThreshold: 64}
+
+	filtered := MustParse(prefix + `SELECT * WHERE { ` + listing1 + `FILTER regex(?term, "customer", "i") }`)
+	out := filtered.PlanOpts(src, dict, par).String()
+	want := []string{"?object dm:hasName ?term", "?object rdf:type ?c", "?c rdfs:label ?class"}
+	if got := firstPatterns(out); !reflect.DeepEqual(got, want) {
+		t.Errorf("filtered Listing 1 order = %q, want %q:\n%s", got, want, out)
+	}
+	if !strings.Contains(out, "PARALLEL morsel scan") {
+		t.Errorf("filtered Listing 1 must drive the morsel scan:\n%s", out)
+	}
+	res, err := runPlan(filtered.PlanOpts(src, dict, par))
+	if err != nil || len(res.Rows) != 2000/40*5 {
+		t.Errorf("filtered Listing 1: %d rows, err %v; want %d", len(res.Rows), err, 2000/40*5)
+	}
+
+	unfiltered := MustParse(prefix + `SELECT * WHERE { ` + listing1 + `}`)
+	want = []string{"?c rdfs:label ?class", "?object rdf:type ?c", "?object dm:hasName ?term"}
+	if got := firstPatterns(unfiltered.Plan(src, dict).String()); !reflect.DeepEqual(got, want) {
+		t.Errorf("unfiltered Listing 1 order = %q, want %q", got, want)
+	}
+
+	listing2 := MustParse(prefix + `SELECT * WHERE {
+		?source_id dt:isMappedTo ?target_id .
+		?target_id rdf:type dm:C3 .
+		?target_id dm:hasName ?target_name }`)
+	want = []string{"?target_id rdf:type dm:C3", "?source_id dt:isMappedTo ?target_id", "?target_id dm:hasName ?target_name"}
+	if got := firstPatterns(listing2.Plan(src, dict).String()); !reflect.DeepEqual(got, want) {
+		t.Errorf("Listing 2 order = %q, want %q", got, want)
+	}
+}
+
+func runPlan(p *Plan) (*Result, error) {
+	res, _, err := p.Run(context.Background(), RunOptions{})
+	return res, err
+}
+
+// TestFilteredScanAllocations: the rows a pushed FILTER rejects cost no
+// allocation — ten times the rows, all filtered out, allocate what the
+// short scan does.
+func TestFilteredScanAllocations(t *testing.T) {
+	q := MustParse(`SELECT ?o WHERE { ?o <` + rdf.MDWHasName + `> ?t FILTER regex(?t, "no such name", "i") }`)
+	allocs := func(n int) float64 {
+		src, dict := namesFixture(n)
+		p := q.PlanOpts(src, dict, ParOptions{MaxWorkers: 1})
+		return testing.AllocsPerRun(5, func() {
+			if res, err := runPlan(p); err != nil || len(res.Rows) != 0 {
+				t.Fatalf("rows = %d, err = %v", len(res.Rows), err)
+			}
+		})
+	}
+	small, large := allocs(1_000), allocs(10_000)
+	t.Logf("allocs: %.0f for 1k rows, %.0f for 10k", small, large)
+	if large > small+2 {
+		t.Errorf("allocations grow with rows filtered out: %.0f for 1k rows, %.0f for 10k", small, large)
 	}
 }

@@ -413,6 +413,8 @@ func TestParseErrors(t *testing.T) {
 		`SELECT ?x WHERE { ?x <p> ?y } GROUP`,
 		`SELECT ?x WHERE { FILTER }`,
 		`SELECT ?x WHERE { ?x <p> ?y . FILTER regex(?y, "[") }`,
+		`SELECT ?x WHERE { ?x <p> ?y . FILTER regex(?y, "a", "x") }`,
+		`SELECT ?x WHERE { ?x <p> ?y . FILTER regex(?y, "a", "bogus") }`,
 		`SELECT (SUM(?x) AS ?s) WHERE { ?x <p> ?y }`,
 		`SELECT ?x WHERE { ?x <p> ?y } trailing`,
 	}

@@ -1,6 +1,6 @@
 package store
 
-import "sort"
+import "slices"
 
 // Matcher is optionally implemented by Sources that can materialize every
 // triple matching a pattern in one call. The SPARQL engine's morsel-driven
@@ -101,6 +101,6 @@ func sortedKeys[V any](m map[ID]V) []ID {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
