@@ -49,6 +49,7 @@ import (
 	"mdw/internal/ntriples"
 	"mdw/internal/obs"
 	"mdw/internal/rdf"
+	"mdw/internal/reason"
 	"mdw/internal/relstore"
 	"mdw/internal/schemalearn"
 	"mdw/internal/search"
@@ -560,7 +561,10 @@ func cmdLearnSchema(args []string) error {
 	if err != nil {
 		return err
 	}
-	src := w.Store().ViewOf(w.Model())
+	src, err := reason.View(w.Store(), false, w.Model())
+	if err != nil {
+		return err
+	}
 	schema := schemalearn.Learn(src, w.Store().Dict(), schemalearn.Options{
 		MinInstances: *minInstances,
 		MinFill:      *minFill,

@@ -13,6 +13,7 @@ import (
 	"mdw/internal/metamodel"
 	"mdw/internal/ontology"
 	"mdw/internal/rdf"
+	"mdw/internal/reason"
 	"mdw/internal/search"
 	"mdw/internal/staging"
 	"mdw/internal/store"
@@ -122,7 +123,11 @@ func reportTable1(scale string) error {
 	if err != nil {
 		return err
 	}
-	cs, _ := metamodel.TakeCensus(st.ViewOf("DWH_CURR"), st.Dict())
+	facts, err := reason.View(st, false, "DWH_CURR")
+	if err != nil {
+		return err
+	}
+	cs, _ := metamodel.TakeCensus(facts, st.Dict())
 	fmt.Printf("Table I census of the generated meta-data graph (%s scale)\n\n", scale)
 	fmt.Println(cs.Table1())
 	return nil
@@ -137,15 +142,13 @@ func reportSubjects(scale string) error {
 	fmt.Printf("Subject areas of the generated IT landscape (%s scale)\n\n", scale)
 	// Count through the entailment index so instances of subclasses
 	// (e.g. Programming_Language under Technology) are included.
-	view := st.ViewOf("DWH_CURR", "DWH_CURR$OWLPRIME")
-	dict := st.Dict()
+	k, err := metamodel.Open(st, "DWH_CURR")
+	if err != nil {
+		return err
+	}
 	count := func(class string) int {
-		typeID, ok1 := dict.Lookup(rdf.Type)
-		clsID, ok2 := dict.Lookup(rdf.IRI(rdf.DMNS + class))
-		if !ok1 || !ok2 {
-			return 0
-		}
-		return len(view.Subjects(typeID, clsID))
+		id, _ := k.Dict.Lookup(rdf.IRI(rdf.DMNS + class)) // Wildcard when unknown: no instances
+		return len(k.Subjects(k.Type, id))
 	}
 	rows := []struct{ area, class string }{
 		{"Applications", "Application"},
@@ -176,7 +179,11 @@ func reportScale(scale string) error {
 		return err
 	}
 	loadTime := time.Since(t0)
-	cs, _ := metamodel.TakeCensus(st.ViewOf("DWH_CURR"), st.Dict())
+	facts, err := reason.View(st, false, "DWH_CURR")
+	if err != nil {
+		return err
+	}
+	cs, _ := metamodel.TakeCensus(facts, st.Dict())
 	fmt.Printf("Graph scale (%s configuration) vs. Section III.A\n\n", scale)
 	fmt.Printf("  %-28s %12s %15s\n", "", "measured", "paper")
 	fmt.Printf("  %-28s %12d %15s\n", "nodes", cs.NodeTotal(), "~130,000")

@@ -18,8 +18,8 @@ import (
 	"strings"
 
 	"mdw/internal/lineage"
+	"mdw/internal/metamodel"
 	"mdw/internal/rdf"
-	"mdw/internal/reason"
 	"mdw/internal/store"
 )
 
@@ -78,49 +78,42 @@ func New(st *store.Store, model string) *Service {
 // WhoCanAccess reports every user/role with access to the item through
 // its own application. Set includeLineage to extend the audit across the
 // item's data flows (both directions), which is what an actual
-// data-protection review needs.
+// data-protection review needs. The whole audit, lineage included, reads
+// one view.
 func (s *Service) WhoCanAccess(item rdf.Term, includeLineage bool) (*Report, error) {
-	view, err := reason.IndexedView(s.st, s.model)
+	k, err := metamodel.Open(s.st, s.model)
 	if err != nil {
 		return nil, err
 	}
-	dict := s.st.Dict()
-	itemID, ok := dict.Lookup(item)
+	itemID, ok := k.Dict.Lookup(item)
 	if !ok {
 		return nil, fmt.Errorf("audit: %w %s", lineage.ErrUnknownItem, item)
 	}
 
 	rep := &Report{Item: item}
 	seenApp := map[store.ID]bool{}
-	addApp := func(app store.ID, via string) {
-		if seenApp[app] {
+	// addApp adds the application the node belongs to — itself, or its
+	// container along the dm:partOf closure — once.
+	addApp := func(id store.ID, via string) {
+		app, ok := k.ContainerOf(id, k.Application)
+		if !ok || seenApp[app] {
 			return
 		}
 		seenApp[app] = true
-		rep.Apps = append(rep.Apps, dict.Term(app))
-		rep.Grants = append(rep.Grants, s.grantsForApp(view, dict, app, via)...)
+		rep.Apps = append(rep.Apps, k.Dict.Term(app))
+		rep.Grants = append(rep.Grants, grantsForApp(k, app, via)...)
 	}
 
-	if app, ok := s.applicationOf(view, dict, itemID); ok {
-		addApp(app, "direct")
-	}
+	addApp(itemID, "direct")
 	if includeLineage {
-		svc := lineage.New(s.st, s.model)
 		for _, dir := range []lineage.Direction{lineage.Backward, lineage.Forward} {
-			g, err := svc.Trace(item, dir, lineage.Options{})
+			g, err := lineage.TraceOn(k, item, dir, lineage.Options{})
 			if err != nil {
 				return nil, err
 			}
 			for term := range g.Nodes {
-				if term == item {
-					continue
-				}
-				id, ok := dict.Lookup(term)
-				if !ok {
-					continue
-				}
-				if app, ok := s.applicationOf(view, dict, id); ok {
-					addApp(app, "lineage")
+				if id, ok := k.Dict.Lookup(term); ok && term != item {
+					addApp(id, "lineage")
 				}
 			}
 		}
@@ -137,62 +130,28 @@ func (s *Service) WhoCanAccess(item rdf.Term, includeLineage bool) (*Report, err
 	return rep, nil
 }
 
-// applicationOf resolves the application containing the node, via the
-// transitive dm:partOf closure (materialized in the index) or directly
-// when the node is itself an application.
-func (s *Service) applicationOf(view *store.View, dict *store.Dict, id store.ID) (store.ID, bool) {
-	typeID, ok := dict.Lookup(rdf.Type)
-	if !ok {
-		return 0, false
-	}
-	appClass, ok := dict.Lookup(rdf.IRI(rdf.DMNS + "Application"))
-	if !ok {
-		return 0, false
-	}
-	if view.Contains(store.ETriple{S: id, P: typeID, O: appClass}) {
-		return id, true
-	}
-	partOfID, ok := dict.Lookup(rdf.IRI(rdf.MDWPartOf))
-	if !ok {
-		return 0, false
-	}
-	for _, anc := range view.Objects(id, partOfID) {
-		if view.Contains(store.ETriple{S: anc, P: typeID, O: appClass}) {
-			return anc, true
-		}
-	}
-	return 0, false
-}
-
 // grantsForApp collects the users holding roles tied to the application,
 // plus the application owner.
-func (s *Service) grantsForApp(view *store.View, dict *store.Dict, app store.ID, via string) []Grant {
+func grantsForApp(k *metamodel.Graph, app store.ID, via string) []Grant {
 	var out []Grant
-	appName := s.nameOf(view, dict, app)
-
-	partOfID, _ := dict.Lookup(rdf.IRI(rdf.MDWPartOf))
-	hasRoleID, _ := dict.Lookup(rdf.IRI(rdf.MDWHasRole))
-	if partOfID != store.Wildcard && hasRoleID != store.Wildcard {
-		for _, role := range rolesOf(view, dict, partOfID, app) {
-			roleName := s.nameOf(view, dict, role)
-			roleCls := s.roleClassOf(view, dict, role)
-			for _, user := range view.Subjects(hasRoleID, role) {
-				out = append(out, Grant{
-					User: dict.Term(user), UserName: s.nameOf(view, dict, user),
-					Role: dict.Term(role), RoleName: roleName, RoleClass: roleCls,
-					App: dict.Term(app), AppName: appName, Via: via,
-				})
-			}
-		}
-	}
-	if ownedByID, ok := dict.Lookup(rdf.IRI(rdf.MDWOwnedBy)); ok {
-		for _, owner := range view.Objects(app, ownedByID) {
+	appName := k.Name(app)
+	for _, role := range rolesOf(k, app) {
+		roleName := k.Name(role)
+		roleCls := roleClassOf(k, role)
+		for _, user := range k.Subjects(k.HasRole, role) {
 			out = append(out, Grant{
-				User: dict.Term(owner), UserName: s.nameOf(view, dict, owner),
-				RoleName: "business_owner", RoleClass: "Business_Owner",
-				App: dict.Term(app), AppName: appName, Via: "owner",
+				User: k.Dict.Term(user), UserName: k.Name(user),
+				Role: k.Dict.Term(role), RoleName: roleName, RoleClass: roleCls,
+				App: k.Dict.Term(app), AppName: appName, Via: via,
 			})
 		}
+	}
+	for _, owner := range k.Objects(app, k.OwnedBy) {
+		out = append(out, Grant{
+			User: k.Dict.Term(owner), UserName: k.Name(owner),
+			RoleName: "business_owner", RoleClass: "Business_Owner",
+			App: k.Dict.Term(app), AppName: appName, Via: "owner",
+		})
 	}
 	return out
 }
@@ -203,30 +162,26 @@ func (s *Service) grantsForApp(view *store.View, dict *store.Dict, app store.ID,
 // tens of thousands of descendants (26k for the paper-scale warehouse)
 // against a few hundred roles in the whole landscape. A model without
 // the Role class has nothing to select by, and every child counts.
-func rolesOf(view *store.View, dict *store.Dict, partOfID, app store.ID) []store.ID {
-	typeID, haveType := dict.Lookup(rdf.Type)
-	roleClass, haveRoleClass := dict.Lookup(rdf.IRI(rdf.DMNS + "Role"))
-	if !haveType || !haveRoleClass {
-		return view.Subjects(partOfID, app)
+func rolesOf(k *metamodel.Graph, app store.ID) []store.ID {
+	if k.Type == store.Wildcard || k.Role == store.Wildcard {
+		return k.Subjects(k.PartOf, app)
 	}
 	var roles []store.ID
-	for _, role := range view.Subjects(typeID, roleClass) {
-		if view.Contains(store.ETriple{S: role, P: partOfID, O: app}) {
+	for _, role := range k.Subjects(k.Type, k.Role) {
+		if k.Has(role, k.PartOf, app) {
 			roles = append(roles, role)
 		}
 	}
 	return roles
 }
 
-// roleClassOf returns the most specific dm: role class local name.
-func (s *Service) roleClassOf(view *store.View, dict *store.Dict, role store.ID) string {
-	typeID, ok := dict.Lookup(rdf.Type)
-	if !ok {
-		return ""
-	}
+// roleClassOf returns the most specific dm: role class local name. The
+// classes are read in view order, asserted before inherited, so a role
+// typed with a generic class only reports that one.
+func roleClassOf(k *metamodel.Graph, role store.ID) string {
 	best := ""
-	for _, c := range view.Objects(role, typeID) {
-		iri := dict.Term(c).Value
+	for _, c := range k.Objects(role, k.Type) {
+		iri := k.Dict.Term(c).Value
 		if !strings.HasPrefix(iri, rdf.DMNS) {
 			continue
 		}
@@ -241,15 +196,6 @@ func (s *Service) roleClassOf(view *store.View, dict *store.Dict, role store.ID)
 		}
 	}
 	return best
-}
-
-func (s *Service) nameOf(view *store.View, dict *store.Dict, id store.ID) string {
-	if nameID, ok := dict.Lookup(rdf.HasName); ok {
-		for _, v := range view.Objects(id, nameID) {
-			return dict.Term(v).Value
-		}
-	}
-	return rdf.LocalName(dict.Term(id).Value)
 }
 
 // Format renders the report for the terminal.

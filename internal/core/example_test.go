@@ -45,7 +45,7 @@ func Example() {
 	}
 	fmt.Printf("lineage: %d nodes, %d hops\n", len(g.Nodes), len(g.Edges))
 
-	srcs, err := w.Sources(item)
+	srcs, err := w.LineageService().Sources(item, lineage.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

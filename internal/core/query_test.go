@@ -25,10 +25,10 @@ func TestQueryEntryPoints(t *testing.T) {
 		got = append(got, typ.Method(i).Name) // sorted by name
 	}
 	want := []string{
-		"Audit", "Census", "CloneModel", "History", "Impact", "ImpactOfRelease", "IntegrateDBpedia",
-		"Lineage", "LineageCtx", "LineageService", "LoadExports", "LoadOntology", "LoadTriples",
+		"Audit", "Census", "CloneModel", "History", "ImpactOfRelease", "IntegrateDBpedia",
+		"Lineage", "LineageService", "LoadExports", "LoadOntology", "LoadTriples",
 		"Model", "Ontology", "Query", "QueryAnalyzeCtx", "QueryCtx", "Reindex", "Search", "SearchCtx",
-		"SemMatch", "SemMatchAnalyzeCtx", "SemMatchCtx", "Snapshot", "Sources", "Stats", "Store",
+		"SemMatch", "SemMatchAnalyzeCtx", "SemMatchCtx", "Snapshot", "Stats", "Store",
 		"TextIndex", "Thesaurus", "Validate",
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -159,27 +159,13 @@ func (w *Warehouse) SearchCtx(ctx context.Context, term string, opt search.Optio
 
 // Lineage runs the Section IV.B provenance service.
 func (w *Warehouse) Lineage(item rdf.Term, dir lineage.Direction, opt lineage.Options) (*lineage.Graph, error) {
-	return w.LineageCtx(context.Background(), item, dir, opt)
+	return w.LineageService().Trace(item, dir, opt)
 }
 
-// LineageCtx is Lineage carrying a request context.
-func (w *Warehouse) LineageCtx(ctx context.Context, item rdf.Term, dir lineage.Direction, opt lineage.Options) (*lineage.Graph, error) {
-	return lineage.New(w.st, w.model).TraceCtx(ctx, item, dir, opt)
-}
-
-// LineageService exposes the full lineage API (roll-ups, path counting).
+// LineageService exposes the full lineage API (context-carrying calls,
+// sources and impact, roll-ups, path counting).
 func (w *Warehouse) LineageService() *lineage.Service {
 	return lineage.New(w.st, w.model)
-}
-
-// Sources returns the ultimate origins of an information item.
-func (w *Warehouse) Sources(item rdf.Term) ([]rdf.Term, error) {
-	return lineage.New(w.st, w.model).Sources(item, lineage.Options{})
-}
-
-// Impact returns everything transitively derived from an item.
-func (w *Warehouse) Impact(item rdf.Term) ([]rdf.Term, error) {
-	return lineage.New(w.st, w.model).Impact(item, lineage.Options{})
 }
 
 // Audit runs the access audit of the roles use case: which users and
@@ -362,13 +348,15 @@ func (w *Warehouse) History() *history.Historian { return w.hist }
 
 // Census computes the Table I population counts of the base graph.
 func (w *Warehouse) Census() *metamodel.Census {
-	cs, _ := metamodel.TakeCensus(w.st.ViewOf(w.model), w.st.Dict())
+	facts, _ := reason.View(w.st, false, w.model) // facts only: nothing to bring up to date, nothing to fail
+	cs, _ := metamodel.TakeCensus(facts, w.st.Dict())
 	return cs
 }
 
 // Validate checks the graph against the warehouse conventions.
 func (w *Warehouse) Validate() []metamodel.Issue {
-	return metamodel.Validate(w.st.ViewOf(w.model), w.st.Dict())
+	facts, _ := reason.View(w.st, false, w.model) // as in Census
+	return metamodel.Validate(facts, w.st.Dict())
 }
 
 // Stats summarizes the warehouse state.

@@ -84,12 +84,12 @@ func TestEndToEndLineage(t *testing.T) {
 	if len(g.Nodes) != 4 {
 		t.Errorf("lineage nodes = %d", len(g.Nodes))
 	}
-	srcs, err := w.Sources(item)
+	srcs, err := w.LineageService().Sources(item, lineage.Options{})
 	if err != nil || len(srcs) != 1 {
 		t.Errorf("sources = %v, %v", srcs, err)
 	}
 	origin := staging.InstanceIRI(strings.Split(paths[0], "/")...)
-	impact, err := w.Impact(origin)
+	impact, err := w.LineageService().Impact(origin, lineage.Options{})
 	if err != nil || len(impact) != 3 {
 		t.Errorf("impact = %v, %v", impact, err)
 	}

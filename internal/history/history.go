@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mdw/internal/rdf"
+	"mdw/internal/reason"
 	"mdw/internal/store"
 )
 
@@ -141,7 +142,7 @@ func (h *Historian) ViewOf(n int) (*store.View, error) {
 	if v.Pruned {
 		return nil, fmt.Errorf("history: version %d (%s) pruned; its historized graph is gone", v.Number, v.Tag)
 	}
-	return h.st.ViewOf(v.Model), nil
+	return reason.View(h.st, false, v.Model)
 }
 
 // Diff describes the triple-level changes between two versions.

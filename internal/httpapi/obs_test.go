@@ -306,3 +306,26 @@ func TestQueryRoutesOneTraceEach(t *testing.T) {
 		})
 	}
 }
+
+// TestServiceRoutesOneTraceEach is TestQueryRoutesOneTraceEach for the
+// routes that navigate the graph themselves: search, lineage with a
+// roll-up, and audit (lineage on, the default) each yield one trace.
+// Audit's two lineage traversals used to start a root "lineage.trace"
+// trace each, on a background context.
+func TestServiceRoutesOneTraceEach(t *testing.T) {
+	srv := testServer(t)
+	item := url.QueryEscape("application1/dwhdb/mart/v_customer/customer_id")
+	for _, path := range []string{
+		"/api/search?term=customer",
+		"/api/lineage?level=application&item=" + item,
+		"/api/audit?item=" + item,
+	} {
+		startedBefore := obs.DefaultTracer().Started()
+		if code := getJSON(t, srv, path, nil); code != 200 {
+			t.Fatalf("%s: status = %d", path, code)
+		}
+		if started := obs.DefaultTracer().Started() - startedBefore; started != 1 {
+			t.Errorf("%s started %d traces, want 1", path, started)
+		}
+	}
+}

@@ -17,8 +17,8 @@ import (
 
 	"mdw/internal/history"
 	"mdw/internal/lineage"
+	"mdw/internal/metamodel"
 	"mdw/internal/rdf"
-	"mdw/internal/reason"
 	"mdw/internal/store"
 )
 
@@ -92,16 +92,21 @@ func (a *Analyzer) Analyze(from, to int) (*Analysis, error) {
 	}
 	sort.Slice(an.Changed, func(i, j int) bool { return rdf.Compare(an.Changed[i], an.Changed[j]) < 0 })
 
-	// Forward lineage from every changed item.
-	svc := lineage.New(a.st, a.model)
+	// Forward lineage from every changed item, all on one view of the
+	// current graph.
+	k, err := metamodel.Open(a.st, a.model)
+	if err != nil {
+		return nil, err
+	}
 	affected := map[rdf.Term]bool{}
 	for _, item := range an.Changed {
-		deps, err := svc.Impact(item, lineage.Options{})
+		g, err := lineage.TraceOn(k, item, lineage.Forward, lineage.Options{})
 		if err != nil {
 			// Items removed in the newer release may be unknown to the
 			// current graph; they simply have no remaining dependents.
 			continue
 		}
+		deps := g.Reached()
 		if len(deps) > 0 {
 			an.Downstream[item] = deps
 		}
@@ -112,29 +117,20 @@ func (a *Analyzer) Analyze(from, to int) (*Analysis, error) {
 	}
 
 	// Roll the affected set up to applications and reports.
-	view, err := reason.IndexedView(a.st, a.model)
-	if err != nil {
-		return nil, err
-	}
-	dict := a.st.Dict()
 	apps := map[rdf.Term]bool{}
 	reports := map[rdf.Term]bool{}
 	for item := range affected {
-		id, ok := dict.Lookup(item)
+		id, ok := k.Dict.Lookup(item)
 		if !ok {
 			continue
 		}
-		if app, ok := containerOfClass(view, dict, id, rdf.DMNS+"Application"); ok {
-			apps[app] = true
+		if app, ok := k.ContainerOf(id, k.Application); ok {
+			apps[k.Dict.Term(app)] = true
 		}
 		// Reports consume items through dm:implements.
-		if implID, ok := dict.Lookup(rdf.IRI(rdf.MDWImplements)); ok {
-			typeID, _ := dict.Lookup(rdf.Type)
-			reportCls, haveReport := dict.Lookup(rdf.IRI(rdf.DMNS + "Report"))
-			for _, target := range view.Objects(id, implID) {
-				if haveReport && view.Contains(store.ETriple{S: target, P: typeID, O: reportCls}) {
-					reports[dict.Term(target)] = true
-				}
+		for _, target := range k.Objects(id, k.Implements) {
+			if k.IsA(target, k.Report) {
+				reports[k.Dict.Term(target)] = true
 			}
 		}
 	}
@@ -147,32 +143,6 @@ func (a *Analyzer) Analyze(from, to int) (*Analysis, error) {
 	sort.Slice(an.Applications, func(i, j int) bool { return rdf.Compare(an.Applications[i], an.Applications[j]) < 0 })
 	sort.Slice(an.Reports, func(i, j int) bool { return rdf.Compare(an.Reports[i], an.Reports[j]) < 0 })
 	return an, nil
-}
-
-// containerOfClass walks the transitive dm:partOf closure to a container
-// of the given class, or recognizes the node itself.
-func containerOfClass(view *store.View, dict *store.Dict, id store.ID, classIRI string) (rdf.Term, bool) {
-	typeID, ok := dict.Lookup(rdf.Type)
-	if !ok {
-		return rdf.Term{}, false
-	}
-	cls, ok := dict.Lookup(rdf.IRI(classIRI))
-	if !ok {
-		return rdf.Term{}, false
-	}
-	if view.Contains(store.ETriple{S: id, P: typeID, O: cls}) {
-		return dict.Term(id), true
-	}
-	partOfID, ok := dict.Lookup(rdf.IRI(rdf.MDWPartOf))
-	if !ok {
-		return rdf.Term{}, false
-	}
-	for _, anc := range view.Objects(id, partOfID) {
-		if view.Contains(store.ETriple{S: anc, P: typeID, O: cls}) {
-			return dict.Term(anc), true
-		}
-	}
-	return rdf.Term{}, false
 }
 
 // Format renders the analysis for the terminal.

@@ -25,9 +25,9 @@ import (
 	"strings"
 	"time"
 
+	"mdw/internal/metamodel"
 	"mdw/internal/obs"
 	"mdw/internal/rdf"
-	"mdw/internal/reason"
 	"mdw/internal/store"
 )
 
@@ -120,35 +120,30 @@ func (s *Service) TraceCtx(ctx context.Context, item rdf.Term, dir Direction, op
 	sp.SetLabel("item", item.Value).SetLabel("direction", dir.String())
 	defer sp.Finish()
 	defer obsTraceHist.ObserveSince(time.Now())
-	view, err := reason.IndexedViewCtx(ctx, s.st, s.model)
+	k, err := metamodel.OpenCtx(ctx, s.st, s.model)
 	if err != nil {
 		return nil, err
 	}
-	dict := s.st.Dict()
-	rootID, ok := dict.Lookup(item)
+	return TraceOn(k, item, dir, opt)
+}
+
+// TraceOn is the traversal itself, on a graph the caller already holds:
+// audit and impact trace lineage as a step of their own read and stay on
+// the view they opened. The span and the latency observation belong to
+// the TraceCtx entry point, so a nested traversal adds neither.
+func TraceOn(k *metamodel.Graph, item rdf.Term, dir Direction, opt Options) (*Graph, error) {
+	rootID, ok := k.Dict.Lookup(item)
 	if !ok {
 		return nil, fmt.Errorf("lineage: %w %s", ErrUnknownItem, item)
 	}
-	mappedID, ok := dict.Lookup(rdf.IsMappedTo)
-	if !ok {
-		// A graph without any mappings has trivial lineage.
-		g := s.newGraph(item, dir)
-		g.Nodes[item] = s.describe(view, dict, rootID, 0)
-		return g, nil
+	g := &Graph{Root: item, Direction: dir, Nodes: map[rdf.Term]*Node{}}
+	classFilter, known := k.ClassIDs(opt.TargetClasses)
+	if !known && k.IsMappedTo != store.Wildcard {
+		return g, nil // nothing is an instance of a class the graph has never seen
 	}
-
-	var classFilter []store.ID
-	for _, c := range opt.TargetClasses {
-		id, found := dict.Lookup(rdf.IRI(c))
-		if !found {
-			return s.newGraph(item, dir), nil
-		}
-		classFilter = append(classFilter, id)
-	}
-	typeID, _ := dict.Lookup(rdf.Type)
-
-	g := s.newGraph(item, dir)
-	g.Nodes[item] = s.describe(view, dict, rootID, 0)
+	// (A graph without any mappings has trivial lineage whatever the
+	// filter: the walk below finds no hop and reports the root alone.)
+	g.Nodes[item] = describe(k, rootID, 0)
 
 	type qe struct {
 		id    store.ID
@@ -162,32 +157,19 @@ func (s *Service) TraceCtx(ctx context.Context, item rdf.Term, dir Direction, op
 		if opt.MaxDepth > 0 && cur.depth >= opt.MaxDepth {
 			continue
 		}
-		var nexts []store.ID
-		if dir == Backward {
-			nexts = view.Subjects(mappedID, cur.id)
-		} else {
-			nexts = view.Objects(cur.id, mappedID)
-		}
-		for _, nxt := range nexts {
-			var from, to store.ID
-			if dir == Backward {
-				from, to = nxt, cur.id
-			} else {
-				from, to = cur.id, nxt
-			}
-			rule, mapping := s.mappingRule(view, dict, from, to)
+		for _, nxt := range dir.neighbours(k, cur.id) {
+			from, to := dir.edge(cur.id, nxt)
+			rule, mapping := mappingRule(k, from, to)
 			if opt.RuleFilter != nil && !opt.RuleFilter(rule) {
 				continue
 			}
-			g.Edges = append(g.Edges, Edge{
-				From: dict.Term(from), To: dict.Term(to), Rule: rule, Mapping: mapping,
-			})
+			g.Edges = append(g.Edges, Edge{From: k.Dict.Term(from), To: k.Dict.Term(to), Rule: rule, Mapping: mapping})
 			if visited[nxt] {
 				continue
 			}
 			visited[nxt] = true
-			if s.passesClassFilter(view, nxt, typeID, classFilter) {
-				g.Nodes[dict.Term(nxt)] = s.describe(view, dict, nxt, cur.depth+1)
+			if k.IsA(nxt, classFilter...) {
+				g.Nodes[k.Dict.Term(nxt)] = describe(k, nxt, cur.depth+1)
 			}
 			queue = append(queue, qe{nxt, cur.depth + 1})
 		}
@@ -201,37 +183,31 @@ func (s *Service) TraceCtx(ctx context.Context, item rdf.Term, dir Direction, op
 	return g, nil
 }
 
-func (s *Service) newGraph(root rdf.Term, dir Direction) *Graph {
-	return &Graph{Root: root, Direction: dir, Nodes: map[rdf.Term]*Node{}}
+// neighbours returns the items one dt:isMappedTo hop from id in the
+// direction; edge orients such a hop source → target.
+func (d Direction) neighbours(k *metamodel.Graph, id store.ID) []store.ID {
+	if d == Backward {
+		return k.Subjects(k.IsMappedTo, id)
+	}
+	return k.Objects(id, k.IsMappedTo)
 }
 
-func (s *Service) passesClassFilter(view *store.View, id store.ID, typeID store.ID, filter []store.ID) bool {
-	for _, cls := range filter {
-		if !view.Contains(store.ETriple{S: id, P: typeID, O: cls}) {
-			return false
-		}
+func (d Direction) edge(id, neighbour store.ID) (from, to store.ID) {
+	if d == Backward {
+		return neighbour, id
 	}
-	return true
+	return id, neighbour
 }
 
 // mappingRule finds the reified mapping node for the (from, to) hop and
 // returns its rule condition.
-func (s *Service) mappingRule(view *store.View, dict *store.Dict, from, to store.ID) (string, rdf.Term) {
-	mapsFromID, ok1 := dict.Lookup(rdf.IRI(rdf.MDWMapsFrom))
-	mapsToID, ok2 := dict.Lookup(rdf.IRI(rdf.MDWMapsTo))
-	if !ok1 || !ok2 {
-		return "", rdf.Term{}
-	}
-	for _, m := range view.Subjects(mapsFromID, from) {
-		if view.Contains(store.ETriple{S: m, P: mapsToID, O: to}) {
-			ruleID, ok := dict.Lookup(rdf.IRI(rdf.MDWRuleCond))
-			if !ok {
-				return "", dict.Term(m)
+func mappingRule(k *metamodel.Graph, from, to store.ID) (string, rdf.Term) {
+	for _, m := range k.Subjects(k.MapsFrom, from) {
+		if k.Has(m, k.MapsTo, to) {
+			for _, r := range k.Objects(m, k.RuleCond) {
+				return k.Dict.Term(r).Value, k.Dict.Term(m)
 			}
-			for _, r := range view.Objects(m, ruleID) {
-				return dict.Term(r).Value, dict.Term(m)
-			}
-			return "", dict.Term(m)
+			return "", k.Dict.Term(m)
 		}
 	}
 	return "", rdf.Term{}
@@ -239,27 +215,8 @@ func (s *Service) mappingRule(view *store.View, dict *store.Dict, from, to store
 
 // describe builds the Node record: name and dm: classes (through the
 // entailment index, matching Figure 8's rdf:type step).
-func (s *Service) describe(view *store.View, dict *store.Dict, id store.ID, depth int) *Node {
-	n := &Node{IRI: dict.Term(id), Depth: depth}
-	if nameID, ok := dict.Lookup(rdf.HasName); ok {
-		for _, v := range view.Objects(id, nameID) {
-			n.Name = dict.Term(v).Value
-			break
-		}
-	}
-	if n.Name == "" {
-		n.Name = rdf.LocalName(n.IRI.Value)
-	}
-	if typeID, ok := dict.Lookup(rdf.Type); ok {
-		for _, c := range view.Objects(id, typeID) {
-			iri := dict.Term(c).Value
-			if strings.HasPrefix(iri, rdf.DMNS) {
-				n.Classes = append(n.Classes, iri)
-			}
-		}
-	}
-	sort.Strings(n.Classes)
-	return n
+func describe(k *metamodel.Graph, id store.ID, depth int) *Node {
+	return &Node{IRI: k.Dict.Term(id), Name: k.Name(id), Classes: k.Classes(id), Depth: depth}
 }
 
 // Sources returns the ultimate origins of the item: backward-lineage
@@ -295,14 +252,19 @@ func (s *Service) Impact(item rdf.Term, opt Options) ([]rdf.Term, error) {
 	if err != nil {
 		return nil, err
 	}
+	return g.Reached(), nil
+}
+
+// Reached returns every reported node but the root, sorted.
+func (g *Graph) Reached() []rdf.Term {
 	var out []rdf.Term
 	for term := range g.Nodes {
-		if term != item {
+		if term != g.Root {
 			out = append(out, term)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return rdf.Compare(out[i], out[j]) < 0 })
-	return out, nil
+	return out
 }
 
 // CountPaths counts the distinct mapping paths from the item in the
@@ -311,17 +273,15 @@ func (s *Service) Impact(item rdf.Term, opt Options) ([]rdf.Term, error) {
 // with memoization, so the count itself stays cheap even when it is
 // exponential in the number of stages.
 func (s *Service) CountPaths(item rdf.Term, dir Direction, opt Options) (int, error) {
-	view, err := reason.IndexedView(s.st, s.model)
+	k, err := metamodel.Open(s.st, s.model)
 	if err != nil {
 		return 0, err
 	}
-	dict := s.st.Dict()
-	rootID, ok := dict.Lookup(item)
+	rootID, ok := k.Dict.Lookup(item)
 	if !ok {
 		return 0, fmt.Errorf("lineage: %w %s", ErrUnknownItem, item)
 	}
-	mappedID, ok := dict.Lookup(rdf.IsMappedTo)
-	if !ok {
+	if k.IsMappedTo == store.Wildcard {
 		return 0, nil
 	}
 	memo := map[store.ID]int{}
@@ -336,35 +296,19 @@ func (s *Service) CountPaths(item rdf.Term, dir Direction, opt Options) (int, er
 		}
 		onStack[id] = true
 		defer delete(onStack, id)
-		var nexts []store.ID
-		if dir == Backward {
-			nexts = view.Subjects(mappedID, id)
-		} else {
-			nexts = view.Objects(id, mappedID)
-		}
-		if opt.RuleFilter != nil {
-			var kept []store.ID
-			for _, nxt := range nexts {
-				var from, to store.ID
-				if dir == Backward {
-					from, to = nxt, id
-				} else {
-					from, to = id, nxt
-				}
-				rule, _ := s.mappingRule(view, dict, from, to)
-				if opt.RuleFilter(rule) {
-					kept = append(kept, nxt)
+		n, leaf := 0, true
+		for _, nxt := range dir.neighbours(k, id) {
+			if opt.RuleFilter != nil {
+				from, to := dir.edge(id, nxt)
+				if rule, _ := mappingRule(k, from, to); !opt.RuleFilter(rule) {
+					continue
 				}
 			}
-			nexts = kept
-		}
-		if len(nexts) == 0 {
-			memo[id] = 1 // the path ending here
-			return 1
-		}
-		n := 0
-		for _, nxt := range nexts {
+			leaf = false
 			n += count(nxt)
+		}
+		if leaf {
+			n = 1 // the path ending here
 		}
 		memo[id] = n
 		return n

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"time"
 
+	"mdw/internal/metamodel"
 	"mdw/internal/obs"
 	"mdw/internal/rdf"
-	"mdw/internal/reason"
 	"mdw/internal/store"
 )
 
@@ -44,17 +44,16 @@ func (l Level) String() string {
 
 // levelClasses lists the dm: classes that identify a container at each
 // roll-up level.
-func levelClasses(l Level) []string {
+func levelClasses(k *metamodel.Graph, l Level) []store.ID {
 	switch l {
 	case LevelRelation:
-		return []string{rdf.DMNS + "Table", rdf.DMNS + "View", rdf.DMNS + "Source_File"}
+		return []store.ID{k.Table, k.View, k.SourceFile}
 	case LevelSchema:
-		return []string{rdf.DMNS + "Schema"}
+		return []store.ID{k.Schema}
 	case LevelApplication:
-		return []string{rdf.DMNS + "Application"}
-	default:
-		return nil
+		return []store.ID{k.Application}
 	}
+	return nil
 }
 
 // RollupSides aggregates a lineage graph with independent granularities
@@ -67,18 +66,16 @@ func (s *Service) RollupSides(g *Graph, sourceLevel, targetLevel Level) (*Graph,
 	if sourceLevel == targetLevel {
 		return s.Rollup(g, sourceLevel)
 	}
-	view, err := reason.IndexedView(s.st, s.model)
+	k, err := metamodel.Open(s.st, s.model)
 	if err != nil {
 		return nil, err
 	}
-	dict := s.st.Dict()
-	levelFor := func(term rdf.Term) Level {
+	return rollupOn(k, g, func(term rdf.Term) Level {
 		if term == g.Root {
 			return targetLevel
 		}
 		return sourceLevel
-	}
-	return s.rollupWith(g, view, dict, levelFor)
+	})
 }
 
 // Rollup aggregates a lineage graph to the given granularity: every node
@@ -100,62 +97,30 @@ func (s *Service) RollupCtx(ctx context.Context, g *Graph, level Level) (*Graph,
 	sp, ctx := obs.StartChildCtx(ctx, "lineage.rollup")
 	sp.SetLabel("level", level.String())
 	defer sp.Finish()
-	view, err := reason.IndexedViewCtx(ctx, s.st, s.model)
+	k, err := metamodel.OpenCtx(ctx, s.st, s.model)
 	if err != nil {
 		return nil, err
 	}
-	dict := s.st.Dict()
-	return s.rollupWith(g, view, dict, func(rdf.Term) Level { return level })
+	return rollupOn(k, g, func(rdf.Term) Level { return level })
 }
 
-// rollupWith is the shared roll-up machinery: levelFor chooses the
+// rollupOn is the shared roll-up machinery: levelFor chooses the
 // granularity per node.
-func (s *Service) rollupWith(g *Graph, view *store.View, dict *store.Dict,
-	levelFor func(rdf.Term) Level) (*Graph, error) {
+func rollupOn(k *metamodel.Graph, g *Graph, levelFor func(rdf.Term) Level) (*Graph, error) {
 	defer obsRollupHist.ObserveSince(time.Now())
-
-	typeID, _ := dict.Lookup(rdf.Type)
-	partOfID, hasPartOf := dict.Lookup(rdf.IRI(rdf.MDWPartOf))
-	if !hasPartOf {
+	if k.PartOf == store.Wildcard {
 		return nil, fmt.Errorf("lineage: model has no %s edges to roll up along", rdf.QName(rdf.MDWPartOf))
 	}
-	classIDsFor := map[Level][]store.ID{}
-	resolveClassIDs := func(level Level) []store.ID {
-		if ids, ok := classIDsFor[level]; ok {
-			return ids
-		}
-		var ids []store.ID
-		for _, c := range levelClasses(level) {
-			if id, ok := dict.Lookup(rdf.IRI(c)); ok {
-				ids = append(ids, id)
-			}
-		}
-		classIDsFor[level] = ids
-		return ids
-	}
-
 	containerOf := func(term rdf.Term) rdf.Term {
-		level := levelFor(term)
-		if level == LevelAttribute {
-			return term
-		}
-		id, ok := dict.Lookup(term)
-		if !ok {
-			return term
-		}
-		// The index materializes partOf transitively, so one hop over the
-		// view reaches all ancestors.
-		for _, anc := range view.Objects(id, partOfID) {
-			for _, cls := range resolveClassIDs(level) {
-				if view.Contains(store.ETriple{S: anc, P: typeID, O: cls}) {
-					return dict.Term(anc)
-				}
+		if id, ok := k.Dict.Lookup(term); ok {
+			if c, ok := k.ContainerOf(id, levelClasses(k, levelFor(term))...); ok {
+				return k.Dict.Term(c)
 			}
 		}
 		return term
 	}
 
-	out := s.newGraph(containerOf(g.Root), g.Direction)
+	out := &Graph{Root: containerOf(g.Root), Direction: g.Direction, Nodes: map[rdf.Term]*Node{}}
 	for term, node := range g.Nodes {
 		c := containerOf(term)
 		if existing, ok := out.Nodes[c]; ok {
@@ -164,9 +129,8 @@ func (s *Service) rollupWith(g *Graph, view *store.View, dict *store.Dict,
 			}
 			continue
 		}
-		if cid, ok := dict.Lookup(c); ok {
-			rolled := s.describe(view, dict, cid, node.Depth)
-			out.Nodes[c] = rolled
+		if cid, ok := k.Dict.Lookup(c); ok {
+			out.Nodes[c] = describe(k, cid, node.Depth)
 		} else {
 			out.Nodes[c] = &Node{IRI: c, Name: rdf.LocalName(c.Value), Depth: node.Depth}
 		}

@@ -8,7 +8,8 @@
 // graph is still *organized* along this taxonomy so queries can navigate
 // it. This package recovers that organization from a raw triple source:
 // it classifies every node, categorizes every edge, produces the Table I
-// census, and validates the conventions the paper relies on.
+// census, and validates the conventions the paper relies on. Graph is
+// the read handle through which the services navigate that organization.
 package metamodel
 
 import (
@@ -107,11 +108,7 @@ type Classifier struct {
 func Classify(src store.Source, dict *store.Dict) *Classifier {
 	c := &Classifier{dict: dict, kinds: make(map[store.ID]NodeKind)}
 
-	typeID, _ := dict.Lookup(rdf.Type)
-	subClassID, _ := dict.Lookup(rdf.SubClassOf)
-	subPropID, _ := dict.Lookup(rdf.SubPropertyOf)
-	domainID, _ := dict.Lookup(rdf.Domain)
-	rangeID, _ := dict.Lookup(rdf.Range)
+	v := resolveVocab(dict)
 	classTypes := map[store.ID]bool{}
 	propTypes := map[store.ID]bool{}
 	for _, iri := range []string{rdf.OWLClass, rdf.RDFSClass} {
@@ -147,7 +144,7 @@ func Classify(src store.Source, dict *store.Dict) *Classifier {
 		}
 		promote(t.P, KindProperty)
 		switch t.P {
-		case typeID:
+		case v.Type:
 			if classTypes[t.O] {
 				promote(t.S, KindClass)
 			} else if propTypes[t.O] {
@@ -156,13 +153,13 @@ func Classify(src store.Source, dict *store.Dict) *Classifier {
 				promote(t.S, KindInstance)
 				promote(t.O, KindClass)
 			}
-		case subClassID:
+		case v.SubClassOf:
 			promote(t.S, KindClass)
 			promote(t.O, KindClass)
-		case subPropID:
+		case v.SubPropertyOf:
 			promote(t.S, KindProperty)
 			promote(t.O, KindProperty)
-		case domainID, rangeID:
+		case v.Domain, v.Range:
 			promote(t.S, KindProperty)
 			promote(t.O, KindClass)
 		default:
@@ -337,8 +334,7 @@ func (i Issue) String() string {
 func Validate(src store.Source, dict *store.Dict) []Issue {
 	cls := Classify(src, dict)
 	var issues []Issue
-	typeID, hasType := dict.Lookup(rdf.Type)
-	labelID, hasLabel := dict.Lookup(rdf.Label)
+	v := resolveVocab(dict)
 
 	usedPreds := map[store.ID]bool{}
 	litSubjects := map[store.ID]bool{}
@@ -355,11 +351,11 @@ func Validate(src store.Source, dict *store.Dict) []Issue {
 	for id, kind := range cls.kinds {
 		switch kind {
 		case KindInstance:
-			if !hasType || src.Count(id, typeID, store.Wildcard) == 0 {
+			if v.Type == store.Wildcard || src.Count(id, v.Type, store.Wildcard) == 0 {
 				issues = append(issues, Issue{"untyped-instance", dict.Term(id), "instance has no rdf:type"})
 			}
 		case KindClass:
-			if !hasLabel || src.Count(id, labelID, store.Wildcard) == 0 {
+			if v.LabelID == store.Wildcard || src.Count(id, v.LabelID, store.Wildcard) == 0 {
 				issues = append(issues, Issue{"unlabeled-class", dict.Term(id), "class has no rdfs:label"})
 			}
 		case KindProperty:

@@ -176,20 +176,39 @@ func MaterializeCtx(ctx context.Context, st *store.Store, model string) (string,
 	return idxName, nil
 }
 
-// IndexedView is IndexedViewCtx with a background context.
-func IndexedView(st *store.Store, model string) (*store.View, error) {
-	return IndexedViewCtx(context.Background(), st, model)
+// ViewCtx is the tree's one view-acquisition function: it turns model
+// names into the current read view over them. With entailed set that is
+// what the paper's rulebase queries run against — each base model ∪ its
+// OWLPRIME index, the index brought up to date first, which fails for a
+// model the store does not have; without, the asserted facts only ("if a
+// query does not explicitly contain a reference to one of these OWL
+// indexes, then only the meta-data facts are considered"), where a
+// missing model is an empty one and nothing can fail. Every reader
+// outside internal/store gets its view here, so pinning a snapshot for a
+// read's lifetime is a change to this function alone.
+func ViewCtx(ctx context.Context, st *store.Store, entailed bool, models ...string) (*store.View, error) {
+	names := make([]string, 0, 2*len(models))
+	for _, m := range models {
+		names = append(names, m)
+		if entailed {
+			idx, err := MaterializeCtx(ctx, st, m)
+			if err != nil {
+				return nil, err
+			}
+			names = append(names, idx)
+		}
+	}
+	return st.ViewOf(names...), nil
 }
 
-// IndexedViewCtx returns the view the paper's rulebase queries run
-// against — the named base model ∪ its OWLPRIME index — with the index
-// brought up to date first.
-func IndexedViewCtx(ctx context.Context, st *store.Store, model string) (*store.View, error) {
-	idx, err := MaterializeCtx(ctx, st, model)
-	if err != nil {
-		return nil, err
-	}
-	return st.ViewOf(model, idx), nil
+// View is ViewCtx with a background context.
+func View(st *store.Store, entailed bool, models ...string) (*store.View, error) {
+	return ViewCtx(context.Background(), st, entailed, models...)
+}
+
+// IndexedView is View over one entailed model.
+func IndexedView(st *store.Store, model string) (*store.View, error) {
+	return View(st, true, model)
 }
 
 // contains, objects, subjects and forEach read the closure base ∪ idx.

@@ -47,6 +47,7 @@ import (
 	"time"
 
 	"mdw/internal/dbpedia"
+	"mdw/internal/metamodel"
 	"mdw/internal/obs"
 	"mdw/internal/rdf"
 	"mdw/internal/reason"
@@ -233,7 +234,7 @@ func (s *Service) SearchCtx(ctx context.Context, term string, opt Options) (*Res
 					obsScanFallback.Inc()
 				}
 			}
-			res = s.searchView(v, ix, term, expanded, homonyms, opt)
+			res = searchView(metamodel.NewGraph(v, s.st.Dict()), ix, term, expanded, homonyms, opt)
 			done = true
 		}, s.model, idxName)
 		if done {
@@ -315,27 +316,17 @@ func ensureFresh(st *store.Store, model, idxName string, mgr *textindex.Manager,
 // searchView evaluates the query against one consistent view (held under
 // the store's read lock by the caller). ix is a full-text index over
 // exactly that view's generation, or nil to take the literal-scan path.
-func (s *Service) searchView(v *store.View, ix *textindex.Index,
+func searchView(k *metamodel.Graph, ix *textindex.Index,
 	term string, expanded, homonyms []string, opt Options) *Result {
-	dict := s.st.Dict()
-
 	// Steps 1+2: resolve the filter classes. Because instance membership
 	// in superclasses is materialized in the index, requiring
 	// (x rdf:type C) for every filter class IS the hierarchy-intersection
 	// of Figure 5.
-	var filterIDs []store.ID
-	for _, c := range opt.FilterClasses {
-		id, ok := dict.Lookup(rdf.IRI(c))
-		if !ok {
-			// Unknown class: nothing can match.
-			return &Result{Term: term, Expanded: expanded, Homonyms: homonyms}
-		}
-		filterIDs = append(filterIDs, id)
+	filterIDs, known := k.ClassIDs(opt.FilterClasses)
+	if !known {
+		// Unknown class: nothing can match.
+		return &Result{Term: term, Expanded: expanded, Homonyms: homonyms}
 	}
-
-	typeID, _ := dict.Lookup(rdf.Type)
-	nameID, _ := dict.Lookup(rdf.HasName)
-	commentID, _ := dict.Lookup(rdf.IRI(rdf.RDFSComment))
 
 	// Step 3: match named instances, names first, then (optionally)
 	// descriptions. Both paths process the expanded terms in order, so a
@@ -353,15 +344,15 @@ func (s *Service) searchView(v *store.View, ix *textindex.Index,
 		if _, done := matched[subj]; done || rejected[subj] {
 			return
 		}
-		if !s.passesFilters(v, dict, subj, filterIDs, typeID, opt) {
+		if !passesFilters(k, subj, filterIDs, opt) {
 			rejected[subj] = true
 			return
 		}
 		name := text
 		if !isName {
-			name = s.nameOf(v, dict, subj, nameID)
+			name = k.Name(subj)
 		}
-		matched[subj] = Hit{IRI: dict.Term(subj), Name: name, Matched: expanded[termIdx]}
+		matched[subj] = Hit{IRI: k.Dict.Term(subj), Name: name, Matched: expanded[termIdx]}
 	}
 
 	match := func(predID store.ID, field textindex.Field, isName bool) {
@@ -379,7 +370,7 @@ func (s *Service) searchView(v *store.View, ix *textindex.Index,
 			for i := range expanded {
 				for _, p := range ix.Search(expanded[i], field) {
 					if p.Pred == predID {
-						admit(p.Subject, dict.Term(p.Object).Value, isName, i)
+						admit(p.Subject, k.Dict.Term(p.Object).Value, isName, i)
 					}
 				}
 			}
@@ -393,26 +384,26 @@ func (s *Service) searchView(v *store.View, ix *textindex.Index,
 		// postings (triple iteration order is not deterministic).
 		for i := range folded {
 			best := map[store.ID]store.ID{}
-			v.ForEach(store.Wildcard, predID, store.Wildcard, func(t store.ETriple) bool {
+			k.Src.ForEach(store.Wildcard, predID, store.Wildcard, func(t store.ETriple) bool {
 				if _, done := matched[t.S]; done || rejected[t.S] {
 					return true
 				}
 				if o, ok := best[t.S]; ok && o <= t.O {
 					return true
 				}
-				if strings.Contains(textindex.Fold(dict.Term(t.O).Value), folded[i]) {
+				if strings.Contains(textindex.Fold(k.Dict.Term(t.O).Value), folded[i]) {
 					best[t.S] = t.O
 				}
 				return true
 			})
 			for subj, obj := range best {
-				admit(subj, dict.Term(obj).Value, isName, i)
+				admit(subj, k.Dict.Term(obj).Value, isName, i)
 			}
 		}
 	}
-	match(nameID, textindex.FieldName, true)
+	match(k.HasName, textindex.FieldName, true)
 	if opt.MatchDescriptions {
-		match(commentID, textindex.FieldDescription, false)
+		match(k.Comment, textindex.FieldDescription, false)
 	}
 
 	// Group by every class the instance belongs to (via the index, so an
@@ -445,31 +436,34 @@ func (s *Service) searchView(v *store.View, ix *textindex.Index,
 		group Group
 		refs  []int32
 	}
-	labelID, _ := dict.Lookup(rdf.Label)
 	groups := map[store.ID]*protoGroup{}
 	skip := map[store.ID]bool{} // owl:Class and friends
-	for hi, hr := range order {
-		v.ForEach(hr.id, typeID, store.Wildcard, func(t store.ETriple) bool {
-			cls := t.O
-			if skip[cls] {
+	// One visitor for all hits, hi saying whose classes it sees: a closure
+	// per hit, passed through the Source interface, is a heap allocation.
+	var hi int
+	addToGroup := func(t store.ETriple) bool {
+		cls := t.O
+		if skip[cls] {
+			return true
+		}
+		g, ok := groups[cls]
+		if !ok {
+			clsTerm := k.Dict.Term(cls)
+			if !strings.HasPrefix(clsTerm.Value, rdf.DMNS) {
+				skip[cls] = true
 				return true
 			}
-			g, ok := groups[cls]
-			if !ok {
-				clsTerm := dict.Term(cls)
-				if !strings.HasPrefix(clsTerm.Value, rdf.DMNS) {
-					skip[cls] = true
-					return true
-				}
-				g = &protoGroup{group: Group{Class: clsTerm, Label: s.labelOf(v, dict, cls, labelID)}}
-				groups[cls] = g
-			}
-			g.group.Count++
-			if opt.MaxHitsPerGroup == 0 || len(g.refs) < opt.MaxHitsPerGroup {
-				g.refs = append(g.refs, int32(hi))
-			}
-			return true
-		})
+			g = &protoGroup{group: Group{Class: clsTerm, Label: k.Label(cls)}}
+			groups[cls] = g
+		}
+		g.group.Count++
+		if opt.MaxHitsPerGroup == 0 || len(g.refs) < opt.MaxHitsPerGroup {
+			g.refs = append(g.refs, int32(hi))
+		}
+		return true
+	}
+	for hi = range order {
+		k.Src.ForEach(order[hi].id, k.Type, store.Wildcard, addToGroup)
 	}
 
 	res := &Result{Term: term, Expanded: expanded, Homonyms: homonyms, Instances: len(matched)}
@@ -489,119 +483,13 @@ func (s *Service) searchView(v *store.View, ix *textindex.Index,
 	return res
 }
 
-// passesFilters applies the class-intersection, area, and layer filters.
-func (s *Service) passesFilters(view *store.View, dict *store.Dict, inst store.ID,
-	filterIDs []store.ID, typeID store.ID, opt Options) bool {
-	for _, cls := range filterIDs {
-		if !view.Contains(store.ETriple{S: inst, P: typeID, O: cls}) {
-			return false
-		}
-	}
-	if opt.Area != "" && !s.hasAncestorNamed(view, dict, inst, opt.Area) {
-		return false
-	}
-	if opt.Layer != "" && !s.onLayer(view, dict, inst, opt.Layer) {
-		return false
-	}
-	if opt.Tag != "" && !s.hasTag(view, dict, inst, opt.Tag) {
-		return false
-	}
-	return true
-}
-
-// hasTag reports whether the instance carries the governance tag.
-func (s *Service) hasTag(view *store.View, dict *store.Dict, inst store.ID, tag string) bool {
-	tagID, ok := dict.Lookup(rdf.IRI(rdf.MDWTaggedWith))
-	if !ok {
-		return false
-	}
-	want := strings.ToLower(tag)
-	for _, v := range view.Objects(inst, tagID) {
-		if strings.ToLower(dict.Term(v).Value) == want {
-			return true
-		}
-	}
-	return false
-}
-
-// hasAncestorNamed walks the dm:partOf containment (materialized
-// transitively by the index) looking for a container named name.
-func (s *Service) hasAncestorNamed(view *store.View, dict *store.Dict, inst store.ID, name string) bool {
-	partOfID, ok := dict.Lookup(rdf.IRI(rdf.MDWPartOf))
-	if !ok {
-		return false
-	}
-	nameID, ok := dict.Lookup(rdf.HasName)
-	if !ok {
-		return false
-	}
-	want := strings.ToLower(name)
-	check := func(node store.ID) bool {
-		for _, v := range view.Objects(node, nameID) {
-			if strings.ToLower(dict.Term(v).Value) == want {
-				return true
-			}
-		}
-		return false
-	}
-	if check(inst) {
-		return true
-	}
-	for _, anc := range view.Objects(inst, partOfID) {
-		if check(anc) {
-			return true
-		}
-	}
-	return false
-}
-
-// onLayer reports whether inst sits under a container with
-// dm:inLayer = layer.
-func (s *Service) onLayer(view *store.View, dict *store.Dict, inst store.ID, layer string) bool {
-	partOfID, ok := dict.Lookup(rdf.IRI(rdf.MDWPartOf))
-	if !ok {
-		return false
-	}
-	layerID, ok := dict.Lookup(rdf.IRI(rdf.MDWInLayer))
-	if !ok {
-		return false
-	}
-	want := strings.ToLower(layer)
-	check := func(node store.ID) bool {
-		for _, v := range view.Objects(node, layerID) {
-			if strings.ToLower(dict.Term(v).Value) == want {
-				return true
-			}
-		}
-		return false
-	}
-	if check(inst) {
-		return true
-	}
-	for _, anc := range view.Objects(inst, partOfID) {
-		if check(anc) {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *Service) nameOf(view *store.View, dict *store.Dict, inst store.ID, nameID store.ID) string {
-	if nameID != store.Wildcard {
-		for _, v := range view.Objects(inst, nameID) {
-			return dict.Term(v).Value
-		}
-	}
-	return rdf.LocalName(dict.Term(inst).Value)
-}
-
-func (s *Service) labelOf(view *store.View, dict *store.Dict, cls store.ID, labelID store.ID) string {
-	if labelID != store.Wildcard {
-		for _, v := range view.Objects(cls, labelID) {
-			return dict.Term(v).Value
-		}
-	}
-	return rdf.LocalName(dict.Term(cls).Value)
+// passesFilters applies the class-intersection, area, layer and tag
+// filters.
+func passesFilters(k *metamodel.Graph, inst store.ID, filterIDs []store.ID, opt Options) bool {
+	return k.IsA(inst, filterIDs...) &&
+		(opt.Area == "" || k.Under(inst, opt.Area)) &&
+		(opt.Layer == "" || k.OnLayer(inst, opt.Layer)) &&
+		(opt.Tag == "" || k.Tagged(inst, opt.Tag))
 }
 
 // FormatResult renders the result like the Figure 6 frontend: the class

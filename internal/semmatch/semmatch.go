@@ -93,21 +93,16 @@ func (r Request) Source(ctx context.Context, st *store.Store) (store.Source, err
 			return nil, fmt.Errorf("semmatch: unsupported rulebase %q", rb)
 		}
 	}
-	names := make([]string, 0, len(r.Models)*2)
 	for _, m := range r.Models {
 		if !st.HasModel(m) {
 			return nil, fmt.Errorf("semmatch: no such model %q", m)
 		}
-		names = append(names, m)
-		for _, rb := range r.Rulebases {
-			idx, err := reason.MaterializeCtx(ctx, st, m)
-			if err != nil {
-				return nil, fmt.Errorf("semmatch: materializing %s: %w", reason.IndexModelName(m, rb), err)
-			}
-			names = append(names, idx)
-		}
 	}
-	return st.ViewOf(names...), nil
+	src, err := reason.ViewCtx(ctx, st, len(r.Rulebases) > 0, r.Models...)
+	if err != nil {
+		return nil, fmt.Errorf("semmatch: %w", err)
+	}
+	return src, nil
 }
 
 // QueryText assembles the SPARQL text the request executes. It is
