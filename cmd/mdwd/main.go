@@ -32,6 +32,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -90,19 +92,20 @@ func main() {
 	stop := obs.StartRuntimeSampler(0)
 	defer stop()
 	srv := httpapi.NewServer(w)
+	hs := &http.Server{Handler: srv}
+	stopped := make(chan struct{})
 	if mgr != nil {
 		srv.SetDurable(mgr)
-		// Flush the WAL (and stop the background loops) on SIGINT/SIGTERM
-		// so an orderly shutdown loses nothing even under -fsync interval.
+		// Drain the requests in flight, then flush the WAL (and stop the
+		// background loops) on SIGINT/SIGTERM, so an orderly shutdown loses
+		// nothing it acknowledged, even under -fsync interval.
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		go func() {
 			<-sig
 			log.Printf("shutting down, closing WAL")
-			if err := mgr.Close(); err != nil {
-				log.Printf("WAL close: %v", err)
-			}
-			os.Exit(0)
+			shutdown(hs, mgr)
+			close(stopped)
 		}()
 	}
 	if *pprofOn {
@@ -130,7 +133,7 @@ func main() {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		errc <- http.Serve(ln, srv)
+		errc <- hs.Serve(ln)
 	}()
 
 	// Bring the entailment index up to date up front so the first query
@@ -155,8 +158,30 @@ func main() {
 		w.Model(), w.Store().Len(w.Model()), derived, ln.Addr())
 	err = <-errc
 	wg.Wait()
+	if errors.Is(err, http.ErrServerClosed) {
+		<-stopped
+		return
+	}
 	fmt.Fprintln(os.Stderr, "mdwd:", err)
 	os.Exit(1)
+}
+
+// shutdownGrace bounds how long the requests in flight at SIGINT/SIGTERM
+// get to finish before the WAL is closed regardless.
+const shutdownGrace = 5 * time.Second
+
+// shutdown stops hs accepting, waits for the requests it is still
+// answering — a load that is mid-AddAll must reach the WAL it is logged
+// to — and only then closes the WAL.
+func shutdown(hs *http.Server, mgr *durable.Manager) {
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := hs.Shutdown(ctx); err != nil {
+		log.Printf("shutdown: %v", err)
+	}
+	if err := mgr.Close(); err != nil {
+		log.Printf("WAL close: %v", err)
+	}
 }
 
 // buildWarehouse returns the warehouse to serve: in memory and seeded

@@ -2,11 +2,17 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"mdw/internal/httpapi"
+	"mdw/internal/rdf"
 )
 
 func TestBuildWarehouseDefault(t *testing.T) {
@@ -125,5 +131,73 @@ func TestServerEndToEnd(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Errorf("status = %d", resp.StatusCode)
+	}
+}
+
+// TestShutdownKeepsAcknowledgedLoads is SIGTERM under load: clients keep
+// posting one-triple loads while shutdown runs, and every load that was
+// acknowledged with a 200 — before the signal or while the server drained
+// — must be in the store recovered from the data directory. Closing the
+// WAL while http.Serve was still answering raced a load's AddAll against
+// the close.
+func TestShutdownKeepsAcknowledgedLoads(t *testing.T) {
+	dir := t.TempDir()
+	w, mgr, err := buildWarehouse("", "", dir, "interval", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := httpapi.NewServer(w)
+	api.SetDurable(mgr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &http.Server{Handler: api}
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+
+	var mu sync.Mutex
+	var acked []rdf.Triple
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				tr := rdf.T(rdf.IRI(fmt.Sprintf("%sshutdown_%d_%d", rdf.InstNS, c, i)), rdf.HasName, rdf.Literal("x"))
+				resp, err := http.Post("http://"+ln.Addr().String()+"/api/load", "application/n-triples", strings.NewReader(tr.NTriple()+"\n"))
+				if err != nil {
+					return // the server stopped accepting
+				}
+				resp.Body.Close()
+				if resp.StatusCode != 200 {
+					t.Errorf("load answered %d", resp.StatusCode)
+					return
+				}
+				mu.Lock()
+				acked = append(acked, tr)
+				mu.Unlock()
+			}
+		}()
+	}
+	time.Sleep(50 * time.Millisecond)
+	shutdown(hs, mgr)
+	wg.Wait()
+	if err := <-served; err != http.ErrServerClosed {
+		t.Errorf("Serve returned %v", err)
+	}
+	if len(acked) == 0 {
+		t.Fatal("no load was acknowledged before the shutdown")
+	}
+
+	w2, mgr2, err := buildWarehouse("", "", dir, "interval", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr2.Close()
+	for _, tr := range acked {
+		if !w2.Store().Contains(w2.Model(), tr) {
+			t.Fatalf("acknowledged load %s is not in the recovered store (%d acknowledged)", tr.S.Value, len(acked))
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package mdw
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -363,10 +364,30 @@ func TestConcurrentSearches(t *testing.T) {
 			}(term)
 		}
 	}
+	// The searches run beside a load, as the portal's do (§III.A).
+	loaded := make(chan int)
+	go func() {
+		n := 0
+		for i := 0; i < 20; i++ {
+			col := rdf.IRI(fmt.Sprintf("%sconcurrent_load_%d", rdf.InstNS, i))
+			n += w.LoadTriples([]rdf.Triple{
+				rdf.T(col, rdf.Type, rdf.IRI(rdf.DMNS+"Column")),
+				rdf.T(col, rdf.HasName, rdf.Literal(fmt.Sprintf("customer_fee_%d", i))),
+			})
+		}
+		loaded <- n
+	}()
 	for i := 0; i < len(terms)*4; i++ {
 		if err := <-errc; err != nil {
 			t.Fatal(err)
 		}
+	}
+	if n := <-loaded; n != 40 {
+		t.Fatalf("loaded %d of 40 triples", n)
+	}
+	res, err := w.Search("customer_fee_", search.Options{})
+	if err != nil || res.Instances != 20 {
+		t.Errorf("after the load: %d of 20 loaded columns found (%v)", res.Instances, err)
 	}
 }
 

@@ -200,7 +200,7 @@ func TestRoleProbeMatchesDescendantEnumeration(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := New(st, "m")
-	view, err := reason.IndexedView(st, "m")
+	view, err := reason.View(st, true, "m")
 	if err != nil {
 		t.Fatal(err)
 	}

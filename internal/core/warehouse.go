@@ -374,17 +374,22 @@ type Stats struct {
 	TextIndex []textindex.Stats
 }
 
-// Stats reports the current graph and version sizes.
+// Stats reports the current graph and version sizes. Everything about
+// the graph is read off one snapshot of the base model and its index, so
+// the figures describe one moment of the store even while a load runs;
+// nothing is brought up to date for it.
 func (w *Warehouse) Stats() Stats {
-	cs := w.Census()
 	idx := reason.IndexModelName(w.model, reason.RulebaseOWLPrime)
+	snap, _ := reason.View(w.st, false, w.model, idx) // facts only: nothing can fail
+	base, index := snap.Cut(w.model), snap.Cut(idx)
+	cs, _ := metamodel.TakeCensus(snap.Of(w.model), w.st.Dict())
 	return Stats{
 		Model:        w.model,
-		Triples:      w.st.Len(w.model),
-		Derived:      w.st.Len(idx),
+		Triples:      base.Triples,
+		Derived:      index.Triples,
 		Nodes:        cs.NodeTotal(),
 		Versions:     len(w.hist.Versions()),
-		IndexCurrent: w.st.Current(w.model, idx),
+		IndexCurrent: index.Exists && index.Basis == base.Gen,
 		TextIndex:    w.tix.StatsAll(),
 	}
 }

@@ -22,11 +22,11 @@ import (
 func fingerprint(st *store.Store) string {
 	var b strings.Builder
 	names := st.ModelNames()
-	st.ReadView(func(_ *store.View, infos []store.ModelInfo) {
-		for _, in := range infos {
-			fmt.Fprintf(&b, "@model %s gen=%d basis=%d n=%d\n", in.Name, in.Gen, in.Basis, in.Triples)
-		}
-	}, names...)
+	snap := st.Snapshot(names...)
+	for _, name := range names {
+		in := snap.Cut(name)
+		fmt.Fprintf(&b, "@model %s gen=%d basis=%d n=%d\n", in.Name, in.Gen, in.Basis, in.Triples)
+	}
 	for _, name := range names {
 		for _, t := range st.Triples(name) {
 			b.WriteString(name)

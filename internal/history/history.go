@@ -171,19 +171,22 @@ func (h *Historian) DiffVersions(a, b int) (*Diff, error) {
 	if vb.Pruned {
 		return nil, fmt.Errorf("history: version %d (%s) pruned; cannot diff", vb.Number, vb.Tag)
 	}
-	d := &Diff{From: a, To: b}
-	h.st.ForEach(vb.Model, rdf.Term{}, rdf.Term{}, rdf.Term{}, func(t rdf.Triple) bool {
-		if !h.st.Contains(va.Model, t) {
-			d.Added = append(d.Added, t)
-		}
-		return true
-	})
-	h.st.ForEach(va.Model, rdf.Term{}, rdf.Term{}, rdf.Term{}, func(t rdf.Triple) bool {
-		if !h.st.Contains(vb.Model, t) {
-			d.Removed = append(d.Removed, t)
-		}
-		return true
-	})
+	// One snapshot of both releases: a Store.ForEach callback that probed
+	// the store again would re-enter its read lock, which deadlocks as
+	// soon as a load is waiting for the write lock in between.
+	both, _ := reason.View(h.st, false, va.Model, vb.Model)
+	from, to := both.Of(va.Model), both.Of(vb.Model)
+	dict := h.st.Dict()
+	missing := func(in, from *store.View) (out []rdf.Triple) {
+		in.ForEach(store.Wildcard, store.Wildcard, store.Wildcard, func(t store.ETriple) bool {
+			if !from.Contains(t) {
+				out = append(out, rdf.Triple{S: dict.Term(t.S), P: dict.Term(t.P), O: dict.Term(t.O)})
+			}
+			return true
+		})
+		return out
+	}
+	d := &Diff{From: a, To: b, Added: missing(to, from), Removed: missing(from, to)}
 	rdf.SortTriples(d.Added)
 	rdf.SortTriples(d.Removed)
 	return d, nil

@@ -103,10 +103,9 @@ func TestExtensionEqualsFromScratchProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var info []store.ModelInfo
-			st.ReadView(func(_ *store.View, mi []store.ModelInfo) { info = mi }, "m", idx)
-			if !st.Current("m", idx) || info[1].Basis != info[0].Gen {
-				t.Fatalf("seed %d step %d: index basis %d, base generation %d", seed, step, info[1].Basis, info[0].Gen)
+			snap := st.Snapshot("m", idx)
+			if !st.Current("m", idx) || snap.Cut(idx).Basis != snap.Cut("m").Gen {
+				t.Fatalf("seed %d step %d: index basis %d, base generation %d", seed, step, snap.Cut(idx).Basis, snap.Cut("m").Gen)
 			}
 			switch {
 			case wasCurrent:

@@ -74,7 +74,7 @@ func IndexModelName(model, rulebase string) string {
 // and write what they derive into idx.
 type engine struct {
 	dict *store.Dict
-	// base is a read-only snapshot of the base model; idx holds the
+	// base is the pinned version of the base model, read only; idx holds the
 	// derived-only triples and is this run's to mutate. The two are
 	// disjoint, so their union needs no de-duplication.
 	base, idx *store.Model
@@ -111,41 +111,59 @@ func Materialize(st *store.Store, model string) (string, error) {
 	return MaterializeCtx(context.Background(), st, model)
 }
 
-// MaterializeCtx brings the OWLPRIME index model of the named base model up
-// to date with the base's present generation and returns its name. The
-// index holds the *derived-only* triples. When it is already current the
-// call costs one generation comparison; runs are single-flighted per base
-// model, so concurrent callers that find the index stale wait for one
-// run instead of starting their own.
-//
-// A run works on one consistent cut (store.SnapshotDelta): a snapshot of
-// the base, a copy-on-write clone of the installed index, and the base
-// triples added since the index's basis. It drops from the index the
-// delta triples that are now asserted, forward-chains from the delta
-// against base ∪ index, and publishes the extended index atomically with
-// the snapshot's generation as its basis: concurrent writers never race
-// with the rule engine, readers never observe a half-built index, and
-// store.Current(model, idxName) reports whether the index still reflects
-// the base model. Because every rule is monotone and has at most one
-// premise outside the closure at the moment the other is processed, the
-// result is the index a from-scratch derivation would produce.
+// MaterializeCtx brings the OWLPRIME index model of the named base model
+// up to date with the base's present generation and returns its name: it
+// is what ViewCtx does for one entailed model, for callers that want the
+// index to exist but read nothing.
 func MaterializeCtx(ctx context.Context, st *store.Store, model string) (string, error) {
+	_, err := pinEntailed(ctx, st, model)
+	return IndexModelName(model, RulebaseOWLPrime), err
+}
+
+// pinEntailed pins one consistent pair: the base model cut at some
+// generation g and the OWLPRIME index whose basis is g. The index holds
+// the *derived-only* triples. When the installed index is current this
+// costs one snapshot; when it is behind, the pair is derived here, from
+// the very cut that is returned — runs are single-flighted per base model,
+// so concurrent callers that find the index stale wait for one run
+// instead of starting their own.
+//
+// A run works on one consistent cut (store.SnapshotDelta): the version of
+// the base that readers of this generation share, a copy-on-write clone
+// of the installed index, and the base triples added since the index's
+// basis. It drops from the index the delta triples that are now asserted,
+// forward-chains from the delta against base ∪ index, and publishes the
+// extended index atomically with the cut's generation as its basis:
+// concurrent writers never race with the rule engine, readers never
+// observe a half-built index, and store.Current(model, idxName) reports
+// whether the index still reflects the base model. Because every rule is
+// monotone and has at most one premise outside the closure at the moment
+// the other is processed, the result is the index a from-scratch
+// derivation would produce.
+func pinEntailed(ctx context.Context, st *store.Store, model string) (*store.View, error) {
 	idxName := IndexModelName(model, RulebaseOWLPrime)
-	if st.Current(model, idxName) {
-		return idxName, nil
+	current := func() *store.View {
+		v := st.Snapshot(model, idxName)
+		if idx := v.Cut(idxName); idx.Exists && idx.Basis == v.Cut(model).Gen {
+			return v
+		}
+		return nil
+	}
+	if v := current(); v != nil {
+		return v, nil
 	}
 	mu := st.DeriveLock(model)
 	mu.Lock()
 	defer mu.Unlock()
-	if st.Current(model, idxName) {
-		return idxName, nil // the run we waited for did it
+	if v := current(); v != nil {
+		return v, nil // the run we waited for did it
 	}
 	sp, _ := obs.ChildCtx(ctx, "reindex")
 	defer sp.Finish()
 	t0 := time.Now()
 	d := st.SnapshotDelta(model, idxName)
 	if d == nil {
-		return "", fmt.Errorf("reason: no such model %q", model)
+		return nil, fmt.Errorf("reason: no such model %q", model)
 	}
 	e := newEngine(st.Dict(), d.Base, d.Derived)
 
@@ -166,49 +184,46 @@ func MaterializeCtx(ctx context.Context, st *store.Store, model string) (string,
 	for i := 0; i < len(queue); i++ {
 		e.applyRules(queue[i], emit)
 	}
-	e.idx.SetBasis(d.Base.Basis())
+	e.idx.SetBasis(d.Base.Gen())
 	st.InstallExtension(e.idx, d.PrevGen, queue[nDelta:], asserted)
 
 	obsMaterializeHist.ObserveSince(t0)
 	obsDelta.Add(int64(nDelta))
 	obsDerived.Add(int64(len(queue) - nDelta))
 	sp.SetLabel("delta", strconv.Itoa(nDelta)).SetLabel("derived", strconv.Itoa(len(queue)-nDelta))
-	return idxName, nil
+	// Installed, the index is a version like the base cut: nobody writes
+	// either again, whatever the writers have done to the store since.
+	return store.NewView(d.Base, e.idx), nil
 }
 
 // ViewCtx is the tree's one view-acquisition function: it turns model
-// names into the current read view over them. With entailed set that is
-// what the paper's rulebase queries run against — each base model ∪ its
-// OWLPRIME index, the index brought up to date first, which fails for a
-// model the store does not have; without, the asserted facts only ("if a
-// query does not explicitly contain a reference to one of these OWL
-// indexes, then only the meta-data facts are considered"), where a
-// missing model is an empty one and nothing can fail. Every reader
-// outside internal/store gets its view here, so pinning a snapshot for a
-// read's lifetime is a change to this function alone.
+// names into a read view pinned at one moment of the store, valid for as
+// long as the caller holds it while loads go on. With entailed set that
+// is what the paper's rulebase queries run against — each base model ∪
+// its OWLPRIME index, a consistent pair by construction (see pinEntailed),
+// which fails for a model the store does not have; without, the asserted
+// facts only ("if a query does not explicitly contain a reference to one
+// of these OWL indexes, then only the meta-data facts are considered"),
+// where a missing model is an empty one and nothing can fail. Every
+// reader outside internal/store gets its view here.
 func ViewCtx(ctx context.Context, st *store.Store, entailed bool, models ...string) (*store.View, error) {
-	names := make([]string, 0, 2*len(models))
-	for _, m := range models {
-		names = append(names, m)
-		if entailed {
-			idx, err := MaterializeCtx(ctx, st, m)
-			if err != nil {
-				return nil, err
-			}
-			names = append(names, idx)
-		}
+	if !entailed {
+		return st.ViewOf(models...), nil
 	}
-	return st.ViewOf(names...), nil
+	var members []*store.Model
+	for _, m := range models {
+		v, err := pinEntailed(ctx, st, m)
+		if err != nil {
+			return nil, err
+		}
+		members = append(members, v.Models()...)
+	}
+	return store.NewView(members...), nil
 }
 
 // View is ViewCtx with a background context.
 func View(st *store.Store, entailed bool, models ...string) (*store.View, error) {
 	return ViewCtx(context.Background(), st, entailed, models...)
-}
-
-// IndexedView is View over one entailed model.
-func IndexedView(st *store.Store, model string) (*store.View, error) {
-	return View(st, true, model)
 }
 
 // contains, objects, subjects and forEach read the closure base ∪ idx.

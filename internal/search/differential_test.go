@@ -231,7 +231,7 @@ func TestEnsureIndexTracksGenerations(t *testing.T) {
 	st := fixture(t)
 	svc := New(st, "DWH_CURR", nil)
 
-	ix, err := EnsureIndex(st, "DWH_CURR", svc.IndexManager())
+	ix, err := EnsureIndex(st, "DWH_CURR", svc.tix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,14 +239,14 @@ func TestEnsureIndexTracksGenerations(t *testing.T) {
 		t.Fatalf("index gen %d != model gen %d", ix.Gen(), st.Generation("DWH_CURR"))
 	}
 	st.Add("DWH_CURR", rdf.T(rdf.IRI(rdf.InstNS+"x"), rdf.HasName, rdf.Literal("xname")))
-	ix2, err := EnsureIndex(st, "DWH_CURR", svc.IndexManager())
+	ix2, err := EnsureIndex(st, "DWH_CURR", svc.tix)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ix2 == ix || ix2.Gen() != st.Generation("DWH_CURR") {
 		t.Error("EnsureIndex did not refresh after a write")
 	}
-	if _, err := EnsureIndex(st, "no_such_model", svc.IndexManager()); err == nil {
+	if _, err := EnsureIndex(st, "no_such_model", svc.tix); err == nil {
 		t.Error("EnsureIndex accepted a missing model")
 	}
 }
@@ -260,7 +260,7 @@ func TestManyModelsOneManager(t *testing.T) {
 		st.Add(model, rdf.T(rdf.IRI(rdf.InstNS+"c"), rdf.Type, rdf.IRI(rdf.DMNS+"Column")))
 		st.Add(model, rdf.T(rdf.IRI(rdf.InstNS+"c"), rdf.HasName, rdf.Literal(fmt.Sprintf("col_v%d", i))))
 	}
-	shared := New(st, "rel0", nil).IndexManager()
+	shared := New(st, "rel0", nil).tix
 	for i := 0; i < 3; i++ {
 		model := fmt.Sprintf("rel%d", i)
 		svc := New(st, model, nil).WithIndexManager(shared)

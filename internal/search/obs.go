@@ -4,15 +4,13 @@ import "mdw/internal/obs"
 
 // Metric handles, resolved once at package init.
 var (
-	obsSearchHist   = obs.Default().Histogram("mdw_search_seconds", nil)
-	obsSearchIdx    = obs.Default().Counter("mdw_search_path_total", "path", "index")
-	obsSearchScan   = obs.Default().Counter("mdw_search_path_total", "path", "scan")
-	obsScanFallback = obs.Default().Counter("mdw_search_scan_fallbacks_total")
+	obsSearchHist = obs.Default().Histogram("mdw_search_seconds", nil)
+	obsSearchIdx  = obs.Default().Counter("mdw_search_path_total", "path", "index")
+	obsSearchScan = obs.Default().Counter("mdw_search_path_total", "path", "scan")
 )
 
 func init() {
 	r := obs.Default()
 	r.SetHelp("mdw_search_seconds", "Search service latency (full three-step algorithm).")
-	r.SetHelp("mdw_search_path_total", "Searches answered by the inverted index or the literal scan.")
-	r.SetHelp("mdw_search_scan_fallbacks_total", "Searches that wanted the index but fell back to scanning (index cold, mid-build, or outrun by writers).")
+	r.SetHelp("mdw_search_path_total", "Searches answered by the inverted index or the literal scan (the tests' oracle).")
 }

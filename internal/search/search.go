@@ -25,18 +25,14 @@
 //     semantics verbatim, retained as the correctness oracle the
 //     differential tests compare the index against.
 //
-// Either way a search runs against a consistent snapshot: the service
-// checks that the OWLPRIME entailment index still reflects the base
-// model (via the store's generation counters), re-materializes it when
-// the model has moved, and evaluates the query under the store's read
-// lock so concurrent writers cannot tear the view.
-//
-// Index maintenance is kept off the store's read lock: only the cheap
-// posting collection runs under it, while the O(all literals)
-// tokenization of a build or delta update happens outside, so a cold
-// index never stalls writers. Builds are single-flighted per model;
-// a search arriving while another goroutine is building serves its
-// query from the scan path instead of waiting.
+// Either way a search runs against one pinned version of the graph
+// (reason.ViewCtx): the base model cut at one generation, the OWLPRIME
+// entailment index derived from exactly that cut, and the full-text
+// index built — or delta-updated from its predecessor — over exactly
+// that pair. All three are immutable, so the search holds no store lock
+// and concurrent writers can neither tear its view nor wait for it;
+// entailment and text-index maintenance are single-flighted per model,
+// and a search that needs an index still being built waits for it.
 package search
 
 import (
@@ -85,9 +81,6 @@ func (s *Service) WithIndexManager(m *textindex.Manager) *Service {
 	}
 	return s
 }
-
-// IndexManager returns the full-text index manager the service queries.
-func (s *Service) IndexManager() *textindex.Manager { return s.tix }
 
 // Options refine a search, mirroring the filters of the Figure 6
 // frontend.
@@ -155,11 +148,6 @@ type Result struct {
 	Instances int
 }
 
-// maxFreshAttempts bounds how often Search chases a base model that
-// keeps mutating under it before serving from a consistent-but-stale
-// snapshot (scan path, so no stale index is cached).
-const maxFreshAttempts = 3
-
 // Search runs the three-step algorithm for term.
 func (s *Service) Search(term string, opt Options) (*Result, error) {
 	return s.SearchCtx(context.Background(), term, opt)
@@ -187,135 +175,35 @@ func (s *Service) SearchCtx(ctx context.Context, term string, opt Options) (*Res
 		}
 	}
 
-	idxName := reason.IndexModelName(s.model, reason.RulebaseOWLPrime)
-	for attempt := 0; ; attempt++ {
-		if !s.st.HasModel(s.model) {
-			return nil, fmt.Errorf("search: no such model %q", s.model)
-		}
-		// Bring the entailment up to date outside the read lock
-		// (Materialize snapshots the base and swaps the index model in
-		// atomically).
-		if _, err := reason.MaterializeCtx(ctx, s.st, s.model); err != nil {
-			return nil, err
-		}
-		if !opt.ForceScan {
-			// Bring the full-text index up to date before taking the read
-			// lock, so its tokenization never runs under it. Best-effort:
-			// on failure (another goroutine is mid-build, or writers keep
-			// racing) this query falls back to the scan path below.
-			ensureFresh(s.st, s.model, idxName, s.tix, false)
-		}
-		var res *Result
-		var err error
-		done := false
-		s.st.ReadView(func(v *store.View, infos []store.ModelInfo) {
-			if !infos[0].Exists {
-				err = fmt.Errorf("search: no such model %q", s.model)
-				done = true
-				return
-			}
-			fresh := infos[1].Exists && infos[1].Basis == infos[0].Gen
-			if !fresh && attempt < maxFreshAttempts {
-				return // base moved since Materialize; retry
-			}
-			// Use the prebuilt index only when it describes exactly this
-			// snapshot's generation; otherwise (writers outran us, or the
-			// build was skipped) serve this consistent snapshot via the
-			// scan path. Never build under the read lock.
-			var ix *textindex.Index
-			if !opt.ForceScan && fresh {
-				ix, _ = s.tix.Get(s.model, infos[0].Gen)
-			}
-			if ix != nil {
-				obsSearchIdx.Inc()
-			} else {
-				obsSearchScan.Inc()
-				if !opt.ForceScan {
-					obsScanFallback.Inc()
-				}
-			}
-			res = searchView(metamodel.NewGraph(v, s.st.Dict()), ix, term, expanded, homonyms, opt)
-			done = true
-		}, s.model, idxName)
-		if done {
-			return res, err
-		}
-	}
-}
-
-// EnsureIndex returns an up-to-date full-text index over model ∪ its
-// OWLPRIME entailment, materializing the entailment and refreshing the
-// index as needed. It fails only when the model is missing or keeps
-// mutating faster than it can be indexed.
-func EnsureIndex(st *store.Store, model string, mgr *textindex.Manager) (*textindex.Index, error) {
-	idxName := reason.IndexModelName(model, reason.RulebaseOWLPrime)
-	for attempt := 0; attempt <= maxFreshAttempts; attempt++ {
-		if !st.HasModel(model) {
-			return nil, fmt.Errorf("search: no such model %q", model)
-		}
-		if _, err := reason.Materialize(st, model); err != nil {
-			return nil, err
-		}
-		if ix := ensureFresh(st, model, idxName, mgr, true); ix != nil {
-			return ix, nil
-		}
-	}
-	return nil, fmt.Errorf("search: model %q kept changing while indexing", model)
-}
-
-// ensureFresh brings the manager's index for model up to date with the
-// store's present generation, keeping the expensive tokenization off the
-// store's read lock: only textindex.Collect (a cheap scan of the indexed
-// predicates) runs under ReadView; the build or delta update works from
-// the collected postings afterwards. Builds are single-flighted through
-// the manager's per-model build lock. When block is false and another
-// goroutine already holds it, ensureFresh returns nil immediately and
-// the caller serves its query from the scan path instead of stalling.
-// It also returns nil when the entailment index is stale relative to the
-// base (a writer raced the caller's Materialize); callers retry.
-func ensureFresh(st *store.Store, model, idxName string, mgr *textindex.Manager, block bool) *textindex.Index {
-	if ix, ok := mgr.Get(model, st.Generation(model)); ok {
-		return ix
-	}
-	bmu := mgr.BuildLock(model)
-	if block {
-		bmu.Lock()
-	} else if !bmu.TryLock() {
-		return nil
-	}
-	defer bmu.Unlock()
-	// Re-check under the build lock: the previous holder may have built
-	// exactly the generation we need.
-	if ix, ok := mgr.Get(model, st.Generation(model)); ok {
-		return ix
-	}
-	field := mgr.Fields(st.Dict())
-	var posts []textindex.Posting
-	var gen uint64
-	consistent := false
-	st.ReadView(func(v *store.View, infos []store.ModelInfo) {
-		if !infos[0].Exists || !infos[1].Exists || infos[1].Basis != infos[0].Gen {
-			return
-		}
-		gen = infos[0].Gen
-		posts = textindex.Collect(v, field)
-		consistent = true
-	}, model, idxName)
-	if !consistent {
-		return nil
+	v, err := reason.ViewCtx(ctx, s.st, true, s.model)
+	if err != nil { // an entailed view fails for a missing model only
+		return nil, fmt.Errorf("search: no such model %q", s.model)
 	}
 	var ix *textindex.Index
-	if prev := mgr.Cached(model); prev != nil {
-		ix, _, _ = prev.UpdateWith(gen, field, posts)
+	if opt.ForceScan {
+		obsSearchScan.Inc()
 	} else {
-		ix = textindex.BuildPostings(model, gen, st.Dict(), field, posts)
+		ix = s.tix.For(s.model, v, s.st.Dict())
+		obsSearchIdx.Inc()
 	}
-	return mgr.Install(ix)
+	return searchView(metamodel.NewGraph(v, s.st.Dict()), ix, term, expanded, homonyms, opt), nil
 }
 
-// searchView evaluates the query against one consistent view (held under
-// the store's read lock by the caller). ix is a full-text index over
-// exactly that view's generation, or nil to take the literal-scan path.
+// EnsureIndex returns the full-text index over model ∪ its OWLPRIME
+// entailment as of now, materializing the entailment and building or
+// delta-updating the index as needed. It fails only when the model is
+// missing.
+func EnsureIndex(st *store.Store, model string, mgr *textindex.Manager) (*textindex.Index, error) {
+	v, err := reason.View(st, true, model)
+	if err != nil {
+		return nil, fmt.Errorf("search: no such model %q", model)
+	}
+	return mgr.For(model, v, st.Dict()), nil
+}
+
+// searchView evaluates the query against one pinned view. ix is the
+// full-text index over exactly that view, or nil to take the literal-scan
+// path.
 func searchView(k *metamodel.Graph, ix *textindex.Index,
 	term string, expanded, homonyms []string, opt Options) *Result {
 	// Steps 1+2: resolve the filter classes. Because instance membership

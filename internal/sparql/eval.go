@@ -42,8 +42,9 @@ type RunOptions struct {
 
 // Run executes the query against a triple source; the dict must be the
 // dictionary underlying the source's models. It is Plan followed by
-// Plan.Run, with the results cache probed first. New data is always
-// visible because the plan probes the live indexes.
+// Plan.Run, with the results cache probed first. The warehouse hands it a
+// pinned view (reason.ViewCtx), so the run sees one version of the graph
+// from the cache probe to the last row.
 //
 // When ctx holds a trace span (obs.ContextWithSpan), planning and
 // execution attach "sparql plan" and "sparql exec" child spans to it;
@@ -56,7 +57,7 @@ func (q *Query) Run(ctx context.Context, src store.Source, dict *store.Dict, opt
 	rc := rescache.Default()
 	var genKey string
 	if rc != nil && !opt.Analyze && q.resultsCacheable() {
-		if gk, ok := sourceGenKey(src); ok {
+		if gk, ok := sourceVersion(src); ok {
 			genKey = gk
 			t0 := time.Now()
 			if v, ok := rc.Get(q.resultCacheKey(genKey)); ok {
@@ -69,12 +70,7 @@ func (q *Query) Run(ctx context.Context, src store.Source, dict *store.Dict, opt
 	sp.Finish()
 	res, stats, err := p.Run(ctx, opt)
 	if genKey != "" && err == nil && res != nil {
-		// Store only if no model mutated while we executed: a result
-		// computed from a moving source under a pre-move key would be
-		// served as current forever.
-		if gk, ok := sourceGenKey(src); ok && gk == genKey {
-			rc.Put(q.resultCacheKey(genKey), res, estimateResultSize(res))
-		}
+		rc.Put(q.resultCacheKey(genKey), res, estimateResultSize(res))
 	}
 	return res, stats, err
 }
@@ -130,7 +126,7 @@ func (p *Plan) Run(ctx context.Context, opt RunOptions) (*Result, *ExecStats, er
 	if rec != nil {
 		stats = p.finishAnalyze(rec, info, d, rows)
 	}
-	obs.DefaultStatements().Record(fp, p.query.Text, rows, d, p)
+	obs.DefaultStatements().Record(fp, p.query.Text, rows, d, p.unpinned())
 	if stats != nil {
 		obs.DefaultStatements().AddResources(fp, stats.RowsScanned, stats.TermDecodes)
 	}
@@ -157,6 +153,18 @@ func (p *Plan) Run(ctx context.Context, opt RunOptions) (*Result, *ExecStats, er
 		stats = nil
 	}
 	return res, stats, nil
+}
+
+// unpinned returns a copy of the plan for the statement table, which
+// renders it if and when someone asks. Everything String needs is in the
+// plan itself; a copy that kept the source would pin that version of the
+// graph — every index node the store has since replaced — for as long as
+// the statement stays in the table. (A non-nil source is how a plan says
+// it carries estimates.)
+func (p *Plan) unpinned() *Plan {
+	c := *p
+	c.src = store.NewView()
+	return &c
 }
 
 // execInfo is the parallel-execution evidence one exec produced, fed to

@@ -28,7 +28,7 @@ func (q *Query) Explain() string {
 func (q *Query) ExplainOn(src store.Source, dict *store.Dict) string {
 	s := q.Plan(src, dict).String()
 	if rc := rescache.Default(); rc != nil && q.resultsCacheable() {
-		if genKey, ok := sourceGenKey(src); ok && rc.Peek(q.resultCacheKey(genKey)) {
+		if genKey, ok := sourceVersion(src); ok && rc.Peek(q.resultCacheKey(genKey)) {
 			s += "results cache: HIT — served without execution at current generations\n"
 		}
 	}

@@ -2,9 +2,7 @@ package sparql
 
 import (
 	"context"
-	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"mdw/internal/obs"
@@ -12,9 +10,9 @@ import (
 )
 
 // Results caching: before planning, Run consults the process-wide
-// rescache keyed by (fingerprint, query text, sorted per-model
-// generations of the source). Any mutation bumps a model generation, so
-// a stale key simply never matches again — invalidation is implicit.
+// rescache keyed by (fingerprint, query text, version of the source: its
+// sorted per-model generations). Any mutation bumps a model generation,
+// so a stale key simply never matches again — invalidation is implicit.
 //
 // The fingerprint alone cannot be the key (it collapses constants, so
 // "everything about dwh:Client" and "... dwh:Branch" share one), which
@@ -40,32 +38,16 @@ func (q *Query) resultsCacheable() bool {
 	return true
 }
 
-// sourceGenKey renders the (model instance, generation) pairs of src in
-// sorted order — the part of the cache key that ties an entry to the
-// exact store state it was computed from. The model UID (unique per
-// construction, so it distinguishes recreated models, reinstalled
-// indexes, and separate Store instances) pairs with the generation
-// (unique per mutation within a UID); together they can never alias two
-// different states. Only Model/View sources (everything the warehouse
-// executes against) are keyed; exotic Source implementations are never
-// cached.
-func sourceGenKey(src store.Source) (string, bool) {
-	var models []*store.Model
-	switch s := src.(type) {
-	case *store.Model:
-		models = []*store.Model{s}
-	case *store.View:
-		models = s.Models()
-	default:
-		return "", false
+// sourceVersion returns the part of the cache key that ties an entry to
+// the exact store state it was computed from: the source's Version (see
+// store.Model.Version for why it can never alias two states). The
+// warehouse executes against pinned views, whose version cannot move
+// under a run. Sources without a Version are never cached.
+func sourceVersion(src store.Source) (string, bool) {
+	if v, ok := src.(interface{ Version() string }); ok {
+		return v.Version(), true
 	}
-	parts := make([]string, len(models))
-	for i, m := range models {
-		parts[i] = m.Name() + "@" + strconv.FormatUint(m.UID(), 10) +
-			":" + strconv.FormatUint(m.Gen(), 10)
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, "|"), true
+	return "", false
 }
 
 // resultCacheKey assembles the full cache key from the query identity

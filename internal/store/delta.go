@@ -25,15 +25,14 @@ type deltaLog struct {
 // Delta is one consistent cut of a base model and the model derived from
 // it, plus what the base gained since the derivation: everything a
 // derivation needs to bring the derived model up to date by extension.
-// All of it is detached; the caller owns it.
 type Delta struct {
-	// Base is a copy-on-write snapshot of the base model. Base.Basis() is
-	// the base generation it was taken at — the basis of whatever is
-	// derived from it.
+	// Base is the version of the base model that Snapshot hands to readers
+	// of this generation, to be read only. Base.Gen() is the basis of
+	// whatever is derived from it.
 	Base *Model
 	// Derived is a copy-on-write clone of the installed derived model for
 	// the caller to extend in place, or an empty model when there is
-	// nothing to extend from.
+	// nothing to extend from. It is detached; the caller owns it.
 	Derived *Model
 	// PrevGen is the generation of the installed model Derived was cloned
 	// from; 0 when Derived starts empty.
@@ -57,7 +56,7 @@ func (s *Store) SnapshotDelta(base, derived string) *Delta {
 		s.mu.Unlock()
 		return nil
 	}
-	d := &Delta{Base: b.cloneAt(base, s.nextCloneGenLocked())}
+	d := &Delta{Base: s.versionLocked(b, true)}
 	full := true
 	if cur, l := s.models[derived], s.deltas[base]; cur != nil &&
 		// The log must reach back to the derivation and forward to now

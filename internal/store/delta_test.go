@@ -26,7 +26,7 @@ func derive(t *testing.T, s *Store) *Delta {
 			added = append(added, m)
 		}
 	}
-	d.Derived.SetBasis(d.Base.Basis())
+	d.Derived.SetBasis(d.Base.Gen())
 	s.InstallExtension(d.Derived, d.PrevGen, added, nil)
 	if !s.Current("base", "base$X") {
 		t.Fatal("derived model not current after InstallExtension")

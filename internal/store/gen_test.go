@@ -100,17 +100,10 @@ func TestReadViewInfos(t *testing.T) {
 	st := New()
 	st.Add("a", rdf.T(iri("s"), iri("p"), iri("o")))
 	st.Add("a", rdf.T(iri("s2"), iri("p"), iri("o")))
-	var infos []ModelInfo
-	var n int
-	st.ReadView(func(v *View, is []ModelInfo) {
-		infos = append([]ModelInfo(nil), is...)
-		n = v.Len()
-	}, "a", "missing")
-	if n != 2 {
+	snap := st.Snapshot("a", "missing")
+	infos := []Cut{snap.Cut("a"), snap.Cut("missing")}
+	if n := snap.Len(); n != 2 {
 		t.Errorf("view over a+missing has %d triples, want 2", n)
-	}
-	if len(infos) != 2 {
-		t.Fatalf("infos = %v", infos)
 	}
 	if !infos[0].Exists || infos[0].Gen != st.Generation("a") || infos[0].Triples != 2 {
 		t.Errorf("info[a] = %+v", infos[0])

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -36,9 +37,9 @@ type CardEstimator interface {
 
 // Model is one named RDF model: a set of encoded triples maintained under
 // three access-path indexes (SPO, POS, OSP) so that any triple pattern can
-// be answered with at most one map walk. Model is not itself locked; the
-// owning Store serializes mutation (reads of a quiescent model are safe to
-// share).
+// be answered with at most one map walk. Model is not itself locked: the
+// owning Store serializes mutation of its live models, and the models it
+// hands to readers (Store.Snapshot) are versions nobody writes any more.
 type Model struct {
 	name string
 	spo  map[ID]map[ID][]ID // subject -> predicate -> objects
@@ -116,11 +117,13 @@ func (m *Model) Gen() uint64 { return m.gen }
 // (0 when none was recorded).
 func (m *Model) Basis() uint64 { return m.basis }
 
-// UID returns the process-unique instance id of this model (see the
-// field comment). The results cache keys on (UID, Gen); UID never
-// repeats, Gen never repeats within a UID, so a key can never alias two
-// different states.
-func (m *Model) UID() uint64 { return m.uid }
+// Version names the model's present state: its name, instance id (see
+// the uid field) and generation. The instance id never repeats and the
+// generation never repeats within one, so a Version can never alias two
+// different states — it is what the results cache keys on.
+func (m *Model) Version() string {
+	return m.name + "@" + strconv.FormatUint(m.uid, 10) + ":" + strconv.FormatUint(m.gen, 10)
+}
 
 // SetBasis records the base generation this (derived) model was computed
 // from.
@@ -412,30 +415,6 @@ func (m *Model) Objects(s, p ID) []ID {
 	return out
 }
 
-// SubjectsOf returns the distinct subjects of statements with predicate p.
-func (m *Model) SubjectsOf(p ID) []ID {
-	seen := make(map[ID]bool)
-	var out []ID
-	for _, subs := range m.pos[p] {
-		for _, s := range subs {
-			if !seen[s] {
-				seen[s] = true
-				out = append(out, s)
-			}
-		}
-	}
-	return out
-}
-
-// Predicates returns the distinct predicates appearing in the model.
-func (m *Model) Predicates() []ID {
-	out := make([]ID, 0, len(m.pos))
-	for p := range m.pos {
-		out = append(out, p)
-	}
-	return out
-}
-
 // Clone returns a copy-on-write copy of the model under a new name.
 // Historization uses this to snapshot a release before the next one
 // mutates it; the reasoner uses it to compute entailment closures off to
@@ -471,6 +450,17 @@ func (m *Model) cloneAt(name string, gen uint64) *Model {
 	// both sides so the first mutation of a node copies it first.
 	m.ownSPO, m.ownPOS, m.ownOSP = map[ID]bool{}, map[ID]bool{}, map[ID]bool{}
 	c.ownSPO, c.ownPOS, c.ownOSP = map[ID]bool{}, map[ID]bool{}, map[ID]bool{}
+	return c
+}
+
+// fork returns a copy-on-write copy that is m in every observable respect
+// — name, generation, basis, instance id, contents. The store uses it to
+// split a model into the version readers hold and the live model writers
+// move on: whichever of the two stays unwritten is the version, and the
+// other's next mutation takes it to a generation the version never had.
+func (m *Model) fork() *Model {
+	c := m.cloneAt(m.name, m.gen)
+	c.basis, c.uid = m.basis, m.uid
 	return c
 }
 

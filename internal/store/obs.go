@@ -13,6 +13,7 @@ var (
 	obsStatsMiss  = obs.Default().Counter("mdw_store_statscache_total", "result", "miss")
 	obsStatsBuild = obs.Default().Counter("mdw_store_statscache_rebuilds_total")
 	obsClones     = obs.Default().Counter("mdw_store_clones_total")
+	obsSnapCopies = obs.Default().Counter("mdw_store_snapshot_copies_total")
 )
 
 func init() {
@@ -24,4 +25,5 @@ func init() {
 	r.SetHelp("mdw_store_statscache_total", "Per-predicate statistics cache probes by result.")
 	r.SetHelp("mdw_store_statscache_rebuilds_total", "Statistics cache resets forced by a new model generation.")
 	r.SetHelp("mdw_store_clones_total", "Copy-on-write model clones published via CloneModel.")
+	r.SetHelp("mdw_store_snapshot_copies_total", "Copy-on-write model copies taken so that readers can pin a version (one per model generation that is read, shared by all its readers).")
 }

@@ -13,13 +13,22 @@ import (
 // the RDF model tables in Figure 4 of the paper.
 //
 // Store methods are safe for concurrent use: mutations take the write
-// lock, queries hold the read lock for their whole duration. Views
-// obtained from ViewOf bypass this lock (see View) and follow the
-// warehouse's load-then-query discipline instead.
+// lock, point queries hold the read lock for their whole duration, and
+// everything longer than a point query reads a Snapshot — immutable
+// versions of the models it names, pinned for as long as the caller holds
+// them, which no writer waits for or can disturb.
 type Store struct {
 	mu     sync.RWMutex
 	dict   *Dict
 	models map[string]*Model
+	// cuts holds, per model name, the version of the model that readers
+	// pin: a model nobody writes any more, at the live model's generation.
+	// A model enters the store as its own version — whoever installed it
+	// has given it up — until the first write moves the live side to a
+	// copy (writableLocked); a write that changes the model drops the
+	// entry, so only readers still holding the old version keep its nodes
+	// alive, and the next reader gets one by copy (versionLocked).
+	cuts map[string]*Model
 	// hook, when set, observes every committed mutation under the write
 	// lock (see CommitHook). The durable write-ahead log attaches here.
 	hook CommitHook
@@ -41,6 +50,7 @@ func New() *Store {
 	return &Store{
 		dict:     NewDict(),
 		models:   make(map[string]*Model),
+		cuts:     make(map[string]*Model),
 		deltas:   make(map[string]*deltaLog),
 		deriveMu: make(map[string]*sync.Mutex),
 	}
@@ -49,7 +59,9 @@ func New() *Store {
 // Dict exposes the shared term dictionary.
 func (s *Store) Dict() *Dict { return s.dict }
 
-// Model returns the named model, creating it if absent.
+// Model makes sure the named model exists and returns the live model. It
+// is the store's, written under the store's lock: readers take a Snapshot
+// instead of reading it.
 func (s *Store) Model(name string) *Model {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -65,11 +77,44 @@ func (s *Store) modelLocked(name string) *Model {
 	return m
 }
 
-// publishLocked makes m the store's model of its name. The store now
-// knows m's whole content at m.gen, so m's delta log starts there.
+// publishLocked makes m the store's model of its name, and its own first
+// version. The store now knows m's whole content at m.gen, so m's delta
+// log starts there.
 func (s *Store) publishLocked(m *Model) {
 	s.models[m.name] = m
+	s.cuts[m.name] = m
 	s.deltas[m.name] = &deltaLog{start: m.gen}
+}
+
+// writableLocked returns the named live model (created if absent) ready
+// to be mutated in place: while the live model is itself the version
+// readers pin, the write goes to a copy that takes its place.
+func (s *Store) writableLocked(name string) *Model {
+	m := s.modelLocked(name)
+	if s.cuts[name] == m {
+		m = m.fork()
+		s.models[name] = m
+		obsSnapCopies.Inc()
+	}
+	return m
+}
+
+// versionLocked returns the version of live model m — a model at m's
+// generation that is never written again. With cut unset it returns nil
+// when there is none yet; with cut set (write lock held) it takes one,
+// the one copy all readers of this generation share.
+func (s *Store) versionLocked(m *Model, cut bool) *Model {
+	c := s.cuts[m.name]
+	if c != nil && c.uid == m.uid && c.gen == m.gen {
+		return c
+	}
+	if !cut {
+		return nil
+	}
+	c = m.fork()
+	s.cuts[m.name] = c
+	obsSnapCopies.Inc()
+	return c
 }
 
 // HasModel reports whether a model with the given name exists.
@@ -108,12 +153,13 @@ func (s *Store) Current(base, idx string) bool {
 }
 
 // SnapshotModel returns a copy-on-write copy of the named model (nil if
-// absent). The copy is detached: the caller owns it and may read or
-// mutate it freely while other goroutines keep writing to the store —
-// the safe way to run a long computation over a consistent state. The
-// brief write lock covers the ownership bookkeeping on the source; the
-// copy itself is O(distinct terms), not O(triples). The snapshot carries
-// a fresh generation; the source generation it was taken at is Basis().
+// absent). The copy is detached: the caller owns it and may mutate it
+// freely while other goroutines keep writing to the store — the way to
+// build a successor off to the side and publish it with InstallModel
+// (readers want Snapshot, which shares one copy). The brief write lock
+// covers the ownership bookkeeping on the source; the copy itself is
+// O(distinct terms), not O(triples). It carries a fresh generation; the
+// source generation it was taken at is Basis().
 func (s *Store) SnapshotModel(model string) *Model {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -142,10 +188,11 @@ func (s *Store) nextCloneGenLocked() uint64 {
 }
 
 // InstallModel atomically publishes m under its name, replacing any
-// existing model. Readers holding a View over the replaced model keep
-// seeing the old contents; new Views pick up m. This is how derived
+// existing model. Readers holding a Snapshot of the replaced model keep
+// seeing the old contents; new ones pick up m. This is how derived
 // models (entailment indexes) are swapped in without a window in which
-// the model is missing or half-built.
+// the model is missing or half-built. The caller gives m up: from here
+// on it is a version readers may hold, and must not be written.
 func (s *Store) InstallModel(m *Model) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -163,41 +210,6 @@ func (s *Store) installLocked(m *Model, mut Mutation) {
 	s.commit(mut)
 }
 
-// ModelInfo is a point-in-time summary of one model, as observed inside
-// a ReadView critical section.
-type ModelInfo struct {
-	Name    string
-	Exists  bool
-	Gen     uint64 // mutation generation (0 when absent)
-	Basis   uint64 // recorded base generation for derived models
-	Triples int
-}
-
-// ReadView resolves the named models (missing ones are skipped, as in
-// ViewOf) and runs fn with a View over them plus a ModelInfo per
-// requested name, holding the store's read lock for the whole call. No
-// writer can mutate any model while fn runs, so fn may use the view and
-// the infos as one consistent snapshot. fn must not call locking Store
-// methods (Add, Model, ViewOf, ...) — that would self-deadlock; the
-// shared Dict has its own lock and remains safe to use.
-func (s *Store) ReadView(fn func(*View, []ModelInfo), names ...string) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	infos := make([]ModelInfo, len(names))
-	var ms []*Model
-	for i, n := range names {
-		infos[i] = ModelInfo{Name: n}
-		if m, ok := s.models[n]; ok {
-			infos[i].Exists = true
-			infos[i].Gen = m.gen
-			infos[i].Basis = m.basis
-			infos[i].Triples = m.size
-			ms = append(ms, m)
-		}
-	}
-	fn(NewView(ms...), infos) //mdwlint:allow locksafe documented contract: fn must not call locking Store methods
-}
-
 // DropModel removes the named model and reports whether it existed.
 func (s *Store) DropModel(name string) bool {
 	s.mu.Lock()
@@ -206,6 +218,7 @@ func (s *Store) DropModel(name string) bool {
 		return false
 	}
 	delete(s.models, name)
+	delete(s.cuts, name)
 	delete(s.deltas, name)
 	s.commit(Mutation{Op: OpDrop, Model: name})
 	return true
@@ -228,11 +241,12 @@ func (s *Store) ModelNames() []string {
 func (s *Store) Add(model string, t rdf.Triple) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.modelLocked(model)
+	m := s.writableLocked(model)
 	et := s.encode(t)
 	added := m.Add(et)
 	if added {
 		obsAdds.Inc()
+		delete(s.cuts, model)
 		l := s.deltas[model]
 		l.adds = append(l.adds, et)
 		s.commit(Mutation{Op: OpAdd, Model: model, Triples: []ETriple{et}, Gen: m.gen})
@@ -245,7 +259,7 @@ func (s *Store) Add(model string, t rdf.Triple) bool {
 func (s *Store) AddAll(model string, ts []rdf.Triple) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.modelLocked(model)
+	m := s.writableLocked(model)
 	// What was actually added goes to the model's delta log, and the
 	// commit hook reads it from there.
 	l := s.deltas[model]
@@ -258,6 +272,7 @@ func (s *Store) AddAll(model string, ts []rdf.Triple) int {
 	n := len(l.adds) - n0
 	obsAdds.Add(int64(n))
 	if n > 0 {
+		delete(s.cuts, model)
 		s.commit(Mutation{Op: OpAdd, Model: model, Triples: l.adds[n0:], Gen: m.gen})
 	}
 	return n
@@ -268,17 +283,18 @@ func (s *Store) AddAll(model string, ts []rdf.Triple) int {
 func (s *Store) Remove(model string, t rdf.Triple) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.models[model]
-	if !ok {
+	if _, ok := s.models[model]; !ok {
 		return false
 	}
 	et, ok := s.encodeLookup(t)
 	if !ok {
 		return false
 	}
+	m := s.writableLocked(model)
 	removed := m.Remove(et)
 	if removed {
 		obsRemoves.Inc()
+		delete(s.cuts, model)
 		// What the model gained since a generation no longer describes how
 		// it differs from that generation: the log starts over.
 		s.deltas[model] = &deltaLog{start: m.gen}
@@ -365,7 +381,9 @@ func (s *Store) Match(model string, sub, pred, obj rdf.Term) []rdf.Triple {
 // ForEach streams decoded triples matching the pattern to fn; iteration
 // stops early when fn returns false. Zero-valued terms act as wildcards.
 // The store's read lock is held for the whole iteration, so fn must not
-// call mutating Store methods (doing so would deadlock).
+// call locking Store methods: a mutating one deadlocks at once, a reading
+// one as soon as a writer is waiting in between. Anything that needs the
+// store again reads a Snapshot instead.
 func (s *Store) ForEach(model string, sub, pred, obj rdf.Term, fn func(rdf.Triple) bool) {
 	obsLookups.Inc()
 	s.mu.RLock()
@@ -387,7 +405,7 @@ func (s *Store) ForEach(model string, sub, pred, obj rdf.Term, fn func(rdf.Tripl
 		return
 	}
 	m.ForEach(si, pi, oi, func(et ETriple) bool {
-		return fn(rdf.Triple{S: s.dict.Term(et.S), P: s.dict.Term(et.P), O: s.dict.Term(et.O)}) //mdwlint:allow locksafe documented contract: fn must not call mutating Store methods
+		return fn(rdf.Triple{S: s.dict.Term(et.S), P: s.dict.Term(et.P), O: s.dict.Term(et.O)}) //mdwlint:allow locksafe documented contract: fn must not call locking Store methods
 	})
 }
 

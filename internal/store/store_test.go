@@ -160,12 +160,6 @@ func TestModelSubjectsObjects(t *testing.T) {
 	if got := m.Objects(1, 10); len(got) != 2 {
 		t.Errorf("Objects = %v", got)
 	}
-	if got := m.SubjectsOf(10); len(got) != 2 {
-		t.Errorf("SubjectsOf = %v", got)
-	}
-	if got := m.Predicates(); len(got) != 1 || got[0] != 10 {
-		t.Errorf("Predicates = %v", got)
-	}
 }
 
 func TestModelClone(t *testing.T) {

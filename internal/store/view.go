@@ -1,6 +1,9 @@
 package store
 
-import "sort"
+import (
+	"sort"
+	"strings"
+)
 
 // Source is a read-only triple source addressed by encoded IDs. Model and
 // View both implement it; the SPARQL engine executes against a Source.
@@ -24,23 +27,65 @@ type Source interface {
 // combination. Triples appearing in multiple member models are reported
 // once.
 //
-// A View reads its member models live and without locking: it is safe
-// for any number of concurrent readers, but must not be used while the
-// underlying models are being mutated. The warehouse follows a
-// load-then-query discipline (bulk load, materialize the index, then
-// serve), which guarantees this.
+// A View reads its members without locking, so they must be models
+// nobody writes: the versions Store.Snapshot pins, or models the caller
+// owns. It is then safe for any number of concurrent readers for as long
+// as it is held, whatever happens to the store meanwhile.
 type View struct {
 	models []*Model
 }
 
 // NewView returns a view over the given models (order defines the dedup
-// precedence; contents are read live, not copied).
+// precedence; contents are read in place, not copied).
 func NewView(models ...*Model) *View {
 	return &View{models: models}
 }
 
 // Models returns the member models.
 func (v *View) Models() []*Model { return v.models }
+
+// Cut describes one model of a snapshot as of the moment it was cut.
+type Cut struct {
+	Name    string
+	Exists  bool
+	Gen     uint64 // mutation generation (0 when absent)
+	Basis   uint64 // recorded base generation for derived models
+	Triples int
+}
+
+// Cut describes the member named name; a model the view does not hold
+// (the store had none when the snapshot was cut) does not exist.
+func (v *View) Cut(name string) Cut {
+	for _, m := range v.models {
+		if m.name == name {
+			return Cut{Name: name, Exists: true, Gen: m.gen, Basis: m.basis, Triples: m.size}
+		}
+	}
+	return Cut{Name: name}
+}
+
+// Of returns the view over just the member named name (empty when the
+// view does not hold it).
+func (v *View) Of(name string) *View {
+	for i, m := range v.models {
+		if m.name == name {
+			return &View{models: v.models[i : i+1]}
+		}
+	}
+	return &View{}
+}
+
+// Version names the exact state the view reads — the sorted Versions of
+// its members. The members never change, so neither does this: a result
+// computed from the view may be cached under it.
+func (v *View) Version() string {
+	parts := make([]string, len(v.models))
+	for i, m := range v.models {
+		parts[i] = m.Version()
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, "|")
+}
 
 // Len returns the number of distinct triples in the view.
 func (v *View) Len() int {
@@ -89,7 +134,10 @@ func (v *View) ForEach(s, p, o ID, fn func(ETriple) bool) {
 // (in descending-count order) that holds it, so the sum stays exact
 // while the dominant member is never walked.
 func (v *View) Count(s, p, o ID) int {
-	if len(v.models) == 1 {
+	switch len(v.models) {
+	case 0:
+		return 0
+	case 1:
 		return v.models[0].Count(s, p, o)
 	}
 	order := make([]int, len(v.models))
@@ -187,16 +235,47 @@ func (v *View) Subjects(p, o ID) []ID {
 	return out
 }
 
-// ViewOf builds a View over the named models of st; missing models are
-// ignored so callers can blindly request "<model>$OWLPRIME".
-func (s *Store) ViewOf(names ...string) *View {
+// Snapshot pins the named models as of one moment: the returned View
+// reads versions of them that are never written again, all cut inside
+// one critical section, and stays valid — bit for bit — for as long as
+// the caller holds it, whatever is added, removed, dropped, installed or
+// cloned meanwhile. Missing models are left out, so callers can blindly
+// request "<model>$OWLPRIME"; View.Cut says what was there.
+//
+// A model's version is shared by every snapshot until the model's next
+// write, so reading an unchanged store costs the read lock and a
+// comparison per name. The first snapshot after a write takes the write
+// lock to copy the outer index maps (O(distinct terms)): that is all a
+// writer ever waits for.
+func (s *Store) Snapshot(names ...string) *View {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var ms []*Model
+	v := s.snapshotLocked(names, false)
+	s.mu.RUnlock()
+	if v == nil {
+		s.mu.Lock()
+		v = s.snapshotLocked(names, true)
+		s.mu.Unlock()
+	}
+	return v
+}
+
+// snapshotLocked is Snapshot inside the critical section; without cut it
+// returns nil as soon as a model has no version yet.
+func (s *Store) snapshotLocked(names []string, cut bool) *View {
+	ms := make([]*Model, 0, len(names))
 	for _, n := range names {
-		if m, ok := s.models[n]; ok {
-			ms = append(ms, m)
+		m, ok := s.models[n]
+		if !ok {
+			continue
 		}
+		c := s.versionLocked(m, cut)
+		if c == nil {
+			return nil
+		}
+		ms = append(ms, c)
 	}
 	return NewView(ms...)
 }
+
+// ViewOf is Snapshot by the name bench/ and most tests call it.
+func (s *Store) ViewOf(names ...string) *View { return s.Snapshot(names...) }

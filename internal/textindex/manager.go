@@ -7,20 +7,21 @@ import (
 	"mdw/internal/store"
 )
 
-// Manager caches one Index per model, keyed by the model generation it
-// was built from. It is the component the search service and the
-// warehouse share: the warehouse registers indexes when models load, the
-// search service asks for the index matching the generation it observed
-// and refreshes it when the model has moved on.
+// Manager keeps, per model, the index last built for it. It is the
+// component the search service and the warehouse share: a search hands
+// it the view it has pinned and gets the index over exactly that view —
+// the kept one when it is of the view's generation, otherwise its
+// successor, delta-updated from the kept one and kept in its place.
 //
-// Manager methods are safe for concurrent use, and none of them holds
-// the manager's lock while tokenizing: a build in progress never makes
-// Get callers (i.e. concurrent searches) wait. Returned *Index values
-// are immutable, so callers query them outside the manager's lock.
+// Manager methods are safe for concurrent use. Maintenance is
+// single-flighted per model: callers that need an index nobody has built
+// yet wait for one builder, while callers whose generation is the kept
+// one never wait for a build. Returned *Index values are immutable, so
+// callers query them outside every lock.
 type Manager struct {
 	mu  sync.Mutex
 	cfg Config
-	idx map[string]*Index      // model -> latest index
+	idx map[string]*Index      // model -> last index built
 	bld map[string]*sync.Mutex // model -> build lock (single-flight)
 }
 
@@ -34,37 +35,9 @@ func NewManager(cfg Config) *Manager {
 	}
 }
 
-// Fields interns the manager's configured predicates and returns the
-// predicate → field map (see Config.Fields).
-func (m *Manager) Fields(dict *store.Dict) map[store.ID]Field {
-	return m.cfg.Fields(dict)
-}
-
-// Get returns the cached index for model if it matches generation gen.
-func (m *Manager) Get(model string, gen uint64) (*Index, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ix, ok := m.idx[model]
-	if !ok || ix.gen != gen {
-		return nil, false
-	}
-	return ix, true
-}
-
-// Cached returns the latest cached index for model regardless of its
-// generation (nil when none exists) — the best-effort answer when a
-// fresh index cannot be obtained.
-func (m *Manager) Cached(model string) *Index {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.idx[model]
-}
-
-// BuildLock returns the per-model mutex that single-flights index
-// construction: builders take it (Lock to wait, TryLock to fall back to
-// scanning instead) around the Collect → BuildPostings/UpdateWith →
-// Install sequence so at most one goroutine tokenizes a model at a time.
-func (m *Manager) BuildLock(model string) *sync.Mutex {
+// last returns the index last built for model (nil when none) and the
+// model's build lock.
+func (m *Manager) last(model string) (*Index, *sync.Mutex) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	bm, ok := m.bld[model]
@@ -72,25 +45,40 @@ func (m *Manager) BuildLock(model string) *sync.Mutex {
 		bm = &sync.Mutex{}
 		m.bld[model] = bm
 	}
-	return bm
+	return m.idx[model], bm
 }
 
-// Install publishes ix as the latest index for its model and returns the
-// cached value: ix itself, or the already-installed index when one of
-// the same generation is present (so equal-generation callers observe a
-// stable pointer). Later installs win otherwise — generations are
-// monotonic per model, and builders are serialized by BuildLock.
-func (m *Manager) Install(ix *Index) *Index {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if cur, ok := m.idx[ix.model]; ok && cur.gen == ix.gen {
-		return cur
+// For returns the index over v, a pinned view (store.Snapshot) of model
+// and whatever is to be searched with it, keyed by the generation v holds
+// model at. v never changes, so the index is of that generation by
+// construction however far the store has moved on: nothing here looks a
+// generation up that a writer could be advancing. The predecessor is not
+// modified; in-flight queries against it stay valid.
+func (m *Manager) For(model string, v *store.View, dict *store.Dict) *Index {
+	gen := v.Cut(model).Gen
+	ix, bm := m.last(model)
+	if ix != nil && ix.gen == gen {
+		return ix
 	}
-	m.idx[ix.model] = ix
+	bm.Lock()
+	defer bm.Unlock()
+	if ix, _ = m.last(model); ix != nil && ix.gen == gen {
+		return ix // the build we waited for was ours too
+	}
+	field := m.cfg.Fields(dict)
+	posts := Collect(v, field)
+	if ix != nil {
+		ix, _, _ = ix.UpdateWith(gen, field, posts)
+	} else {
+		ix = BuildPostings(model, gen, dict, field, posts)
+	}
+	m.mu.Lock()
+	m.idx[model] = ix
+	m.mu.Unlock()
 	return ix
 }
 
-// StatsAll reports the stats of every cached index, sorted by model.
+// StatsAll reports the stats of every kept index, sorted by model.
 func (m *Manager) StatsAll() []Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()

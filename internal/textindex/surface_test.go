@@ -12,10 +12,10 @@ import (
 )
 
 // TestExportedNames pins the package's exported functions and methods.
-// Index maintenance has one form — Collect under the store's read lock,
-// BuildPostings or UpdateWith outside it, Install to publish — so there
-// is no Build, Index.Update or Manager.Refresh that would tokenize while
-// the lock is held.
+// Index maintenance has one form — Collect over a pinned view, then
+// BuildPostings or UpdateWith, which Manager.For composes and keeps — so
+// there is no Build, Index.Update or Manager.Refresh, and no by-generation
+// Manager.Get, Install or BuildLock for callers to compose wrongly.
 func TestExportedNames(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -44,10 +44,9 @@ func TestExportedNames(t *testing.T) {
 	sort.Strings(got)
 	want := []string{
 		"BuildPostings", "Collect", "Config.Fields", "DefaultConfig", "Fold",
-		"Index.Gen", "Index.Model", "Index.Search", "Index.SearchAny", "Index.Stats",
+		"Index.Gen", "Index.Search", "Index.SearchAny", "Index.Stats",
 		"Index.TokensContaining", "Index.TokensWithPrefix", "Index.UpdateWith",
-		"Manager.BuildLock", "Manager.Cached", "Manager.Fields", "Manager.Get",
-		"Manager.Install", "Manager.StatsAll", "NewManager", "Tokenize",
+		"Manager.For", "Manager.StatsAll", "NewManager", "Tokenize",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("exported functions of textindex = %v, want %v", got, want)

@@ -194,10 +194,9 @@ func uniqueTokens(toks []string) []string {
 // spans overlapping models; indexing is idempotent per occurrence.
 // Objects are collected by their term value whatever their kind —
 // exactly the text the scan path matches against — though in a
-// well-formed warehouse they are literals. This is the only part of
-// index construction that must run while the view is protected against
-// writers (store.ReadView); the expensive tokenization (BuildPostings,
-// UpdateWith) works from the returned slice and needs no store lock.
+// well-formed warehouse they are literals. v is a pinned view
+// (store.Snapshot), so neither this nor the tokenization that works from
+// the returned slice (BuildPostings, UpdateWith) holds any store lock.
 func Collect(v *store.View, field map[store.ID]Field) []Posting {
 	var out []Posting
 	for predID := range field {
@@ -210,8 +209,7 @@ func Collect(v *store.View, field map[store.ID]Field) []Posting {
 }
 
 // BuildPostings tokenizes the collected occurrences into a fresh index.
-// It reads only dict (which has its own lock) and its arguments, so it
-// is safe to run outside any store lock.
+// It reads only dict (which has its own lock) and its arguments.
 func BuildPostings(model string, gen uint64, dict *store.Dict, field map[store.ID]Field, posts []Posting) *Index {
 	defer obsBuildHist.ObserveSince(time.Now())
 	ix := &Index{
@@ -291,8 +289,7 @@ func (ix *Index) sortPostings(tokens map[string]bool) {
 }
 
 // UpdateWith returns an index at generation gen over posts — the complete
-// occurrence set of the field predicates, as returned by Collect under
-// the store's read lock; UpdateWith itself needs no store lock — reusing
+// occurrence set of the field predicates, as returned by Collect — reusing
 // the receiver's postings for unchanged literals: the incremental
 // maintenance path for the additive growth the paper describes (§III.A:
 // meta-data only ever accumulates between releases). The receiver is not
@@ -360,9 +357,6 @@ func (ix *Index) UpdateWith(gen uint64, field map[store.ID]Field, posts []Postin
 	next.sortPostings(touched)
 	return next, len(added), len(removed)
 }
-
-// Model returns the base model the index covers.
-func (ix *Index) Model() string { return ix.model }
 
 // Gen returns the model generation the index was built from.
 func (ix *Index) Gen() uint64 { return ix.gen }

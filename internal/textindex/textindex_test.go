@@ -50,10 +50,9 @@ func fixture(t *testing.T) (*store.Store, *Index) {
 	return st, build(st)
 }
 
-// build, update and refresh compose the maintenance calls the way the
-// search service does — Collect, then BuildPostings or UpdateWith, then
-// Install — over model "m", minus the locks a single goroutine does not
-// need.
+// build and update compose the maintenance calls the way Manager.For
+// does — Collect, then BuildPostings or UpdateWith — over model "m";
+// refresh is Manager.For over the store's present state.
 func build(st *store.Store) *Index {
 	field := DefaultConfig().Fields(st.Dict())
 	return BuildPostings("m", st.Generation("m"), st.Dict(), field, Collect(st.ViewOf("m"), field))
@@ -65,16 +64,7 @@ func update(ix *Index, st *store.Store) (*Index, int, int) {
 }
 
 func refresh(m *Manager, st *store.Store) *Index {
-	if ix, ok := m.Get("m", st.Generation("m")); ok {
-		return ix
-	}
-	field := m.Fields(st.Dict())
-	posts := Collect(st.ViewOf("m"), field)
-	if prev := m.Cached("m"); prev != nil {
-		next, _, _ := prev.UpdateWith(st.Generation("m"), field, posts)
-		return m.Install(next)
-	}
-	return m.Install(BuildPostings("m", st.Generation("m"), st.Dict(), field, posts))
+	return m.For("m", st.Snapshot("m"), st.Dict())
 }
 
 func subjectsOf(st *store.Store, ps []Posting) []string {
@@ -245,28 +235,31 @@ func TestManagerCachesPerGeneration(t *testing.T) {
 	st, _ := fixture(t)
 	m := NewManager(Config{})
 
-	gen := st.Generation("m")
+	old := st.Snapshot("m")
 	ix := refresh(m, st)
-	if got, ok := m.Get("m", gen); !ok || got != ix {
-		t.Fatal("Get after Install missed")
+	if ix.Gen() != st.Generation("m") {
+		t.Fatalf("index at generation %d, model at %d", ix.Gen(), st.Generation("m"))
 	}
-	// Same generation: a second builder's Install yields to the cached
-	// value, so equal-generation callers see one pointer.
-	if again := m.Install(build(st)); again != ix {
-		t.Error("Install replaced an index of the same generation")
+	// Same generation: equal-generation callers see one pointer.
+	if again := refresh(m, st); again != ix {
+		t.Error("For rebuilt an index of the same generation")
 	}
-	// New generation: the old key no longer answers, a refresh updates.
+	// New generation: a refresh updates, and the result is the kept one.
 	st.Add("m", rdf.T(rdf.IRI(rdf.InstNS+"t9"), rdf.HasName, rdf.Literal("fresh")))
-	if _, ok := m.Get("m", st.Generation("m")); ok {
-		t.Error("Get hit for a generation never indexed")
-	}
 	next := refresh(m, st)
-	if next == ix {
+	if next == ix || next.Gen() != st.Generation("m") {
 		t.Error("refresh did not advance the index")
 	}
-	if m.Cached("m") != next {
-		t.Error("Cached should return the latest index")
+	if refresh(m, st) != next {
+		t.Error("the latest index is not the kept one")
 	}
+	// A reader still holding the older version gets the index of that
+	// version, not the kept one.
+	if back := m.For("m", old, st.Dict()); back.Gen() != ix.Gen() || len(back.Search("fresh", FieldName)) != 0 {
+		t.Errorf("index for the held snapshot is at generation %d and finds %d \"fresh\"; want generation %d and none",
+			back.Gen(), len(back.Search("fresh", FieldName)), ix.Gen())
+	}
+	next = refresh(m, st)
 
 	stats := m.StatsAll()
 	if len(stats) != 1 || stats[0].Model != "m" || stats[0].Gen != st.Generation("m") {
