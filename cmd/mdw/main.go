@@ -786,7 +786,8 @@ func printMisestimates(entries []obs.Misestimate, threshold float64, n int) {
 }
 
 // cmdCheckpoint asks a running mdwd (started with -data-dir) to write a
-// snapshot of its current state and truncate the WAL it covers.
+// checkpoint of its current state — a whole base, or a delta on the last
+// checkpoint — and truncate the WAL it covers.
 func cmdCheckpoint(args []string) error {
 	fs := flag.NewFlagSet("checkpoint", flag.ContinueOnError)
 	url := fs.String("url", "http://localhost:8080", "base URL of the running mdwd")
@@ -809,10 +810,12 @@ func cmdCheckpoint(args []string) error {
 	}
 	var stats struct {
 		Path            string        `json:"path"`
+		Kind            string        `json:"kind"`
 		LSN             uint64        `json:"lsn"`
 		Bytes           int64         `json:"bytes"`
 		Models          int           `json:"models"`
 		Triples         int           `json:"triples"`
+		Written         int           `json:"written"`
 		SegmentsRemoved int           `json:"segmentsRemoved"`
 		Duration        time.Duration `json:"duration"`
 	}
@@ -820,9 +823,10 @@ func cmdCheckpoint(args []string) error {
 		return fmt.Errorf("checkpoint: decoding response: %w", err)
 	}
 	fmt.Printf("checkpoint written: %s\n", stats.Path)
+	fmt.Printf("  kind     %s\n", stats.Kind)
 	fmt.Printf("  lsn      %d\n", stats.LSN)
 	fmt.Printf("  size     %d bytes\n", stats.Bytes)
-	fmt.Printf("  contents %d models, %d triples\n", stats.Models, stats.Triples)
+	fmt.Printf("  contents %d models, %d triples (%d written)\n", stats.Models, stats.Triples, stats.Written)
 	fmt.Printf("  wal      %d segments removed\n", stats.SegmentsRemoved)
 	fmt.Printf("  took     %s\n", stats.Duration.Round(time.Millisecond))
 	return nil

@@ -11,10 +11,10 @@
 // Without -data/-scale the server hosts the built-in Figure 3 example.
 // With -data-dir the warehouse is durable, and that directory is its one
 // on-disk form: every mutation is write-ahead logged to it, checkpoints
-// condense the log into binary snapshots (periodically via
-// -checkpoint-every, or on demand via POST /api/checkpoint), and a
-// restart recovers the exact pre-crash state from the newest snapshot
-// plus the WAL tail. On a fresh (empty) data directory the usual seeding
+// condense the log into a binary snapshot and a chain of deltas on it
+// (periodically via -checkpoint-every, or on demand via POST
+// /api/checkpoint), and a restart recovers the exact pre-crash state from
+// the newest snapshot, its chain and the WAL tail. On a fresh (empty) data directory the usual seeding
 // flags apply once; afterwards the directory itself is the source of
 // truth and -data and -scale are ignored.
 // Metrics are served at /api/metrics (Prometheus text exposition,
@@ -210,8 +210,8 @@ func buildWarehouse(dataDir, scale, durableDir, fsync string, ckptEvery time.Dur
 		return nil, nil, err
 	}
 	rec := mgr.Recovery()
-	log.Printf("durable: recovered %d models / %d triples from %s (snapshot LSN %d, %d WAL records replayed) in %s",
-		rec.Models, rec.Triples, durableDir, rec.SnapshotLSN, rec.ReplayedRecords, rec.Duration.Round(time.Millisecond))
+	log.Printf("durable: recovered %d models / %d triples from %s (snapshot LSN %d, %d delta checkpoints, %d WAL records replayed) in %s",
+		rec.Models, rec.Triples, durableDir, rec.SnapshotLSN, rec.DeltaCheckpoints, rec.ReplayedRecords, rec.Duration.Round(time.Millisecond))
 	if rec.TornTail != "" {
 		log.Printf("durable: torn WAL tail truncated: %s", rec.TornTail)
 	}

@@ -45,7 +45,7 @@ type Warehouse struct {
 	ontology  *ontology.Ontology
 	// tix caches the full-text indexes (Section IV.A search) per model
 	// generation; it is shared by every search service the warehouse
-	// hands out so an index is built once and delta-updated thereafter.
+	// hands out so an index is built once and extended thereafter.
 	tix *textindex.Manager
 }
 
@@ -140,7 +140,7 @@ func (w *Warehouse) Reindex() (int, error) {
 
 // TextIndex returns the full-text index over the current graph (base
 // model ∪ OWLPRIME entailment), materializing the entailment and
-// building or delta-updating the index as needed.
+// building or extending the index as needed.
 func (w *Warehouse) TextIndex() (*textindex.Index, error) {
 	return search.EnsureIndex(w.st, w.model, w.tix)
 }

@@ -16,7 +16,7 @@ import (
 
 // copyDir clones a data directory so a destructive experiment can run on
 // a throwaway copy.
-func copyDir(t *testing.T, src string) string {
+func copyDir(t testing.TB, src string) string {
 	t.Helper()
 	dst := t.TempDir()
 	entries, err := os.ReadDir(src)
@@ -50,14 +50,22 @@ func walFiles(t *testing.T, dir string) []string {
 	return names
 }
 
-// TestTruncateAtEveryByte is the crash harness the issue asks for: it
-// records a WAL of known mutations, notes the store fingerprint after
-// every commit (the oracle), then simulates a crash at EVERY byte offset
-// of the log by truncating a copy and recovering. Each recovery must
-// either succeed with a state exactly matching some committed prefix, and
-// the prefix length must grow monotonically with the truncation point —
-// a torn final record never surfaces partial effects.
+// TestTruncateAtEveryByte is the crash harness: it tears, at EVERY byte
+// offset, each kind of file a crash can leave half-written — the WAL's
+// last segment, and the newest delta checkpoint with the WAL behind it
+// not yet truncated — and recovers.
 func TestTruncateAtEveryByte(t *testing.T) {
+	t.Run("wal", tearWAL)
+	t.Run("newest-delta", tearNewestDelta)
+}
+
+// tearWAL records a WAL of known mutations, notes the store fingerprint
+// after every commit (the oracle), then simulates a crash at every byte
+// offset of the log by truncating a copy and recovering. Each recovery
+// must either succeed with a state exactly matching some committed
+// prefix, and the prefix length must grow monotonically with the
+// truncation point — a torn final record never surfaces partial effects.
+func tearWAL(t *testing.T) {
 	dir := t.TempDir()
 	mgr, st := openTest(t, dir, nil)
 

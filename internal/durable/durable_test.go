@@ -140,7 +140,7 @@ func walRecords(tb testing.TB, dir string) []*durable.Record {
 // produced, whether recovery starts from the WAL alone or from a snapshot
 // taken before the extension; and a crash between the load and the
 // extension must leave a store whose next Materialize is again an
-// extension — the replayed OpAdds rebuild the delta log — with the same
+// extension — the replayed OpAdds rebuild the change feed — with the same
 // result.
 func TestExtensionRecordReplay(t *testing.T) {
 	for _, checkpoint := range []bool{false, true} {
@@ -358,40 +358,49 @@ func TestCheckpointTruncatesSegments(t *testing.T) {
 	}
 }
 
+// Retention counts bases, each with its chain: with one older base kept,
+// the third base written takes the first and every delta of its chain
+// away, and leaves the second's chain alone.
 func TestSnapshotRetention(t *testing.T) {
-	dir := t.TempDir()
-	mgr, st := openTest(t, dir, func(o *durable.Options) { o.KeepSnapshots = 1 })
-	for i := 0; i < 4; i++ {
-		st.Add("m", rdf.T(iri(fmt.Sprintf("s%d", i)), iri("p"), iri("o")))
-		if _, err := mgr.Checkpoint(); err != nil {
-			t.Fatalf("checkpoint %d: %v", i, err)
-		}
-	}
+	dir, mgr, st := chainFixture(t, func(o *durable.Options) { o.KeepSnapshots = 1 })
 	defer mgr.Close()
-	if n := countFiles(t, dir, "snap-"); n != 2 {
-		t.Errorf("%d snapshots retained, want 2 (newest + 1 kept)", n)
+	untilCompaction(t, dir, mgr, st)
+	if b, d := filesWith(t, dir, "snap-"), filesWith(t, dir, "delta-"); len(b) != 2 || len(d) == 0 || d[0] > "delta-"+b[1][len("snap-"):] {
+		t.Fatalf("after the first compaction: bases %v, deltas %v; want both bases and the first one's chain", b, d)
+	}
+	untilCompaction(t, dir, mgr, st)
+	bases, deltas := filesWith(t, dir, "snap-"), filesWith(t, dir, "delta-")
+	if len(bases) != 2 {
+		t.Fatalf("%d bases retained, want 2 (newest + 1 kept): %v", len(bases), bases)
+	}
+	// Names carry the LSN as fixed-width hex: comparing the part after the
+	// prefix compares LSNs.
+	lsn := func(name, prefix string) string { return name[len(prefix):] }
+	if len(deltas) == 0 {
+		t.Fatal("the kept base's chain is gone")
+	}
+	for _, d := range deltas {
+		if lsn(d, "delta-") <= lsn(bases[0], "snap-") || lsn(d, "delta-") >= lsn(bases[1], "snap-") {
+			t.Errorf("%s retained beside bases %v: not of the kept base's chain", d, bases)
+		}
 	}
 }
 
-// TestRecoveryPrefersNewestValidSnapshot corrupts the newest snapshot and
-// expects recovery to fall back to the previous one plus a longer WAL
-// replay — never to fail outright.
+// TestRecoveryPrefersNewestValidSnapshot damages the newest base and
+// expects recovery to fall back to the one before it, that one's whole
+// chain and a longer WAL replay — never to fail outright, and never to
+// apply a delta chained to the base it could not read.
 func TestRecoveryPrefersNewestValidSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	mgr, st := openTest(t, dir, func(o *durable.Options) { o.KeepSnapshots = 2 })
-	st.Add("m", rdf.T(iri("a"), iri("p"), iri("b")))
-	if _, err := mgr.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	dir, mgr, st := chainFixture(t, func(o *durable.Options) { o.KeepSnapshots = 1 })
+	_, cp2 := untilCompaction(t, dir, mgr, st)
+	oldChain := len(filesWith(t, dir, "delta-"))
+	everyChange(t, st, 2)
+	checkpoint(t, mgr, durable.CheckpointDelta)
 	st.Add("m", rdf.T(iri("c"), iri("p"), iri("d")))
-	cp2, err := mgr.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := fingerprint(st)
 	mgr.Close()
 
-	// Flip a byte in the newest snapshot's body.
+	// Flip a byte in the newest base's body.
 	data, err := os.ReadFile(cp2.Path)
 	if err != nil {
 		t.Fatal(err)
@@ -404,8 +413,9 @@ func TestRecoveryPrefersNewestValidSnapshot(t *testing.T) {
 	mgr2, st2 := openTest(t, dir, nil)
 	defer mgr2.Close()
 	rec := mgr2.Recovery()
-	if rec.SkippedSnapshots != 1 {
-		t.Errorf("skipped %d snapshots, want 1", rec.SkippedSnapshots)
+	if rec.SkippedSnapshots != 2 || rec.DeltaCheckpoints != oldChain || rec.SnapshotLSN >= cp2.LSN {
+		t.Errorf("skipped %d files and applied %d deltas on the base at LSN %d; want the damaged base and its delta skipped, and the %d deltas of the base before",
+			rec.SkippedSnapshots, rec.DeltaCheckpoints, rec.SnapshotLSN, oldChain)
 	}
 	if got := fingerprint(st2); got != want {
 		t.Error("state diverged after falling back to older snapshot")

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"mdw/internal/obs"
 	"mdw/internal/store"
 )
 
@@ -53,8 +55,13 @@ type Options struct {
 	// period (0 disables; checkpoints can still be forced via
 	// Checkpoint).
 	CheckpointEvery time.Duration
-	// KeepSnapshots retains this many snapshots beyond the newest
-	// (default 1, so two total).
+	// KeepSnapshots retains this many older base checkpoints, each with
+	// its chain of deltas, beyond the newest base and its chain. With any
+	// retained the WAL is kept back to the oldest retained base, so that
+	// recovery can fall back from a damaged checkpoint file, base or
+	// delta, to the files before it and replay forward. The default is 0:
+	// only the newest base and its chain are kept, the WAL is cut at the
+	// newest checkpoint file, and a damaged file is not recoverable from.
 	KeepSnapshots int
 	// Logf receives operational messages (recovery summary, degraded
 	// mode, checkpoint failures). Nil discards them.
@@ -71,9 +78,6 @@ func (o *Options) setDefaults() {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
 	}
-	if o.KeepSnapshots < 0 {
-		o.KeepSnapshots = 0
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
@@ -81,14 +85,29 @@ func (o *Options) setDefaults() {
 
 // CheckpointStats summarizes one completed checkpoint.
 type CheckpointStats struct {
-	Path            string        `json:"path"`
-	LSN             uint64        `json:"lsn"`
-	Bytes           int64         `json:"bytes"`
+	// Path is the file written: a base or a delta, as Kind says. A
+	// checkpoint that finds the store as the last one left it writes
+	// nothing; its Kind is CheckpointNone and Path the file still current.
+	Path  string `json:"path"`
+	Kind  string `json:"kind"`
+	LSN   uint64 `json:"lsn"`
+	Bytes int64  `json:"bytes"`
+	// Models and Triples are what the checkpoint covers — the whole store
+	// as of LSN; Written is the number of triples in the file, added and
+	// removed ones alike.
 	Models          int           `json:"models"`
 	Triples         int           `json:"triples"`
+	Written         int           `json:"written"`
 	SegmentsRemoved int           `json:"segmentsRemoved"`
 	Duration        time.Duration `json:"duration"`
 }
+
+// The kinds of checkpoint, as CheckpointStats.Kind reports them.
+const (
+	CheckpointBase  = "base"
+	CheckpointDelta = "delta"
+	CheckpointNone  = "none"
+)
 
 // Manager owns the durability state of one store: the active WAL segment
 // writer, the background fsync and checkpoint loops, and the recovery
@@ -114,6 +133,7 @@ type Manager struct {
 	buf    []byte // payload scratch
 
 	cpMu sync.Mutex // one checkpoint at a time
+	ck   chainState // where the checkpoint files stand; guarded by cpMu
 
 	rec RecoveryStats
 
@@ -126,8 +146,8 @@ type Manager struct {
 // Open recovers the store persisted in opts.Dir (creating the directory
 // if needed), attaches the write-ahead log to it, and starts the
 // configured background loops. The returned store is fully recovered:
-// latest valid snapshot loaded, WAL tail replayed, per-model counts and
-// generations verified.
+// latest valid base checkpoint and its chain loaded, WAL tail replayed,
+// per-model counts and generations verified.
 func Open(opts Options) (*Manager, *store.Store, error) {
 	opts.setDefaults()
 	if opts.Dir == "" {
@@ -137,15 +157,29 @@ func Open(opts Options) (*Manager, *store.Store, error) {
 		return nil, nil, err
 	}
 	removeStaleTemp(opts.Dir)
-	st, rec, err := Recover(opts.Dir, opts.Logf)
+	st, rec, ck, err := recoverDir(opts.Dir, opts.Logf, true)
 	if err != nil {
 		return nil, nil, err
+	}
+	// The files recovery could not use go before the first new checkpoint
+	// is written: a later recovery would meet them in the chain ahead of
+	// it. What they covered has just been replayed from the WAL.
+	for _, name := range ck.unused {
+		opts.Logf("durable: removing unusable checkpoint file %s", name)
+		if err := os.Remove(filepath.Join(opts.Dir, name)); err != nil {
+			return nil, nil, err
+		}
+	}
+	if len(ck.unused) > 0 {
+		if err := syncDir(opts.Dir); err != nil {
+			return nil, nil, err
+		}
 	}
 	w, err := createSegment(opts.Dir, rec.LastLSN+1)
 	if err != nil {
 		return nil, nil, err
 	}
-	m := &Manager{opts: opts, st: st, dict: st.Dict(), w: w, rec: *rec, stop: make(chan struct{}), buf: make([]byte, 0, 4096)}
+	m := &Manager{opts: opts, st: st, dict: st.Dict(), w: w, ck: *ck, rec: *rec, stop: make(chan struct{}), buf: make([]byte, 0, 4096)}
 	m.lastLSN.Store(rec.LastLSN)
 	st.SetCommitHook(m.committed)
 	if opts.Fsync == FsyncInterval {
@@ -337,27 +371,63 @@ func (m *Manager) checkpointLoop() {
 	}
 }
 
-// Checkpoint captures a consistent image of the whole store, writes it
-// as a snapshot covering the exact WAL position of the capture, rotates
-// the active segment, and removes WAL segments and old snapshots the new
-// snapshot makes redundant. Concurrent mutations keep committing
-// throughout; only the in-memory capture holds the store's read lock.
+// Checkpoint makes the data directory's checkpoint files cover the store
+// as of the WAL position it reads while pinning a snapshot of every
+// model. Most of the time that is one delta file — the dictionary's
+// growth and, per model that moved, what its change feed says it gained
+// and lost since the last checkpoint, or the model whole where the feed
+// cannot say — chained to the file before it. When the chain has grown
+// past 1/compactDivisor of its base, and the first time, it is a new
+// base: the whole store. It then rotates the active WAL segment and
+// removes the segments, and after a new base the older checkpoint files,
+// that recovery no longer needs. Concurrent mutations keep committing
+// throughout; only pinning the snapshot holds the store's lock.
 func (m *Manager) Checkpoint() (CheckpointStats, error) {
 	m.cpMu.Lock()
 	defer m.cpMu.Unlock()
 	t0 := time.Now()
 	var lsn uint64
-	states, terms := m.st.CaptureState(func() { lsn = m.lastLSN.Load() })
-	stats := CheckpointStats{LSN: lsn, Models: len(states)}
-	for i := range states {
-		stats.Triples += len(states[i].Triples)
+	v := m.st.SnapshotAll(func() { lsn = m.lastLSN.Load() })
+	cuts := v.Cuts()
+	stats := CheckpointStats{Path: m.ck.path, Kind: CheckpointNone, LSN: lsn, Models: len(cuts)}
+	changed := len(cuts) != len(m.ck.cuts)
+	for _, c := range cuts {
+		stats.Triples += c.Triples
+		changed = changed || m.ck.cuts[c.Name] != c
 	}
-	path, size, err := WriteSnapshot(m.opts.Dir, lsn, states, terms)
+	if !changed && m.ck.path != "" {
+		stats.Duration = time.Since(t0)
+		return stats, nil
+	}
+	next := chainState{lsn: lsn, cuts: make(map[string]store.Cut, len(cuts)), baseBytes: m.ck.baseBytes}
+	for _, c := range cuts {
+		next.cuts[c.Name] = c
+	}
+	var err error
+	var completed *obs.Counter
+	// A delta needs a base to extend, a chain still short of the
+	// compaction bound, and a later LSN than its predecessor's to be named
+	// by (which only a WAL that stopped logging withholds).
+	if m.ck.path == "" || m.ck.chainBytes > m.ck.baseBytes/compactDivisor || lsn <= m.ck.lsn {
+		stats.Kind, completed = CheckpointBase, obsCkptBase
+		terms := m.dict.Since(0)
+		stats.Written = stats.Triples
+		stats.Path, stats.Bytes, err = WriteSnapshot(m.opts.Dir, lsn, v.States(), terms)
+		next.terms, next.baseBytes = len(terms), stats.Bytes
+	} else {
+		stats.Kind, completed = CheckpointDelta, obsCkptDelta
+		d := m.deltaSince(v, cuts, lsn)
+		for _, md := range d.Models {
+			stats.Written += len(md.Added) + len(md.Removed)
+		}
+		stats.Path, stats.Bytes, err = writeDelta(m.opts.Dir, d)
+		next.terms, next.chainBytes = m.ck.terms+len(d.Terms), m.ck.chainBytes+stats.Bytes
+	}
 	if err != nil {
 		return stats, fmt.Errorf("durable: checkpoint: %w", err)
 	}
-	stats.Path = path
-	stats.Bytes = size
+	next.path = stats.Path
+	m.ck = next
 	// Rotate so the active segment starts past the checkpoint and the
 	// pre-checkpoint segments become removable.
 	m.mu.Lock()
@@ -365,14 +435,21 @@ func (m *Manager) Checkpoint() (CheckpointStats, error) {
 		m.rotateLocked()
 	}
 	m.mu.Unlock()
-	m.pruneSnapshots()
-	// Truncate the WAL only below the *oldest retained* snapshot, not the
-	// new one: if the newest snapshot is later found corrupt, recovery can
-	// still fall back to an older one and replay forward from its LSN.
+	// The new base is durable: the bases before the retained ones, and
+	// their chains, can go.
+	if stats.Kind == CheckpointBase {
+		m.pruneCheckpoints()
+	}
+	// With older bases retained the WAL reaches back to the oldest of
+	// them, not to this checkpoint: if a newer file is later found
+	// damaged, recovery falls back to the files before it and replays
+	// forward.
 	truncLSN := lsn
-	if snaps, err := listSnapshots(m.opts.Dir); err == nil && len(snaps) > 0 {
-		if oldest, ok := parseSnapshotName(snaps[0]); ok && oldest < truncLSN {
-			truncLSN = oldest
+	if m.opts.KeepSnapshots > 0 {
+		if snaps, err := listSnapshots(m.opts.Dir); err == nil && len(snaps) > 0 {
+			if oldest, _ := parseSnapshotName(snaps[0]); oldest < truncLSN {
+				truncLSN = oldest
+			}
 		}
 	}
 	removed, err := m.removeCoveredSegments(truncLSN)
@@ -381,12 +458,45 @@ func (m *Manager) Checkpoint() (CheckpointStats, error) {
 		m.opts.Logf("durable: checkpoint: segment truncation incomplete: %v", err)
 	}
 	stats.Duration = time.Since(t0)
-	obsCheckpoints.Inc()
+	completed.Inc()
 	obsCkptHist.Observe(stats.Duration)
-	obsCkptBytes.Set(size)
+	obsCkptBytes.Set(stats.Bytes)
 	obsCkptDurMs.Set(stats.Duration.Milliseconds())
 	obsCkptLSN.Set(int64(lsn))
 	return stats, nil
+}
+
+// deltaSince describes v, the store pinned at WAL position lsn with cuts
+// its members, as a delta on the last checkpoint.
+func (m *Manager) deltaSince(v *store.View, cuts []store.Cut, lsn uint64) *Delta {
+	d := &Delta{LSN: lsn, PrevLSN: m.ck.lsn, FirstTerm: m.ck.terms, Terms: m.dict.Since(m.ck.terms)}
+	sorted := func(ts []store.ETriple) []store.ETriple {
+		ts = slices.Clone(ts) // ts is a window of the feed
+		store.SortETriples(ts)
+		return ts
+	}
+	for _, c := range cuts {
+		since, had := m.ck.cuts[c.Name]
+		if had && since == c {
+			continue
+		}
+		if had {
+			if added, removed, ok := m.st.Changes("durable", since, c); ok {
+				d.Models = append(d.Models, ModelDelta{Name: c.Name, Kind: ModelChanged, PrevGen: since.Gen,
+					Gen: c.Gen, Basis: c.Basis, Size: c.Triples, Added: sorted(added), Removed: sorted(removed)})
+				continue
+			}
+		}
+		d.Models = append(d.Models, ModelDelta{Name: c.Name, Kind: ModelWhole, Gen: c.Gen, Basis: c.Basis,
+			Size: c.Triples, Added: v.Of(c.Name).States()[0].Triples})
+	}
+	for name := range m.ck.cuts {
+		if !v.Cut(name).Exists {
+			d.Models = append(d.Models, ModelDelta{Name: name, Kind: ModelDropped})
+		}
+	}
+	slices.SortFunc(d.Models, func(a, b ModelDelta) int { return strings.Compare(a.Name, b.Name) })
+	return d
 }
 
 // removeCoveredSegments deletes every WAL segment whose records all lie
@@ -420,19 +530,25 @@ func (m *Manager) removeCoveredSegments(cpLSN uint64) (int, error) {
 	return removed, firstErr
 }
 
-// pruneSnapshots removes old snapshots beyond the retention count.
-func (m *Manager) pruneSnapshots() {
+// pruneCheckpoints removes the bases beyond the retention count, oldest
+// first, and every delta of their chains.
+func (m *Manager) pruneCheckpoints() {
 	snaps, err := listSnapshots(m.opts.Dir)
-	if err != nil {
+	if err != nil || len(snaps) == 0 {
 		return
 	}
-	keep := m.opts.KeepSnapshots + 1
-	if keep < 1 {
-		keep = 1
+	if n := len(snaps) - max(m.opts.KeepSnapshots, 0) - 1; n > 0 {
+		for _, name := range snaps[:n] {
+			os.Remove(filepath.Join(m.opts.Dir, name))
+		}
+		snaps = snaps[n:]
 	}
-	for len(snaps) > keep {
-		os.Remove(filepath.Join(m.opts.Dir, snaps[0]))
-		snaps = snaps[1:]
+	oldest, _ := parseSnapshotName(snaps[0])
+	deltas, _ := listDeltas(m.opts.Dir)
+	for _, name := range deltas {
+		if lsn, _ := parseDeltaName(name); lsn <= oldest {
+			os.Remove(filepath.Join(m.opts.Dir, name))
+		}
 	}
 }
 

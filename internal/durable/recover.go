@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 
 	"mdw/internal/rdf"
@@ -12,8 +13,12 @@ import (
 
 // RecoveryStats summarizes one recovery pass.
 type RecoveryStats struct {
-	SnapshotPath     string        `json:"snapshotPath,omitempty"`
-	SnapshotLSN      uint64        `json:"snapshotLSN"`
+	SnapshotPath string `json:"snapshotPath,omitempty"`
+	SnapshotLSN  uint64 `json:"snapshotLSN"`
+	// DeltaCheckpoints counts the delta checkpoints applied on top of the
+	// base at SnapshotPath; SkippedSnapshots the checkpoint files, base or
+	// delta, that recovery could not use.
+	DeltaCheckpoints int           `json:"deltaCheckpoints"`
 	SkippedSnapshots int           `json:"skippedSnapshots,omitempty"`
 	ReplayedRecords  int           `json:"replayedRecords"`
 	ReplayedTriples  int           `json:"replayedTriples"`
@@ -25,14 +30,17 @@ type RecoveryStats struct {
 }
 
 // Recover rebuilds a store from the data directory: it loads the newest
-// snapshot that validates (invalid ones are skipped with a warning),
-// replays the WAL tail above the snapshot's LSN, truncates a torn final
-// record if the last append was interrupted, and fails loudly on mid-log
-// corruption or LSN gaps. Every replayed record's post-state generation
-// is checked against the generation the record logged at commit time, so
-// replay divergence cannot pass silently.
+// base checkpoint that validates (invalid ones are skipped with a
+// warning), applies the chain of delta checkpoints that extends it for as
+// far as each one validates and fits the one before, replays the WAL tail
+// above the last of them, truncates a torn final record if the last
+// append was interrupted, and fails loudly on mid-log corruption or LSN
+// gaps. Every replayed record's post-state generation is checked against
+// the generation the record logged at commit time, so replay divergence
+// cannot pass silently.
 func Recover(dir string, logf func(string, ...any)) (*store.Store, *RecoveryStats, error) {
-	return recoverDir(dir, logf, true)
+	st, stats, _, err := recoverDir(dir, logf, true)
+	return st, stats, err
 }
 
 // RecoverReadOnly is Recover for a reader that does not own the
@@ -40,10 +48,31 @@ func Recover(dir string, logf func(string, ...any)) (*store.Store, *RecoveryStat
 // left for the owner's next Recover to trim. Trimming it here could cut
 // the record a running server is in the middle of appending.
 func RecoverReadOnly(dir string, logf func(string, ...any)) (*store.Store, *RecoveryStats, error) {
-	return recoverDir(dir, logf, false)
+	st, stats, _, err := recoverDir(dir, logf, false)
+	return st, stats, err
 }
 
-func recoverDir(dir string, logf func(string, ...any), repair bool) (*store.Store, *RecoveryStats, error) {
+// chainState is where a data directory's checkpoint files stand: what the
+// next checkpoint extends, and what it decides base-or-delta by. Recovery
+// reports it, the Manager keeps it current.
+type chainState struct {
+	// path and lsn name the newest checkpoint file in use, base or delta
+	// (no file, LSN 0, before the first checkpoint); terms is the number
+	// of dictionary terms the files up to it cover and cuts the models
+	// they add up to, as positions in the models' change feeds.
+	path  string
+	lsn   uint64
+	terms int
+	cuts  map[string]store.Cut
+	// baseBytes is the size of the base the chain starts from, chainBytes
+	// the size of the deltas since.
+	baseBytes, chainBytes int64
+	// unused lists the checkpoint files newer than that base which
+	// recovery could not use: damaged, or chained to one that is.
+	unused []string
+}
+
+func recoverDir(dir string, logf func(string, ...any), repair bool) (*store.Store, *RecoveryStats, *chainState, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -51,18 +80,14 @@ func recoverDir(dir string, logf func(string, ...any), repair bool) (*store.Stor
 	st := store.New()
 	stats := &RecoveryStats{}
 
-	snap, err := loadLatestSnapshot(dir, st, stats, logf)
+	ck, err := loadCheckpoints(dir, st, stats, logf)
 	if err != nil {
-		return nil, stats, err
+		return nil, stats, nil, err
 	}
-	snapLSN := uint64(0)
-	if snap != nil {
-		snapLSN = snap.LSN
-	}
-	stats.LastLSN = snapLSN
+	stats.LastLSN = ck.lsn
 
-	if err := replayWAL(dir, st, snapLSN, stats, logf, repair); err != nil {
-		return nil, stats, err
+	if err := replayWAL(dir, st, ck.lsn, stats, logf, repair); err != nil {
+		return nil, stats, nil, err
 	}
 
 	for _, name := range st.ModelNames() {
@@ -70,56 +95,198 @@ func recoverDir(dir string, logf func(string, ...any), repair bool) (*store.Stor
 		stats.Triples += st.Len(name)
 	}
 	stats.Duration = time.Since(t0)
-	return st, stats, nil
+	return st, stats, ck, nil
 }
 
-// loadLatestSnapshot finds the newest valid snapshot, loads it into st,
-// and verifies per-model triple counts.
-func loadLatestSnapshot(dir string, st *store.Store, stats *RecoveryStats, logf func(string, ...any)) (*Snapshot, error) {
-	names, err := listSnapshots(dir)
+// loadCheckpoints loads the newest valid base checkpoint and the chain of
+// delta checkpoints on top of it into st. A delta that is damaged, or
+// does not fit the state the files before it add up to, ends the chain:
+// the WAL carries on from there.
+func loadCheckpoints(dir string, st *store.Store, stats *RecoveryStats, logf func(string, ...any)) (*chainState, error) {
+	bases, err := listSnapshots(dir)
 	if err != nil {
 		return nil, err
 	}
-	for i := len(names) - 1; i >= 0; i-- {
-		path := filepath.Join(dir, names[i])
-		snap, err := ReadSnapshot(path)
+	deltas, err := listDeltas(dir)
+	if err != nil {
+		return nil, err
+	}
+	ck := &chainState{cuts: map[string]store.Cut{}}
+	skip := func(name string, err error) {
+		logf("durable: skipping checkpoint file %s: %v", name, err)
+		stats.SkippedSnapshots++
+		obsBadSnapshots.Inc()
+		ck.unused = append(ck.unused, name)
+	}
+	models := map[string]*store.Model{}
+	for i := len(bases) - 1; i >= 0; i-- {
+		path := filepath.Join(dir, bases[i])
+		snap, size, err := readBase(path)
 		if err != nil {
-			logf("durable: skipping invalid snapshot %s: %v", names[i], err)
-			stats.SkippedSnapshots++
-			obsBadSnapshots.Inc()
+			skip(bases[i], err)
 			continue
 		}
-		if err := LoadSnapshot(st, snap); err != nil {
-			return nil, fmt.Errorf("durable: %s: %w", names[i], err)
+		if models, err = loadBase(st.Dict(), snap); err != nil {
+			return nil, fmt.Errorf("durable: %s: %w", bases[i], err)
 		}
-		stats.SnapshotPath = path
-		stats.SnapshotLSN = snap.LSN
-		return snap, nil
+		stats.SnapshotPath, stats.SnapshotLSN = path, snap.LSN
+		ck.path, ck.lsn, ck.terms, ck.baseBytes = path, snap.LSN, len(snap.Terms), size
+		break
 	}
-	return nil, nil
+	base, broken := ck.lsn, false
+	for _, name := range deltas {
+		if lsn, _ := parseDeltaName(name); lsn <= base {
+			continue // of an older base's chain
+		}
+		if broken {
+			ck.unused = append(ck.unused, name)
+			continue
+		}
+		path := filepath.Join(dir, name)
+		d, size, err := readDelta(path)
+		if err == nil {
+			err = applyDelta(st.Dict(), models, d, ck.lsn)
+		}
+		if err != nil {
+			skip(name, err)
+			broken = true
+			continue
+		}
+		ck.path, ck.lsn, ck.terms = path, d.LSN, ck.terms+len(d.Terms)
+		ck.chainBytes += size
+		stats.DeltaCheckpoints++
+	}
+	names := make([]string, 0, len(models))
+	for name := range models {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		st.InstallModel(models[name])
+	}
+	for _, c := range st.Snapshot(names...).Cuts() {
+		ck.cuts[c.Name] = c
+	}
+	return ck, nil
 }
 
 // LoadSnapshot installs a decoded snapshot into a fresh store. The
 // dictionary is rebuilt in ID order, so every encoded triple keeps its
 // IDs; per-model triple counts are verified against the decoded count.
 func LoadSnapshot(st *store.Store, snap *Snapshot) error {
-	dict := st.Dict()
-	for i, t := range snap.Terms {
-		if id := dict.Intern(t); id != store.ID(i+1) {
-			return fmt.Errorf("dictionary not reconstructible: term %d interned as ID %d (duplicate term in snapshot?)", i+1, id)
-		}
+	models, err := loadBase(st.Dict(), snap)
+	if err != nil {
+		return err
 	}
 	for _, ms := range snap.Models {
-		m := store.NewModel(ms.Name)
-		for _, et := range ms.Triples {
-			m.Add(et)
+		st.InstallModel(models[ms.Name])
+	}
+	return nil
+}
+
+// loadBase rebuilds what a decoded base checkpoint holds: the dictionary,
+// into the empty dict, and the models, which it returns detached.
+func loadBase(dict *store.Dict, snap *Snapshot) (map[string]*store.Model, error) {
+	for i, t := range snap.Terms {
+		if id := dict.Intern(t); id != store.ID(i+1) {
+			return nil, fmt.Errorf("dictionary not reconstructible: term %d interned as ID %d (duplicate term in snapshot?)", i+1, id)
 		}
-		if m.Len() != len(ms.Triples) {
-			return fmt.Errorf("model %q: %d distinct triples loaded, snapshot declared %d", ms.Name, m.Len(), len(ms.Triples))
+	}
+	models := make(map[string]*store.Model, len(snap.Models))
+	for _, ms := range snap.Models {
+		m, err := buildModel(ms.Name, ms.Gen, ms.Basis, ms.Triples)
+		if err != nil {
+			return nil, err
 		}
-		m.SetGen(ms.Gen)
-		m.SetBasis(ms.Basis)
-		st.InstallModel(m)
+		models[ms.Name] = m
+	}
+	return models, nil
+}
+
+// buildModel returns a detached model holding ts at the given generation.
+func buildModel(name string, gen, basis uint64, ts []store.ETriple) (*store.Model, error) {
+	m := store.NewModel(name)
+	for _, et := range ts {
+		m.Add(et)
+	}
+	if m.Len() != len(ts) {
+		return nil, fmt.Errorf("model %q: %d distinct triples loaded, checkpoint declared %d", name, m.Len(), len(ts))
+	}
+	m.SetGen(gen)
+	m.SetBasis(basis)
+	return m, nil
+}
+
+// applyDelta brings dict and models — the state the checkpoint files up
+// to LSN at add up to — forward by one delta checkpoint. It first checks
+// that the delta fits that state (it extends the file at LSN at, over a
+// dictionary of the present size; its terms are new; every changed model
+// stands at the generation the change starts from, holds what is removed,
+// lacks what is added, and ends at the declared size), and changes
+// nothing unless it does.
+func applyDelta(dict *store.Dict, models map[string]*store.Model, d *Delta, at uint64) error {
+	if d.PrevLSN != at {
+		return fmt.Errorf("extends the checkpoint at LSN %d, the chain stands at LSN %d", d.PrevLSN, at)
+	}
+	if d.FirstTerm != dict.Len() {
+		return fmt.Errorf("extends a dictionary of %d terms, the chain's has %d", d.FirstTerm, dict.Len())
+	}
+	fresh := make(map[rdf.Term]bool, len(d.Terms))
+	for _, t := range d.Terms {
+		if _, known := dict.Lookup(t); known || fresh[t] {
+			return fmt.Errorf("term %v is in the dictionary already", t)
+		}
+		fresh[t] = true
+	}
+	for _, md := range d.Models {
+		m, ok := models[md.Name]
+		switch {
+		case md.Kind == ModelWhole:
+		case !ok:
+			return fmt.Errorf("model %q is not in the chain", md.Name)
+		case md.Kind == ModelChanged:
+			if m.Gen() != md.PrevGen {
+				return fmt.Errorf("model %q at generation %d, change starts from %d", md.Name, m.Gen(), md.PrevGen)
+			}
+			for _, t := range md.Removed {
+				if !m.Contains(t) {
+					return fmt.Errorf("model %q lacks a triple the change removes", md.Name)
+				}
+			}
+			for _, t := range md.Added {
+				if m.Contains(t) {
+					return fmt.Errorf("model %q holds a triple the change adds", md.Name)
+				}
+			}
+			if n := m.Len() - len(md.Removed) + len(md.Added); n != md.Size {
+				return fmt.Errorf("model %q would hold %d triples, change declared %d", md.Name, n, md.Size)
+			}
+		}
+	}
+	for _, t := range d.Terms {
+		dict.Intern(t)
+	}
+	for _, md := range d.Models {
+		switch md.Kind {
+		case ModelChanged:
+			m := models[md.Name]
+			for _, t := range md.Removed {
+				m.Remove(t)
+			}
+			for _, t := range md.Added {
+				m.Add(t)
+			}
+			m.SetGen(md.Gen)
+			m.SetBasis(md.Basis)
+		case ModelWhole:
+			m, err := buildModel(md.Name, md.Gen, md.Basis, md.Added)
+			if err != nil {
+				return err // unreachable: a decoded list is strictly ascending
+			}
+			models[md.Name] = m
+		case ModelDropped:
+			delete(models, md.Name)
+		}
 	}
 	return nil
 }
@@ -256,19 +423,22 @@ func applyRecord(st *store.Store, rec *Record) error {
 		if m == nil {
 			return fmt.Errorf("extend: model %q absent (replay divergence)", rec.Model)
 		}
-		for _, t := range rec.Removed {
-			if !m.Remove(intern(st.Dict(), t)) {
+		added, removed := make([]store.ETriple, len(rec.Triples)), make([]store.ETriple, len(rec.Removed))
+		for i, t := range rec.Removed {
+			if removed[i] = intern(st.Dict(), t); !m.Remove(removed[i]) {
 				return fmt.Errorf("extend: removed triple absent (replay divergence)")
 			}
 		}
-		for _, t := range rec.Triples {
-			if !m.Add(intern(st.Dict(), t)) {
+		for i, t := range rec.Triples {
+			if added[i] = intern(st.Dict(), t); !m.Add(added[i]) {
 				return fmt.Errorf("extend: added triple already present (replay divergence)")
 			}
 		}
 		m.SetGen(rec.Gen)
 		m.SetBasis(rec.Basis)
-		st.InstallModel(m)
+		// As an extension, so that the model's change feed carries on over
+		// it as it did when the record was logged.
+		st.InstallExtension(m, rec.PrevGen, added, removed)
 		return nil
 	default:
 		return fmt.Errorf("unknown op %d", rec.Op)

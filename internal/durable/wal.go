@@ -7,9 +7,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -28,25 +25,10 @@ const (
 	frameHeaderSize = 8
 )
 
-func segmentName(firstLSN uint64) string {
-	return fmt.Sprintf("wal-%016x.log", firstLSN)
-}
+func segmentName(firstLSN uint64) string { return lsnName("wal-", ".log", firstLSN) }
 
 // parseSegmentName extracts the first LSN from a segment filename.
-func parseSegmentName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
-		return 0, false
-	}
-	hex := strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log")
-	if len(hex) != 16 {
-		return 0, false
-	}
-	v, err := strconv.ParseUint(hex, 16, 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
+func parseSegmentName(name string) (uint64, bool) { return parseLSNName(name, "wal-", ".log") }
 
 // segmentWriter appends framed records to one open segment file through
 // a buffered writer. It is not itself locked; the Manager serializes
@@ -243,21 +225,4 @@ func scanSegment(path string) (*segmentScan, error) {
 }
 
 // listSegments returns the segment filenames in dir sorted by first LSN.
-func listSegments(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if _, ok := parseSegmentName(e.Name()); ok && !e.IsDir() {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Slice(names, func(i, j int) bool {
-		a, _ := parseSegmentName(names[i])
-		b, _ := parseSegmentName(names[j])
-		return a < b
-	})
-	return names, nil
-}
+func listSegments(dir string) ([]string, error) { return listLSNFiles(dir, parseSegmentName) }

@@ -18,7 +18,7 @@
 // The warehouse is loaded by additions and every rule below is monotone,
 // so the index is maintained, not rebuilt: Materialize starts the rules
 // from the base triples added since the index was derived (the store's
-// delta log) and extends the installed index with what they newly
+// change feed) and extends the installed index with what they newly
 // entail. Deriving from scratch is the same run with an empty index and
 // every base triple as the delta; it happens for a first derivation and
 // after anything that is not an addition (see store.SnapshotDelta).

@@ -160,7 +160,7 @@ func TestSearchSeesLaterWrites(t *testing.T) {
 // TestLateDescriptionPredicateIndexed reproduces the frozen-field-map
 // bug end to end: the full-text index is built while no rdfs:comment
 // triple exists anywhere (so the predicate is not interned yet), then
-// the first description is written. The delta-updated index must find
+// the first description is written. The extended index must find
 // it — previously the indexed path silently returned 0 while the scan
 // oracle found 1.
 func TestLateDescriptionPredicateIndexed(t *testing.T) {

@@ -129,7 +129,7 @@ func TestIndexedEqualsScanBesideWriter(t *testing.T) {
 				}
 				k := metamodel.NewGraph(v, st.Dict())
 				term := terms[i%len(terms)]
-				ix := svc.tix.For("m", v, st.Dict())
+				ix := svc.tix.For("m", v, st)
 				indexed := searchView(k, ix, term, []string{term}, nil, Options{})
 				scanned := searchView(k, nil, term, []string{term}, nil, Options{ForceScan: true})
 				if !reflect.DeepEqual(canon(indexed), canon(scanned)) {

@@ -28,8 +28,8 @@
 // Either way a search runs against one pinned version of the graph
 // (reason.ViewCtx): the base model cut at one generation, the OWLPRIME
 // entailment index derived from exactly that cut, and the full-text
-// index built — or delta-updated from its predecessor — over exactly
-// that pair. All three are immutable, so the search holds no store lock
+// index built — or extended from its predecessor by the store's change
+// feed — over exactly that pair. All three are immutable, so the search holds no store lock
 // and concurrent writers can neither tear its view nor wait for it;
 // entailment and text-index maintenance are single-flighted per model,
 // and a search that needs an index still being built waits for it.
@@ -183,7 +183,7 @@ func (s *Service) SearchCtx(ctx context.Context, term string, opt Options) (*Res
 	if opt.ForceScan {
 		obsSearchScan.Inc()
 	} else {
-		ix = s.tix.For(s.model, v, s.st.Dict())
+		ix = s.tix.For(s.model, v, s.st)
 		obsSearchIdx.Inc()
 	}
 	return searchView(metamodel.NewGraph(v, s.st.Dict()), ix, term, expanded, homonyms, opt), nil
@@ -191,14 +191,14 @@ func (s *Service) SearchCtx(ctx context.Context, term string, opt Options) (*Res
 
 // EnsureIndex returns the full-text index over model ∪ its OWLPRIME
 // entailment as of now, materializing the entailment and building or
-// delta-updating the index as needed. It fails only when the model is
+// extending the index as needed. It fails only when the model is
 // missing.
 func EnsureIndex(st *store.Store, model string, mgr *textindex.Manager) (*textindex.Index, error) {
 	v, err := reason.View(st, true, model)
 	if err != nil {
 		return nil, fmt.Errorf("search: no such model %q", model)
 	}
-	return mgr.For(model, v, st.Dict()), nil
+	return mgr.For(model, v, st), nil
 }
 
 // searchView evaluates the query against one pinned view. ix is the

@@ -9,6 +9,7 @@
 package store
 
 import (
+	"slices"
 	"sync"
 
 	"mdw/internal/rdf"
@@ -72,14 +73,22 @@ func (d *Dict) Term(id ID) rdf.Term {
 	return d.terms[id-1]
 }
 
-// Snapshot returns a copy of the term table in ID order: element i is the
-// term with ID i+1. The dictionary is append-only, so the copy stays a
-// valid prefix of the live dictionary forever — the durable snapshot
-// writer persists exactly this table to preserve IDs across a restart.
-func (d *Dict) Snapshot() []rdf.Term {
+// Len returns the number of terms interned so far, which is also the
+// highest ID assigned.
+func (d *Dict) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	out := make([]rdf.Term, len(d.terms))
-	copy(out, d.terms)
-	return out
+	return len(d.terms)
+}
+
+// Since returns a copy of the term table from ID n+1 on, in ID order:
+// element i is the term with ID n+i+1, and Since(0) is the whole table.
+// The dictionary is append-only, so what a caller has read stays a valid
+// prefix of the live dictionary forever — the durable checkpoint writer
+// persists the table, and then only its growth, to preserve IDs across a
+// restart.
+func (d *Dict) Since(n int) []rdf.Term {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return slices.Clone(d.terms[n:])
 }

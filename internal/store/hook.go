@@ -1,7 +1,8 @@
 package store
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mdw/internal/rdf"
 )
@@ -58,7 +59,7 @@ func (o Op) String() string {
 // Triples are dictionary-encoded; the hook decodes them through the
 // store's Dict (safe under the write lock: the Dict has its own lock and
 // is append-only). The slices belong to the store (an OpAdd's is a
-// window of the model's delta log): the hook must not modify them or
+// window of the model's change feed): the hook must not modify them or
 // retain them past the call.
 type Mutation struct {
 	Op    Op
@@ -116,7 +117,7 @@ func (s *Store) commit(mut Mutation) {
 
 // ModelState is a consistent point-in-time capture of one model: its
 // identity, versioning counters, and full encoded contents in canonical
-// (S, P, O) order. CaptureState produces one per model; the durable
+// (S, P, O) order. View.States produces one per member; the durable
 // snapshot writer serializes them.
 type ModelState struct {
 	Name    string
@@ -125,52 +126,63 @@ type ModelState struct {
 	Triples []ETriple // sorted ascending by (S, P, O)
 }
 
-// CaptureState captures every model of the store inside one read-lock
-// critical section, so the result is a single consistent cut across all
-// models: encoded triples (sorted), generations, and derivation bases,
-// plus a dictionary prefix that covers every ID referenced by the
-// capture. If observe is non-nil it runs inside the same critical
-// section — the durable manager uses it to read the WAL position that
-// corresponds exactly to the captured state (no writer, hence no WAL
-// append, can run concurrently).
-//
-// Sorting happens outside the lock; only the O(triples) collection pays
-// the read-lock hold time.
+// States captures every member of the view, in member order. The members
+// are versions nobody writes, so the O(triples) walk holds no lock.
+func (v *View) States() []ModelState {
+	states := make([]ModelState, len(v.models))
+	for i, m := range v.models {
+		states[i] = ModelState{Name: m.name, Gen: m.gen, Basis: m.basis, Triples: m.sorted()}
+	}
+	return states
+}
+
+// sorted returns the model's triples ascending by (S, P, O). The SPO index
+// has them grouped already, so only its keys are sorted, level by level:
+// several times cheaper than sorting the triples, at a million of them.
+func (m *Model) sorted() []ETriple {
+	out := make([]ETriple, 0, m.size)
+	var preds []ID
+	for _, s := range sortedKeys(m.spo) {
+		ps := m.spo[s]
+		preds = preds[:0]
+		for p := range ps {
+			preds = append(preds, p)
+		}
+		slices.Sort(preds)
+		for _, p := range preds {
+			lo := len(out)
+			for _, o := range ps[p] {
+				out = append(out, ETriple{S: s, P: p, O: o})
+			}
+			if len(out)-lo > 1 {
+				SortETriples(out[lo:])
+			}
+		}
+	}
+	return out
+}
+
+// CaptureState captures the whole store as of one moment: every model's
+// state, in name order, plus a dictionary prefix that covers every ID
+// they reference. Only pinning the models' versions happens under the
+// store's lock (SnapshotAll, which also says what observe is for); the
+// walk and the sort do not, so no load waits for them.
 func (s *Store) CaptureState(observe func()) ([]ModelState, []rdf.Term) {
-	s.mu.RLock()
-	states := make([]ModelState, 0, len(s.models))
-	for name, m := range s.models {
-		ms := ModelState{Name: name, Gen: m.gen, Basis: m.basis, Triples: make([]ETriple, 0, m.size)}
-		m.ForEach(Wildcard, Wildcard, Wildcard, func(t ETriple) bool {
-			ms.Triples = append(ms.Triples, t)
-			return true
-		})
-		states = append(states, ms)
-	}
-	if observe != nil {
-		observe() //mdwlint:allow locksafe documented contract: observe must not call locking Store methods
-	}
-	s.mu.RUnlock()
-	// The dictionary is append-only and shared; snapshotting it after the
-	// models guarantees every captured ID is covered.
-	terms := s.dict.Snapshot()
-	for i := range states {
-		SortETriples(states[i].Triples)
-	}
-	sort.Slice(states, func(i, j int) bool { return states[i].Name < states[j].Name })
-	return states, terms
+	v := s.SnapshotAll(observe)
+	// The dictionary is append-only and shared; reading it after the models
+	// are pinned guarantees every captured ID is covered.
+	return v.States(), s.dict.Since(0)
 }
 
 // SortETriples sorts encoded triples ascending by (S, P, O).
 func SortETriples(ts []ETriple) {
-	sort.Slice(ts, func(i, j int) bool {
-		a, b := ts[i], ts[j]
-		if a.S != b.S {
-			return a.S < b.S
+	slices.SortFunc(ts, func(a, b ETriple) int {
+		if c := cmp.Compare(a.S, b.S); c != 0 {
+			return c
 		}
-		if a.P != b.P {
-			return a.P < b.P
+		if c := cmp.Compare(a.P, b.P); c != 0 {
+			return c
 		}
-		return a.O < b.O
+		return cmp.Compare(a.O, b.O)
 	})
 }

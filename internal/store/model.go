@@ -84,6 +84,9 @@ type Model struct {
 	// never alias across instances. Never persisted — it has no replay
 	// meaning.
 	uid uint64
+	// feed is the id of the change feed (deltaLog) that describes this
+	// version, 0 for a model no store holds. Like uid it is never persisted.
+	feed uint64
 }
 
 // modelUIDs allocates Model.uid values.
@@ -460,7 +463,7 @@ func (m *Model) cloneAt(name string, gen uint64) *Model {
 // other's next mutation takes it to a generation the version never had.
 func (m *Model) fork() *Model {
 	c := m.cloneAt(m.name, m.gen)
-	c.basis, c.uid = m.basis, m.uid
+	c.basis, c.uid, c.feed = m.basis, m.uid, m.feed
 	return c
 }
 

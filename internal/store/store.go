@@ -38,10 +38,11 @@ type Store struct {
 	// carrying it is dropped (a reused (name, generation) pair could
 	// alias stale results-cache entries).
 	cloneEpoch uint64
-	// deltas holds, per model name, the log of triples added since some
-	// generation (see deltaLog); deriveMu the per-base derivation locks.
-	// Both guarded by mu.
+	// deltas holds, per model name, the model's change feed (see
+	// deltaLog), feedSeq the last feed id handed out, deriveMu the per-base
+	// derivation locks. All guarded by mu.
 	deltas   map[string]*deltaLog
+	feedSeq  uint64
 	deriveMu map[string]*sync.Mutex
 }
 
@@ -78,12 +79,12 @@ func (s *Store) modelLocked(name string) *Model {
 }
 
 // publishLocked makes m the store's model of its name, and its own first
-// version. The store now knows m's whole content at m.gen, so m's delta
-// log starts there.
+// version. The store now knows m's whole content at m.gen, so a change
+// feed of m's own starts there.
 func (s *Store) publishLocked(m *Model) {
 	s.models[m.name] = m
 	s.cuts[m.name] = m
-	s.deltas[m.name] = &deltaLog{start: m.gen}
+	s.startLogLocked(m)
 }
 
 // writableLocked returns the named live model (created if absent) ready
@@ -196,13 +197,13 @@ func (s *Store) nextCloneGenLocked() uint64 {
 func (s *Store) InstallModel(m *Model) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.installLocked(m, Mutation{Op: OpInstall, Model: m.name, Gen: m.gen, Basis: m.basis, Installed: m})
+	s.publishLocked(m)
+	s.installedLocked(m, Mutation{Op: OpInstall, Model: m.name, Gen: m.gen, Basis: m.basis, Installed: m})
 }
 
-// installLocked publishes m and delivers mut, the description of the
-// publication, to the commit hook.
-func (s *Store) installLocked(m *Model, mut Mutation) {
-	s.publishLocked(m)
+// installedLocked accounts for the publication of m and delivers mut, its
+// description, to the commit hook.
+func (s *Store) installedLocked(m *Model, mut Mutation) {
 	if hi := m.gen >> 32; hi > s.cloneEpoch {
 		s.cloneEpoch = hi
 	}
@@ -242,14 +243,15 @@ func (s *Store) Add(model string, t rdf.Triple) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := s.writableLocked(model)
+	l, run := s.runLocked(m)
 	et := s.encode(t)
 	added := m.Add(et)
 	if added {
 		obsAdds.Inc()
 		delete(s.cuts, model)
-		l := s.deltas[model]
-		l.adds = append(l.adds, et)
-		s.commit(Mutation{Op: OpAdd, Model: model, Triples: []ETriple{et}, Gen: m.gen})
+		run.added, run.gen = append(run.added, et), m.gen
+		l.n++
+		s.commit(Mutation{Op: OpAdd, Model: model, Triples: run.added[len(run.added)-1:], Gen: m.gen})
 	}
 	return added
 }
@@ -260,20 +262,22 @@ func (s *Store) AddAll(model string, ts []rdf.Triple) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := s.writableLocked(model)
-	// What was actually added goes to the model's delta log, and the
+	// What was actually added goes to the model's change feed, and the
 	// commit hook reads it from there.
-	l := s.deltas[model]
-	n0 := len(l.adds)
+	l, run := s.runLocked(m)
+	n0 := len(run.added)
 	for _, t := range ts {
 		if et := s.encode(t); m.Add(et) {
-			l.adds = append(l.adds, et)
+			run.added = append(run.added, et)
 		}
 	}
-	n := len(l.adds) - n0
+	n := len(run.added) - n0
 	obsAdds.Add(int64(n))
 	if n > 0 {
 		delete(s.cuts, model)
-		s.commit(Mutation{Op: OpAdd, Model: model, Triples: l.adds[n0:], Gen: m.gen})
+		run.gen = m.gen
+		l.n += n
+		s.commit(Mutation{Op: OpAdd, Model: model, Triples: run.added[n0:], Gen: m.gen})
 	}
 	return n
 }
@@ -295,9 +299,9 @@ func (s *Store) Remove(model string, t rdf.Triple) bool {
 	if removed {
 		obsRemoves.Inc()
 		delete(s.cuts, model)
-		// What the model gained since a generation no longer describes how
-		// it differs from that generation: the log starts over.
-		s.deltas[model] = &deltaLog{start: m.gen}
+		// The feed records removals only where an extension lists them:
+		// it starts over.
+		s.startLogLocked(m)
 		s.commit(Mutation{Op: OpRemove, Model: model, Triples: []ETriple{et}, Gen: m.gen})
 	}
 	return removed

@@ -24,7 +24,7 @@ func TestDictInternIdempotent(t *testing.T) {
 	if d.Term(a) != iri("a") {
 		t.Errorf("Term(%d) = %v", a, d.Term(a))
 	}
-	if n := len(d.Snapshot()); n != 2 {
+	if n := d.Len(); n != 2 || len(d.Since(1)) != 1 {
 		t.Errorf("%d terms interned, want 2", n)
 	}
 	if _, ok := d.Lookup(iri("zzz")); ok {

@@ -44,13 +44,16 @@ func NewView(models ...*Model) *View {
 // Models returns the member models.
 func (v *View) Models() []*Model { return v.models }
 
-// Cut describes one model of a snapshot as of the moment it was cut.
+// Cut describes one model of a snapshot as of the moment it was cut. It
+// also names that version as a position in the model's change feed: see
+// Store.Changes.
 type Cut struct {
 	Name    string
 	Exists  bool
 	Gen     uint64 // mutation generation (0 when absent)
 	Basis   uint64 // recorded base generation for derived models
 	Triples int
+	feed    uint64 // the change feed Gen is a position in
 }
 
 // Cut describes the member named name; a model the view does not hold
@@ -58,10 +61,19 @@ type Cut struct {
 func (v *View) Cut(name string) Cut {
 	for _, m := range v.models {
 		if m.name == name {
-			return Cut{Name: name, Exists: true, Gen: m.gen, Basis: m.basis, Triples: m.size}
+			return Cut{Name: name, Exists: true, Gen: m.gen, Basis: m.basis, Triples: m.size, feed: m.feed}
 		}
 	}
 	return Cut{Name: name}
+}
+
+// Cuts describes every member, in member order.
+func (v *View) Cuts() []Cut {
+	cuts := make([]Cut, len(v.models))
+	for i, m := range v.models {
+		cuts[i] = v.Cut(m.name)
+	}
+	return cuts
 }
 
 // Of returns the view over just the member named name (empty when the
@@ -248,20 +260,44 @@ func (v *View) Subjects(p, o ID) []ID {
 // lock to copy the outer index maps (O(distinct terms)): that is all a
 // writer ever waits for.
 func (s *Store) Snapshot(names ...string) *View {
+	return s.snapshot(names, false, nil)
+}
+
+// SnapshotAll is Snapshot of every model the store holds, in name order.
+// If observe is non-nil it runs inside the critical section the versions
+// are cut in — the durable manager uses it to read the WAL position that
+// corresponds exactly to the snapshot (no writer, hence no WAL append,
+// can run concurrently) — and must not call locking Store methods.
+func (s *Store) SnapshotAll(observe func()) *View {
+	return s.snapshot(nil, true, observe)
+}
+
+// snapshot pins the named models, or with all every model, under the read
+// lock if every one has its version already and under the write lock
+// otherwise.
+func (s *Store) snapshot(names []string, all bool, observe func()) *View {
 	s.mu.RLock()
-	v := s.snapshotLocked(names, false)
+	v := s.snapshotLocked(names, all, false, observe)
 	s.mu.RUnlock()
 	if v == nil {
 		s.mu.Lock()
-		v = s.snapshotLocked(names, true)
+		v = s.snapshotLocked(names, all, true, observe)
 		s.mu.Unlock()
 	}
 	return v
 }
 
-// snapshotLocked is Snapshot inside the critical section; without cut it
-// returns nil as soon as a model has no version yet.
-func (s *Store) snapshotLocked(names []string, cut bool) *View {
+// snapshotLocked is snapshot inside the critical section; without cut it
+// returns nil as soon as a model has no version yet. observe runs once
+// the view is complete.
+func (s *Store) snapshotLocked(names []string, all, cut bool, observe func()) *View {
+	if all {
+		names = make([]string, 0, len(s.models))
+		for n := range s.models {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+	}
 	ms := make([]*Model, 0, len(names))
 	for _, n := range names {
 		m, ok := s.models[n]
@@ -273,6 +309,9 @@ func (s *Store) snapshotLocked(names []string, cut bool) *View {
 			return nil
 		}
 		ms = append(ms, c)
+	}
+	if observe != nil {
+		observe() // under the store's lock: see SnapshotAll
 	}
 	return NewView(ms...)
 }

@@ -10,13 +10,15 @@ import (
 // Manager keeps, per model, the index last built for it. It is the
 // component the search service and the warehouse share: a search hands
 // it the view it has pinned and gets the index over exactly that view —
-// the kept one when it is of the view's generation, otherwise its
-// successor, delta-updated from the kept one and kept in its place.
+// the kept one when it is over that view, otherwise its successor,
+// extended from the kept one by what the store's change feed says the
+// view gained (built from scratch when the feed cannot say), and kept in
+// its place. That is the one form of index maintenance there is.
 //
 // Manager methods are safe for concurrent use. Maintenance is
 // single-flighted per model: callers that need an index nobody has built
-// yet wait for one builder, while callers whose generation is the kept
-// one never wait for a build. Returned *Index values are immutable, so
+// yet wait for one builder, while callers whose view is the kept index's
+// never wait for a build. Returned *Index values are immutable, so
 // callers query them outside every lock.
 type Manager struct {
 	mu  sync.Mutex
@@ -48,34 +50,33 @@ func (m *Manager) last(model string) (*Index, *sync.Mutex) {
 	return m.idx[model], bm
 }
 
-// For returns the index over v, a pinned view (store.Snapshot) of model
-// and whatever is to be searched with it, keyed by the generation v holds
-// model at. v never changes, so the index is of that generation by
-// construction however far the store has moved on: nothing here looks a
-// generation up that a writer could be advancing. The predecessor is not
-// modified; in-flight queries against it stay valid.
-func (m *Manager) For(model string, v *store.View, dict *store.Dict) *Index {
-	gen := v.Cut(model).Gen
+// For returns the index over v, a pinned view (store.Snapshot) of st
+// holding model and whatever is to be searched with it. v never changes,
+// so the index is over exactly what the caller reads however far the
+// store has moved on. The predecessor is not modified; in-flight queries
+// against it stay valid.
+func (m *Manager) For(model string, v *store.View, st *store.Store) *Index {
+	version := v.Version()
 	ix, bm := m.last(model)
-	if ix != nil && ix.gen == gen {
+	if ix != nil && ix.version == version {
 		return ix
 	}
 	bm.Lock()
 	defer bm.Unlock()
-	if ix, _ = m.last(model); ix != nil && ix.gen == gen {
+	if ix, _ = m.last(model); ix != nil && ix.version == version {
 		return ix // the build we waited for was ours too
 	}
-	field := m.cfg.Fields(dict)
-	posts := Collect(v, field)
+	var next *Index
 	if ix != nil {
-		ix, _, _ = ix.UpdateWith(gen, field, posts)
-	} else {
-		ix = BuildPostings(model, gen, dict, field, posts)
+		next = ix.extend(v, st)
+	}
+	if next == nil {
+		next = BuildPostings(model, v, st.Dict(), m.cfg.Fields(st.Dict()))
 	}
 	m.mu.Lock()
-	m.idx[model] = ix
+	m.idx[model] = next
 	m.mu.Unlock()
-	return ix
+	return next
 }
 
 // StatsAll reports the stats of every kept index, sorted by model.

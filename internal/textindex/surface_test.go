@@ -12,10 +12,12 @@ import (
 )
 
 // TestExportedNames pins the package's exported functions and methods.
-// Index maintenance has one form — Collect over a pinned view, then
-// BuildPostings or UpdateWith, which Manager.For composes and keeps — so
-// there is no Build, Index.Update or Manager.Refresh, and no by-generation
-// Manager.Get, Install or BuildLock for callers to compose wrongly.
+// Index maintenance has one form — Manager.For, which extends the kept
+// index from the store's change feed or, when the feed cannot say what
+// changed, calls BuildPostings over the pinned view — so there is no
+// Collect-everything-and-diff Index.UpdateWith, no Build, Index.Update or
+// Manager.Refresh, and no by-generation Manager.Get, Install or BuildLock
+// for callers to compose wrongly.
 func TestExportedNames(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -43,9 +45,9 @@ func TestExportedNames(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
-		"BuildPostings", "Collect", "Config.Fields", "DefaultConfig", "Fold",
+		"BuildPostings", "Config.Fields", "DefaultConfig", "Fold",
 		"Index.Gen", "Index.Search", "Index.SearchAny", "Index.Stats",
-		"Index.TokensContaining", "Index.TokensWithPrefix", "Index.UpdateWith",
+		"Index.TokensContaining", "Index.TokensWithPrefix",
 		"Manager.For", "Manager.StatsAll", "NewManager", "Tokenize",
 	}
 	if !reflect.DeepEqual(got, want) {

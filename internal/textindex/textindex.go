@@ -18,19 +18,22 @@
 //   - queries are multi-term OR lookups (the synonym-expansion path of
 //     Section V) whose candidates are verified against the original
 //     literal text, so results are exactly those of the regexp scan;
-//   - every index is keyed to a (model, generation) pair. The store
-//     counts model mutations; when the underlying model has moved, the
-//     index is rebuilt or delta-updated to the new generation, so the
+//   - every index is over one pinned view (store.Snapshot) and records
+//     which. When a search pins a later view, the index is extended to it
+//     from the store's change feed (store.Changes) — or rebuilt, when the
+//     feed cannot say what changed or a literal left the view — so the
 //     current model and each historized release (internal/history) get
 //     their own consistent index.
 //
-// Index values are immutable once published: UpdateWith returns a new Index
-// sharing unchanged posting lists with its predecessor, so readers can
-// keep querying an old generation lock-free while a writer installs the
-// next one.
+// Index values are immutable once published. An index is a short list of
+// segments, each a complete inverted index over the literals it holds; a
+// successor shares its predecessor's segments and adds one for what the
+// view gained, so readers keep querying an old version lock-free while
+// the next one is built beside it, at the cost of what changed.
 package textindex
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -121,15 +124,30 @@ type Match struct {
 	Term int
 }
 
-// Index is an immutable inverted full-text index over one model
-// generation.
+// Index is an immutable inverted full-text index over one pinned view.
 type Index struct {
 	model string
-	gen   uint64
-	dict  *store.Dict
-	field map[store.ID]Field   // indexed predicate -> field
+	gen   uint64 // model's generation in the view
+	// version is the View.Version() the index is over; cuts are that
+	// view's members, the positions in their change feeds a successor is
+	// extended from.
+	version string
+	cuts    []store.Cut
+	dict    *store.Dict
+	field   map[store.ID]Field // indexed predicate -> field
+	// segs hold the literal occurrences, each in exactly one segment, the
+	// oldest and largest segment first. A full build makes one; every
+	// extension adds one and folds the small ones at the tail together
+	// (see extend), so there are O(log literals) of them.
+	segs []*segment
+}
+
+// segment is a complete inverted index over some of the literal
+// occurrences of an Index. It is never modified once built, so any number
+// of Index versions share it.
+type segment struct {
 	post  map[string][]Posting // token -> postings, sorted
-	lits  map[Posting]struct{} // every indexed literal occurrence
+	lits  map[Posting]struct{} // every literal occurrence held
 	ftext map[store.ID]string  // literal ID -> folded text (verification)
 	toks  []string             // sorted distinct tokens
 }
@@ -189,15 +207,13 @@ func uniqueTokens(toks []string) []string {
 	return out
 }
 
-// Collect gathers every (subject, predicate, object) occurrence of a
+// collect gathers every (subject, predicate, object) occurrence of a
 // field predicate in the view — possibly with duplicates when the view
 // spans overlapping models; indexing is idempotent per occurrence.
 // Objects are collected by their term value whatever their kind —
 // exactly the text the scan path matches against — though in a
-// well-formed warehouse they are literals. v is a pinned view
-// (store.Snapshot), so neither this nor the tokenization that works from
-// the returned slice (BuildPostings, UpdateWith) holds any store lock.
-func Collect(v *store.View, field map[store.ID]Field) []Posting {
+// well-formed warehouse they are literals.
+func collect(v *store.View, field map[store.ID]Field) []Posting {
 	var out []Posting
 	for predID := range field {
 		v.ForEach(store.Wildcard, predID, store.Wildcard, func(t store.ETriple) bool {
@@ -208,154 +224,142 @@ func Collect(v *store.View, field map[store.ID]Field) []Posting {
 	return out
 }
 
-// BuildPostings tokenizes the collected occurrences into a fresh index.
-// It reads only dict (which has its own lock) and its arguments.
-func BuildPostings(model string, gen uint64, dict *store.Dict, field map[store.ID]Field, posts []Posting) *Index {
+// BuildPostings tokenizes the field predicates' literals of v, a pinned
+// view (store.Snapshot) holding model, into a fresh index over exactly
+// that view. It reads only v and dict (which has its own lock), so it
+// holds no store lock.
+func BuildPostings(model string, v *store.View, dict *store.Dict, field map[store.ID]Field) *Index {
 	defer obsBuildHist.ObserveSince(time.Now())
-	ix := &Index{
-		model: model,
-		gen:   gen,
-		dict:  dict,
-		field: field,
+	return &Index{
+		model:   model,
+		gen:     v.Cut(model).Gen,
+		version: v.Version(),
+		cuts:    v.Cuts(),
+		dict:    dict,
+		field:   field,
+		segs:    []*segment{newSegment(dict, collect(v, field), nil)},
+	}
+}
+
+// newSegment indexes the given occurrences, each once, leaving out those
+// held reports as indexed already.
+func newSegment(dict *store.Dict, posts []Posting, held func(Posting) bool) *segment {
+	sg := &segment{
 		post:  map[string][]Posting{},
 		lits:  map[Posting]struct{}{},
 		ftext: map[store.ID]string{},
 	}
 	for _, p := range posts {
-		ix.add(p)
+		if _, dup := sg.lits[p]; dup || (held != nil && held(p)) {
+			continue
+		}
+		sg.lits[p] = struct{}{}
+		folded := Fold(dict.Term(p.Object).Value)
+		sg.ftext[p.Object] = folded
+		for _, tok := range uniqueTokens(Tokenize(folded)) {
+			sg.post[tok] = append(sg.post[tok], p)
+		}
 	}
-	ix.rebuildTokens()
-	ix.sortPostings(nil)
-	return ix
+	sg.toks = make([]string, 0, len(sg.post))
+	for t, list := range sg.post {
+		sg.toks = append(sg.toks, t)
+		sortPostingList(list)
+	}
+	sort.Strings(sg.toks)
+	return sg
 }
 
-// add inserts one literal occurrence (idempotent).
-func (ix *Index) add(p Posting) {
-	if _, dup := ix.lits[p]; dup {
-		return
+// mergeSegments returns one segment holding what a and b hold. Neither is
+// modified: earlier Index versions keep reading them.
+func mergeSegments(a, b *segment) *segment {
+	sg := &segment{
+		post:  make(map[string][]Posting, len(a.post)+len(b.post)),
+		lits:  make(map[Posting]struct{}, len(a.lits)+len(b.lits)),
+		ftext: make(map[store.ID]string, len(a.ftext)+len(b.ftext)),
+		toks:  make([]string, 0, len(a.toks)+len(b.toks)),
 	}
-	ix.lits[p] = struct{}{}
-	folded := Fold(ix.dict.Term(p.Object).Value)
-	ix.ftext[p.Object] = folded
-	for _, tok := range uniqueTokens(Tokenize(folded)) {
-		ix.post[tok] = append(ix.post[tok], p)
+	for _, src := range []*segment{a, b} {
+		for p := range src.lits {
+			sg.lits[p] = struct{}{}
+		}
+		for id, f := range src.ftext {
+			sg.ftext[id] = f
+		}
 	}
+	for t, list := range a.post {
+		sg.post[t] = list // shared until b has the token too
+	}
+	for t, list := range b.post {
+		if mine, ok := sg.post[t]; ok {
+			list = append(slices.Clone(mine), list...)
+			sortPostingList(list)
+		}
+		sg.post[t] = list
+	}
+	sg.toks = append(append(sg.toks, a.toks...), b.toks...)
+	sort.Strings(sg.toks)
+	sg.toks = slices.Compact(sg.toks)
+	return sg
 }
 
-// remove deletes one literal occurrence. Affected posting lists must be
-// private to ix (UpdateWith copies them before calling remove). The ftext
-// entry is kept: a dictionary ID never changes its term, so the cached
-// folded text stays correct even if another posting still references it.
-func (ix *Index) remove(p Posting) {
-	delete(ix.lits, p)
-	for _, tok := range uniqueTokens(Tokenize(Fold(ix.dict.Term(p.Object).Value))) {
-		list := ix.post[tok]
-		for i, q := range list {
-			if q == p {
-				list = append(list[:i], list[i+1:]...)
-				break
+// mergeRatio is how many times larger a segment must be than the one
+// after it for the two to stay apart: sizes fall geometrically along the
+// list, so an index of n literals has O(log n) segments and a literal is
+// copied into a larger segment O(log n) times over its life.
+const mergeRatio = 4
+
+// extend returns the index over v, a later view of the same models, built
+// from ix and what the models' change feeds say the view gained since;
+// nil when it cannot be: the feed of a member does not reach back to ix
+// (store.Changes answers "everything"), the members are not the same
+// models, or a literal left the view, which a segment cannot express. ix
+// is not modified, and the successor shares its segments.
+func (ix *Index) extend(v *store.View, st *store.Store) *Index {
+	t0 := time.Now()
+	cuts := v.Cuts()
+	if len(cuts) != len(ix.cuts) {
+		return nil
+	}
+	var posts []Posting
+	for i, upto := range cuts {
+		added, removed, ok := st.Changes("textindex", ix.cuts[i], upto)
+		if !ok {
+			return nil
+		}
+		for _, t := range removed {
+			// A triple that only moved between members (derived before,
+			// asserted now) is still in the view and stays indexed.
+			if _, indexed := ix.field[t.P]; indexed && !v.Contains(t) {
+				return nil
 			}
 		}
-		if len(list) == 0 {
-			delete(ix.post, tok)
-		} else {
-			ix.post[tok] = list
-		}
-	}
-}
-
-func (ix *Index) rebuildTokens() {
-	ix.toks = make([]string, 0, len(ix.post))
-	for t := range ix.post {
-		ix.toks = append(ix.toks, t)
-	}
-	sort.Strings(ix.toks)
-}
-
-// sortPostings orders the posting lists of the given tokens (all tokens
-// when nil) by (Subject, Pred, Object) for deterministic query output.
-func (ix *Index) sortPostings(tokens map[string]bool) {
-	if tokens == nil {
-		for _, list := range ix.post {
-			sortPostingList(list)
-		}
-		return
-	}
-	for t := range tokens {
-		if list, ok := ix.post[t]; ok {
-			sortPostingList(list)
-		}
-	}
-}
-
-// UpdateWith returns an index at generation gen over posts — the complete
-// occurrence set of the field predicates, as returned by Collect — reusing
-// the receiver's postings for unchanged literals: the incremental
-// maintenance path for the additive growth the paper describes (§III.A:
-// meta-data only ever accumulates between releases). The receiver is not
-// modified; in-flight queries against it stay valid. field becomes the
-// successor's predicate map (it may be a superset of the receiver's —
-// predicates configured but unseen when the receiver was built). It also
-// reports how many literal occurrences were added and removed.
-func (ix *Index) UpdateWith(gen uint64, field map[store.ID]Field, posts []Posting) (*Index, int, int) {
-	defer obsDeltaHist.ObserveSince(time.Now())
-	cur := make(map[Posting]struct{}, len(posts))
-	for _, p := range posts {
-		cur[p] = struct{}{}
-	}
-
-	var added, removed []Posting
-	for p := range cur {
-		if _, ok := ix.lits[p]; !ok {
-			added = append(added, p)
-		}
-	}
-	for p := range ix.lits {
-		if _, ok := cur[p]; !ok {
-			removed = append(removed, p)
-		}
-	}
-
-	next := &Index{model: ix.model, gen: gen, dict: ix.dict, field: field}
-	if len(added) == 0 && len(removed) == 0 {
-		next.post, next.lits, next.ftext, next.toks = ix.post, ix.lits, ix.ftext, ix.toks
-		return next, 0, 0
-	}
-
-	// Copy the containers; copy each touched posting list once, so the
-	// untouched majority stays shared with the predecessor.
-	next.lits = make(map[Posting]struct{}, len(ix.lits))
-	for p := range ix.lits {
-		next.lits[p] = struct{}{}
-	}
-	next.ftext = make(map[store.ID]string, len(ix.ftext))
-	for id, f := range ix.ftext {
-		next.ftext[id] = f
-	}
-	next.post = make(map[string][]Posting, len(ix.post))
-	for t, list := range ix.post {
-		next.post[t] = list
-	}
-	touched := map[string]bool{}
-	copyTouched := func(p Posting) {
-		for _, tok := range uniqueTokens(Tokenize(Fold(ix.dict.Term(p.Object).Value))) {
-			if !touched[tok] {
-				touched[tok] = true
-				next.post[tok] = append([]Posting(nil), next.post[tok]...)
+		for _, t := range added {
+			if _, indexed := ix.field[t.P]; indexed {
+				posts = append(posts, Posting{Subject: t.S, Pred: t.P, Object: t.O})
 			}
 		}
 	}
-	for _, p := range removed {
-		copyTouched(p)
-		next.remove(p)
+	next := &Index{model: ix.model, gen: v.Cut(ix.model).Gen, version: v.Version(), cuts: cuts,
+		dict: ix.dict, field: ix.field, segs: ix.segs}
+	if sg := newSegment(ix.dict, posts, ix.has); len(sg.lits) > 0 {
+		segs := append(slices.Clone(ix.segs), sg)
+		for n := len(segs); n >= 2 && len(segs[n-1].lits)*mergeRatio > len(segs[n-2].lits); n = len(segs) {
+			segs = append(segs[:n-2], mergeSegments(segs[n-2], segs[n-1]))
+		}
+		next.segs = segs
 	}
-	for _, p := range added {
-		copyTouched(p)
-		next.add(p)
+	obsDeltaHist.ObserveSince(t0)
+	return next
+}
+
+// has reports whether the literal occurrence is indexed.
+func (ix *Index) has(p Posting) bool {
+	for _, sg := range ix.segs {
+		if _, ok := sg.lits[p]; ok {
+			return true
+		}
 	}
-	next.rebuildTokens()
-	next.sortPostings(touched)
-	return next, len(added), len(removed)
+	return false
 }
 
 // Gen returns the model generation the index was built from.
@@ -366,12 +370,13 @@ func (ix *Index) Gen() uint64 { return ix.gen }
 // vocabulary.
 func (ix *Index) TokensWithPrefix(prefix string) []string {
 	prefix = Fold(prefix)
-	i := sort.SearchStrings(ix.toks, prefix)
 	var out []string
-	for ; i < len(ix.toks) && strings.HasPrefix(ix.toks[i], prefix); i++ {
-		out = append(out, ix.toks[i])
+	for _, sg := range ix.segs {
+		for i := sort.SearchStrings(sg.toks, prefix); i < len(sg.toks) && strings.HasPrefix(sg.toks[i], prefix); i++ {
+			out = append(out, sg.toks[i])
+		}
 	}
-	return out
+	return ix.distinct(out)
 }
 
 // TokensContaining returns the indexed tokens containing sub (folded) as
@@ -381,8 +386,25 @@ func (ix *Index) TokensWithPrefix(prefix string) []string {
 func (ix *Index) TokensContaining(sub string) []string {
 	sub = Fold(sub)
 	var out []string
-	for _, t := range ix.toks {
-		if strings.Contains(t, sub) {
+	for _, sg := range ix.segs {
+		out = append(out, sg.tokensContaining(sub)...)
+	}
+	return ix.distinct(out)
+}
+
+// distinct sorts and de-duplicates tokens gathered segment by segment.
+func (ix *Index) distinct(toks []string) []string {
+	if len(ix.segs) > 1 {
+		sort.Strings(toks)
+		toks = slices.Compact(toks)
+	}
+	return toks
+}
+
+func (sg *segment) tokensContaining(folded string) []string {
+	var out []string
+	for _, t := range sg.toks {
+		if strings.Contains(t, folded) {
 			out = append(out, t)
 		}
 	}
@@ -396,27 +418,46 @@ func (ix *Index) TokensContaining(sub string) []string {
 func (ix *Index) Search(term string, field Field) []Posting {
 	obsSearches.Inc()
 	folded := Fold(term)
-	if toks := uniqueTokens(Tokenize(folded)); len(toks) == 1 && toks[0] == folded {
+	toks := uniqueTokens(Tokenize(folded))
+	var out []Posting
+	parts := 0 // segments that contributed
+	for _, sg := range ix.segs {
+		n := len(out)
+		out = sg.search(out, folded, toks, field, ix.field)
+		if len(out) > n {
+			parts++
+		}
+	}
+	if parts > 1 { // each segment's matches are sorted, their concatenation is not
+		sortPostingList(out)
+	}
+	return out
+}
+
+// search appends the segment's matches for the folded term, whose tokens
+// are toks, to out, sorted among themselves.
+func (sg *segment) search(out []Posting, folded string, toks []string, field Field, fieldOf map[store.ID]Field) []Posting {
+	n := len(out)
+	if len(toks) == 1 && toks[0] == folded {
 		// Fast path: the term is one pure letter/digit run. Text tokens
 		// are contiguous runs of the folded text, so any posting whose
 		// vocabulary token contains the term already contains the term in
 		// its text — candidates ARE matches, no verification needed.
-		vts := ix.TokensContaining(folded)
+		vts := sg.tokensContaining(folded)
 		if len(vts) == 1 {
-			list := ix.post[vts[0]] // pre-sorted
-			out := make([]Posting, 0, len(list))
+			list := sg.post[vts[0]] // pre-sorted
+			out = slices.Grow(out, len(list))
 			for _, p := range list {
-				if ix.field[p.Pred] == field {
+				if fieldOf[p.Pred] == field {
 					out = append(out, p)
 				}
 			}
 			return out
 		}
 		seen := map[Posting]struct{}{}
-		var out []Posting
 		for _, vt := range vts {
-			for _, p := range ix.post[vt] {
-				if ix.field[p.Pred] != field {
+			for _, p := range sg.post[vt] {
+				if fieldOf[p.Pred] != field {
 					continue
 				}
 				if _, dup := seen[p]; !dup {
@@ -425,17 +466,14 @@ func (ix *Index) Search(term string, field Field) []Posting {
 				}
 			}
 		}
-		sortPostingList(out)
-		return out
-	}
-	cands := ix.candidates(folded, field)
-	out := cands[:0]
-	for _, p := range cands {
-		if strings.Contains(ix.ftext[p.Object], folded) {
-			out = append(out, p)
+	} else {
+		for _, p := range sg.candidates(toks, field, fieldOf) {
+			if strings.Contains(sg.ftext[p.Object], folded) {
+				out = append(out, p)
+			}
 		}
 	}
-	sortPostingList(out)
+	sortPostingList(out[n:])
 	return out
 }
 
@@ -453,17 +491,16 @@ func sortPostingList(list []Posting) {
 }
 
 // candidates returns a superset of the field's postings whose text can
-// contain the folded term: when the term occurs in a text, every token
-// of the term is a substring of some token of that text, so intersecting
-// the token-level candidate sets per term token is complete.
-func (ix *Index) candidates(folded string, field Field) []Posting {
-	toks := uniqueTokens(Tokenize(folded))
+// contain a term with the given tokens: when the term occurs in a text,
+// every token of the term is a substring of some token of that text, so
+// intersecting the token-level candidate sets per term token is complete.
+func (sg *segment) candidates(toks []string, field Field, fieldOf map[store.ID]Field) []Posting {
 	if len(toks) == 0 {
 		// No indexable characters (a term of separators only, or empty):
 		// every literal of the field is a candidate.
 		var out []Posting
-		for p := range ix.lits {
-			if ix.field[p.Pred] == field {
+		for p := range sg.lits {
+			if fieldOf[p.Pred] == field {
 				out = append(out, p)
 			}
 		}
@@ -472,9 +509,9 @@ func (ix *Index) candidates(folded string, field Field) []Posting {
 	var cand map[Posting]struct{}
 	for i, tk := range toks {
 		set := map[Posting]struct{}{}
-		for _, vt := range ix.TokensContaining(tk) {
-			for _, p := range ix.post[vt] {
-				if ix.field[p.Pred] != field {
+		for _, vt := range sg.tokensContaining(tk) {
+			for _, p := range sg.post[vt] {
+				if fieldOf[p.Pred] != field {
 					continue
 				}
 				if i == 0 {
@@ -527,16 +564,15 @@ type Stats struct {
 
 // Stats returns the index's size counters.
 func (ix *Index) Stats() Stats {
-	n := 0
-	for _, list := range ix.post {
-		n += len(list)
+	s := Stats{Model: ix.model, Gen: ix.gen, Predicates: len(ix.field)}
+	for i, sg := range ix.segs {
+		s.Literals += len(sg.lits)
+		for t, list := range sg.post {
+			s.Postings += len(list)
+			if !slices.ContainsFunc(ix.segs[:i], func(older *segment) bool { _, ok := older.post[t]; return ok }) {
+				s.Tokens++
+			}
+		}
 	}
-	return Stats{
-		Model:      ix.model,
-		Gen:        ix.gen,
-		Predicates: len(ix.field),
-		Literals:   len(ix.lits),
-		Tokens:     len(ix.toks),
-		Postings:   n,
-	}
+	return s
 }

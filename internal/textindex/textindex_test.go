@@ -2,6 +2,7 @@ package textindex
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -50,21 +51,46 @@ func fixture(t *testing.T) (*store.Store, *Index) {
 	return st, build(st)
 }
 
-// build and update compose the maintenance calls the way Manager.For
-// does — Collect, then BuildPostings or UpdateWith — over model "m";
-// refresh is Manager.For over the store's present state.
+// build is the from-scratch index over model "m" as it stands; refresh is
+// Manager.For over the same, which extends the kept index when it can.
 func build(st *store.Store) *Index {
-	field := DefaultConfig().Fields(st.Dict())
-	return BuildPostings("m", st.Generation("m"), st.Dict(), field, Collect(st.ViewOf("m"), field))
-}
-
-func update(ix *Index, st *store.Store) (*Index, int, int) {
-	field := DefaultConfig().Fields(st.Dict())
-	return ix.UpdateWith(st.Generation("m"), field, Collect(st.ViewOf("m"), field))
+	return BuildPostings("m", st.Snapshot("m"), st.Dict(), DefaultConfig().Fields(st.Dict()))
 }
 
 func refresh(m *Manager, st *store.Store) *Index {
-	return m.For("m", st.Snapshot("m"), st.Dict())
+	return m.For("m", st.Snapshot("m"), st)
+}
+
+// contents flattens an index to what it holds, whatever its segments:
+// every token's sorted postings and every literal's folded text.
+func contents(ix *Index) (map[string][]Posting, map[Posting]string) {
+	post, lits := map[string][]Posting{}, map[Posting]string{}
+	for _, sg := range ix.segs {
+		for t, list := range sg.post {
+			post[t] = append(post[t], list...)
+		}
+		for p := range sg.lits {
+			lits[p] = sg.ftext[p.Object]
+		}
+	}
+	for _, list := range post {
+		sortPostingList(list)
+	}
+	return post, lits
+}
+
+// sameIndex fails the test unless got holds exactly what want holds and
+// answers for the same view.
+func sameIndex(t *testing.T, when string, got, want *Index) {
+	t.Helper()
+	gp, gl := contents(got)
+	wp, wl := contents(want)
+	if !reflect.DeepEqual(gp, wp) || !reflect.DeepEqual(gl, wl) {
+		t.Fatalf("%s: extended index differs from the one built from scratch:\n got %d tokens %d literals\nwant %d tokens %d literals", when, len(gp), len(gl), len(wp), len(wl))
+	}
+	if got.Stats() != want.Stats() || got.version != want.version {
+		t.Fatalf("%s: stats %+v over %s, from scratch %+v over %s", when, got.Stats(), got.version, want.Stats(), want.version)
+	}
 }
 
 func subjectsOf(st *store.Store, ps []Posting) []string {
@@ -140,62 +166,70 @@ func TestSearchAnyAttributesFirstTerm(t *testing.T) {
 }
 
 func TestUpdateIsIncrementalAndImmutable(t *testing.T) {
-	st, ix := fixture(t)
+	st, _ := fixture(t)
+	m := NewManager(Config{})
+	ix := refresh(m, st)
 	before := ix.Stats()
 
-	// Add a new literal and remove one.
+	// A new literal reaches the index through the feed: the successor
+	// shares the predecessor's segment and adds one of its own.
 	s6 := rdf.IRI(rdf.InstNS + "t6")
 	st.Add("m", rdf.T(s6, rdf.HasName, rdf.Literal("customer_flag")))
-	st.Remove("m", rdf.T(rdf.IRI(rdf.InstNS+"t5"), rdf.HasName, rdf.Literal("partner_id")))
-
-	next, added, removed := update(ix, st)
-	if added != 1 || removed != 1 {
-		t.Fatalf("Update added=%d removed=%d, want 1/1", added, removed)
+	next := refresh(m, st)
+	if len(next.segs) != 2 || next.segs[0] != ix.segs[0] || len(next.segs[1].lits) != 1 {
+		t.Fatalf("successor has %d segments; want the predecessor's and one holding the new literal", len(next.segs))
 	}
 	if next.Gen() != st.Generation("m") {
 		t.Errorf("updated index gen = %d, want %d", next.Gen(), st.Generation("m"))
 	}
+	if got := next.Search("customer", FieldName); len(got) != 4 {
+		t.Errorf("new index missing customer_flag: %v", subjectsOf(st, got))
+	}
+	sameIndex(t, "after an add", next, build(st))
 	// The predecessor still answers from its old state.
-	if got := ix.Search("partner", FieldName); len(got) != 1 {
-		t.Errorf("old index lost partner_id: %v", subjectsOf(st, got))
+	if got := ix.Search("customer", FieldName); len(got) != 3 {
+		t.Errorf("old index sees customer_flag: %v", subjectsOf(st, got))
 	}
 	if got := ix.Stats(); got != before {
 		t.Errorf("old index stats changed: %+v -> %+v", before, got)
 	}
-	// The successor reflects both changes.
-	if got := next.Search("partner", FieldName); len(got) != 0 {
+
+	// A removal is not in the feed: the successor is built from scratch,
+	// and the predecessor keeps what it had.
+	st.Remove("m", rdf.T(rdf.IRI(rdf.InstNS+"t5"), rdf.HasName, rdf.Literal("partner_id")))
+	after := refresh(m, st)
+	if got := after.Search("partner", FieldName); len(got) != 0 {
 		t.Errorf("new index still has partner_id: %v", subjectsOf(st, got))
 	}
-	if got := next.Search("customer", FieldName); len(got) != 4 {
-		t.Errorf("new index missing customer_flag: %v", subjectsOf(st, got))
+	if got := next.Search("partner", FieldName); len(got) != 1 {
+		t.Errorf("old index lost partner_id: %v", subjectsOf(st, got))
 	}
+	sameIndex(t, "after a remove", after, build(st))
 
-	// A no-op update shares everything and reports no changes.
-	same, a, r := update(next, st)
-	if a != 0 || r != 0 {
-		t.Errorf("no-op update added=%d removed=%d", a, r)
-	}
-	if same.Stats().Literals != next.Stats().Literals {
-		t.Errorf("no-op update changed literal count")
+	// Nothing changed: the kept index is the answer.
+	if same := refresh(m, st); same != after {
+		t.Error("refresh of an unchanged model built a new index")
 	}
 }
 
 // TestUpdateLearnsLateConfiguredPredicate is the regression test for the
 // frozen-field-map bug: an index built before ANY triple of a configured
 // predicate exists (so the predicate was not even interned at build
-// time) must still pick that predicate's triples up through delta
-// updates, not only through a full rebuild.
+// time) must still pick that predicate's triples up when it is extended,
+// not only through a full rebuild.
 func TestUpdateLearnsLateConfiguredPredicate(t *testing.T) {
 	st := store.New()
 	s1 := rdf.IRI(rdf.InstNS + "t1")
 	st.Add("m", rdf.T(s1, rdf.HasName, rdf.Literal("tcd100")))
-	ix := build(st)
+	m := NewManager(Config{})
+	refresh(m, st)
 
 	// First description ever, added after the build.
 	st.Add("m", rdf.T(s1, rdf.IRI(rdf.RDFSComment), rdf.Literal("customer segment marker")))
-	next, added, removed := update(ix, st)
-	if added != 1 || removed != 0 {
-		t.Fatalf("Update added=%d removed=%d, want 1/0", added, removed)
+	extended := obsDeltaHist.Count()
+	next := refresh(m, st)
+	if obsDeltaHist.Count() != extended+1 {
+		t.Fatal("successor was built from scratch, not extended from the feed")
 	}
 	if got := next.Search("marker", FieldDescription); len(got) != 1 {
 		t.Errorf("description added after build: %d indexed matches, want 1", len(got))
@@ -203,9 +237,91 @@ func TestUpdateLearnsLateConfiguredPredicate(t *testing.T) {
 
 	// Same for the first rdfs:label.
 	st.Add("m", rdf.T(s1, rdf.Label, rdf.Literal("Segment Marker Column")))
-	next2, _, _ := update(next, st)
+	next2 := refresh(m, st)
 	if got := next2.Search("segment", FieldName); len(got) != 1 {
 		t.Errorf("label added after build: %d indexed matches, want 1", len(got))
+	}
+	sameIndex(t, "after two late predicates", next2, build(st))
+}
+
+// The index a Manager keeps by extension must be, at every step, the one
+// BuildPostings makes from scratch over the same pinned view — over a
+// base model that only grows and a derived model published by
+// InstallExtension, whose removed list holds the literals the base now
+// asserts itself (they move between members and stay in the view) and,
+// now and then, one that leaves the view for good; with a predicate first
+// used long after the first build; and across a Remove, which the feed
+// answers with "everything".
+func TestExtendedEqualsBuiltFromScratch(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		st := store.New()
+		dict := st.Dict()
+		mgr := NewManager(Config{})
+		name := func(i int) rdf.Triple {
+			words := []string{"customer", "client", "partner", "account", "tcd100", "v", "id", "flag"}
+			text := fmt.Sprintf("%s_%s_%d", words[rng.Intn(len(words))], words[rng.Intn(len(words))], i)
+			pred := rdf.HasName
+			if i > 150 && rng.Intn(3) == 0 {
+				pred = rdf.IRI(rdf.RDFSComment) // first used after many builds
+			}
+			return rdf.T(rdf.IRI(fmt.Sprintf("%sc%d", rdf.InstNS, rng.Intn(60))), pred, rdf.Literal(text))
+		}
+		st.AddAll("m", []rdf.Triple{name(0), name(1)})
+		derived := store.NewModel("m$X")
+		derived.SetBasis(st.Generation("m"))
+		st.InstallModel(derived)
+		extensions, rebuilds := 0, 0
+		var prev *Index
+		for step := 0; step < 40; step++ {
+			var batch []rdf.Triple
+			for i := rng.Intn(8); i >= 0; i-- {
+				batch = append(batch, name(step*10+i))
+			}
+			st.AddAll("m", batch)
+			switch rng.Intn(6) {
+			case 0: // a literal leaves the base
+				ts := st.Triples("m")
+				st.Remove("m", ts[rng.Intn(len(ts))])
+			case 1, 2: // the derived model gains labels, and loses what the base asserts now
+				d := st.SnapshotDelta("m", "m$X")
+				var added, removed []store.ETriple
+				d.Derived.ForEach(store.Wildcard, store.Wildcard, store.Wildcard, func(t store.ETriple) bool {
+					if d.Base.Contains(t) || rng.Intn(25) == 0 {
+						removed = append(removed, t)
+					}
+					return true
+				})
+				for _, t := range removed {
+					d.Derived.Remove(t)
+				}
+				for i := 0; i < 3; i++ {
+					et := store.ETriple{S: dict.Intern(rdf.IRI(fmt.Sprintf("%sc%d", rdf.InstNS, rng.Intn(60)))),
+						P: dict.Intern(rdf.Label), O: dict.Intern(rdf.Literal(fmt.Sprintf("derived label %d", rng.Intn(30))))}
+					if !d.Base.Contains(et) && d.Derived.Add(et) {
+						added = append(added, et)
+					}
+				}
+				d.Derived.SetBasis(d.Base.Gen())
+				st.InstallExtension(d.Derived, d.PrevGen, added, removed)
+			case 3: // the base asserts something the derived model holds
+				if ts := st.Triples("m$X"); len(ts) > 0 {
+					st.Add("m", ts[rng.Intn(len(ts))])
+				}
+			}
+			v := st.Snapshot("m", "m$X")
+			ix := mgr.For("m", v, st)
+			sameIndex(t, fmt.Sprintf("seed %d step %d", seed, step), ix, BuildPostings("m", v, dict, DefaultConfig().Fields(dict)))
+			if prev != nil && len(ix.segs) > 0 && ix.segs[0] == prev.segs[0] {
+				extensions++
+			} else if prev != nil {
+				rebuilds++
+			}
+			prev = ix
+		}
+		if extensions == 0 || rebuilds == 0 {
+			t.Errorf("seed %d: %d extensions and %d rebuilds; the run must see both", seed, extensions, rebuilds)
+		}
 	}
 }
 
@@ -255,7 +371,7 @@ func TestManagerCachesPerGeneration(t *testing.T) {
 	}
 	// A reader still holding the older version gets the index of that
 	// version, not the kept one.
-	if back := m.For("m", old, st.Dict()); back.Gen() != ix.Gen() || len(back.Search("fresh", FieldName)) != 0 {
+	if back := m.For("m", old, st); back.Gen() != ix.Gen() || len(back.Search("fresh", FieldName)) != 0 {
 		t.Errorf("index for the held snapshot is at generation %d and finds %d \"fresh\"; want generation %d and none",
 			back.Gen(), len(back.Search("fresh", FieldName)), ix.Gen())
 	}
