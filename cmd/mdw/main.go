@@ -17,8 +17,8 @@
 //	mdw impact       [-data-dir DIR] -from N -to M  release change impact
 //	mdw stats        [-data DIR] [-validate]       census + validation
 //	mdw learn-schema [-data DIR] [-migrate]        §VII schema learning
-//	mdw metrics      [-data DIR] [-slow-query D]   workload + Prometheus metrics dump
-//	mdw top          [-data DIR | -url URL] [-n N] [-misest] per-statement query statistics
+//	mdw metrics      [-data DIR]                   workload + Prometheus metrics dump
+//	mdw top          [-data DIR | -url URL] [-n N] per-statement query statistics
 //	mdw checkpoint   [-url URL]                    force a durability checkpoint on a running mdwd
 //	mdw clone        [-data DIR | -url URL] [-src MODEL] DST  copy-on-write model clone
 //	mdw report       table1|subjects|scale|figure6|figure7|growth
@@ -594,18 +594,13 @@ func cmdLearnSchema(args []string) error {
 // metrics the instrumented subsystems collected, in the Prometheus text
 // exposition format. With -workload=false it only loads the data and
 // dumps whatever the load alone produced (store and staging counters).
-// With -slow-query the slow-query log is printed too (0s logs every
-// query; useful to see rendered plans).
 func cmdMetrics(args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ContinueOnError)
 	data := fs.String("data", "", "data directory written by `mdw generate`")
 	workload := fs.Bool("workload", true, "run the sample search/query/lineage workload first")
-	slow := fs.Duration("slow-query", -1, "slow-query log threshold (0s = log everything, <0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	sl := obs.DefaultSlowLog()
-	sl.SetThreshold(*slow)
 	w, err := buildWarehouse(*data)
 	if err != nil {
 		return err
@@ -629,17 +624,6 @@ SELECT ?n WHERE { ?x a dm:Attribute . ?x dm:hasName ?n }`
 		return err
 	}
 	printQuantiles(obs.Default().Snapshot())
-	if entries := sl.Entries(); len(entries) > 0 {
-		fmt.Printf("\n# slow-query log (%d entries, threshold %s)\n", len(entries), *slow)
-		for _, e := range entries {
-			fmt.Printf("\n-- %s  rows=%d  total=%s\n", e.When.Format(time.RFC3339), e.Rows, e.Total)
-			for _, st := range e.Stages {
-				fmt.Printf("   stage %-8s %s\n", st.Name, st.D)
-			}
-			fmt.Println(e.Query)
-			fmt.Print(e.Plan)
-		}
-	}
 	return nil
 }
 
@@ -674,27 +658,23 @@ func quantileDur(sv obs.SeriesValue, q float64) string {
 }
 
 // cmdTop prints the statement table — per-fingerprint call counts, row
-// counts and latency aggregates, heaviest total time first (the
-// pg_stat_statements view of the warehouse). With -url it reads GET
-// /api/statements from a running mdwd; without, it replays the paper's
-// Listing 1 and Listing 2 SEM_MATCH workload in-process so the
-// aggregation is visible out of the box: Listing 1 runs with several
-// different search terms, and because fingerprints normalize literals
-// away, all of them fold into one row.
+// counts, latency aggregates and the planner's worst misestimate,
+// heaviest total time first (the pg_stat_statements view of the
+// warehouse). With -url it reads GET /api/statements from a running mdwd;
+// without, it replays the paper's Listing 1 and Listing 2 SEM_MATCH
+// workload in-process so the aggregation is visible out of the box:
+// Listing 1 runs with several different search terms, and because
+// fingerprints normalize literals away, all of them fold into one row.
 func cmdTop(args []string) error {
 	fs := flag.NewFlagSet("top", flag.ContinueOnError)
 	data := fs.String("data", "", "data directory written by `mdw generate`")
 	url := fs.String("url", "", "base URL of a running mdwd; fetch its /api/statements instead of replaying locally")
 	n := fs.Int("n", 10, "list at most this many statements")
 	runs := fs.Int("runs", 3, "repetitions of each workload query (local mode)")
-	misest := fs.Bool("misest", false, "show the planner-misestimation log instead of the statement table")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *url != "" {
-		if *misest {
-			return topMisestRemote(*url, *n)
-		}
 		resp, err := http.Get(strings.TrimSuffix(*url, "/") + "/api/statements")
 		if err != nil {
 			return err
@@ -717,72 +697,12 @@ func cmdTop(args []string) error {
 	if err != nil {
 		return err
 	}
-	// -misest replays the workload analyzed, so every execution feeds the
-	// misestimation channel instead of sampling via the slow-query path.
-	if err := topWorkload(w, *runs, *misest); err != nil {
+	if err := topWorkload(w, *runs); err != nil {
 		return err
-	}
-	if *misest {
-		printMisestimates(obs.DefaultMisestimates().Snapshot(), sparql.MisestimateThreshold(), *n)
-		return nil
 	}
 	tbl := obs.DefaultStatements()
 	printStatements(tbl.Snapshot(), tbl.Evicted(), *n)
 	return nil
-}
-
-// topMisestRemote fetches and prints GET /api/misestimates of a running
-// mdwd.
-func topMisestRemote(url string, n int) error {
-	resp, err := http.Get(strings.TrimSuffix(url, "/") + "/api/misestimates")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("top: %s returned %s", url, resp.Status)
-	}
-	var remote struct {
-		Threshold    float64           `json:"threshold"`
-		Misestimates []obs.Misestimate `json:"misestimates"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&remote); err != nil {
-		return fmt.Errorf("top: decoding /api/misestimates: %w", err)
-	}
-	printMisestimates(remote.Misestimates, remote.Threshold, n)
-	return nil
-}
-
-// printMisestimates renders the misestimation log, worst offender first.
-func printMisestimates(entries []obs.Misestimate, threshold float64, n int) {
-	if n >= 0 && len(entries) > n {
-		entries = entries[:n]
-	}
-	rows := make([][]string, 0, len(entries))
-	for i, e := range entries {
-		op := e.WorstOp
-		if len(op) > 48 {
-			op = op[:45] + "..."
-		}
-		stmt := e.Fingerprint
-		if len(stmt) > 64 {
-			stmt = stmt[:61] + "..."
-		}
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", i+1),
-			fmt.Sprintf("%d", e.Count),
-			fmt.Sprintf("x%.1f", e.MaxRatio),
-			fmt.Sprintf("x%.1f", e.Ratio),
-			op,
-			stmt,
-		})
-	}
-	printResultTable([]string{"#", "count", "worst", "last", "operator", "statement"}, rows)
-	if len(entries) == 0 {
-		fmt.Printf("no misestimations at threshold x%g — the planner's estimates held up\n", threshold)
-	} else {
-		fmt.Printf("(analyzed executions whose worst operator estimate was off by >= x%g)\n", threshold)
-	}
 }
 
 // cmdCheckpoint asks a running mdwd (started with -data-dir) to write a
@@ -903,7 +823,8 @@ func cmdClone(args []string) error {
 // Listing 1 (classify search hits by ontology class) once per term in a
 // small term set, and Listing 2 (column-level lineage) — each repeated
 // runs times so the statement table has latency distributions to show.
-func topWorkload(w *core.Warehouse, runs int, analyzed bool) error {
+// The first round runs analyzed, so every row has its worst misestimate.
+func topWorkload(w *core.Warehouse, runs int) error {
 	l1, err := semmatch.ParseCall(`SEM_MATCH(
 		{?object rdf:type ?c .
 		 ?c rdfs:label ?class .
@@ -931,19 +852,19 @@ func topWorkload(w *core.Warehouse, runs int, analyzed bool) error {
 		return err
 	}
 	l2.Select = []string{"source_id", "target_id", "target_name"}
-	run := func(req semmatch.Request) error {
-		_, _, err := req.Run(context.Background(), w.Store(), sparql.RunOptions{Analyze: analyzed})
+	run := func(req semmatch.Request, analyze bool) error {
+		_, _, err := req.Run(context.Background(), w.Store(), sparql.RunOptions{Analyze: analyze})
 		return err
 	}
 	for i := 0; i < runs; i++ {
 		for _, term := range []string{"customer", "account", "branch"} {
 			req := *l1
 			req.Filter = fmt.Sprintf("regex(?term, %q, \"i\")", term)
-			if err := run(req); err != nil {
+			if err := run(req, i == 0); err != nil {
 				return err
 			}
 		}
-		if err := run(*l2); err != nil {
+		if err := run(*l2, i == 0); err != nil {
 			return err
 		}
 	}
@@ -962,23 +883,28 @@ func printStatements(stmts []obs.StatementStat, evicted int64, n int) {
 		if len(stmt) > 96 {
 			stmt = stmt[:93] + "..."
 		}
-		par := "-"
+		par, worst := "-", "-"
 		if st.Parallelism > 0 {
 			par = fmt.Sprintf("%d", st.Parallelism)
+		}
+		if st.MaxRatio > 0 {
+			worst = fmt.Sprintf("x%.1f", st.MaxRatio)
 		}
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", i+1),
 			fmt.Sprintf("%d", st.Calls),
+			fmt.Sprintf("%d", st.Hits),
 			fmt.Sprintf("%d", st.Rows),
 			st.Total.Round(time.Microsecond).String(),
 			st.Mean.Round(time.Microsecond).String(),
 			st.Min.Round(time.Microsecond).String(),
 			st.Max.Round(time.Microsecond).String(),
 			par,
+			worst,
 			stmt,
 		})
 	}
-	printResultTable([]string{"#", "calls", "rows", "total", "mean", "min", "max", "par", "statement"}, rows)
+	printResultTable([]string{"#", "calls", "hits", "rows", "total", "mean", "min", "max", "par", "worst", "statement"}, rows)
 	if evicted > 0 {
 		fmt.Printf("(%d least-expensive fingerprints evicted from the table)\n", evicted)
 	}

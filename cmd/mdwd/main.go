@@ -6,7 +6,7 @@
 //
 //	mdwd [-addr :8080] [-data DIR | -scale small|paper] [-data-dir DIR]
 //	     [-fsync always|interval|none] [-checkpoint-every 5m]
-//	     [-slow-query 250ms] [-rescache N] [-rescache-bytes B] [-pprof]
+//	     [-rescache N] [-rescache-bytes B] [-pprof]
 //
 // Without -data/-scale the server hosts the built-in Figure 3 example.
 // With -data-dir the warehouse is durable, and that directory is its one
@@ -19,12 +19,13 @@
 // truth and -data and -scale are ignored.
 // Metrics are served at /api/metrics (Prometheus text exposition,
 // including runtime gauges refreshed by a background sampler), recent
-// traces plus the slow-query log at /api/traces (every response carries
-// its trace ID in X-Mdw-Trace), and per-fingerprint query statistics at
-// /api/statements. GET /api/query?...&analyze=1 executes with
-// operator-level instrumentation and returns the runtime statistics
-// tree alongside the results; analyzed executions whose worst operator
-// estimate is off by a factor of 8 or more land in GET /api/misestimates.
+// traces at /api/traces (every response carries its trace ID in
+// X-Mdw-Trace), and per-fingerprint query statistics at /api/statements:
+// one row per statement with its latency summary, the plan of its
+// slowest execution and the worst misestimate an analyzed execution
+// found. GET /api/query?...&analyze=1 executes with operator-level
+// instrumentation and returns the runtime statistics tree alongside the
+// results.
 // /healthz answers 200 as soon as the process serves (liveness);
 // /readyz answers 503 with the blocking startup stage until recovery
 // and index builds finish, then 200 (readiness). -pprof additionally
@@ -60,15 +61,12 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable data directory (write-ahead log + snapshots); recovered on start")
 	fsync := flag.String("fsync", string(durable.FsyncInterval), "WAL fsync policy: always, interval, or none")
 	ckptEvery := flag.Duration("checkpoint-every", 5*time.Minute, "background checkpoint period with -data-dir (0 disables)")
-	slow := flag.Duration("slow-query", obs.DefaultSlowQueryThreshold,
-		"log queries slower than this to /api/traces (0s = every query, <0 = off)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/")
 	rcEntries := flag.Int("rescache", rescache.DefaultMaxEntries,
 		"max entries in the generation-keyed results cache (0 disables it)")
 	rcBytes := flag.Int64("rescache-bytes", rescache.DefaultMaxBytes,
 		"byte budget of the results cache")
 	flag.Parse()
-	obs.DefaultSlowLog().SetThreshold(*slow)
 	if *rcEntries <= 0 {
 		rescache.Disable()
 	} else {
@@ -92,7 +90,7 @@ func main() {
 	stop := obs.StartRuntimeSampler(0)
 	defer stop()
 	srv := httpapi.NewServer(w)
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	stopped := make(chan struct{})
 	if mgr != nil {
 		srv.SetDurable(mgr)
@@ -169,6 +167,19 @@ func main() {
 // shutdownGrace bounds how long the requests in flight at SIGINT/SIGTERM
 // get to finish before the WAL is closed regardless.
 const shutdownGrace = 5 * time.Second
+
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so one that never finishes them does not hold a
+// connection and a goroutine forever. The deadline starts at a request's
+// first byte: an idle keep-alive connection is not cut.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer is the one place the server is configured. There is no
+// read or write deadline: a query's reply streams for as long as it
+// takes.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
 
 // shutdown stops hs accepting, waits for the requests it is still
 // answering — a load that is mid-AddAll must reach the WAL it is logged

@@ -117,6 +117,22 @@ func TestCheckpointWithoutDurability(t *testing.T) {
 	}
 }
 
+// TestHTTPServerConfig pins the served http.Server: a client that stalls
+// in its request headers is cut off, and nothing else is — a reply
+// streams as long as it takes, and idle keep-alive connections stay.
+func TestHTTPServerConfig(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want readHeaderTimeout (%v)", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 || hs.IdleTimeout != 0 {
+		t.Errorf("read/write/idle timeouts = %v/%v/%v, want none", hs.ReadTimeout, hs.WriteTimeout, hs.IdleTimeout)
+	}
+	if hs.Handler == nil {
+		t.Error("server has no handler")
+	}
+}
+
 func TestServerEndToEnd(t *testing.T) {
 	w, _, err := buildWarehouse("", "", "", "interval", 0)
 	if err != nil {
@@ -152,7 +168,7 @@ func TestShutdownKeepsAcknowledgedLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := &http.Server{Handler: api}
+	hs := newHTTPServer(api)
 	served := make(chan error, 1)
 	go func() { served <- hs.Serve(ln) }()
 

@@ -52,7 +52,6 @@ func NewServer(w *core.Warehouse) *Server {
 	s.mux.HandleFunc("GET /api/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /api/traces", s.handleTraces)
 	s.mux.HandleFunc("GET /api/statements", s.handleStatements)
-	s.mux.HandleFunc("GET /api/misestimates", s.handleMisestimates)
 	s.mux.HandleFunc("POST /api/checkpoint", s.handleCheckpoint)
 	s.mux.HandleFunc("POST /api/clone", s.handleClone)
 	s.mux.HandleFunc("POST /api/load", s.handleLoad)

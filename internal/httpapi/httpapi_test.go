@@ -359,51 +359,53 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestSlowQueryLogCapturesPlan sets the slow-query threshold to zero so
-// every query is logged, runs one through the HTTP API, and asserts the
-// log entry carries the query text and its rendered plan (the
-// acceptance-criteria shape), served via /api/traces.
+// TestSlowQueryLogCapturesPlan: what the slow-query log used to capture
+// of a query — its text, its row count and the rendered plan of its
+// slowest execution — is on its /api/statements row, and an analyzed
+// execution over HTTP adds the planner's worst misestimate with the
+// analyzed plan it came from. The traces stay on /api/traces.
 func TestSlowQueryLogCapturesPlan(t *testing.T) {
-	sl := obs.DefaultSlowLog()
-	old := sl.Threshold()
-	sl.SetThreshold(0)
-	defer sl.SetThreshold(old)
-
 	srv := testServer(t)
-	q := url.QueryEscape(`PREFIX dm: <http://www.credit-suisse.com/dwh/mdm/data_modeling#>
-		SELECT ?n WHERE { ?x a dm:Attribute . ?x dm:hasName ?n }`)
+	text := `PREFIX dm: <http://www.credit-suisse.com/dwh/mdm/data_modeling#>
+		SELECT ?n WHERE { ?x a dm:Attribute . ?x dm:hasName ?n }`
+	q := url.QueryEscape(text)
 	if code := getJSON(t, srv, "/api/query?q="+q, nil); code != 200 {
 		t.Fatalf("query status = %d", code)
+	}
+	if code := getJSON(t, srv, "/api/query?analyze=1&q="+q, nil); code != 200 {
+		t.Fatalf("analyzed query status = %d", code)
+	}
+	fp := sparql.MustParse(text).Fingerprint()
+	var stmts StatementsResponse
+	if code := getJSON(t, srv, "/api/statements", &stmts); code != 200 {
+		t.Fatalf("statements status = %d", code)
+	}
+	var row *obs.StatementStat
+	for i := range stmts.Statements {
+		if stmts.Statements[i].Fingerprint == fp {
+			row = &stmts.Statements[i]
+		}
+	}
+	if row == nil {
+		t.Fatalf("query not in the statement table (rows: %d)", len(stmts.Statements))
+	}
+	if !strings.Contains(row.Query, "dm:hasName") || row.Rows == 0 || row.Max <= 0 {
+		t.Errorf("row lacks the query, its rows or its latency: %+v", *row)
+	}
+	if !strings.Contains(row.MaxPlan, "SELECT") {
+		t.Errorf("row lacks the slowest execution's rendered plan: %q", row.MaxPlan)
+	}
+	if row.AnalyzedCalls == 0 || row.MaxRatio < 1 || row.WorstOp == "" || !strings.Contains(row.WorstPlan, "actual=") {
+		t.Errorf("analyzed execution left no worst misestimate: x%v %q (%d analyzed)\n%s",
+			row.MaxRatio, row.WorstOp, row.AnalyzedCalls, row.WorstPlan)
+	}
+	if code := getJSON(t, srv, "/api/misestimates", nil); code != 404 {
+		t.Errorf("/api/misestimates status = %d, want 404", code)
 	}
 
 	var tr TracesResponse
 	if code := getJSON(t, srv, "/api/traces", &tr); code != 200 {
 		t.Fatalf("traces status = %d", code)
-	}
-	var entry *obs.SlowQuery
-	for i := range tr.SlowLog {
-		if strings.Contains(tr.SlowLog[i].Query, "dm:hasName") {
-			entry = &tr.SlowLog[i]
-			break
-		}
-	}
-	if entry == nil {
-		t.Fatalf("query not in slow log (entries: %d)", len(tr.SlowLog))
-	}
-	if !strings.Contains(entry.Plan, "SELECT") {
-		t.Errorf("slow-log entry lacks a rendered plan: %q", entry.Plan)
-	}
-	if entry.Rows == 0 {
-		t.Error("slow-log entry has zero rows")
-	}
-	hasExec := false
-	for _, st := range entry.Stages {
-		if st.Name == "exec" {
-			hasExec = true
-		}
-	}
-	if !hasExec {
-		t.Errorf("slow-log entry lacks an exec stage: %+v", entry.Stages)
 	}
 	// The HTTP middleware roots the trace; the warehouse query nests
 	// inside it as a child span rather than starting its own trace.

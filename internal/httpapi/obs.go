@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mdw/internal/obs"
-	"mdw/internal/sparql"
 )
 
 func init() {
@@ -118,15 +117,14 @@ func (s *Server) handleMetrics(rw http.ResponseWriter, _ *http.Request) {
 
 // TracesResponse is the JSON shape of GET /api/traces.
 type TracesResponse struct {
-	Started int64           `json:"started"`
-	Traces  []obs.Trace     `json:"traces"`
-	SlowLog []obs.SlowQuery `json:"slowQueries"`
+	Started int64       `json:"started"`
+	Traces  []obs.Trace `json:"traces"`
 }
 
-// handleTraces serves the recent-trace ring and the slow-query log.
-// ?id=<trace id> (the X-Mdw-Trace value) returns that single trace, 404
-// when it never existed or has aged out of the ring; ?n= limits the
-// number of traces listed, newest first.
+// handleTraces serves the recent-trace ring. ?id=<trace id> (the
+// X-Mdw-Trace value) returns that single trace, 404 when it never existed
+// or has aged out of the ring; ?n= limits the number of traces listed,
+// newest first.
 func (s *Server) handleTraces(rw http.ResponseWriter, r *http.Request) {
 	tr := obs.DefaultTracer()
 	if idStr := r.URL.Query().Get("id"); idStr != "" {
@@ -143,44 +141,12 @@ func (s *Server) handleTraces(rw http.ResponseWriter, r *http.Request) {
 		writeJSON(rw, http.StatusOK, t)
 		return
 	}
-	resp := TracesResponse{
-		Started: tr.Started(),
-		Traces:  tr.Recent(),
-		SlowLog: obs.DefaultSlowLog().Entries(),
-	}
+	resp := TracesResponse{Started: tr.Started(), Traces: tr.Recent()}
 	if n, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && n >= 0 && n < len(resp.Traces) {
 		resp.Traces = resp.Traces[:n]
 	}
 	if resp.Traces == nil {
 		resp.Traces = []obs.Trace{}
-	}
-	if resp.SlowLog == nil {
-		resp.SlowLog = []obs.SlowQuery{}
-	}
-	writeJSON(rw, http.StatusOK, resp)
-}
-
-// MisestimatesResponse is the JSON shape of GET /api/misestimates.
-type MisestimatesResponse struct {
-	// Threshold is the factor by which an operator estimate must be off
-	// before an analyzed execution lands here.
-	Threshold    float64           `json:"threshold"`
-	Misestimates []obs.Misestimate `json:"misestimates"`
-}
-
-// handleMisestimates serves the planner-misestimation log: statements
-// whose analyzed executions found an operator estimate off by at least
-// the threshold factor, worst first. ?n= limits the number of rows.
-func (s *Server) handleMisestimates(rw http.ResponseWriter, r *http.Request) {
-	resp := MisestimatesResponse{
-		Threshold:    sparql.MisestimateThreshold(),
-		Misestimates: obs.DefaultMisestimates().Snapshot(),
-	}
-	if n, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && n >= 0 && n < len(resp.Misestimates) {
-		resp.Misestimates = resp.Misestimates[:n]
-	}
-	if resp.Misestimates == nil {
-		resp.Misestimates = []obs.Misestimate{}
 	}
 	writeJSON(rw, http.StatusOK, resp)
 }

@@ -181,7 +181,7 @@ func TestStatementsEndpoint(t *testing.T) {
 	if hit == nil {
 		t.Fatalf("no aggregated statement row with >= 2 calls; rows: %d", len(stmts.Statements))
 	}
-	if hit.LastPlan == "" {
+	if hit.MaxPlan == "" {
 		t.Error("aggregated row lacks a rendered plan")
 	}
 

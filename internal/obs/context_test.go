@@ -141,13 +141,13 @@ func TestStartChildCtxRootFallback(t *testing.T) {
 
 func TestStatementsRecordAndSnapshot(t *testing.T) {
 	s := NewStatements(8)
-	s.Record("", "ignored", 1, time.Second, nil) // empty fingerprint: dropped
+	s.Record("", "ignored", Execution{Rows: 1, D: time.Second}) // empty fingerprint: dropped
 	if s.Len() != 0 {
 		t.Fatalf("empty fingerprint recorded; len = %d", s.Len())
 	}
-	s.Record("fpA", "SELECT a", 3, 30*time.Millisecond, stringerFunc("plan-a1"))
-	s.Record("fpA", "SELECT a variant", 5, 10*time.Millisecond, stringerFunc("plan-a2"))
-	s.Record("fpB", "SELECT b", 1, 25*time.Millisecond, nil)
+	s.Record("fpA", "SELECT a", Execution{Rows: 3, D: 30 * time.Millisecond, Plan: stringerFunc("plan-a1")})
+	s.Record("fpA", "SELECT a variant", Execution{Rows: 5, D: 10 * time.Millisecond, Plan: stringerFunc("plan-a2")})
+	s.Record("fpB", "SELECT b", Execution{Rows: 1, D: 25 * time.Millisecond})
 	snap := s.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("snapshot len = %d, want 2", len(snap))
@@ -159,26 +159,70 @@ func TestStatementsRecordAndSnapshot(t *testing.T) {
 	if a.Query != "SELECT a" {
 		t.Fatalf("example query = %q, want first-seen text", a.Query)
 	}
-	if a.Calls != 2 || a.Rows != 8 {
-		t.Fatalf("calls/rows = %d/%d, want 2/8", a.Calls, a.Rows)
+	if a.Calls != 2 || a.Hits != 0 || a.Rows != 8 {
+		t.Fatalf("calls/hits/rows = %d/%d/%d, want 2/0/8", a.Calls, a.Hits, a.Rows)
 	}
 	if a.Total != 40*time.Millisecond || a.Min != 10*time.Millisecond ||
 		a.Max != 30*time.Millisecond || a.Mean != 20*time.Millisecond {
 		t.Fatalf("latency summary = total %v min %v max %v mean %v", a.Total, a.Min, a.Max, a.Mean)
 	}
-	if a.LastPlan != "plan-a2" {
-		t.Fatalf("last plan = %q, want plan-a2", a.LastPlan)
+	// The slowest plan survives a faster later execution.
+	if a.MaxPlan != "plan-a1" {
+		t.Fatalf("max plan = %q, want plan-a1 (the 30ms execution's)", a.MaxPlan)
 	}
-	if snap[1].LastPlan != "" {
-		t.Fatalf("fpB plan = %q, want empty (never set)", snap[1].LastPlan)
+	if snap[1].MaxPlan != "" {
+		t.Fatalf("fpB plan = %q, want empty (never set)", snap[1].MaxPlan)
+	}
+	s.Record("fpA", "SELECT a", Execution{Rows: 1, D: 50 * time.Millisecond, Plan: stringerFunc("plan-a3")})
+	if got := s.Snapshot()[0].MaxPlan; got != "plan-a3" {
+		t.Fatalf("max plan = %q after a slower execution, want plan-a3", got)
+	}
+}
+
+// TestStatementsHitsAndWorst: a results-cache hit counts as a call and
+// a hit, never in the latency summary; the worst misestimate and its
+// analyzed plan survive a better later analyzed execution, and an
+// analyzed execution without a ratio (stopped early) adds its resources
+// only.
+func TestStatementsHitsAndWorst(t *testing.T) {
+	s := NewStatements(8)
+	s.Record("fp", "q", Execution{Hit: true, Rows: 2}) // a hit before any execution
+	s.Record("fp", "q", Execution{Rows: 2, D: 20 * time.Millisecond})
+	s.Record("fp", "q", Execution{Hit: true, Rows: 2})
+	s.Record("fp", "q", Execution{Rows: 2, D: 40 * time.Millisecond, Analyzed: true, Scanned: 10, Decodes: 4,
+		Ratio: 12, WorstOp: "op-1", WorstPlan: stringerFunc("analyzed-1")})
+	s.Record("fp", "q", Execution{Rows: 2, D: 30 * time.Millisecond, Analyzed: true, Scanned: 10, Decodes: 4,
+		Ratio: 3, WorstOp: "op-2", WorstPlan: stringerFunc("analyzed-2")})
+	s.Record("fp", "q", Execution{Rows: 1, D: 30 * time.Millisecond, Analyzed: true, Scanned: 1, Decodes: 1})
+	st := s.Snapshot()[0]
+	if st.Calls != 6 || st.Hits != 2 || st.Rows != 11 {
+		t.Fatalf("calls/hits/rows = %d/%d/%d, want 6/2/11", st.Calls, st.Hits, st.Rows)
+	}
+	if st.Total != 120*time.Millisecond || st.Min != 20*time.Millisecond ||
+		st.Max != 40*time.Millisecond || st.Mean != 30*time.Millisecond {
+		t.Fatalf("latency over executions = total %v min %v max %v mean %v", st.Total, st.Min, st.Max, st.Mean)
+	}
+	if st.MaxRatio != 12 || st.WorstOp != "op-1" || st.WorstPlan != "analyzed-1" {
+		t.Fatalf("worst = x%v %q %q, want x12 op-1 analyzed-1", st.MaxRatio, st.WorstOp, st.WorstPlan)
+	}
+	if st.AnalyzedCalls != 3 || st.RowsScanned != 21 || st.TermDecodes != 9 {
+		t.Fatalf("analyzed/scanned/decodes = %d/%d/%d, want 3/21/9", st.AnalyzedCalls, st.RowsScanned, st.TermDecodes)
+	}
+
+	// A row only ever hit has no latency to summarize.
+	s.Record("hits", "q", Execution{Hit: true})
+	for _, st := range s.Snapshot() {
+		if st.Fingerprint == "hits" && (st.Calls != 1 || st.Hits != 1 || st.Mean != 0 || st.Max != 0) {
+			t.Fatalf("hit-only row = %+v", st)
+		}
 	}
 }
 
 func TestStatementsEviction(t *testing.T) {
 	s := NewStatements(2)
-	s.Record("cheap", "q1", 0, 1*time.Millisecond, nil)
-	s.Record("costly", "q2", 0, 100*time.Millisecond, nil)
-	s.Record("new", "q3", 0, 50*time.Millisecond, nil)
+	s.Record("cheap", "q1", Execution{D: 1 * time.Millisecond})
+	s.Record("costly", "q2", Execution{D: 100 * time.Millisecond})
+	s.Record("new", "q3", Execution{D: 50 * time.Millisecond})
 	if s.Len() != 2 {
 		t.Fatalf("len = %d, want 2", s.Len())
 	}

@@ -1,16 +1,18 @@
 // Package obs is the warehouse's observability substrate: a
 // dependency-free metrics registry (atomic counters, gauges, and
 // fixed-bucket latency histograms), lightweight span tracing feeding a
-// bounded ring of recent traces, and a slow-query log that captures the
-// query text, the rendered evaluation plan, and per-stage timings of any
-// query over a configurable threshold.
+// bounded ring of recent traces, and the statement table, one row per
+// query fingerprint holding everything known about its executions — the
+// latency summary, the plan of the slowest and the planner's worst
+// misestimate.
 //
 // The paper's warehouse is an operational system: §III.B's load pipeline
 // and §IV's services ran against ~1.2M-edge releases, where "how long
 // did this query take and why" is a production question. Every service
 // package instruments its hot paths against the shared default instances
 // below; the HTTP API exposes them as GET /api/metrics (Prometheus text
-// exposition) and GET /api/traces, and `mdw metrics` pretty-prints them.
+// exposition), GET /api/traces and GET /api/statements, and `mdw
+// metrics` and `mdw top` pretty-print them.
 //
 // Design constraints, in order:
 //
@@ -21,17 +23,13 @@
 //   - safe for concurrent use throughout.
 package obs
 
-import "time"
-
 // Shared default instances. Instrumented packages resolve their metric
 // handles against Default() once at init time; the HTTP API and the CLI
 // read all three.
 var (
 	defaultRegistry   = NewRegistry()
 	defaultTracer     = NewTracer(DefaultTraceCapacity)
-	defaultSlowLog    = NewSlowLog(DefaultSlowLogCapacity, DefaultSlowQueryThreshold)
 	defaultStatements = NewStatements(DefaultStatementCapacity)
-	defaultMisest     = NewMisestLog(DefaultMisestimateCapacity)
 )
 
 func init() {
@@ -50,16 +48,5 @@ func DefaultStatements() *Statements { return defaultStatements }
 // DefaultTracer returns the process-wide tracer.
 func DefaultTracer() *Tracer { return defaultTracer }
 
-// DefaultSlowLog returns the process-wide slow-query log.
-func DefaultSlowLog() *SlowLog { return defaultSlowLog }
-
-// DefaultMisestimates returns the process-wide planner-misestimation log
-// (GET /api/misestimates, `mdw top -misest`).
-func DefaultMisestimates() *MisestLog { return defaultMisest }
-
 // StartSpan starts a root span of a new trace on the default tracer.
 func StartSpan(name string) *Span { return defaultTracer.Start(name) }
-
-// Since returns the elapsed time since t0 — sugar that keeps
-// instrumentation call sites one line.
-func Since(t0 time.Time) time.Duration { return time.Since(t0) }

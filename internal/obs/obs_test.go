@@ -163,49 +163,6 @@ mdw_store_triples 1200000
 	}
 }
 
-func TestSlowLogThreshold(t *testing.T) {
-	l := NewSlowLog(8, 10*time.Millisecond)
-	if l.Record(SlowQuery{Query: "fast", Total: time.Millisecond}) {
-		t.Fatal("entry under threshold must not be recorded")
-	}
-	if !l.Record(SlowQuery{Query: "slow", Total: 20 * time.Millisecond}) {
-		t.Fatal("entry over threshold must be recorded")
-	}
-	// Threshold zero logs everything — the acceptance-test configuration.
-	l.SetThreshold(0)
-	if !l.Record(SlowQuery{Query: "any", Total: 0}) {
-		t.Fatal("threshold 0 must log every query")
-	}
-	// Negative threshold disables the log.
-	l.SetThreshold(-1)
-	if l.Record(SlowQuery{Query: "off", Total: time.Hour}) {
-		t.Fatal("negative threshold must disable logging")
-	}
-	es := l.Entries()
-	if len(es) != 2 || es[0].Query != "any" || es[1].Query != "slow" {
-		t.Fatalf("entries = %+v, want [any slow] newest-first", es)
-	}
-}
-
-func TestSlowLogRingEviction(t *testing.T) {
-	l := NewSlowLog(3, 0)
-	for i := 0; i < 5; i++ {
-		l.Record(SlowQuery{Query: fmt.Sprintf("q%d", i), Total: time.Second})
-	}
-	es := l.Entries()
-	if len(es) != 3 {
-		t.Fatalf("len = %d, want capacity 3", len(es))
-	}
-	for i, want := range []string{"q4", "q3", "q2"} {
-		if es[i].Query != want {
-			t.Fatalf("entries[%d] = %q, want %q (newest first)", i, es[i].Query, want)
-		}
-	}
-	if l.Recorded() != 5 {
-		t.Fatalf("recorded = %d, want 5", l.Recorded())
-	}
-}
-
 func TestTracerSpansAndRing(t *testing.T) {
 	tr := NewTracer(2)
 	for i := 0; i < 3; i++ {

@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"mdw/internal/obs"
 )
 
 // EXPLAIN ANALYZE: operator-level runtime statistics.
@@ -25,7 +22,8 @@ import (
 // After execution the flat record is folded back into an ExecStats tree
 // that mirrors the plan shape, rendered through the same code path as
 // EXPLAIN with `estimated=N actual=M (×ratio)` annotations, and scanned
-// for the worst per-operator misestimation (see misest reporting below).
+// for the worst per-operator misestimation, which Plan.Run folds into the
+// statement's row.
 
 // opStats accumulates runtime evidence for one plan operator. All fields
 // are atomics because morsel scans update them from worker
@@ -177,8 +175,8 @@ func misestRatio(est, actual float64) float64 {
 	return math.Max((est+1)/(actual+1), (actual+1)/(est+1))
 }
 
-// finishAnalyze folds the flat record into the public tree and reports
-// a crossing of the misestimation threshold.
+// finishAnalyze folds the flat record into the public tree and finds its
+// worst misestimation.
 func (p *Plan) finishAnalyze(rec *execStatsRec, info execInfo, d time.Duration, rows int) *ExecStats {
 	st := &ExecStats{
 		Rows:            rows,
@@ -214,21 +212,6 @@ func (p *Plan) finishAnalyze(rec *execStatsRec, info execInfo, d time.Duration, 
 			}
 		}
 		scan(st.Root.Children)
-	}
-	// Early-terminated executions (streamed LIMIT reached, ASK satisfied)
-	// are excluded from the feedback channel: their actual row counts are
-	// truncated by the stop, so the gap against the estimate says nothing
-	// about the planner's statistics.
-	earlyStop := rec.limitStopped || p.query.Kind == AskQuery
-	if st.MaxRatio >= MisestimateThreshold() && !earlyStop {
-		obsMisestimate.Inc()
-		obs.DefaultMisestimates().Record(obs.Misestimate{
-			Fingerprint: p.query.Fingerprint(),
-			Query:       p.query.Text,
-			Ratio:       st.MaxRatio,
-			WorstOp:     st.WorstOp,
-			Plan:        st.String(),
-		})
 	}
 	return st
 }
@@ -339,9 +322,9 @@ func (st *ExecStats) String() string {
 		b.WriteString(", stopped at LIMIT")
 	}
 	b.WriteByte('\n')
-	if st.MaxRatio >= MisestimateThreshold() {
+	if st.MaxRatio >= misestimateThreshold {
 		fmt.Fprintf(&b, "MISESTIMATE: worst operator %s off by x%.1f (threshold x%.0f)\n",
-			st.WorstOp, st.MaxRatio, MisestimateThreshold())
+			st.WorstOp, st.MaxRatio, misestimateThreshold)
 	}
 	return b.String()
 }
@@ -368,80 +351,8 @@ func fmtCount(f float64) string {
 	return fmt.Sprintf("%.1f", f)
 }
 
-// ---------------------------------------------------------------------
-// Misestimation threshold and slow-query auto-analyze arming.
-
-// misestThreshold holds the float64 bits of the misestimation reporting
-// threshold: analyzed executions whose worst per-operator ratio reaches
-// it increment mdw_sparql_misestimate_total and land in the bounded
-// misestimation log.
-var misestThreshold atomic.Uint64
-
-// DefaultMisestimateThreshold is the factor by which an estimate must be
-// off (in either direction, +1-smoothed) before the execution counts as
-// misestimated: one order of magnitude minus headroom for honest
-// rounding.
-const DefaultMisestimateThreshold = 8.0
-
-func init() {
-	misestThreshold.Store(math.Float64bits(DefaultMisestimateThreshold))
-}
-
-// MisestimateThreshold returns the current reporting threshold.
-func MisestimateThreshold() float64 {
-	return math.Float64frombits(misestThreshold.Load())
-}
-
-// SetMisestimateThreshold replaces the reporting threshold (tests lower
-// it to provoke reports); values below 1 clamp to 1.
-func SetMisestimateThreshold(x float64) {
-	if x < 1 || math.IsNaN(x) {
-		x = 1
-	}
-	misestThreshold.Store(math.Float64bits(x))
-}
-
-// Slow-query auto-analyze: when a slow execution had no stats to ship,
-// its fingerprint is armed and the statement's next execution collects
-// them — so every slow statement's log entry gains an analyzed plan one
-// execution later, while the steady-state hot path pays one atomic load
-// (armedCount == 0) per execution.
-var (
-	armedMu    sync.Mutex
-	armedFps   = map[string]bool{}
-	armedCount atomic.Int32
-)
-
-// armedCap bounds the armed set; a workload slow enough to arm hundreds
-// of distinct fingerprints before any re-executes gets the analysis on
-// the statements that do recur, which is the point.
-const armedCap = 128
-
-func armAnalyze(fp string) {
-	armedMu.Lock()
-	defer armedMu.Unlock()
-	if armedFps[fp] {
-		return
-	}
-	if len(armedFps) >= armedCap {
-		return
-	}
-	armedFps[fp] = true
-	armedCount.Store(int32(len(armedFps)))
-}
-
-func analyzeArmed(fp string) bool {
-	if armedCount.Load() == 0 {
-		return false
-	}
-	armedMu.Lock()
-	defer armedMu.Unlock()
-	return armedFps[fp]
-}
-
-func disarmAnalyze(fp string) {
-	armedMu.Lock()
-	defer armedMu.Unlock()
-	delete(armedFps, fp)
-	armedCount.Store(int32(len(armedFps)))
-}
+// misestimateThreshold is the factor by which an estimate must be off
+// (in either direction, +1-smoothed) before an analyzed execution counts
+// as misestimated — mdw_sparql_misestimate_total and the MISESTIMATE
+// line: one order of magnitude minus headroom for honest rounding.
+const misestimateThreshold = 8.0

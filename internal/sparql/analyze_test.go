@@ -197,112 +197,102 @@ func TestAnalyzeDistinctLimit(t *testing.T) {
 	}
 }
 
-// TestMisestimateReporting checks the feedback channel end to end: with
-// the threshold floored every analyzed execution reports (any ratio is
-// >= 1), with it maxed none do.
-func TestMisestimateReporting(t *testing.T) {
-	defer SetMisestimateThreshold(DefaultMisestimateThreshold)
-	log := obs.DefaultMisestimates()
-	log.Reset()
-	defer log.Reset()
+// statementRow returns the default statement table's row of fp.
+func statementRow(t *testing.T, fp string) obs.StatementStat {
+	t.Helper()
+	for _, s := range obs.DefaultStatements().Snapshot() {
+		if s.Fingerprint == fp {
+			return s
+		}
+	}
+	t.Fatalf("no statement row for %s", fp)
+	return obs.StatementStat{}
+}
 
-	st, src := analyzeFixture(t)
-	q, err := Parse(`SELECT ?s WHERE { ?s <` + rdf.RDFType + `> <http://x/Table> }`)
+// TestMisestimateReporting checks the feedback channel end to end: an
+// analyzed execution whose FILTER selectivity is off by more than the
+// threshold increments mdw_sparql_misestimate_total and leaves its worst
+// operator and analyzed plan on the statement's row; a LIMIT-stopped
+// execution of the same shape leaves none of them.
+func TestMisestimateReporting(t *testing.T) {
+	obs.DefaultStatements().Reset()
+	defer obs.DefaultStatements().Reset()
+	// 500 names, ten of them customers, one "customer_account_0": the
+	// planner expects a tenth of the input (50) to pass the regex, 1 does.
+	src, dict := namesFixture(500)
+	q := MustParse(`SELECT ?o WHERE { ?o <` + rdf.MDWHasName + `> ?t FILTER regex(?t, "customer_account_0", "i") }`)
+
+	before := obsMisestimate.Value()
+	_, stats, err := analyze(q, src, dict)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	SetMisestimateThreshold(1)
-	before := obsMisestimate.Value()
-	if _, stats, err := analyze(q, src, st.Dict()); err != nil {
-		t.Fatal(err)
-	} else if stats.MaxRatio < 1 || stats.WorstOp == "" {
-		t.Fatalf("analyzed execution found no worst operator: ratio=%v op=%q", stats.MaxRatio, stats.WorstOp)
+	if stats.MaxRatio < misestimateThreshold || stats.WorstOp == "" {
+		t.Fatalf("fixture misestimates by x%.1f (%q), want >= x%v", stats.MaxRatio, stats.WorstOp, misestimateThreshold)
 	}
 	if got := obsMisestimate.Value(); got != before+1 {
 		t.Errorf("mdw_sparql_misestimate_total: got %d, want %d", got, before+1)
 	}
-	entries := log.Snapshot()
-	if len(entries) != 1 {
-		t.Fatalf("misestimation log has %d entries, want 1", len(entries))
+	if !strings.Contains(stats.String(), "MISESTIMATE:") {
+		t.Errorf("analyzed rendering lacks the MISESTIMATE line:\n%s", stats.String())
 	}
-	e := entries[0]
-	if e.Fingerprint != q.Fingerprint() || e.WorstOp == "" || e.Count != 1 {
-		t.Errorf("bad log entry: %+v", e)
+	row := statementRow(t, q.Fingerprint())
+	if row.MaxRatio != stats.MaxRatio || row.WorstOp != stats.WorstOp || row.AnalyzedCalls != 1 {
+		t.Errorf("row worst = x%v %q (%d analyzed), want x%v %q (1)", row.MaxRatio, row.WorstOp, row.AnalyzedCalls, stats.MaxRatio, stats.WorstOp)
 	}
-	if !strings.Contains(e.Plan, "actual=") {
-		t.Errorf("log entry plan is not analyzed:\n%s", e.Plan)
+	if !strings.Contains(row.WorstPlan, "actual=") || !strings.Contains(row.WorstPlan, "MISESTIMATE:") {
+		t.Errorf("row's worst plan is not the analyzed plan:\n%s", row.WorstPlan)
 	}
-
-	// Re-report: the entry folds, count climbs.
-	if _, _, err := analyze(q, src, st.Dict()); err != nil {
-		t.Fatal(err)
-	}
-	if got := log.Snapshot()[0].Count; got != 2 {
-		t.Errorf("folded entry count = %d, want 2", got)
+	if row.MaxPlan == "" || strings.Contains(row.MaxPlan, "actual=") {
+		t.Errorf("row's max plan is not the estimate plan:\n%s", row.MaxPlan)
 	}
 
-	// A threshold nothing can reach stays silent.
-	SetMisestimateThreshold(1e12)
-	log.Reset()
+	// The same shape stopped at LIMIT: counted, resources kept, no ratio.
+	lq := MustParse(`SELECT ?o WHERE { ?o <` + rdf.MDWHasName + `> ?t FILTER regex(?t, "customer", "i") } LIMIT 1`)
 	before = obsMisestimate.Value()
-	if _, _, err := analyze(q, src, st.Dict()); err != nil {
-		t.Fatal(err)
-	}
-	if obsMisestimate.Value() != before || log.Len() != 0 {
-		t.Error("misestimation reported despite unreachable threshold")
-	}
-}
-
-// TestSlowQueryAutoAnalyze: a slow un-analyzed execution arms its
-// fingerprint; the next execution collects stats and ships an analyzed
-// plan to the slow log — exactly once.
-func TestSlowQueryAutoAnalyze(t *testing.T) {
-	// Every execution must actually execute (the results cache would
-	// serve the repeat from memory and never hit the armed path).
-	rescache.Disable()
-	defer rescache.Enable(0, 0)
-	sl := obs.DefaultSlowLog()
-	prev := sl.Threshold()
-	sl.SetThreshold(0) // log everything
-	defer sl.SetThreshold(prev)
-
-	st, src := analyzeFixture(t)
-	q, err := Parse(`SELECT ?s WHERE { ?s <` + rdf.RDFType + `> <http://x/Table> . ?s <` + rdf.MDWIsMappedTo + `> ?t }`)
+	_, lstats, err := analyze(lq, src, dict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := q.Fingerprint()
-	defer disarmAnalyze(fp)
+	if !lstats.LimitStopped {
+		t.Fatal("LIMIT 1 over ten customers did not stop at the LIMIT")
+	}
+	if obsMisestimate.Value() != before {
+		t.Error("a LIMIT-stopped execution incremented mdw_sparql_misestimate_total")
+	}
+	lrow := statementRow(t, lq.Fingerprint())
+	if lrow.AnalyzedCalls != 1 || lrow.RowsScanned == 0 {
+		t.Errorf("LIMIT-stopped row resources: %d analyzed, %d scanned", lrow.AnalyzedCalls, lrow.RowsScanned)
+	}
+	if lrow.MaxRatio != 0 || lrow.WorstOp != "" || lrow.WorstPlan != "" {
+		t.Errorf("LIMIT-stopped execution set the row's worst: x%v %q\n%s", lrow.MaxRatio, lrow.WorstOp, lrow.WorstPlan)
+	}
+}
 
-	if _, err := run(q, src, st.Dict()); err != nil {
-		t.Fatal(err)
+// TestCacheHitIsNotAnExecution: a results-cache hit counts as a call
+// and a hit of the statement's row, and its lookup time stays out of the
+// latency summary, which describes the one execution.
+func TestCacheHitIsNotAnExecution(t *testing.T) {
+	rescache.Enable(0, 0) // empty: the first run must execute
+	defer rescache.Enable(0, 0)
+	obs.DefaultStatements().Reset()
+	defer obs.DefaultStatements().Reset()
+	st, src := analyzeFixture(t)
+	q := MustParse(`SELECT ?s ?t WHERE { ?s <` + rdf.MDWIsMappedTo + `> ?t }`)
+	if !q.resultsCacheable() {
+		t.Fatal("fixture query is not cacheable")
 	}
-	if e := sl.Entries()[0]; e.Analyzed {
-		t.Fatal("first execution should not be analyzed")
+	for i := 0; i < 2; i++ {
+		if _, err := run(q, src, st.Dict()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !analyzeArmed(fp) {
-		t.Fatal("slow execution did not arm its fingerprint")
+	row := statementRow(t, q.Fingerprint())
+	if row.Calls != 2 || row.Hits != 1 {
+		t.Fatalf("calls/hits = %d/%d, want 2/1", row.Calls, row.Hits)
 	}
-
-	if _, err := run(q, src, st.Dict()); err != nil {
-		t.Fatal(err)
-	}
-	e := sl.Entries()[0]
-	if !e.Analyzed || !strings.Contains(e.Plan, "actual=") {
-		t.Fatalf("second execution should carry an analyzed plan, got analyzed=%v plan:\n%s", e.Analyzed, e.Plan)
-	}
-	if analyzeArmed(fp) {
-		t.Error("arming is one-shot; fingerprint still armed after analyzed run")
-	}
-
-	if _, err := run(q, src, st.Dict()); err != nil {
-		t.Fatal(err)
-	}
-	// The third run re-arms (it was slow and un-analyzed again, by the
-	// zero threshold) but must itself be un-analyzed.
-	if e := sl.Entries()[0]; e.Analyzed {
-		t.Error("third execution analyzed; arming leaked past one execution")
+	if row.Min != row.Max || row.Mean != row.Max || row.Total != row.Max {
+		t.Errorf("latency summary mixes in the hit: total %v min %v max %v mean %v", row.Total, row.Min, row.Max, row.Mean)
 	}
 }
 

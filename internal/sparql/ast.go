@@ -35,7 +35,8 @@ type Query struct {
 	Kind     QueryKind
 	Prefixes map[string]string
 	// Text is the source text the query was parsed from (empty for
-	// hand-constructed queries); the slow-query log captures it.
+	// hand-constructed queries); the statement table keeps it as its
+	// row's example.
 	Text     string
 	Distinct bool
 	// Select holds the projection; empty means '*' (all visible variables).

@@ -59,9 +59,8 @@ func (q *Query) Run(ctx context.Context, src store.Source, dict *store.Dict, opt
 	if rc != nil && !opt.Analyze && q.resultsCacheable() {
 		if gk, ok := sourceVersion(src); ok {
 			genKey = gk
-			t0 := time.Now()
 			if v, ok := rc.Get(q.resultCacheKey(genKey)); ok {
-				return q.serveCachedResult(ctx, v.(*Result), time.Since(t0)), nil, nil
+				return q.serveCachedResult(ctx, v.(*Result)), nil, nil
 			}
 		}
 	}
@@ -81,24 +80,17 @@ func (q *Query) Run(ctx context.Context, src store.Source, dict *store.Dict, opt
 // streamable LIMIT stops at row N. A traced context gets a "sparql exec"
 // child span labelled with the row count. Every successful execution —
 // traced or not — also feeds the observability layer: execution latency
-// and streamed-row counts go to the default metrics registry, the
-// execution folds into the default statement-statistics table under the
-// query's fingerprint, and any execution at or over the slow-query
-// threshold is captured — with the query text and the rendered plan — in
-// the default slow-query log. The plan string is only rendered on that
-// slow path.
+// and streamed-row counts go to the default metrics registry, and the
+// execution folds into the default statement table under the query's
+// fingerprint with one Record call, which carries the analyzed figures
+// when there are any.
 //
 // With opt.Analyze an operator stats record is armed: every operator
 // counts its loops, rows, and wall time into the returned ExecStats tree,
-// which is nil otherwise. A plain run whose fingerprint an earlier slow
-// execution armed collects stats once as well, so that its slow-log entry
-// (and the misestimation channel) gets an analyzed plan; the caller still
-// gets none.
+// which is nil otherwise.
 func (p *Plan) Run(ctx context.Context, opt RunOptions) (*Result, *ExecStats, error) {
-	fp := p.query.Fingerprint()
-	armed := !opt.Analyze && analyzeArmed(fp)
 	var rec *execStatsRec
-	if opt.Analyze || armed {
+	if opt.Analyze {
 		rec = newExecStatsRec(p)
 	}
 	sp, _ := obs.ChildCtx(ctx, "sparql exec")
@@ -122,36 +114,22 @@ func (p *Plan) Run(ctx context.Context, opt RunOptions) (*Result, *ExecStats, er
 	}
 	sp.SetLabel("rows", strconv.Itoa(rows)).Finish()
 	obsRows.Add(int64(rows))
+	x := obs.Execution{Rows: rows, D: d, Plan: p.unpinned()}
 	var stats *ExecStats
 	if rec != nil {
 		stats = p.finishAnalyze(rec, info, d, rows)
-	}
-	obs.DefaultStatements().Record(fp, p.query.Text, rows, d, p.unpinned())
-	if stats != nil {
-		obs.DefaultStatements().AddResources(fp, stats.RowsScanned, stats.TermDecodes)
-	}
-	if sl := obs.DefaultSlowLog(); sl.ShouldLog(d) {
-		e := obs.SlowQuery{
-			Query: p.query.Text,
-			Plan:  p.String(),
-			Rows:  rows,
-			Total: d,
-			Stages: []obs.Stage{
-				{Name: "plan", D: p.planDur},
-				{Name: "exec", D: d},
-			},
+		x.Analyzed, x.Scanned, x.Decodes = true, stats.RowsScanned, stats.TermDecodes
+		// An execution stopped early (streamed LIMIT reached, ASK
+		// satisfied) is no evidence about the estimates: its actual row
+		// counts are truncated by the stop.
+		if !rec.limitStopped && p.query.Kind != AskQuery {
+			x.Ratio, x.WorstOp, x.WorstPlan = stats.MaxRatio, stats.WorstOp, stats
+			if stats.MaxRatio >= misestimateThreshold {
+				obsMisestimate.Inc()
+			}
 		}
-		if stats != nil {
-			e.Plan, e.Analyzed = stats.String(), true
-		} else {
-			armAnalyze(fp)
-		}
-		sl.Record(e)
 	}
-	if armed {
-		disarmAnalyze(fp)
-		stats = nil
-	}
+	obs.DefaultStatements().Record(p.query.Fingerprint(), p.query.Text, x)
 	return res, stats, nil
 }
 

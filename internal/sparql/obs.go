@@ -3,8 +3,7 @@ package sparql
 import "mdw/internal/obs"
 
 // Metric handles, resolved once at package init. Exec-path updates are
-// single atomic operations; the slow-query log's plan rendering is only
-// paid for queries that cross the threshold (see Plan.Run).
+// single atomic operations.
 var (
 	obsParseHist   = obs.Default().Histogram("mdw_sparql_parse_seconds", nil)
 	obsParseErrors = obs.Default().Counter("mdw_sparql_parse_errors_total")

@@ -30,10 +30,6 @@ type Plan struct {
 	dict     *store.Dict
 	warnings []string
 
-	// planDur is how long planning took, for the slow-query log's stage
-	// breakdown.
-	planDur time.Duration
-
 	// par is the parallel-execution decision taken at plan time from the
 	// same cardinality estimates that chose the join order. The zero
 	// value means serial execution.
@@ -191,7 +187,7 @@ func (q *Query) PlanOpts(src store.Source, dict *store.Dict, par ParOptions) *Pl
 	p.root, _ = pl.group(q.Where, varset{})
 	p.decidePar(par)
 	p.assignStatSlots()
-	p.planDur = obsPlanHist.ObserveSince(t0)
+	obsPlanHist.ObserveSince(t0)
 	return p
 }
 

@@ -3,7 +3,6 @@ package sparql
 import (
 	"context"
 	"strconv"
-	"time"
 
 	"mdw/internal/obs"
 	"mdw/internal/store"
@@ -76,11 +75,11 @@ func estimateResultSize(res *Result) int64 {
 }
 
 // serveCachedResult emits the observability evidence of a cache hit —
-// an exec span labelled rescache=hit, the statement-table record, row
+// an exec span labelled rescache=hit, a hit on the statement's row, row
 // counters — and returns a shallow copy of the cached result (callers
 // own the Result struct; the row data is shared and treated as
 // immutable by every read path).
-func (q *Query) serveCachedResult(ctx context.Context, res *Result, d time.Duration) *Result {
+func (q *Query) serveCachedResult(ctx context.Context, res *Result) *Result {
 	sp, _ := obs.ChildCtx(ctx, "sparql exec")
 	rows := len(res.Rows)
 	if q.Kind == AskQuery {
@@ -88,7 +87,7 @@ func (q *Query) serveCachedResult(ctx context.Context, res *Result, d time.Durat
 	}
 	sp.SetLabel("rescache", "hit").SetLabel("rows", strconv.Itoa(rows)).Finish()
 	obsRows.Add(int64(rows))
-	obs.DefaultStatements().Record(q.Fingerprint(), q.Text, rows, d, nil)
+	obs.DefaultStatements().Record(q.Fingerprint(), q.Text, obs.Execution{Rows: rows, Hit: true})
 	out := *res
 	return &out
 }

@@ -87,7 +87,7 @@ func TestConcurrentRecordSnapshotReplan(t *testing.T) {
 
 	// The plan the table memoized must still render.
 	for _, s := range stmts.Snapshot() {
-		if strings.Contains(s.Query, "never-interned") && s.LastPlan == "" {
+		if strings.Contains(s.Query, "never-interned") && s.MaxPlan == "" {
 			t.Error("recorded plan did not render")
 		}
 	}

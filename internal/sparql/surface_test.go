@@ -36,7 +36,7 @@ func TestNoPerQueryCaches(t *testing.T) {
 		want []string
 	}{
 		{&Query{}, []string{"Kind", "Prefixes", "Text", "Distinct", "Select", "Template", "Where", "GroupBy", "OrderBy", "Limit", "Offset", "cachedFp"}},
-		{&Plan{}, []string{"query", "root", "src", "dict", "warnings", "planDur", "par", "nstats"}},
+		{&Plan{}, []string{"query", "root", "src", "dict", "warnings", "par", "nstats"}},
 	} {
 		typ := reflect.TypeOf(c.v).Elem()
 		var got []string
