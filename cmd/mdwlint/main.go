@@ -1,17 +1,17 @@
 // Command mdwlint is the warehouse's static-analysis multichecker. It
 // loads the requested packages with the repository's own source loader
-// (no external tooling, so it runs offline) and applies the nine
+// (no external tooling, so it runs offline) and applies the five
 // repo-specific analyzers:
 //
 //	sparqlcheck  constant query strings must parse
 //	iricheck     constant IRIs/prefixed names must exist in the vocabulary
-//	locksafe     no lock re-entry, callbacks, or channel sends under a mutex
 //	mustparse    sparql.MustParse takes constants only
-//	lockorder    mutexes must be acquired in one consistent global order
 //	ctxflow      contexts must be forwarded to context-aware callees
 //	syncerr      durable Write/Sync/Flush/Close errors must be checked
-//	atomicmix    no plain access to fields accessed via sync/atomic
-//	goroleak     goroutines must be tied to a shutdown path
+//
+// Each one guards the query text of the paper's listings or has caught
+// a bug of this repository; main_test.go holds one such mutant per
+// analyzer and fails when the analyzer stops reporting it.
 //
 // Usage:
 //
@@ -48,13 +48,9 @@ import (
 	"os"
 	"strings"
 
-	"mdw/internal/analysis/atomicmix"
 	"mdw/internal/analysis/ctxflow"
 	"mdw/internal/analysis/framework"
-	"mdw/internal/analysis/goroleak"
 	"mdw/internal/analysis/iricheck"
-	"mdw/internal/analysis/lockorder"
-	"mdw/internal/analysis/locksafe"
 	"mdw/internal/analysis/mustparse"
 	"mdw/internal/analysis/sparqlcheck"
 	"mdw/internal/analysis/syncerr"
@@ -63,13 +59,9 @@ import (
 var all = []*framework.Analyzer{
 	sparqlcheck.Analyzer,
 	iricheck.Analyzer,
-	locksafe.Analyzer,
 	mustparse.Analyzer,
-	lockorder.Analyzer,
 	ctxflow.Analyzer,
 	syncerr.Analyzer,
-	atomicmix.Analyzer,
-	goroleak.Analyzer,
 }
 
 // deadAllowName labels stale-suppression findings.
@@ -139,38 +131,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mdwlint: %v\n", err)
 		os.Exit(2)
 	}
-	loader, err := framework.NewLoader(wd)
+	diags, err := lint(wd, analyzers, fullSet, patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mdwlint: %v\n", err)
 		os.Exit(2)
-	}
-	pkgs, err := loader.Load(patterns...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mdwlint: %v\n", err)
-		os.Exit(2)
-	}
-
-	res, err := framework.RunAll(pkgs, analyzers...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mdwlint: %v\n", err)
-		os.Exit(2)
-	}
-	diags := res.Diagnostics
-
-	// Stale-allow audit: only meaningful when every analyzer ran — a
-	// partial run cannot tell "nothing to suppress" from "suppressed
-	// analyzer was not invoked".
-	if fullSet {
-		for _, a := range res.Allows {
-			if a.Used || !knownAnalyzer(a.Analyzer) {
-				continue
-			}
-			diags = append(diags, framework.Diagnostic{
-				Analyzer: deadAllowName,
-				Pos:      a.Pos,
-				Message:  fmt.Sprintf("stale //mdwlint:allow %s — it suppresses nothing; remove it so it cannot mask a future finding", a.Analyzer),
-			})
-		}
 	}
 
 	if *asJSON {
@@ -201,6 +165,40 @@ func main() {
 	if len(diags) > 0 {
 		os.Exit(1)
 	}
+}
+
+// lint loads the packages matching patterns in the module enclosing dir
+// and runs the analyzers over them. When fullSet is true — every
+// analyzer ran — each allow comment that suppressed nothing is reported
+// under deadallow; a partial run cannot tell "nothing to suppress" from
+// "suppressed analyzer was not invoked".
+func lint(dir string, analyzers []*framework.Analyzer, fullSet bool, patterns ...string) ([]framework.Diagnostic, error) {
+	loader, err := framework.NewLoader(dir)
+	if err != nil {
+		return nil, err
+	}
+	pkgs, err := loader.Load(patterns...)
+	if err != nil {
+		return nil, err
+	}
+	res, err := framework.RunAll(pkgs, analyzers...)
+	if err != nil {
+		return nil, err
+	}
+	diags := res.Diagnostics
+	if fullSet {
+		for _, a := range res.Allows {
+			if a.Used || !knownAnalyzer(a.Analyzer) {
+				continue
+			}
+			diags = append(diags, framework.Diagnostic{
+				Analyzer: deadAllowName,
+				Pos:      a.Pos,
+				Message:  fmt.Sprintf("stale //mdwlint:allow %s — it suppresses nothing; remove it so it cannot mask a future finding", a.Analyzer),
+			})
+		}
+	}
+	return diags, nil
 }
 
 // printContext prints n source lines either side of the diagnostic,

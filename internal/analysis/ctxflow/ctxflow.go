@@ -24,7 +24,6 @@ import (
 	"go/types"
 
 	"mdw/internal/analysis/framework"
-	"mdw/internal/analysis/framework/callgraph"
 )
 
 // Analyzer is the ctxflow framework.Analyzer.
@@ -249,18 +248,35 @@ func ctxVariantOf(pass *framework.Pass, call *ast.CallExpr) string {
 	}
 	// Verify the variant really takes a context first — by declaration,
 	// since the loader's stubbing leaves context.Context untyped.
-	node := callgraph.Of(pass).Node(variant)
-	if node == nil || node.Decl == nil || node.Decl.Type.Params == nil || len(node.Decl.Type.Params.List) == 0 {
+	decl, pkg := declOf(pass, variant)
+	if decl == nil || decl.Type.Params == nil || len(decl.Type.Params.List) == 0 {
 		return ""
 	}
-	declPass := pass
-	if node.Pkg != nil {
-		declPass = &framework.Pass{TypesInfo: node.Pkg.Info, Pkg: node.Pkg.Types}
-	}
-	if !isContextType(declPass, node.Decl.Type.Params.List[0].Type) {
+	declPass := &framework.Pass{TypesInfo: pkg.Info, Pkg: pkg.Types}
+	if !isContextType(declPass, decl.Type.Params.List[0].Type) {
 		return ""
 	}
 	return want
+}
+
+// declOf finds fn's declaration by position in its package, which must
+// be among the analyzed ones (nil otherwise).
+func declOf(pass *framework.Pass, fn *types.Func) (*ast.FuncDecl, *framework.Package) {
+	if fn.Pkg() == nil {
+		return nil, nil
+	}
+	pkg := pass.Prog.Package(fn.Pkg().Path())
+	if pkg == nil {
+		return nil, nil
+	}
+	for _, f := range pkg.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Pos() == fn.Pos() {
+				return fd, pkg
+			}
+		}
+	}
+	return nil, nil
 }
 
 // callCarriesContext reports whether any argument of the call mentions

@@ -49,8 +49,7 @@ func runOne(t *testing.T, fxDir, fxName string, a *framework.Analyzer) {
 // the fixture contains its own go.mod and one subdirectory per package
 // — applies the analyzer to all packages together, and checks "want"
 // comments across the whole module. This is how analyzers that pass
-// facts between packages (syncerr) or build whole-program structures
-// (lockorder) are tested.
+// facts between packages (syncerr) are tested.
 func RunModule(t *testing.T, dir string, a *framework.Analyzer, fixtures ...string) {
 	t.Helper()
 	for _, fx := range fixtures {
@@ -69,7 +68,7 @@ func RunModule(t *testing.T, dir string, a *framework.Analyzer, fixtures ...stri
 
 func checkFixture(t *testing.T, fxName string, a *framework.Analyzer, pkgs []*framework.Package) {
 	t.Helper()
-	diags, err := framework.Run(pkgs, a)
+	res, err := framework.RunAll(pkgs, a)
 	if err != nil {
 		t.Fatalf("%s: running %s: %v", fxName, a.Name, err)
 	}
@@ -79,7 +78,7 @@ func checkFixture(t *testing.T, fxName string, a *framework.Analyzer, pkgs []*fr
 			t.Fatalf("%s: %v", fxName, err)
 		}
 	}
-	for _, d := range diags {
+	for _, d := range res.Diagnostics {
 		if !ws.match(d) {
 			t.Errorf("%s: unexpected diagnostic at %s:%d: %s", fxName, filepath.Base(d.Pos.Filename), d.Pos.Line, d.Message)
 		}

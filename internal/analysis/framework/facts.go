@@ -4,24 +4,16 @@ import (
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // Fact is a datum an analyzer attaches to a types.Object (a function, a
 // struct field, …) while analyzing the package that can observe it, for
-// consumption by later passes — of the same analyzer visiting a
-// downstream package, or of another analyzer that Requires this one.
+// consumption by the same analyzer's pass over a downstream package.
 // Mirrors go/analysis: fact types must be pointers and must be
-// registered in the exporting Analyzer's FactTypes.
+// registered in the Analyzer's FactTypes.
 type Fact interface {
 	// AFact is a marker method; it does nothing.
 	AFact()
-}
-
-// ObjectFact pairs an object with one fact attached to it.
-type ObjectFact struct {
-	Object types.Object
-	Fact   Fact
 }
 
 type factKey struct {
@@ -56,57 +48,17 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	return true
 }
 
-// AllObjectFacts returns every exported fact whose type matches
-// sample's, ordered by object position for determinism.
-func (p *Pass) AllObjectFacts(sample Fact) []ObjectFact {
-	t := reflect.TypeOf(sample)
-	var out []ObjectFact
-	for k, f := range p.Prog.facts {
-		if k.t == t {
-			out = append(out, ObjectFact{Object: k.obj, Fact: f})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Object.Pos() != out[j].Object.Pos() {
-			return out[i].Object.Pos() < out[j].Object.Pos()
-		}
-		return out[i].Object.Id() < out[j].Object.Id()
-	})
-	return out
-}
-
-// checkFactType enforces the go/analysis fact contract: pointer type,
-// declared in FactTypes of the analyzer (or one it requires — a
-// consumer may import facts produced by a required analyzer).
+// checkFactType enforces the go/analysis fact contract: a pointer type
+// declared in the analyzer's FactTypes.
 func (p *Pass) checkFactType(fact Fact) {
 	t := reflect.TypeOf(fact)
 	if t == nil || t.Kind() != reflect.Ptr {
 		panic(fmt.Sprintf("%s: fact type %T is not a pointer", p.Analyzer.Name, fact))
 	}
-	if p.declaresFact(t, map[*Analyzer]bool{}) {
-		return
+	for _, ft := range p.Analyzer.FactTypes {
+		if reflect.TypeOf(ft) == t {
+			return
+		}
 	}
 	panic(fmt.Sprintf("%s: fact type %T not registered in FactTypes", p.Analyzer.Name, fact))
-}
-
-func (p *Pass) declaresFact(t reflect.Type, seen map[*Analyzer]bool) bool {
-	var search func(a *Analyzer) bool
-	search = func(a *Analyzer) bool {
-		if seen[a] {
-			return false
-		}
-		seen[a] = true
-		for _, ft := range a.FactTypes {
-			if reflect.TypeOf(ft) == t {
-				return true
-			}
-		}
-		for _, req := range a.Requires {
-			if search(req) {
-				return true
-			}
-		}
-		return false
-	}
-	return search(p.Analyzer)
 }

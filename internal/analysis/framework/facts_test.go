@@ -31,52 +31,32 @@ func loadFactsModule(t *testing.T) []*Package {
 	return pkgs
 }
 
-func factAnalyzers() (*Analyzer, *Analyzer) {
-	def := &Analyzer{
-		Name:      "factdef",
-		Doc:       "exports a fact on every function named Target",
+// markAnalyzer exports a fact on every function named Target and, in
+// the same pass, reports calls to functions carrying the fact — the
+// shape of syncerr, whose facts flow from one package to its importers.
+func markAnalyzer() *Analyzer {
+	return &Analyzer{
+		Name:      "mark",
+		Doc:       "marks functions named Target and reports calls to them",
 		FactTypes: []Fact{(*markFact)(nil)},
 		Run: func(pass *Pass) error {
 			for _, f := range pass.Files {
-				for _, d := range f.Decls {
-					fd, ok := d.(*ast.FuncDecl)
-					if !ok || fd.Name.Name != "Target" {
-						continue
-					}
-					obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-					if !ok {
-						continue
-					}
-					fact := &markFact{}
-					pass.ImportObjectFact(obj, fact)
-					fact.Seen++
-					pass.ExportObjectFact(obj, fact)
-				}
-			}
-			return nil
-		},
-	}
-	use := &Analyzer{
-		Name:     "factuse",
-		Doc:      "reports calls to fact-marked functions",
-		Requires: []*Analyzer{def},
-		Run: func(pass *Pass) error {
-			for _, f := range pass.Files {
 				ast.Inspect(f, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					sel, ok := call.Fun.(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-					if !ok {
-						return true
-					}
-					if pass.ImportObjectFact(fn, &markFact{}) {
-						pass.Reportf(call.Pos(), "call to marked function %s", fn.Name())
+					switch n := n.(type) {
+					case *ast.FuncDecl:
+						if fn, ok := pass.TypesInfo.Defs[n.Name].(*types.Func); ok && n.Name.Name == "Target" {
+							pass.ExportObjectFact(fn, &markFact{Seen: 1})
+						}
+					case *ast.CallExpr:
+						sel, ok := n.Fun.(*ast.SelectorExpr)
+						if !ok {
+							return true
+						}
+						fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+						fact := &markFact{}
+						if ok && pass.ImportObjectFact(fn, fact) && fact.Seen == 1 {
+							pass.Reportf(n.Pos(), "call to marked function %s", fn.Name())
+						}
 					}
 					return true
 				})
@@ -84,38 +64,27 @@ func factAnalyzers() (*Analyzer, *Analyzer) {
 			return nil
 		},
 	}
-	return def, use
 }
 
 func TestFactsFlowAcrossPackages(t *testing.T) {
 	pkgs := loadFactsModule(t)
-	_, use := factAnalyzers()
-
-	// Passing only `use`: the Requires expansion must pull in factdef and
-	// run it first.
-	res, err := RunAll(pkgs, use)
+	res, err := RunAll(pkgs, markAnalyzer())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var hits []Diagnostic
-	for _, d := range res.Diagnostics {
-		if d.Analyzer == "factuse" {
-			hits = append(hits, d)
-		}
-	}
 	// Two lo.Target() call sites in hi; one is suppressed by an allow.
-	if len(hits) != 1 {
-		t.Fatalf("got %d factuse diagnostics, want 1 (one suppressed): %v", len(hits), hits)
+	if len(res.Diagnostics) != 1 {
+		t.Fatalf("got %d diagnostics, want 1 (one suppressed): %v", len(res.Diagnostics), res.Diagnostics)
 	}
-	if !strings.Contains(hits[0].Message, "Target") {
-		t.Errorf("diagnostic %q does not name the marked function", hits[0].Message)
+	if !strings.Contains(res.Diagnostics[0].Message, "Target") {
+		t.Errorf("diagnostic %q does not name the marked function", res.Diagnostics[0].Message)
 	}
 
 	// Allow audit: one allow consumed a diagnostic, one is stale.
 	var used, stale int
 	for _, a := range res.Allows {
-		if a.Analyzer != "factuse" {
+		if a.Analyzer != "mark" {
 			continue
 		}
 		if a.Used {
@@ -126,30 +95,6 @@ func TestFactsFlowAcrossPackages(t *testing.T) {
 	}
 	if used != 1 || stale != 1 {
 		t.Fatalf("allow audit: used=%d stale=%d, want 1 and 1 (%+v)", used, stale, res.Allows)
-	}
-}
-
-func TestAllObjectFacts(t *testing.T) {
-	pkgs := loadFactsModule(t)
-	def, _ := factAnalyzers()
-
-	var all []ObjectFact
-	def.Finish = func(pass *Pass) error {
-		all = pass.AllObjectFacts((*markFact)(nil))
-		return nil
-	}
-	defer func() { def.Finish = nil }()
-	if _, err := RunAll(pkgs, def); err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 1 {
-		t.Fatalf("AllObjectFacts returned %d facts, want exactly lo.Target", len(all))
-	}
-	if all[0].Object.Name() != "Target" {
-		t.Errorf("fact on %s, want Target", all[0].Object.Name())
-	}
-	if all[0].Fact.(*markFact).Seen != 1 {
-		t.Errorf("fact Seen = %d, want 1", all[0].Fact.(*markFact).Seen)
 	}
 }
 

@@ -6,12 +6,11 @@
 // The x/tools module is deliberately not vendored — the warehouse builds
 // offline — so this package supplies the small subset the mdwlint
 // analyzers need: a source loader for the repository's own module (see
-// load.go), positional diagnostics, per-line suppression comments,
-// cross-package analyzer facts (see facts.go), and a whole-program
-// Finish hook for analyses — like lock-order cycle detection — whose
-// verdict only exists once every package has been visited. Analyzers
-// written against it look exactly like go/analysis analyzers and could
-// be ported to the real framework by swapping the import.
+// load.go), positional diagnostics, per-line suppression comments, and
+// cross-package analyzer facts (see facts.go). RunAll is the one entry
+// point. Analyzers written against it look exactly like go/analysis
+// analyzers and could be ported to the real framework by swapping the
+// import.
 package framework
 
 import (
@@ -34,23 +33,14 @@ type Analyzer struct {
 	// dependency order (imports before importers), so facts exported
 	// while analyzing a package are visible to every downstream pass.
 	Run func(*Pass) error
-	// Finish, if non-nil, runs once after Run has been applied to every
-	// package. The Pass it receives has Prog, Fset, and Reportf wired but
-	// no current package (Pkg, Files, TypesInfo are nil). Whole-program
-	// analyses report their verdicts here.
-	Finish func(*Pass) error
-	// Requires lists analyzers that must run before this one (their
-	// facts are consumed). The closure is expanded and ordered by Run.
-	Requires []*Analyzer
 	// FactTypes declares the fact types this analyzer exports; a fact
 	// type must be registered here before ExportObjectFact accepts it.
 	FactTypes []Fact
 }
 
-// Program is the whole set of packages being analyzed by one Run, in
-// dependency order. Whole-program analyzers reach sibling packages —
-// and share expensive derived structures like the call graph — through
-// the Pass's Prog field.
+// Program is the whole set of packages being analyzed by one RunAll,
+// in dependency order. Analyzers reach sibling packages through the
+// Pass's Prog field.
 type Program struct {
 	Fset *token.FileSet
 	// Packages holds the loaded packages topologically sorted: a package
@@ -58,19 +48,6 @@ type Program struct {
 	Packages []*Package
 
 	facts map[factKey]Fact
-	memo  map[string]any
-}
-
-// Memo returns the cached value for key, building it on first use. The
-// callgraph package uses it so that one Run builds at most one call
-// graph no matter how many analyzers ask for it.
-func (prog *Program) Memo(key string, build func() any) any {
-	if v, ok := prog.memo[key]; ok {
-		return v
-	}
-	v := build()
-	prog.memo[key] = v
-	return v
 }
 
 // Package returns the loaded package with the given import path, or nil.
@@ -147,34 +124,20 @@ type Allow struct {
 
 // Result is the full outcome of one RunAll.
 type Result struct {
+	// Diagnostics are sorted by position; suppressed ones (see
+	// filterSuppressed) are dropped.
 	Diagnostics []Diagnostic
 	// Allows lists every suppression comment seen, with usage marks, so
 	// callers running the complete analyzer set can audit stale allows.
 	Allows []Allow
 }
 
-// Run applies the analyzers to every loaded package and returns all
-// diagnostics sorted by position. Suppressed diagnostics (see
-// filterSuppressed) are dropped.
-func Run(pkgs []*Package, analyzers ...*Analyzer) ([]Diagnostic, error) {
-	res, err := RunAll(pkgs, analyzers...)
-	if err != nil {
-		return nil, err
-	}
-	return res.Diagnostics, nil
-}
-
-// RunAll is Run plus the suppression-comment audit trail.
+// RunAll applies the analyzers to every loaded package.
 //
-// Packages are visited in dependency order and analyzers in Requires
-// order, so facts flow from defining packages and required analyzers to
-// their consumers. Packages that failed to load are reported under the
-// "loader" pseudo-analyzer and skipped.
+// Packages are visited in dependency order, so facts flow from defining
+// packages to their importers. Packages that failed to load are
+// reported under the "loader" pseudo-analyzer and skipped.
 func RunAll(pkgs []*Package, analyzers ...*Analyzer) (*Result, error) {
-	ordered, err := expandRequires(analyzers)
-	if err != nil {
-		return nil, err
-	}
 	sorted := topoPackages(pkgs)
 	var fset *token.FileSet
 	for _, p := range sorted {
@@ -187,14 +150,13 @@ func RunAll(pkgs []*Package, analyzers ...*Analyzer) (*Result, error) {
 		Fset:     fset,
 		Packages: sorted,
 		facts:    map[factKey]Fact{},
-		memo:     map[string]any{},
 	}
 
 	var diags []Diagnostic
 	for _, pkg := range sorted {
 		diags = append(diags, loaderDiagnostics(pkg)...)
 	}
-	for _, a := range ordered {
+	for _, a := range analyzers {
 		for _, pkg := range sorted {
 			if pkg.LoadError != nil || pkg.Types == nil {
 				continue
@@ -211,12 +173,6 @@ func RunAll(pkgs []*Package, analyzers ...*Analyzer) (*Result, error) {
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
-			}
-		}
-		if a.Finish != nil {
-			pass := &Pass{Analyzer: a, Fset: prog.Fset, Prog: prog, diags: &diags}
-			if err := a.Finish(pass); err != nil {
-				return nil, fmt.Errorf("%s: finish: %w", a.Name, err)
 			}
 		}
 	}
@@ -236,37 +192,6 @@ func RunAll(pkgs []*Package, analyzers ...*Analyzer) (*Result, error) {
 		return a.Analyzer < b.Analyzer
 	})
 	return &Result{Diagnostics: diags, Allows: allows}, nil
-}
-
-// expandRequires returns the analyzers plus their transitive Requires,
-// ordered so every analyzer follows everything it requires.
-func expandRequires(analyzers []*Analyzer) ([]*Analyzer, error) {
-	var ordered []*Analyzer
-	state := map[*Analyzer]int{} // 0 unvisited, 1 visiting, 2 done
-	var visit func(a *Analyzer) error
-	visit = func(a *Analyzer) error {
-		switch state[a] {
-		case 1:
-			return fmt.Errorf("framework: analyzer requirement cycle through %s", a.Name)
-		case 2:
-			return nil
-		}
-		state[a] = 1
-		for _, req := range a.Requires {
-			if err := visit(req); err != nil {
-				return err
-			}
-		}
-		state[a] = 2
-		ordered = append(ordered, a)
-		return nil
-	}
-	for _, a := range analyzers {
-		if err := visit(a); err != nil {
-			return nil, err
-		}
-	}
-	return ordered, nil
 }
 
 // topoPackages orders packages so that every package precedes the

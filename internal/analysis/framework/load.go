@@ -35,7 +35,7 @@ type Package struct {
 	TypeErrors []error
 	// LoadError is set when the package could not be loaded at all
 	// (unreadable directory, parse failure). Such a package has no Files
-	// or Types; framework.Run reports it under the "loader"
+	// or Types; RunAll reports it under the "loader"
 	// pseudo-analyzer instead of silently skipping it.
 	LoadError error
 	// LoadErrorPos locates LoadError when it has a source position

@@ -103,7 +103,7 @@ func TestLoaderGenerics(t *testing.T) {
 	}
 
 	// The instantiated call inside Use must resolve back to the generic
-	// origin — that is what callgraph.Build relies on.
+	// origin — that is what syncerr's moduleCallee relies on.
 	var instantiated *types.Func
 	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -13,10 +13,10 @@ func CallPlain() {
 }
 
 func CallSuppressed() {
-	lo.Target() //mdwlint:allow factuse covered by integration test
+	lo.Target() //mdwlint:allow mark covered by integration test
 }
 
-//mdwlint:allow factuse this allow is stale on purpose
+//mdwlint:allow mark this allow is stale on purpose
 func Stale() {
 	lo.Plain()
 }

@@ -15,7 +15,7 @@
 //     CreateTemp/NewFile or bufio.NewWriter*) must consume its error.
 //   - Propagated errors. A module function whose returned error can
 //     carry a sink failure is marked with the DurableErr object fact;
-//     the fact flows through the call graph bottom-up (helpers in the
+//     the fact flows bottom-up along calls (helpers in the
 //     same package, then across packages in import order), and every
 //     call to a marked function must consume its error too. This is
 //     how `wal.sync()` inside internal/durable obligates

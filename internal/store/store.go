@@ -409,7 +409,7 @@ func (s *Store) ForEach(model string, sub, pred, obj rdf.Term, fn func(rdf.Tripl
 		return
 	}
 	m.ForEach(si, pi, oi, func(et ETriple) bool {
-		return fn(rdf.Triple{S: s.dict.Term(et.S), P: s.dict.Term(et.P), O: s.dict.Term(et.O)}) //mdwlint:allow locksafe documented contract: fn must not call locking Store methods
+		return fn(rdf.Triple{S: s.dict.Term(et.S), P: s.dict.Term(et.P), O: s.dict.Term(et.O)})
 	})
 }
 
