@@ -12,6 +12,7 @@
 package sparql
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"mdw/internal/rdf"
@@ -49,10 +50,18 @@ type Query struct {
 	Limit    int // -1 when absent
 	Offset   int
 
+	// vars numbers the query's variables in order of first mention (the
+	// parser does it): a variable's index is its slot in every solution
+	// row the executor builds, and the slot its expressions read.
+	vars []string
+
 	// cachedFp memoizes Fingerprint(): the AST never mutates after
 	// parsing, so the normalized rendering is computed at most once.
 	cachedFp atomic.Pointer[string]
 }
+
+// slot returns the variable's slot (-1 for a name the query never mentions).
+func (q *Query) slot(name string) int { return slices.Index(q.vars, name) }
 
 // SelectItem is one projection entry: either a plain variable or an
 // aggregate with an alias, e.g. (COUNT(?x) AS ?n).

@@ -12,11 +12,23 @@ import (
 // Binding maps variable names to bound terms.
 type Binding map[string]rdf.Term
 
-// Expr is a filter expression evaluated against one binding.
+func (b Binding) term(name string, _ int) (rdf.Term, bool) {
+	t, ok := b[name]
+	return t, ok
+}
+
+// solution is what an expression reads its variables from: a Binding, by
+// name, or the executor's slot row (slotRow), by slot, which decodes a
+// term only when an expression reads it.
+type solution interface {
+	term(name string, slot int) (rdf.Term, bool)
+}
+
+// Expr is a filter expression evaluated against one solution.
 type Expr interface {
 	// Eval returns the expression value. An unbound variable yields an
 	// error, which FILTER treats as false (SPARQL error semantics).
-	Eval(b Binding) (Value, error)
+	Eval(b solution) (Value, error)
 }
 
 // Value is an expression result: a term or a plain boolean.
@@ -52,11 +64,15 @@ func (v Value) Truth() (bool, error) {
 	return false, fmt.Errorf("sparql: no effective boolean value for %s", t)
 }
 
-// varExpr references a variable.
-type varExpr struct{ name string }
+// varExpr references a variable: by name in a Binding, by the slot the
+// parser numbered it with (Query.vars) in a slot row.
+type varExpr struct {
+	name string
+	slot int
+}
 
-func (e varExpr) Eval(b Binding) (Value, error) {
-	t, ok := b[e.name]
+func (e varExpr) Eval(b solution) (Value, error) {
+	t, ok := b.term(e.name, e.slot)
 	if !ok {
 		return Value{}, fmt.Errorf("sparql: unbound variable ?%s", e.name)
 	}
@@ -66,12 +82,12 @@ func (e varExpr) Eval(b Binding) (Value, error) {
 // constExpr is a literal/IRI constant.
 type constExpr struct{ term rdf.Term }
 
-func (e constExpr) Eval(Binding) (Value, error) { return termVal(e.term), nil }
+func (e constExpr) Eval(solution) (Value, error) { return termVal(e.term), nil }
 
 // notExpr negates its operand.
 type notExpr struct{ e Expr }
 
-func (e notExpr) Eval(b Binding) (Value, error) {
+func (e notExpr) Eval(b solution) (Value, error) {
 	v, err := e.e.Eval(b)
 	if err != nil {
 		return Value{}, err
@@ -87,7 +103,7 @@ func (e notExpr) Eval(b Binding) (Value, error) {
 // side can still produce a definite result from the other.
 type andExpr struct{ l, r Expr }
 
-func (e andExpr) Eval(b Binding) (Value, error) {
+func (e andExpr) Eval(b solution) (Value, error) {
 	lv, lerr := evalTruth(e.l, b)
 	rv, rerr := evalTruth(e.r, b)
 	switch {
@@ -106,7 +122,7 @@ func (e andExpr) Eval(b Binding) (Value, error) {
 
 type orExpr struct{ l, r Expr }
 
-func (e orExpr) Eval(b Binding) (Value, error) {
+func (e orExpr) Eval(b solution) (Value, error) {
 	lv, lerr := evalTruth(e.l, b)
 	rv, rerr := evalTruth(e.r, b)
 	switch {
@@ -123,7 +139,7 @@ func (e orExpr) Eval(b Binding) (Value, error) {
 	}
 }
 
-func evalTruth(e Expr, b Binding) (bool, error) {
+func evalTruth(e Expr, b solution) (bool, error) {
 	v, err := e.Eval(b)
 	if err != nil {
 		return false, err
@@ -137,7 +153,7 @@ type cmpExpr struct {
 	l, r Expr
 }
 
-func (e cmpExpr) Eval(b Binding) (Value, error) {
+func (e cmpExpr) Eval(b solution) (Value, error) {
 	lv, err := e.l.Eval(b)
 	if err != nil {
 		return Value{}, err
@@ -228,10 +244,13 @@ type regexExpr struct {
 	text Expr
 	re   *regexp.Regexp
 	// lit is the pattern when it is a non-empty ASCII string with no
-	// metacharacter and the flags are "" or "i": an ASCII subject is then
-	// answered by a substring search, case-folding when fold is set. Go's
-	// (?i) folds s with U+017F and k with U+212A, so a subject holding any
-	// byte >= 0x80 goes to re, which keeps this exact.
+	// metacharacter and the flags are "" or "i": one substring pass over
+	// the subject then answers. Without "i" that is exact on any UTF-8
+	// subject, since an ASCII byte never occurs inside a multi-byte
+	// sequence. With "i" (fold) an ASCII case-folded hit is a match, but a
+	// miss is only exact on an ASCII subject — Go's (?i) folds s with
+	// U+017F and k with U+212A — so a miss on a subject holding a byte
+	// >= 0x80 goes to re.
 	lit  string
 	fold bool
 }
@@ -259,17 +278,20 @@ func newRegexExpr(text Expr, pattern, flags string) (regexExpr, error) {
 	return e, nil
 }
 
-func (e regexExpr) Eval(b Binding) (Value, error) {
+func (e regexExpr) Eval(b solution) (Value, error) {
 	v, err := e.text.Eval(b)
 	if err != nil {
 		return Value{}, err
 	}
 	s := stringValue(v.Term)
-	if e.lit != "" && isASCII(s) {
-		if e.fold {
-			return boolVal(containsFoldASCII(s, e.lit)), nil
-		}
+	switch {
+	case e.lit == "":
+	case !e.fold:
 		return boolVal(strings.Contains(s, e.lit)), nil
+	default:
+		if hit, wide := containsFoldASCII(s, e.lit); hit || !wide {
+			return boolVal(hit), nil
+		}
 	}
 	return boolVal(e.re.MatchString(s)), nil
 }
@@ -283,23 +305,32 @@ func isASCII(s string) bool {
 	return true
 }
 
-// containsFoldASCII reports whether the ASCII string s contains the
-// non-empty ASCII string lit, ignoring case. Bytes equal under folding
-// agree outside the case bit; EqualFold settles the rest.
-func containsFoldASCII(s, lit string) bool {
-	for i := 0; i+len(lit) <= len(s); i++ {
-		if s[i]|0x20 == lit[0]|0x20 && strings.EqualFold(s[i:i+len(lit)], lit) {
-			return true
+// containsFoldASCII reports, in one pass over s, whether s contains the
+// non-empty ASCII string lit under ASCII case folding and whether s holds
+// a byte >= 0x80 before the hit (all of s on a miss). Bytes equal under
+// folding agree outside the case bit; EqualFold settles the rest, and a
+// window holding a byte >= 0x80 never equals an ASCII lit.
+func containsFoldASCII(s, lit string) (hit, wide bool) {
+	first := lit[0] | 0x20
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= 0x80:
+			wide = true
+		case c|0x20 == first && len(s)-i >= len(lit) && strings.EqualFold(s[i:i+len(lit)], lit):
+			return true, wide
 		}
 	}
-	return false
+	return false, wide
 }
 
 // boundExpr implements BOUND(?v).
-type boundExpr struct{ name string }
+type boundExpr struct {
+	name string
+	slot int
+}
 
-func (e boundExpr) Eval(b Binding) (Value, error) {
-	_, ok := b[e.name]
+func (e boundExpr) Eval(b solution) (Value, error) {
+	_, ok := b.term(e.name, e.slot)
 	return boolVal(ok), nil
 }
 
@@ -309,7 +340,7 @@ type strFuncExpr struct {
 	arg Expr
 }
 
-func (e strFuncExpr) Eval(b Binding) (Value, error) {
+func (e strFuncExpr) Eval(b solution) (Value, error) {
 	v, err := e.arg.Eval(b)
 	if err != nil {
 		return Value{}, err
@@ -333,7 +364,7 @@ type binStrFuncExpr struct {
 	a, b Expr
 }
 
-func (e binStrFuncExpr) Eval(bind Binding) (Value, error) {
+func (e binStrFuncExpr) Eval(bind solution) (Value, error) {
 	av, err := e.a.Eval(bind)
 	if err != nil {
 		return Value{}, err
@@ -454,7 +485,7 @@ func (p *qparser) primaryExpr() (Expr, error) {
 		return e, nil
 	case tkVar:
 		p.next()
-		return varExpr{t.text}, nil
+		return varExpr{t.text, p.slot(t.text)}, nil
 	case tkInteger:
 		p.next()
 		return constExpr{rdf.TypedLiteral(t.text, rdf.XSDInteger)}, nil
@@ -531,7 +562,7 @@ func (p *qparser) builtinCall() (Expr, error) {
 		if _, err := p.expect(tkRParen, "')'"); err != nil {
 			return nil, err
 		}
-		return boundExpr{v.text}, nil
+		return boundExpr{v.text, p.slot(v.text)}, nil
 	case "STR", "LCASE", "UCASE":
 		arg, err := p.orExpr()
 		if err != nil {

@@ -217,12 +217,16 @@ func TestRegexLiteralEquivalence(t *testing.T) {
 		}
 		pattern, subject := word(patAlphabet, rng.Intn(5)), word(subjAlphabet, rng.Intn(9))
 		for _, flags := range []string{"", "i"} {
-			e, err := newRegexExpr(varExpr{"x"}, pattern, flags)
+			e, err := newRegexExpr(varExpr{name: "x"}, pattern, flags)
 			if err != nil {
 				t.Fatalf("regex(%q, %q): %v", pattern, flags, err)
 			}
-			if e.lit != "" && isASCII(subject) {
-				kernel++
+			if e.lit != "" {
+				// The kernel settles every case but a case-folded miss on
+				// a subject holding a byte >= 0x80.
+				if hit, wide := containsFoldASCII(subject, e.lit); !e.fold || hit || !wide {
+					kernel++
+				}
 			}
 			got, err := e.Eval(Binding{"x": rdf.Literal(subject)})
 			if err != nil {
@@ -237,11 +241,11 @@ func TestRegexLiteralEquivalence(t *testing.T) {
 		t.Error("no case took the literal kernel")
 	}
 	for _, pattern := range []string{"a.b", "a|b", "^a", "caf\u00e9"} {
-		if e, _ := newRegexExpr(varExpr{"x"}, pattern, "i"); e.lit != "" {
+		if e, _ := newRegexExpr(varExpr{name: "x"}, pattern, "i"); e.lit != "" {
 			t.Errorf("pattern %q must not take the literal kernel", pattern)
 		}
 	}
-	if e, _ := newRegexExpr(varExpr{"x"}, "ab", "s"); e.lit != "" {
+	if e, _ := newRegexExpr(varExpr{name: "x"}, "ab", "s"); e.lit != "" {
 		t.Error("flags other than \"\" and \"i\" must not take the literal kernel")
 	}
 }

@@ -3,6 +3,7 @@ package sparql
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,14 +13,15 @@ import (
 
 // Intra-query parallelism: morsel-driven BGP scans. When the planner's
 // cardinality estimate for the root group's first join step is large
-// enough, that step's candidate triples are materialized once
-// (store.Matcher), split into fixed-size morsels, and each worker runs the
-// ordinary streaming depth-first pipeline over its morsel with a private
-// binding env. A merger emits buffered solutions in morsel order, so
-// downstream consumers (DISTINCT, LIMIT, aggregation) observe exactly the
-// serial solution order. Everything else — UNION branches, property-path
-// closures — runs on the serial pipeline: measured end to end, fanning
-// those out never beat it (DESIGN.md "Parallel execution").
+// enough, that step's matches are split into parts of about a morsel each
+// (store.View.Split: one bucketing pass over the walked index keys, by ID
+// range, on the calling goroutine), and each worker sorts and walks its
+// own parts through the ordinary streaming depth-first pipeline with a
+// private slot row. A merger emits the buffered solutions in part order,
+// so downstream consumers (DISTINCT, LIMIT, aggregation) observe one
+// solution order at every worker count. Everything else — UNION branches,
+// property-path closures — runs on the serial pipeline: measured end to
+// end, fanning those out never beat it (DESIGN.md "Parallel execution").
 //
 // Streaming semantics survive: ASK stops all workers at the first emitted
 // solution, LIMIT-without-ORDER-BY stops after N merged rows, and context
@@ -35,10 +37,10 @@ type ParOptions struct {
 	// MaxWorkers caps the worker pool (default: GOMAXPROCS, read when the
 	// plan is built). 1 disables parallel execution.
 	MaxWorkers int
-	// MorselSize is the number of first-step candidate triples per morsel
-	// (default 256): large enough that per-morsel overhead (one buffer,
-	// one channel send) is noise against hundreds of index probes, small
-	// enough that a skewed candidate's work spreads across workers.
+	// MorselSize is the number of first-step matches per morsel (default
+	// 256): large enough that per-morsel overhead (one key sort, one
+	// channel send) is noise against hundreds of index probes, small
+	// enough that a skewed key range's work spreads across workers.
 	MorselSize int
 	// SerialThreshold is the estimated row count below which execution
 	// stays serial (default 4096): fan-out costs two goroutine wakeups
@@ -69,17 +71,18 @@ func (o ParOptions) normalized() ParOptions {
 // Plan.String and acted on by the evaluator's runRoot.
 type parDecision struct {
 	workers int     // 0 = serial
-	morsel  int     // candidate triples per morsel
+	morsel  int     // first-step matches per morsel
 	est     float64 // estimate that justified the choice
 }
 
 // decidePar decides whether the plan's root group runs as a morsel scan.
-// Only executable plans (src and dict present) with a worker budget of at
-// least 2 whose root group starts with a large enough triple-pattern scan
-// parallelize; everything else — including every Explain-only plan and
-// every plan starting with a property path (the path engine materializes
-// endpoint pairs itself, so morsels cannot partition it) — keeps the
-// zero-value decision, serial.
+// Only executable plans (src and dict present) over a store.View, whose
+// matches split into parts, with a worker budget of at least 2 and a root
+// group that starts with a large enough triple-pattern scan parallelize;
+// everything else — including every
+// Explain-only plan and every plan starting with a property path (the
+// path engine materializes endpoint pairs itself, so morsels cannot
+// partition it) — keeps the zero-value decision, serial.
 func (p *Plan) decidePar(o ParOptions) {
 	o = o.normalized()
 	if p.src == nil || p.dict == nil || o.MaxWorkers < 2 || len(p.root.steps) == 0 {
@@ -90,7 +93,7 @@ func (p *Plan) decidePar(o ParOptions) {
 		return
 	}
 	pp := st.patterns[0]
-	if pp.pk == pkPath || pp.est < float64(o.SerialThreshold) {
+	if _, ok := p.src.(*store.View); !ok || pp.pk == pkPath || pp.est < float64(o.SerialThreshold) {
 		return
 	}
 	w := min(int(math.Ceil(pp.est/float64(o.MorselSize))), o.MaxWorkers)
@@ -114,27 +117,27 @@ func (p *Plan) Parallelism() int {
 // cloned when it crossed a worker boundary; emit runs exclusively on the
 // calling goroutine, so downstream state (DISTINCT sets, LIMIT counters,
 // aggregation maps) needs no locking.
-func (ev *evaluator) runRoot(emit func(env) bool) {
+func (ev *evaluator) runRoot(emit func([]store.ID) bool) {
 	if ev.plan.par.workers > 1 {
 		ev.runMorselRoot(emit)
 		return
 	}
-	ev.runGroup(ev.plan.root, env{}, emit)
+	ev.runGroup(ev.plan.root, make([]store.ID, len(ev.plan.query.vars)), emit)
 }
 
-// runMorselRoot partitions the first join step's candidates into morsels
-// and fans them out. When the live candidate count undershoots the
-// plan-time estimate (stale statistics), it falls back to the serial
-// pipeline — correctness never depends on the estimate.
-func (ev *evaluator) runMorselRoot(emit func(env) bool) {
+// runMorselRoot splits the first join step's matches into parts and fans
+// them out. When the live matches fill fewer than two parts (stale
+// statistics), the calling goroutine scans them itself — correctness
+// never depends on the estimate.
+func (ev *evaluator) runMorselRoot(emit func([]store.ID) bool) {
 	p := ev.plan
-	bgp := p.root.steps[0].(*bgpStep)
-	pp := bgp.patterns[0]
-	sid, svar, ok := derefNode(pp.s, nil)
+	pp := p.root.steps[0].(*bgpStep).patterns[0]
+	row := make([]store.ID, len(p.query.vars))
+	sid, svar, ok := derefNode(pp.s, row)
 	if !ok {
 		return // constant unknown to the dictionary: zero matches
 	}
-	oid, ovar, ok := derefNode(pp.o, nil)
+	oid, ovar, ok := derefNode(pp.o, row)
 	if !ok {
 		return
 	}
@@ -146,78 +149,47 @@ func (ev *evaluator) runMorselRoot(emit func(env) bool) {
 		pid = pp.pid
 	}
 	if st := ev.stats; st != nil {
-		// The first pattern runs as one logical scan over the candidate
-		// set; its matches are counted per morsel as workers replay them.
-		// Its time is the whole scan's, collecting the candidates included.
+		// The first pattern runs as one logical scan over its matches,
+		// counted per part as the workers walk them. Its time is the
+		// whole scan's, the split included.
 		op := &st.ops[pp.si]
 		op.loops.Add(1)
 		start := time.Now()
 		defer func() { op.durNs.Add(int64(time.Since(start))) }()
 	}
-	cands := collectMatches(ev.src, sid, pid, oid)
-	msize := p.par.morsel
-	if len(cands) < 2*msize {
+	parts := p.src.(*store.View).Split(sid, pid, oid, p.par.morsel)
+	ntasks := parts.Len()
+	if ntasks < 2 {
 		obsParFallback.Inc()
-		ev.runMorsel(bgp, p.root, cands, svar, ovar, emit)
+		scan := ev.partScanner(p.root, row, parts, svar, ovar, emit)
+		for i := 0; i < ntasks && scan(i); i++ {
+		}
 		return
 	}
-	ntasks := (len(cands) + msize - 1) / msize
-	workers := p.par.workers
-	if workers > ntasks {
-		workers = ntasks
-	}
+	workers := min(p.par.workers, ntasks)
 	obsParExecMorsel.Inc()
 	obsParMorsels.Add(int64(ntasks))
 	obsParWorkers.Add(int64(workers))
 	ev.parWorkers, ev.parTasks = workers, ntasks
-	ev.orderedRun(workers, ntasks, func(wev *evaluator, task int, bufEmit func(env) bool) {
-		lo := task * msize
-		hi := min(lo+msize, len(cands))
-		wev.runMorsel(bgp, p.root, cands[lo:hi], svar, ovar, bufEmit)
+	ev.orderedRun(workers, ntasks, func(wev *evaluator, emit func([]store.ID) bool) func(int) bool {
+		return wev.partScanner(p.root, make([]store.ID, len(row)), parts, svar, ovar, emit)
 	}, emit)
 }
 
-// runMorsel runs the ordinary streaming pipeline over one slice of the
-// first pattern's candidate triples: it reproduces exactly what next(0)
-// does, except that the index enumeration is replaced by the slice.
-func (ev *evaluator) runMorsel(b *bgpStep, root *planGroup, cands []store.ETriple, svar, ovar string, emit func(env) bool) {
-	if len(cands) == 0 {
-		return
-	}
-	r := &bgpRun{ev: ev, b: b, s: env{}, emit: func(s env) bool {
+// partScanner returns the pipeline one goroutine runs over parts of the
+// driving scan: the root group over the goroutine's own row, with its
+// first pattern's index enumeration replaced by a part's triples. Built
+// once per goroutine, it scans a part without allocating.
+func (ev *evaluator) partScanner(root *planGroup, row []store.ID, parts *store.Parts, svar, ovar int, emit func([]store.ID) bool) func(task int) bool {
+	r := ev.newBGPRun(root.steps[0].(*bgpStep), row, func(s []store.ID) bool {
 		return ev.runSteps(root.steps, 1, s, emit)
-	}, frames: make([]bgpFrame, len(b.patterns))}
-	for i := range r.frames {
-		idx := i
-		r.frames[i].cb = func(t store.ETriple) bool { return r.onTriple(idx, t) }
-	}
-	f := &r.frames[0]
-	f.svar, f.ovar, f.cont = svar, ovar, true
-	f.pvarBound = false // a variable predicate is never bound at the root
-	for _, t := range cands {
-		if ev.err != nil || ev.stopped() {
-			return
-		}
-		if !r.onTriple(0, t) {
-			return
-		}
-	}
-}
-
-// collectMatches materializes the candidate triples of one pattern.
-// Sources implementing store.Matcher enumerate deterministically (index
-// order for slice-backed access paths, sorted-key order for map walks);
-// anything else falls back to one ForEach pass.
-func collectMatches(src store.Source, s, p, o store.ID) []store.ETriple {
-	if m, ok := src.(store.Matcher); ok {
-		return m.Matches(s, p, o)
-	}
-	out := make([]store.ETriple, 0, src.Count(s, p, o))
-	src.ForEach(s, p, o, func(t store.ETriple) bool {
-		out = append(out, t)
-		return true
 	})
-	return out
+	f := &r.frames[0]
+	f.svar, f.ovar = svar, ovar // a variable predicate is never bound at the root
+	return func(task int) bool {
+		f.cont = true
+		return parts.Scan(task, f.cb)
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -256,23 +228,25 @@ func (ev *evaluator) stopped() bool {
 	return ev.parStop != nil && ev.parStop.Load()
 }
 
-// orderedRun executes ntasks task bodies on a pool of workers and emits
-// their buffered solutions strictly in task order on the calling
-// goroutine. Tasks are claimed from an atomic counter; a semaphore keeps
-// at most 2×workers tasks materialized ahead of the merger, bounding
-// memory on large scans while keeping every worker busy. The function
-// returns only after every worker has exited (the cancellation
-// guarantee: no goroutine outlives the call).
-func (ev *evaluator) orderedRun(workers, ntasks int, task func(wev *evaluator, task int, emit func(env) bool), emit func(env) bool) {
+// orderedRun executes ntasks tasks on a pool of workers and emits their
+// buffered solutions strictly in task order on the calling goroutine;
+// newWorker builds one worker's task runner around the worker's
+// evaluator and buffering emit. Tasks are claimed from an atomic counter,
+// and a semaphore keeps at most inflight = 2×workers tasks materialized
+// ahead of the merger, bounding memory on large scans while keeping every
+// worker busy. The same bound lets task i hand its buffer over in slot
+// i mod inflight of a ring: task i is claimed only after the merger took
+// task i−inflight's buffer, so no task costs an allocation of its own.
+// The function returns only after every worker has exited (the
+// cancellation guarantee: no goroutine outlives the call).
+func (ev *evaluator) orderedRun(workers, ntasks int, newWorker func(wev *evaluator, emit func([]store.ID) bool) func(task int) bool, emit func([]store.ID) bool) {
 	pr := &parRun{abort: make(chan struct{})}
 	inflight := min(workers*2, ntasks)
 	sem := make(chan struct{}, inflight)
-	for i := 0; i < inflight; i++ {
+	ring := make([]chan [][]store.ID, inflight)
+	for i := range ring {
 		sem <- struct{}{}
-	}
-	results := make([]chan []env, ntasks)
-	for i := range results {
-		results[i] = make(chan []env, 1)
+		ring[i] = make(chan [][]store.ID, 1)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -281,6 +255,14 @@ func (ev *evaluator) orderedRun(workers, ntasks int, task func(wev *evaluator, t
 		go func() {
 			defer wg.Done()
 			wev := &evaluator{src: ev.src, dict: ev.dict, ctx: ev.ctx, parStop: &pr.stop, stats: ev.stats}
+			var buf [][]store.ID
+			run := newWorker(wev, func(s []store.ID) bool {
+				if pr.stop.Load() {
+					return false
+				}
+				buf = append(buf, slices.Clone(s))
+				return true
+			})
 			for {
 				select {
 				case <-sem:
@@ -294,27 +276,21 @@ func (ev *evaluator) orderedRun(workers, ntasks int, task func(wev *evaluator, t
 				if i >= ntasks {
 					return
 				}
-				var buf []env
-				task(wev, i, func(s env) bool {
-					if pr.stop.Load() {
-						return false
-					}
-					buf = append(buf, s.clone())
-					return true
-				})
+				run(i)
 				if wev.err != nil {
 					pr.fail(wev.err)
 					return
 				}
-				results[i] <- buf
+				ring[i%inflight] <- buf
+				buf = nil
 			}
 		}()
 	}
 merge:
 	for i := 0; i < ntasks; i++ {
-		var buf []env
+		var buf [][]store.ID
 		select {
-		case buf = <-results[i]:
+		case buf = <-ring[i%inflight]:
 		case <-pr.abort:
 			break merge
 		}

@@ -259,52 +259,93 @@ func TestParallelSelection(t *testing.T) {
 	}
 }
 
+// viewFixture is typedFixture's graph read through a two-member view, the
+// shape of every /api/query and rulebase SEM_MATCH: a second model repeats
+// every third subject's dm:hasName triple and gives every fifth subject a
+// name of its own.
+func viewFixture(t testing.TB, n int) (store.Source, *store.Dict) {
+	t.Helper()
+	st := store.New()
+	var base, second []rdf.Triple
+	for i := 0; i < n; i++ {
+		s := rdf.IRI(fmt.Sprintf("http://d/s%05d", i))
+		name := rdf.T(s, rdf.HasName, rdf.Literal(fmt.Sprintf("n%d", i%17)))
+		base = append(base, rdf.T(s, rdf.Type, rdf.IRI("http://d/C")), name)
+		if i%2 == 0 {
+			base = append(base, rdf.T(s, rdf.Type, rdf.IRI("http://d/C2")))
+		}
+		if i%3 == 0 {
+			second = append(second, name)
+		}
+		if i%5 == 0 {
+			second = append(second, rdf.T(s, rdf.HasName, rdf.Literal(fmt.Sprintf("N1x%d", i))))
+		}
+	}
+	st.AddAll("m", base)
+	st.AddAll("m2", second)
+	return st.ViewOf("m", "m2"), st.Dict()
+}
+
 // TestParallelFilteredDrivingPattern: a FILTER pushed onto the pattern
-// the morsel scan drives runs inside every worker — each with its own
-// scratch binding — and the rows are the naive evaluator's, in one order
-// at every worker count (the scan's candidates come sorted from
-// store.Matcher; the serial walk of the same index map has no fixed
-// order). Under -race this is the check that the filter loop shares
-// nothing.
+// the morsel scan drives runs inside every worker — each reading its own
+// slot row — and the rows are the naive evaluator's, without duplicates,
+// in one order at every worker count (the parts walk their key ranges
+// sorted; the serial walk of the same index map has no fixed order). The
+// two-member view also checks that a triple the second member repeats is
+// reported once. Under -race this is the check that the filter loop
+// shares nothing.
 func TestParallelFilteredDrivingPattern(t *testing.T) {
-	src, dict := typedFixture(t, 600)
-	for _, filter := range []string{
-		`regex(?n, "N1", "i")`, // literal kernel
-		`regex(?n, "^n1[0-6]$")`,
-		`CONTAINS(?n, "1") && ?s != <http://d/s00001>`,
-	} {
-		q := sparql.MustParse(`SELECT ?s ?n ?c WHERE {
-			?s <` + rdf.RDFType + `> ?c .
-			?s <` + rdf.MDWHasName + `> ?n .
-			FILTER (` + filter + `) }`)
-		naive, err := q.ExecNaive(src, dict)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := rowKeys(naive)
-		if len(want) == 0 {
-			t.Fatalf("%s keeps no row", filter)
-		}
-		var first []string
-		for _, workers := range parLevels() {
-			p := q.PlanOpts(src, dict, forcedPar(workers))
-			if out := p.String(); !strings.Contains(out, "1. ?s dm:hasName ?n") {
-				t.Fatalf("%s: the filtered pattern must drive the scan:\n%s", filter, out)
-			}
-			res, err := runPlan(context.Background(), p)
+	one, oneDict := typedFixture(t, 600)
+	view, viewDict := viewFixture(t, 600)
+	for _, in := range []struct {
+		name string
+		src  store.Source
+		dict *store.Dict
+	}{{"one model", one, oneDict}, {"two-member view", view, viewDict}} {
+		for _, filter := range []string{
+			`regex(?n, "N1", "i")`, // literal kernel
+			`regex(?n, "^n1[0-6]$")`,
+			`CONTAINS(?n, "1") && ?s != <http://d/s00001>`,
+		} {
+			q := sparql.MustParse(`SELECT ?s ?n ?c WHERE {
+				?s <` + rdf.RDFType + `> ?c .
+				?s <` + rdf.MDWHasName + `> ?n .
+				FILTER (` + filter + `) }`)
+			naive, err := q.ExecNaive(in.src, in.dict)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := rowKeys(res); !sameMultiset(got, want) {
-				t.Errorf("%s, %d workers: %d rows, naive evaluator has %d", filter, workers, len(got), len(want))
+			want := rowKeys(naive)
+			if len(want) == 0 {
+				t.Fatalf("%s: %s keeps no row", in.name, filter)
 			}
-			if workers < 2 {
-				continue
-			}
-			if got := rowStrings(res); first == nil {
-				first = got
-			} else if !reflect.DeepEqual(got, first) {
-				t.Errorf("%s, %d workers: row order differs from the first parallel run", filter, workers)
+			var first []string
+			for _, workers := range parLevels() {
+				p := q.PlanOpts(in.src, in.dict, forcedPar(workers))
+				if out := p.String(); !strings.Contains(out, "1. ?s dm:hasName ?n") {
+					t.Fatalf("%s, %s: the filtered pattern must drive the scan:\n%s", in.name, filter, out)
+				}
+				res, err := runPlan(context.Background(), p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := rowKeys(res)
+				if !sameMultiset(got, want) {
+					t.Errorf("%s, %s, %d workers: %d rows, naive evaluator has %d", in.name, filter, workers, len(got), len(want))
+				}
+				for i := 1; i < len(got); i++ {
+					if got[i] == got[i-1] {
+						t.Errorf("%s, %s, %d workers: row %s twice", in.name, filter, workers, got[i])
+					}
+				}
+				if workers < 2 {
+					continue
+				}
+				if got := rowStrings(res); first == nil {
+					first = got
+				} else if !reflect.DeepEqual(got, first) {
+					t.Errorf("%s, %s, %d workers: row order differs from the first parallel run", in.name, filter, workers)
+				}
 			}
 		}
 	}

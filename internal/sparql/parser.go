@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -52,6 +53,16 @@ type qparser struct {
 	toks     []token
 	pos      int
 	prefixes map[string]string
+	vars     []string // Query.vars: every variable, numbered by first mention
+}
+
+// slot returns the variable's slot, numbering it if it is new.
+func (p *qparser) slot(name string) int {
+	if i := slices.Index(p.vars, name); i >= 0 {
+		return i
+	}
+	p.vars = append(p.vars, name)
+	return len(p.vars) - 1
 }
 
 func (p *qparser) peek() token { return p.toks[p.pos] }
@@ -79,6 +90,12 @@ func (p *qparser) keyword(kw string) bool {
 
 func (p *qparser) query() (*Query, error) {
 	q := &Query{Limit: -1, Prefixes: p.prefixes}
+	for _, t := range p.toks {
+		if t.kind == tkVar {
+			p.slot(t.text)
+		}
+	}
+	q.vars = p.vars
 	for p.keyword("PREFIX") {
 		if err := p.prefixDecl(); err != nil {
 			return nil, err

@@ -74,15 +74,16 @@ type patternPlan struct {
 	s, o nodeRef
 	pk   pathKind
 	pid  store.ID // pk == pkSimple: the predicate's ID, Wildcard when the dictionary lacks it
-	pvar string   // pk == pkVar: the predicate variable's name
+	pvar int      // pk == pkVar: the predicate variable's slot
 	// si is the operator's stat slot (assignStatSlots).
 	si int
 }
 
-// nodeRef is a subject/object position resolved at plan time: either a
-// variable (name != "") or a constant with its dictionary ID.
+// nodeRef is a subject/object position resolved at plan time: a
+// variable's slot in the solution row, or (slot -1) a constant with its
+// dictionary ID.
 type nodeRef struct {
-	name  string   // variable name; "" for constants
+	slot  int      // variable's slot; -1 for constants
 	id    store.ID // constant's ID (meaningless for variables)
 	known bool     // constant exists in the dictionary
 }
@@ -128,19 +129,15 @@ type plannedConstraint struct {
 	filter *Filter       // plain filter (nil when exists is set)
 	exists *ExistsFilter // (NOT) EXISTS constraint
 	group  *planGroup    // planned body of the exists pattern
-	// vars lists every variable the filter expression references; the
-	// executor decodes exactly these into its scratch Binding instead of
-	// rebuilding a full Binding per solution.
-	vars []string
 	// need lists the variables that must be bound before the constraint
 	// may run (variables the enclosing group can still bind later).
 	need []string
 	// pushed records whether the constraint runs before group end.
 	pushed bool
 	// ID-level equality fast path for ?x = <iri> / ?x != <iri>: when
-	// fastVar is non-empty the constraint compares dictionary IDs and
-	// skips term decoding entirely.
-	fastVar   string
+	// fastSlot is a variable's slot (not -1) the constraint compares
+	// dictionary IDs and skips term decoding entirely.
+	fastSlot  int
 	fastID    store.ID
 	fastKnown bool // constant IRI exists in the dictionary
 	fastNeg   bool // != instead of =
@@ -226,8 +223,8 @@ func (pl *planner) group(g *GroupPattern, certainIn varset) (*planGroup, varset)
 				bindable = varset{}
 				collectBindableVars(g, bindable)
 			}
-			c := &plannedConstraint{filter: e, vars: exprVars(e.Expr)}
-			for _, v := range c.vars {
+			c := &plannedConstraint{filter: e, fastSlot: -1}
+			for _, v := range exprVars(e.Expr) {
 				if bindable[v] {
 					c.need = append(c.need, v)
 				}
@@ -507,16 +504,16 @@ func (jo *joinOrder) visit(depth int, card, cost float64, seed bool) {
 // resolvePattern resolves the pattern's constant terms and predicate
 // against the dictionary once, at plan time.
 func (pl *planner) resolvePattern(pp *patternPlan) {
-	tp := pp.tp
+	tp, q := pp.tp, pl.plan.query
 	resolve := func(n NodePattern) nodeRef {
 		if n.IsVar() {
-			return nodeRef{name: n.Var}
+			return nodeRef{slot: q.slot(n.Var)}
 		}
 		if pl.dict == nil {
-			return nodeRef{}
+			return nodeRef{slot: -1}
 		}
 		id, ok := pl.dict.Lookup(n.Term)
-		return nodeRef{id: id, known: ok}
+		return nodeRef{slot: -1, id: id, known: ok}
 	}
 	pp.s = resolve(tp.S)
 	pp.o = resolve(tp.O)
@@ -528,7 +525,7 @@ func (pl *planner) resolvePattern(pp *patternPlan) {
 		}
 	case PathVar:
 		pp.pk = pkVar
-		pp.pvar = p.Name
+		pp.pvar = q.slot(p.Name)
 	default:
 		pp.pk = pkPath
 	}
@@ -555,7 +552,7 @@ func (pl *planner) detectFastPath(c *plannedConstraint) {
 	if !vok || !kok || !k.term.IsIRI() {
 		return
 	}
-	c.fastVar = v.name
+	c.fastSlot = v.slot
 	c.fastNeg = cmp.op == "!="
 	c.fastID, c.fastKnown = pl.dict.Lookup(k.term)
 }
@@ -945,7 +942,7 @@ func (p *Plan) renderConstraint(b *strings.Builder, c *plannedConstraint, depth 
 		return
 	}
 	note := ""
-	if c.fastVar != "" {
+	if c.fastSlot >= 0 {
 		note = ", ID fast path"
 	}
 	fmt.Fprintf(b, "%sFILTER %s (%s%s)%s\n", pad, exprString(c.filter.Expr), where, note, constraintLabel(c, rec))

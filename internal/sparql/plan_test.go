@@ -323,18 +323,31 @@ func runPlan(p *Plan) (*Result, error) {
 // short scan does.
 func TestFilteredScanAllocations(t *testing.T) {
 	q := MustParse(`SELECT ?o WHERE { ?o <` + rdf.MDWHasName + `> ?t FILTER regex(?t, "no such name", "i") }`)
-	allocs := func(n int) float64 {
-		src, dict := namesFixture(n)
-		p := q.PlanOpts(src, dict, ParOptions{MaxWorkers: 1})
-		return testing.AllocsPerRun(5, func() {
-			if res, err := runPlan(p); err != nil || len(res.Rows) != 0 {
-				t.Fatalf("rows = %d, err = %v", len(res.Rows), err)
+	for _, c := range []struct {
+		name string
+		par  ParOptions
+	}{
+		{"serial", ParOptions{MaxWorkers: 1}},
+		// Two workers over 8-triple morsels: the morsels, and with them
+		// the parts, grow tenfold with the rows.
+		{"parallel", ParOptions{MaxWorkers: 2, MorselSize: 8, SerialThreshold: 1}},
+	} {
+		allocs := func(n int) float64 {
+			src, dict := namesFixture(n)
+			p := q.PlanOpts(src, dict, c.par)
+			if c.par.MaxWorkers > 1 && p.Parallelism() < 2 {
+				t.Fatalf("%s: plan is not a morsel scan:\n%s", c.name, p)
 			}
-		})
-	}
-	small, large := allocs(1_000), allocs(10_000)
-	t.Logf("allocs: %.0f for 1k rows, %.0f for 10k", small, large)
-	if large > small+2 {
-		t.Errorf("allocations grow with rows filtered out: %.0f for 1k rows, %.0f for 10k", small, large)
+			return testing.AllocsPerRun(5, func() {
+				if res, err := runPlan(p); err != nil || len(res.Rows) != 0 {
+					t.Fatalf("rows = %d, err = %v", len(res.Rows), err)
+				}
+			})
+		}
+		small, large := allocs(1_000), allocs(10_000)
+		t.Logf("%s allocs: %.0f for 1k rows, %.0f for 10k", c.name, small, large)
+		if large > small+2 {
+			t.Errorf("%s: allocations grow with rows filtered out: %.0f for 1k rows, %.0f for 10k", c.name, small, large)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package sparql
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"mdw/internal/rdf"
 	"mdw/internal/store"
@@ -14,7 +15,20 @@ import (
 // intermediate solution set is materialized. It is deliberately simple —
 // simple enough to trust — and the differential harness executes every
 // generated query through both ExecNaive and the planner to assert they
-// agree.
+// agree. Its solutions are string-keyed maps of its own (env), so the
+// oracle shares no representation with the slot rows of the engine it
+// checks.
+
+// env is a variable assignment at the dictionary-ID level, keyed by name.
+type env map[string]store.ID
+
+func (e env) clone() env {
+	c := make(env, len(e)+2)
+	for k, v := range e {
+		c[k] = v
+	}
+	return c
+}
 
 // ExecNaive runs the query with the reference evaluator: no statistics,
 // no filter pushdown, no streaming. Production callers want Run; this
@@ -29,9 +43,9 @@ func (q *Query) ExecNaive(src store.Source, dict *store.Dict) (*Result, error) {
 		return &Result{Ask: len(sols) > 0}, nil
 	}
 	if q.Kind == ConstructQuery {
-		return ev.construct(q, sols)
+		return ev.naiveConstruct(q, sols), nil
 	}
-	return ev.project(q, sols)
+	return ev.naiveProject(q, sols), nil
 }
 
 // group evaluates a group pattern against the given input solutions.
@@ -204,6 +218,23 @@ func (ev *evaluator) triple(tp *TriplePattern, sols []env) ([]env, error) {
 	return ev.pathTriple(tp, sols)
 }
 
+// resolveNode turns a node pattern into (boundID, varName). boundID is
+// Wildcard when the node is an unbound variable; ok is false when the
+// node is a constant unknown to the dictionary (no match possible).
+func (ev *evaluator) resolveNode(n NodePattern, s env) (id store.ID, varName string, ok bool) {
+	if n.IsVar() {
+		if v, bound := s[n.Var]; bound {
+			return v, "", true
+		}
+		return store.Wildcard, n.Var, true
+	}
+	id, found := ev.dict.Lookup(n.Term)
+	if !found {
+		return 0, "", false
+	}
+	return id, "", true
+}
+
 // varPredTriple matches a pattern whose predicate is a variable.
 func (ev *evaluator) varPredTriple(tp *TriplePattern, pvar string, sols []env) ([]env, error) {
 	var out []env
@@ -314,4 +345,177 @@ func (ev *evaluator) pathTriple(tp *TriplePattern, sols []env) ([]env, error) {
 		}
 	}
 	return out, nil
+}
+
+// naiveConstruct instantiates the CONSTRUCT template once per solution.
+// Instantiations with unbound variables or a literal subject are skipped,
+// per the SPARQL specification.
+func (ev *evaluator) naiveConstruct(q *Query, sols []env) *Result {
+	var out []rdf.Triple
+	for _, s := range sols {
+		for _, tp := range q.Template {
+			subj, ok := ev.naiveInstantiate(tp.S, s)
+			if !ok || subj.IsLiteral() {
+				continue
+			}
+			var pred rdf.Term
+			switch p := tp.P.(type) {
+			case PathIRI:
+				pred = rdf.IRI(p.IRI)
+			case PathVar:
+				id, bound := s[p.Name]
+				if !bound {
+					continue
+				}
+				pred = ev.dict.Term(id)
+				if !pred.IsIRI() {
+					continue
+				}
+			default:
+				continue
+			}
+			obj, ok := ev.naiveInstantiate(tp.O, s)
+			if !ok {
+				continue
+			}
+			out = append(out, rdf.T(subj, pred, obj))
+		}
+	}
+	rdf.SortTriples(out)
+	out = rdf.DedupTriples(out)
+	return &Result{Triples: out}
+}
+
+func (ev *evaluator) naiveInstantiate(n NodePattern, s env) (rdf.Term, bool) {
+	if !n.IsVar() {
+		return n.Term, true
+	}
+	id, ok := s[n.Var]
+	if !ok {
+		return rdf.Term{}, false
+	}
+	return ev.dict.Term(id), true
+}
+
+// naiveProject applies grouping, aggregation, DISTINCT, ORDER BY, and
+// LIMIT/OFFSET, producing the final result table.
+func (ev *evaluator) naiveProject(q *Query, sols []env) *Result {
+	items := q.Select
+	if len(items) == 0 {
+		// SELECT *: project every variable seen in any solution.
+		seen := map[string]bool{}
+		var vars []string
+		for _, s := range sols {
+			for v := range s {
+				if !seen[v] {
+					seen[v] = true
+					vars = append(vars, v)
+				}
+			}
+		}
+		sort.Strings(vars)
+		for _, v := range vars {
+			items = append(items, SelectItem{Var: v})
+		}
+	}
+
+	hasAgg := false
+	for _, it := range items {
+		if it.Agg != nil {
+			hasAgg = true
+		}
+	}
+
+	var rows []Binding
+	var vars []string
+	for _, it := range items {
+		if it.Agg != nil {
+			vars = append(vars, it.Agg.As)
+		} else {
+			vars = append(vars, it.Var)
+		}
+	}
+
+	if hasAgg || len(q.GroupBy) > 0 {
+		rows = ev.naiveAggregate(q, items, sols)
+	} else {
+		for _, s := range sols {
+			b := make(Binding, len(items))
+			for _, it := range items {
+				if id, ok := s[it.Var]; ok {
+					b[it.Var] = ev.dict.Term(id)
+				}
+			}
+			rows = append(rows, b)
+		}
+	}
+
+	if q.Distinct {
+		rows = distinctRows(vars, rows)
+	}
+	return window(q, vars, rows)
+}
+
+func (ev *evaluator) naiveAggregate(q *Query, items []SelectItem, sols []env) []Binding {
+	type groupState struct {
+		rep     env
+		members []env
+	}
+	groups := map[string]*groupState{}
+	var order []string
+	for _, s := range sols {
+		var key strings.Builder
+		for _, gv := range q.GroupBy {
+			fmt.Fprintf(&key, "%d|", s[gv])
+		}
+		k := key.String()
+		g, ok := groups[k]
+		if !ok {
+			g = &groupState{rep: s}
+			groups[k] = g
+			order = append(order, k)
+		}
+		g.members = append(g.members, s)
+	}
+	// With no solutions and no GROUP BY, aggregates still yield one row.
+	if len(order) == 0 && len(q.GroupBy) == 0 {
+		groups[""] = &groupState{rep: env{}}
+		order = append(order, "")
+	}
+
+	var rows []Binding
+	for _, k := range order {
+		g := groups[k]
+		b := Binding{}
+		for _, it := range items {
+			if it.Agg == nil {
+				if id, ok := g.rep[it.Var]; ok {
+					b[it.Var] = ev.dict.Term(id)
+				}
+				continue
+			}
+			n := 0
+			switch {
+			case it.Agg.Var == "":
+				n = len(g.members)
+			case it.Agg.Distinct:
+				seen := map[store.ID]bool{}
+				for _, m := range g.members {
+					if id, ok := m[it.Agg.Var]; ok && !seen[id] {
+						seen[id] = true
+						n++
+					}
+				}
+			default:
+				for _, m := range g.members {
+					if _, ok := m[it.Agg.Var]; ok {
+						n++
+					}
+				}
+			}
+			b[it.Agg.As] = rdf.Integer(int64(n))
+		}
+		rows = append(rows, b)
+	}
+	return rows
 }

@@ -35,7 +35,7 @@ func TestNoPerQueryCaches(t *testing.T) {
 		v    any
 		want []string
 	}{
-		{&Query{}, []string{"Kind", "Prefixes", "Text", "Distinct", "Select", "Template", "Where", "GroupBy", "OrderBy", "Limit", "Offset", "cachedFp"}},
+		{&Query{}, []string{"Kind", "Prefixes", "Text", "Distinct", "Select", "Template", "Where", "GroupBy", "OrderBy", "Limit", "Offset", "vars", "cachedFp"}},
 		{&Plan{}, []string{"query", "root", "src", "dict", "warnings", "par", "nstats"}},
 	} {
 		typ := reflect.TypeOf(c.v).Elem()

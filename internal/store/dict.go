@@ -9,8 +9,8 @@
 package store
 
 import (
-	"slices"
 	"sync"
+	"sync/atomic"
 
 	"mdw/internal/rdf"
 )
@@ -23,18 +23,31 @@ type ID uint32
 const Wildcard ID = 0
 
 // Dict interns rdf.Term values to dense integer IDs. It is safe for
-// concurrent use. Interning is shared across all models of a Store so a
-// term has one identity everywhere, mirroring the single value table
-// underneath Oracle's RDF models.
+// concurrent use, and Term takes no lock. Interning is shared across all
+// models of a Store so a term has one identity everywhere, mirroring the
+// single value table underneath Oracle's RDF models.
 type Dict struct {
-	mu    sync.RWMutex
-	ids   map[rdf.Term]ID
-	terms []rdf.Term // terms[id-1] is the term for id
+	mu  sync.RWMutex
+	ids map[rdf.Term]ID
+	n   int // terms interned, under mu
+	// chunks is the term table: the term for id is entry id-1 of the
+	// chunks laid end to end. Intern fills the last chunk in place under mu
+	// and, when it is full, publishes a directory one chunk longer. A term
+	// never moves once written, so Term reads without a lock, and growing
+	// the table never copies a term.
+	chunks atomic.Pointer[[]*termChunk]
 }
+
+// chunkBits sizes the term table's chunks at 1 << chunkBits terms.
+const chunkBits = 10
+
+type termChunk [1 << chunkBits]rdf.Term
 
 // NewDict returns an empty dictionary.
 func NewDict() *Dict {
-	return &Dict{ids: make(map[rdf.Term]ID)}
+	d := &Dict{ids: make(map[rdf.Term]ID)}
+	d.chunks.Store(new([]*termChunk))
+	return d
 }
 
 // Intern returns the ID for term, assigning a fresh one if necessary.
@@ -50,8 +63,16 @@ func (d *Dict) Intern(t rdf.Term) ID {
 	if id, ok = d.ids[t]; ok {
 		return id
 	}
-	d.terms = append(d.terms, t)
-	id = ID(len(d.terms))
+	chunks := *d.chunks.Load()
+	if d.n>>chunkBits == len(chunks) {
+		// A reader indexes a directory only below its own length, so
+		// appending in place past it is safe.
+		chunks = append(chunks, new(termChunk))
+		d.chunks.Store(&chunks)
+	}
+	chunks[d.n>>chunkBits][d.n&(1<<chunkBits-1)] = t
+	d.n++
+	id = ID(d.n)
 	d.ids[t] = id
 	return id
 }
@@ -65,12 +86,13 @@ func (d *Dict) Lookup(t rdf.Term) (ID, bool) {
 	return id, ok
 }
 
-// Term returns the term for id. It panics if id was never assigned, which
-// indicates a logic error in the caller (IDs only come from this Dict).
+// Term returns the term for id, without a lock: whoever holds id learned
+// it after Intern wrote the term (IDs only come from this Dict, through
+// data published after the interning). An id never assigned is a logic
+// error in the caller; Term panics or returns the zero Term.
 func (d *Dict) Term(id ID) rdf.Term {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.terms[id-1]
+	i := int(id) - 1
+	return (*d.chunks.Load())[i>>chunkBits][i&(1<<chunkBits-1)]
 }
 
 // Len returns the number of terms interned so far, which is also the
@@ -78,7 +100,7 @@ func (d *Dict) Term(id ID) rdf.Term {
 func (d *Dict) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.terms)
+	return d.n
 }
 
 // Since returns a copy of the term table from ID n+1 on, in ID order:
@@ -90,5 +112,9 @@ func (d *Dict) Len() int {
 func (d *Dict) Since(n int) []rdf.Term {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return slices.Clone(d.terms[n:])
+	out := make([]rdf.Term, 0, d.n-n)
+	for id := n + 1; id <= d.n; id++ {
+		out = append(out, d.Term(ID(id)))
+	}
+	return out
 }

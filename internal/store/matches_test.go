@@ -1,11 +1,14 @@
 package store
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
-// collectForEach gathers ForEach's stream for comparison with Matches.
+// collectForEach gathers ForEach's stream for comparison with Split.
 func collectForEach(src Source, s, p, o ID) []ETriple {
 	var out []ETriple
 	src.ForEach(s, p, o, func(t ETriple) bool {
@@ -64,24 +67,61 @@ func matchPatterns() [][3]ID {
 	}
 }
 
+// partSizes are the part sizes every split is taken at: one triple, a
+// few, and more than a model holds.
+var partSizes = []int{1, 7, 1000}
+
+// scanAll enumerates every part of the split, one after another.
+func scanAll(ps *Parts) []ETriple {
+	var out []ETriple
+	for i := 0; i < ps.Len(); i++ {
+		ps.Scan(i, func(t ETriple) bool {
+			out = append(out, t)
+			return true
+		})
+	}
+	return out
+}
+
+// scanConcurrently scans every part on a goroutine of its own and
+// concatenates the parts in order, as the morsel scan's merger does.
+func scanConcurrently(ps *Parts) []ETriple {
+	bufs := make([][]ETriple, ps.Len())
+	var wg sync.WaitGroup
+	for i := range bufs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ps.Scan(i, func(t ETriple) bool {
+				bufs[i] = append(bufs[i], t)
+				return true
+			})
+		}(i)
+	}
+	wg.Wait()
+	return slices.Concat(bufs...)
+}
+
 func TestModelMatchesAgreesWithForEach(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := randomModel(rng, 400)
 	for _, pat := range matchPatterns() {
-		got := m.Matches(pat[0], pat[1], pat[2])
 		want := collectForEach(m, pat[0], pat[1], pat[2])
-		if !sameTriples(got, want) {
-			t.Errorf("Matches(%v) multiset differs from ForEach: got %d triples, want %d",
-				pat, len(got), len(want))
-		}
-		if len(got) != m.Count(pat[0], pat[1], pat[2]) {
-			t.Errorf("Matches(%v) length %d != Count %d", pat, len(got), m.Count(pat[0], pat[1], pat[2]))
+		for _, size := range partSizes {
+			got := scanAll(NewView(m).Split(pat[0], pat[1], pat[2], size))
+			if !sameTriples(got, want) {
+				t.Errorf("Split(%v, %d) multiset differs from ForEach: got %d triples, want %d",
+					pat, size, len(got), len(want))
+			}
+			if len(got) != m.Count(pat[0], pat[1], pat[2]) {
+				t.Errorf("Split(%v, %d) length %d != Count %d", pat, size, len(got), m.Count(pat[0], pat[1], pat[2]))
+			}
 		}
 	}
 }
 
-// The slice-backed access paths must preserve ForEach's exact order —
-// the morsel scan's deterministic-order guarantee builds on it.
+// The slice-backed access paths keep ForEach's exact order at every part
+// size — the morsel scan's order there is the serial pipeline's.
 func TestModelMatchesSliceOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	m := randomModel(rng, 400)
@@ -90,38 +130,36 @@ func TestModelMatchesSliceOrder(t *testing.T) {
 		{Wildcard, 101, 205},
 		{3, Wildcard, 205},
 	} {
-		got := m.Matches(pat[0], pat[1], pat[2])
 		want := collectForEach(m, pat[0], pat[1], pat[2])
-		if len(got) != len(want) {
-			t.Fatalf("Matches(%v) length %d != ForEach %d", pat, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("Matches(%v) order diverges from ForEach at %d: %v vs %v",
-					pat, i, got[i], want[i])
+		for _, size := range partSizes {
+			if got := scanAll(NewView(m).Split(pat[0], pat[1], pat[2], size)); !slices.Equal(got, want) {
+				t.Fatalf("Split(%v, %d) order diverges from ForEach: %v vs %v", pat, size, got, want)
 			}
 		}
 	}
 }
 
-// Map-walked access paths must at least be stable call over call (Go map
-// ranges are not), since parallel execution replays them.
+// Map-walked access paths enumerate in one order, their walked keys
+// ascending, whatever the part size and whether the parts are scanned one
+// after another or concurrently (Go map ranges are not stable, and
+// parallel execution replays the parts in order).
 func TestModelMatchesDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m := randomModel(rng, 400)
 	for _, pat := range matchPatterns() {
-		a := m.Matches(pat[0], pat[1], pat[2])
+		a := scanAll(NewView(m).Split(pat[0], pat[1], pat[2], 1000))
 		for round := 0; round < 3; round++ {
-			b := m.Matches(pat[0], pat[1], pat[2])
-			if len(a) != len(b) {
-				t.Fatalf("Matches(%v) length varies across calls", pat)
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("Matches(%v) order varies across calls at index %d", pat, i)
+			for _, size := range partSizes {
+				ps := NewView(m).Split(pat[0], pat[1], pat[2], size)
+				if b := scanConcurrently(ps); !slices.Equal(a, b) {
+					t.Fatalf("Split(%v, %d) order varies across calls and part sizes", pat, size)
 				}
 			}
 		}
+	}
+	byObject := func(x, y ETriple) int { return cmp.Compare(x.O, y.O) }
+	if ts := scanAll(NewView(m).Split(Wildcard, 101, Wildcard, 7)); !slices.IsSortedFunc(ts, byObject) {
+		t.Errorf("(?, p, ?) walks its objects out of order: %v", ts)
 	}
 }
 
@@ -131,18 +169,20 @@ func TestViewMatchesDedup(t *testing.T) {
 	m2 := randomModel(rng, 200) // same pools: heavy overlap
 	v := NewView(m1, m2)
 	for _, pat := range matchPatterns() {
-		got := v.Matches(pat[0], pat[1], pat[2])
 		want := collectForEach(v, pat[0], pat[1], pat[2])
-		if !sameTriples(got, want) {
-			t.Errorf("View.Matches(%v) multiset differs from View.ForEach: got %d, want %d",
-				pat, len(got), len(want))
-		}
-		seen := make(map[ETriple]bool, len(got))
-		for _, tr := range got {
-			if seen[tr] {
-				t.Fatalf("View.Matches(%v) reported %v twice", pat, tr)
+		for _, size := range partSizes {
+			got := scanConcurrently(v.Split(pat[0], pat[1], pat[2], size))
+			if !sameTriples(got, want) {
+				t.Errorf("View.Split(%v, %d) multiset differs from View.ForEach: got %d, want %d",
+					pat, size, len(got), len(want))
 			}
-			seen[tr] = true
+			seen := make(map[ETriple]bool, len(got))
+			for _, tr := range got {
+				if seen[tr] {
+					t.Fatalf("View.Split(%v, %d) reported %v twice", pat, size, tr)
+				}
+				seen[tr] = true
+			}
 		}
 	}
 }

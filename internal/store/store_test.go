@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -37,6 +38,58 @@ func TestDictNeverAssignsWildcard(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if id := d.Intern(iri(fmt.Sprintf("n%d", i))); id == Wildcard {
 			t.Fatal("dictionary assigned the wildcard ID")
+		}
+	}
+}
+
+// TestDictTermWhileInterning: readers decode the IDs a writer publishes
+// while it interns across several chunk boundaries — Term takes no lock —
+// and every term reads back exactly. The check is the race detector's.
+func TestDictTermWhileInterning(t *testing.T) {
+	d := NewDict()
+	const n = 4<<chunkBits + 100
+	name := func(id ID) rdf.Term { return iri(fmt.Sprintf("n%d", id)) }
+	var published atomic.Uint32
+	stop := make(chan struct{})
+	bad := make(chan string, 4)
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// The freshest IDs: those in the chunk being filled.
+				hi := ID(published.Load())
+				for id := hi; id > 0 && id+32 > hi; id-- {
+					if got := d.Term(id); got != name(id) {
+						bad <- fmt.Sprintf("Term(%d) = %v, want %v", id, got, name(id))
+						return
+					}
+				}
+			}
+		}()
+	}
+	for id := ID(1); id <= n; id++ {
+		if got := d.Intern(name(id)); got != id {
+			t.Errorf("Intern assigned %d, want %d", got, id)
+			break
+		}
+		published.Store(uint32(id))
+	}
+	close(stop)
+	wg.Wait()
+	close(bad)
+	for msg := range bad {
+		t.Error(msg)
+	}
+	for id := ID(1); id <= n; id++ {
+		if got := d.Term(id); got != name(id) {
+			t.Fatalf("after interning, Term(%d) = %v", id, got)
 		}
 	}
 }
