@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"fmt"
 	"testing"
 
 	"mdw/internal/rdf"
@@ -85,6 +86,35 @@ func TestConstructVariablePredicate(t *testing.T) {
 	}
 	if len(res.Triples) != 3 {
 		t.Fatalf("triples = %v", res.Triples)
+	}
+}
+
+func TestConstructUnboundPredicate(t *testing.T) {
+	st, src := fixture()
+	// ?p is never bound, or bound only where the OPTIONAL matched (the
+	// one column with a length): an instantiation with an unbound
+	// predicate is skipped, never emitted with an empty IRI.
+	for _, tc := range []struct {
+		q    string
+		want int
+	}{
+		{`PREFIX dm: <` + rdf.DMNS + `>
+			CONSTRUCT { ?s ?p ?o } WHERE { ?s dm:hasName ?o }`, 0},
+		{`PREFIX dm: <` + rdf.DMNS + `> PREFIX dt: <` + rdf.DTNS + `>
+			CONSTRUCT { ?s ?p ?o } WHERE { ?s dm:hasName ?o OPTIONAL { ?s dt:isMappedTo ?m . ?s ?p ?m } }`, 2},
+	} {
+		q := MustParse(tc.q)
+		got, err := run(q, src, st.Dict())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := q.ExecNaive(src, st.Dict())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Triples) != tc.want || fmt.Sprint(got.Triples) != fmt.Sprint(want.Triples) {
+			t.Errorf("%s:\n got %v\nwant %d: %v", tc.q, got.Triples, tc.want, want.Triples)
+		}
 	}
 }
 
