@@ -8,20 +8,19 @@
 //
 //	mdw generate     -scale small|paper -out DIR   write XML exports + ontology
 //	mdw search       [-data DIR] [flags] TERM      search the graph (§IV.A)
-//	mdw index        [-data DIR] [flags]           build/inspect the full-text index
 //	mdw lineage      [-data DIR] [flags] ITEM      trace provenance (§IV.B)
-//	mdw query        [-data DIR] [-explain] 'SPARQL'
+//	mdw query        [-data DIR] [-explain] [-facts-only] 'SPARQL'
 //	mdw explain      [-data DIR] [-analyze] 'SPARQL'|'SEM_MATCH(...)'  print (or run and annotate) the plan
 //	mdw semmatch     [-data DIR] 'SEM_MATCH(...)'  Oracle-style call (Listings 1/2)
-//	mdw audit        [-data DIR] ITEM              who can access the item
+//	mdw audit        [-data DIR] [-lineage=false] ITEM  who can access the item
 //	mdw impact       [-data-dir DIR] -from N -to M  release change impact
 //	mdw stats        [-data DIR] [-validate]       census + validation
-//	mdw learn-schema [-data DIR] [-migrate]        §VII schema learning
-//	mdw metrics      [-data DIR]                   workload + Prometheus metrics dump
-//	mdw top          [-data DIR | -url URL] [-n N] per-statement query statistics
+//	mdw learn-schema [-data DIR] [-min-instances N] [-migrate]  §VII schema learning
+//	mdw metrics      [-data DIR]                   sample workload + Prometheus metrics dump
+//	mdw top          [-data DIR | -url URL]        per-statement query statistics
 //	mdw checkpoint   [-url URL]                    force a durability checkpoint on a running mdwd
 //	mdw clone        [-data DIR | -url URL] [-src MODEL] DST  copy-on-write model clone
-//	mdw report       table1|subjects|scale|figure6|figure7|growth
+//	mdw report       [-scale small|paper] table1|subjects|scale|figure6|figure7|growth
 //
 // Without -data, commands operate on the built-in Figure 3 example
 // landscape, so every command works out of the box.
@@ -32,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	neturl "net/url"
@@ -56,7 +56,6 @@ import (
 	"mdw/internal/semmatch"
 	"mdw/internal/sparql"
 	"mdw/internal/staging"
-	"mdw/internal/textindex"
 )
 
 func main() {
@@ -68,7 +67,7 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		usage()
+		usage(os.Stderr)
 		return fmt.Errorf("missing command")
 	}
 	cmd, rest := args[0], args[1:]
@@ -77,8 +76,6 @@ func run(args []string) error {
 		return cmdGenerate(rest)
 	case "search":
 		return cmdSearch(rest)
-	case "index":
-		return cmdIndex(rest)
 	case "lineage":
 		return cmdLineage(rest)
 	case "query":
@@ -106,34 +103,33 @@ func run(args []string) error {
 	case "report":
 		return cmdReport(rest)
 	case "help", "-h", "--help":
-		usage()
+		usage(os.Stderr)
 		return nil
 	default:
-		usage()
+		usage(os.Stderr)
 		return fmt.Errorf("unknown command %q", cmd)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: mdw <command> [flags] [args]
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage: mdw <command> [flags] [args]
 
 commands:
-  generate   write a synthetic landscape (XML exports + ontology) to a directory
-  search     search the meta-data graph for a term (Section IV.A)
-  index      build the inverted full-text search index and inspect its vocabulary
-  lineage    trace the lineage of an information item (Section IV.B)
-  query      run a SPARQL query against the graph
-  explain    print the evaluation plan of a SPARQL query or SEM_MATCH call
-  semmatch   run an Oracle-style SEM_MATCH call (Listings 1 and 2)
-  audit      report which users and roles can access an information item
-  impact     analyze the downstream impact of changes between two releases
+  generate     write a synthetic landscape (XML exports + ontology) to a directory
+  search       search the meta-data graph for a term (Section IV.A)
+  lineage      trace the lineage of an information item (Section IV.B)
+  query        run a SPARQL query against the graph
+  explain      print the evaluation plan of a SPARQL query or SEM_MATCH call
+  semmatch     run an Oracle-style SEM_MATCH call (Listings 1 and 2)
+  audit        report which users and roles can access an information item
+  impact       analyze the downstream impact of changes between two releases
   stats        print graph statistics, the Table I census, and validation issues
   learn-schema derive a relational schema from the evolved graph (Section VII)
   metrics      run a sample workload and dump the collected metrics (Prometheus text)
   top          show per-statement query statistics, heaviest total time first
   checkpoint   force a durability checkpoint on a running mdwd (-data-dir mode)
   clone        clone a model copy-on-write under a new name (locally or on a running mdwd)
-  report       reproduce a paper artifact: table1, subjects, scale, figure6, figure7`)
+  report       reproduce a paper artifact: `+strings.Join(reportNames(), ", "))
 }
 
 // cmdGenerate writes a landscape to disk.
@@ -141,16 +137,12 @@ func cmdGenerate(args []string) error {
 	fs := flag.NewFlagSet("generate", flag.ContinueOnError)
 	scale := fs.String("scale", "small", "landscape scale: small or paper")
 	out := fs.String("out", "mdw-data", "output directory")
-	seed := fs.Int64("seed", 0, "override the generator seed (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	cfg, err := landscape.ScaleConfig(*scale)
 	if err != nil {
 		return err
-	}
-	if *seed != 0 {
-		cfg.Seed = *seed
 	}
 	l := landscape.Generate(cfg)
 	if err := os.MkdirAll(*out, 0o755); err != nil {
@@ -208,7 +200,6 @@ func cmdSearch(args []string) error {
 	semantic := fs.Bool("semantic", false, "expand the term with DBpedia synonyms")
 	desc := fs.Bool("desc", false, "also match descriptions")
 	tag := fs.String("tag", "", "restrict to items carrying this governance tag (e.g. pii)")
-	hits := fs.Int("hits", 5, "max instances listed per class group")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -225,7 +216,7 @@ func cmdSearch(args []string) error {
 		Semantic:          *semantic,
 		MatchDescriptions: *desc,
 		Tag:               *tag,
-		MaxHitsPerGroup:   *hits,
+		MaxHitsPerGroup:   5,
 	}
 	for _, c := range splitList(*classes) {
 		opt.FilterClasses = append(opt.FilterClasses, rdf.DMNS+c)
@@ -238,72 +229,10 @@ func cmdSearch(args []string) error {
 	return nil
 }
 
-// cmdIndex builds the full-text index and reports on it: overall size
-// counters, and on request slices of the vocabulary (prefix/substring
-// token lookups) or the literals matching a term.
-func cmdIndex(args []string) error {
-	fs := flag.NewFlagSet("index", flag.ContinueOnError)
-	data := fs.String("data", "", "data directory written by `mdw generate`")
-	prefix := fs.String("prefix", "", "list indexed tokens starting with this prefix")
-	contains := fs.String("contains", "", "list indexed tokens containing this substring")
-	term := fs.String("term", "", "show the literals matching this term")
-	limit := fs.Int("n", 20, "max tokens or matches listed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	w, err := buildWarehouse(*data)
-	if err != nil {
-		return err
-	}
-	ix, err := w.TextIndex()
-	if err != nil {
-		return err
-	}
-	st := ix.Stats()
-	fmt.Printf("model       %s\n", st.Model)
-	fmt.Printf("generation  %d\n", st.Gen)
-	fmt.Printf("predicates  %d\n", st.Predicates)
-	fmt.Printf("literals    %d\n", st.Literals)
-	fmt.Printf("tokens      %d\n", st.Tokens)
-	fmt.Printf("postings    %d\n", st.Postings)
-
-	capped := func(label string, toks []string) {
-		fmt.Printf("\n%d tokens %s\n", len(toks), label)
-		for i, t := range toks {
-			if i >= *limit {
-				fmt.Printf("  ... and %d more\n", len(toks)-*limit)
-				break
-			}
-			fmt.Printf("  %s\n", t)
-		}
-	}
-	if *prefix != "" {
-		capped(fmt.Sprintf("with prefix %q", *prefix), ix.TokensWithPrefix(*prefix))
-	}
-	if *contains != "" {
-		capped(fmt.Sprintf("containing %q", *contains), ix.TokensContaining(*contains))
-	}
-	if *term != "" {
-		dict := w.Store().Dict()
-		names := ix.Search(*term, textindex.FieldName)
-		descs := ix.Search(*term, textindex.FieldDescription)
-		fmt.Printf("\nterm %q: %d name matches, %d description matches\n", *term, len(names), len(descs))
-		for i, p := range names {
-			if i >= *limit {
-				fmt.Printf("  ... and %d more\n", len(names)-*limit)
-				break
-			}
-			fmt.Printf("  %-40s %s\n", dict.Term(p.Object).Value, rdf.QName(dict.Term(p.Subject).Value))
-		}
-	}
-	return nil
-}
-
 func cmdLineage(args []string) error {
 	fs := flag.NewFlagSet("lineage", flag.ContinueOnError)
 	data := fs.String("data", "", "data directory written by `mdw generate`")
 	dir := fs.String("dir", "backward", "traversal direction: backward (provenance) or forward (impact)")
-	depth := fs.Int("depth", 0, "maximum hops (0 = unbounded)")
 	level := fs.String("level", "attribute", "roll-up level: attribute, relation, schema, application")
 	rule := fs.String("rule", "", "only follow mappings whose rule contains this substring")
 	if err := fs.Parse(args); err != nil {
@@ -322,7 +251,7 @@ func cmdLineage(args []string) error {
 	} else if *dir != "backward" {
 		return fmt.Errorf("lineage: unknown direction %q", *dir)
 	}
-	opt := lineage.Options{MaxDepth: *depth}
+	var opt lineage.Options
 	if *rule != "" {
 		needle := *rule
 		opt.RuleFilter = func(r string) bool { return strings.Contains(r, needle) }
@@ -551,8 +480,8 @@ func cmdStats(args []string) error {
 func cmdLearnSchema(args []string) error {
 	fs := flag.NewFlagSet("learn-schema", flag.ContinueOnError)
 	data := fs.String("data", "", "data directory written by `mdw generate`")
-	minInstances := fs.Int("min-instances", 3, "skip classes with fewer direct instances")
-	minFill := fs.Float64("min-fill", 0.5, "skip properties used by less than this fraction of instances")
+	opt := schemalearn.DefaultOptions()
+	minInstances := fs.Int("min-instances", opt.MinInstances, "skip classes with fewer direct instances")
 	migrate := fs.Bool("migrate", false, "also migrate the instances into the learned tables")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -565,10 +494,8 @@ func cmdLearnSchema(args []string) error {
 	if err != nil {
 		return err
 	}
-	schema := schemalearn.Learn(src, w.Store().Dict(), schemalearn.Options{
-		MinInstances: *minInstances,
-		MinFill:      *minFill,
-	})
+	opt.MinInstances = *minInstances
+	schema := schemalearn.Learn(src, w.Store().Dict(), opt)
 	for _, ddl := range schema.DDL() {
 		fmt.Println(ddl)
 		fmt.Println()
@@ -590,14 +517,12 @@ func cmdLearnSchema(args []string) error {
 }
 
 // cmdMetrics exercises the warehouse with a small representative
-// workload — a search, a SPARQL query, a lineage trace — and dumps the
-// metrics the instrumented subsystems collected, in the Prometheus text
-// exposition format. With -workload=false it only loads the data and
-// dumps whatever the load alone produced (store and staging counters).
+// workload — a search, a SPARQL query, a lineage trace of the search's
+// first hit — and dumps the metrics the instrumented subsystems
+// collected, in the Prometheus text exposition format.
 func cmdMetrics(args []string) error {
 	fs := flag.NewFlagSet("metrics", flag.ContinueOnError)
 	data := fs.String("data", "", "data directory written by `mdw generate`")
-	workload := fs.Bool("workload", true, "run the sample search/query/lineage workload first")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -605,17 +530,17 @@ func cmdMetrics(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *workload {
-		if _, err := w.Search("customer", search.Options{}); err != nil {
-			return err
-		}
-		q := `PREFIX dm: <` + rdf.DMNS + `>
+	res, err := w.Search("customer", search.Options{})
+	if err != nil {
+		return err
+	}
+	q := `PREFIX dm: <` + rdf.DMNS + `>
 SELECT ?n WHERE { ?x a dm:Attribute . ?x dm:hasName ?n }`
-		if _, err := w.Query(context.Background(), q, core.QueryOptions{}); err != nil {
-			return err
-		}
-		item := staging.InstanceIRI("application1", "dwhdb", "mart", "v_customer", "customer_id")
-		if _, err := w.Lineage(item, lineage.Backward, lineage.Options{}); err != nil {
+	if _, err := w.Query(context.Background(), q, core.QueryOptions{}); err != nil {
+		return err
+	}
+	if len(res.Groups) > 0 && len(res.Groups[0].Hits) > 0 {
+		if _, err := w.Lineage(res.Groups[0].Hits[0].IRI, lineage.Backward, lineage.Options{}); err != nil {
 			return err
 		}
 	}
@@ -669,8 +594,6 @@ func cmdTop(args []string) error {
 	fs := flag.NewFlagSet("top", flag.ContinueOnError)
 	data := fs.String("data", "", "data directory written by `mdw generate`")
 	url := fs.String("url", "", "base URL of a running mdwd; fetch its /api/statements instead of replaying locally")
-	n := fs.Int("n", 10, "list at most this many statements")
-	runs := fs.Int("runs", 3, "repetitions of each workload query (local mode)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -690,18 +613,18 @@ func cmdTop(args []string) error {
 		if err := json.NewDecoder(resp.Body).Decode(&remote); err != nil {
 			return fmt.Errorf("top: decoding /api/statements: %w", err)
 		}
-		printStatements(remote.Statements, remote.Evicted, *n)
+		printStatements(remote.Statements, remote.Evicted)
 		return nil
 	}
 	w, err := buildWarehouse(*data)
 	if err != nil {
 		return err
 	}
-	if err := topWorkload(w, *runs); err != nil {
+	if err := topWorkload(w); err != nil {
 		return err
 	}
 	tbl := obs.DefaultStatements()
-	printStatements(tbl.Snapshot(), tbl.Evicted(), *n)
+	printStatements(tbl.Snapshot(), tbl.Evicted())
 	return nil
 }
 
@@ -822,9 +745,9 @@ func cmdClone(args []string) error {
 // topWorkload replays the paper's two listings against the warehouse:
 // Listing 1 (classify search hits by ontology class) once per term in a
 // small term set, and Listing 2 (column-level lineage) — each repeated
-// runs times so the statement table has latency distributions to show.
+// three times so the statement table has latency distributions to show.
 // The first round runs analyzed, so every row has its worst misestimate.
-func topWorkload(w *core.Warehouse, runs int) error {
+func topWorkload(w *core.Warehouse) error {
 	l1, err := semmatch.ParseCall(`SEM_MATCH(
 		{?object rdf:type ?c .
 		 ?c rdfs:label ?class .
@@ -856,7 +779,7 @@ func topWorkload(w *core.Warehouse, runs int) error {
 		_, _, err := req.Run(context.Background(), w.Store(), sparql.RunOptions{Analyze: analyze})
 		return err
 	}
-	for i := 0; i < runs; i++ {
+	for i := range 3 {
 		for _, term := range []string{"customer", "account", "branch"} {
 			req := *l1
 			req.Filter = fmt.Sprintf("regex(?term, %q, \"i\")", term)
@@ -873,10 +796,7 @@ func topWorkload(w *core.Warehouse, runs int) error {
 
 // printStatements renders statement rows as an aligned table, truncating
 // the normalized statement text so rows stay on one terminal line.
-func printStatements(stmts []obs.StatementStat, evicted int64, n int) {
-	if n >= 0 && len(stmts) > n {
-		stmts = stmts[:n]
-	}
+func printStatements(stmts []obs.StatementStat, evicted int64) {
 	rows := make([][]string, 0, len(stmts))
 	for i, st := range stmts {
 		stmt := st.Fingerprint

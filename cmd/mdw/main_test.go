@@ -36,6 +36,37 @@ func capture(t *testing.T, fn func() error) (string, error) {
 	return <-done, runErr
 }
 
+// TestUsageNamesEveryCommand: the help text lists every subcommand the
+// surface catalogue records for mdw, and nothing run does not dispatch.
+func TestUsageNamesEveryCommand(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "surface.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	usage(&b)
+	listed := map[string]bool{}
+	_, cmds, _ := strings.Cut(b.String(), "commands:\n")
+	for _, line := range strings.Split(cmds, "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			listed[f[0]] = true
+		}
+	}
+	for _, line := range strings.Split(string(golden), "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 || f[0] != "cmd" || f[1] != "mdw" {
+			continue
+		}
+		if !listed[f[2]] {
+			t.Errorf("usage does not list the catalogued subcommand %q", f[2])
+		}
+		delete(listed, f[2])
+	}
+	for c := range listed {
+		t.Errorf("usage lists %q, which the catalogue does not record", c)
+	}
+}
+
 func TestRunNoArgs(t *testing.T) {
 	if err := run(nil); err == nil {
 		t.Error("no args should error")
@@ -73,6 +104,29 @@ func TestSearchCommandFlags(t *testing.T) {
 	}
 }
 
+// TestSearchCommandFilters: the Figure 6 filters narrow the 8 items that
+// match "customer" in Figure 3 to those under a container named mart and
+// to the physical layer (-tag is checked on a generated landscape, which
+// carries governance tags, in TestGenerateAndDataRoundTrip).
+func TestSearchCommandFilters(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"customer"}, "8 matching instances"},
+		{[]string{"-area", "mart", "customer"}, "2 matching instances"},
+		{[]string{"-layer", "physical", "customer"}, "2 matching instances"},
+	} {
+		out, err := capture(t, func() error { return run(append([]string{"search"}, c.args...)) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !contains(out, c.want) {
+			t.Errorf("search %v: want %q in\n%s", c.args, c.want, out)
+		}
+	}
+}
+
 func TestLineageCommand(t *testing.T) {
 	out, err := capture(t, func() error {
 		return run([]string{"lineage", "application1/dwhdb/mart/v_customer/customer_id"})
@@ -103,6 +157,17 @@ func TestLineageCommand(t *testing.T) {
 	}
 	if !contains(out, "forward lineage") {
 		t.Errorf("forward output:\n%s", out)
+	}
+	// §V rule conditions: only the mappings whose rule mentions "partner"
+	// are followed, so the trace stops one hop back.
+	out, err = capture(t, func() error {
+		return run([]string{"lineage", "-rule", "partner", "application1/dwhdb/mart/v_customer/customer_id"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !contains(out, "(2 nodes, 1 edges)") || !contains(out, "partner_id -> customer_id") || contains(out, "source_customer_id") {
+		t.Errorf("-rule partner output:\n%s", out)
 	}
 	if err := run([]string{"lineage", "-dir", "sideways", "x"}); err == nil {
 		t.Error("bad direction should error")
@@ -181,15 +246,35 @@ func TestGenerateAndDataRoundTrip(t *testing.T) {
 	if !contains(out, "ontology.ttl") || !contains(out, "mapping chains") {
 		t.Errorf("generate output:\n%s", out)
 	}
-	// The generated directory is loadable by every command.
-	out, err = capture(t, func() error {
-		return run([]string{"search", "-data", dir, "-desc", "customer"})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !contains(out, "matching instances") {
-		t.Errorf("search -data output:\n%s", out)
+	// The generated directory is loadable by every command that takes
+	// -data. Descriptions add hits; -tag pii keeps the tagged half.
+	item := "app0_payments/db0/schema0/t0_2/customer_id"
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"search", "customer"}, "4 matching instances"},
+		{[]string{"search", "-desc", "customer"}, "12 matching instances"},
+		{[]string{"search", "-tag", "pii", "customer"}, "2 matching instances"},
+		{[]string{"lineage", "-dir", "forward", item}, "forward lineage of customer_id"},
+		{[]string{"audit", item}, "user0"},
+		{[]string{"query", "SELECT ?s WHERE { ?s ?p ?o } LIMIT 3"}, "(3 rows)"},
+		{[]string{"explain", "SELECT ?s WHERE { ?s ?p ?o }"}, "BGP"},
+		{[]string{"semmatch", "SEM_MATCH({?s rdf:type ?c}, SEM_MODELS('DWH_CURR'), SEM_RULEBASES('OWLPRIME'), null)"}, "rows)"},
+		{[]string{"stats"}, "2550 base"},
+		{[]string{"learn-schema"}, "CREATE TABLE"},
+		{[]string{"metrics"}, "mdw_lineage_trace_seconds_count"},
+		{[]string{"top"}, "SELECT ?class ?object"},
+		{[]string{"clone", "SANDBOX"}, "(2550 triples, copy-on-write)"},
+	} {
+		args := append([]string{c.args[0], "-data", dir}, c.args[1:]...)
+		out, err := capture(t, func() error { return run(args) })
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if !contains(out, c.want) {
+			t.Errorf("%v: want %q in\n%s", args, c.want, out)
+		}
 	}
 	if err := run([]string{"generate", "-scale", "bogus", "-out", dir}); err == nil {
 		t.Error("bad scale should error")
@@ -197,8 +282,8 @@ func TestGenerateAndDataRoundTrip(t *testing.T) {
 }
 
 func TestReportCommands(t *testing.T) {
-	for _, artifact := range []string{"table1", "subjects", "figure6", "figure7"} {
-		out, err := capture(t, func() error { return run([]string{"report", artifact}) })
+	for _, artifact := range reportNames() {
+		out, err := capture(t, func() error { return run([]string{"report", artifact, "-scale", "small"}) })
 		if err != nil {
 			t.Fatalf("report %s: %v", artifact, err)
 		}
@@ -209,8 +294,18 @@ func TestReportCommands(t *testing.T) {
 	if err := run([]string{"report"}); err == nil {
 		t.Error("missing artifact should error")
 	}
-	if err := run([]string{"report", "bogus"}); err == nil {
-		t.Error("unknown artifact should error")
+	// A wrong name is answered with every artifact there is.
+	err := run([]string{"report", "bogus"})
+	if err == nil || !contains(err.Error(), `"bogus"`) {
+		t.Fatalf("unknown artifact: %v", err)
+	}
+	for _, name := range []string{"table1", "subjects", "scale", "figure6", "figure7", "growth"} {
+		if !contains(err.Error(), name) {
+			t.Errorf("the unknown-artifact error does not list %q: %v", name, err)
+		}
+	}
+	if len(reports) != 6 {
+		t.Errorf("cmdReport handles %d artifacts; the error check above names 6", len(reports))
 	}
 }
 
@@ -306,8 +401,19 @@ func TestAuditCommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !contains(out, "access audit for customer_id") || !contains(out, "carol") {
+	if !contains(out, "access audit for customer_id") || !contains(out, "carol") || !contains(out, "via lineage") {
 		t.Errorf("output:\n%s", out)
+	}
+	// Direct access only: alice reaches the mart column through its
+	// source application, so she drops out.
+	out, err = capture(t, func() error {
+		return run([]string{"audit", "-lineage=false", "application1/dwhdb/mart/v_customer/customer_id"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !contains(out, "carol") || contains(out, "alice") || contains(out, "via lineage") {
+		t.Errorf("-lineage=false output:\n%s", out)
 	}
 	if err := run([]string{"audit"}); err == nil {
 		t.Error("missing item should error")

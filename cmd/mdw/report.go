@@ -19,6 +19,29 @@ import (
 	"mdw/internal/store"
 )
 
+// reports are the paper artifacts cmdReport regenerates, each from a
+// landscape of the given scale.
+var reports = []struct {
+	name string
+	run  func(scale string) error
+}{
+	{"table1", reportTable1},
+	{"subjects", reportSubjects},
+	{"scale", reportScale},
+	{"figure6", reportFigure6},
+	{"figure7", func(string) error { return reportFigure7() }},
+	{"growth", reportGrowth},
+}
+
+// reportNames lists the artifacts in reports, in order.
+func reportNames() []string {
+	names := make([]string, len(reports))
+	for i, r := range reports {
+		names[i] = r.name
+	}
+	return names
+}
+
 // cmdReport regenerates the paper's tables and figures from a generated
 // landscape.
 func cmdReport(args []string) error {
@@ -34,26 +57,16 @@ func cmdReport(args []string) error {
 	}
 	if artifact == "" {
 		if fs.NArg() != 1 {
-			return fmt.Errorf("report: want one of table1, subjects, scale, figure6, figure7")
+			return fmt.Errorf("report: want one of %s", strings.Join(reportNames(), ", "))
 		}
 		artifact = fs.Arg(0)
 	}
-	switch artifact {
-	case "table1":
-		return reportTable1(*scale)
-	case "subjects":
-		return reportSubjects(*scale)
-	case "scale":
-		return reportScale(*scale)
-	case "figure6":
-		return reportFigure6(*scale)
-	case "figure7":
-		return reportFigure7()
-	case "growth":
-		return reportGrowth(*scale)
-	default:
-		return fmt.Errorf("report: unknown artifact %q", fs.Arg(0))
+	for _, r := range reports {
+		if r.name == artifact {
+			return r.run(*scale)
+		}
 	}
+	return fmt.Errorf("report: unknown artifact %q; want one of %s", artifact, strings.Join(reportNames(), ", "))
 }
 
 // reportGrowth reproduces the Section III.A historization narrative:

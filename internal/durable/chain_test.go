@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mdw/internal/durable"
+	"mdw/internal/obs"
 	"mdw/internal/rdf"
 	"mdw/internal/reason"
 	"mdw/internal/store"
@@ -221,9 +222,14 @@ func TestCorruptMiddleDeltaFallsBackToChainAndWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	badSnapshots := obs.Default().Counter("mdw_recovery_bad_snapshots_total")
+	bad0 := badSnapshots.Value()
 	mgr2, st2, err := durable.Open(durable.Options{Dir: dir, Fsync: durable.FsyncNone, KeepSnapshots: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatalf("recovery with a damaged middle delta failed: %v", err)
+	}
+	if d := badSnapshots.Value() - bad0; d != 1 {
+		t.Errorf("mdw_recovery_bad_snapshots_total moved by %d for one damaged delta, want 1", d)
 	}
 	if got := fingerprint(st2); got != want {
 		t.Fatalf("state diverged after falling back to the chain before the damaged delta:\n--- want ---\n%s--- got ---\n%s", want, got)

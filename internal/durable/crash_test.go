@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mdw/internal/durable"
+	"mdw/internal/obs"
 	"mdw/internal/rdf"
 	"mdw/internal/reason"
 	"mdw/internal/store"
@@ -124,12 +125,14 @@ func tearWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	tornTails := obs.Default().Counter("mdw_recovery_torn_tails_total")
 	prevPrefix := -1
 	for n := 0; n <= len(full); n++ {
 		crash := copyDir(t, dir)
 		if err := os.WriteFile(filepath.Join(crash, segs[0]), full[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
+		torn0 := tornTails.Value()
 		rst, stats, err := durable.Recover(crash, nil)
 		if n < 16 && err == nil && stats.LastLSN > 0 {
 			t.Fatalf("truncate@%d: header missing but records recovered", n)
@@ -141,6 +144,9 @@ func tearWAL(t *testing.T) {
 				t.Fatalf("truncate@%d: recovery failed: %v", n, err)
 			}
 			continue
+		}
+		if moved, torn := tornTails.Value()-torn0, stats.TornTail != ""; moved != 0 && !torn || torn && moved != 1 {
+			t.Fatalf("truncate@%d: torn tail %q, mdw_recovery_torn_tails_total moved by %d", n, stats.TornTail, moved)
 		}
 		// States can repeat across the history (e.g. clone then drop), so
 		// the recovered LSN identifies which prefix the state must equal.

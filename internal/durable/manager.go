@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mdw/internal/obs"
 	"mdw/internal/store"
 )
 
@@ -236,7 +235,6 @@ func (m *Manager) committed(mut store.Mutation) {
 		return
 	}
 	m.lastLSN.Store(lsn)
-	obsAppends.Inc()
 	obsWALBytes.Add(int64(frameHeaderSize + len(m.buf)))
 	if m.opts.Fsync == FsyncAlways {
 		d, err := m.w.sync()
@@ -320,7 +318,6 @@ func (m *Manager) rotateLocked() {
 		return
 	}
 	m.w = w
-	obsRotations.Inc()
 }
 
 func (m *Manager) fsyncLoop() {
@@ -404,18 +401,17 @@ func (m *Manager) Checkpoint() (CheckpointStats, error) {
 		next.cuts[c.Name] = c
 	}
 	var err error
-	var completed *obs.Counter
 	// A delta needs a base to extend, a chain still short of the
 	// compaction bound, and a later LSN than its predecessor's to be named
 	// by (which only a WAL that stopped logging withholds).
 	if m.ck.path == "" || m.ck.chainBytes > m.ck.baseBytes/compactDivisor || lsn <= m.ck.lsn {
-		stats.Kind, completed = CheckpointBase, obsCkptBase
+		stats.Kind = CheckpointBase
 		terms := m.dict.Since(0)
 		stats.Written = stats.Triples
 		stats.Path, stats.Bytes, err = WriteSnapshot(m.opts.Dir, lsn, v.States(), terms)
 		next.terms, next.baseBytes = len(terms), stats.Bytes
 	} else {
-		stats.Kind, completed = CheckpointDelta, obsCkptDelta
+		stats.Kind = CheckpointDelta
 		d := m.deltaSince(v, cuts, lsn)
 		for _, md := range d.Models {
 			stats.Written += len(md.Added) + len(md.Removed)
@@ -458,11 +454,8 @@ func (m *Manager) Checkpoint() (CheckpointStats, error) {
 		m.opts.Logf("durable: checkpoint: segment truncation incomplete: %v", err)
 	}
 	stats.Duration = time.Since(t0)
-	completed.Inc()
 	obsCkptHist.Observe(stats.Duration)
 	obsCkptBytes.Set(stats.Bytes)
-	obsCkptDurMs.Set(stats.Duration.Milliseconds())
-	obsCkptLSN.Set(int64(lsn))
 	return stats, nil
 }
 

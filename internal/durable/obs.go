@@ -5,37 +5,22 @@ import "mdw/internal/obs"
 // Metric handles, resolved once at package init so the append hot path
 // pays a single atomic add each.
 var (
-	obsAppends      = obs.Default().Counter("mdw_wal_appends_total")
 	obsWALBytes     = obs.Default().Counter("mdw_wal_bytes_total")
 	obsWALErrors    = obs.Default().Counter("mdw_wal_errors_total")
-	obsRotations    = obs.Default().Counter("mdw_wal_segment_rotations_total")
 	obsFsyncHist    = obs.Default().Histogram("mdw_wal_fsync_seconds", nil)
-	obsCkptBase     = obs.Default().Counter("mdw_checkpoints_total", "kind", CheckpointBase)
-	obsCkptDelta    = obs.Default().Counter("mdw_checkpoints_total", "kind", CheckpointDelta)
 	obsCkptHist     = obs.Default().Histogram("mdw_checkpoint_seconds", nil)
 	obsCkptBytes    = obs.Default().Gauge("mdw_checkpoint_last_bytes")
-	obsCkptDurMs    = obs.Default().Gauge("mdw_checkpoint_last_duration_ms")
-	obsCkptLSN      = obs.Default().Gauge("mdw_checkpoint_last_lsn")
-	obsReplayed     = obs.Default().Counter("mdw_recovery_replayed_records_total")
-	obsReplayedTrip = obs.Default().Counter("mdw_recovery_replayed_triples_total")
 	obsTornTails    = obs.Default().Counter("mdw_recovery_torn_tails_total")
 	obsBadSnapshots = obs.Default().Counter("mdw_recovery_bad_snapshots_total")
 )
 
 func init() {
 	r := obs.Default()
-	r.SetHelp("mdw_wal_appends_total", "Records appended to the write-ahead log.")
 	r.SetHelp("mdw_wal_bytes_total", "Bytes appended to the write-ahead log (frames included).")
 	r.SetHelp("mdw_wal_errors_total", "WAL append/sync failures; the store keeps running but durability is degraded.")
-	r.SetHelp("mdw_wal_segment_rotations_total", "WAL segment rotations (size threshold or checkpoint).")
 	r.SetHelp("mdw_wal_fsync_seconds", "Latency of WAL fsync calls, by policy.")
-	r.SetHelp("mdw_checkpoints_total", "Completed checkpoints by the kind of file written: a whole base, or a delta chained to the file before it.")
 	r.SetHelp("mdw_checkpoint_seconds", "End-to-end checkpoint latency (capture, write, truncate).")
 	r.SetHelp("mdw_checkpoint_last_bytes", "Size of the most recent checkpoint file, base or delta.")
-	r.SetHelp("mdw_checkpoint_last_duration_ms", "Duration of the most recent checkpoint in milliseconds.")
-	r.SetHelp("mdw_checkpoint_last_lsn", "WAL position covered by the most recent checkpoint.")
-	r.SetHelp("mdw_recovery_replayed_records_total", "WAL records replayed during recovery.")
-	r.SetHelp("mdw_recovery_replayed_triples_total", "Triples re-applied from replayed WAL records.")
 	r.SetHelp("mdw_recovery_torn_tails_total", "Torn WAL tails truncated during recovery.")
 	r.SetHelp("mdw_recovery_bad_snapshots_total", "Checkpoint files, base or delta, that failed validation or did not fit their chain and were skipped during recovery.")
 }

@@ -338,8 +338,6 @@ func replayWAL(dir string, st *store.Store, snapLSN uint64, stats *RecoveryStats
 			applied = rec.LSN
 			stats.ReplayedRecords++
 			stats.ReplayedTriples += len(rec.Triples)
-			obsReplayed.Inc()
-			obsReplayedTrip.Add(int64(len(rec.Triples)))
 		}
 		if scan.torn != nil {
 			stats.TornTail = scan.torn.Error()

@@ -96,16 +96,12 @@ func (s *Server) observe(rw http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// MountPprof registers the net/http/pprof profiling handlers under
-// /debug/pprof/ on the server's mux. Off by default — mdwd enables it
-// behind the -pprof flag, since profile endpoints expose internals and
-// can be expensive to serve.
+// MountPprof serves the runtime's profiles (heap, goroutine, allocs,
+// block, mutex, threadcreate) under /debug/pprof/ on the server's mux.
+// Off by default — mdwd enables it behind the -pprof flag, since profile
+// endpoints expose internals.
 func (s *Server) MountPprof() {
 	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }
 
 // handleMetrics serves the default registry in the Prometheus text

@@ -24,25 +24,21 @@ func TestStartSharesOneTimestamp(t *testing.T) {
 }
 
 func TestLateChildFinishIsDroppedAndCounted(t *testing.T) {
-	tr := NewTracer(4)
-	var c Counter
-	tr.dropCounter = &c
-	root := tr.Start("root")
+	dropped := Default().Counter("mdw_trace_spans_dropped_total")
+	before := dropped.Value()
+	root := StartSpan("root")
 	late := root.Child("late")
 	early := root.Child("early")
 	early.Finish()
 	root.Finish()
-	if d := tr.Dropped(); d != 0 {
-		t.Fatalf("Dropped = %d before any late finish", d)
+	if d := dropped.Value() - before; d != 0 {
+		t.Fatalf("mdw_trace_spans_dropped_total moved by %d before any late finish", d)
 	}
 	late.Finish()
-	if d := tr.Dropped(); d != 1 {
-		t.Fatalf("Dropped = %d, want 1", d)
+	if d := dropped.Value() - before; d != 1 {
+		t.Fatalf("mdw_trace_spans_dropped_total moved by %d, want 1", d)
 	}
-	if v := c.Value(); v != 1 {
-		t.Fatalf("drop counter = %d, want 1", v)
-	}
-	got, ok := tr.Get(root.TraceID())
+	got, ok := DefaultTracer().Get(root.TraceID())
 	if !ok {
 		t.Fatal("trace not published")
 	}

@@ -16,8 +16,8 @@ const DefaultRuntimeSampleInterval = 10 * time.Second
 // it on a ticker, and `mdw metrics` calls it once before dumping so a
 // one-shot process still exports its runtime state.
 //
-// GC cycle and pause totals are monotonic in the runtime but exported as
-// gauges: a gauge Set is idempotent under re-sampling, while a counter
+// The GC pause total is monotonic in the runtime but exported as a
+// gauge: a gauge Set is idempotent under re-sampling, while a counter
 // would need delta tracking for no benefit.
 func SampleRuntime(r *Registry) {
 	var ms runtime.MemStats
@@ -28,14 +28,8 @@ func SampleRuntime(r *Registry) {
 	r.Gauge("mdw_runtime_heap_alloc_bytes").Set(int64(ms.HeapAlloc))
 	r.SetHelp("mdw_runtime_heap_inuse_bytes", "Bytes in in-use heap spans (MemStats.HeapInuse).")
 	r.Gauge("mdw_runtime_heap_inuse_bytes").Set(int64(ms.HeapInuse))
-	r.SetHelp("mdw_runtime_heap_objects", "Live heap objects (MemStats.HeapObjects).")
-	r.Gauge("mdw_runtime_heap_objects").Set(int64(ms.HeapObjects))
-	r.SetHelp("mdw_runtime_gc_cycles_total", "Completed GC cycles (MemStats.NumGC).")
-	r.Gauge("mdw_runtime_gc_cycles_total").Set(int64(ms.NumGC))
 	r.SetHelp("mdw_runtime_gc_pause_ns_total", "Cumulative GC stop-the-world pause (MemStats.PauseTotalNs).")
 	r.Gauge("mdw_runtime_gc_pause_ns_total").Set(int64(ms.PauseTotalNs))
-	r.SetHelp("mdw_runtime_next_gc_bytes", "Heap size target of the next GC cycle (MemStats.NextGC).")
-	r.Gauge("mdw_runtime_next_gc_bytes").Set(int64(ms.NextGC))
 }
 
 // StartRuntimeSampler samples the runtime into the default registry now

@@ -45,7 +45,8 @@ type traceRec struct {
 	spans []SpanData
 	// published flips when the root span finishes and the trace is
 	// copied into the ring; children finishing after that are dropped
-	// (and counted — see Tracer.Dropped).
+	// (and counted in mdw_trace_spans_dropped_total, for the default
+	// tracer).
 	published bool
 }
 
@@ -75,9 +76,8 @@ type Tracer struct {
 	cap     int
 	ids     atomic.Uint64
 	started atomic.Int64
-	dropped atomic.Int64
-	// dropCounter, when set, mirrors dropped-span increments into a
-	// metrics registry (wired up for the default tracer in obs.go).
+	// dropCounter, when set, counts the spans dropped for finishing after
+	// their root (wired up for the default tracer in obs.go).
 	dropCounter *Counter
 }
 
@@ -108,10 +108,6 @@ func (t *Tracer) Start(name string) *Span {
 
 // Started returns the number of traces ever started.
 func (t *Tracer) Started() int64 { return t.started.Load() }
-
-// Dropped returns the number of spans discarded because they finished
-// after their trace's root span had already published the trace.
-func (t *Tracer) Dropped() int64 { return t.dropped.Load() }
 
 // Child starts a nested span with this span as parent. On a nil span it
 // returns nil (which is itself safe to use).
@@ -150,8 +146,8 @@ func (s *Span) SetLabel(key, value string) *Span {
 
 // Finish records the span's duration and returns it. Finishing the root
 // span publishes the trace; Finish is idempotent, and children finished
-// after their root are dropped and counted (Tracer.Dropped plus the
-// mdw_trace_spans_dropped_total counter for the default tracer).
+// after their root are dropped and counted (the default tracer's
+// mdw_trace_spans_dropped_total).
 func (s *Span) Finish() time.Duration {
 	if s == nil {
 		return 0
@@ -169,7 +165,6 @@ func (s *Span) Finish() time.Duration {
 		// The root already published this trace; the span can no longer
 		// be attached. Count it instead of losing it silently.
 		s.rec.mu.Unlock()
-		s.tr.dropped.Add(1)
 		if s.tr.dropCounter != nil {
 			s.tr.dropCounter.Inc()
 		}

@@ -180,11 +180,8 @@ func (s *Service) SearchCtx(ctx context.Context, term string, opt Options) (*Res
 		return nil, fmt.Errorf("search: no such model %q", s.model)
 	}
 	var ix *textindex.Index
-	if opt.ForceScan {
-		obsSearchScan.Inc()
-	} else {
+	if !opt.ForceScan {
 		ix = s.tix.For(s.model, v, s.st)
-		obsSearchIdx.Inc()
 	}
 	return searchView(metamodel.NewGraph(v, s.st.Dict()), ix, term, expanded, homonyms, opt), nil
 }

@@ -179,9 +179,6 @@ func (ev *evaluator) execKind(q *Query) (*Result, error) {
 		if ev.err != nil {
 			return nil, ev.err
 		}
-		if found {
-			obsEarlyAsk.Inc()
-		}
 		return &Result{Ask: found}, nil
 	}
 	if q.Kind == SelectQuery && len(q.Select) > 0 {
@@ -599,11 +596,8 @@ func (ev *evaluator) selectRows(q *Query, items []SelectItem, run func(func([]st
 		if ev.err != nil {
 			return nil, ev.err
 		}
-		if needed >= 0 && len(rows) >= needed {
-			obsEarlyLimit.Inc()
-			if st := ev.stats; st != nil {
-				st.limitStopped = true
-			}
+		if st := ev.stats; st != nil && needed >= 0 && len(rows) >= needed {
+			st.limitStopped = true
 		}
 	}
 	return window(q, vars, rows), nil

@@ -160,7 +160,6 @@ func (ev *evaluator) runMorselRoot(emit func([]store.ID) bool) {
 	parts := p.src.(*store.View).Split(sid, pid, oid, p.par.morsel)
 	ntasks := parts.Len()
 	if ntasks < 2 {
-		obsParFallback.Inc()
 		scan := ev.partScanner(p.root, row, parts, svar, ovar, emit)
 		for i := 0; i < ntasks && scan(i); i++ {
 		}
@@ -168,8 +167,6 @@ func (ev *evaluator) runMorselRoot(emit func([]store.ID) bool) {
 	}
 	workers := min(p.par.workers, ntasks)
 	obsParExecMorsel.Inc()
-	obsParMorsels.Add(int64(ntasks))
-	obsParWorkers.Add(int64(workers))
 	ev.parWorkers, ev.parTasks = workers, ntasks
 	ev.orderedRun(workers, ntasks, func(wev *evaluator, emit func([]store.ID) bool) func(int) bool {
 		return wev.partScanner(p.root, make([]store.ID, len(row)), parts, svar, ovar, emit)

@@ -25,13 +25,11 @@ func Parse(query string) (*Query, error) {
 	t0 := time.Now()
 	toks, err := lex(query)
 	if err != nil {
-		obsParseErrors.Inc()
 		return nil, err
 	}
 	p := &qparser{toks: toks, prefixes: map[string]string{}}
 	q, err := p.query()
 	if err != nil {
-		obsParseErrors.Inc()
 		return nil, err
 	}
 	q.Text = query

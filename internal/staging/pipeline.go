@@ -13,16 +13,12 @@ import (
 	"mdw/internal/store"
 )
 
-// Metric handles, resolved once at package init.
-var (
-	obsLoadHist = obs.Default().Histogram("mdw_staging_bulkload_seconds", nil)
-	obsLoaded   = obs.Default().Counter("mdw_staging_loaded_total")
-)
+// obsLoadHist is resolved once at package init.
+var obsLoadHist = obs.Default().Histogram("mdw_staging_bulkload_seconds", nil)
 
 func init() {
 	r := obs.Default()
 	r.SetHelp("mdw_staging_bulkload_seconds", "Bulk-load latency (staging table into the model, incl. materialization when requested).")
-	r.SetHelp("mdw_staging_loaded_total", "Distinct triples moved from staging tables into models.")
 }
 
 // Table is a staging table: the intermediate triple buffer between the
@@ -138,7 +134,6 @@ func (t *Table) BulkLoadCtx(ctx context.Context, st *store.Store, model string, 
 	t.triples = t.triples[:k]
 	t.mu.Unlock()
 	obsLoadHist.ObserveSince(t0)
-	obsLoaded.Add(int64(stats.Loaded))
 	sp.SetLabel("staged", strconv.Itoa(stats.Staged)).
 		SetLabel("loaded", strconv.Itoa(stats.Loaded)).
 		SetLabel("derived", strconv.Itoa(stats.Derived))

@@ -361,13 +361,10 @@ func (m *Model) PredStats(p ID) PredStats {
 	if m.statsGen != m.gen {
 		m.predStats = make(map[ID]PredStats)
 		m.statsGen = m.gen
-		obsStatsBuild.Inc()
 	}
 	if ps, ok := m.predStats[p]; ok {
-		obsStatsHits.Inc()
 		return ps
 	}
-	obsStatsMiss.Inc()
 	ps := PredStats{Triples: m.predSize[p], DistinctObjects: len(m.pos[p])}
 	subjects := make(map[ID]struct{})
 	for _, subs := range m.pos[p] {

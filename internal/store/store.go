@@ -297,7 +297,6 @@ func (s *Store) Remove(model string, t rdf.Triple) bool {
 	m := s.writableLocked(model)
 	removed := m.Remove(et)
 	if removed {
-		obsRemoves.Inc()
 		delete(s.cuts, model)
 		// The feed records removals only where an extension lists them:
 		// it starts over.

@@ -6,11 +6,9 @@ import "mdw/internal/obs"
 var (
 	obsBuildHist = obs.Default().Histogram("mdw_textindex_build_seconds", nil, "kind", "full")
 	obsDeltaHist = obs.Default().Histogram("mdw_textindex_build_seconds", nil, "kind", "delta")
-	obsSearches  = obs.Default().Counter("mdw_textindex_searches_total")
 )
 
 func init() {
 	r := obs.Default()
 	r.SetHelp("mdw_textindex_build_seconds", "Full-text index construction latency by kind (full tokenization vs delta update).")
-	r.SetHelp("mdw_textindex_searches_total", "Token lookups against built indexes (Search and SearchAny).")
 }

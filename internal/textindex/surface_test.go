@@ -47,7 +47,6 @@ func TestExportedNames(t *testing.T) {
 	want := []string{
 		"BuildPostings", "Config.Fields", "DefaultConfig", "Fold",
 		"Index.Gen", "Index.Search", "Index.SearchAny", "Index.Stats",
-		"Index.TokensContaining", "Index.TokensWithPrefix",
 		"Manager.For", "Manager.StatsAll", "NewManager", "Tokenize",
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -12,9 +12,9 @@
 //     names, labels, and descriptions by default) are tokenized and
 //     case-folded into a token → posting-list map keyed by dictionary
 //     IDs, so a posting costs three words;
-//   - a sorted token list supports prefix and substring vocabulary
-//     lookups, which is what makes the paper's *substring* match
-//     semantics answerable from an index at all;
+//   - a sorted token list supports substring vocabulary lookups, which
+//     is what makes the paper's *substring* match semantics answerable
+//     from an index at all;
 //   - queries are multi-term OR lookups (the synonym-expansion path of
 //     Section V) whose candidates are verified against the original
 //     literal text, so results are exactly those of the regexp scan;
@@ -365,42 +365,10 @@ func (ix *Index) has(p Posting) bool {
 // Gen returns the model generation the index was built from.
 func (ix *Index) Gen() uint64 { return ix.gen }
 
-// TokensWithPrefix returns the indexed tokens starting with prefix
-// (folded), in sorted order — the prefix-lookup path over the sorted
-// vocabulary.
-func (ix *Index) TokensWithPrefix(prefix string) []string {
-	prefix = Fold(prefix)
-	var out []string
-	for _, sg := range ix.segs {
-		for i := sort.SearchStrings(sg.toks, prefix); i < len(sg.toks) && strings.HasPrefix(sg.toks[i], prefix); i++ {
-			out = append(out, sg.toks[i])
-		}
-	}
-	return ix.distinct(out)
-}
-
-// TokensContaining returns the indexed tokens containing sub (folded) as
-// a substring, in sorted order. This vocabulary scan — over tens of
-// thousands of distinct tokens rather than millions of triples — is what
-// turns the paper's substring semantics into an index lookup.
-func (ix *Index) TokensContaining(sub string) []string {
-	sub = Fold(sub)
-	var out []string
-	for _, sg := range ix.segs {
-		out = append(out, sg.tokensContaining(sub)...)
-	}
-	return ix.distinct(out)
-}
-
-// distinct sorts and de-duplicates tokens gathered segment by segment.
-func (ix *Index) distinct(toks []string) []string {
-	if len(ix.segs) > 1 {
-		sort.Strings(toks)
-		toks = slices.Compact(toks)
-	}
-	return toks
-}
-
+// tokensContaining returns the segment's tokens containing folded as a
+// substring. This vocabulary scan — over tens of thousands of distinct
+// tokens rather than millions of triples — is what turns the paper's
+// substring semantics into an index lookup.
 func (sg *segment) tokensContaining(folded string) []string {
 	var out []string
 	for _, t := range sg.toks {
@@ -416,7 +384,6 @@ func (sg *segment) tokensContaining(folded string) []string {
 // matches of the paper's regexp_like(text, term, 'i') scan. Results are
 // sorted by (Subject, Pred, Object).
 func (ix *Index) Search(term string, field Field) []Posting {
-	obsSearches.Inc()
 	folded := Fold(term)
 	toks := uniqueTokens(Tokenize(folded))
 	var out []Posting
@@ -551,8 +518,7 @@ func (ix *Index) SearchAny(terms []string, field Field) []Match {
 	return out
 }
 
-// Stats summarizes one index for monitoring (the /api/stats endpoint and
-// `mdw index`).
+// Stats summarizes one index for monitoring (the /api/stats endpoint).
 type Stats struct {
 	Model      string `json:"model"`
 	Gen        uint64 `json:"generation"`

@@ -130,23 +130,6 @@ func TestSearchFoldedSubstring(t *testing.T) {
 	}
 }
 
-func TestVocabularyLookups(t *testing.T) {
-	_, ix := fixture(t)
-	if got := ix.TokensWithPrefix("cust"); !reflect.DeepEqual(got, []string{"customer"}) {
-		t.Errorf("TokensWithPrefix(cust) = %v", got)
-	}
-	if got := ix.TokensWithPrefix("CUST"); !reflect.DeepEqual(got, []string{"customer"}) {
-		t.Errorf("TokensWithPrefix folds its argument: %v", got)
-	}
-	got := ix.TokensContaining("ccoun")
-	if !reflect.DeepEqual(got, []string{"account"}) {
-		t.Errorf("TokensContaining(ccoun) = %v", got)
-	}
-	if got := ix.TokensWithPrefix("zzz"); len(got) != 0 {
-		t.Errorf("TokensWithPrefix(zzz) = %v", got)
-	}
-}
-
 func TestSearchAnyAttributesFirstTerm(t *testing.T) {
 	st, ix := fixture(t)
 	ms := ix.SearchAny([]string{"partner", "customer"}, FieldName)
