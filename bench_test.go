@@ -27,6 +27,7 @@ import (
 	"mdw/internal/rdf"
 	"mdw/internal/reason"
 	"mdw/internal/relstore"
+	"mdw/internal/rescache"
 	"mdw/internal/schemalearn"
 	"mdw/internal/search"
 	"mdw/internal/semmatch"
@@ -193,31 +194,44 @@ func BenchmarkFigure6Search(b *testing.B) {
 	}
 	for _, c := range cases {
 		svc := c.svc.WithIndexManager(mgr)
-		for _, mode := range []string{"indexed", "scan"} {
+		for _, mode := range []string{"indexed", "cold", "scan"} {
 			opt := c.opt
 			opt.ForceScan = mode == "scan"
 			b.Run(c.name+"/"+mode, func(b *testing.B) {
-				if _, err := svc.Search("customer", opt); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				var hits int
-				for i := 0; i < b.N; i++ {
-					res, err := svc.Search("customer", opt)
-					if err != nil {
-						b.Fatal(err)
-					}
-					hits = res.Instances
-				}
-				b.ReportMetric(float64(hits), "hits")
+				searchLoop(b, svc, "customer", opt, mode == "cold")
 			})
 		}
 	}
 }
 
+// searchLoop times b.N searches for term after one untimed warm-up,
+// which builds the indexes and fills the results cache. Each timed
+// search is then a cache hit (ForceScan ones never are) unless cold
+// purges the cache before every search, so that each one computes its
+// answer through the index.
+func searchLoop(b *testing.B, svc *search.Service, term string, opt search.Options, cold bool) {
+	if _, err := svc.Search(term, opt); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	var hits int
+	for i := 0; i < b.N; i++ {
+		if cold {
+			rescache.Default().Purge()
+		}
+		res, err := svc.Search(term, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hits = res.Instances
+	}
+	b.ReportMetric(float64(hits), "hits")
+}
+
 // BenchmarkSearchIndexed isolates the tentpole comparison: the inverted
 // full-text index against the retained literal-scan oracle, at the small
-// scale and at the paper's published graph scale.
+// scale and at the paper's published graph scale; "indexed" times
+// results-cache hits, "cold" the index path computing every answer.
 func BenchmarkSearchIndexed(b *testing.B) {
 	scales := []struct {
 		name string
@@ -229,22 +243,10 @@ func BenchmarkSearchIndexed(b *testing.B) {
 	for _, sc := range scales {
 		f := sc.fix(b)
 		svc := search.New(f.st, "DWH_CURR", nil)
-		for _, mode := range []string{"indexed", "scan"} {
+		for _, mode := range []string{"indexed", "cold", "scan"} {
 			opt := search.Options{ForceScan: mode == "scan"}
 			b.Run(sc.name+"/"+mode, func(b *testing.B) {
-				if _, err := svc.Search("customer", opt); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				var hits int
-				for i := 0; i < b.N; i++ {
-					res, err := svc.Search("customer", opt)
-					if err != nil {
-						b.Fatal(err)
-					}
-					hits = res.Instances
-				}
-				b.ReportMetric(float64(hits), "hits")
+				searchLoop(b, svc, "customer", opt, mode == "cold")
 			})
 		}
 	}
@@ -548,19 +550,8 @@ func BenchmarkSynonymSearch(b *testing.B) {
 			opt := c.opt
 			opt.ForceScan = mode == "scan"
 			b.Run(c.name+"/"+mode, func(b *testing.B) {
-				if _, err := c.svc.Search("client", opt); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				var hits int
-				for i := 0; i < b.N; i++ {
-					res, err := c.svc.Search("client", opt)
-					if err != nil {
-						b.Fatal(err)
-					}
-					hits = res.Instances
-				}
-				b.ReportMetric(float64(hits), "hits")
+				// Cold: the cost of expansion is in computing the answer.
+				searchLoop(b, c.svc, "client", opt, true)
 			})
 		}
 	}
@@ -860,6 +851,7 @@ func BenchmarkSearchScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("apps=%d", cfg.SourceApps), func(b *testing.B) {
 			var hits int
 			for i := 0; i < b.N; i++ {
+				rescache.Default().Purge() // time the search, not a cache hit
 				res, err := svc.Search("customer", search.Options{})
 				if err != nil {
 					b.Fatal(err)

@@ -103,19 +103,40 @@ func (g *Graph) Has(s, p, o store.ID) bool {
 	return p != store.Wildcard && o != store.Wildcard && g.Src.Contains(store.ETriple{S: s, P: p, O: o})
 }
 
+// literalID returns the ID of the node's first non-empty p value, or
+// store.Wildcard when it has none.
+func (g *Graph) literalID(id, p store.ID) store.ID {
+	for _, v := range g.Objects(id, p) {
+		if g.Dict.Term(v).Value != "" {
+			return v
+		}
+	}
+	return store.Wildcard
+}
+
 // literalOr returns the node's first non-empty p value, else the local
 // name of its IRI.
 func (g *Graph) literalOr(id, p store.ID) string {
-	for _, v := range g.Objects(id, p) {
-		if s := g.Dict.Term(v).Value; s != "" {
-			return s
-		}
+	return DecodeOr(g.Dict, g.literalID(id, p), id)
+}
+
+// DecodeOr decodes a literal ID found for node: the literal's value, or
+// the local name of node's IRI when lit is store.Wildcard. For the ID
+// NameID returns it is the string Name returns.
+func DecodeOr(dict *store.Dict, lit, node store.ID) string {
+	if lit != store.Wildcard {
+		return dict.Term(lit).Value
 	}
-	return rdf.LocalName(g.Dict.Term(id).Value)
+	return rdf.LocalName(dict.Term(node).Value)
 }
 
 // Name returns the node's dm:hasName, else its local name.
 func (g *Graph) Name(id store.ID) string { return g.literalOr(id, g.HasName) }
+
+// NameID returns the ID of the literal Name decodes, or store.Wildcard
+// when Name falls back to the local name — what a caller keeps to
+// decode the name later, with DecodeOr, without the graph.
+func (g *Graph) NameID(id store.ID) store.ID { return g.literalID(id, g.HasName) }
 
 // Label returns the node's rdfs:label, else its local name.
 func (g *Graph) Label(id store.ID) string { return g.literalOr(id, g.LabelID) }

@@ -14,8 +14,8 @@ var (
 
 func init() {
 	r := obs.Default()
-	r.SetHelp("mdw_rescache_hits_total", "Query results served from the results cache.")
-	r.SetHelp("mdw_rescache_misses_total", "Results-cache lookups that fell through to execution.")
+	r.SetHelp("mdw_rescache_hits_total", "SPARQL results and search answers served from the results cache.")
+	r.SetHelp("mdw_rescache_misses_total", "Results-cache lookups (SPARQL or search) that fell through to execution.")
 	r.SetHelp("mdw_rescache_evictions_total", "Results-cache entries dropped by the LRU bounds.")
 	r.SetHelp("mdw_rescache_entries", "Results-cache entries currently retained.")
 	r.SetHelp("mdw_rescache_bytes", "Estimated bytes retained by the results cache.")

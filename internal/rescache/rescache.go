@@ -4,10 +4,12 @@
 // generation (store.Model.Gen), so the key of a stale entry simply never
 // matches again and the entry ages out of the LRU.
 //
-// The cache stores opaque values (the SPARQL layer puts *sparql.Result
-// in; keeping the package generic avoids an import cycle and lets other
-// read paths reuse it). It is bounded both by entry count and by an
-// estimated byte footprint the caller supplies with each Put.
+// The cache stores opaque values, and it has two clients: the SPARQL
+// layer puts *sparql.Result in (Listings 1 and 2), and the Figure 6
+// search puts its ID-level answer in, from which every search call
+// materializes a Result of its own. Keeping the package generic avoids an
+// import cycle. It is bounded both by entry count and by an estimated
+// byte footprint the caller supplies with each Put.
 package rescache
 
 import (
@@ -190,8 +192,8 @@ func (c *Cache) publishSizeLocked() {
 }
 
 // defaultCache is the process-wide results cache consulted by the SPARQL
-// layer. It starts enabled with the defaults; Disable (or the mdwd
-// -rescache=0 flag) turns result caching off process-wide.
+// layer and by search. It starts enabled with the defaults; Disable (or
+// the mdwd -rescache=0 flag) turns result caching off process-wide.
 var defaultCache atomic.Pointer[Cache]
 
 func init() {

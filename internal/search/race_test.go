@@ -130,8 +130,9 @@ func TestIndexedEqualsScanBesideWriter(t *testing.T) {
 				k := metamodel.NewGraph(v, st.Dict())
 				term := terms[i%len(terms)]
 				ix := svc.tix.For("m", v, st)
-				indexed := searchView(k, ix, term, []string{term}, nil, Options{})
-				scanned := searchView(k, nil, term, []string{term}, nil, Options{ForceScan: true})
+				expanded := []string{term}
+				indexed := compute(k, ix, expanded, Options{}).materialize(k.Dict, term, expanded, nil, 0)
+				scanned := compute(k, nil, expanded, Options{}).materialize(k.Dict, term, expanded, nil, 0)
 				if !reflect.DeepEqual(canon(indexed), canon(scanned)) {
 					t.Errorf("searcher %d: index (generation %d) and scan disagree on %q over the view pinned at generation %d: %d vs %d instances",
 						g, ix.Gen(), term, v.Cut("m").Gen, indexed.Instances, scanned.Instances)

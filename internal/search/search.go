@@ -33,20 +33,32 @@
 // and concurrent writers can neither tear its view nor wait for it;
 // entailment and text-index maintenance are single-flighted per model,
 // and a search that needs an index still being built waits for it.
+//
+// A search is two steps. compute derives an answer in dictionary IDs —
+// the matches in (name, IRI) order and the class groups with their exact
+// members — that depends only on the pinned view, the expanded terms and
+// the filters; materialize decodes a fresh Result from it for one caller,
+// applying MaxHitsPerGroup. The answer is kept in the process-wide
+// results cache (internal/rescache) under the view's version, as
+// Listing 1's rows are, so a repeated search against an unchanged graph
+// only materializes. ForceScan neither reads nor fills the cache.
 package search
 
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 
 	"mdw/internal/dbpedia"
 	"mdw/internal/metamodel"
 	"mdw/internal/obs"
 	"mdw/internal/rdf"
 	"mdw/internal/reason"
+	"mdw/internal/rescache"
 	"mdw/internal/store"
 	"mdw/internal/textindex"
 )
@@ -155,7 +167,8 @@ func (s *Service) Search(term string, opt Options) (*Result, error) {
 
 // SearchCtx is Search carrying a request context: the search runs under
 // a "search" span — nested in the request's trace when ctx carries one
-// (obs.ContextWithSpan), the root of a new trace otherwise.
+// (obs.ContextWithSpan), the root of a new trace otherwise — whose
+// rescache label says whether the results cache held the answer.
 func (s *Service) SearchCtx(ctx context.Context, term string, opt Options) (*Result, error) {
 	if strings.TrimSpace(term) == "" {
 		return nil, fmt.Errorf("search: empty term")
@@ -165,25 +178,48 @@ func (s *Service) SearchCtx(ctx context.Context, term string, opt Options) (*Res
 	defer sp.Finish()
 	defer obsSearchHist.ObserveSince(time.Now())
 
-	// Term expansion (semantic search) and homonym hints.
-	expanded := []string{strings.ToLower(term)}
-	var homonyms []string
+	expanded, homonyms := s.expand(term, opt)
+	v, err := reason.ViewCtx(ctx, s.st, true, s.model)
+	if err != nil { // an entailed view fails for a missing model only
+		return nil, fmt.Errorf("search: no such model %q", s.model)
+	}
+	dict := s.st.Dict()
+	// The answer is a function of the pinned view and the key's fields,
+	// so one computed against this version serves every later search of
+	// it. The ForceScan oracle always computes.
+	rc := rescache.Default()
+	var key string
+	if rc != nil && !opt.ForceScan {
+		key = cacheKey(v.Version(), expanded, opt)
+		if a, ok := rc.Get(key); ok {
+			sp.SetLabel("rescache", "hit")
+			return a.(*answer).materialize(dict, term, expanded, homonyms, opt.MaxHitsPerGroup), nil
+		}
+		sp.SetLabel("rescache", "miss")
+	}
+	var ix *textindex.Index
+	if !opt.ForceScan {
+		ix = s.tix.For(s.model, v, s.st)
+	}
+	a := compute(metamodel.NewGraph(v, dict), ix, expanded, opt)
+	if key != "" {
+		rc.Put(key, a, a.size()+int64(len(key)))
+	}
+	return a.materialize(dict, term, expanded, homonyms, opt.MaxHitsPerGroup), nil
+}
+
+// expand returns the terms a search for term matches — the term, or with
+// opt.Semantic and a thesaurus the term plus its synonyms — and the
+// term's homonym hints.
+func (s *Service) expand(term string, opt Options) (expanded, homonyms []string) {
+	expanded = []string{strings.ToLower(term)}
 	if s.thesaurus != nil {
 		homonyms = s.thesaurus.Homonyms(term)
 		if opt.Semantic {
 			expanded = s.thesaurus.Expand(term)
 		}
 	}
-
-	v, err := reason.ViewCtx(ctx, s.st, true, s.model)
-	if err != nil { // an entailed view fails for a missing model only
-		return nil, fmt.Errorf("search: no such model %q", s.model)
-	}
-	var ix *textindex.Index
-	if !opt.ForceScan {
-		ix = s.tix.For(s.model, v, s.st)
-	}
-	return searchView(metamodel.NewGraph(v, s.st.Dict()), ix, term, expanded, homonyms, opt), nil
+	return expanded, homonyms
 }
 
 // EnsureIndex returns the full-text index over model ∪ its OWLPRIME
@@ -198,11 +234,113 @@ func EnsureIndex(st *store.Store, model string, mgr *textindex.Manager) (*textin
 	return mgr.For(model, v, st), nil
 }
 
-// searchView evaluates the query against one pinned view. ix is the
+// cacheKey is the results-cache key of an answer: every input compute
+// reads — the expanded terms (Semantic enters through them), the
+// filters, MatchDescriptions — and the version of the pinned view, which
+// names its models' instances and generations (store.View.Version), so a
+// write, a re-derived entailment or a second store never shares a key.
+// MaxHitsPerGroup and ForceScan are no inputs of the answer. Every
+// string is quoted, so two different field lists never meet in one key.
+func cacheKey(version string, expanded []string, opt Options) string {
+	var b strings.Builder
+	b.WriteString("search")
+	for _, field := range [][]string{expanded, opt.FilterClasses,
+		{opt.Area, opt.Layer, opt.Tag}, {strconv.FormatBool(opt.MatchDescriptions)}, {version}} {
+		b.WriteByte(0)
+		for _, s := range field {
+			b.WriteString(strconv.Quote(s))
+		}
+	}
+	return b.String()
+}
+
+// answer is a search outcome as dictionary IDs: what compute derives
+// from the view, before the caller's cap and strings are applied. The
+// results cache shares one answer among all searches of its key, so
+// nothing writes an answer once compute has returned it.
+type answer struct {
+	// hits are the matching instances in (name, IRI) order.
+	hits []idHit
+	// groups are the class buckets in (label, class) order. The members
+	// of group g are refs[g.from:g.to], indexes into hits in hits order.
+	groups []idGroup
+	refs   []int32
+}
+
+type idHit struct {
+	// subj is the instance, name the literal Hit.Name shows — or
+	// store.Wildcard for the local name of the instance's IRI.
+	subj, name store.ID
+	// term indexes the expanded term that matched.
+	term int32
+}
+
+type idGroup struct {
+	class    store.ID
+	label    string
+	from, to int32
+}
+
+// size is the answer's retained footprint for the cache's byte budget,
+// counted from its slices' capacities. A label's bytes belong to the
+// dictionary; only its header, inside idGroup, is the answer's.
+func (a *answer) size() int64 {
+	return int64(unsafe.Sizeof(*a)) +
+		int64(cap(a.hits))*int64(unsafe.Sizeof(idHit{})) +
+		int64(cap(a.groups))*int64(unsafe.Sizeof(idGroup{})) +
+		int64(cap(a.refs))*int64(unsafe.Sizeof(int32(0)))
+}
+
+// materialize decodes a fresh Result from the answer for one caller:
+// each group lists its first maxHits members (all of them for 0), its
+// Count stays exact, and term, expanded and homonyms are the caller's.
+// Only the hits shown are decoded.
+func (a *answer) materialize(dict *store.Dict, term string, expanded, homonyms []string, maxHits int) *Result {
+	res := &Result{Term: term, Expanded: expanded, Homonyms: homonyms, Instances: len(a.hits)}
+	if len(a.groups) == 0 {
+		return res
+	}
+	shown := func(g idGroup) []int32 {
+		refs := a.refs[g.from:g.to]
+		if maxHits != 0 && len(refs) > maxHits {
+			refs = refs[:max(maxHits, 0)]
+		}
+		return refs
+	}
+	n := 0
+	for _, g := range a.groups {
+		n += len(shown(g))
+	}
+	// One backing array for every group's hits; each group's slice is
+	// capped at its own length, so appending to one cannot reach the next.
+	// A hit is listed in every group of its classes: it is decoded at its
+	// first listing and copied from there (first[r] is that index + 1).
+	all := make([]Hit, n)
+	first := make([]int32, len(a.hits))
+	res.Groups = make([]Group, len(a.groups))
+	at := 0
+	for gi, g := range a.groups {
+		refs := shown(g)
+		gh := all[at : at+len(refs) : at+len(refs)]
+		for i, r := range refs {
+			if f := first[r]; f != 0 {
+				gh[i] = all[f-1]
+				continue
+			}
+			h := a.hits[r]
+			gh[i] = Hit{IRI: dict.Term(h.subj), Name: metamodel.DecodeOr(dict, h.name, h.subj), Matched: expanded[h.term]}
+			first[r] = int32(at+i) + 1
+		}
+		at += len(refs)
+		res.Groups[gi] = Group{Class: dict.Term(g.class), Label: g.label, Count: int(g.to - g.from), Hits: gh}
+	}
+	return res
+}
+
+// compute evaluates the search against one pinned view. ix is the
 // full-text index over exactly that view, or nil to take the literal-scan
 // path.
-func searchView(k *metamodel.Graph, ix *textindex.Index,
-	term string, expanded, homonyms []string, opt Options) *Result {
+func compute(k *metamodel.Graph, ix *textindex.Index, expanded []string, opt Options) *answer {
 	// Steps 1+2: resolve the filter classes. Because instance membership
 	// in superclasses is materialized in the index, requiring
 	// (x rdf:type C) for every filter class IS the hierarchy-intersection
@@ -210,7 +348,7 @@ func searchView(k *metamodel.Graph, ix *textindex.Index,
 	filterIDs, known := k.ClassIDs(opt.FilterClasses)
 	if !known {
 		// Unknown class: nothing can match.
-		return &Result{Term: term, Expanded: expanded, Homonyms: homonyms}
+		return &answer{}
 	}
 
 	// Step 3: match named instances, names first, then (optionally)
@@ -218,26 +356,29 @@ func searchView(k *metamodel.Graph, ix *textindex.Index,
 	// hit is attributed to the first term that matches it; an instance
 	// that fails the (term-independent) filters once is rejected for
 	// good. Candidate generation differs, the accepted set does not.
-	matched := map[store.ID]Hit{}
-	rejected := map[store.ID]bool{}
+	type namedHit struct {
+		name string
+		hit  idHit
+	}
+	var found []namedHit
+	seen := map[store.ID]bool{} // admitted or rejected
 	folded := make([]string, len(expanded))
 	for i, t := range expanded {
 		folded[i] = textindex.Fold(t)
 	}
 
-	admit := func(subj store.ID, text string, isName bool, termIdx int) {
-		if _, done := matched[subj]; done || rejected[subj] {
+	admit := func(subj, text store.ID, isName bool, termIdx int) {
+		if seen[subj] {
 			return
 		}
+		seen[subj] = true
 		if !passesFilters(k, subj, filterIDs, opt) {
-			rejected[subj] = true
 			return
 		}
-		name := text
 		if !isName {
-			name = k.Name(subj)
+			text = k.NameID(subj)
 		}
-		matched[subj] = Hit{IRI: k.Dict.Term(subj), Name: name, Matched: expanded[termIdx]}
+		found = append(found, namedHit{metamodel.DecodeOr(k.Dict, text, subj), idHit{subj, text, int32(termIdx)}})
 	}
 
 	match := func(predID store.ID, field textindex.Field, isName bool) {
@@ -255,7 +396,7 @@ func searchView(k *metamodel.Graph, ix *textindex.Index,
 			for i := range expanded {
 				for _, p := range ix.Search(expanded[i], field) {
 					if p.Pred == predID {
-						admit(p.Subject, k.Dict.Term(p.Object).Value, isName, i)
+						admit(p.Subject, p.Object, isName, i)
 					}
 				}
 			}
@@ -270,7 +411,7 @@ func searchView(k *metamodel.Graph, ix *textindex.Index,
 		for i := range folded {
 			best := map[store.ID]store.ID{}
 			k.Src.ForEach(store.Wildcard, predID, store.Wildcard, func(t store.ETriple) bool {
-				if _, done := matched[t.S]; done || rejected[t.S] {
+				if seen[t.S] {
 					return true
 				}
 				if o, ok := best[t.S]; ok && o <= t.O {
@@ -282,7 +423,7 @@ func searchView(k *metamodel.Graph, ix *textindex.Index,
 				return true
 			})
 			for subj, obj := range best {
-				admit(subj, k.Dict.Term(obj).Value, isName, i)
+				admit(subj, obj, isName, i)
 			}
 		}
 	}
@@ -291,81 +432,73 @@ func searchView(k *metamodel.Graph, ix *textindex.Index,
 		match(k.Comment, textindex.FieldDescription, false)
 	}
 
-	// Group by every class the instance belongs to (via the index, so an
-	// Application1_View_Column hit also appears under Attribute, Column,
-	// etc. — exactly the multi-group behaviour of Figure 6). Hits are
-	// sorted by name once up front, so appending in that order leaves
-	// every group pre-sorted — cheaper than a per-group sort when one
-	// instance lands in many inherited-class groups.
-	type hitRef struct {
-		id  store.ID
-		hit Hit
-	}
-	order := make([]hitRef, 0, len(matched))
-	for id, hit := range matched {
-		order = append(order, hitRef{id, hit})
-	}
 	// Names tie (the same column name in many tables): the IRI decides,
 	// so the hits a capped group shows do not depend on map order.
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].hit.Name != order[j].hit.Name {
-			return order[i].hit.Name < order[j].hit.Name
+	slices.SortFunc(found, func(x, y namedHit) int {
+		if c := strings.Compare(x.name, y.name); c != 0 {
+			return c
 		}
-		return order[i].hit.IRI.Value < order[j].hit.IRI.Value
+		return strings.Compare(k.Dict.Term(x.hit.subj).Value, k.Dict.Term(y.hit.subj).Value)
 	})
+	a := &answer{hits: make([]idHit, len(found))}
+	for i := range found {
+		a.hits[i] = found[i].hit
+	}
 
-	// Accumulate int indexes into order rather than Hit values: a hit
-	// lands in every inherited-class group, and regrowing []Hit (several
-	// strings each) per group is the single hottest spot at paper scale.
+	// Group by every class the instance belongs to (via the index, so an
+	// Application1_View_Column hit also appears under Attribute, Column,
+	// etc. — exactly the multi-group behaviour of Figure 6). Walking the
+	// hits in order leaves every group's refs in that order.
 	type protoGroup struct {
-		group Group
+		class store.ID
+		label string
 		refs  []int32
 	}
-	groups := map[store.ID]*protoGroup{}
-	skip := map[store.ID]bool{} // owl:Class and friends
+	groups := map[store.ID]*protoGroup{} // nil: not a dm: class (owl:Class and friends)
 	// One visitor for all hits, hi saying whose classes it sees: a closure
 	// per hit, passed through the Source interface, is a heap allocation.
 	var hi int
 	addToGroup := func(t store.ETriple) bool {
 		cls := t.O
-		if skip[cls] {
-			return true
-		}
 		g, ok := groups[cls]
 		if !ok {
-			clsTerm := k.Dict.Term(cls)
-			if !strings.HasPrefix(clsTerm.Value, rdf.DMNS) {
-				skip[cls] = true
-				return true
+			if strings.HasPrefix(k.Dict.Term(cls).Value, rdf.DMNS) {
+				g = &protoGroup{class: cls, label: k.Label(cls)}
 			}
-			g = &protoGroup{group: Group{Class: clsTerm, Label: k.Label(cls)}}
 			groups[cls] = g
 		}
-		g.group.Count++
-		if opt.MaxHitsPerGroup == 0 || len(g.refs) < opt.MaxHitsPerGroup {
+		if g != nil {
 			g.refs = append(g.refs, int32(hi))
 		}
 		return true
 	}
-	for hi = range order {
-		k.Src.ForEach(order[hi].id, k.Type, store.Wildcard, addToGroup)
+	for hi = range a.hits {
+		k.Src.ForEach(a.hits[hi].subj, k.Type, store.Wildcard, addToGroup)
 	}
 
-	res := &Result{Term: term, Expanded: expanded, Homonyms: homonyms, Instances: len(matched)}
+	// Flatten the groups, in (label, class) order, into exact-size slices.
+	byLabel := make([]*protoGroup, 0, len(groups))
+	refs := 0
 	for _, g := range groups {
-		g.group.Hits = make([]Hit, len(g.refs))
-		for i, hi := range g.refs {
-			g.group.Hits[i] = order[hi].hit
+		if g != nil {
+			byLabel = append(byLabel, g)
+			refs += len(g.refs)
 		}
-		res.Groups = append(res.Groups, g.group)
 	}
-	sort.Slice(res.Groups, func(i, j int) bool {
-		if res.Groups[i].Label != res.Groups[j].Label {
-			return res.Groups[i].Label < res.Groups[j].Label
+	slices.SortFunc(byLabel, func(x, y *protoGroup) int {
+		if c := strings.Compare(x.label, y.label); c != 0 {
+			return c
 		}
-		return res.Groups[i].Class.Value < res.Groups[j].Class.Value
+		return strings.Compare(k.Dict.Term(x.class).Value, k.Dict.Term(y.class).Value)
 	})
-	return res
+	a.groups = make([]idGroup, len(byLabel))
+	a.refs = make([]int32, 0, refs)
+	for i, g := range byLabel {
+		from := int32(len(a.refs))
+		a.refs = append(a.refs, g.refs...)
+		a.groups[i] = idGroup{class: g.class, label: g.label, from: from, to: int32(len(a.refs))}
+	}
+	return a
 }
 
 // passesFilters applies the class-intersection, area, layer and tag
