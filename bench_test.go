@@ -277,7 +277,7 @@ func BenchmarkListing1(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows = len(res.Rows)
+		rows = res.Len()
 	}
 	b.ReportMetric(float64(rows), "rows")
 }
@@ -360,8 +360,8 @@ func BenchmarkListing2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Rows) != 1 {
-			b.Fatalf("rows = %d", len(res.Rows))
+		if res.Len() != 1 {
+			b.Fatalf("rows = %d", res.Len())
 		}
 	}
 }
@@ -445,7 +445,7 @@ func BenchmarkOWLPrimeIndex(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			n = res.Rows[0]["n"].Value
+			n = res.Row(0)["n"].Value
 		}
 		if n == "0" {
 			b.Fatal("index query found nothing")
@@ -458,7 +458,7 @@ func BenchmarkOWLPrimeIndex(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res.Rows[0]["n"].Value != "0" {
+			if res.Row(0)["n"].Value != "0" {
 				b.Fatal("facts-only query saw inferred types")
 			}
 		}

@@ -874,8 +874,9 @@ func printResultTable(vars []string, rows [][]string) {
 // resultRows flattens a SPARQL result into printable cells; IRIs are
 // abbreviated with the well-known prefixes.
 func resultRows(res *sparql.Result) [][]string {
-	out := make([][]string, 0, len(res.Rows))
-	for _, b := range res.Rows {
+	out := make([][]string, 0, res.Len())
+	for i := 0; i < res.Len(); i++ {
+		b := res.Row(i)
 		row := make([]string, len(res.Vars))
 		for i, v := range res.Vars {
 			if t, ok := b[v]; ok {

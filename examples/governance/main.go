@@ -102,12 +102,12 @@ func main() {
 	}
 	qr := resp.Result
 	version := ""
-	if len(qr.Rows) > 0 {
-		version = qr.Rows[0]["v"].Value
+	if qr.Len() > 0 {
+		version = qr.Row(0)["v"].Value
 	}
 	fmt.Printf("technology phase-out: %d applications still assembled with java %s\n",
-		len(qr.Rows), version)
-	for _, row := range qr.Rows {
-		fmt.Println("  " + row["app"].Value)
+		qr.Len(), version)
+	for i := 0; i < qr.Len(); i++ {
+		fmt.Println("  " + qr.Row(i)["app"].Value)
 	}
 }

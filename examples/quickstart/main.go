@@ -65,8 +65,8 @@ func main() {
 	}
 	qr := resp.Result
 	fmt.Println("\nall attributes in the graph:")
-	for _, row := range qr.Rows {
-		fmt.Println("  " + row["name"].Value)
+	for i := 0; i < qr.Len(); i++ {
+		fmt.Println("  " + qr.Row(i)["name"].Value)
 	}
 
 	// 6. Historize the release (Section III.A).

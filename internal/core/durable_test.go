@@ -29,7 +29,7 @@ func TestOpenDurableFullLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := w.Query(context.Background(), `SELECT ?s WHERE { ?s ?p ?o } LIMIT 1`, core.QueryOptions{})
-	if err != nil || len(res.Result.Rows) == 0 {
+	if err != nil || res.Result.Len() == 0 {
 		t.Fatalf("query before close: %v", err)
 	}
 	before := w.Stats()
@@ -57,7 +57,7 @@ func TestOpenDurableFullLifecycle(t *testing.T) {
 		t.Errorf("recovered versions %+v, want the release-1 snapshot", vs)
 	}
 	res, err = w2.Query(context.Background(), `SELECT ?s WHERE { ?s ?p ?o } LIMIT 1`, core.QueryOptions{})
-	if err != nil || len(res.Result.Rows) == 0 {
+	if err != nil || res.Result.Len() == 0 {
 		t.Fatalf("query after reopen: %v", err)
 	}
 }

@@ -80,7 +80,7 @@ func ExampleWarehouse_Query() {
 		log.Fatal(err)
 	}
 	fmt.Printf("attributes with index: %s, facts only: %s\n",
-		with.Result.Rows[0]["n"].Value, without.Result.Rows[0]["n"].Value)
+		with.Result.Row(0)["n"].Value, without.Result.Row(0)["n"].Value)
 
 	// Output:
 	// attributes with index: 5, facts only: 0

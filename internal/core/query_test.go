@@ -71,14 +71,14 @@ func TestQueryOptionsMatrix(t *testing.T) {
 				if resp.Plan != "" {
 					t.Errorf("executed call carries a plan rendering:\n%s", resp.Plan)
 				}
-				if rows := len(resp.Result.Rows); (rows == 0) != opt.FactsOnly {
+				if rows := resp.Result.Len(); (rows == 0) != opt.FactsOnly {
 					t.Errorf("%d rows with FactsOnly=%v", rows, opt.FactsOnly)
 				}
 				if (resp.Stats != nil) != opt.Analyze {
 					t.Errorf("Stats = %v with Analyze=%v", resp.Stats, opt.Analyze)
 				}
-				if opt.Analyze && resp.Stats.Rows != len(resp.Result.Rows) {
-					t.Errorf("analyzed %d rows, result has %d", resp.Stats.Rows, len(resp.Result.Rows))
+				if opt.Analyze && resp.Stats.Rows != resp.Result.Len() {
+					t.Errorf("analyzed %d rows, result has %d", resp.Stats.Rows, resp.Result.Len())
 				}
 			})
 		}
@@ -140,4 +140,41 @@ func TestExplainNestsUnderCallerSpan(t *testing.T) {
 		}
 	}
 	t.Errorf("no sparql parse span under warehouse.query: %+v", trace.Spans)
+}
+
+// TestOneRowCount: the warehouse's span, the engine's exec span and the
+// statement table report one count, Result.Count(), on a miss and on a
+// cache hit alike — 1 for ASK, whose root span once said 0.
+func TestOneRowCount(t *testing.T) {
+	w := buildWarehouse(t)
+	for _, q := range []string{
+		`ASK { ?s ?p ?o }`,
+		`SELECT ?s ?n WHERE { ?s <` + rdf.HasName.Value + `> ?n }`,
+	} {
+		for run := range 2 { // the miss, then the hit
+			tracer := obs.NewTracer(4)
+			root := tracer.Start("caller")
+			resp, err := w.Query(obs.ContextWithSpan(context.Background(), root), q, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			root.Finish()
+			trace, _ := tracer.Get(root.TraceID())
+			want := fmt.Sprint(resp.Result.Count())
+			if strings.HasPrefix(q, "ASK") && want != "1" {
+				t.Errorf("ASK result Count() = %s, want 1", want)
+			}
+			labels := map[string]string{}
+			for _, sp := range trace.Spans {
+				for _, l := range sp.Labels {
+					if l.Key == "rows" {
+						labels[sp.Name] = l.Value
+					}
+				}
+			}
+			if labels["warehouse.query"] != want || labels["sparql exec"] != want {
+				t.Errorf("%s, run %d: rows labels %v, want %s on warehouse.query and sparql exec", q, run, labels, want)
+			}
+		}
+	}
 }

@@ -275,7 +275,7 @@ func (w *Warehouse) run(ctx context.Context, text string, isCall bool, opt Query
 	if err != nil {
 		return fail("exec", err)
 	}
-	root.SetLabel("rows", strconv.Itoa(len(res.Rows)))
+	root.SetLabel("rows", strconv.Itoa(res.Count()))
 	return Response{Result: res, Stats: stats}, nil
 }
 

@@ -110,11 +110,11 @@ func TestQueryWithAndWithoutIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(withIdx.Result.Rows) == 0 {
+	if withIdx.Result.Len() == 0 {
 		t.Error("indexed query found nothing")
 	}
-	if len(factsOnly.Result.Rows) != 0 {
-		t.Errorf("facts-only query saw %d inferred rows", len(factsOnly.Result.Rows))
+	if factsOnly.Result.Len() != 0 {
+		t.Errorf("facts-only query saw %d inferred rows", factsOnly.Result.Len())
 	}
 	if _, err := w.Query(ctx, "NOT SPARQL", QueryOptions{}); !errors.Is(err, ErrBadQuery) {
 		t.Errorf("bad query: err = %v, want ErrBadQuery", err)
@@ -136,8 +136,8 @@ func TestSemMatchListing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := resp.Result; len(res.Rows) != 1 || res.Rows[0]["term"].Value != "customer_id" {
-		t.Errorf("rows = %v", res.Rows)
+	if res := resp.Result; res.Len() != 1 || res.Row(0)["term"].Value != "customer_id" {
+		t.Errorf("%d rows, want 1 of term customer_id", res.Len())
 	}
 }
 
@@ -240,8 +240,8 @@ func TestLoadVisibleToEveryIndexedService(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, row := range res.Result.Rows {
-				if row["r"] == rdf.IRI(rdf.InstNS+"auditor") {
+			for i := 0; i < res.Result.Len(); i++ {
+				if res.Result.Row(i)["r"] == rdf.IRI(rdf.InstNS+"auditor") {
 					return true // typed Support, a Role only by inheritance
 				}
 			}

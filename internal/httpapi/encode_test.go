@@ -10,12 +10,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"mdw/internal/core"
 	"mdw/internal/obs"
 	"mdw/internal/rdf"
+	"mdw/internal/rescache"
 	"mdw/internal/sparql"
 )
 
@@ -46,25 +49,27 @@ func nasty(rng *rand.Rand) string {
 }
 
 // oldResponse is the response path serveResult replaced, kept as the
-// oracle: every binding copied into a map[string]string, the whole
-// QueryResponse handed to encoding/json.
+// oracle: every row copied into a map[string]string, the whole
+// QueryResponse handed to encoding/json. An engine result of a SELECT
+// always has Vars; ASK and CONSTRUCT results have none and no rows.
 func oldResponse(res *sparql.Result, stats *sparql.ExecStats) QueryResponse {
 	resp := QueryResponse{Vars: res.Vars}
 	if stats != nil {
 		resp.Stats = stats
 		resp.AnalyzedPlan = stats.String()
 	}
+	rows := res.Len()
 	if len(res.Triples) > 0 {
 		for _, tr := range res.Triples {
 			resp.Triples = append(resp.Triples, tr.NTriple())
 		}
-	} else if len(res.Vars) == 0 && len(res.Rows) == 0 {
+	} else if len(res.Vars) == 0 && rows == 0 {
 		ask := res.Ask
 		resp.Ask = &ask
 	}
-	for _, b := range res.Rows {
+	for i := 0; i < rows; i++ {
 		row := map[string]string{}
-		for v, t := range b {
+		for v, t := range res.Row(i) {
 			row[v] = t.Value
 		}
 		resp.Rows = append(resp.Rows, row)
@@ -72,47 +77,61 @@ func oldResponse(res *sparql.Result, stats *sparql.ExecStats) QueryResponse {
 	return resp
 }
 
-// randomResult generates one result of a random kind: SELECT (with
-// OPTIONAL-unbound columns, empty rows, no rows, duplicate and awkward
-// variable names), ASK or CONSTRUCT.
-func randomResult(rng *rand.Rand) *sparql.Result {
-	term := func() rdf.Term {
-		switch rng.Intn(3) {
-		case 0:
-			return rdf.IRI(nasty(rng))
-		case 1:
-			return rdf.Literal(nasty(rng))
+// Predicates of the nasty warehouse: a name, a link between subjects, a
+// number, and one that no triple uses.
+var (
+	pName = rdf.IRI(rdf.InstNS + "name")
+	pLink = rdf.IRI(rdf.InstNS + "link")
+	pNum  = rdf.IRI(rdf.InstNS + "num")
+	pNone = rdf.IRI(rdf.InstNS + "none")
+)
+
+// nastyWarehouse holds 40 subjects, some with awkward IRIs, named with
+// nasty strings (some twice, some not at all), linked at random and
+// numbered.
+func nastyWarehouse(rng *rand.Rand) *core.Warehouse {
+	subj := make([]rdf.Term, 40)
+	for i := range subj {
+		subj[i] = rdf.IRI(rdf.InstNS + "s" + strconv.Itoa(i))
+		if i%3 == 0 {
+			subj[i] = rdf.IRI(nasty(rng))
 		}
-		return rdf.Integer(rng.Int63n(1000) - 500)
 	}
-	switch rng.Intn(8) {
-	case 0:
-		return &sparql.Result{Ask: rng.Intn(2) == 0}
-	case 1:
-		res := &sparql.Result{}
-		for i := rng.Intn(5) + 1; i > 0; i-- {
-			res.Triples = append(res.Triples, rdf.T(rdf.IRI(nasty(rng)), rdf.IRI(nasty(rng)), term()))
+	var ts []rdf.Triple
+	for i, s := range subj {
+		for k := rng.Intn(3); k > 0; k-- {
+			ts = append(ts, rdf.T(s, pName, rdf.Literal(nasty(rng))))
 		}
-		return res
-	}
-	pool := []string{"object", "class", "term", "n", "x", "x", "a<b", `q"uote`, "\u00fcn\u00ef", "\u2028", ""}
-	res := &sparql.Result{Vars: []string{}}
-	for i := rng.Intn(5); i > 0; i-- {
-		res.Vars = append(res.Vars, pool[rng.Intn(len(pool))])
-	}
-	if rng.Intn(6) == 0 {
-		res.Rows = []sparql.Binding{} // no solutions, slice not nil
-	}
-	for i := rng.Intn(7); i > 0 && rng.Intn(6) > 0; i-- {
-		row := sparql.Binding{}
-		for _, v := range res.Vars {
-			if rng.Intn(4) > 0 { // else: unbound under OPTIONAL
-				row[v] = term()
-			}
+		if rng.Intn(2) == 0 {
+			ts = append(ts, rdf.T(s, pLink, subj[rng.Intn(len(subj))]))
 		}
-		res.Rows = append(res.Rows, row)
+		ts = append(ts, rdf.T(s, pNum, rdf.Integer(int64(i%7))))
 	}
-	return res
+	w := core.New("")
+	w.LoadTriples(ts)
+	return w
+}
+
+// randomQuery draws a query whose result is of a random kind: SELECT
+// (OPTIONAL-unbound columns, a variable projected twice, SELECT *,
+// COUNTs, DISTINCT, ORDER BY with LIMIT, no solutions), ASK or
+// CONSTRUCT.
+func randomQuery(rng *rand.Rand) string {
+	name, link, num, none := "<"+pName.Value+">", "<"+pLink.Value+">", "<"+pNum.Value+">", "<"+pNone.Value+">"
+	qs := []string{
+		`SELECT ?s ?n WHERE { ?s ` + name + ` ?n }`,
+		`SELECT DISTINCT ?n ?s ?n WHERE { ?s ` + name + ` ?n }`,
+		`SELECT ?s ?o ?n WHERE { ?s ` + link + ` ?o OPTIONAL { ?o ` + name + ` ?n } }`,
+		`SELECT * WHERE { ?s ` + num + ` ?v OPTIONAL { ?s ` + link + ` ?o } }`,
+		`SELECT ?s WHERE { ?s ` + none + ` ?o }`,
+		`SELECT ?v (COUNT(?s) AS ?c) WHERE { ?s ` + num + ` ?v } GROUP BY ?v`,
+		`SELECT DISTINCT (COUNT(?o) AS ?c) WHERE { ?s ` + link + ` ?o } GROUP BY ?s`,
+		`SELECT ?n ?s WHERE { ?s ` + name + ` ?n } ORDER BY DESC(?n) LIMIT ` + strconv.Itoa(1+rng.Intn(8)),
+		`ASK { ?s ` + link + ` ?o }`,
+		`ASK { ?s ` + none + ` ?o }`,
+		`CONSTRUCT { ?o ` + name + ` ?n } WHERE { ?s ` + link + ` ?o . ?s ` + name + ` ?n }`,
+	}
+	return qs[rng.Intn(len(qs))]
 }
 
 // analyzedStats runs a few queries under EXPLAIN ANALYZE so the
@@ -141,50 +160,83 @@ func analyzedStats(t *testing.T) []*sparql.ExecStats {
 }
 
 // TestStreamedResultMatchesEncodingJSON is the differential test of the
-// encoder: for generated results of every kind, with and without
-// analyze stats, the streamed body is the compact encoding/json
-// rendering of the old QueryResponse — byte for byte, and therefore
-// decodes to the same value.
+// encoder: random queries of every kind over nasty data, each answered
+// three ways — streamed (the miss), into the cached reply (the first
+// hit) and written from it (a later hit) — with and without analyze
+// stats. Every body is the compact encoding/json rendering of the old
+// QueryResponse, byte for byte, and therefore decodes to the same value.
 func TestStreamedResultMatchesEncodingJSON(t *testing.T) {
 	stats := analyzedStats(t)
 	rng := rand.New(rand.NewSource(14))
+	w := nastyWarehouse(rng)
 	kinds := map[string]int{}
-	for i := 0; i < 400; i++ {
-		res := randomResult(rng)
+	for i := 0; i < 300; i++ {
+		q := randomQuery(rng)
 		var st *sparql.ExecStats
 		if i%4 == 3 {
 			st = stats[rng.Intn(len(stats))]
 		}
-		want, err := json.Marshal(oldResponse(res, st))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, '\n') // json.Encoder ends the value with a newline
+		rescache.Default().Purge()
+		var first []byte
+		for way, name := range []string{"streamed", "into the cached reply", "written from it"} {
+			resp, err := w.Query(context.Background(), q, core.QueryOptions{})
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			res := resp.Result
+			if cached := res.EncodedJSON() != nil; cached != (way > 0 && !strings.Contains(q, "CONSTRUCT")) {
+				t.Fatalf("%s, %s: result holds an encoded reply = %v", q, name, cached)
+			}
+			want, err := json.Marshal(oldResponse(res, st))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, '\n') // json.Encoder ends the value with a newline
 
-		rec := httptest.NewRecorder()
-		serveResult(rec, httptest.NewRequest("GET", "/api/query", nil), res, st)
-		got := rec.Body.Bytes()
-		if rec.Code != 200 || rec.Header().Get("Content-Type") != "application/json" {
-			t.Fatalf("result %d: status %d, content type %q", i, rec.Code, rec.Header().Get("Content-Type"))
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("result %d (%+v):\nstreamed %s\nwant     %s", i, res, got, want)
-		}
-		switch {
-		case len(res.Triples) > 0:
-			kinds["construct"]++
-		case len(res.Vars) == 0 && len(res.Rows) == 0:
-			kinds["ask"]++
-		case len(res.Rows) == 0:
-			kinds["no rows"]++
-		default:
-			kinds["rows"]++
-		}
-		if st != nil {
-			kinds["analyze"]++
+			rec := httptest.NewRecorder()
+			serveResult(rec, httptest.NewRequest("GET", "/api/query", nil), res, st)
+			got := rec.Body.Bytes()
+			if rec.Code != 200 || rec.Header().Get("Content-Type") != "application/json" {
+				t.Fatalf("%s: status %d, content type %q", q, rec.Code, rec.Header().Get("Content-Type"))
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s, %s:\ngot  %s\nwant %s", q, name, got, want)
+			}
+			if way == 0 {
+				first = got
+			} else if !bytes.Equal(got, first) {
+				t.Fatalf("%s: %s differs from the streamed body", q, name)
+			}
+			if way > 0 {
+				continue
+			}
+			switch {
+			case len(res.Triples) > 0:
+				kinds["construct"]++
+			case res.Vars == nil:
+				kinds["ask"]++
+			case res.Len() == 0:
+				kinds["no rows"]++
+			default:
+				kinds["rows"]++
+				if strings.Contains(q, "COUNT") {
+					kinds["computed"]++
+				}
+				keys := map[string]bool{}
+				for _, v := range res.Vars {
+					keys[v] = true
+				}
+				if len(res.Row(0)) < len(keys) {
+					kinds["unbound"]++
+				}
+			}
+			if st != nil {
+				kinds["analyze"]++
+			}
 		}
 	}
-	for _, k := range []string{"construct", "ask", "no rows", "rows", "analyze"} {
+	t.Logf("results by kind: %v", kinds)
+	for _, k := range []string{"construct", "ask", "no rows", "rows", "analyze", "computed", "unbound"} {
 		if kinds[k] < 10 {
 			t.Errorf("only %d generated results of kind %q: %v", kinds[k], k, kinds)
 		}
@@ -195,19 +247,22 @@ func TestStreamedResultMatchesEncodingJSON(t *testing.T) {
 // cannot: a body of many buffers, against the same oracle.
 func TestStreamedResultSpansFlushes(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	res := &sparql.Result{Vars: []string{"object", "class", "term"}}
-	for i := 0; i < 5000; i++ {
-		res.Rows = append(res.Rows, sparql.Binding{
-			"object": rdf.IRI(rdf.InstNS + "o" + strconv.Itoa(i)),
-			"term":   rdf.Literal(nasty(rng)),
-		})
+	ts := make([]rdf.Triple, 5000)
+	for i := range ts {
+		ts[i] = rdf.T(rdf.IRI(rdf.InstNS+"o"+strconv.Itoa(i)), pName, rdf.Literal(nasty(rng)+strconv.Itoa(i)))
 	}
-	want, err := json.Marshal(oldResponse(res, nil))
+	w := core.New("")
+	w.LoadTriples(ts)
+	resp, err := w.Query(context.Background(), `SELECT ?object ?class ?term WHERE { ?object <`+pName.Value+`> ?term }`, core.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(oldResponse(resp.Result, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
-	n, err := writeResult(&got, res, nil, "")
+	n, err := writeResult(&got, resp.Result, nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +274,43 @@ func TestStreamedResultSpansFlushes(t *testing.T) {
 	}
 }
 
+// TestEncodeStopsWhenFlushFails: once flush reports the reader gone,
+// AppendJSON encodes no further row or triple, so a handler whose
+// client left stops working.
+func TestEncodeStopsWhenFlushFails(t *testing.T) {
+	ts := make([]rdf.Triple, 100)
+	for i := range ts {
+		ts[i] = rdf.T(rdf.IRI(rdf.InstNS+"o"+strconv.Itoa(i)), pName, rdf.Literal("n"+strconv.Itoa(i)))
+	}
+	w := core.New("")
+	w.LoadTriples(ts)
+	for _, q := range []string{
+		`SELECT ?o ?n WHERE { ?o <` + pName.Value + `> ?n }`,
+		`CONSTRUCT { ?o <` + pName.Value + `> ?n } WHERE { ?o <` + pName.Value + `> ?n }`,
+	} {
+		resp, err := w.Query(context.Background(), q, core.QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		flushes := 0
+		_, ok := resp.Result.AppendJSON(nil, func(b []byte) ([]byte, bool) {
+			flushes++
+			return b[:0], flushes < 3
+		})
+		if ok || flushes != 3 {
+			t.Errorf("%s: flush failed on call 3; AppendJSON went on to %d calls and reported ok=%v", q, flushes, ok)
+		}
+	}
+}
+
 func checkJSONString(t *testing.T, s string) {
 	t.Helper()
 	want, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := appendJSONString(nil, s); !bytes.Equal(got, want) {
-		t.Errorf("appendJSONString(%q) = %s, encoding/json writes %s", s, got, want)
+	if got := sparql.AppendJSONString(nil, s); !bytes.Equal(got, want) {
+		t.Errorf("AppendJSONString(%q) = %s, encoding/json writes %s", s, got, want)
 	}
 }
 
@@ -318,7 +402,9 @@ func TestCachedHitAllocationsIndependentOfRows(t *testing.T) {
 
 // TestWriteErrorMidStream: a client that goes away while a large result
 // streams ends the handler early, without a panic, and the truncated
-// response is counted.
+// response is counted. A miss stops encoding at the failed write; a
+// results-cache hit fails its one write of the kept reply and sends
+// nothing after it.
 func TestWriteErrorMidStream(t *testing.T) {
 	srv, path := namesServer(10000)
 	counter := obs.Default().Counter("mdw_http_write_errors_total", "route", "GET /api/query")
@@ -330,6 +416,7 @@ func TestWriteErrorMidStream(t *testing.T) {
 		t.Fatalf("a complete response counted %d write errors", d)
 	}
 
+	rescache.Default().Purge() // the next request misses and streams
 	gone := &discard{h: http.Header{}, failAfter: 2 * streamFlushAt}
 	srv.ServeHTTP(gone, httptest.NewRequest("GET", path, nil))
 	if d := counter.Value() - before; d != 1 {
@@ -338,6 +425,15 @@ func TestWriteErrorMidStream(t *testing.T) {
 	if gone.writes >= whole.writes || gone.n > gone.failAfter {
 		t.Errorf("handler kept writing to a dead client: %d writes (%d bytes) against %d for the whole body",
 			gone.writes, gone.n, whole.writes)
+	}
+
+	hit := &discard{h: http.Header{}, failAfter: 2 * streamFlushAt} // the entry's first hit
+	srv.ServeHTTP(hit, httptest.NewRequest("GET", path, nil))
+	if d := counter.Value() - before; d != 2 {
+		t.Errorf("write error counter moved by %d, want 2", d)
+	}
+	if hit.writes != 2 || hit.n != 1 { // "{", then the reply that failed
+		t.Errorf("cached reply to a dead client took %d writes (%d bytes), want 2 (1)", hit.writes, hit.n)
 	}
 
 	// Every other route answers through writeJSON; its failed write is
@@ -351,62 +447,84 @@ func TestWriteErrorMidStream(t *testing.T) {
 }
 
 // TestEncodeSpan: the request's trace attributes the encode, with the
-// row and byte counts as labels.
+// row and byte counts as labels, and says whether the body was encoded
+// (the miss) or written from the reply the cache entry kept (the hits).
 func TestEncodeSpan(t *testing.T) {
 	s, path := namesServer(25)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
-	resp := get(t, srv.URL+path)
-	var body bytes.Buffer
-	if _, err := body.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	var trace obs.Trace
-	if code := getJSON(t, srv, "/api/traces?id="+resp.Header.Get("X-Mdw-Trace"), &trace); code != 200 {
-		t.Fatalf("traces?id status = %d", code)
-	}
-	for _, sp := range trace.Spans {
-		if sp.Name != "http encode" {
-			continue
+	for _, wire := range []string{"encoded", "cached", "cached"} {
+		resp := get(t, srv.URL+path)
+		var body bytes.Buffer
+		if _, err := body.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
 		}
+		var trace obs.Trace
+		if code := getJSON(t, srv, "/api/traces?id="+resp.Header.Get("X-Mdw-Trace"), &trace); code != 200 {
+			t.Fatalf("traces?id status = %d", code)
+		}
+		i := slices.IndexFunc(trace.Spans, func(sp obs.SpanData) bool { return sp.Name == "http encode" })
+		if i < 0 {
+			t.Fatalf("no http encode span in the trace: %+v", trace.Spans)
+		}
+		sp := trace.Spans[i]
 		labels := map[string]string{}
 		for _, l := range sp.Labels {
 			labels[l.Key] = l.Value
 		}
-		if labels["rows"] != "25" || labels["bytes"] != strconv.Itoa(body.Len()) {
-			t.Errorf("http encode labels = %v, want rows=25 bytes=%d", labels, body.Len())
+		if labels["rows"] != "25" || labels["bytes"] != strconv.Itoa(body.Len()) || labels["wire"] != wire {
+			t.Errorf("http encode labels = %v, want rows=25 bytes=%d wire=%s", labels, body.Len(), wire)
 		}
 		if sp.Parent != trace.ID {
 			t.Errorf("http encode span hangs under %d, want the request's root %d", sp.Parent, trace.ID)
 		}
-		return
 	}
-	t.Errorf("no http encode span in the trace: %+v", trace.Spans)
 }
 
-// BenchmarkWriteResult encodes a result shaped like a cached paper-scale
+// BenchmarkWriteResult writes a result shaped like a cached paper-scale
 // Listing 1 answer (9.6k rows of object IRI, class label and name,
-// ~1.7 MB), the reply mdwbench's portal_read spends its time on.
+// ~1.7 MB), the reply mdwbench's portal_read spends its time on: miss
+// streams it from the ID rows, hit writes the reply a results-cache hit
+// kept.
 func BenchmarkWriteResult(b *testing.B) {
-	res := &sparql.Result{Vars: []string{"object", "class", "term"}}
+	var ts []rdf.Triple
 	for i := 0; i < 9600; i++ {
 		app := "application" + strconv.Itoa(i%72)
-		res.Rows = append(res.Rows, sparql.Binding{
-			"object": rdf.IRI(rdf.InstNS + app + "/db/schema/table" + strconv.Itoa(i) + "/customer_id"),
-			"class":  rdf.Literal(app + " Table Column"),
-			"term":   rdf.Literal("customer_identification_" + strconv.Itoa(i)),
-		})
+		obj := rdf.IRI(rdf.InstNS + app + "/db/schema/table" + strconv.Itoa(i) + "/customer_id")
+		class := rdf.IRI(rdf.InstNS + app + "/TableColumn")
+		ts = append(ts, rdf.T(obj, rdf.Type, class), rdf.T(class, rdf.Label, rdf.Literal(app+" Table Column")),
+			rdf.T(obj, rdf.HasName, rdf.Literal("customer_identification_"+strconv.Itoa(i))))
 	}
-	n, err := writeResult(io.Discard, res, nil, "")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := writeResult(io.Discard, res, nil, ""); err != nil {
+	w := core.New("")
+	w.LoadTriples(ts)
+	q := `SELECT ?object ?class ?term WHERE { ?object <` + rdf.RDFType + `> ?c . ?c <` + rdf.RDFSLabel +
+		`> ?class . ?object <` + rdf.HasName.Value + `> ?term }`
+	var results []*sparql.Result // the miss, then the first hit
+	for len(results) < 2 {
+		resp, err := w.Query(context.Background(), q, core.QueryOptions{FactsOnly: true})
+		if err != nil {
 			b.Fatal(err)
 		}
+		results = append(results, resp.Result)
+	}
+	if results[0].Len() != 9600 || results[0].EncodedJSON() != nil || results[1].EncodedJSON() == nil {
+		b.Fatalf("%d rows; want 9600, streamed on the miss and kept on the hit", results[0].Len())
+	}
+	for i, name := range []string{"miss", "hit"} {
+		res := results[i]
+		b.Run(name, func(b *testing.B) {
+			n, err := writeResult(io.Discard, res, nil, "")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := writeResult(io.Discard, res, nil, ""); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

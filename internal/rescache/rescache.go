@@ -160,6 +160,9 @@ func (c *Cache) Bytes() int64 {
 	return c.bytes
 }
 
+// MaxBytes returns the byte budget, the most one entry may weigh.
+func (c *Cache) MaxBytes() int64 { return c.maxBytes }
+
 // Stats is a point-in-time summary of one cache.
 type Stats struct {
 	Hits      int64 `json:"hits"`

@@ -43,8 +43,8 @@ func TestRequestWithoutRulebaseSeesOnlyFacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 0 {
-		t.Errorf("without OWLPRIME rows = %d, want 0 (no inferred types)", len(res.Rows))
+	if res.Len() != 0 {
+		t.Errorf("without OWLPRIME rows = %d, want 0 (no inferred types)", res.Len())
 	}
 }
 
@@ -60,11 +60,11 @@ func TestRequestWithRulebaseSeesInferred(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("with OWLPRIME rows = %d, want 1", len(res.Rows))
+	if res.Len() != 1 {
+		t.Fatalf("with OWLPRIME rows = %d, want 1", res.Len())
 	}
-	if rdf.LocalName(res.Rows[0]["x"].Value) != "customer_id" {
-		t.Errorf("x = %v", res.Rows[0]["x"])
+	if rdf.LocalName(res.Row(0)["x"].Value) != "customer_id" {
+		t.Errorf("x = %v", res.Row(0)["x"])
 	}
 }
 
@@ -107,12 +107,12 @@ func TestListing1(t *testing.T) {
 	}
 	// customer_id is an Application1_View_Column and, via OWLPRIME, an
 	// Attribute: two (class, object) groups.
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2: %v", len(res.Rows), res.Rows)
+	if res.Len() != 2 {
+		t.Fatalf("rows = %d, want 2", res.Len())
 	}
 	classes := map[string]bool{}
-	for _, r := range res.Rows {
-		classes[r["class"].Value] = true
+	for i := 0; i < res.Len(); i++ {
+		classes[res.Row(i)["class"].Value] = true
 	}
 	if !classes["Application1 View Column"] || !classes["Attribute"] {
 		t.Errorf("classes = %v", classes)
@@ -141,10 +141,10 @@ func TestListing2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.Len() != 1 {
+		t.Fatalf("rows = %d, want 1", res.Len())
 	}
-	r := res.Rows[0]
+	r := res.Row(0)
 	if rdf.LocalName(r["source_id"].Value) != "partner_id" || r["target_name"].Value != "customer_id" {
 		t.Errorf("row = %v", r)
 	}
@@ -188,8 +188,8 @@ func TestDistinctProjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Errorf("rows = %d", len(res.Rows))
+	if res.Len() != 2 {
+		t.Errorf("rows = %d", res.Len())
 	}
 }
 
@@ -221,8 +221,8 @@ func TestOneCallOneQueryText(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Rows) != 1 {
-			t.Fatalf("rows = %d, want 1", len(res.Rows))
+		if res.Len() != 1 {
+			t.Fatalf("rows = %d, want 1", res.Len())
 		}
 	}
 	if n := c.Len(); n != 1 {

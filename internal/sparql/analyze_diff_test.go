@@ -87,7 +87,7 @@ func TestDifferentialAnalyze(t *testing.T) {
 				if err != nil {
 					t.Fatalf("[%s #%d w=%d] analyzed exec failed for %q: %v", fx.name, i, workers, full, err)
 				}
-				rows := len(res.Rows)
+				rows := res.Len()
 				if q.Kind == sparql.AskQuery {
 					rows = 1
 					if res.Ask != plain.Ask {
@@ -97,9 +97,9 @@ func TestDifferentialAnalyze(t *testing.T) {
 				} else if unlimited != "" {
 					// LIMIT without ORDER BY: row counts must agree, the
 					// specific rows may legitimately differ between runs.
-					if len(res.Rows) != len(plain.Rows) {
+					if res.Len() != plain.Len() {
 						t.Errorf("[%s #%d w=%d] LIMIT row count diverged on %q: analyzed=%d plain=%d",
-							fx.name, i, workers, full, len(res.Rows), len(plain.Rows))
+							fx.name, i, workers, full, res.Len(), plain.Len())
 					}
 				} else if ak, pk := rowKeys(res), rowKeys(plain); !sameMultiset(ak, pk) {
 					t.Errorf("[%s #%d w=%d] divergence on %q:\nanalyzed (%d): %v\nplain    (%d): %v",

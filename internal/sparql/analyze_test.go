@@ -69,11 +69,11 @@ func TestAnalyzeTreeShape(t *testing.T) {
 	if got := countOps(stats.Root.Children); got != p.nstats {
 		t.Errorf("tree has %d operator nodes, plan assigned %d stat slots", got, p.nstats)
 	}
-	if stats.Rows != len(res.Rows) {
-		t.Errorf("stats.Rows = %d, result has %d rows", stats.Rows, len(res.Rows))
+	if stats.Rows != res.Len() {
+		t.Errorf("stats.Rows = %d, result has %d rows", stats.Rows, res.Len())
 	}
-	if int64(stats.Root.Rows) != int64(len(res.Rows)) {
-		t.Errorf("root Rows = %d, want %d", stats.Root.Rows, len(res.Rows))
+	if int64(stats.Root.Rows) != int64(res.Len()) {
+		t.Errorf("root Rows = %d, want %d", stats.Root.Rows, res.Len())
 	}
 	if stats.Strategy != "serial" {
 		t.Errorf("strategy = %q, want serial for an un-forced tiny plan", stats.Strategy)
@@ -148,8 +148,8 @@ func TestAnalyzeNeverExecuted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 0 {
-		t.Fatalf("expected empty result, got %d rows", len(res.Rows))
+	if res.Len() != 0 {
+		t.Fatalf("expected empty result, got %d rows", res.Len())
 	}
 	if !strings.Contains(stats.String(), "never executed") {
 		t.Errorf("starved operator not marked never executed:\n%s", stats.String())
@@ -189,8 +189,8 @@ func TestAnalyzeDistinctLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 || !lstats.LimitStopped {
-		t.Errorf("LIMIT 2 over 6 tables: rows=%d limitStopped=%v", len(res.Rows), lstats.LimitStopped)
+	if res.Len() != 2 || !lstats.LimitStopped {
+		t.Errorf("LIMIT 2 over 6 tables: rows=%d limitStopped=%v", res.Len(), lstats.LimitStopped)
 	}
 	if !strings.Contains(lstats.String(), "stopped at LIMIT") {
 		t.Errorf("rendering missing LIMIT marker:\n%s", lstats.String())

@@ -74,8 +74,8 @@ func BenchmarkFilteredScan(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, _, err := q.Plan(c.src, c.dict).Run(context.Background(), RunOptions{})
-				if err != nil || len(res.Rows) != n/50 {
-					b.Fatalf("rows = %d, err = %v", len(res.Rows), err)
+				if err != nil || res.Len() != n/50 {
+					b.Fatalf("rows = %d, err = %v", res.Len(), err)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")

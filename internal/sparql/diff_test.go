@@ -227,8 +227,8 @@ func (g *queryGen) query() (full, unlimited string) {
 
 // rowKeys canonicalizes a result into a sorted multiset of row strings.
 func rowKeys(res *sparql.Result) []string {
-	keys := make([]string, 0, len(res.Rows))
-	for _, row := range res.Rows {
+	keys := make([]string, 0, res.Len())
+	for _, row := range res.Bindings() {
 		vars := make([]string, 0, len(row))
 		for v := range row {
 			vars = append(vars, v)

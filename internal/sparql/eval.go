@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -17,20 +16,6 @@ import (
 	"mdw/internal/rescache"
 	"mdw/internal/store"
 )
-
-// Result is the outcome of query execution.
-type Result struct {
-	// Vars lists the projected variable names in order.
-	Vars []string
-	// Rows holds one binding per solution. Unbound projected variables
-	// (possible under OPTIONAL) are absent from the map.
-	Rows []Binding
-	// Ask holds the result of an ASK query.
-	Ask bool
-	// Triples holds the graph produced by a CONSTRUCT query, sorted and
-	// deduplicated.
-	Triples []rdf.Triple
-}
 
 // RunOptions selects how one execution runs.
 type RunOptions struct {
@@ -57,12 +42,12 @@ func (q *Query) Run(ctx context.Context, src store.Source, dict *store.Dict, opt
 	// The key embeds every model generation of the source, so it can only
 	// match a result computed from the exact store state being queried.
 	rc := rescache.Default()
-	var genKey string
+	var key string
 	if rc != nil && !opt.Analyze && q.resultsCacheable() {
 		if gk, ok := sourceVersion(src); ok {
-			genKey = gk
-			if v, ok := rc.Get(q.resultCacheKey(genKey)); ok {
-				return q.serveCachedResult(ctx, v.(*Result)), nil, nil
+			key = q.resultCacheKey(gk)
+			if v, ok := rc.Get(key); ok {
+				return q.serveCachedResult(ctx, rc, key, v.(*Result)), nil, nil
 			}
 		}
 	}
@@ -70,8 +55,8 @@ func (q *Query) Run(ctx context.Context, src store.Source, dict *store.Dict, opt
 	p := q.Plan(src, dict)
 	sp.Finish()
 	res, stats, err := p.Run(ctx, opt)
-	if genKey != "" && err == nil && res != nil {
-		rc.Put(q.resultCacheKey(genKey), res, estimateResultSize(res))
+	if key != "" && err == nil && res != nil {
+		rc.Put(key, res, estimateResultSize(res)+int64(len(key)))
 	}
 	return res, stats, err
 }
@@ -103,12 +88,7 @@ func (p *Plan) Run(ctx context.Context, opt RunOptions) (*Result, *ExecStats, er
 		sp.Finish()
 		return res, nil, err
 	}
-	rows := len(res.Rows)
-	if p.query.Kind == ConstructQuery {
-		rows = len(res.Triples)
-	} else if p.query.Kind == AskQuery {
-		rows = 1
-	}
+	rows := res.Count()
 	if info.workers > 1 {
 		sp.SetLabel("parallel", "morsel")
 		sp.SetLabel("workers", strconv.Itoa(info.workers))
@@ -179,7 +159,7 @@ func (ev *evaluator) execKind(q *Query) (*Result, error) {
 		if ev.err != nil {
 			return nil, ev.err
 		}
-		return &Result{Ask: found}, nil
+		return &Result{Ask: found, kind: AskQuery}, nil
 	}
 	if q.Kind == SelectQuery && len(q.Select) > 0 {
 		return ev.project(q, q.Select, ev.runRoot)
@@ -547,76 +527,70 @@ func (ev *evaluator) project(q *Query, items []SelectItem, run func(func([]store
 }
 
 // selectRows builds result rows straight from the streamed solutions,
-// decoding only the projected slots. DISTINCT keys on the projected IDs —
-// a dictionary ID is one-to-one with its term — and a streamable LIMIT
-// stops the pipeline as soon as enough rows exist.
+// copying only the projected slots' IDs. DISTINCT keys on those IDs, and
+// a streamable LIMIT stops the pipeline as soon as enough rows exist.
 func (ev *evaluator) selectRows(q *Query, items []SelectItem, run func(func([]store.ID) bool)) (*Result, error) {
-	vars := make([]string, len(items))
+	res := &Result{Vars: make([]string, len(items)), dict: ev.dict}
 	slots := make([]int, len(items))
 	for i, it := range items {
-		vars[i], slots[i] = it.Var, q.slot(it.Var)
+		res.Vars[i], slots[i] = it.Var, q.slot(it.Var)
 	}
 	needed := -1 // unlimited
 	if q.streamable() {
 		needed = q.Limit + q.Offset
 	}
-	var rows []Binding
-	var seen map[string]bool
-	var key []byte
+	var distinct func([]store.ID) bool
 	if q.Distinct {
-		seen = make(map[string]bool)
+		distinct = rowSet()
 	}
 	if needed != 0 {
 		run(func(s []store.ID) bool {
-			if q.Distinct {
-				key = key[:0]
-				for _, slot := range slots {
-					key = binary.LittleEndian.AppendUint32(key, uint32(s[slot]))
-				}
-				if seen[string(key)] {
-					if st := ev.stats; st != nil {
-						st.distinctDropped++
-					}
-					return true
-				}
-				seen[string(key)] = true
-			}
-			b := make(Binding, len(vars))
-			for i, slot := range slots {
-				if id := s[slot]; id != store.Wildcard {
-					b[vars[i]] = ev.dict.Term(id)
+			start, bound := len(res.cells), 0
+			for _, slot := range slots {
+				res.cells = append(res.cells, s[slot])
+				if s[slot] != store.Wildcard {
+					bound++
 				}
 			}
-			if st := ev.stats; st != nil {
-				st.decodes.Add(int64(len(b)))
+			st := ev.stats
+			if distinct != nil && !distinct(res.cells[start:]) {
+				res.cells = res.cells[:start]
+				if st != nil {
+					st.distinctDropped++
+				}
+				return true
 			}
-			rows = append(rows, b)
-			return needed < 0 || len(rows) < needed
+			res.n++
+			if st != nil {
+				// Each bound cell is decoded once, by whoever reads the row.
+				st.decodes.Add(int64(bound))
+			}
+			return needed < 0 || res.n < needed
 		})
 		if ev.err != nil {
 			return nil, ev.err
 		}
-		if st := ev.stats; st != nil && needed >= 0 && len(rows) >= needed {
+		if st := ev.stats; st != nil && needed >= 0 && res.n >= needed {
 			st.limitStopped = true
 		}
 	}
-	return window(q, vars, rows), nil
+	return res.window(q), nil
 }
 
 // aggregateRows streams solutions straight into per-group aggregate
 // state — group key, COUNT counters, and the IDs the projection needs —
 // instead of materializing the solutions.
 func (ev *evaluator) aggregateRows(q *Query, items []SelectItem, run func(func([]store.ID) bool)) (*Result, error) {
-	vars := make([]string, len(items))
+	res := &Result{Vars: make([]string, len(items)), dict: ev.dict}
 	slots := make([]int, len(items)) // a plain item's slot, or an aggregate's argument (-1: COUNT(*))
 	for i, it := range items {
 		switch {
 		case it.Agg == nil:
-			vars[i], slots[i] = it.Var, q.slot(it.Var)
+			res.Vars[i], slots[i] = it.Var, q.slot(it.Var)
 		case it.Agg.Var == "":
-			vars[i], slots[i] = it.Agg.As, -1
+			res.Vars[i], slots[i] = it.Agg.As, -1
 		default:
-			vars[i], slots[i] = it.Agg.As, q.slot(it.Agg.Var)
+			res.Vars[i], slots[i] = it.Agg.As, q.slot(it.Agg.Var)
 		}
 	}
 	groupSlots := make([]int, len(q.GroupBy))
@@ -687,41 +661,20 @@ func (ev *evaluator) aggregateRows(q *Query, items []SelectItem, run func(func([
 		groups[""] = newState()
 		order = append(order, "")
 	}
-	rows := make([]Binding, 0, len(order))
+	counts := map[rdf.Term]store.ID{}
 	for _, k := range order {
 		g := groups[k]
-		b := Binding{}
 		for i, it := range items {
 			if it.Agg != nil {
-				b[it.Agg.As] = rdf.Integer(int64(g.n[i]))
-			} else if g.rep[i] != store.Wildcard {
-				b[it.Var] = ev.dict.Term(g.rep[i])
+				g.rep[i] = res.compute(rdf.Integer(int64(g.n[i])), counts)
 			}
 		}
-		rows = append(rows, b)
+		res.cells, res.n = append(res.cells, g.rep...), res.n+1
 	}
 	if q.Distinct {
-		rows = distinctRows(vars, rows)
+		res.distinct()
 	}
-	return window(q, vars, rows), nil
-}
-
-// window applies ORDER BY, OFFSET and LIMIT to the projected rows.
-func window(q *Query, vars []string, rows []Binding) *Result {
-	if len(q.OrderBy) > 0 {
-		sortRows(q.OrderBy, rows)
-	}
-	if q.Offset > 0 {
-		if q.Offset >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[q.Offset:]
-		}
-	}
-	if q.Limit >= 0 && q.Limit < len(rows) {
-		rows = rows[:q.Limit]
-	}
-	return &Result{Vars: vars, Rows: rows}
+	return res.window(q), nil
 }
 
 // derefNode turns a plan-time node reference into (boundID, slot) under
@@ -786,60 +739,4 @@ func (ev *evaluator) construct(q *Query, sols [][]store.ID) *Result {
 	}
 	rdf.SortTriples(out)
 	return &Result{Triples: rdf.DedupTriples(out)}
-}
-
-// rowKey serializes a row's projected values into a dedup key.
-func rowKey(vars []string, r Binding) string {
-	var key strings.Builder
-	for _, v := range vars {
-		if t, ok := r[v]; ok {
-			key.WriteString(t.String())
-		}
-		key.WriteByte('\x00')
-	}
-	return key.String()
-}
-
-func distinctRows(vars []string, rows []Binding) []Binding {
-	seen := map[string]bool{}
-	var out []Binding
-	for _, r := range rows {
-		k := rowKey(vars, r)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func sortRows(conds []OrderCond, rows []Binding) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, c := range conds {
-			a, aok := rows[i][c.Var]
-			b, bok := rows[j][c.Var]
-			var cmp int
-			switch {
-			case !aok && !bok:
-				cmp = 0
-			case !aok:
-				cmp = -1
-			case !bok:
-				cmp = 1
-			default:
-				if n, err := compareTerms(a, b); err == nil {
-					cmp = n
-				} else {
-					cmp = rdf.Compare(a, b)
-				}
-			}
-			if cmp != 0 {
-				if c.Desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-		}
-		return false
-	})
 }

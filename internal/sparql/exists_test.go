@@ -18,8 +18,8 @@ func TestFilterNotExists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || rdf.LocalName(res.Rows[0]["t"].Value) != "customer_id" {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.Len() != 1 || rdf.LocalName(res.Row(0)["t"].Value) != "customer_id" {
+		t.Fatalf("rows = %v", res.Bindings())
 	}
 }
 
@@ -37,8 +37,8 @@ func TestFilterExists(t *testing.T) {
 	}
 	// client_information_id and partner_id map onward; customer_id does
 	// not.
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.Len() != 2 {
+		t.Fatalf("rows = %v", res.Bindings())
 	}
 }
 
@@ -54,8 +54,8 @@ func TestNotExistsUsesOuterBindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	if res.Len() != 3 {
+		t.Fatalf("rows = %d", res.Len())
 	}
 	// And with a matching constant it removes exactly that binding.
 	q = MustParse(`PREFIX dm: <` + rdf.DMNS + `>
@@ -67,8 +67,8 @@ func TestNotExistsUsesOuterBindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.Len() != 2 {
+		t.Fatalf("rows = %v", res.Bindings())
 	}
 }
 

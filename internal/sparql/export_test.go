@@ -33,3 +33,13 @@ func BlockCosts(p *Plan) (chosen, seed []float64) {
 	walk(p.root)
 	return chosen, seed
 }
+
+// Bindings returns every row of the result, for tests that compare or
+// range over whole results.
+func (r *Result) Bindings() []Binding {
+	rows := make([]Binding, r.n)
+	for i := range rows {
+		rows[i] = r.Row(i)
+	}
+	return rows
+}

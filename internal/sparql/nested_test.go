@@ -27,10 +27,10 @@ func TestOptionalInsideOptional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.Len() != 2 {
+		t.Fatalf("rows = %v", res.Bindings())
 	}
-	for _, r := range res.Rows {
+	for _, r := range res.Bindings() {
 		switch rdf.LocalName(r["s"].Value) {
 		case "a":
 			if rdf.LocalName(r["c"].Value) != "c" || rdf.LocalName(r["d"].Value) != "d" {
@@ -62,8 +62,8 @@ func TestUnionInsideOptional(t *testing.T) {
 		t.Fatal(err)
 	}
 	// a matches both union branches (2 rows); z keeps one unbound row.
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.Len() != 3 {
+		t.Fatalf("rows = %v", res.Bindings())
 	}
 }
 
@@ -82,11 +82,11 @@ func TestFilterScopedToInnerGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.Len() != 2 {
+		t.Fatalf("rows = %v", res.Bindings())
 	}
 	bound := 0
-	for _, r := range res.Rows {
+	for _, r := range res.Bindings() {
 		if _, ok := r["l"]; ok {
 			bound++
 		}
@@ -109,7 +109,7 @@ func TestChainedUnions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.Len() != 3 {
+		t.Fatalf("rows = %v", res.Bindings())
 	}
 }

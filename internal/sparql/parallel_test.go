@@ -72,8 +72,8 @@ func typedFixture(t testing.TB, n int) (store.Source, *store.Dict) {
 
 // rowStrings renders result rows in order, for exact-sequence comparison.
 func rowStrings(res *sparql.Result) []string {
-	out := make([]string, 0, len(res.Rows))
-	for _, row := range res.Rows {
+	out := make([]string, 0, res.Len())
+	for _, row := range res.Bindings() {
 		var b strings.Builder
 		for _, v := range res.Vars {
 			if tm, ok := row[v]; ok {
@@ -365,8 +365,8 @@ func TestParallelEarlyTermination(t *testing.T) {
 		if q.Kind == sparql.AskQuery && !res.Ask {
 			t.Fatalf("%q returned false", text)
 		}
-		if q.Kind == sparql.SelectQuery && len(res.Rows) != 1 {
-			t.Fatalf("%q returned %d rows, want 1", text, len(res.Rows))
+		if q.Kind == sparql.SelectQuery && res.Len() != 1 {
+			t.Fatalf("%q returned %d rows, want 1", text, res.Len())
 		}
 	}
 	waitForGoroutines(t, base)

@@ -84,7 +84,7 @@ func TestPathClosureMatchesBFSProperty(t *testing.T) {
 				return false
 			}
 			got := map[rdf.Term]bool{}
-			for _, row := range res.Rows {
+			for _, row := range res.Bindings() {
 				got[row["x"]] = true
 			}
 			want := referenceReach(st, start, tc.includeSelf)
@@ -152,7 +152,7 @@ func TestPathSequenceEqualsTwoHopsProperty(t *testing.T) {
 			return false
 		}
 		got := map[rdf.Term]bool{}
-		for _, row := range res.Rows {
+		for _, row := range res.Bindings() {
 			got[row["x"]] = true
 		}
 		// Reference: join the edge relation with itself.

@@ -90,8 +90,8 @@ func TestPlanFastPathEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("want exactly sA, got %d rows", len(res.Rows))
+	if res.Len() != 1 {
+		t.Fatalf("want exactly sA, got %d rows", res.Len())
 	}
 
 	// != keeps everything except sA.
@@ -103,8 +103,8 @@ func TestPlanFastPathEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("want sB and sC, got %d rows", len(res.Rows))
+	if res.Len() != 2 {
+		t.Fatalf("want sB and sC, got %d rows", res.Len())
 	}
 
 	// Equality against an IRI the dictionary has never seen matches nothing;
@@ -117,8 +117,8 @@ func TestPlanFastPathEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 0 {
-		t.Fatalf("unknown IRI equality must match nothing, got %d rows", len(res.Rows))
+	if res.Len() != 0 {
+		t.Fatalf("unknown IRI equality must match nothing, got %d rows", res.Len())
 	}
 	qun := MustParse(`SELECT ?x WHERE {
 		?x <http://t/rare> ?y .
@@ -128,8 +128,8 @@ func TestPlanFastPathEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("unknown IRI inequality must keep all rows, got %d", len(res.Rows))
+	if res.Len() != 3 {
+		t.Fatalf("unknown IRI inequality must keep all rows, got %d", res.Len())
 	}
 }
 
@@ -203,8 +203,8 @@ func TestLimitStreamsEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("want 3 rows, got %d", len(res.Rows))
+	if res.Len() != 3 {
+		t.Fatalf("want 3 rows, got %d", res.Len())
 	}
 	if cs.calls > 4 {
 		t.Errorf("LIMIT 3 scanned %d of 50 triples; must stop early", cs.calls)
@@ -293,8 +293,8 @@ func TestPlanListing1CostOrder(t *testing.T) {
 		t.Errorf("filtered Listing 1 must drive the morsel scan:\n%s", out)
 	}
 	res, err := runPlan(filtered.PlanOpts(src, dict, par))
-	if err != nil || len(res.Rows) != 2000/40*5 {
-		t.Errorf("filtered Listing 1: %d rows, err %v; want %d", len(res.Rows), err, 2000/40*5)
+	if err != nil || res.Len() != 2000/40*5 {
+		t.Errorf("filtered Listing 1: %d rows, err %v; want %d", res.Len(), err, 2000/40*5)
 	}
 
 	unfiltered := MustParse(prefix + `SELECT * WHERE { ` + listing1 + `}`)
@@ -339,8 +339,8 @@ func TestFilteredScanAllocations(t *testing.T) {
 				t.Fatalf("%s: plan is not a morsel scan:\n%s", c.name, p)
 			}
 			return testing.AllocsPerRun(5, func() {
-				if res, err := runPlan(p); err != nil || len(res.Rows) != 0 {
-					t.Fatalf("rows = %d, err = %v", len(res.Rows), err)
+				if res, err := runPlan(p); err != nil || res.Len() != 0 {
+					t.Fatalf("rows = %d, err = %v", res.Len(), err)
 				}
 			})
 		}

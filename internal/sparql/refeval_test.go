@@ -40,7 +40,7 @@ func (q *Query) ExecNaive(src store.Source, dict *store.Dict) (*Result, error) {
 		return nil, err
 	}
 	if q.Kind == AskQuery {
-		return &Result{Ask: len(sols) > 0}, nil
+		return &Result{Ask: len(sols) > 0, kind: AskQuery}, nil
 	}
 	if q.Kind == ConstructQuery {
 		return ev.naiveConstruct(q, sols), nil
@@ -426,37 +426,34 @@ func (ev *evaluator) naiveProject(q *Query, sols []env) *Result {
 		}
 	}
 
-	var rows []Binding
-	var vars []string
+	res := &Result{dict: ev.dict}
 	for _, it := range items {
 		if it.Agg != nil {
-			vars = append(vars, it.Agg.As)
+			res.Vars = append(res.Vars, it.Agg.As)
 		} else {
-			vars = append(vars, it.Var)
+			res.Vars = append(res.Vars, it.Var)
 		}
 	}
 
 	if hasAgg || len(q.GroupBy) > 0 {
-		rows = ev.naiveAggregate(q, items, sols)
+		ev.naiveAggregate(q, items, sols, res)
 	} else {
 		for _, s := range sols {
-			b := make(Binding, len(items))
-			for _, it := range items {
-				if id, ok := s[it.Var]; ok {
-					b[it.Var] = ev.dict.Term(id)
-				}
+			row := make([]store.ID, len(items))
+			for i, it := range items {
+				row[i] = s[it.Var] // store.Wildcard when unbound
 			}
-			rows = append(rows, b)
+			res.cells, res.n = append(res.cells, row...), res.n+1
 		}
 	}
 
 	if q.Distinct {
-		rows = distinctRows(vars, rows)
+		res.distinct()
 	}
-	return window(q, vars, rows)
+	return res.window(q)
 }
 
-func (ev *evaluator) naiveAggregate(q *Query, items []SelectItem, sols []env) []Binding {
+func (ev *evaluator) naiveAggregate(q *Query, items []SelectItem, sols []env, res *Result) {
 	type groupState struct {
 		rep     env
 		members []env
@@ -483,15 +480,13 @@ func (ev *evaluator) naiveAggregate(q *Query, items []SelectItem, sols []env) []
 		order = append(order, "")
 	}
 
-	var rows []Binding
+	counts := map[rdf.Term]store.ID{}
 	for _, k := range order {
 		g := groups[k]
-		b := Binding{}
-		for _, it := range items {
+		row := make([]store.ID, len(items))
+		for i, it := range items {
 			if it.Agg == nil {
-				if id, ok := g.rep[it.Var]; ok {
-					b[it.Var] = ev.dict.Term(id)
-				}
+				row[i] = g.rep[it.Var]
 				continue
 			}
 			n := 0
@@ -513,9 +508,8 @@ func (ev *evaluator) naiveAggregate(q *Query, items []SelectItem, sols []env) []
 					}
 				}
 			}
-			b[it.Agg.As] = rdf.Integer(int64(n))
+			row[i] = res.compute(rdf.Integer(int64(n)), counts)
 		}
-		rows = append(rows, b)
+		res.cells, res.n = append(res.cells, row...), res.n+1
 	}
-	return rows
 }

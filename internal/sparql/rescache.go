@@ -3,8 +3,11 @@ package sparql
 import (
 	"context"
 	"strconv"
+	"unsafe"
 
 	"mdw/internal/obs"
+	"mdw/internal/rdf"
+	"mdw/internal/rescache"
 	"mdw/internal/store"
 )
 
@@ -55,39 +58,44 @@ func (q *Query) resultCacheKey(genKey string) string {
 	return q.Fingerprint() + "\x00" + q.Text + "\x00" + genKey
 }
 
-// estimateResultSize approximates the retained footprint of a result for
-// the cache's byte accounting: string payloads plus a fixed per-binding
-// overhead for map and header costs. Exactness is not the point —
-// keeping the cache's memory roughly bounded is.
-func estimateResultSize(res *Result) int64 {
-	const overhead = 48 // map entry + term header, approximate
-	n := int64(64)
-	for _, v := range res.Vars {
-		n += int64(len(v)) + 16
-	}
-	for _, row := range res.Rows {
-		n += 48 // map header
-		for k, t := range row {
-			n += int64(len(k)+len(t.Value)+len(t.Datatype)+len(t.Lang)) + overhead
-		}
+// estimateResultSize is a cached result's footprint for the cache's
+// byte budget, counted from capacities: the Result, 4 B a cell, the
+// computed terms, the reply and the variables' string headers. A cell's
+// term belongs to the dictionary, a variable's bytes to the query.
+func estimateResultSize(r *Result) int64 {
+	n := int64(unsafe.Sizeof(*r)) + 4*int64(cap(r.cells)) + int64(cap(r.reply)) +
+		int64(cap(r.Vars))*int64(unsafe.Sizeof("")) +
+		int64(cap(r.computed))*int64(unsafe.Sizeof(rdf.Term{}))
+	for _, t := range r.computed {
+		n += int64(len(t.Value) + len(t.Datatype) + len(t.Lang))
 	}
 	return n
 }
 
 // serveCachedResult emits the observability evidence of a cache hit —
 // an exec span labelled rescache=hit, a hit on the statement's row, row
-// counters — and returns a shallow copy of the cached result (callers
-// own the Result struct; the row data is shared and treated as
-// immutable by every read path).
-func (q *Query) serveCachedResult(ctx context.Context, res *Result) *Result {
+// counters — and returns a shallow copy of the cached result; its rows
+// and reply are shared and never written. An entry's first hit encodes
+// the reply and puts it back under key on a copy of the entry, unless
+// the cache has no room for it: then the encode stops as soon as the
+// reply outgrows the room, and the entry is marked and streamed.
+func (q *Query) serveCachedResult(ctx context.Context, rc *rescache.Cache, key string, res *Result) *Result {
 	sp, _ := obs.ChildCtx(ctx, "sparql exec")
-	rows := len(res.Rows)
-	if q.Kind == AskQuery {
-		rows = 1
-	}
+	rows := res.Count()
 	sp.SetLabel("rescache", "hit").SetLabel("rows", strconv.Itoa(rows)).Finish()
 	obsRows.Add(int64(rows))
 	obs.DefaultStatements().Record(q.Fingerprint(), q.Text, obs.Execution{Rows: rows, Hit: true})
+	if res.reply == nil && !res.noReply {
+		c := *res
+		room := rc.MaxBytes() - estimateResultSize(&c) - int64(len(key))
+		reply, ok := res.AppendJSON(nil, func(b []byte) ([]byte, bool) { return b, int64(len(b)) <= room })
+		c.noReply = !ok || int64(len(reply)) > room
+		if !c.noReply {
+			c.reply = append(make([]byte, 0, len(reply)), reply...) // cap is what the room allowed
+		}
+		rc.Put(key, &c, estimateResultSize(&c)+int64(len(key)))
+		res = &c
+	}
 	out := *res
 	return &out
 }

@@ -10,6 +10,7 @@ package sparql_test
 // the naive reference, which always sees current data.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -73,23 +74,48 @@ func TestDifferentialResultsCache(t *testing.T) {
 	}
 }
 
-// checkCacheDiff executes q three ways against fx and asserts agreement:
-// naive reference, planned first run, planned repeat. For cacheable
-// shapes (everything the generator emits except LIMIT without ORDER BY)
-// the repeat is a cache hit and cacheable is incremented.
+// checkCacheDiff executes q against fx and asserts agreement: naive
+// reference, planned first run, planned repeats. For cacheable shapes
+// (everything the generator emits except LIMIT without ORDER BY) the
+// repeats are cache hits and cacheable is incremented: the first run
+// streams its reply (a miss, unless the sweep drew the query before),
+// the first repeat keeps the same bytes in the entry, which grows once,
+// and a later repeat writes them as they are.
 func checkCacheDiff(t *testing.T, fx diffFixture, q *sparql.Query, full, unlimited string, cacheable *int) {
 	t.Helper()
 	naive, err := q.ExecNaive(fx.src, fx.dict)
 	if err != nil {
 		t.Fatalf("[%s] naive exec failed for %q: %v", fx.name, full, err)
 	}
-	r1, _, err := q.Run(context.Background(), fx.src, fx.dict, sparql.RunOptions{})
-	if err != nil {
-		t.Fatalf("[%s] first exec failed for %q: %v", fx.name, full, err)
+	// The first run, the first repeat and a later one, with the bytes
+	// the cache books after each and the reply each writes.
+	rc := rescache.Default()
+	var rs [3]*sparql.Result
+	var booked [3]int64
+	var bodies [3][]byte
+	hits := rc.Stats().Hits
+	for i := range rs {
+		if rs[i], _, err = q.Run(context.Background(), fx.src, fx.dict, sparql.RunOptions{}); err != nil {
+			t.Fatalf("[%s] exec %d failed for %q: %v", fx.name, i, full, err)
+		}
+		booked[i] = rc.Bytes()
+		if bodies[i] = rs[i].EncodedJSON(); bodies[i] == nil {
+			bodies[i], _ = rs[i].AppendJSON(nil, func(b []byte) ([]byte, bool) { return b, true })
+		}
 	}
-	r2, _, err := q.Run(context.Background(), fx.src, fx.dict, sparql.RunOptions{})
-	if err != nil {
-		t.Fatalf("[%s] repeat exec failed for %q: %v", fx.name, full, err)
+	r1, r2 := rs[0], rs[2]
+	if unlimited == "" {
+		if !bytes.Equal(bodies[1], bodies[0]) || !bytes.Equal(bodies[2], bodies[0]) {
+			t.Errorf("[%s] replies differ on %q:\nfirst  %s\nrepeat %s\nlater  %s",
+				fx.name, full, bodies[0], bodies[1], bodies[2])
+		}
+		if rs[1].EncodedJSON() == nil || rs[2].EncodedJSON() == nil {
+			t.Errorf("[%s] a repeat of %q was not written from the kept reply", fx.name, full)
+		}
+		if rc.Stats().Hits-hits == 2 && booked[1] <= booked[0] || booked[2] != booked[1] {
+			t.Errorf("[%s] booked bytes over first run, first repeat, later repeat of %q = %v; want one growth, on the first repeat",
+				fx.name, full, booked)
+		}
 	}
 	if q.Kind == sparql.AskQuery {
 		if r1.Ask != naive.Ask || r2.Ask != naive.Ask {

@@ -66,8 +66,8 @@ func exec(t *testing.T, q string) *Result {
 func TestSimpleBGP(t *testing.T) {
 	res := exec(t, `PREFIX dt: <`+rdf.DTNS+`>
 		SELECT ?s ?o WHERE { ?s dt:isMappedTo ?o }`)
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
+	if res.Len() != 2 {
+		t.Fatalf("rows = %d, want 2", res.Len())
 	}
 }
 
@@ -77,11 +77,11 @@ func TestJoin(t *testing.T) {
 			?x dt:isMappedTo ?y .
 			?y dm:hasName ?name .
 		}`)
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
+	if res.Len() != 2 {
+		t.Fatalf("rows = %d, want 2", res.Len())
 	}
 	names := map[string]bool{}
-	for _, r := range res.Rows {
+	for _, r := range res.Bindings() {
 		names[r["name"].Value] = true
 	}
 	if !names["partner_id"] || !names["customer_id"] {
@@ -92,8 +92,8 @@ func TestJoin(t *testing.T) {
 func TestConstantSubject(t *testing.T) {
 	res := exec(t, `PREFIX dm: <`+rdf.DMNS+`> PREFIX inst: <`+rdf.InstNS+`>
 		SELECT ?name WHERE { inst:customer_id dm:hasName ?name }`)
-	if len(res.Rows) != 1 || res.Rows[0]["name"].Value != "customer_id" {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.Len() != 1 || res.Row(0)["name"].Value != "customer_id" {
+		t.Fatalf("rows = %v", res.Bindings())
 	}
 }
 
@@ -101,55 +101,55 @@ func TestFilterRegex(t *testing.T) {
 	// The WHERE regexp_like(term, 'customer', 'i') of Listing 1.
 	res := exec(t, `PREFIX dm: <`+rdf.DMNS+`>
 		SELECT ?x WHERE { ?x dm:hasName ?term . FILTER regex(?term, "CUSTOMER", "i") }`)
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d, want 1", len(res.Rows))
+	if res.Len() != 1 {
+		t.Fatalf("rows = %d, want 1", res.Len())
 	}
-	if rdf.LocalName(res.Rows[0]["x"].Value) != "customer_id" {
-		t.Errorf("x = %v", res.Rows[0]["x"])
+	if rdf.LocalName(res.Row(0)["x"].Value) != "customer_id" {
+		t.Errorf("x = %v", res.Row(0)["x"])
 	}
 }
 
 func TestFilterComparison(t *testing.T) {
 	res := exec(t, `PREFIX dm: <`+rdf.DMNS+`>
 		SELECT ?x WHERE { ?x dm:length ?l . FILTER (?l > 9) }`)
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d, want 1", len(res.Rows))
+	if res.Len() != 1 {
+		t.Fatalf("rows = %d, want 1", res.Len())
 	}
 }
 
 func TestFilterBooleanOps(t *testing.T) {
 	res := exec(t, `PREFIX dm: <`+rdf.DMNS+`>
 		SELECT ?x WHERE { ?x dm:length ?l . FILTER (?l >= 8 && ?l <= 9) }`)
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	if res.Len() != 1 {
+		t.Fatalf("rows = %d", res.Len())
 	}
 	res = exec(t, `PREFIX dm: <`+rdf.DMNS+`>
 		SELECT ?x WHERE { ?x dm:length ?l . FILTER (?l = 8 || ?l = 10) }`)
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	if res.Len() != 2 {
+		t.Fatalf("rows = %d", res.Len())
 	}
 	res = exec(t, `PREFIX dm: <`+rdf.DMNS+`>
 		SELECT ?x WHERE { ?x dm:length ?l . FILTER (!(?l = 8)) }`)
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	if res.Len() != 1 {
+		t.Fatalf("rows = %d", res.Len())
 	}
 }
 
 func TestFilterStringBuiltins(t *testing.T) {
 	res := exec(t, `PREFIX dm: <`+rdf.DMNS+`>
 		SELECT ?x WHERE { ?x dm:hasName ?n . FILTER CONTAINS(?n, "partner") }`)
-	if len(res.Rows) != 1 {
-		t.Fatalf("CONTAINS rows = %d", len(res.Rows))
+	if res.Len() != 1 {
+		t.Fatalf("CONTAINS rows = %d", res.Len())
 	}
 	res = exec(t, `PREFIX dm: <`+rdf.DMNS+`>
 		SELECT ?x WHERE { ?x dm:hasName ?n . FILTER STRSTARTS(LCASE(?n), "client") }`)
-	if len(res.Rows) != 1 {
-		t.Fatalf("STRSTARTS rows = %d", len(res.Rows))
+	if res.Len() != 1 {
+		t.Fatalf("STRSTARTS rows = %d", res.Len())
 	}
 	res = exec(t, `PREFIX dm: <`+rdf.DMNS+`>
 		SELECT ?x WHERE { ?x dm:hasName ?n . FILTER STRENDS(?n, "_id") }`)
-	if len(res.Rows) != 3 {
-		t.Fatalf("STRENDS rows = %d", len(res.Rows))
+	if res.Len() != 3 {
+		t.Fatalf("STRENDS rows = %d", res.Len())
 	}
 }
 
@@ -159,11 +159,11 @@ func TestOptional(t *testing.T) {
 			?x dm:hasName ?n .
 			OPTIONAL { ?x dm:length ?l }
 		}`)
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(res.Rows))
+	if res.Len() != 3 {
+		t.Fatalf("rows = %d, want 3", res.Len())
 	}
 	withL := 0
-	for _, r := range res.Rows {
+	for _, r := range res.Bindings() {
 		if _, ok := r["l"]; ok {
 			withL++
 		}
@@ -180,8 +180,8 @@ func TestOptionalWithBound(t *testing.T) {
 			OPTIONAL { ?x dm:length ?l }
 			FILTER (!BOUND(?l))
 		}`)
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d, want 1 (only client_information_id lacks length)", len(res.Rows))
+	if res.Len() != 1 {
+		t.Fatalf("rows = %d, want 1 (only client_information_id lacks length)", res.Len())
 	}
 }
 
@@ -190,8 +190,8 @@ func TestUnion(t *testing.T) {
 		SELECT ?x WHERE {
 			{ ?x a dm:Source_File_Column } UNION { ?x a dm:Application1_View_Column }
 		}`)
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
+	if res.Len() != 2 {
+		t.Fatalf("rows = %d, want 2", res.Len())
 	}
 }
 
@@ -199,16 +199,16 @@ func TestPathStar(t *testing.T) {
 	// Figure 8: (isMappedTo)* from client_information_id.
 	res := exec(t, `PREFIX dt: <`+rdf.DTNS+`> PREFIX inst: <`+rdf.InstNS+`>
 		SELECT ?t WHERE { inst:client_information_id dt:isMappedTo* ?t }`)
-	if len(res.Rows) != 3 { // itself, partner_id, customer_id
-		t.Fatalf("rows = %d, want 3", len(res.Rows))
+	if res.Len() != 3 { // itself, partner_id, customer_id
+		t.Fatalf("rows = %d, want 3", res.Len())
 	}
 }
 
 func TestPathPlus(t *testing.T) {
 	res := exec(t, `PREFIX dt: <`+rdf.DTNS+`> PREFIX inst: <`+rdf.InstNS+`>
 		SELECT ?t WHERE { inst:client_information_id dt:isMappedTo+ ?t }`)
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
+	if res.Len() != 2 {
+		t.Fatalf("rows = %d, want 2", res.Len())
 	}
 }
 
@@ -218,7 +218,7 @@ func TestPathSequence(t *testing.T) {
 	res := exec(t, `PREFIX dt: <`+rdf.DTNS+`> PREFIX inst: <`+rdf.InstNS+`>
 		SELECT ?c WHERE { inst:client_information_id dt:isMappedTo*/a ?c }`)
 	classes := map[string]bool{}
-	for _, r := range res.Rows {
+	for _, r := range res.Bindings() {
 		classes[rdf.LocalName(r["c"].Value)] = true
 	}
 	for _, want := range []string{"Source_File_Column", "Application1_Table_Column", "Application1_View_Column"} {
@@ -231,8 +231,8 @@ func TestPathSequence(t *testing.T) {
 func TestPathInverse(t *testing.T) {
 	res := exec(t, `PREFIX dt: <`+rdf.DTNS+`> PREFIX inst: <`+rdf.InstNS+`>
 		SELECT ?s WHERE { inst:customer_id ^dt:isMappedTo ?s }`)
-	if len(res.Rows) != 1 || rdf.LocalName(res.Rows[0]["s"].Value) != "partner_id" {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.Len() != 1 || rdf.LocalName(res.Row(0)["s"].Value) != "partner_id" {
+		t.Fatalf("rows = %v", res.Bindings())
 	}
 }
 
@@ -241,42 +241,42 @@ func TestPathInverseStarBackward(t *testing.T) {
 	// customer_id.
 	res := exec(t, `PREFIX dt: <`+rdf.DTNS+`> PREFIX inst: <`+rdf.InstNS+`>
 		SELECT ?s WHERE { ?s dt:isMappedTo+ inst:customer_id }`)
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
+	if res.Len() != 2 {
+		t.Fatalf("rows = %d, want 2", res.Len())
 	}
 }
 
 func TestPathAlternative(t *testing.T) {
 	res := exec(t, `PREFIX dm: <`+rdf.DMNS+`> PREFIX inst: <`+rdf.InstNS+`>
 		SELECT ?v WHERE { inst:customer_id (dm:hasName|dm:length) ?v }`)
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
+	if res.Len() != 2 {
+		t.Fatalf("rows = %d, want 2", res.Len())
 	}
 }
 
 func TestPathOptionalModifier(t *testing.T) {
 	res := exec(t, `PREFIX dt: <`+rdf.DTNS+`> PREFIX inst: <`+rdf.InstNS+`>
 		SELECT ?t WHERE { inst:partner_id dt:isMappedTo? ?t }`)
-	if len(res.Rows) != 2 { // itself + customer_id
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
+	if res.Len() != 2 { // itself + customer_id
+		t.Fatalf("rows = %d, want 2", res.Len())
 	}
 }
 
 func TestDistinct(t *testing.T) {
 	res := exec(t, `PREFIX dm: <`+rdf.DMNS+`>
 		SELECT DISTINCT ?c WHERE { ?x a ?c . ?x dm:hasName ?n }`)
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(res.Rows))
+	if res.Len() != 3 {
+		t.Fatalf("rows = %d, want 3", res.Len())
 	}
 }
 
 func TestGroupByCount(t *testing.T) {
 	// The Figure 6 shape: count results per class.
 	res := exec(t, `SELECT ?c (COUNT(?x) AS ?n) WHERE { ?x a ?c } GROUP BY ?c`)
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(res.Rows))
+	if res.Len() != 3 {
+		t.Fatalf("rows = %d, want 3", res.Len())
 	}
-	for _, r := range res.Rows {
+	for _, r := range res.Bindings() {
 		if r["n"].Value != "1" {
 			t.Errorf("count for %v = %v, want 1", r["c"], r["n"])
 		}
@@ -286,30 +286,30 @@ func TestGroupByCount(t *testing.T) {
 func TestCountStarAndDistinct(t *testing.T) {
 	res := exec(t, `PREFIX dm: <`+rdf.DMNS+`>
 		SELECT (COUNT(*) AS ?n) WHERE { ?x dm:hasName ?name }`)
-	if len(res.Rows) != 1 || res.Rows[0]["n"].Value != "3" {
-		t.Fatalf("COUNT(*) = %v", res.Rows)
+	if res.Len() != 1 || res.Row(0)["n"].Value != "3" {
+		t.Fatalf("COUNT(*) = %v", res.Bindings())
 	}
 	res = exec(t, `SELECT (COUNT(DISTINCT ?c) AS ?n) WHERE { ?x a ?c }`)
-	if len(res.Rows) != 1 || res.Rows[0]["n"].Value != "3" {
-		t.Fatalf("COUNT(DISTINCT) = %v", res.Rows)
+	if res.Len() != 1 || res.Row(0)["n"].Value != "3" {
+		t.Fatalf("COUNT(DISTINCT) = %v", res.Bindings())
 	}
 }
 
 func TestCountOnEmptyMatch(t *testing.T) {
 	res := exec(t, `PREFIX dm: <`+rdf.DMNS+`>
 		SELECT (COUNT(*) AS ?n) WHERE { ?x dm:noSuchPredicate ?y }`)
-	if len(res.Rows) != 1 || res.Rows[0]["n"].Value != "0" {
-		t.Fatalf("COUNT over empty = %v", res.Rows)
+	if res.Len() != 1 || res.Row(0)["n"].Value != "0" {
+		t.Fatalf("COUNT over empty = %v", res.Bindings())
 	}
 }
 
 func TestOrderByLimitOffset(t *testing.T) {
 	res := exec(t, `PREFIX dm: <`+rdf.DMNS+`>
 		SELECT ?n WHERE { ?x dm:hasName ?n } ORDER BY ?n`)
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	if res.Len() != 3 {
+		t.Fatalf("rows = %d", res.Len())
 	}
-	got := []string{res.Rows[0]["n"].Value, res.Rows[1]["n"].Value, res.Rows[2]["n"].Value}
+	got := []string{res.Row(0)["n"].Value, res.Row(1)["n"].Value, res.Row(2)["n"].Value}
 	want := []string{"client_information_id", "customer_id", "partner_id"}
 	for i := range want {
 		if got[i] != want[i] {
@@ -318,21 +318,21 @@ func TestOrderByLimitOffset(t *testing.T) {
 	}
 	res = exec(t, `PREFIX dm: <`+rdf.DMNS+`>
 		SELECT ?n WHERE { ?x dm:hasName ?n } ORDER BY DESC(?n) LIMIT 1`)
-	if len(res.Rows) != 1 || res.Rows[0]["n"].Value != "partner_id" {
-		t.Fatalf("DESC LIMIT = %v", res.Rows)
+	if res.Len() != 1 || res.Row(0)["n"].Value != "partner_id" {
+		t.Fatalf("DESC LIMIT = %v", res.Bindings())
 	}
 	res = exec(t, `PREFIX dm: <`+rdf.DMNS+`>
 		SELECT ?n WHERE { ?x dm:hasName ?n } ORDER BY ?n LIMIT 1 OFFSET 1`)
-	if len(res.Rows) != 1 || res.Rows[0]["n"].Value != "customer_id" {
-		t.Fatalf("OFFSET = %v", res.Rows)
+	if res.Len() != 1 || res.Row(0)["n"].Value != "customer_id" {
+		t.Fatalf("OFFSET = %v", res.Bindings())
 	}
 }
 
 func TestOrderByNumeric(t *testing.T) {
 	res := exec(t, `PREFIX dm: <`+rdf.DMNS+`>
 		SELECT ?l WHERE { ?x dm:length ?l } ORDER BY DESC(?l)`)
-	if res.Rows[0]["l"].Value != "10" {
-		t.Fatalf("numeric DESC order = %v", res.Rows)
+	if res.Row(0)["l"].Value != "10" {
+		t.Fatalf("numeric DESC order = %v", res.Bindings())
 	}
 }
 
@@ -374,8 +374,8 @@ func TestSemicolonCommaSyntax(t *testing.T) {
 		SELECT ?n ?l WHERE {
 			inst:customer_id dm:hasName ?n ; dm:length ?l .
 		}`)
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.Len() != 1 {
+		t.Fatalf("rows = %v", res.Bindings())
 	}
 }
 
@@ -388,15 +388,15 @@ func TestSharedVariableInSubjectAndObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || rdf.LocalName(res.Rows[0]["x"].Value) != "self" {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.Len() != 1 || rdf.LocalName(res.Row(0)["x"].Value) != "self" {
+		t.Fatalf("rows = %v", res.Bindings())
 	}
 }
 
 func TestUnknownTermsYieldEmpty(t *testing.T) {
 	res := exec(t, `SELECT ?o WHERE { <http://nowhere/x> <http://nowhere/p> ?o }`)
-	if len(res.Rows) != 0 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.Len() != 0 {
+		t.Fatalf("rows = %v", res.Bindings())
 	}
 }
 
@@ -443,11 +443,11 @@ func TestListing1Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.Len() != 1 {
+		t.Fatalf("rows = %v", res.Bindings())
 	}
-	if res.Rows[0]["class"].Value != "Application1 View Column" {
-		t.Errorf("class = %v", res.Rows[0]["class"])
+	if res.Row(0)["class"].Value != "Application1 View Column" {
+		t.Errorf("class = %v", res.Row(0)["class"])
 	}
 }
 
@@ -458,16 +458,16 @@ func TestFilterAppliesToWholeGroup(t *testing.T) {
 			FILTER (?l > 9)
 			?x dm:length ?l .
 		}`)
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d, want 1", len(res.Rows))
+	if res.Len() != 1 {
+		t.Fatalf("rows = %d, want 1", res.Len())
 	}
 }
 
 func TestNestedGroup(t *testing.T) {
 	res := exec(t, `PREFIX dm: <`+rdf.DMNS+`>
 		SELECT ?x WHERE { { ?x dm:length ?l } FILTER (?l > 9) }`)
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	if res.Len() != 1 {
+		t.Fatalf("rows = %d", res.Len())
 	}
 }
 
@@ -475,8 +475,8 @@ func TestLexerEdgeCases(t *testing.T) {
 	// Single-quoted strings (Oracle listings use them).
 	res := exec(t, `PREFIX dm: <`+rdf.DMNS+`>
 		SELECT ?x WHERE { ?x dm:hasName ?n . FILTER regex(?n, 'customer', 'i') }`)
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	if res.Len() != 1 {
+		t.Fatalf("rows = %d", res.Len())
 	}
 }
 

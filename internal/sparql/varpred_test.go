@@ -16,8 +16,8 @@ func TestVariablePredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// customer_id has: rdf:type, hasName, length = 3 statements.
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %d: %v", len(res.Rows), res.Rows)
+	if res.Len() != 3 {
+		t.Fatalf("rows = %d: %v", res.Len(), res.Bindings())
 	}
 }
 
@@ -28,8 +28,8 @@ func TestFullWildcardPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0]["n"].Value != "13" {
-		t.Fatalf("n = %v, want 13 (fixture size)", res.Rows[0]["n"])
+	if res.Row(0)["n"].Value != "13" {
+		t.Fatalf("n = %v, want 13 (fixture size)", res.Row(0)["n"])
 	}
 }
 
@@ -54,8 +54,8 @@ func TestVariablePredicateJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0]["p"].Value != rdf.MDWIsMappedTo {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.Len() != 1 || res.Row(0)["p"].Value != rdf.MDWIsMappedTo {
+		t.Fatalf("rows = %v", res.Bindings())
 	}
 }
 
@@ -72,8 +72,8 @@ func TestVariablePredicateBoundByJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || rdf.LocalName(res.Rows[0]["b"].Value) != "customer_id" {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.Len() != 1 || rdf.LocalName(res.Row(0)["b"].Value) != "customer_id" {
+		t.Fatalf("rows = %v", res.Bindings())
 	}
 }
 
@@ -87,8 +87,8 @@ func TestSharedSubjectPredicateVariable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || rdf.LocalName(res.Rows[0]["s"].Value) != "x" {
-		t.Fatalf("rows = %v", res.Rows)
+	if res.Len() != 1 || rdf.LocalName(res.Row(0)["s"].Value) != "x" {
+		t.Fatalf("rows = %v", res.Bindings())
 	}
 }
 
