@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -198,6 +199,21 @@ func writeError(rw http.ResponseWriter, status int, err error) {
 	writeJSON(rw, status, map[string]string{"error": err.Error()})
 }
 
+// countParam reads the optional count parameter name: -1 when it is
+// absent or empty, an error naming it when it is not a non-negative
+// integer.
+func countParam(q url.Values, name string) (int, error) {
+	v := q.Get(name)
+	if v == "" {
+		return -1, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("bad ?%s=%q (want a non-negative integer)", name, v)
+	}
+	return n, nil
+}
+
 // serveError answers a failed service call under the status its kind
 // deserves: 503 when the request was cancelled or ran out of time, 400
 // when the request is the client's to fix, 404 when it names an item the
@@ -259,13 +275,13 @@ func (s *Server) handleSearch(rw http.ResponseWriter, r *http.Request) {
 		MatchDescriptions: q.Get("desc") == "true" || q.Get("desc") == "1",
 		MaxHitsPerGroup:   10,
 	}
-	if h := q.Get("hits"); h != "" {
-		n, err := strconv.Atoi(h)
-		if err != nil || n < 0 {
-			writeError(rw, http.StatusBadRequest, fmt.Errorf("bad ?hits=%q (want a non-negative integer; 0 lists every hit)", h))
-			return
-		}
-		opt.MaxHitsPerGroup = n
+	hits, err := countParam(q, "hits")
+	if err != nil {
+		writeError(rw, http.StatusBadRequest, err)
+		return
+	}
+	if hits >= 0 {
+		opt.MaxHitsPerGroup = hits // 0 lists every hit
 	}
 	for _, c := range strings.Split(q.Get("class"), ",") {
 		if c = strings.TrimSpace(c); c != "" {
@@ -346,10 +362,12 @@ func (s *Server) handleLineage(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, fmt.Errorf("bad ?level (want attribute, relation, schema, or application)"))
 		return
 	}
-	opt := lineage.Options{}
-	if n, err := strconv.Atoi(q.Get("depth")); err == nil && n > 0 {
-		opt.MaxDepth = n
+	depth, err := countParam(q, "depth")
+	if err != nil {
+		writeError(rw, http.StatusBadRequest, err)
+		return
 	}
+	opt := lineage.Options{MaxDepth: max(depth, 0)} // 0 is unbounded
 	if rule := q.Get("rule"); rule != "" {
 		opt.RuleFilter = func(r string) bool { return strings.Contains(r, rule) }
 	}

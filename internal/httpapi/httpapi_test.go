@@ -545,6 +545,7 @@ func TestServiceErrorStatuses(t *testing.T) {
 	}
 
 	srv := testServer(t)
+	const fig3Item = "application1/dwhdb/mart/v_customer/customer_id"
 	for path, want := range map[string]int{
 		"/api/search?term=%20":               400,
 		"/api/search?term=":                  400,
@@ -556,13 +557,29 @@ func TestServiceErrorStatuses(t *testing.T) {
 		"/api/search?term=customer&hits=1.5": 400,
 		"/api/search?term=customer&hits=0":   200,
 		"/api/search?term=customer&hits=":    200,
+		// The other count parameters: malformed or negative is a 400
+		// naming the parameter, empty keeps the default.
+		"/api/lineage?item=" + fig3Item + "&depth=abc": 400,
+		"/api/lineage?item=" + fig3Item + "&depth=-1":  400,
+		"/api/lineage?item=" + fig3Item + "&depth=":    200,
+		"/api/lineage?item=" + fig3Item + "&depth=0":   200,
+		"/api/lineage?item=" + fig3Item + "&depth=2":   200,
+		"/api/traces?n=abc":                            400,
+		"/api/traces?n=-1":                             400,
+		"/api/traces?n=":                               200,
+		"/api/traces?n=0":                              200,
+		"/api/statements?n=1.5":                        400,
+		"/api/statements?n=-1":                         400,
+		"/api/statements?n=":                           200,
+		"/api/statements?n=3":                          200,
 	} {
 		var body struct{ Error string }
 		if code := getJSON(t, srv, path, &body); code != want {
 			t.Errorf("GET %s: status %d, want %d", path, code, want)
 		}
-		if want == 400 && strings.Contains(path, "hits=") && !strings.Contains(body.Error, "?hits=") {
-			t.Errorf("GET %s: error %q does not name ?hits", path, body.Error)
+		param, _, _ := strings.Cut(path[strings.LastIndexAny(path, "?&")+1:], "=")
+		if want == 400 && param != "term" && !strings.Contains(body.Error, "?"+param+"=") {
+			t.Errorf("GET %s: error %q does not name ?%s", path, body.Error, param)
 		}
 	}
 	// There is no ?via=: like any unknown parameter it changes nothing.

@@ -137,8 +137,13 @@ func (s *Server) handleTraces(rw http.ResponseWriter, r *http.Request) {
 		writeJSON(rw, http.StatusOK, t)
 		return
 	}
+	n, err := countParam(r.URL.Query(), "n")
+	if err != nil {
+		writeError(rw, http.StatusBadRequest, err)
+		return
+	}
 	resp := TracesResponse{Started: tr.Started(), Traces: tr.Recent()}
-	if n, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && n >= 0 && n < len(resp.Traces) {
+	if n >= 0 && n < len(resp.Traces) {
 		resp.Traces = resp.Traces[:n]
 	}
 	if resp.Traces == nil {
@@ -157,12 +162,17 @@ type StatementsResponse struct {
 // by total time descending (pg_stat_statements over HTTP). ?n= limits
 // the number of rows.
 func (s *Server) handleStatements(rw http.ResponseWriter, r *http.Request) {
+	n, err := countParam(r.URL.Query(), "n")
+	if err != nil {
+		writeError(rw, http.StatusBadRequest, err)
+		return
+	}
 	tbl := obs.DefaultStatements()
 	resp := StatementsResponse{
 		Evicted:    tbl.Evicted(),
 		Statements: tbl.Snapshot(),
 	}
-	if n, err := strconv.Atoi(r.URL.Query().Get("n")); err == nil && n >= 0 && n < len(resp.Statements) {
+	if n >= 0 && n < len(resp.Statements) {
 		resp.Statements = resp.Statements[:n]
 	}
 	if resp.Statements == nil {

@@ -11,13 +11,18 @@ import (
 
 // names is n objects with one dm:hasName each; every 50th name holds
 // "Customer", the rest do not.
-func names(n int) []rdf.Triple {
+func names(n int) []rdf.Triple { return sharedNames(n, 1) }
+
+// sharedNames is names with each name given to share consecutive objects:
+// n/share distinct names, every 50th of them a "Customer" one.
+func sharedNames(n, share int) []rdf.Triple {
 	words := []string{"account", "partner", "ledger_entry", "booking", "position"}
 	ts := make([]rdf.Triple, 0, n)
 	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("%s_%s_%d", words[i%len(words)], words[(i/7)%len(words)], i)
-		if i%50 == 0 {
-			name = fmt.Sprintf("Customer_%s_%d", words[i%len(words)], i)
+		j := i / share
+		name := fmt.Sprintf("%s_%s_%d", words[j%len(words)], words[(j/7)%len(words)], j)
+		if j%50 == 0 {
+			name = fmt.Sprintf("Customer_%s_%d", words[j%len(words)], j)
 		}
 		ts = append(ts, rdf.T(rdf.IRI(fmt.Sprintf("http://b/o%d", i)), rdf.HasName, rdf.Literal(name)))
 	}
@@ -53,12 +58,16 @@ func namesView(n int) (store.Source, *store.Dict) {
 // BenchmarkFilteredScan is the filter loop of Listing 1's driving scan
 // on its own: 100k names, a pushed regex that keeps 2% of them. literal-i
 // and literal take the substring kernel, metachar the compiled regexp,
-// and view is literal-i over namesView; ns/row and allocs/row are per
-// name scanned.
+// view is literal-i over namesView, and shared is literal-i over names
+// each shared by 8 objects, so a morsel plan tests the regex once per 8
+// triples; ns/row and allocs/row are per name triple scanned.
 func BenchmarkFilteredScan(b *testing.B) {
 	const n = 100_000
 	one, oneDict := namesFixture(n)
 	view, viewDict := namesView(n)
+	st := store.New()
+	st.AddAll("m", sharedNames(n, 8))
+	shared, sharedDict := st.ViewOf("m"), st.Dict()
 	for _, c := range []struct {
 		name, filter string
 		src          store.Source
@@ -68,6 +77,7 @@ func BenchmarkFilteredScan(b *testing.B) {
 		{"literal", `regex(?t, "Customer")`, one, oneDict},
 		{"metachar", `regex(?t, "cust.mer", "i")`, one, oneDict},
 		{"view", `regex(?t, "customer", "i")`, view, viewDict},
+		{"shared", `regex(?t, "customer", "i")`, shared, sharedDict},
 	} {
 		q := MustParse(`SELECT ?o WHERE { ?o <` + rdf.MDWHasName + `> ?t FILTER ` + c.filter + ` }`)
 		b.Run(c.name, func(b *testing.B) {

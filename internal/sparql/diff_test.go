@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -171,6 +172,71 @@ func (g *queryGen) filter() string {
 		w := "?" + g.variable()
 		return fmt.Sprintf("FILTER (%s != %s) ", v, w)
 	}
+}
+
+// keyFilter is one FILTER of keyFilterQuery: its text, and whether the
+// morsel scan may test it once per walked key.
+type keyFilter struct {
+	text   string
+	perKey bool
+}
+
+// keyFilterQuery builds a single-pattern scan whose walked index key is
+// bound to ?k (object, subject or predicate, by which positions are
+// constants) with one or two FILTERs: key-only ones, which read ?k alone,
+// and the near misses that must stay per triple — a filter that also
+// reads the pattern's other variable and FILTER EXISTS. One scan in six
+// repeats its variable (?k <p> ?k), which keeps every filter per triple.
+// It returns the query text, its filters in text order, and whether the
+// pattern repeats its variable.
+func (g *queryGen) keyFilterQuery() (string, []keyFilter, bool) {
+	pick := func(pool []string) string { return "<" + pool[g.rng.Intn(len(pool))] + ">" }
+	p := pick(g.fx.preds)
+	pattern := [...]string{
+		"?x " + p + " ?k",
+		"?k ?x " + pick(g.fx.objects),
+		pick(g.fx.subjects) + " ?k ?x",
+		"?k ?x ?y",
+		"?k " + p + " ?k",
+	}[min(g.rng.Intn(6), 4)]
+	repeated := strings.Count(pattern, "?k") == 2
+	keyOnly := []string{
+		`regex(STR(?k), "1")`,
+		`regex(?k, "NAME1", "i")`,
+		`regex(?k, "^name[02]$")`,
+		`CONTAINS(STR(?k), "s")`,
+		`STRSTARTS(STR(?k), "http://d/o")`,
+		`?k = ` + pick(g.fx.objects),
+		`?k != ` + pick(g.fx.objects),
+		`?k = "name1"`,
+		`?k != "name2"`,
+		`BOUND(?k)`,
+		`?k < 3`, // an error on every IRI and string literal: rejects
+		`!(?k < 3)`,
+	}
+	nearMiss := []string{
+		`?k != ?x`,
+		`regex(STR(?k), "1") || ?x = ` + pick(g.fx.objects),
+		`EXISTS { ?k ` + p + ` ?z }`,
+	}
+	var fs []keyFilter
+	for n := 1 + g.rng.Intn(2); len(fs) < n; {
+		if repeated || g.rng.Intn(3) > 0 { // ?k <p> ?k has no ?x to miss with
+			fs = append(fs, keyFilter{keyOnly[g.rng.Intn(len(keyOnly))], !repeated})
+		} else {
+			fs = append(fs, keyFilter{nearMiss[g.rng.Intn(len(nearMiss))], false})
+		}
+	}
+	var b strings.Builder
+	for _, f := range fs {
+		if strings.HasPrefix(f.text, "EXISTS") {
+			fmt.Fprintf(&b, "FILTER %s ", f.text)
+		} else {
+			fmt.Fprintf(&b, "FILTER (%s) ", f.text)
+		}
+	}
+	sel := [...]string{"SELECT * WHERE", "SELECT DISTINCT ?k WHERE", "SELECT (COUNT(?k) AS ?n) WHERE"}[g.rng.Intn(3)]
+	return fmt.Sprintf("%s { %s . %s}", sel, pattern, b.String()), fs, repeated
 }
 
 // where builds a group: a BGP optionally decorated with UNION, OPTIONAL,
@@ -352,7 +418,85 @@ func TestDifferentialParallel(t *testing.T) {
 				}
 			}
 		}
+		differentialKeyFilters(t, rng, fx)
 	}
+}
+
+// differentialKeyFilters is TestDifferentialParallel's sweep over key-only
+// FILTERs and their near misses (keyFilterQuery): at 2 and 4 workers the
+// rows are the naive evaluator's, a parallel plan marks exactly the
+// key-only filters per key, and, where those come first in the text (so
+// the per-key test reorders nothing), the analyzed operator counts are
+// the serial plan's — a rejected key's triples are counted though never
+// visited.
+func differentialKeyFilters(t *testing.T, rng *rand.Rand, fx diffFixture) {
+	const queries = 150
+	perKeyPlans := 0
+	for i := 0; i < queries; i++ {
+		g := &queryGen{rng: rng, fx: fx}
+		text, filters, repeated := g.keyFilterQuery()
+		q, err := sparql.Parse(text)
+		if err != nil {
+			t.Fatalf("[%s key #%d] generator emitted unparsable query %q: %v", fx.name, i, text, err)
+		}
+		naive, err := q.ExecNaive(fx.src, fx.dict)
+		if err != nil {
+			t.Fatalf("[%s key #%d] naive exec failed for %q: %v", fx.name, i, text, err)
+		}
+		want, keyed, keyFirst := rowKeys(naive), 0, true
+		for j, f := range filters {
+			if f.perKey {
+				keyed++
+				keyFirst = keyFirst && keyed == j+1
+			}
+		}
+		serial, serialStats, err := q.PlanOpts(fx.src, fx.dict, sparql.ParOptions{MaxWorkers: 1}).Run(context.Background(), sparql.RunOptions{Analyze: true})
+		if err != nil || !sameMultiset(rowKeys(serial), want) {
+			t.Fatalf("[%s key #%d] serial run of %q: err %v, rows differ from the naive evaluator's", fx.name, i, text, err)
+		}
+		for _, workers := range []int{2, 4} {
+			p := q.PlanOpts(fx.src, fx.dict, sparql.ParOptions{MaxWorkers: workers, MorselSize: 4, SerialThreshold: 1})
+			plan := p.String()
+			if p.Parallelism() < 2 {
+				continue // estimated at most one morsel
+			}
+			if got := strings.Count(plan, "(pushed down, per key"); got != keyed {
+				t.Errorf("[%s key #%d w=%d] %d filters per key, want %d (repeated variable: %v):\n%s",
+					fx.name, i, workers, got, keyed, repeated, plan)
+			}
+			if keyed > 0 {
+				perKeyPlans++
+			}
+			for _, analyze := range []bool{false, true} {
+				res, stats, err := p.Run(context.Background(), sparql.RunOptions{Analyze: analyze})
+				if err != nil {
+					t.Fatalf("[%s key #%d w=%d] exec failed for %q: %v", fx.name, i, workers, text, err)
+				}
+				if got := rowKeys(res); !sameMultiset(got, want) {
+					t.Errorf("[%s key #%d w=%d analyze=%v] divergence on %q:\nparallel (%d): %v\nnaive    (%d): %v",
+						fx.name, i, workers, analyze, text, len(got), got, len(want), want)
+				}
+				if analyze && keyFirst && stats.Strategy == "morsel" {
+					if a, b := opCounts(stats.Root), opCounts(serialStats.Root); !slices.Equal(a, b) {
+						t.Errorf("[%s key #%d w=%d] analyzed counts differ from the serial plan's on %q:\nmorsel %v\nserial %v\n%s",
+							fx.name, i, workers, text, a, b, stats)
+					}
+				}
+			}
+		}
+	}
+	if perKeyPlans < queries/4 {
+		t.Errorf("[%s] only %d of %d key-filter queries ran a per-key test", fx.name, perKeyPlans, 2*queries)
+	}
+}
+
+// opCounts lists an operator tree's loops and rows, depth first.
+func opCounts(op *sparql.OpStats) []string {
+	out := []string{fmt.Sprintf("%s %s: loops=%d rows=%d", op.Op, op.Detail, op.Loops, op.Rows)}
+	for _, c := range op.Children {
+		out = append(out, opCounts(c)...)
+	}
+	return out
 }
 
 func TestDifferentialPlannerVsNaive(t *testing.T) {

@@ -323,6 +323,9 @@ type bgpRun struct {
 	s      []store.ID
 	emit   func([]store.ID) bool
 	frames []bgpFrame
+	// perKey counts pattern 0's leading pushed constraints the morsel
+	// scan already tested on the triple's key (keyFilter).
+	perKey int
 }
 
 // bgpFrame holds the loop-variant state of one pattern position while
@@ -452,10 +455,20 @@ func (r *bgpRun) bind(idx, svar int, sid store.ID, ovar int, oid store.ID) bool 
 // solution, then advances to the next pattern.
 func (r *bgpRun) matched(idx int) bool {
 	pp := r.b.patterns[idx]
+	cs := pp.pushed
 	if st := r.ev.stats; st != nil {
 		st.ops[pp.si].rows.Add(1)
 	}
-	for _, c := range pp.pushed {
+	if idx == 0 && r.perKey > 0 {
+		if st := r.ev.stats; st != nil {
+			for _, c := range cs[:r.perKey] { // passed on the key
+				st.ops[c.si].loops.Add(1)
+				st.ops[c.si].rows.Add(1)
+			}
+		}
+		cs = cs[r.perKey:]
+	}
+	for _, c := range cs {
 		if !r.ev.constraintHolds(c, r.s) {
 			return r.ev.err == nil // reject this extension, continue matching
 		}

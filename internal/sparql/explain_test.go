@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -80,5 +81,37 @@ func TestExplainPathSyntax(t *testing.T) {
 	}
 	if !strings.Contains(out, "<http://t/d>?") {
 		t.Errorf("optional path rendering wrong:\n%s", out)
+	}
+}
+
+// TestExplainPerKeyFilter: a morsel plan marks a filter whose one variable
+// is the driving pattern's walked key (here the object, ?t) as tested per
+// key, in the plan and in the analyzed plan; a filter that also reads the
+// pattern's other variable stays per triple, and so does every filter of
+// a serial plan.
+func TestExplainPerKeyFilter(t *testing.T) {
+	src, dict := namesFixture(500)
+	par := ParOptions{MaxWorkers: 2, MorselSize: 8, SerialThreshold: 1}
+	for _, c := range []struct {
+		filter, want string
+	}{
+		{`regex(?t, "customer", "i")`, `FILTER REGEX(?t, "(?i)customer") (pushed down, per key)`},
+		{`?o != <http://b/o0> && regex(?t, "customer", "i")`, `FILTER (?o != <http://b/o0> && REGEX(?t, "(?i)customer")) (pushed down)`},
+	} {
+		q := MustParse(`SELECT ?o WHERE { ?o <` + rdf.MDWHasName + `> ?t FILTER (` + c.filter + `) }`)
+		p := q.PlanOpts(src, dict, par)
+		if out := p.String(); !strings.Contains(out, c.want+"\n") {
+			t.Errorf("plan lacks %q:\n%s", c.want, out)
+		}
+		_, stats, err := p.Run(context.Background(), RunOptions{Analyze: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := stats.String(); !strings.Contains(out, c.want+" [in=") {
+			t.Errorf("analyzed plan lacks %q:\n%s", c.want, out)
+		}
+		if out := q.PlanOpts(src, dict, ParOptions{MaxWorkers: 1}).String(); strings.Contains(out, "per key") {
+			t.Errorf("serial plan tests a filter per key:\n%s", out)
+		}
 	}
 }

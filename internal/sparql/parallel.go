@@ -15,13 +15,15 @@ import (
 // cardinality estimate for the root group's first join step is large
 // enough, that step's matches are split into parts of about a morsel each
 // (store.View.Split: one bucketing pass over the walked index keys, by ID
-// range, on the calling goroutine), and each worker sorts and walks its
-// own parts through the ordinary streaming depth-first pipeline with a
-// private slot row. A merger emits the buffered solutions in part order,
-// so downstream consumers (DISTINCT, LIMIT, aggregation) observe one
-// solution order at every worker count. Everything else — UNION branches,
-// property-path closures — runs on the serial pipeline: measured end to
-// end, fanning those out never beat it (DESIGN.md "Parallel execution").
+// range, on the calling goroutine), and each worker tests, sorts and
+// walks its own parts through the ordinary streaming depth-first pipeline
+// with a private slot row; a filter that reads only the walked key's
+// variable is tested once per key (keyOnly), not per triple. A merger
+// emits the buffered solutions in part order, so downstream consumers
+// (DISTINCT, LIMIT, aggregation) observe one solution order at every
+// worker count. Everything else — UNION branches, property-path closures
+// — runs on the serial pipeline: measured end to end, fanning those out
+// never beat it (DESIGN.md "Parallel execution").
 //
 // Streaming semantics survive: ASK stops all workers at the first emitted
 // solution, LIMIT-without-ORDER-BY stops after N merged rows, and context
@@ -73,6 +75,9 @@ type parDecision struct {
 	workers int     // 0 = serial
 	morsel  int     // first-step matches per morsel
 	est     float64 // estimate that justified the choice
+	// keyed counts the driving pattern's leading pushed constraints that
+	// the scan tests once per walked key (keyOnly).
+	keyed int
 }
 
 // decidePar decides whether the plan's root group runs as a morsel scan.
@@ -98,8 +103,52 @@ func (p *Plan) decidePar(o ParOptions) {
 	}
 	w := min(int(math.Ceil(pp.est/float64(o.MorselSize))), o.MaxWorkers)
 	if w >= 2 {
-		p.par = parDecision{workers: w, morsel: o.MorselSize, est: pp.est}
+		p.par = parDecision{workers: w, morsel: o.MorselSize, est: pp.est, keyed: keyOnly(pp)}
 	}
+}
+
+// keyOnly moves the driving pattern's key-only constraints to the front
+// of its pushed list, marks them per key, and returns how many there are.
+// A key-only constraint is a plain FILTER whose one variable is the one
+// the scan's walked index keys bind (store.KeyPos): it holds for all of a
+// key's triples or for none, so the scan tests it once per key. The
+// constraints are a conjunction of side-effect-free tests, so testing
+// these first changes no answer. A pattern that repeats a variable gets
+// none: its triples must also agree with themselves, so a key's triple
+// count would no longer be the rows it binds.
+func keyOnly(pp *patternPlan) int {
+	var vars [3]string // by position; "" for a constant
+	if pp.tp.S.IsVar() {
+		vars[0] = pp.tp.S.Var
+	}
+	if v, ok := pp.tp.P.(PathVar); ok {
+		vars[1] = v.Name
+	}
+	if pp.tp.O.IsVar() {
+		vars[2] = pp.tp.O.Var
+	}
+	pos := store.KeyPos(vars[0] == "", vars[1] == "", vars[2] == "")
+	if pos < 0 {
+		return 0
+	}
+	for i, v := range vars {
+		for _, w := range vars[i+1:] {
+			if v != "" && v == w {
+				return 0
+			}
+		}
+	}
+	var keyed, rest []*plannedConstraint
+	for _, c := range pp.pushed {
+		if c.filter != nil && slices.Equal(exprVars(c.filter.Expr), vars[pos:pos+1]) {
+			c.perKey = true
+			keyed = append(keyed, c)
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	pp.pushed = append(keyed, rest...)
+	return len(keyed)
 }
 
 // Parallelism returns the degree of parallelism the plan may use: 1 for
@@ -183,10 +232,66 @@ func (ev *evaluator) partScanner(root *planGroup, row []store.ID, parts *store.P
 	})
 	f := &r.frames[0]
 	f.svar, f.ovar = svar, ovar // a variable predicate is never bound at the root
+	keep := r.keyFilter(parts)
 	return func(task int) bool {
 		f.cont = true
-		return parts.Scan(task, f.cb)
+		return parts.Scan(task, keep, f.cb)
 	}
+}
+
+// keyFilter returns the scan's per-key test (nil when the plan has none):
+// the driving pattern's key-only constraints run on the row with only the
+// walked key bound. It probes cancellation and the merger's stop flag as
+// onTriple does, so a scan whose filter rejects every key still stops.
+// From here on the run skips those constraints per triple (matched).
+func (r *bgpRun) keyFilter(parts *store.Parts) func(store.ID, int) bool {
+	ev, pp := r.ev, r.b.patterns[0]
+	r.perKey = ev.plan.par.keyed
+	if r.perKey == 0 {
+		return nil
+	}
+	cs := pp.pushed[:r.perKey]
+	slot := [3]int{pp.s.slot, pp.pvar, pp.o.slot}[parts.KeyPos()]
+	return func(key store.ID, n int) bool {
+		if ev.cancelled() || ev.stopped() {
+			return false
+		}
+		r.s[slot] = key
+		ok := ev.keyHolds(cs, pp, r.s, n)
+		r.s[slot] = store.Wildcard
+		return ok
+	}
+}
+
+// keyHolds tests the key-only constraints cs on row s. Under analyze, a
+// rejected key's n triples, which are never visited, are counted as a
+// per-triple run counts them: bound by the pattern pp, tested by each
+// constraint up to the one that failed, passed by those before it. An
+// accepted key's triples are counted as they are visited (matched).
+func (ev *evaluator) keyHolds(cs []*plannedConstraint, pp *patternPlan, s []store.ID, n int) bool {
+	st := ev.stats
+	for i, c := range cs {
+		if st == nil {
+			if !ev.constraintEval(c, s) {
+				return false
+			}
+			continue
+		}
+		start := time.Now()
+		ok := ev.constraintEval(c, s)
+		st.ops[c.si].durNs.Add(int64(time.Since(start)))
+		if !ok {
+			st.ops[pp.si].rows.Add(int64(n))
+			for j, d := range cs[:i+1] {
+				st.ops[d.si].loops.Add(int64(n))
+				if j < i {
+					st.ops[d.si].rows.Add(int64(n))
+				}
+			}
+			return false
+		}
+	}
+	return true
 }
 
 // ---------------------------------------------------------------------
@@ -251,7 +356,7 @@ func (ev *evaluator) orderedRun(workers, ntasks int, newWorker func(wev *evaluat
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wev := &evaluator{src: ev.src, dict: ev.dict, ctx: ev.ctx, parStop: &pr.stop, stats: ev.stats}
+			wev := &evaluator{src: ev.src, dict: ev.dict, ctx: ev.ctx, plan: ev.plan, parStop: &pr.stop, stats: ev.stats}
 			var buf [][]store.ID
 			run := newWorker(wev, func(s []store.ID) bool {
 				if pr.stop.Load() {

@@ -421,6 +421,46 @@ func TestParallelCancellation(t *testing.T) {
 	}
 }
 
+// TestParallelKeyFilterCancellation: a per-key FILTER that rejects every
+// key visits no triple, so the scan's only cancellation probes are the
+// per-key test's. A context cancelled mid-scan must still stop every
+// worker, Run must return ctx.Err(), and no goroutine may outlive it.
+func TestParallelKeyFilterCancellation(t *testing.T) {
+	st := store.New()
+	long := strings.Repeat("ab", 50)
+	var ts []rdf.Triple
+	for i := 0; i < 30_000; i++ {
+		ts = append(ts, rdf.T(rdf.IRI(fmt.Sprintf("http://d/o%05d", i)), rdf.HasName, rdf.Literal(fmt.Sprintf("%s%d", long, i))))
+	}
+	st.AddAll("m", ts)
+	src, dict := st.ViewOf("m"), st.Dict()
+	// Go's regexp reads every byte of every name, and no name matches:
+	// tens of milliseconds in all, far longer than the delay below.
+	q := sparql.MustParse(`SELECT ?o WHERE { ?o <` + rdf.MDWHasName + `> ?n FILTER regex(?n, "(a|b)*c") }`)
+	p := q.PlanOpts(src, dict, forcedPar(4))
+	if !strings.Contains(p.String(), "(pushed down, per key)") {
+		t.Fatalf("the filter is not tested per key:\n%s", p)
+	}
+	start := time.Now()
+	if res, err := runPlan(context.Background(), p); err != nil || res.Len() != 0 {
+		t.Fatalf("uncancelled run: %d rows, err %v; want 0 rows", res.Len(), err)
+	}
+	full := time.Since(start)
+
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(full / 10)
+		cancel()
+	}()
+	start = time.Now()
+	if _, err := runPlan(ctx, p); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled after %v of a %v scan: err %v, want context.Canceled", full/10, full, err)
+	}
+	t.Logf("full scan %v, cancelled run returned after %v", full, time.Since(start))
+	waitForGoroutines(t, base)
+}
+
 // TestParallelPathCancellation cancels an all-pairs closure.
 func TestParallelPathCancellation(t *testing.T) {
 	src, dict := chainFixture(t, 4000)

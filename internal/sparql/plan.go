@@ -132,8 +132,9 @@ type plannedConstraint struct {
 	// need lists the variables that must be bound before the constraint
 	// may run (variables the enclosing group can still bind later).
 	need []string
-	// pushed records whether the constraint runs before group end.
-	pushed bool
+	// pushed records whether the constraint runs before group end, and
+	// perKey whether a morsel scan tests it once per walked key (keyOnly).
+	pushed, perKey bool
 	// ID-level equality fast path for ?x = <iri> / ?x != <iri>: when
 	// fastSlot is a variable's slot (not -1) the constraint compares
 	// dictionary IDs and skips term decoding entirely.
@@ -929,7 +930,9 @@ func (p *Plan) renderGroup(b *strings.Builder, g *planGroup, depth int, rec *exe
 func (p *Plan) renderConstraint(b *strings.Builder, c *plannedConstraint, depth int, rec *execStatsRec) {
 	pad := strings.Repeat("  ", depth)
 	where := "applied at group end"
-	if c.pushed {
+	if c.perKey {
+		where = "pushed down, per key"
+	} else if c.pushed {
 		where = "pushed down"
 	}
 	if c.exists != nil {

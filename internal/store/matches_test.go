@@ -75,10 +75,7 @@ var partSizes = []int{1, 7, 1000}
 func scanAll(ps *Parts) []ETriple {
 	var out []ETriple
 	for i := 0; i < ps.Len(); i++ {
-		ps.Scan(i, func(t ETriple) bool {
-			out = append(out, t)
-			return true
-		})
+		out = append(out, scanPart(ps, i, nil)...)
 	}
 	return out
 }
@@ -92,7 +89,7 @@ func scanConcurrently(ps *Parts) []ETriple {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ps.Scan(i, func(t ETriple) bool {
+			ps.Scan(i, nil, func(t ETriple) bool {
 				bufs[i] = append(bufs[i], t)
 				return true
 			})
@@ -185,4 +182,77 @@ func TestViewMatchesDedup(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestScanKeep: a scan with keep streams exactly the triples a scan
+// without it streams for the keys keep accepts, in the same order, for
+// every Split shape, over one model and over a view whose members share
+// triples (the second member's shared triples are still dropped), and
+// when the same part is scanned again without keep and then with it.
+// keep sees each walked key of a part once, with the key's triple count
+// in its member, so the counts of a split sum to the members' counts
+// (EstCount; Count for one model); a pattern with two bound positions
+// walks no keys and never calls keep.
+func TestScanKeep(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	m1, m2 := randomModel(rng, 300), randomModel(rng, 300)
+	accept := func(k ID) bool { return k%3 != 0 }
+	for _, v := range []*View{NewView(m1), NewView(m1, m2)} {
+		for _, pat := range matchPatterns() {
+			pos := KeyPos(pat[0] != Wildcard, pat[1] != Wildcard, pat[2] != Wildcard)
+			for _, size := range partSizes {
+				ps := v.Split(pat[0], pat[1], pat[2], size)
+				if ps.KeyPos() != pos {
+					t.Fatalf("Split(%v).KeyPos() = %d, want %d", pat, ps.KeyPos(), pos)
+				}
+				weights, calls := 0, 0
+				for i := 0; i < ps.Len(); i++ {
+					seen := map[ID]bool{}
+					keep := func(k ID, n int) bool {
+						if seen[k] {
+							t.Fatalf("Split(%v, %d) part %d: key %d tested twice", pat, size, i, k)
+						}
+						seen[k] = true
+						calls++
+						weights += n
+						return accept(k)
+					}
+					all := scanPart(ps, i, nil)
+					var want []ETriple
+					for _, tr := range all {
+						if pos < 0 || accept([3]ID{tr.S, tr.P, tr.O}[pos]) {
+							want = append(want, tr)
+						}
+					}
+					if got := scanPart(ps, i, keep); !slices.Equal(got, want) {
+						t.Fatalf("Split(%v, %d) part %d with keep: %v, want %v", pat, size, i, got, want)
+					}
+					if got := scanPart(ps, i, nil); !slices.Equal(got, all) {
+						t.Fatalf("Split(%v, %d) part %d rescanned without keep: %v, want %v", pat, size, i, got, all)
+					}
+					clear(seen)
+					if got := scanPart(ps, i, keep); !slices.Equal(got, want) {
+						t.Fatalf("Split(%v, %d) part %d rescanned with keep: %v, want %v", pat, size, i, got, want)
+					}
+				}
+				switch {
+				case pos < 0 && calls != 0:
+					t.Errorf("Split(%v, %d) walks no keys but called keep %d times", pat, size, calls)
+				case pos >= 0 && weights != 2*v.EstCount(pat[0], pat[1], pat[2]):
+					t.Errorf("Split(%v, %d): key weights sum to %d over two scans, want 2×%d",
+						pat, size, weights, v.EstCount(pat[0], pat[1], pat[2]))
+				}
+			}
+		}
+	}
+}
+
+// scanPart collects one part's stream.
+func scanPart(ps *Parts, i int, keep func(ID, int) bool) []ETriple {
+	var out []ETriple
+	ps.Scan(i, keep, func(t ETriple) bool {
+		out = append(out, t)
+		return true
+	})
+	return out
 }

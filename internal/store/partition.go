@@ -12,6 +12,7 @@ type Parts struct {
 	// the bound third position of a fully bound pattern.
 	ix      int
 	a, b, c ID
+	key     int // KeyPos of the pattern
 	parts   []part
 }
 
@@ -20,8 +21,33 @@ type Parts struct {
 // pattern with two bound positions reads.
 type part struct {
 	m      int
-	keys   []ID
+	keys   []keyed
 	lo, hi int
+}
+
+// keyed is a walked index key packed with its weight, the number of the
+// member's triples under it: key in the high half, so that sorting packed
+// values sorts by key (a part holds each key once).
+type keyed uint64
+
+func pack(k ID, w int) keyed { return keyed(uint64(k)<<32 | uint64(uint32(w))) }
+func (e keyed) key() ID      { return ID(e >> 32) }
+func (e keyed) weight() int  { return int(uint32(e)) }
+
+// KeyPos returns the position, 0 S, 1 P or 2 O, that the index keys Split
+// walks bind for a pattern whose bound positions are given, or -1 when two
+// or more are bound: such a pattern reads one index slice and walks no
+// keys.
+func KeyPos(s, p, o bool) int {
+	switch {
+	case s && (p || o) || p && o:
+		return -1
+	case s:
+		return 1 // SPO's second level
+	case p:
+		return 2 // POS's
+	}
+	return 0 // OSP's second level, or SPO's first
 }
 
 // Split cuts the pattern's matches into parts of about size (>= 1) triples.
@@ -32,11 +58,12 @@ type part struct {
 // it. For a view nobody writes, every call agrees, whatever the size.
 //
 // Split itself only buckets: one pass over each member's walked keys
-// groups them by ID range, sorting nothing and copying no triple. A part's
-// keys are sorted by its Scan, so the sorting runs wherever the parts are
-// scanned. A key's triples are never split across parts.
+// groups them by ID range, sorting nothing and copying no triple, and
+// keeps each key's triple count beside it. A part's keys are tested and
+// sorted by its Scan, so that work runs wherever the parts are scanned.
+// A key's triples are never split across parts.
 func (v *View) Split(s, p, o ID, size int) *Parts {
-	ps := &Parts{v: v}
+	ps := &Parts{v: v, key: KeyPos(s != Wildcard, p != Wildcard, o != Wildcard)}
 	switch { // ForEach's choice of index
 	case s != Wildcard && p != Wildcard:
 		ps.a, ps.b, ps.c = s, p, o
@@ -83,12 +110,11 @@ func (v *View) Split(s, p, o ID, size int) *Parts {
 // groups them into about 4×triples/size equal-width ID ranges, and runs of
 // consecutive ranges holding at least size triples become parts.
 func bucket[V any](ps *Parts, m int, idx map[ID]V, size int, weight func(V) int) {
-	type keyed struct{ k, w ID }
 	all := make([]keyed, 0, len(idx))
 	lo, hi, total := ^ID(0), ID(0), 0
 	for k, v := range idx {
 		w := weight(v)
-		all = append(all, keyed{k, ID(w)})
+		all = append(all, pack(k, w))
 		lo, hi, total = min(lo, k), max(hi, k), total+w
 	}
 	if len(all) == 0 {
@@ -100,17 +126,17 @@ func bucket[V any](ps *Parts, m int, idx map[ID]V, size int, weight func(V) int)
 	end := make([]int, nb) // keys per range, then where each range starts, then (after the scatter) ends
 	w := make([]int, nb)   // triples per range
 	for _, e := range all {
-		r := rangeOf(e.k)
+		r := rangeOf(e.key())
 		end[r]++
-		w[r] += int(e.w)
+		w[r] += e.weight()
 	}
 	for r, at := 0, 0; r < nb; r++ {
 		end[r], at = at, at+end[r]
 	}
-	keys := make([]ID, len(all))
+	keys := make([]keyed, len(all))
 	for _, e := range all {
-		r := rangeOf(e.k)
-		keys[end[r]] = e.k
+		r := rangeOf(e.key())
+		keys[end[r]] = e
 		end[r]++
 	}
 	from, run := 0, 0
@@ -125,10 +151,21 @@ func bucket[V any](ps *Parts, m int, idx map[ID]V, size int, weight func(V) int)
 // Len returns the number of parts.
 func (ps *Parts) Len() int { return len(ps.parts) }
 
+// KeyPos returns the position (0 S, 1 P, 2 O) the walked keys bind, or -1
+// when the pattern walks no keys (see the package function KeyPos).
+func (ps *Parts) KeyPos() int { return ps.key }
+
 // Scan streams the triples of part i to fn in enumeration order until fn
 // returns false, and reports whether it reached the part's end. Different
 // parts may be scanned concurrently, each by one goroutine.
-func (ps *Parts) Scan(i int, fn func(ETriple) bool) bool {
+//
+// A non-nil keep is called once per walked key of the part, with the
+// key's triple count in its member (triples an earlier member also holds
+// included), before the key's triples are looked up; a key it rejects is
+// never looked up, visited or sorted, so fn sees exactly the triples of
+// the accepted keys, in the order a Scan without keep streams them. A
+// pattern that walks no keys (KeyPos -1) never calls keep.
+func (ps *Parts) Scan(i int, keep func(key ID, n int) bool, fn func(ETriple) bool) bool {
 	pt := ps.parts[i]
 	idx := ps.v.models[pt.m].index(ps.ix)
 	switch {
@@ -139,10 +176,9 @@ func (ps *Parts) Scan(i int, fn func(ETriple) bool) bool {
 			}
 		}
 	case ps.a != Wildcard:
-		keys := pt.keys[pt.lo:pt.hi]
-		slices.Sort(keys)
 		inner := idx[ps.a]
-		for _, b := range keys {
+		for _, e := range pt.accepted(keep) {
+			b := e.key()
 			for _, c := range inner[b] {
 				if !ps.visit(pt.m, ps.a, b, c, fn) {
 					return false
@@ -150,9 +186,8 @@ func (ps *Parts) Scan(i int, fn func(ETriple) bool) bool {
 			}
 		}
 	default:
-		keys := pt.keys[pt.lo:pt.hi]
-		slices.Sort(keys)
-		for _, a := range keys {
+		for _, e := range pt.accepted(keep) {
+			a := e.key()
 			inner := idx[a]
 			for _, b := range sortedKeys(inner) {
 				for _, c := range inner[b] {
@@ -164,6 +199,26 @@ func (ps *Parts) Scan(i int, fn func(ETriple) bool) bool {
 		}
 	}
 	return true
+}
+
+// accepted returns the part's keys that keep accepts (all of them when
+// keep is nil), sorted. The accepted keys are moved to the front of the
+// part's range and the rejected ones kept behind them, so the part can be
+// scanned again, with or without keep.
+func (pt part) accepted(keep func(ID, int) bool) []keyed {
+	keys := pt.keys[pt.lo:pt.hi]
+	if keep != nil {
+		n := 0
+		for i, e := range keys {
+			if keep(e.key(), e.weight()) {
+				keys[n], keys[i] = e, keys[n]
+				n++
+			}
+		}
+		keys = keys[:n]
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // visit passes the triple of index entry (a, b, c) to fn, unless a member
