@@ -5,11 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"mdw/internal/obs"
 	"mdw/internal/rdf"
+	"mdw/internal/reason"
+	"mdw/internal/search"
+	"mdw/internal/store"
 )
 
 // TestQueryEntryPoints pins the warehouse's exported surface. The query
@@ -176,5 +180,113 @@ func TestOneRowCount(t *testing.T) {
 				t.Errorf("%s, run %d: rows labels %v, want %s on warehouse.query and sparql exec", q, run, labels, want)
 			}
 		}
+	}
+}
+
+// namesWarehouse is a warehouse of n named objects, every 50th of them a
+// "Customer" one, with its text index built: enough names that a name
+// match runs as a morsel scan on two CPUs.
+func namesWarehouse(t *testing.T, n int) *Warehouse {
+	t.Helper()
+	w := New("")
+	ts := make([]rdf.Triple, 0, n)
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("account_%d", i)
+		if i%50 == 0 {
+			name = fmt.Sprintf("Customer_%d", i)
+		}
+		ts = append(ts, rdf.T(rdf.IRI(fmt.Sprintf("%so%d", rdf.InstNS, i)), rdf.HasName, rdf.Literal(name)))
+	}
+	w.LoadTriples(ts)
+	if _, err := w.TextIndex(); err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestQueryUsesTextIndexOfItsViewOnly: a query gets the kept text index
+// as its KeyIndex only when the index is over the very view it reads —
+// not over the facts alone, other models, or the graph after a load no
+// search has indexed yet. On two CPUs the analyzed name match says
+// "text index" there and nowhere else, with the same rows.
+func TestQueryUsesTextIndexOfItsViewOnly(t *testing.T) {
+	w := namesWarehouse(t, 5000)
+	view := func(entailed bool, models ...string) store.Source {
+		v, err := reason.View(w.st, entailed, models...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	if w.keysFor(view(true, w.model)) == nil {
+		t.Error("no key index for the view the text index is over")
+	}
+	if _, err := w.CloneModel("", "other"); err != nil {
+		t.Fatal(err)
+	}
+	if w.keysFor(view(false, w.model)) != nil || w.keysFor(view(true, w.model, "other")) != nil {
+		t.Error("a key index for a view the text index is not over")
+	}
+	const q = `SELECT ?o WHERE { ?o <` + rdf.MDWHasName + `> ?t FILTER regex(?t, "customer", "i") }`
+	indexed := runtime.GOMAXPROCS(0) >= 2
+	for _, c := range []struct {
+		name    string
+		opt     QueryOptions
+		indexed bool
+	}{
+		{"entailed", QueryOptions{Analyze: true}, indexed},
+		{"facts only", QueryOptions{Analyze: true, FactsOnly: true}, false},
+	} {
+		resp, err := w.Query(context.Background(), q, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Result.Count() != 100 {
+			t.Errorf("%s: %d rows, want 100", c.name, resp.Result.Count())
+		}
+		if got := strings.Contains(resp.Stats.String(), "(pushed down, per key, text index)"); got != c.indexed {
+			t.Errorf("%s: text index used %v, want %v:\n%s", c.name, got, c.indexed, resp.Stats)
+		}
+	}
+	w.LoadTriples([]rdf.Triple{rdf.T(rdf.IRI(rdf.InstNS+"late"), rdf.HasName, rdf.Literal("Customer_late"))})
+	resp, err := w.Query(context.Background(), q, QueryOptions{Analyze: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Result.Count() != 101 || strings.Contains(resp.Stats.String(), "text index") {
+		t.Errorf("after a load: %d rows, want 101 without the stale text index:\n%s", resp.Result.Count(), resp.Stats)
+	}
+}
+
+// TestQueryBuildsNoTextIndex: queries read the kept text index and never
+// build or extend one — over a current index and over a stale one alike,
+// the index build histograms do not move across 50 queries. A search
+// does extend it.
+func TestQueryBuildsNoTextIndex(t *testing.T) {
+	w := namesWarehouse(t, 5000)
+	full := obs.Default().Histogram("mdw_textindex_build_seconds", nil, "kind", "full")
+	delta := obs.Default().Histogram("mdw_textindex_build_seconds", nil, "kind", "delta")
+	for _, stale := range []bool{false, true} {
+		if stale {
+			w.LoadTriples([]rdf.Triple{rdf.T(rdf.IRI(rdf.InstNS+"late"), rdf.HasName, rdf.Literal("Customer_late"))})
+		}
+		builds, deltas := full.Count(), delta.Count()
+		for i := 0; i < 50; i++ {
+			q := fmt.Sprintf(`SELECT ?o WHERE { ?o <%s> ?t FILTER regex(?t, "customer_%d", "i") }`, rdf.MDWHasName, i)
+			if _, err := w.Query(context.Background(), q, QueryOptions{Analyze: i%2 == 0, FactsOnly: i%5 == 0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if full.Count() != builds || delta.Count() != deltas {
+			t.Errorf("stale index %v: 50 queries built %d and extended %d text indexes, want none",
+				stale, full.Count()-builds, delta.Count()-deltas)
+		}
+	}
+	deltas := delta.Count()
+	if _, err := w.Search("customer", search.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if delta.Count() != deltas+1 {
+		t.Errorf("a search after a load extended the text index %d times, want once", delta.Count()-deltas)
 	}
 }

@@ -271,12 +271,25 @@ func (w *Warehouse) run(ctx context.Context, text string, isCall bool, opt Query
 	if opt.ExplainOnly {
 		return Response{Plan: q.ExplainOn(src, w.st.Dict())}, nil
 	}
-	res, stats, err := q.Run(ctx, src, w.st.Dict(), sparql.RunOptions{Analyze: opt.Analyze})
+	res, stats, err := q.Run(ctx, src, w.st.Dict(), sparql.RunOptions{Analyze: opt.Analyze, Keys: w.keysFor(src)})
 	if err != nil {
 		return fail("exec", err)
 	}
 	root.SetLabel("rows", strconv.Itoa(res.Count()))
 	return Response{Result: res, Stats: stats}, nil
+}
+
+// keysFor returns the text index kept for the base model when it is over
+// exactly src, for a query's name match to take its keys from; any other
+// view (facts only, other models, a release, a load not yet indexed) gets
+// none. Nothing is built or extended here.
+func (w *Warehouse) keysFor(src store.Source) sparql.KeyIndex {
+	if v, ok := src.(*store.View); ok {
+		if ix := w.tix.Kept(w.model, v.Version()); ix != nil {
+			return ix
+		}
+	}
+	return nil
 }
 
 // The four methods below are pinned by bench/ladder.go, which this tree

@@ -57,6 +57,8 @@ type execStatsRec struct {
 	distinctDropped int64
 	groups          int64
 	limitStopped    bool
+	// indexed is the name match a KeyIndex answered, if any.
+	indexed *plannedConstraint
 }
 
 func newExecStatsRec(p *Plan) *execStatsRec {

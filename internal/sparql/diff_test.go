@@ -22,6 +22,7 @@ import (
 	"mdw/internal/reason"
 	"mdw/internal/sparql"
 	"mdw/internal/store"
+	"mdw/internal/textindex"
 )
 
 // diffFixture is one data set both evaluators run against.
@@ -36,6 +37,9 @@ type diffFixture struct {
 	// interleave mutations (the results-cache differential does).
 	st       *store.Store
 	mutModel string
+	// keys is the text index kept over exactly src, as the warehouse
+	// passes it to a run (sparql.RunOptions.Keys); nil when there is none.
+	keys sparql.KeyIndex
 }
 
 // simpleFixture: one model of dense random triples over small pools, so
@@ -115,6 +119,63 @@ func entailedFixture(rng *rand.Rand) diffFixture {
 	}
 }
 
+// textFixture: 96 named objects, every eighth spelled with ſ or the
+// Kelvin sign (which Fold and Go's (?i) both fold to ASCII), İ or ı
+// (which only Fold does) or an underscore, and a name held only as an
+// rdfs:label, in a base model
+// and its OWLPRIME index, with the text index a warehouse keeps over that
+// view. view picks what is queried: "indexed" is that view, whose runs
+// get the index; "facts" the base model alone and "stale" the view after
+// a later load, both of which the kept index is not over, so their runs
+// get none. Most scans the generator draws here are over names.
+func textFixture(rng *rand.Rand, view string) diffFixture {
+	st := store.New()
+	special := []string{"ſk_id", "SK_ID", "\u212aey_Id", "İd_flag", "ıd_flag", "kelvin_\u212a",
+		"customer_id", "v_customer", "a_b", "name1", "NAME1_x", "id"}
+	var subjects []string
+	var ts []rdf.Triple
+	for i := 0; i < 96; i++ {
+		s, name := fmt.Sprintf("http://d/n%d", i), fmt.Sprintf("acct_%d", i)
+		if i%8 == 0 {
+			name = special[i/8]
+		}
+		subjects = append(subjects, s)
+		ts = append(ts, rdf.T(rdf.IRI(s), rdf.HasName, rdf.Literal(name)),
+			rdf.T(rdf.IRI(s), rdf.Type, rdf.IRI(fmt.Sprintf("http://d/C%d", rng.Intn(2)))))
+	}
+	ts = append(ts, rdf.T(rdf.IRI("http://d/C0"), rdf.SubClassOf, rdf.IRI("http://d/C1")),
+		rdf.T(rdf.IRI("http://d/C0"), rdf.Label, rdf.Literal("label_only_Id")))
+	st.AddAll("DWH", ts)
+	tix := textindex.NewManager(textindex.Config{})
+	entailed, err := reason.View(st, true, "DWH")
+	if err != nil {
+		panic(err)
+	}
+	tix.For("DWH", entailed, st)
+	src := entailed
+	switch view {
+	case "facts":
+		src, err = reason.View(st, false, "DWH")
+	case "stale":
+		st.Add("DWH", rdf.T(rdf.IRI("http://d/late"), rdf.HasName, rdf.Literal("late_id")))
+		src, err = reason.View(st, true, "DWH")
+	}
+	if err != nil {
+		panic(err)
+	}
+	fx := diffFixture{
+		name: "text/" + view, src: src, dict: st.Dict(),
+		subjects: subjects,
+		preds:    []string{rdf.MDWHasName, rdf.MDWHasName, rdf.MDWHasName, rdf.RDFSLabel, rdf.RDFType},
+		objects:  []string{"http://d/C0", "http://d/C1", subjects[0]},
+		st:       st, mutModel: "DWH",
+	}
+	if ix := tix.Kept("DWH", src.Version()); ix != nil {
+		fx.keys = ix
+	}
+	return fx
+}
+
 // queryGen builds random query strings from a fixture's vocabulary.
 type queryGen struct {
 	rng *rand.Rand
@@ -174,11 +235,13 @@ func (g *queryGen) filter() string {
 	}
 }
 
-// keyFilter is one FILTER of keyFilterQuery: its text, and whether the
-// morsel scan may test it once per walked key.
+// keyFilter is one FILTER of keyFilterQuery: its text, whether the
+// morsel scan may test it once per walked key, and whether the plan moves
+// it in front of the other key-only filters — the first name match of a
+// scan whose walked keys are objects, which a KeyIndex may answer.
 type keyFilter struct {
-	text   string
-	perKey bool
+	text          string
+	perKey, front bool
 }
 
 // keyFilterQuery builds a single-pattern scan whose walked index key is
@@ -187,22 +250,35 @@ type keyFilter struct {
 // and the near misses that must stay per triple — a filter that also
 // reads the pattern's other variable and FILTER EXISTS. One scan in six
 // repeats its variable (?k <p> ?k), which keeps every filter per triple.
-// It returns the query text, its filters in text order, and whether the
-// pattern repeats its variable.
+// Some key-only filters are name matches (names): on the text fixtures
+// they meet the names spelled with ſ, K, İ and ı, and they include an
+// underscore, a literal with no letter or digit, and a letter so common
+// that the KeyIndex's guard gives up. It returns the query text, its filters in
+// text order, and whether the pattern repeats its variable.
 func (g *queryGen) keyFilterQuery() (string, []keyFilter, bool) {
 	pick := func(pool []string) string { return "<" + pool[g.rng.Intn(len(pool))] + ">" }
 	p := pick(g.fx.preds)
+	shape := min(g.rng.Intn(6), 4)
 	pattern := [...]string{
 		"?x " + p + " ?k",
 		"?k ?x " + pick(g.fx.objects),
 		pick(g.fx.subjects) + " ?k ?x",
 		"?k ?x ?y",
 		"?k " + p + " ?k",
-	}[min(g.rng.Intn(6), 4)]
+	}[shape]
 	repeated := strings.Count(pattern, "?k") == 2
+	names := []string{
+		`regex(?k, "NAME1", "i")`,
+		`regex(?k, "id", "i")`,
+		`regex(?k, "K_I", "i")`,
+		`regex(?k, "Id")`,
+		`CONTAINS(?k, "_id")`,
+		`CONTAINS(?k, "İd")`,
+		`regex(?k, "_", "i")`,
+		`regex(?k, "a", "i")`,
+	}
 	keyOnly := []string{
 		`regex(STR(?k), "1")`,
-		`regex(?k, "NAME1", "i")`,
 		`regex(?k, "^name[02]$")`,
 		`CONTAINS(STR(?k), "s")`,
 		`STRSTARTS(STR(?k), "http://d/o")`,
@@ -220,11 +296,18 @@ func (g *queryGen) keyFilterQuery() (string, []keyFilter, bool) {
 		`EXISTS { ?k ` + p + ` ?z }`,
 	}
 	var fs []keyFilter
+	named := false // a name match came already
 	for n := 1 + g.rng.Intn(2); len(fs) < n; {
 		if repeated || g.rng.Intn(3) > 0 { // ?k <p> ?k has no ?x to miss with
-			fs = append(fs, keyFilter{keyOnly[g.rng.Intn(len(keyOnly))], !repeated})
+			i := g.rng.Intn(len(keyOnly) + len(names))
+			if i < len(keyOnly) {
+				fs = append(fs, keyFilter{text: keyOnly[i], perKey: !repeated})
+				continue
+			}
+			fs = append(fs, keyFilter{text: names[i-len(keyOnly)], perKey: !repeated, front: shape == 0 && !named})
+			named = true
 		} else {
-			fs = append(fs, keyFilter{nearMiss[g.rng.Intn(len(nearMiss))], false})
+			fs = append(fs, keyFilter{text: nearMiss[g.rng.Intn(len(nearMiss))]})
 		}
 	}
 	var b strings.Builder
@@ -350,8 +433,9 @@ func TestDifferentialParallel(t *testing.T) {
 		levels = append(levels, n)
 	}
 	rng := rand.New(rand.NewSource(77))
-	fixtures := []diffFixture{simpleFixture(rng), entailedFixture(rng)}
-	const perFixture = 150 // 300 queries, each at every parallelism level
+	fixtures := []diffFixture{simpleFixture(rng), entailedFixture(rng),
+		textFixture(rng, "indexed"), textFixture(rng, "facts"), textFixture(rng, "stale")}
+	const perFixture = 150 // per fixture, each query at every parallelism level
 	for _, fx := range fixtures {
 		g := &queryGen{rng: rng, fx: fx, paths: true}
 		for i := 0; i < perFixture; i++ {
@@ -425,13 +509,15 @@ func TestDifferentialParallel(t *testing.T) {
 // differentialKeyFilters is TestDifferentialParallel's sweep over key-only
 // FILTERs and their near misses (keyFilterQuery): at 2 and 4 workers the
 // rows are the naive evaluator's, a parallel plan marks exactly the
-// key-only filters per key, and, where those come first in the text (so
-// the per-key test reorders nothing), the analyzed operator counts are
-// the serial plan's — a rejected key's triples are counted though never
-// visited.
+// key-only filters per key, and, where those come first in the text and
+// no name match moves ahead of one (so the per-key test reorders
+// nothing), the analyzed operator counts are the serial plan's — a
+// rejected key's triples are counted though never visited. Runs pass the
+// fixture's KeyIndex, if it has one; where the index answered, the
+// analyzed counts are also those of the same plan run without it.
 func differentialKeyFilters(t *testing.T, rng *rand.Rand, fx diffFixture) {
 	const queries = 150
-	perKeyPlans := 0
+	perKeyPlans, indexed := 0, 0
 	for i := 0; i < queries; i++ {
 		g := &queryGen{rng: rng, fx: fx}
 		text, filters, repeated := g.keyFilterQuery()
@@ -447,7 +533,7 @@ func differentialKeyFilters(t *testing.T, rng *rand.Rand, fx diffFixture) {
 		for j, f := range filters {
 			if f.perKey {
 				keyed++
-				keyFirst = keyFirst && keyed == j+1
+				keyFirst = keyFirst && keyed == j+1 && (!f.front || j == 0)
 			}
 		}
 		serial, serialStats, err := q.PlanOpts(fx.src, fx.dict, sparql.ParOptions{MaxWorkers: 1}).Run(context.Background(), sparql.RunOptions{Analyze: true})
@@ -468,9 +554,17 @@ func differentialKeyFilters(t *testing.T, rng *rand.Rand, fx diffFixture) {
 				perKeyPlans++
 			}
 			for _, analyze := range []bool{false, true} {
-				res, stats, err := p.Run(context.Background(), sparql.RunOptions{Analyze: analyze})
+				res, stats, err := p.Run(context.Background(), sparql.RunOptions{Analyze: analyze, Keys: fx.keys})
 				if err != nil {
 					t.Fatalf("[%s key #%d w=%d] exec failed for %q: %v", fx.name, i, workers, text, err)
+				}
+				if analyze && strings.Contains(stats.String(), ", text index)") {
+					indexed++
+					_, plain, err := p.Run(context.Background(), sparql.RunOptions{Analyze: true})
+					if a, b := opCounts(stats.Root), opCounts(plain.Root); err != nil || !slices.Equal(a, b) {
+						t.Errorf("[%s key #%d w=%d] analyzed counts with the index differ from those without on %q (err %v):\nindex %v\nplain %v",
+							fx.name, i, workers, text, err, a, b)
+					}
 				}
 				if got := rowKeys(res); !sameMultiset(got, want) {
 					t.Errorf("[%s key #%d w=%d analyze=%v] divergence on %q:\nparallel (%d): %v\nnaive    (%d): %v",
@@ -487,6 +581,9 @@ func differentialKeyFilters(t *testing.T, rng *rand.Rand, fx diffFixture) {
 	}
 	if perKeyPlans < queries/4 {
 		t.Errorf("[%s] only %d of %d key-filter queries ran a per-key test", fx.name, perKeyPlans, 2*queries)
+	}
+	if (fx.keys != nil) != (indexed > 0) {
+		t.Errorf("[%s] the key index answered %d analyzed runs; fixture has one: %v", fx.name, indexed, fx.keys != nil)
 	}
 }
 

@@ -25,6 +25,10 @@ type RunOptions struct {
 	// results cache, because its statistics must come from a real
 	// execution, never from a cached result that executed nothing.
 	Analyze bool
+	// Keys, when set, is an index a morsel scan asks which walked keys can
+	// pass its name match (KeyIndex); nil tests every key. The warehouse
+	// sets it only when the index is over exactly the source being read.
+	Keys KeyIndex
 }
 
 // Run executes the query against a triple source; the dict must be the
@@ -82,7 +86,7 @@ func (p *Plan) Run(ctx context.Context, opt RunOptions) (*Result, *ExecStats, er
 	}
 	sp, _ := obs.ChildCtx(ctx, "sparql exec")
 	t0 := time.Now()
-	res, info, err := p.exec(ctx, rec)
+	res, info, err := p.exec(ctx, rec, opt.Keys)
 	d := obsExecHist.ObserveSince(t0)
 	if err != nil || res == nil {
 		sp.Finish()
@@ -134,7 +138,7 @@ type execInfo struct {
 	tasks   int
 }
 
-func (p *Plan) exec(ctx context.Context, rec *execStatsRec) (*Result, execInfo, error) {
+func (p *Plan) exec(ctx context.Context, rec *execStatsRec, keys KeyIndex) (*Result, execInfo, error) {
 	if p.src == nil || p.dict == nil {
 		return nil, execInfo{}, errors.New("sparql: plan was built without a source; use Query.Plan(src, dict)")
 	}
@@ -144,7 +148,7 @@ func (p *Plan) exec(ctx context.Context, rec *execStatsRec) (*Result, execInfo, 
 		}
 	}
 	q := p.query
-	ev := &evaluator{src: p.src, dict: p.dict, ctx: ctx, plan: p, stats: rec}
+	ev := &evaluator{src: p.src, dict: p.dict, ctx: ctx, plan: p, stats: rec, keys: keys}
 	res, err := ev.execKind(q)
 	return res, execInfo{workers: ev.parWorkers, tasks: ev.parTasks}, err
 }
@@ -243,6 +247,8 @@ type evaluator struct {
 	// parent's record (its counters are atomic); nil means no analysis —
 	// every instrumentation site pays one pointer check and nothing else.
 	stats *execStatsRec
+	// keys answers the morsel scan's name match (RunOptions.Keys).
+	keys KeyIndex
 	// Parallel execution evidence, reported on trace spans: the workers
 	// launched (0 = the execution stayed serial) and the morsels processed.
 	parWorkers int

@@ -2,10 +2,14 @@ package sparql
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"mdw/internal/rdf"
+	"mdw/internal/store"
+	"mdw/internal/textindex"
 )
 
 func TestExplainJoinOrder(t *testing.T) {
@@ -88,30 +92,74 @@ func TestExplainPathSyntax(t *testing.T) {
 // is the driving pattern's walked key (here the object, ?t) as tested per
 // key, in the plan and in the analyzed plan; a filter that also reads the
 // pattern's other variable stays per triple, and so does every filter of
-// a serial plan.
+// a serial plan. Run with the text index kept over its view, the
+// analyzed plan marks a name match the index answered "text index", with
+// the counts of the run without it and fewer terms decoded; a name with
+// no token, a name so common the index gives up, and a view the index is
+// not over keep the plain marker.
 func TestExplainPerKeyFilter(t *testing.T) {
-	src, dict := namesFixture(500)
+	st := store.New()
+	st.AddAll("m", names(500))
+	src, dict := st.Snapshot("m"), st.Dict()
+	tix := textindex.NewManager(textindex.Config{})
+	tix.For("m", src, st)
+	st.Add("other", rdf.T(rdf.IRI("http://b/x"), rdf.HasName, rdf.Literal("Customer_x")))
 	par := ParOptions{MaxWorkers: 2, MorselSize: 8, SerialThreshold: 1}
 	for _, c := range []struct {
 		filter, want string
+		view         *store.View
+		indexed      bool
 	}{
-		{`regex(?t, "customer", "i")`, `FILTER REGEX(?t, "(?i)customer") (pushed down, per key)`},
-		{`?o != <http://b/o0> && regex(?t, "customer", "i")`, `FILTER (?o != <http://b/o0> && REGEX(?t, "(?i)customer")) (pushed down)`},
+		{`regex(?t, "customer", "i")`, `FILTER REGEX(?t, "(?i)customer") (pushed down, per key)`, src, true},
+		{`?o != <http://b/o0> && regex(?t, "customer", "i")`, `FILTER (?o != <http://b/o0> && REGEX(?t, "(?i)customer")) (pushed down)`, src, false},
+		{`regex(?t, "_", "i")`, `FILTER REGEX(?t, "(?i)_") (pushed down, per key)`, src, false},
+		{`regex(?t, "a", "i")`, `FILTER REGEX(?t, "(?i)a") (pushed down, per key)`, src, false},
+		{`regex(?t, "customer", "i")`, `FILTER REGEX(?t, "(?i)customer") (pushed down, per key)`, st.ViewOf("m", "other"), false},
 	} {
 		q := MustParse(`SELECT ?o WHERE { ?o <` + rdf.MDWHasName + `> ?t FILTER (` + c.filter + `) }`)
-		p := q.PlanOpts(src, dict, par)
+		p := q.PlanOpts(c.view, dict, par)
 		if out := p.String(); !strings.Contains(out, c.want+"\n") {
 			t.Errorf("plan lacks %q:\n%s", c.want, out)
 		}
-		_, stats, err := p.Run(context.Background(), RunOptions{Analyze: true})
+		_, plain, err := p.Run(context.Background(), RunOptions{Analyze: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out := stats.String(); !strings.Contains(out, c.want+" [in=") {
+		if out := plain.String(); !strings.Contains(out, c.want+" [in=") {
 			t.Errorf("analyzed plan lacks %q:\n%s", c.want, out)
 		}
-		if out := q.PlanOpts(src, dict, ParOptions{MaxWorkers: 1}).String(); strings.Contains(out, "per key") {
+		var keys KeyIndex
+		if ix := tix.Kept("m", c.view.Version()); ix != nil {
+			keys = ix
+		}
+		_, stats, err := p.Run(context.Background(), RunOptions{Analyze: true, Keys: keys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := c.want
+		if c.indexed {
+			want = strings.Replace(want, "per key)", "per key, text index)", 1)
+			if stats.TermDecodes >= plain.TermDecodes {
+				t.Errorf("%s: %d terms decoded with the text index, %d without", c.filter, stats.TermDecodes, plain.TermDecodes)
+			}
+		}
+		if out := stats.String(); !strings.Contains(out, want+" [in=") {
+			t.Errorf("analyzed plan lacks %q:\n%s", want, out)
+		}
+		if a, b := opRows(stats.Root), opRows(plain.Root); !slices.Equal(a, b) {
+			t.Errorf("%s: analyzed counts with the text index %v, without %v", c.filter, a, b)
+		}
+		if out := q.PlanOpts(c.view, dict, ParOptions{MaxWorkers: 1}).String(); strings.Contains(out, "per key") {
 			t.Errorf("serial plan tests a filter per key:\n%s", out)
 		}
 	}
+}
+
+// opRows lists an operator tree's loops and rows, depth first.
+func opRows(op *OpStats) []string {
+	out := []string{fmt.Sprintf("%s %s: loops=%d rows=%d", op.Op, op.Detail, op.Loops, op.Rows)}
+	for _, c := range op.Children {
+		out = append(out, opRows(c)...)
+	}
+	return out
 }

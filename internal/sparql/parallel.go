@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"mdw/internal/store"
 )
@@ -18,12 +19,13 @@ import (
 // range, on the calling goroutine), and each worker tests, sorts and
 // walks its own parts through the ordinary streaming depth-first pipeline
 // with a private slot row; a filter that reads only the walked key's
-// variable is tested once per key (keyOnly), not per triple. A merger
-// emits the buffered solutions in part order, so downstream consumers
-// (DISTINCT, LIMIT, aggregation) observe one solution order at every
-// worker count. Everything else — UNION branches, property-path closures
-// — runs on the serial pipeline: measured end to end, fanning those out
-// never beat it (DESIGN.md "Parallel execution").
+// variable is tested once per key (keyOnly), not per triple, and a name
+// match among those may take the keys it can pass from a KeyIndex. A
+// merger emits the buffered solutions in part order, so downstream
+// consumers (DISTINCT, LIMIT, aggregation) observe one solution order at
+// every worker count. Everything else — UNION branches, property-path
+// closures — runs on the serial pipeline: measured end to end, fanning
+// those out never beat it (DESIGN.md "Parallel execution").
 //
 // Streaming semantics survive: ASK stops all workers at the first emitted
 // solution, LIMIT-without-ORDER-BY stops after N merged rows, and context
@@ -78,6 +80,10 @@ type parDecision struct {
 	// keyed counts the driving pattern's leading pushed constraints that
 	// the scan tests once per walked key (keyOnly).
 	keyed int
+	// lit is the text the first of them, a name match (nameMatch), needs
+	// the walked object to contain; "" when there is no such constraint.
+	// A KeyIndex may then answer which keys can hold it.
+	lit string
 }
 
 // decidePar decides whether the plan's root group runs as a morsel scan.
@@ -103,7 +109,8 @@ func (p *Plan) decidePar(o ParOptions) {
 	}
 	w := min(int(math.Ceil(pp.est/float64(o.MorselSize))), o.MaxWorkers)
 	if w >= 2 {
-		p.par = parDecision{workers: w, morsel: o.MorselSize, est: pp.est, keyed: keyOnly(pp)}
+		keyed, lit := keyOnly(pp)
+		p.par = parDecision{workers: w, morsel: o.MorselSize, est: pp.est, keyed: keyed, lit: lit}
 	}
 }
 
@@ -116,7 +123,11 @@ func (p *Plan) decidePar(o ParOptions) {
 // these first changes no answer. A pattern that repeats a variable gets
 // none: its triples must also agree with themselves, so a key's triple
 // count would no longer be the rows it binds.
-func keyOnly(pp *patternPlan) int {
+//
+// When the walked keys are objects, the first key-only name match
+// (nameMatch) goes to the very front, and its text is returned: the
+// execution may take the keys that can pass it from a KeyIndex.
+func keyOnly(pp *patternPlan) (int, string) {
 	var vars [3]string // by position; "" for a constant
 	if pp.tp.S.IsVar() {
 		vars[0] = pp.tp.S.Var
@@ -129,26 +140,62 @@ func keyOnly(pp *patternPlan) int {
 	}
 	pos := store.KeyPos(vars[0] == "", vars[1] == "", vars[2] == "")
 	if pos < 0 {
-		return 0
+		return 0, ""
 	}
 	for i, v := range vars {
 		for _, w := range vars[i+1:] {
 			if v != "" && v == w {
-				return 0
+				return 0, ""
 			}
 		}
 	}
 	var keyed, rest []*plannedConstraint
+	lit := ""
 	for _, c := range pp.pushed {
-		if c.filter != nil && slices.Equal(exprVars(c.filter.Expr), vars[pos:pos+1]) {
-			c.perKey = true
-			keyed = append(keyed, c)
-		} else {
+		if c.filter == nil || !slices.Equal(exprVars(c.filter.Expr), vars[pos:pos+1]) {
 			rest = append(rest, c)
+			continue
+		}
+		c.perKey = true
+		if l := nameMatch(c.filter.Expr, vars[pos]); pos == 2 && lit == "" && l != "" {
+			lit = l
+			keyed = slices.Insert(keyed, 0, c)
+		} else {
+			keyed = append(keyed, c)
 		}
 	}
 	pp.pushed = append(keyed, rest...)
-	return len(keyed)
+	return len(keyed), lit
+}
+
+// nameMatch returns the text a name match on variable v needs its value
+// to contain, or "" when e is none: REGEX(?v, "lit"[, "i"]) whose pattern
+// takes the substring kernel (regexExpr.lit), or CONTAINS(?v, "lit")
+// with a valid UTF-8 lit, whose containment case folding rune by rune
+// (textindex.Fold) preserves.
+func nameMatch(e Expr, v string) string {
+	switch e := e.(type) {
+	case regexExpr:
+		if x, ok := e.text.(varExpr); ok && x.name == v {
+			return e.lit
+		}
+	case binStrFuncExpr:
+		x, ok := e.a.(varExpr)
+		c, lit := e.b.(constExpr)
+		if e.fn == "CONTAINS" && ok && x.name == v && lit && utf8.ValidString(c.term.Value) {
+			return c.term.Value
+		}
+	}
+	return ""
+}
+
+// KeyIndex tells a morsel scan over pred's triples that walks their
+// objects which objects can pass a name match (RunOptions.Keys): Keys
+// returns, sorted and distinct, a superset of those whose text contains
+// lit — under strings.Contains and, for an ASCII lit, Go's (?i) regexp —
+// or false when it cannot say within limit entries.
+type KeyIndex interface {
+	Keys(pred store.ID, lit string, limit int) ([]store.ID, bool)
 }
 
 // Parallelism returns the degree of parallelism the plan may use: 1 for
@@ -206,10 +253,25 @@ func (ev *evaluator) runMorselRoot(emit func([]store.ID) bool) {
 		start := time.Now()
 		defer func() { op.durNs.Add(int64(time.Since(start))) }()
 	}
+	// The keys that can pass the name match, when the index can say; the
+	// scan rejects every other key unread. A broad name trips the limit
+	// and every key is tested, which beats reading most of the index.
+	var in func(store.ID) bool
+	if p.par.lit != "" && ev.keys != nil {
+		if keys, ok := ev.keys.Keys(pid, p.par.lit, int(pp.est/4)); ok {
+			in = func(k store.ID) bool {
+				_, found := slices.BinarySearch(keys, k)
+				return found
+			}
+			if ev.stats != nil {
+				ev.stats.indexed = pp.pushed[0]
+			}
+		}
+	}
 	parts := p.src.(*store.View).Split(sid, pid, oid, p.par.morsel)
 	ntasks := parts.Len()
 	if ntasks < 2 {
-		scan := ev.partScanner(p.root, row, parts, svar, ovar, emit)
+		scan := ev.partScanner(p.root, row, parts, svar, ovar, in, emit)
 		for i := 0; i < ntasks && scan(i); i++ {
 		}
 		return
@@ -218,21 +280,22 @@ func (ev *evaluator) runMorselRoot(emit func([]store.ID) bool) {
 	obsParExecMorsel.Inc()
 	ev.parWorkers, ev.parTasks = workers, ntasks
 	ev.orderedRun(workers, ntasks, func(wev *evaluator, emit func([]store.ID) bool) func(int) bool {
-		return wev.partScanner(p.root, make([]store.ID, len(row)), parts, svar, ovar, emit)
+		return wev.partScanner(p.root, make([]store.ID, len(row)), parts, svar, ovar, in, emit)
 	}, emit)
 }
 
 // partScanner returns the pipeline one goroutine runs over parts of the
 // driving scan: the root group over the goroutine's own row, with its
 // first pattern's index enumeration replaced by a part's triples. Built
-// once per goroutine, it scans a part without allocating.
-func (ev *evaluator) partScanner(root *planGroup, row []store.ID, parts *store.Parts, svar, ovar int, emit func([]store.ID) bool) func(task int) bool {
+// once per goroutine, it scans a part without allocating. A non-nil in
+// is the set of keys the name match can pass (runMorselRoot).
+func (ev *evaluator) partScanner(root *planGroup, row []store.ID, parts *store.Parts, svar, ovar int, in func(store.ID) bool, emit func([]store.ID) bool) func(task int) bool {
 	r := ev.newBGPRun(root.steps[0].(*bgpStep), row, func(s []store.ID) bool {
 		return ev.runSteps(root.steps, 1, s, emit)
 	})
 	f := &r.frames[0]
 	f.svar, f.ovar = svar, ovar // a variable predicate is never bound at the root
-	keep := r.keyFilter(parts)
+	keep := r.keyFilter(parts, in)
 	return func(task int) bool {
 		f.cont = true
 		return parts.Scan(task, keep, f.cb)
@@ -241,10 +304,12 @@ func (ev *evaluator) partScanner(root *planGroup, row []store.ID, parts *store.P
 
 // keyFilter returns the scan's per-key test (nil when the plan has none):
 // the driving pattern's key-only constraints run on the row with only the
-// walked key bound. It probes cancellation and the merger's stop flag as
-// onTriple does, so a scan whose filter rejects every key still stops.
-// From here on the run skips those constraints per triple (matched).
-func (r *bgpRun) keyFilter(parts *store.Parts) func(store.ID, int) bool {
+// walked key bound. A key outside in, when in is set, fails the name
+// match in front of them unread. It probes cancellation and the merger's
+// stop flag as onTriple does, so a scan whose filter rejects every key
+// still stops. From here on the run skips those constraints per triple
+// (matched).
+func (r *bgpRun) keyFilter(parts *store.Parts, in func(store.ID) bool) func(store.ID, int) bool {
 	ev, pp := r.ev, r.b.patterns[0]
 	r.perKey = ev.plan.par.keyed
 	if r.perKey == 0 {
@@ -256,6 +321,10 @@ func (r *bgpRun) keyFilter(parts *store.Parts) func(store.ID, int) bool {
 		if ev.cancelled() || ev.stopped() {
 			return false
 		}
+		if in != nil && !in(key) {
+			ev.keyRejected(cs, pp, 0, n)
+			return false
+		}
 		r.s[slot] = key
 		ok := ev.keyHolds(cs, pp, r.s, n)
 		r.s[slot] = store.Wildcard
@@ -263,11 +332,9 @@ func (r *bgpRun) keyFilter(parts *store.Parts) func(store.ID, int) bool {
 	}
 }
 
-// keyHolds tests the key-only constraints cs on row s. Under analyze, a
-// rejected key's n triples, which are never visited, are counted as a
-// per-triple run counts them: bound by the pattern pp, tested by each
-// constraint up to the one that failed, passed by those before it. An
-// accepted key's triples are counted as they are visited (matched).
+// keyHolds tests the key-only constraints cs on row s. An accepted key's
+// triples are counted as they are visited (matched), a rejected key's by
+// keyRejected.
 func (ev *evaluator) keyHolds(cs []*plannedConstraint, pp *patternPlan, s []store.ID, n int) bool {
 	st := ev.stats
 	for i, c := range cs {
@@ -281,17 +348,29 @@ func (ev *evaluator) keyHolds(cs []*plannedConstraint, pp *patternPlan, s []stor
 		ok := ev.constraintEval(c, s)
 		st.ops[c.si].durNs.Add(int64(time.Since(start)))
 		if !ok {
-			st.ops[pp.si].rows.Add(int64(n))
-			for j, d := range cs[:i+1] {
-				st.ops[d.si].loops.Add(int64(n))
-				if j < i {
-					st.ops[d.si].rows.Add(int64(n))
-				}
-			}
+			ev.keyRejected(cs, pp, i, n)
 			return false
 		}
 	}
 	return true
+}
+
+// keyRejected counts under analyze the n triples of a key that cs[i]
+// rejected, which are never visited, as a per-triple run counts them:
+// bound by the pattern pp, tested by each constraint up to cs[i], passed
+// by those before it.
+func (ev *evaluator) keyRejected(cs []*plannedConstraint, pp *patternPlan, i, n int) {
+	st := ev.stats
+	if st == nil {
+		return
+	}
+	st.ops[pp.si].rows.Add(int64(n))
+	for j, d := range cs[:i+1] {
+		st.ops[d.si].loops.Add(int64(n))
+		if j < i {
+			st.ops[d.si].rows.Add(int64(n))
+		}
+	}
 }
 
 // ---------------------------------------------------------------------

@@ -932,6 +932,9 @@ func (p *Plan) renderConstraint(b *strings.Builder, c *plannedConstraint, depth 
 	where := "applied at group end"
 	if c.perKey {
 		where = "pushed down, per key"
+		if rec != nil && rec.indexed == c {
+			where += ", text index"
+		}
 	} else if c.pushed {
 		where = "pushed down"
 	}

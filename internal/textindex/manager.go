@@ -79,6 +79,19 @@ func (m *Manager) For(model string, v *store.View, st *store.Store) *Index {
 	return next
 }
 
+// Kept returns the index kept for model when it is over the view of the
+// given version (store.View.Version), and nil otherwise. It never builds
+// or extends one: a query uses the index only when a search or load has
+// already brought it to the very view the query pinned.
+func (m *Manager) Kept(model, version string) *Index {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if ix := m.idx[model]; ix != nil && ix.version == version {
+		return ix
+	}
+	return nil
+}
+
 // StatsAll reports the stats of every kept index, sorted by model.
 func (m *Manager) StatsAll() []Stats {
 	m.mu.Lock()

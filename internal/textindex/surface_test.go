@@ -17,7 +17,8 @@ import (
 // changed, calls BuildPostings over the pinned view — so there is no
 // Collect-everything-and-diff Index.UpdateWith, no Build, Index.Update or
 // Manager.Refresh, and no by-generation Manager.Get, Install or BuildLock
-// for callers to compose wrongly.
+// for callers to compose wrongly. Manager.Kept, read by the warehouse's
+// query path, hands out the kept index of one view and builds nothing.
 func TestExportedNames(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -46,8 +47,8 @@ func TestExportedNames(t *testing.T) {
 	sort.Strings(got)
 	want := []string{
 		"BuildPostings", "Config.Fields", "DefaultConfig", "Fold",
-		"Index.Gen", "Index.Search", "Index.SearchAny", "Index.Stats",
-		"Manager.For", "Manager.StatsAll", "NewManager", "Tokenize",
+		"Index.Gen", "Index.Keys", "Index.Search", "Index.SearchAny", "Index.Stats",
+		"Manager.For", "Manager.Kept", "Manager.StatsAll", "NewManager", "Tokenize",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("exported functions of textindex = %v, want %v", got, want)

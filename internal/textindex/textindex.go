@@ -16,8 +16,12 @@
 //     is what makes the paper's *substring* match semantics answerable
 //     from an index at all;
 //   - queries are multi-term OR lookups (the synonym-expansion path of
-//     Section V) whose candidates are verified against the original
-//     literal text, so results are exactly those of the regexp scan;
+//     Section V) whose candidates are verified against the folded
+//     literal text, so results are exactly the texts that contain the
+//     term under Fold — the search service's scan path (ForceScan). That
+//     is a superset of Go's (?i) regexp: Fold sends İ (U+0130) and ı
+//     (U+0131) to i, where (?i) matches neither for i, so a caller that
+//     needs regexp_like's exact answer re-tests the index's matches;
 //   - every index is over one pinned view (store.Snapshot) and records
 //     which. When a search pins a later view, the index is extended to it
 //     from the store's change feed (store.Changes) — or rebuilt, when the
@@ -365,27 +369,13 @@ func (ix *Index) has(p Posting) bool {
 // Gen returns the model generation the index was built from.
 func (ix *Index) Gen() uint64 { return ix.gen }
 
-// tokensContaining returns the segment's tokens containing folded as a
-// substring. This vocabulary scan — over tens of thousands of distinct
-// tokens rather than millions of triples — is what turns the paper's
-// substring semantics into an index lookup.
-func (sg *segment) tokensContaining(folded string) []string {
-	var out []string
-	for _, t := range sg.toks {
-		if strings.Contains(t, folded) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Search returns the postings of the given field whose literal text
-// contains term under case-folded substring semantics — exactly the
-// matches of the paper's regexp_like(text, term, 'i') scan. Results are
-// sorted by (Subject, Pred, Object).
+// contains term under Fold — the matches of the search service's scan
+// path, and a superset of those of regexp_like(text, term, 'i') (see the
+// package doc). Results are sorted by (Subject, Pred, Object).
 func (ix *Index) Search(term string, field Field) []Posting {
 	folded := Fold(term)
-	toks := uniqueTokens(Tokenize(folded))
+	toks := Tokenize(folded)
 	var out []Posting
 	parts := 0 // segments that contributed
 	for _, sg := range ix.segs {
@@ -402,46 +392,19 @@ func (ix *Index) Search(term string, field Field) []Posting {
 }
 
 // search appends the segment's matches for the folded term, whose tokens
-// are toks, to out, sorted among themselves.
+// are toks, to out, sorted among themselves. A term that is one pure
+// letter/digit run is in every text with a token containing it, so its
+// candidates need no verification.
 func (sg *segment) search(out []Posting, folded string, toks []string, field Field, fieldOf map[store.ID]Field) []Posting {
 	n := len(out)
-	if len(toks) == 1 && toks[0] == folded {
-		// Fast path: the term is one pure letter/digit run. Text tokens
-		// are contiguous runs of the folded text, so any posting whose
-		// vocabulary token contains the term already contains the term in
-		// its text — candidates ARE matches, no verification needed.
-		vts := sg.tokensContaining(folded)
-		if len(vts) == 1 {
-			list := sg.post[vts[0]] // pre-sorted
-			out = slices.Grow(out, len(list))
-			for _, p := range list {
-				if fieldOf[p.Pred] == field {
-					out = append(out, p)
-				}
-			}
-			return out
-		}
-		seen := map[Posting]struct{}{}
-		for _, vt := range vts {
-			for _, p := range sg.post[vt] {
-				if fieldOf[p.Pred] != field {
-					continue
-				}
-				if _, dup := seen[p]; !dup {
-					seen[p] = struct{}{}
-					out = append(out, p)
-				}
-			}
-		}
-	} else {
-		for _, p := range sg.candidates(toks, field, fieldOf) {
-			if strings.Contains(sg.ftext[p.Object], folded) {
-				out = append(out, p)
-			}
+	exact := len(toks) == 1 && toks[0] == folded
+	for _, p := range sg.candidates(toks, field, fieldOf) {
+		if exact || strings.Contains(sg.ftext[p.Object], folded) {
+			out = append(out, p)
 		}
 	}
 	sortPostingList(out[n:])
-	return out
+	return append(out[:n], slices.Compact(out[n:])...) // candidates may repeat
 }
 
 func sortPostingList(list []Posting) {
@@ -457,15 +420,17 @@ func sortPostingList(list []Posting) {
 	})
 }
 
-// candidates returns a superset of the field's postings whose text can
-// contain a term with the given tokens: when the term occurs in a text,
-// every token of the term is a substring of some token of that text, so
-// intersecting the token-level candidate sets per term token is complete.
+// candidates returns the field's postings whose text can contain a term
+// with the given tokens, a posting possibly more than once: when the term
+// occurs in a text, its longest token is a substring of some token of
+// that text, so the postings under the vocabulary tokens containing it
+// are complete. That costs one vocabulary scan whatever the term's
+// tokens; the caller verifies each candidate on its folded text.
 func (sg *segment) candidates(toks []string, field Field, fieldOf map[store.ID]Field) []Posting {
+	var out []Posting
 	if len(toks) == 0 {
 		// No indexable characters (a term of separators only, or empty):
 		// every literal of the field is a candidate.
-		var out []Posting
 		for p := range sg.lits {
 			if fieldOf[p.Pred] == field {
 				out = append(out, p)
@@ -473,31 +438,62 @@ func (sg *segment) candidates(toks []string, field Field, fieldOf map[store.ID]F
 		}
 		return out
 	}
-	var cand map[Posting]struct{}
-	for i, tk := range toks {
-		set := map[Posting]struct{}{}
-		for _, vt := range sg.tokensContaining(tk) {
-			for _, p := range sg.post[vt] {
-				if fieldOf[p.Pred] != field {
-					continue
-				}
-				if i == 0 {
-					set[p] = struct{}{}
-				} else if _, ok := cand[p]; ok {
-					set[p] = struct{}{}
-				}
+	sg.postings(toks, func(p Posting) bool {
+		if fieldOf[p.Pred] == field {
+			out = append(out, p)
+		}
+		return true
+	})
+	return out
+}
+
+// postings calls fn with the postings under each vocabulary token
+// containing the longest of toks, the most selective one, until fn
+// returns false, and reports whether it got to the end.
+func (sg *segment) postings(toks []string, fn func(Posting) bool) bool {
+	tok := slices.MaxFunc(toks, func(a, b string) int { return len(a) - len(b) })
+	for _, vt := range sg.toks {
+		if !strings.Contains(vt, tok) {
+			continue
+		}
+		for _, p := range sg.post[vt] {
+			if !fn(p) {
+				return false
 			}
 		}
-		cand = set
-		if len(cand) == 0 {
-			return nil
+	}
+	return true
+}
+
+// Keys returns the sorted, distinct objects of pred's triples whose text
+// contains lit under Fold (sparql.KeyIndex). It answers false when pred
+// is not a name predicate, when lit has no letter or digit, or once more
+// than limit of pred's postings come up, so a broad lit costs at most
+// limit postings.
+func (ix *Index) Keys(pred store.ID, lit string, limit int) ([]store.ID, bool) {
+	folded := Fold(lit)
+	toks := Tokenize(folded)
+	if f, ok := ix.field[pred]; !ok || f != FieldName || len(toks) == 0 {
+		return nil, false
+	}
+	exact := len(toks) == 1 && toks[0] == folded // as in search
+	keys, n := []store.ID{}, 0
+	for _, sg := range ix.segs {
+		ok := sg.postings(toks, func(p Posting) bool {
+			if p.Pred != pred {
+				return true
+			}
+			if n++; exact || strings.Contains(sg.ftext[p.Object], folded) {
+				keys = append(keys, p.Object)
+			}
+			return n <= limit
+		})
+		if !ok {
+			return nil, false
 		}
 	}
-	out := make([]Posting, 0, len(cand))
-	for p := range cand {
-		out = append(out, p)
-	}
-	return out
+	slices.Sort(keys)
+	return slices.Compact(keys), true
 }
 
 // SearchAny runs a multi-term OR query (the synonym-expansion shape of

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"regexp"
+	"slices"
+	"sort"
 	"testing"
 
 	"mdw/internal/rdf"
@@ -416,4 +419,104 @@ func containsFolded(text, term string) bool {
 		}
 	}
 	return false
+}
+
+// TestSearchIsFoldSupersetOfRegexp pins what the index's matches are:
+// the texts containing the term under Fold, which include every match of
+// Go's (?i) regexp of the term — ſ and the Kelvin sign fold to s and k on
+// both sides — and more: İ (U+0130) and ı (U+0131) fold to i, where
+// (?i)id matches neither. Keys, the sparql scan's candidate lookup,
+// answers the same superset.
+func TestSearchIsFoldSupersetOfRegexp(t *testing.T) {
+	st := store.New()
+	names := []string{"ſk_id", "SK_ID", "Key", "İd_flag", "ıd_flag", "plain"}
+	for i, n := range names {
+		st.Add("m", rdf.T(rdf.IRI(fmt.Sprintf("%sn%d", rdf.InstNS, i)), rdf.HasName, rdf.Literal(n)))
+	}
+	ix := build(st)
+	hasName := st.Dict().Intern(rdf.HasName)
+	for _, c := range []struct {
+		term       string
+		beyondRegx int // index matches Go's (?i) regexp does not make
+	}{{"sk", 0}, {"key", 0}, {"id", 2}, {"ID_F", 2}} {
+		re := regexp.MustCompile("(?i)" + regexp.QuoteMeta(c.term))
+		found := map[string]bool{}
+		for _, p := range ix.Search(c.term, FieldName) {
+			found[st.Dict().Term(p.Object).Value] = true
+		}
+		keys, ok := ix.Keys(hasName, c.term, len(names))
+		if !ok || len(keys) != len(found) {
+			t.Errorf("Keys(%q) = %d keys (%v), Search found %d", c.term, len(keys), ok, len(found))
+		}
+		beyond := 0
+		for _, n := range names {
+			if re.MatchString(n) && !found[n] {
+				t.Errorf("Search(%q) misses %q, a match of %v", c.term, n, re)
+			}
+			if found[n] && !re.MatchString(n) {
+				beyond++
+			}
+		}
+		if beyond != c.beyondRegx {
+			t.Errorf("Search(%q) finds %d names %v does not match, want %d", c.term, beyond, re, c.beyondRegx)
+		}
+	}
+}
+
+// TestKeys covers when the candidate lookup answers: a name predicate, a
+// literal with a letter or digit, at most limit postings.
+func TestKeys(t *testing.T) {
+	st, ix := fixture(t)
+	d := st.Dict()
+	hasName, comment := d.Intern(rdf.HasName), d.Intern(rdf.IRI(rdf.RDFSComment))
+	values := func(ids []store.ID) []string {
+		out := []string{}
+		for _, id := range ids {
+			out = append(out, d.Term(id).Value)
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, c := range []struct {
+		pred  store.ID
+		lit   string
+		limit int
+		want  []string // nil: no answer
+	}{
+		{hasName, "CUSTOMER", 10, []string{"Customer Account", "customer_id", "v_customer"}},
+		{hasName, "r_i", 10, []string{"customer_id", "partner_id"}},
+		{hasName, "nope", 10, []string{}},
+		{hasName, "customer", 3, []string{"Customer Account", "customer_id", "v_customer"}},
+		{hasName, "customer", 2, nil},  // a third posting passes the limit
+		{hasName, "_", 10, nil},        // no token to look up
+		{comment, "customer", 10, nil}, // a description, not a name
+		{d.Intern(rdf.Type), "x", 10, nil},
+	} {
+		keys, ok := ix.Keys(c.pred, c.lit, c.limit)
+		if ok != (c.want != nil) || ok && !reflect.DeepEqual(values(keys), c.want) {
+			t.Errorf("Keys(%q, limit %d) = %v, %v; want %v", c.lit, c.limit, values(keys), ok, c.want)
+		}
+		if !slices.IsSorted(keys) {
+			t.Errorf("Keys(%q) = %v, not sorted", c.lit, keys)
+		}
+	}
+}
+
+// TestKept: the manager hands out its kept index for that index's view
+// only, and building nothing.
+func TestKept(t *testing.T) {
+	st, _ := fixture(t)
+	m := NewManager(Config{})
+	v := st.Snapshot("m")
+	if m.Kept("m", v.Version()) != nil {
+		t.Fatal("Kept answered before any index was built")
+	}
+	ix := m.For("m", v, st)
+	if m.Kept("m", v.Version()) != ix {
+		t.Error("Kept does not return the index over its view")
+	}
+	st.Add("m", rdf.T(rdf.IRI(rdf.InstNS+"t9"), rdf.HasName, rdf.Literal("fresh")))
+	if m.Kept("m", st.Snapshot("m").Version()) != nil || m.Kept("other", v.Version()) != nil {
+		t.Error("Kept answered for a view its index is not over")
+	}
 }
