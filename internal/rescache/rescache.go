@@ -7,9 +7,9 @@
 // The cache stores opaque values, and it has two clients: the SPARQL
 // layer puts *sparql.Result in (Listings 1 and 2), and the Figure 6
 // search puts its ID-level answer in, which every search call's Result
-// shares. Keeping the package generic avoids an
-// import cycle. It is bounded both by entry count and by an estimated
-// byte footprint the caller supplies with each Put.
+// shares (a generic cache avoids an import cycle), each with its encoded
+// replies (Reply). It is bounded by entry count and by an estimated
+// byte footprint: each Put's size, its key, and every kept reply.
 package rescache
 
 import (
@@ -41,9 +41,16 @@ type Cache struct {
 }
 
 type entry struct {
-	key  string
-	val  any
-	size int64
+	key     string
+	val     any
+	size    int64 // booked: the Put's size, the key and the replies
+	replies []reply
+}
+
+// reply is a variant's encoded reply; nil json: no room, it streams.
+type reply struct {
+	variant int
+	json    []byte
 }
 
 // New returns a cache retaining at most maxEntries entries and maxBytes
@@ -92,27 +99,25 @@ func (c *Cache) Peek(key string) bool {
 	return ok
 }
 
-// Put caches v under key with the given estimated byte size, evicting
-// least-recently-used entries until both bounds hold. A value larger
-// than the whole byte budget is not cached at all (it would evict
-// everything for one entry).
+// Put caches v under key with the given estimated byte size plus the
+// key's, evicting least-recently-used entries until both bounds hold. A
+// value larger than the whole byte budget is not cached at all (it would
+// evict everything for one entry). Replacing a value drops its replies.
 func (c *Cache) Put(key string, v any, size int64) {
-	if size < 0 {
-		size = 0
-	}
+	size = max(size, 0) + int64(len(key))
 	if size > c.maxBytes {
 		return
 	}
+	e := &entry{key: key, val: v, size: size}
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
-		e := el.Value.(*entry)
-		c.bytes += size - e.size
-		e.val, e.size = v, size
+		c.bytes -= el.Value.(*entry).size
+		el.Value = e
 		c.ll.MoveToFront(el)
 	} else {
-		c.items[key] = c.ll.PushFront(&entry{key: key, val: v, size: size})
-		c.bytes += size
+		c.items[key] = c.ll.PushFront(e)
 	}
+	c.bytes += size
 	for c.ll.Len() > c.maxEntries || c.bytes > c.maxBytes {
 		c.evictOldestLocked()
 	}
@@ -120,14 +125,67 @@ func (c *Cache) Put(key string, v any, size int64) {
 	c.mu.Unlock()
 }
 
+// Reply returns the JSON reply the entry under key keeps for variant,
+// nil when key is not cached. A variant's first call encodes it with
+// appendJSON outside the lock, stopped once it outgrows the room the
+// byte budget leaves the entry, and keeps an exact-capacity copy, if the
+// entry is still cached and the variant absent, evicting other entries.
+// Past the room it marks the variant: its calls return nil (the caller
+// streams) and never encode again. Reply counts no hit or miss.
+func (c *Cache) Reply(key string, variant int, appendJSON func([]byte, func([]byte) ([]byte, bool)) ([]byte, bool)) []byte {
+	c.mu.Lock()
+	el, cached := c.items[key]
+	if !cached {
+		c.mu.Unlock()
+		return nil
+	}
+	e := el.Value.(*entry)
+	json, kept := e.kept(variant)
+	room := c.maxBytes - e.size
+	c.mu.Unlock()
+	if kept {
+		return json
+	}
+	json, ok := appendJSON(nil, func(b []byte) ([]byte, bool) { return b, int64(len(b)) <= room })
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, cached := c.items[key]; !cached || el.Value != e {
+		return nil // evicted or replaced meanwhile: the caller streams
+	}
+	if kept, ok := e.kept(variant); ok {
+		return kept
+	}
+	if !ok || int64(len(json)) > c.maxBytes-e.size { // the room may have shrunk
+		json = nil
+	} else {
+		json = append(make([]byte, 0, len(json)), json...)
+		e.size += int64(len(json))
+		c.bytes += int64(len(json))
+	}
+	e.replies = append(e.replies, reply{variant, json})
+	c.ll.MoveToFront(el) // the entry fits the budget, so only others go
+	for c.bytes > c.maxBytes {
+		c.evictOldestLocked()
+	}
+	c.publishSizeLocked()
+	return json
+}
+
+// kept returns the reply kept for variant, and whether there is one.
+func (e *entry) kept(variant int) ([]byte, bool) {
+	for _, r := range e.replies {
+		if r.variant == variant {
+			return r.json, true
+		}
+	}
+	return nil, false
+}
+
 // evictOldestLocked drops the least-recently-used entry. Caller holds mu
-// and guarantees the list is non-empty (both bounds are positive, so a
-// just-inserted entry never loops here forever).
+// and guarantees the list is non-empty (both bounds are positive and the
+// entry just put or grown fits them, so it is never the one dropped).
 func (c *Cache) evictOldestLocked() {
 	el := c.ll.Back()
-	if el == nil {
-		return
-	}
 	e := el.Value.(*entry)
 	c.ll.Remove(el)
 	delete(c.items, e.key)
@@ -153,15 +211,12 @@ func (c *Cache) Len() int {
 	return c.ll.Len()
 }
 
-// Bytes returns the estimated byte footprint of the cached values.
+// Bytes returns the estimated byte footprint of the cached entries.
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
 }
-
-// MaxBytes returns the byte budget, the most one entry may weigh.
-func (c *Cache) MaxBytes() int64 { return c.maxBytes }
 
 // Stats is a point-in-time summary of one cache.
 type Stats struct {

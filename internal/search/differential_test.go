@@ -292,9 +292,9 @@ func TestCachedResultIsTheCallers(t *testing.T) {
 }
 
 // TestAnswerSizeCoversItsSlices recomputes a cached answer's footprint
-// from its slices' capacities — 12 bytes a hit, 32 a group, 4 a ref, 32
-// and the reply's bytes a kept reply, four slice headers — and requires
-// the bytes the cache booked for it to be no smaller. The entry grows
+// from its slices' capacities — 12 bytes a hit, 32 a group, 4 a ref,
+// three slice headers — plus the key and the replies the cache keeps,
+// and requires the bytes the cache booked for it to be no smaller. The entry grows
 // once per distinct effective cap, on that cap's first hit, and never on
 // a repeat; a cap no group exceeds shares cap 0's reply.
 func TestAnswerSizeCoversItsSlices(t *testing.T) {
@@ -352,12 +352,15 @@ func TestAnswerSizeCoversItsSlices(t *testing.T) {
 		t.Fatal("the entry is not under the search's key")
 	}
 	a := e.(*answer)
-	need := int64(4*24+12*cap(a.hits)+32*cap(a.groups)+4*cap(a.refs)+32*cap(a.replies)) + int64(len(key))
-	for _, k := range a.replies {
-		need += int64(cap(k.json))
+	need := int64(3*24+12*cap(a.hits)+32*cap(a.groups)+4*cap(a.refs)) + int64(len(key))
+	for effective, reply := range kept {
+		if r := rc.Reply(key, effective, failEncode(t)); &r[0] != &reply[0] {
+			t.Errorf("effective cap %d: the cache keeps another reply than its hits were handed", effective)
+		}
+		need += int64(len(reply))
 	}
-	if len(a.replies) != len(kept) || booked < need {
-		t.Errorf("cache books %d bytes for an entry of %d bytes keeping %d replies", booked, need, len(a.replies))
+	if booked < need {
+		t.Errorf("cache books %d bytes for an entry of %d bytes keeping %d replies", booked, need, len(kept))
 	}
 }
 
@@ -389,12 +392,13 @@ func TestOversizedSearchReplyIsStreamed(t *testing.T) {
 		t.Fatal(err)
 	}
 	expanded, _ := svc.expand("id", Options{})
-	e, ok := c.Get(cacheKey(v.Version(), expanded, Options{}))
+	key := cacheKey(v.Version(), expanded, Options{})
+	_, ok := c.Get(key)
 	if !ok || len(bodies[0]) < 16<<10 {
 		t.Fatalf("entry kept = %v, reply %d bytes; want the answer kept and a reply past the budget", ok, len(bodies[0]))
 	}
-	if r := e.(*answer).replies; len(r) != 1 || r[0].cap != 0 || r[0].json != nil {
-		t.Errorf("entry keeps %+v, want cap 0 marked as streamed", r)
+	if r := c.Reply(key, 0, failEncode(t)); r != nil {
+		t.Errorf("entry keeps a reply of %d bytes at cap 0, want it marked as streamed", len(r))
 	}
 	if got := c.Stats(); got.Entries != 1 || got.Evictions != 0 || got.Hits != 3 { // two searches and the Get
 		t.Errorf("cache after a miss and two streamed hits: %+v", got)
@@ -609,5 +613,14 @@ func TestManyModelsOneManager(t *testing.T) {
 	}
 	if stats := shared.StatsAll(); len(stats) != 3 {
 		t.Errorf("manager caches %d indexes, want 3", len(stats))
+	}
+}
+
+// failEncode is an encoder for rescache.Cache.Reply that fails the test
+// if called: the reply it asks for must be kept (or marked) already.
+func failEncode(t *testing.T) func([]byte, func([]byte) ([]byte, bool)) ([]byte, bool) {
+	return func([]byte, func([]byte) ([]byte, bool)) ([]byte, bool) {
+		t.Fatal("Reply encoded a reply that should have been kept or marked")
+		return nil, false
 	}
 }

@@ -39,11 +39,10 @@
 // members — that depends only on the pinned view, the expanded terms and
 // the filters; the Result handed to the caller shares that answer and
 // decodes it only when read, applying MaxHitsPerGroup: Groups for Go
-// callers, AppendJSON for the wire. The answer is kept in the
-// process-wide results cache (internal/rescache) under the view's
-// version, as Listing 1's rows are, and the first hit at each cap keeps
-// the encoded reply beside it, so a repeated search against an unchanged
-// graph decodes nothing. ForceScan neither reads nor fills the cache.
+// callers, AppendJSON for the wire. The results cache (internal/rescache)
+// keeps the answer under the view's version, as Listing 1's rows, with
+// its encoded reply per effective cap, so a repeated search against an
+// unchanged graph decodes nothing. ForceScan neither reads nor fills it.
 package search
 
 import (
@@ -166,7 +165,7 @@ type Result struct {
 	a    *answer
 	dict *store.Dict
 	// cap is the effective MaxHitsPerGroup (answer.effectiveCap), reply
-	// the answer's kept reply at that cap, nil when it is streamed.
+	// the reply the cache keeps at that cap, nil when it is streamed.
 	cap   int
 	reply []byte
 }
@@ -205,7 +204,7 @@ func (s *Service) SearchCtx(ctx context.Context, term string, opt Options) (*Res
 		if a, ok := rc.Get(key); ok {
 			sp.SetLabel("rescache", "hit")
 			res := a.(*answer).result(dict, term, expanded, homonyms, opt.MaxHitsPerGroup)
-			res.keepReply(rc, key)
+			res.reply = rc.Reply(key, res.cap, res.AppendJSON)
 			return res, nil
 		}
 		sp.SetLabel("rescache", "miss")
@@ -216,7 +215,7 @@ func (s *Service) SearchCtx(ctx context.Context, term string, opt Options) (*Res
 	}
 	a := compute(metamodel.NewGraph(v, dict), ix, expanded, opt)
 	if key != "" {
-		rc.Put(key, a, a.size()+int64(len(key)))
+		rc.Put(key, a, a.size())
 	}
 	return a.result(dict, term, expanded, homonyms, opt.MaxHitsPerGroup), nil
 }
@@ -270,8 +269,7 @@ func cacheKey(version string, expanded []string, opt Options) string {
 // answer is a search outcome as dictionary IDs: what compute derives
 // from the view, before the caller's cap and strings are applied. The
 // results cache shares one answer among all searches of its key, so
-// nothing writes an answer once compute has returned it; keeping a reply
-// puts a copy of it back.
+// nothing writes an answer once compute has returned it.
 type answer struct {
 	// hits are the matching instances in (name, IRI) order.
 	hits []idHit
@@ -279,9 +277,6 @@ type answer struct {
 	// of group g are refs[g.from:g.to], indexes into hits in hits order.
 	groups []idGroup
 	refs   []int32
-	// replies are the members Result.AppendJSON writes, one per effective
-	// cap the entry has been hit at (Result.keepReply).
-	replies []keptReply
 }
 
 type idHit struct {
@@ -298,26 +293,14 @@ type idGroup struct {
 	from, to int32
 }
 
-// keptReply is the reply of an answer at one effective cap; nil json
-// marks a cap whose reply the cache had no room for, which streams.
-type keptReply struct {
-	cap  int
-	json []byte
-}
-
 // size is the answer's retained footprint for the cache's byte budget,
 // counted from its slices' capacities. A label's bytes belong to the
 // dictionary; only its header, inside idGroup, is the answer's.
 func (a *answer) size() int64 {
-	n := int64(unsafe.Sizeof(*a)) +
+	return int64(unsafe.Sizeof(*a)) +
 		int64(cap(a.hits))*int64(unsafe.Sizeof(idHit{})) +
 		int64(cap(a.groups))*int64(unsafe.Sizeof(idGroup{})) +
-		int64(cap(a.refs))*int64(unsafe.Sizeof(int32(0))) +
-		int64(cap(a.replies))*int64(unsafe.Sizeof(keptReply{}))
-	for _, k := range a.replies {
-		n += int64(cap(k.json))
-	}
-	return n
+		int64(cap(a.refs))*int64(unsafe.Sizeof(int32(0)))
 }
 
 // result returns a Result over the answer for one caller: term, expanded
@@ -337,30 +320,6 @@ func (a *answer) effectiveCap(maxHits int) int {
 		}
 	}
 	return 0
-}
-
-// keepReply gives a results-cache hit the reply its entry keeps at the
-// result's cap. The entry's first hit at that cap encodes the reply and
-// puts it back under key on a copy of the entry, unless the cache has no
-// room for it: then the encode stops as soon as the reply outgrows the
-// room, and the cap is marked so that later hits stream.
-func (r *Result) keepReply(rc *rescache.Cache, key string) {
-	for _, k := range r.a.replies {
-		if k.cap == r.cap {
-			r.reply = k.json
-			return
-		}
-	}
-	c := *r.a
-	c.replies = append(slices.Clip(c.replies), keptReply{cap: r.cap})
-	room := rc.MaxBytes() - c.size() - int64(len(key))
-	reply, ok := r.AppendJSON(nil, func(b []byte) ([]byte, bool) { return b, int64(len(b)) <= room })
-	if ok && int64(len(reply)) <= room {
-		r.reply = append(make([]byte, 0, len(reply)), reply...) // cap is what the room allowed
-		c.replies[len(c.replies)-1].json = r.reply
-	}
-	rc.Put(key, &c, c.size()+int64(len(key)))
-	r.a = &c
 }
 
 // shown returns the members group g lists at the result's cap.

@@ -60,7 +60,7 @@ func (q *Query) Run(ctx context.Context, src store.Source, dict *store.Dict, opt
 	sp.Finish()
 	res, stats, err := p.Run(ctx, opt)
 	if key != "" && err == nil && res != nil {
-		rc.Put(key, res, estimateResultSize(res)+int64(len(key)))
+		rc.Put(key, res, estimateResultSize(res))
 	}
 	return res, stats, err
 }

@@ -60,10 +60,10 @@ func (q *Query) resultCacheKey(genKey string) string {
 
 // estimateResultSize is a cached result's footprint for the cache's
 // byte budget, counted from capacities: the Result, 4 B a cell, the
-// computed terms, the reply and the variables' string headers. A cell's
-// term belongs to the dictionary, a variable's bytes to the query.
+// computed terms and the variables' string headers. A cell's term is the
+// dictionary's, a variable's bytes the query's, the key and reply the cache's.
 func estimateResultSize(r *Result) int64 {
-	n := int64(unsafe.Sizeof(*r)) + 4*int64(cap(r.cells)) + int64(cap(r.reply)) +
+	n := int64(unsafe.Sizeof(*r)) + 4*int64(cap(r.cells)) +
 		int64(cap(r.Vars))*int64(unsafe.Sizeof("")) +
 		int64(cap(r.computed))*int64(unsafe.Sizeof(rdf.Term{}))
 	for _, t := range r.computed {
@@ -74,28 +74,15 @@ func estimateResultSize(r *Result) int64 {
 
 // serveCachedResult emits the observability evidence of a cache hit —
 // an exec span labelled rescache=hit, a hit on the statement's row, row
-// counters — and returns a shallow copy of the cached result; its rows
-// and reply are shared and never written. An entry's first hit encodes
-// the reply and puts it back under key on a copy of the entry, unless
-// the cache has no room for it: then the encode stops as soon as the
-// reply outgrows the room, and the entry is marked and streamed.
+// counters — and returns a shallow copy of the cached result with the
+// reply the cache keeps for it; its rows and reply are never written.
 func (q *Query) serveCachedResult(ctx context.Context, rc *rescache.Cache, key string, res *Result) *Result {
 	sp, _ := obs.ChildCtx(ctx, "sparql exec")
 	rows := res.Count()
 	sp.SetLabel("rescache", "hit").SetLabel("rows", strconv.Itoa(rows)).Finish()
 	obsRows.Add(int64(rows))
 	obs.DefaultStatements().Record(q.Fingerprint(), q.Text, obs.Execution{Rows: rows, Hit: true})
-	if res.reply == nil && !res.noReply {
-		c := *res
-		room := rc.MaxBytes() - estimateResultSize(&c) - int64(len(key))
-		reply, ok := res.AppendJSON(nil, func(b []byte) ([]byte, bool) { return b, int64(len(b)) <= room })
-		c.noReply = !ok || int64(len(reply)) > room
-		if !c.noReply {
-			c.reply = append(make([]byte, 0, len(reply)), reply...) // cap is what the room allowed
-		}
-		rc.Put(key, &c, estimateResultSize(&c)+int64(len(key)))
-		res = &c
-	}
 	out := *res
+	out.reply = rc.Reply(key, 0, res.AppendJSON)
 	return &out
 }

@@ -250,10 +250,10 @@ func TestCachedRowIsTheCallers(t *testing.T) {
 
 // TestResultSizeCoversItsSlices recomputes a cached entry's footprint
 // from its capacities — 4 B a cell, the computed terms with their
-// strings, the reply, the Result with its slice headers, the key — and
-// requires the bytes the cache booked to be no smaller: for the miss's
-// ID-only entry, and again once the first hit added the reply. A later
-// hit books nothing more. The same holds for an OFFSET query's entry,
+// strings, the Result with its slice headers, the key, the reply the
+// cache keeps — and requires the bytes the cache booked to be no
+// smaller: for the miss's ID-only entry, and again once the first hit
+// added the reply. A later hit books nothing more. The same holds for an OFFSET query's entry,
 // whose window TestWindowCopiesItsCells keeps from holding the rows
 // before it, which no capacity would count.
 func TestResultSizeCoversItsSlices(t *testing.T) {
@@ -269,18 +269,24 @@ func TestResultSizeCoversItsSlices(t *testing.T) {
 		q := mustParse(t, text)
 		version, _ := sourceVersion(m)
 		key := q.resultCacheKey(version)
-		entry := func() (*Result, int64) {
+		// entry returns the cached result, the reply the cache keeps for it
+		// (none after the miss), and the entry's footprint.
+		entry := func(hit bool) (*Result, []byte, int64) {
 			v, ok := c.Get(key)
 			if !ok {
 				t.Fatal("no cache entry under the query's key")
 			}
 			r := v.(*Result)
-			need := int64(unsafe.Sizeof(*r)) + 4*int64(cap(r.cells)) + int64(len(r.reply)) + int64(len(key)) +
+			var reply []byte
+			if hit {
+				reply = c.Reply(key, 0, failEncode(t))
+			}
+			need := int64(unsafe.Sizeof(*r)) + 4*int64(cap(r.cells)) + int64(len(reply)) + int64(len(key)) +
 				int64(cap(r.Vars))*int64(unsafe.Sizeof("")) + int64(cap(r.computed))*int64(unsafe.Sizeof(rdf.Term{}))
 			for _, t := range r.computed {
 				need += int64(len(t.Value) + len(t.Datatype) + len(t.Lang))
 			}
-			return r, need
+			return r, reply, need
 		}
 		var booked []int64
 		for i := range 3 {
@@ -288,15 +294,15 @@ func TestResultSizeCoversItsSlices(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, need := entry()
+			r, reply, need := entry(i > 0)
 			booked = append(booked, c.Bytes())
 			if got := c.Bytes(); c.Len() != 1 || got < need {
 				t.Fatalf("%s, run %d: cache books %d bytes in %d entries for an entry of %d bytes", text, i, got, c.Len(), need)
 			}
-			if (len(r.computed) == 0) == (q.Offset == 0) || (r.reply == nil) != (i == 0) {
-				t.Fatalf("%s, run %d: entry has %d computed terms and reply %q", text, i, len(r.computed), r.reply)
+			if (len(r.computed) == 0) == (q.Offset == 0) || (res.EncodedJSON() == nil) != (i == 0) {
+				t.Fatalf("%s, run %d: entry has %d computed terms and the run reply %q", text, i, len(r.computed), res.EncodedJSON())
 			}
-			if i > 0 && !bytes.Equal(res.EncodedJSON(), r.reply) {
+			if i > 0 && &res.EncodedJSON()[0] != &reply[0] {
 				t.Fatalf("%s: hit %d was not handed the entry's reply", text, i)
 			}
 		}
@@ -326,7 +332,7 @@ func TestWindowCopiesItsCells(t *testing.T) {
 }
 
 // TestOversizedReplyIsStreamed: a cache with room for an entry's ID rows
-// but not for its reply keeps the ID-only entry, marks it, and streams
+// but not for its reply keeps the ID-only entry, marks its reply, and streams
 // every hit — the same bytes as the miss, without encoding into a reply
 // again and without evicting anything.
 func TestOversizedReplyIsStreamed(t *testing.T) {
@@ -355,11 +361,21 @@ func TestOversizedReplyIsStreamed(t *testing.T) {
 		}
 	}
 	version, _ := sourceVersion(m)
-	v, ok := c.Get(q.resultCacheKey(version))
-	if !ok || !v.(*Result).noReply || len(bodies[0]) < 2048 {
+	key := q.resultCacheKey(version)
+	_, ok := c.Get(key)
+	if !ok || c.Reply(key, 0, failEncode(t)) != nil || len(bodies[0]) < 2048 {
 		t.Fatalf("entry kept = %v, want the ID-only entry marked as streamed (reply %d bytes)", ok, len(bodies[0]))
 	}
 	if got := c.Stats(); got.Entries != 1 || got.Evictions != 0 || got.Hits != 3 { // two runs and the Get
 		t.Errorf("cache after a miss and two streamed hits: %+v", got)
+	}
+}
+
+// failEncode is an encoder for rescache.Cache.Reply that fails the test
+// if called: the reply it asks for must be kept (or marked) already.
+func failEncode(t *testing.T) func([]byte, func([]byte) ([]byte, bool)) ([]byte, bool) {
+	return func([]byte, func([]byte) ([]byte, bool)) ([]byte, bool) {
+		t.Fatal("Reply encoded a reply that should have been kept or marked")
+		return nil, false
 	}
 }

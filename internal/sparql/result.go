@@ -34,10 +34,8 @@ type Result struct {
 	n        int // rows, counted apart for a projection of no variables
 	dict     *store.Dict
 	computed []rdf.Term
-	// reply is what AppendJSON writes, kept by a results-cache hit;
-	// noReply marks an entry whose reply the cache had no room for.
-	reply   []byte
-	noReply bool
+	// reply is what AppendJSON writes, kept by the results cache; nil streams.
+	reply []byte
 }
 
 // computedCell flags a cell indexing Result.computed, far above any ID.
