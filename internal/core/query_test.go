@@ -13,6 +13,7 @@ import (
 	"mdw/internal/rdf"
 	"mdw/internal/reason"
 	"mdw/internal/search"
+	"mdw/internal/sparql"
 	"mdw/internal/store"
 )
 
@@ -207,8 +208,8 @@ func namesWarehouse(t *testing.T, n int) *Warehouse {
 // TestQueryUsesTextIndexOfItsViewOnly: a query gets the kept text index
 // as its KeyIndex only when the index is over the very view it reads —
 // not over the facts alone, other models, or the graph after a load no
-// search has indexed yet. On two CPUs the analyzed name match says
-// "text index" there and nowhere else, with the same rows.
+// search has indexed yet. The analyzed name match says "text index"
+// there and nowhere else, with the same rows.
 func TestQueryUsesTextIndexOfItsViewOnly(t *testing.T) {
 	w := namesWarehouse(t, 5000)
 	view := func(entailed bool, models ...string) store.Source {
@@ -228,13 +229,12 @@ func TestQueryUsesTextIndexOfItsViewOnly(t *testing.T) {
 		t.Error("a key index for a view the text index is not over")
 	}
 	const q = `SELECT ?o WHERE { ?o <` + rdf.MDWHasName + `> ?t FILTER regex(?t, "customer", "i") }`
-	indexed := runtime.GOMAXPROCS(0) >= 2
 	for _, c := range []struct {
 		name    string
 		opt     QueryOptions
 		indexed bool
 	}{
-		{"entailed", QueryOptions{Analyze: true}, indexed},
+		{"entailed", QueryOptions{Analyze: true}, true},
 		{"facts only", QueryOptions{Analyze: true, FactsOnly: true}, false},
 	} {
 		resp, err := w.Query(context.Background(), q, c.opt)
@@ -255,6 +255,46 @@ func TestQueryUsesTextIndexOfItsViewOnly(t *testing.T) {
 	}
 	if resp.Result.Count() != 101 || strings.Contains(resp.Stats.String(), "text index") {
 		t.Errorf("after a load: %d rows, want 101 without the stale text index:\n%s", resp.Result.Count(), resp.Stats)
+	}
+}
+
+// TestQueryWorkIndependentOfCPUs: the analyzed name match returns one
+// row sequence and counts one amount of work — triples scanned, terms
+// decoded, every operator's loops and rows — at 1, 2 and 4 CPUs: a large
+// root scan is the morsel scan at every worker count.
+func TestQueryWorkIndependentOfCPUs(t *testing.T) {
+	w := namesWarehouse(t, 5000)
+	const q = `SELECT ?o ?t WHERE { ?o <` + rdf.MDWHasName + `> ?t FILTER regex(?t, "customer", "i") }`
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []string
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		resp, err := w.Query(context.Background(), q, QueryOptions{Analyze: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := resp.Stats
+		got := []string{fmt.Sprintf("scanned %d, decoded %d", st.RowsScanned, st.TermDecodes)}
+		var ops func(op *sparql.OpStats)
+		ops = func(op *sparql.OpStats) {
+			got = append(got, fmt.Sprintf("%s %s: loops=%d rows=%d", op.Op, op.Detail, op.Loops, op.Rows))
+			for _, c := range op.Children {
+				ops(c)
+			}
+		}
+		ops(st.Root)
+		for i := range resp.Result.Len() {
+			row := resp.Result.Row(i)
+			got = append(got, row["o"].Value+" "+row["t"].Value)
+		}
+		if resp.Result.Count() != 100 || !strings.Contains(st.String(), "text index") {
+			t.Fatalf("GOMAXPROCS=%d: %d rows, want 100 through the text index:\n%s", procs, resp.Result.Count(), st)
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS=%d: rows or work differ from GOMAXPROCS=1:\n%s", procs, st)
+		}
 	}
 }
 

@@ -147,8 +147,8 @@ type ExecStats struct {
 	Root     *OpStats      `json:"root"`
 	Rows     int           `json:"rows"`
 	Duration time.Duration `json:"durationNs"`
-	// Strategy is "morsel" when the execution fanned out as a morsel scan,
-	// with the workers and tasks launched, "serial" when it never did.
+	// Strategy is "morsel" when the root ran as a morsel scan, with the
+	// workers it used (1: inline) and its tasks, "serial" otherwise.
 	Strategy string `json:"strategy"`
 	Workers  int    `json:"workers,omitempty"`
 	Tasks    int    `json:"tasks,omitempty"`
@@ -194,7 +194,7 @@ func (p *Plan) finishAnalyze(rec *execStatsRec, info execInfo, d time.Duration, 
 		plan:            p,
 		rec:             rec,
 	}
-	if info.workers > 1 {
+	if info.workers > 0 {
 		st.Strategy = "morsel"
 	}
 	st.Root = &OpStats{Op: "plan", Estimate: -1, Rows: int64(rows), Loops: 1, Time: d}

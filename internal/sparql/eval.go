@@ -93,7 +93,7 @@ func (p *Plan) Run(ctx context.Context, opt RunOptions) (*Result, *ExecStats, er
 		return res, nil, err
 	}
 	rows := res.Count()
-	if info.workers > 1 {
+	if info.workers > 0 {
 		sp.SetLabel("parallel", "morsel")
 		sp.SetLabel("workers", strconv.Itoa(info.workers))
 		sp.SetLabel("morsels", strconv.Itoa(info.tasks))
@@ -249,8 +249,8 @@ type evaluator struct {
 	stats *execStatsRec
 	// keys answers the morsel scan's name match (RunOptions.Keys).
 	keys KeyIndex
-	// Parallel execution evidence, reported on trace spans: the workers
-	// launched (0 = the execution stayed serial) and the morsels processed.
+	// Morsel scan evidence, reported on trace spans: the workers used
+	// (0 = the root ran serial, 1 = inline) and the morsels processed.
 	parWorkers int
 	parTasks   int
 }
@@ -329,8 +329,10 @@ type bgpRun struct {
 	s      []store.ID
 	emit   func([]store.ID) bool
 	frames []bgpFrame
-	// perKey counts pattern 0's leading pushed constraints the morsel
-	// scan already tested on the triple's key (keyFilter).
+	// A morsel scan's run enumerates pattern 0 from parts (scanPart) and
+	// tests its perKey leading pushed constraints per key (keep).
+	parts  *store.Parts
+	in     func(store.ID) bool
 	perKey int
 }
 

@@ -12,44 +12,43 @@ import (
 	"mdw/internal/store"
 )
 
-// Intra-query parallelism: morsel-driven BGP scans. When the planner's
-// cardinality estimate for the root group's first join step is large
-// enough, that step's matches are split into parts of about a morsel each
-// (store.View.Split: one bucketing pass over the walked index keys, by ID
-// range, on the calling goroutine), and each worker tests, sorts and
-// walks its own parts through the ordinary streaming depth-first pipeline
-// with a private slot row; a filter that reads only the walked key's
-// variable is tested once per key (keyOnly), not per triple, and a name
-// match among those may take the keys it can pass from a KeyIndex. A
-// merger emits the buffered solutions in part order, so downstream
-// consumers (DISTINCT, LIMIT, aggregation) observe one solution order at
-// every worker count. Everything else — UNION branches, property-path
-// closures — runs on the serial pipeline: measured end to end, fanning
-// those out never beat it (DESIGN.md "Parallel execution").
+// Morsel-driven root scans. When the planner's estimate for the root
+// group's first join step is large enough, that step's matches are split
+// into parts of about a morsel each (store.View.Split: one bucketing pass
+// over the walked index keys, by ID range, on the calling goroutine), and
+// each worker tests, sorts and walks its own parts through the ordinary
+// streaming depth-first pipeline with a private slot row; a filter that
+// reads only the walked key's variable is tested once per key (keyOnly),
+// and a name match among those may take the keys it can pass from a
+// KeyIndex. A merger emits the buffered solutions in part order, so the
+// rows, their order and (without LIMIT) the work counted are the same at
+// every worker count, one included: one worker scans the parts itself.
+// UNION branches and property-path closures run on the serial pipeline:
+// measured end to end, fanning those out never beat it (DESIGN.md
+// "Parallel execution").
 //
 // Streaming semantics survive: ASK stops all workers at the first emitted
-// solution, LIMIT-without-ORDER-BY stops after N merged rows, and context
-// cancellation propagates through every worker. Small queries stay serial
-// (SerialThreshold), so point lookups pay zero overhead — the decision is
-// taken at plan time from the estimates the planner already has.
+// solution, LIMIT-without-ORDER-BY after N merged rows, and cancellation
+// reaches every worker. Small scans stay on the serial pipeline, decided
+// at plan time from the planner's estimates (SerialThreshold).
 
 // ParOptions tunes intra-query parallelism for one plan. The zero value
 // of any field means "use the default"; Query.Plan applies the zero
-// value. It is the seam the differential tests use to force fan-out on
-// tiny graphs.
+// value. It is the seam the differential tests use to force morsel scans
+// on tiny graphs.
 type ParOptions struct {
 	// MaxWorkers caps the worker pool (default: GOMAXPROCS, read when the
-	// plan is built). 1 disables parallel execution.
+	// plan is built). At 1 the calling goroutine scans one morsel.
 	MaxWorkers int
 	// MorselSize is the number of first-step matches per morsel (default
 	// 256): large enough that per-morsel overhead (one key sort, one
 	// channel send) is noise against hundreds of index probes, small
 	// enough that a skewed key range's work spreads across workers.
 	MorselSize int
-	// SerialThreshold is the estimated row count below which execution
-	// stays serial (default 4096): fan-out costs two goroutine wakeups
-	// and a buffer per morsel, which only pays off when the scan is at
-	// least thousands of probes.
+	// SerialThreshold is the estimated row count below which the root
+	// stays on the serial pipeline (default 4096): a morsel scan pays a
+	// bucketing pass and a key sort, and fan-out two goroutine wakeups
+	// and a buffer per morsel, only worth it over thousands of probes.
 	SerialThreshold int
 }
 
@@ -75,7 +74,7 @@ func (o ParOptions) normalized() ParOptions {
 // Plan.String and acted on by the evaluator's runRoot.
 type parDecision struct {
 	workers int     // 0 = serial
-	morsel  int     // first-step matches per morsel
+	morsel  int     // first-step matches per morsel; all of them at 1 worker
 	est     float64 // estimate that justified the choice
 	// keyed counts the driving pattern's leading pushed constraints that
 	// the scan tests once per walked key (keyOnly).
@@ -86,17 +85,16 @@ type parDecision struct {
 	lit string
 }
 
-// decidePar decides whether the plan's root group runs as a morsel scan.
-// Only executable plans (src and dict present) over a store.View, whose
-// matches split into parts, with a worker budget of at least 2 and a root
-// group that starts with a large enough triple-pattern scan parallelize;
-// everything else — including every
-// Explain-only plan and every plan starting with a property path (the
-// path engine materializes endpoint pairs itself, so morsels cannot
-// partition it) — keeps the zero-value decision, serial.
+// decidePar decides whether the plan's root group runs as a morsel scan:
+// an executable plan (src and dict present) over a store.View, whose
+// matches split into parts, does at any worker budget when its root group
+// starts with a triple-pattern scan estimated at SerialThreshold or more.
+// Every other plan — every Explain-only plan, every plan starting with a
+// property path (the path engine materializes endpoint pairs itself, so
+// morsels cannot partition it) — keeps the zero-value decision, serial.
 func (p *Plan) decidePar(o ParOptions) {
 	o = o.normalized()
-	if p.src == nil || p.dict == nil || o.MaxWorkers < 2 || len(p.root.steps) == 0 {
+	if p.src == nil || p.dict == nil || len(p.root.steps) == 0 {
 		return
 	}
 	st, ok := p.root.steps[0].(*bgpStep)
@@ -108,10 +106,12 @@ func (p *Plan) decidePar(o ParOptions) {
 		return
 	}
 	w := min(int(math.Ceil(pp.est/float64(o.MorselSize))), o.MaxWorkers)
-	if w >= 2 {
-		keyed, lit := keyOnly(pp)
-		p.par = parDecision{workers: w, morsel: o.MorselSize, est: pp.est, keyed: keyed, lit: lit}
+	morsel := o.MorselSize
+	if w < 2 {
+		morsel = int(math.Ceil(pp.est)) // no worker to share parts with
 	}
+	keyed, lit := keyOnly(pp)
+	p.par = parDecision{workers: w, morsel: morsel, est: pp.est, keyed: keyed, lit: lit}
 }
 
 // keyOnly moves the driving pattern's key-only constraints to the front
@@ -214,7 +214,7 @@ func (p *Plan) Parallelism() int {
 // calling goroutine, so downstream state (DISTINCT sets, LIMIT counters,
 // aggregation maps) needs no locking.
 func (ev *evaluator) runRoot(emit func([]store.ID) bool) {
-	if ev.plan.par.workers > 1 {
+	if ev.plan.par.workers > 0 {
 		ev.runMorselRoot(emit)
 		return
 	}
@@ -222,9 +222,8 @@ func (ev *evaluator) runRoot(emit func([]store.ID) bool) {
 }
 
 // runMorselRoot splits the first join step's matches into parts and fans
-// them out. When the live matches fill fewer than two parts (stale
-// statistics), the calling goroutine scans them itself — correctness
-// never depends on the estimate.
+// them out. With one worker, or when the live matches fill fewer than two
+// parts, the calling goroutine scans the parts in order itself.
 func (ev *evaluator) runMorselRoot(emit func([]store.ID) bool) {
 	p := ev.plan
 	pp := p.root.steps[0].(*bgpStep).patterns[0]
@@ -270,66 +269,65 @@ func (ev *evaluator) runMorselRoot(emit func([]store.ID) bool) {
 	}
 	parts := p.src.(*store.View).Split(sid, pid, oid, p.par.morsel)
 	ntasks := parts.Len()
-	if ntasks < 2 {
-		scan := ev.partScanner(p.root, row, parts, svar, ovar, in, emit)
-		for i := 0; i < ntasks && scan(i); i++ {
+	workers := min(p.par.workers, ntasks)
+	obsParExecMorsel.Inc()
+	ev.parWorkers, ev.parTasks = max(workers, 1), ntasks
+	if workers < 2 {
+		r := ev.partScanner(p.root, row, parts, svar, ovar, in, emit)
+		for i := 0; i < ntasks && r.scanPart(i); i++ {
 		}
 		return
 	}
-	workers := min(p.par.workers, ntasks)
-	obsParExecMorsel.Inc()
-	ev.parWorkers, ev.parTasks = workers, ntasks
 	ev.orderedRun(workers, ntasks, func(wev *evaluator, emit func([]store.ID) bool) func(int) bool {
-		return wev.partScanner(p.root, make([]store.ID, len(row)), parts, svar, ovar, in, emit)
+		return wev.partScanner(p.root, make([]store.ID, len(row)), parts, svar, ovar, in, emit).scanPart
 	}, emit)
 }
 
 // partScanner returns the pipeline one goroutine runs over parts of the
-// driving scan: the root group over the goroutine's own row, with its
-// first pattern's index enumeration replaced by a part's triples. Built
-// once per goroutine, it scans a part without allocating. A non-nil in
-// is the set of keys the name match can pass (runMorselRoot).
-func (ev *evaluator) partScanner(root *planGroup, row []store.ID, parts *store.Parts, svar, ovar int, in func(store.ID) bool, emit func([]store.ID) bool) func(task int) bool {
+// driving scan (scanPart): the root group over the goroutine's own row,
+// with its first pattern's index enumeration replaced by a part's
+// triples. A non-nil in is the set of keys the name match can pass.
+func (ev *evaluator) partScanner(root *planGroup, row []store.ID, parts *store.Parts, svar, ovar int, in func(store.ID) bool, emit func([]store.ID) bool) *bgpRun {
 	r := ev.newBGPRun(root.steps[0].(*bgpStep), row, func(s []store.ID) bool {
 		return ev.runSteps(root.steps, 1, s, emit)
 	})
 	f := &r.frames[0]
 	f.svar, f.ovar = svar, ovar // a variable predicate is never bound at the root
-	keep := r.keyFilter(parts, in)
-	return func(task int) bool {
-		f.cont = true
-		return parts.Scan(task, keep, f.cb)
-	}
+	r.parts, r.in, r.perKey = parts, in, ev.plan.par.keyed
+	return r
 }
 
-// keyFilter returns the scan's per-key test (nil when the plan has none):
-// the driving pattern's key-only constraints run on the row with only the
-// walked key bound. A key outside in, when in is set, fails the name
-// match in front of them unread. It probes cancellation and the merger's
-// stop flag as onTriple does, so a scan whose filter rejects every key
-// still stops. From here on the run skips those constraints per triple
-// (matched).
-func (r *bgpRun) keyFilter(parts *store.Parts, in func(store.ID) bool) func(store.ID, int) bool {
-	ev, pp := r.ev, r.b.patterns[0]
-	r.perKey = ev.plan.par.keyed
+// scanPart streams part task through the pipeline without allocating.
+func (r *bgpRun) scanPart(task int) bool {
+	f, keep := &r.frames[0], r.keep
 	if r.perKey == 0 {
-		return nil
+		keep = nil
 	}
+	f.cont = true
+	return r.parts.Scan(task, keep, f.cb)
+}
+
+// keep is the scan's per-key test: the driving pattern's key-only
+// constraints run on the row with only the walked key bound, and the run
+// skips them per triple (matched). A key outside in, when in is set,
+// fails the name match in front of them unread. It probes cancellation
+// and the merger's stop flag as onTriple does, so a scan whose filter
+// rejects every key still stops.
+func (r *bgpRun) keep(key store.ID, n int) bool {
+	ev, pp := r.ev, r.b.patterns[0]
 	cs := pp.pushed[:r.perKey]
-	slot := [3]int{pp.s.slot, pp.pvar, pp.o.slot}[parts.KeyPos()]
-	return func(key store.ID, n int) bool {
-		if ev.cancelled() || ev.stopped() {
-			return false
-		}
-		if in != nil && !in(key) {
-			ev.keyRejected(cs, pp, 0, n)
-			return false
-		}
-		r.s[slot] = key
-		ok := ev.keyHolds(cs, pp, r.s, n)
-		r.s[slot] = store.Wildcard
-		return ok
+	if ev.cancelled() || ev.stopped() {
+		return false
 	}
+	if r.in != nil && !r.in(key) {
+		ev.keyRejected(cs, pp, 0, n)
+		return false
+	}
+	slot := [3]int{pp.s.slot, pp.pvar, pp.o.slot}[r.parts.KeyPos()]
+	r.s[slot] = key
+	ok := ev.keyHolds(cs, pp, r.s, n)
+	r.s[slot] = store.Wildcard
+	return ok
 }
 
 // keyHolds tests the key-only constraints cs on row s. An accepted key's

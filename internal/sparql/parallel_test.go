@@ -31,7 +31,9 @@ func forcedPar(workers int) sparql.ParOptions {
 	}
 }
 
-// serialPar forces serial execution for the baseline runs.
+// serialPar caps the plan at one worker with the default thresholds: the
+// baseline runs' fixtures stay under SerialThreshold, so they take the
+// serial pipeline; a larger scan is a one-worker morsel scan.
 func serialPar() sparql.ParOptions {
 	return sparql.ParOptions{MaxWorkers: 1}
 }
@@ -100,9 +102,9 @@ func mustExec(t *testing.T, q *sparql.Query, src store.Source, dict *store.Dict,
 	return res
 }
 
-// TestParallelDeterministicOrder is the satellite regression test: an
-// ORDER BY-free SELECT must return identically ordered rows at
-// parallelism 1 and N, matching the serial order.
+// TestParallelDeterministicOrder: an ORDER BY-free SELECT must return
+// identically ordered rows from a morsel scan at 1, 2 and N workers,
+// matching the serial order.
 func TestParallelDeterministicOrder(t *testing.T) {
 	src, dict := typedFixture(t, 3000)
 	queries := []string{
@@ -114,10 +116,10 @@ func TestParallelDeterministicOrder(t *testing.T) {
 	for _, text := range queries {
 		q := sparql.MustParse(text)
 		serial := rowStrings(mustExec(t, q, src, dict, serialPar()))
-		for _, par := range parLevels()[1:] {
+		for _, par := range parLevels() {
 			p := q.PlanOpts(src, dict, forcedPar(par))
-			if p.Parallelism() < 2 {
-				t.Fatalf("parallelism %d not selected for %q (got %d)", par, text, p.Parallelism())
+			if !strings.Contains(p.String(), "PARALLEL morsel scan") {
+				t.Fatalf("no morsel scan at %d workers for %q:\n%s", par, text, p)
 			}
 			res, err := runPlan(context.Background(), p)
 			if err != nil {
@@ -253,10 +255,36 @@ func TestParallelSelection(t *testing.T) {
 		t.Fatalf("serial plan rendering mentions PARALLEL:\n%s", ps)
 	}
 
-	// Worker cap 1 disables fan-out regardless of size.
-	if got := q.PlanOpts(big, bigDict, serialPar()).Parallelism(); got != 1 {
-		t.Fatalf("MaxWorkers 1 still parallel: %d", got)
+	// Worker cap 1 plans the morsel scan and starts no goroutine: its one
+	// worker is the calling goroutine. The context's probe (every
+	// cancelTick triples) counts the goroutines in the middle of the scan.
+	p1 := q.PlanOpts(big, bigDict, serialPar())
+	if got := p1.Parallelism(); got != 1 || !strings.Contains(p1.String(), "PARALLEL morsel scan: up to 1 workers") {
+		t.Fatalf("MaxWorkers 1: parallelism %d, want the morsel scan at 1 worker:\n%s", got, p1)
 	}
+	ctx := &goroutineProbe{Context: context.Background()}
+	base := runtime.NumGoroutine()
+	_, stats, err := p1.Run(ctx, sparql.RunOptions{Analyze: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Strategy != "morsel" || stats.Workers != 1 || ctx.probes == 0 || ctx.max > base {
+		t.Fatalf("MaxWorkers 1: %s x%d workers, %d goroutines in the scan (%d probes), %d before",
+			stats.Strategy, stats.Workers, ctx.max, ctx.probes, base)
+	}
+}
+
+// goroutineProbe records the most goroutines seen when the execution
+// probes it for cancellation.
+type goroutineProbe struct {
+	context.Context
+	probes, max int
+}
+
+func (c *goroutineProbe) Err() error {
+	c.probes++
+	c.max = max(c.max, runtime.NumGoroutine())
+	return c.Context.Err()
 }
 
 // viewFixture is typedFixture's graph read through a two-member view, the
@@ -290,10 +318,9 @@ func viewFixture(t testing.TB, n int) (store.Source, *store.Dict) {
 // the morsel scan drives runs inside every worker — each reading its own
 // slot row — and the rows are the naive evaluator's, without duplicates,
 // in one order at every worker count (the parts walk their key ranges
-// sorted; the serial walk of the same index map has no fixed order). The
-// two-member view also checks that a triple the second member repeats is
-// reported once. Under -race this is the check that the filter loop
-// shares nothing.
+// sorted, also when one worker scans them all). The two-member view also
+// checks that a triple the second member repeats is reported once. Under
+// -race this is the check that the filter loop shares nothing.
 func TestParallelFilteredDrivingPattern(t *testing.T) {
 	one, oneDict := typedFixture(t, 600)
 	view, viewDict := viewFixture(t, 600)
@@ -338,13 +365,10 @@ func TestParallelFilteredDrivingPattern(t *testing.T) {
 						t.Errorf("%s, %s, %d workers: row %s twice", in.name, filter, workers, got[i])
 					}
 				}
-				if workers < 2 {
-					continue
-				}
 				if got := rowStrings(res); first == nil {
 					first = got
 				} else if !reflect.DeepEqual(got, first) {
-					t.Errorf("%s, %s, %d workers: row order differs from the first parallel run", in.name, filter, workers)
+					t.Errorf("%s, %s, %d workers: row order differs from the one-worker run", in.name, filter, workers)
 				}
 			}
 		}

@@ -868,7 +868,7 @@ func (p *Plan) render(rec *execStatsRec) string {
 		}
 		b.WriteByte('\n')
 	}
-	if p.par.workers > 1 {
+	if p.par.workers > 0 {
 		fmt.Fprintf(&b, "PARALLEL morsel scan: up to %d workers, %d-triple morsels (first step est %.0f rows)\n",
 			p.par.workers, p.par.morsel, p.par.est)
 	}

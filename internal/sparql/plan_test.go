@@ -318,6 +318,34 @@ func runPlan(p *Plan) (*Result, error) {
 	return res, err
 }
 
+// TestOneWorkerScanOrder: at one worker an unordered filtered scan over
+// a large graph is the morsel scan too, so every run returns the one row
+// sequence two workers return, not an order of Go's index maps.
+func TestOneWorkerScanOrder(t *testing.T) {
+	src, dict := namesFixture(20_000)
+	q := MustParse(`SELECT ?o WHERE { ?o <` + rdf.MDWHasName + `> ?t FILTER regex(?t, "customer", "i") }`)
+	rows := func(par ParOptions) []string {
+		res, err := runPlan(q.PlanOpts(src, dict, par))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, b := range res.Bindings() {
+			out = append(out, b["o"].Value)
+		}
+		return out
+	}
+	want := rows(ParOptions{MaxWorkers: 2})
+	if len(want) != 400 {
+		t.Fatalf("%d rows at 2 workers, want 400", len(want))
+	}
+	for run := range 3 {
+		if got := rows(ParOptions{MaxWorkers: 1}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d at 1 worker: rows %q…, want %q… as at 2 workers", run, got[:min(3, len(got))], want[:3])
+		}
+	}
+}
+
 // TestFilteredScanAllocations: the rows a pushed FILTER rejects cost no
 // allocation — ten times the rows, all filtered out, allocate what the
 // short scan does.

@@ -108,7 +108,8 @@ func (v *View) Split(s, p, o ID, size int) *Parts {
 // bucket appends member m's parts over the keys of idx, weighing a key by
 // its triples. One pass over the map collects the keys, a counting sort
 // groups them into about 4×triples/size equal-width ID ranges, and runs of
-// consecutive ranges holding at least size triples become parts.
+// consecutive ranges holding at least size triples become parts. A member
+// with at most size triples is one part, unsorted: its Scan sorts it.
 func bucket[V any](ps *Parts, m int, idx map[ID]V, size int, weight func(V) int) {
 	all := make([]keyed, 0, len(idx))
 	lo, hi, total := ^ID(0), ID(0), 0
@@ -118,6 +119,10 @@ func bucket[V any](ps *Parts, m int, idx map[ID]V, size int, weight func(V) int)
 		lo, hi, total = min(lo, k), max(hi, k), total+w
 	}
 	if len(all) == 0 {
+		return
+	}
+	if total <= size { // one part: nothing to group
+		ps.parts = append(ps.parts, part{m: m, keys: all, hi: len(all)})
 		return
 	}
 	nb := min(len(all), 4*total/size+1)
