@@ -676,8 +676,9 @@ func cmdCheckpoint(args []string) error {
 }
 
 // cmdClone clones a model copy-on-write under a new name — sub-second
-// even at paper scale, because only the outer index maps are copied and
-// triples are shared until either side diverges. The clone starts at a
+// even at paper scale, because the base run is shared and only the
+// delta's outer maps are copied, its triples shared until either side
+// diverges. The clone starts at a
 // fresh generation, so cached query results never alias source and
 // clone. With -url the clone happens on a running mdwd (and, in
 // -data-dir mode, lands in its write-ahead log); without, it runs

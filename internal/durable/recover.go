@@ -204,11 +204,11 @@ func loadBase(dict *store.Dict, snap *Snapshot) (map[string]*store.Model, error)
 }
 
 // buildModel returns a detached model holding ts at the given generation.
+// A checkpoint lists a model's triples ascending by (S, P, O), so its SPO
+// run is the list itself and only POS and OSP are sorted.
 func buildModel(name string, gen, basis uint64, ts []store.ETriple) (*store.Model, error) {
 	m := store.NewModel(name)
-	for _, et := range ts {
-		m.Add(et)
-	}
+	m.AddAll(ts)
 	if m.Len() != len(ts) {
 		return nil, fmt.Errorf("model %q: %d distinct triples loaded, checkpoint declared %d", name, m.Len(), len(ts))
 	}
@@ -273,9 +273,7 @@ func applyDelta(dict *store.Dict, models map[string]*store.Model, d *Delta, at u
 			for _, t := range md.Removed {
 				m.Remove(t)
 			}
-			for _, t := range md.Added {
-				m.Add(t)
-			}
+			m.AddAll(md.Added)
 			m.SetGen(md.Gen)
 			m.SetBasis(md.Basis)
 		case ModelWhole:
@@ -400,11 +398,12 @@ func applyRecord(st *store.Store, rec *Record) error {
 		}
 		return verifyGen(st, rec.Model, rec.Gen)
 	case store.OpInstall:
-		m := store.NewModel(rec.Model)
-		for _, t := range rec.Triples {
-			m.Add(intern(st.Dict(), t))
+		ts := make([]store.ETriple, len(rec.Triples))
+		for i, t := range rec.Triples {
+			ts[i] = intern(st.Dict(), t)
 		}
-		if m.Len() != len(rec.Triples) {
+		m := store.NewModel(rec.Model)
+		if m.AddAll(ts); m.Len() != len(rec.Triples) {
 			return fmt.Errorf("install: %d distinct triples, record declared %d", m.Len(), len(rec.Triples))
 		}
 		m.SetGen(rec.Gen)
@@ -428,9 +427,10 @@ func applyRecord(st *store.Store, rec *Record) error {
 			}
 		}
 		for i, t := range rec.Triples {
-			if added[i] = intern(st.Dict(), t); !m.Add(added[i]) {
-				return fmt.Errorf("extend: added triple already present (replay divergence)")
-			}
+			added[i] = intern(st.Dict(), t)
+		}
+		if n := len(m.AddAll(added)); n != len(added) {
+			return fmt.Errorf("extend: %d added triples already present (replay divergence)", len(added)-n)
 		}
 		m.SetGen(rec.Gen)
 		m.SetBasis(rec.Basis)

@@ -96,12 +96,19 @@ func (s *Server) observe(rw http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// MountPprof serves the runtime's profiles (heap, goroutine, allocs,
-// block, mutex, threadcreate) under /debug/pprof/ on the server's mux.
-// Off by default — mdwd enables it behind the -pprof flag, since profile
-// endpoints expose internals.
+// MountPprof serves the runtime's profiles under /debug/pprof/ on the
+// server's mux: the named ones (heap, goroutine, allocs, block, mutex,
+// threadcreate) through the index, and beside it a CPU profile
+// (profile?seconds=N), an execution trace (trace?seconds=N), symbol
+// lookup and the command line. Off by default — mdwd enables it behind
+// the -pprof flag, since profile endpoints expose internals.
 func (s *Server) MountPprof() {
 	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+	s.mux.HandleFunc("POST /debug/pprof/symbol", pprof.Symbol)
+	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }
 
 // handleMetrics serves the default registry in the Prometheus text

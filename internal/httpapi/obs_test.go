@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strconv"
 	"strings"
 	"testing"
 
+	"mdw/internal/core"
 	"mdw/internal/obs"
 	"mdw/internal/rdf"
 )
@@ -327,5 +329,38 @@ func TestServiceRoutesOneTraceEach(t *testing.T) {
 		if started := obs.DefaultTracer().Started() - startedBefore; started != 1 {
 			t.Errorf("%s started %d traces, want 1", path, started)
 		}
+	}
+}
+
+// TestMountPprof: with MountPprof the server answers a CPU profile (a
+// gzipped protobuf) and the heap profile; without it, neither route
+// exists.
+func TestMountPprof(t *testing.T) {
+	for _, mounted := range []bool{false, true} {
+		s := NewServer(core.New(""))
+		if mounted {
+			s.MountPprof()
+		}
+		srv := httptest.NewServer(s)
+		for _, path := range []string{"/debug/pprof/profile?seconds=1", "/debug/pprof/heap"} {
+			resp, err := http.Get(srv.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case !mounted && resp.StatusCode != http.StatusNotFound:
+				t.Errorf("without MountPprof, GET %s = %d, want 404", path, resp.StatusCode)
+			case mounted && resp.StatusCode != http.StatusOK:
+				t.Errorf("with MountPprof, GET %s = %d, want 200: %.200s", path, resp.StatusCode, body)
+			case mounted && strings.HasPrefix(path, "/debug/pprof/profile") && !bytes.HasPrefix(body, []byte{0x1f, 0x8b}):
+				t.Errorf("GET %s is not a gzipped profile: %.40q", path, body)
+			}
+		}
+		srv.Close()
 	}
 }

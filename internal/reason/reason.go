@@ -167,8 +167,12 @@ func pinEntailed(ctx context.Context, st *store.Store, model string) (*store.Vie
 	}
 	e := newEngine(st.Dict(), d.Base, d.Derived)
 
-	// The queue starts as the delta; everything the rules add beyond the
-	// closure goes to the index and to the queue's tail.
+	// The queue starts as the delta. The rules run over it in rounds: what
+	// a round derives beyond the closure is collected, goes to the index in
+	// one AddAll — a bulk merge for a large round, no map insert per
+	// triple — and its newly added triples form the next round. Every
+	// queued triple is in the closure before the rules run on it, so each
+	// rule still meets its other premise, whichever came later.
 	queue, nDelta := d.Added, len(d.Added)
 	var asserted []store.ETriple
 	for _, t := range queue {
@@ -176,13 +180,18 @@ func pinEntailed(ctx context.Context, st *store.Store, model string) (*store.Vie
 			asserted = append(asserted, t)
 		}
 	}
+	var derived []store.ETriple
 	emit := func(t store.ETriple) {
-		if !e.base.Contains(t) && e.idx.Add(t) {
-			queue = append(queue, t)
+		if !e.base.Contains(t) && !e.idx.Contains(t) {
+			derived = append(derived, t)
 		}
 	}
-	for i := 0; i < len(queue); i++ {
-		e.applyRules(queue[i], emit)
+	for i := 0; i < len(queue); {
+		for end := len(queue); i < end; i++ {
+			e.applyRules(queue[i], emit)
+		}
+		queue = append(queue, e.idx.AddAll(derived)...)
+		derived = derived[:0]
 	}
 	e.idx.SetBasis(d.Base.Gen())
 	st.InstallExtension(e.idx, d.PrevGen, queue[nDelta:], asserted)
@@ -335,10 +344,18 @@ func (e *engine) applyRules(t store.ETriple, emit func(store.ETriple)) {
 		emit(store.ETriple{S: o, P: e.subPropID, O: s})
 
 	case e.sameAsID:
+		// Transitivity, both join directions: a round sees the triples
+		// derived in it only in the next one, so the symmetric triple alone
+		// does not carry the chain.
 		emit(store.ETriple{S: o, P: e.sameAsID, O: s})
 		for _, z := range e.objects(o, e.sameAsID) {
 			if z != s {
 				emit(store.ETriple{S: s, P: e.sameAsID, O: z})
+			}
+		}
+		for _, a := range e.subjects(e.sameAsID, s) {
+			if a != o {
+				emit(store.ETriple{S: a, P: e.sameAsID, O: o})
 			}
 		}
 	}

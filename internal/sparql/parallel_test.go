@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -423,11 +424,7 @@ func TestParallelCancellation(t *testing.T) {
 	}
 
 	// Cancelled mid-execution: workers notice via the amortized probe.
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(500 * time.Microsecond)
-		cancel()
-	}()
+	ctx := cancelAfter(3)
 	_, err := runPlan(ctx, q.PlanOpts(src, dict, forcedPar(4)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-execution cancel returned %v, want context.Canceled", err)
@@ -435,14 +432,32 @@ func TestParallelCancellation(t *testing.T) {
 	waitForGoroutines(t, base)
 
 	// The serial pipeline honors cancellation too.
-	sctx, scancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(500 * time.Microsecond)
-		scancel()
-	}()
-	if _, err := runPlan(sctx, q.PlanOpts(src, dict, serialPar())); !errors.Is(err, context.Canceled) {
+	if _, err := runPlan(cancelAfter(3), q.PlanOpts(src, dict, serialPar())); !errors.Is(err, context.Canceled) {
 		t.Fatalf("serial cancel returned %v, want context.Canceled", err)
 	}
+}
+
+// probeCanceled is a context whose Err turns context.Canceled after its
+// k-th call. The execution calls Err once before it starts and then every
+// cancelTick steps, so the context cancels a run in the middle, after the
+// same amount of work on every schedule, with no clock involved.
+type probeCanceled struct {
+	context.Context
+	k      int64
+	probes atomic.Int64
+}
+
+// cancelAfter returns a context cancelled at its k-th probe after the
+// first.
+func cancelAfter(k int64) *probeCanceled {
+	return &probeCanceled{Context: context.Background(), k: k}
+}
+
+func (c *probeCanceled) Err() error {
+	if c.probes.Add(1) > c.k {
+		return context.Canceled
+	}
+	return nil
 }
 
 // TestParallelKeyFilterCancellation: a per-key FILTER that rejects every
@@ -490,12 +505,7 @@ func TestParallelPathCancellation(t *testing.T) {
 	src, dict := chainFixture(t, 4000)
 	q := sparql.MustParse(`SELECT ?s ?o WHERE { ?s <http://d/e>+ ?o }`)
 	base := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(500 * time.Microsecond)
-		cancel()
-	}()
-	if _, err := runPlan(ctx, q.PlanOpts(src, dict, forcedPar(4))); !errors.Is(err, context.Canceled) {
+	if _, err := runPlan(cancelAfter(3), q.PlanOpts(src, dict, forcedPar(4))); !errors.Is(err, context.Canceled) {
 		t.Fatalf("path cancel returned %v, want context.Canceled", err)
 	}
 	waitForGoroutines(t, base)

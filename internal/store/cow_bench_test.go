@@ -1,7 +1,9 @@
 package store
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -26,12 +28,18 @@ func benchCloneModel(n int) *Model {
 }
 
 // deepCloneModel is the pre-copy-on-write Clone implementation — every
-// inner map and posting list copied eagerly — retained here as the
-// baseline the COW clone is measured against.
+// inner map and posting list of the delta copied eagerly, and the base
+// and the tombstones with it — retained here as the baseline the COW
+// clone is measured against.
 func deepCloneModel(m *Model, name string) *Model {
 	c := NewModel(name)
 	c.size = m.size
 	c.gen = m.gen
+	c.base = &frozen{}
+	for ix, r := range m.base.ix {
+		c.base.ix[ix] = run{keys: slices.Clone(r.keys), off: slices.Clone(r.off), b: slices.Clone(r.b), c: slices.Clone(r.c), nkeys: r.nkeys}
+	}
+	c.tomb, c.dsize = maps.Clone(m.tomb), m.dsize
 	c.spo = deepIdx(m.spo)
 	c.pos = deepIdx(m.pos)
 	c.osp = deepIdx(m.osp)
@@ -58,8 +66,10 @@ func deepIdx(idx map[ID]map[ID][]ID) map[ID]map[ID][]ID {
 
 // BenchmarkCloneModel compares the copy-on-write clone against the old
 // deep copy at two sizes; "paper" approximates the ~1M-triple graph of
-// the paper's landscape. The COW variant's cost is O(distinct subjects +
-// predicates + objects) outer-map copies, not O(triples).
+// the paper's landscape. The COW variant shares the base and copies the
+// delta's outer maps: O(delta keys), not O(triples). A model grown by
+// single Adds carries up to an eighth of its triples in the delta;
+// cow-bulk clones the same triples loaded in one batch, which leaves none.
 func BenchmarkCloneModel(b *testing.B) {
 	for _, size := range []struct {
 		name string
@@ -79,6 +89,17 @@ func BenchmarkCloneModel(b *testing.B) {
 				_ = deepCloneModel(m, "c")
 			}
 			b.ReportMetric(float64(m.Len()), "triples")
+		})
+		// The same triples as one bulk load, as staging and recovery build
+		// a model: all base, no delta.
+		bulk := NewModel("bulk")
+		bulk.AddAll(m.sorted())
+		b.Run("cow-bulk/"+size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = bulk.Clone("c")
+			}
+			b.ReportMetric(float64(bulk.Len()), "triples")
 		})
 	}
 }

@@ -5,7 +5,9 @@
 // (Section III.B). This package plays that role: triples live in named
 // models (SEM_MODELS('DWH_CURR') in Listing 1 addresses one such model),
 // terms are dictionary-encoded once, and each model keeps SPO/POS/OSP
-// indexes so that every triple-pattern access path is supported.
+// indexes so that every triple-pattern access path is supported: sorted
+// runs for the bulk a release loads, and small maps for what was written
+// since.
 package store
 
 import (

@@ -136,29 +136,13 @@ func (v *View) States() []ModelState {
 	return states
 }
 
-// sorted returns the model's triples ascending by (S, P, O). The SPO index
-// has them grouped already, so only its keys are sorted, level by level:
-// several times cheaper than sorting the triples, at a million of them.
+// sorted returns the model's triples ascending by (S, P, O): the base's
+// SPO run, already in that order, merged with the sorted delta.
 func (m *Model) sorted() []ETriple {
 	out := make([]ETriple, 0, m.size)
-	var preds []ID
-	for _, s := range sortedKeys(m.spo) {
-		ps := m.spo[s]
-		preds = preds[:0]
-		for p := range ps {
-			preds = append(preds, p)
-		}
-		slices.Sort(preds)
-		for _, p := range preds {
-			lo := len(out)
-			for _, o := range ps[p] {
-				out = append(out, ETriple{S: s, P: p, O: o})
-			}
-			if len(out)-lo > 1 {
-				SortETriples(out[lo:])
-			}
-		}
-	}
+	m.base.ix[0].walk(0, m.tomb, m.deltaSorted(), func(s, p, o ID) {
+		out = append(out, ETriple{S: s, P: p, O: o})
+	})
 	return out
 }
 
@@ -176,13 +160,16 @@ func (s *Store) CaptureState(observe func()) ([]ModelState, []rdf.Term) {
 
 // SortETriples sorts encoded triples ascending by (S, P, O).
 func SortETriples(ts []ETriple) {
-	slices.SortFunc(ts, func(a, b ETriple) int {
-		if c := cmp.Compare(a.S, b.S); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.P, b.P); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.O, b.O)
-	})
+	slices.SortFunc(ts, compareSPO)
+}
+
+// compareSPO orders encoded triples by (S, P, O).
+func compareSPO(a, b ETriple) int {
+	if c := cmp.Compare(a.S, b.S); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.P, b.P); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.O, b.O)
 }

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -36,16 +38,32 @@ type CardEstimator interface {
 }
 
 // Model is one named RDF model: a set of encoded triples maintained under
-// three access-path indexes (SPO, POS, OSP) so that any triple pattern can
-// be answered with at most one map walk. Model is not itself locked: the
-// owning Store serializes mutation of its live models, and the models it
-// hands to readers (Store.Snapshot) are versions nobody writes any more.
+// three access paths (SPO, POS, OSP) so that any triple pattern is one
+// range of one index. The bulk of the triples is a frozen base (three
+// sorted runs, see frozen) that no write ever touches; what was added
+// since it was built is a small delta of nested maps, and what was
+// removed from it a set of tombstones. A write that leaves the delta and
+// the tombstones past a fixed share of the base folds them into a new
+// base (merge), and a bulk AddAll builds one directly. Model is not itself
+// locked: the owning Store serializes mutation of its live models, and the
+// models it hands to readers (Store.Snapshot) are versions nobody writes
+// any more.
 type Model struct {
 	name string
-	spo  map[ID]map[ID][]ID // subject -> predicate -> objects
-	pos  map[ID]map[ID][]ID // predicate -> object -> subjects
-	osp  map[ID]map[ID][]ID // object -> subject -> predicates
-	size int
+	// base holds the bulk of the triples, shared by pointer with every copy
+	// of the model taken since it was built; tomb holds the base triples
+	// removed since. tombShared says tomb is shared with a copy too, so the
+	// next write to it copies it first.
+	base       *frozen
+	tomb       map[ETriple]struct{}
+	tombShared bool
+	// spo, pos and osp index the delta: the triples added since the base
+	// was built, none of them in the base.
+	spo   map[ID]map[ID][]ID // subject -> predicate -> objects
+	pos   map[ID]map[ID][]ID // predicate -> object -> subjects
+	osp   map[ID]map[ID][]ID // object -> subject -> predicates
+	dsize int                // delta triples
+	size  int
 	// predSize counts triples per predicate so Count(W, p, W) — the
 	// planner's most common statistics probe — is O(1).
 	predSize map[ID]int
@@ -64,10 +82,10 @@ type Model struct {
 	// basis is the generation of the base model this model was derived
 	// from (index models and clones; 0 = not a recorded derivation).
 	basis uint64
-	// ownSPO/ownPOS/ownOSP implement copy-on-write index sharing between
-	// a model and its clones. nil means no clone was ever taken: every
-	// inner index node is privately owned and mutations touch it in
-	// place (the common case pays one nil check). After Clone both sides
+	// ownSPO/ownPOS/ownOSP implement copy-on-write sharing of the delta
+	// between a model and its copies. nil means no copy was ever taken:
+	// every inner delta node is privately owned and mutations touch it in
+	// place (the common case pays one nil check). After a copy both sides
 	// get empty ownership sets — every inner node is shared — and the
 	// first mutation of a shared node copies it (inner map and slices)
 	// before writing, marking the node owned. Readers never consult
@@ -89,6 +107,17 @@ type Model struct {
 	feed uint64
 }
 
+// mergeFloor and mergeShare set when the delta is folded into the base:
+// once the delta's triples and the tombstones together reach a
+// 1/mergeShare fraction of the base, mergeFloor at least. A merge costs a
+// pass over the base, so each triple is merged a bounded number of times
+// however the model grows, while the delta — which every copy of the
+// model copies — stays a small share of it.
+const (
+	mergeFloor = 1024
+	mergeShare = 8
+)
+
 // modelUIDs allocates Model.uid values.
 var modelUIDs atomic.Uint64
 
@@ -96,6 +125,7 @@ var modelUIDs atomic.Uint64
 func NewModel(name string) *Model {
 	return &Model{
 		name:     name,
+		base:     noBase,
 		spo:      make(map[ID]map[ID][]ID),
 		pos:      make(map[ID]map[ID][]ID),
 		osp:      make(map[ID]map[ID][]ID),
@@ -143,14 +173,86 @@ func (m *Model) Add(t ETriple) bool {
 	if m.Contains(t) {
 		return false
 	}
-	m.cowFor(t)
-	addIdx(m.spo, t.S, t.P, t.O)
-	addIdx(m.pos, t.P, t.O, t.S)
-	addIdx(m.osp, t.O, t.S, t.P)
+	if _, ok := m.tomb[t]; ok {
+		m.ownTomb()
+		delete(m.tomb, t)
+	} else {
+		m.cowFor(t)
+		addIdx(m.spo, t.S, t.P, t.O)
+		addIdx(m.pos, t.P, t.O, t.S)
+		addIdx(m.osp, t.O, t.S, t.P)
+		m.dsize++
+	}
 	m.predSize[t.P]++
 	m.size++
 	m.gen++
+	m.mergeIfDue()
 	return true
+}
+
+// AddAll adds the triples of ts the model lacks and returns them, each
+// once, in the order of ts; when that is all of ts, the result is ts
+// itself. A batch smaller than what the delta may hold before a merge is
+// added triple by triple; a larger one is sorted, deduplicated and merged
+// with the base directly, touching no map. A batch sorted ascending by
+// (S, P, O) without repeats, added to an empty model, is not even sorted.
+func (m *Model) AddAll(ts []ETriple) []ETriple {
+	if len(ts) < m.mergeAt() {
+		var added []ETriple
+		for _, t := range ts {
+			if m.Add(t) {
+				added = append(added, t)
+			}
+		}
+		return added
+	}
+	fresh := ts
+	if m.size > 0 || !strictlySorted(ts) {
+		fresh = sortedSet(ts)
+		n := 0
+		for _, t := range fresh {
+			if !m.Contains(t) {
+				fresh[n] = t
+				n++
+			}
+		}
+		fresh = fresh[:n]
+	}
+	added := ts
+	if len(fresh) != len(ts) {
+		added = inOrder(ts, fresh)
+	}
+	m.merge(fresh)
+	for _, t := range fresh {
+		m.predSize[t.P]++
+	}
+	m.size += len(fresh)
+	m.gen += uint64(len(fresh))
+	return added
+}
+
+// strictlySorted reports whether ts ascends by (S, P, O) without repeats.
+func strictlySorted(ts []ETriple) bool {
+	for i := 1; i < len(ts); i++ {
+		if compareSPO(ts[i-1], ts[i]) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// inOrder returns the triples of ts that set — sorted, distinct — holds,
+// in the order of ts, each at its first occurrence.
+func inOrder(ts, set []ETriple) []ETriple {
+	out := make([]ETriple, 0, len(set))
+	taken := make([]bool, len(set))
+	for _, t := range ts {
+		if i, ok := slices.BinarySearchFunc(set, t, compareSPO); ok && !taken[i] {
+			taken[i] = true
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // Remove deletes the encoded triple and reports whether it was present.
@@ -158,36 +260,154 @@ func (m *Model) Remove(t ETriple) bool {
 	if !m.Contains(t) {
 		return false
 	}
-	m.cowFor(t)
-	removeIdx(m.spo, t.S, t.P, t.O)
-	removeIdx(m.pos, t.P, t.O, t.S)
-	removeIdx(m.osp, t.O, t.S, t.P)
+	if m.inDelta(t) {
+		m.cowFor(t)
+		removeIdx(m.spo, t.S, t.P, t.O)
+		removeIdx(m.pos, t.P, t.O, t.S)
+		removeIdx(m.osp, t.O, t.S, t.P)
+		m.dsize--
+	} else {
+		m.ownTomb()
+		if m.tomb == nil {
+			m.tomb = make(map[ETriple]struct{})
+		}
+		m.tomb[t] = struct{}{}
+	}
 	if m.predSize[t.P]--; m.predSize[t.P] == 0 {
 		delete(m.predSize, t.P)
 	}
 	m.size--
 	m.gen++
+	m.mergeIfDue()
 	return true
 }
 
 // Contains reports whether the triple is present.
 func (m *Model) Contains(t ETriple) bool {
-	ps, ok := m.spo[t.S]
-	if !ok {
-		return false
+	if m.base.ix[0].has(t.S, t.P, t.O) {
+		return !m.dead(t)
 	}
-	for _, o := range ps[t.P] {
-		if o == t.O {
-			return true
-		}
-	}
-	return false
+	return m.inDelta(t)
 }
 
-// cowFor makes the three index nodes the triple lands in safe to mutate:
-// on a model that shares nodes with a clone (or its source), any node not
+// inDelta reports whether the delta holds the triple.
+func (m *Model) inDelta(t ETriple) bool {
+	return slices.Contains(m.spo[t.S][t.P], t.O)
+}
+
+// dead reports whether t, a base triple, was removed.
+func (m *Model) dead(t ETriple) bool {
+	if len(m.tomb) == 0 {
+		return false
+	}
+	_, ok := m.tomb[t]
+	return ok
+}
+
+// deadIn counts the removed triples among positions lo..hi of path ix's
+// run, which all have key a and, unless it is Wildcard, second position
+// b: by probing each position, or by testing each tombstone against that
+// pattern when there are fewer tombstones than positions.
+func (m *Model) deadIn(ix int, a, b ID, lo, hi int) int {
+	if len(m.tomb) == 0 || lo == hi {
+		return 0
+	}
+	n := 0
+	if len(m.tomb) < hi-lo {
+		pat := unorder(ix, a, b, Wildcard)
+		for t := range m.tomb {
+			if matches(t, pat) {
+				n++
+			}
+		}
+		return n
+	}
+	r := &m.base.ix[ix]
+	for x := lo; x < hi; x++ {
+		if m.dead(unorder(ix, a, r.b[x], r.c[x])) {
+			n++
+		}
+	}
+	return n
+}
+
+// matches reports whether t matches pattern pat (Wildcard matching
+// anything).
+func matches(t, pat ETriple) bool {
+	return (pat.S == Wildcard || t.S == pat.S) && (pat.P == Wildcard || t.P == pat.P) && (pat.O == Wildcard || t.O == pat.O)
+}
+
+// ownTomb makes the tombstone set safe to write: a set shared with a copy
+// is copied first.
+func (m *Model) ownTomb() {
+	if m.tombShared {
+		m.tomb, m.tombShared = maps.Clone(m.tomb), false
+	}
+}
+
+// mergeAt returns how many delta triples and tombstones together start a
+// merge.
+func (m *Model) mergeAt() int {
+	return max(mergeFloor, m.base.size()/mergeShare)
+}
+
+// mergeIfDue merges once the delta and the tombstones reach mergeAt.
+func (m *Model) mergeIfDue() {
+	if m.dsize+len(m.tomb) >= m.mergeAt() {
+		m.merge(nil)
+	}
+}
+
+// merge replaces the base by one that holds the model's every triple plus
+// extra — sorted by (S, P, O), none of them in the model — and empties the
+// delta and the tombstones. The contents, and with them the generation
+// and the change feed, stay as they are (AddAll accounts for extra); the
+// old base and delta stay untouched for the copies that share them.
+func (m *Model) merge(extra []ETriple) {
+	if m.dsize > 0 {
+		extra = mergeSorted(extra, m.deltaSorted())
+	}
+	m.base = build(m.base, m.tomb, extra)
+	m.tomb, m.tombShared = nil, false
+	m.spo = make(map[ID]map[ID][]ID)
+	m.pos = make(map[ID]map[ID][]ID)
+	m.osp = make(map[ID]map[ID][]ID)
+	m.ownSPO, m.ownPOS, m.ownOSP = nil, nil, nil
+	m.dsize = 0
+}
+
+// deltaSorted returns the delta's triples ascending by (S, P, O).
+func (m *Model) deltaSorted() []ETriple {
+	out := make([]ETriple, 0, m.dsize)
+	for s, ps := range m.spo {
+		for p, objs := range ps {
+			for _, o := range objs {
+				out = append(out, ETriple{S: s, P: p, O: o})
+			}
+		}
+	}
+	SortETriples(out)
+	return out
+}
+
+// mergeSorted returns the union of two disjoint lists sorted by
+// (S, P, O), sorted.
+func mergeSorted(x, y []ETriple) []ETriple {
+	out := make([]ETriple, 0, len(x)+len(y))
+	for len(x) > 0 && len(y) > 0 {
+		if compareSPO(x[0], y[0]) < 0 {
+			out, x = append(out, x[0]), x[1:]
+		} else {
+			out, y = append(out, y[0]), y[1:]
+		}
+	}
+	return append(append(out, x...), y...)
+}
+
+// cowFor makes the three delta nodes the triple lands in safe to mutate:
+// on a model that shares nodes with a copy (or its source), any node not
 // yet owned is copied before addIdx/removeIdx write into it. Models that
-// were never cloned have nil ownership sets and return immediately.
+// were never copied have nil ownership sets and return immediately.
 func (m *Model) cowFor(t ETriple) {
 	if m.ownSPO == nil {
 		return
@@ -251,62 +471,92 @@ func removeIdx(idx map[ID]map[ID][]ID, a, b, c ID) {
 	}
 }
 
+// path returns the access path a pattern is read from (0 SPO, 1 POS,
+// 2 OSP) and the pattern's leading bound positions in that path's order,
+// Wildcard when free: ForEach's and Split's choice of index. A fully
+// bound pattern reads SPO with a and b bound.
+func path(s, p, o ID) (ix int, a, b ID) {
+	switch {
+	case s != Wildcard && p != Wildcard:
+		return 0, s, p
+	case p != Wildcard && o != Wildcard:
+		return 1, p, o
+	case s != Wildcard && o != Wildcard:
+		return 2, o, s
+	case s != Wildcard:
+		return 0, s, Wildcard
+	case p != Wildcard:
+		return 1, p, Wildcard
+	case o != Wildcard:
+		return 2, o, Wildcard
+	}
+	return 0, Wildcard, Wildcard
+}
+
+// index returns the delta's SPO (0), POS (1) or OSP (2) index.
+func (m *Model) index(ix int) map[ID]map[ID][]ID {
+	switch ix {
+	case 1:
+		return m.pos
+	case 2:
+		return m.osp
+	}
+	return m.spo
+}
+
 // ForEach streams every triple matching the pattern (Wildcard entries
 // match anything) to fn. Iteration stops early when fn returns false.
-// The traversal picks the most selective index for the bound positions.
+// The traversal reads one range of the most selective path for the bound
+// positions: the base's, in path order, then the delta's.
 func (m *Model) ForEach(s, p, o ID, fn func(ETriple) bool) {
+	if s != Wildcard && p != Wildcard && o != Wildcard {
+		if t := (ETriple{s, p, o}); m.Contains(t) {
+			fn(t)
+		}
+		return
+	}
+	ix, a, b := path(s, p, o)
+	r, idx, live := &m.base.ix[ix], m.index(ix), len(m.tomb) == 0
 	switch {
-	case s != Wildcard && p != Wildcard && o != Wildcard:
-		if m.Contains(ETriple{s, p, o}) {
-			fn(ETriple{s, p, o})
-		}
-	case s != Wildcard && p != Wildcard:
-		for _, obj := range m.spo[s][p] {
-			if !fn(ETriple{s, p, obj}) {
+	case b != Wildcard:
+		lo, hi := r.pair(a, b)
+		for x := lo; x < hi; x++ {
+			if t := unorder(ix, a, b, r.c[x]); (live || !m.dead(t)) && !fn(t) {
 				return
 			}
 		}
-	case p != Wildcard && o != Wildcard:
-		for _, sub := range m.pos[p][o] {
-			if !fn(ETriple{sub, p, o}) {
+		for _, c := range idx[a][b] {
+			if !fn(unorder(ix, a, b, c)) {
 				return
 			}
 		}
-	case s != Wildcard && o != Wildcard:
-		for _, pred := range m.osp[o][s] {
-			if !fn(ETriple{s, pred, o}) {
+	case a != Wildcard:
+		lo, hi := r.span(a)
+		for x := lo; x < hi; x++ {
+			if t := unorder(ix, a, r.b[x], r.c[x]); (live || !m.dead(t)) && !fn(t) {
 				return
 			}
 		}
-	case s != Wildcard:
-		for pred, objs := range m.spo[s] {
-			for _, obj := range objs {
-				if !fn(ETriple{s, pred, obj}) {
-					return
-				}
-			}
-		}
-	case p != Wildcard:
-		for obj, subs := range m.pos[p] {
-			for _, sub := range subs {
-				if !fn(ETriple{sub, p, obj}) {
-					return
-				}
-			}
-		}
-	case o != Wildcard:
-		for sub, preds := range m.osp[o] {
-			for _, pred := range preds {
-				if !fn(ETriple{sub, pred, o}) {
+		for b, cs := range idx[a] {
+			for _, c := range cs {
+				if !fn(unorder(ix, a, b, c)) {
 					return
 				}
 			}
 		}
 	default:
-		for sub, ps := range m.spo {
-			for pred, objs := range ps {
-				for _, obj := range objs {
-					if !fn(ETriple{sub, pred, obj}) {
+		for slot := 0; slot+1 < len(r.off); slot++ {
+			a := r.key(slot)
+			for x := r.off[slot]; x < r.off[slot+1]; x++ {
+				if t := (ETriple{a, r.b[x], r.c[x]}); (live || !m.dead(t)) && !fn(t) {
+					return
+				}
+			}
+		}
+		for s, ps := range m.spo {
+			for p, objs := range ps {
+				for _, o := range objs {
+					if !fn(ETriple{s, p, o}) {
 						return
 					}
 				}
@@ -316,36 +566,35 @@ func (m *Model) ForEach(s, p, o ID, fn func(ETriple) bool) {
 }
 
 // Count returns the number of triples matching the pattern without
-// materializing them. Every access path is answered from an index (plus
-// the predSize counter for predicate-only patterns), so the planner can
-// probe cardinalities freely.
+// materializing them: a range length of the base less its tombstones,
+// plus the delta's (or the predSize counter for predicate-only
+// patterns), so the planner can probe cardinalities freely.
 func (m *Model) Count(s, p, o ID) int {
-	n := 0
 	switch {
 	case s != Wildcard && p != Wildcard && o != Wildcard:
 		if m.Contains(ETriple{s, p, o}) {
-			n = 1
+			return 1
 		}
-	case s != Wildcard && p != Wildcard:
-		n = len(m.spo[s][p])
-	case p != Wildcard && o != Wildcard:
-		n = len(m.pos[p][o])
-	case s != Wildcard && o != Wildcard:
-		n = len(m.osp[o][s])
-	case p != Wildcard:
-		n = m.predSize[p]
-	case s != Wildcard:
-		for _, objs := range m.spo[s] {
-			n += len(objs)
+		return 0
+	case s == Wildcard && o == Wildcard:
+		if p == Wildcard {
+			return m.size
 		}
-	case o != Wildcard:
-		for _, preds := range m.osp[o] {
-			n += len(preds)
-		}
-	default:
-		n = m.size
+		return m.predSize[p]
 	}
-	return n
+	ix, a, b := path(s, p, o)
+	r, inner := &m.base.ix[ix], m.index(ix)[a]
+	lo, hi := r.span(a)
+	n := 0
+	if b != Wildcard {
+		lo, hi = r.sub(lo, hi, b)
+		n = len(inner[b])
+	} else {
+		for _, cs := range inner {
+			n += len(cs)
+		}
+	}
+	return n + hi - lo - m.deadIn(ix, a, b, lo, hi)
 }
 
 // EstCount implements CardEstimator; a single model's counts are exact
@@ -365,24 +614,82 @@ func (m *Model) PredStats(p ID) PredStats {
 	if ps, ok := m.predStats[p]; ok {
 		return ps
 	}
-	ps := PredStats{Triples: m.predSize[p], DistinctObjects: len(m.pos[p])}
-	subjects := make(map[ID]struct{})
-	for _, subs := range m.pos[p] {
+	ps := PredStats{Triples: m.predSize[p]}
+	var subjects idSet
+	// The base's objects ascend within p's range: count each live one once.
+	r, last := &m.base.ix[1], Wildcard
+	lo, hi := r.span(p)
+	for x := lo; x < hi; x++ {
+		if m.dead(ETriple{S: r.c[x], P: p, O: r.b[x]}) {
+			continue
+		}
+		if r.b[x] != last {
+			ps.DistinctObjects++
+			last = r.b[x]
+		}
+		subjects.add(r.c[x])
+	}
+	for o, subs := range m.pos[p] {
+		if l, h := r.sub(lo, hi, o); h-l == m.deadIn(1, p, o, l, h) {
+			ps.DistinctObjects++ // no live base triple has it
+		}
 		for _, s := range subs {
-			subjects[s] = struct{}{}
+			subjects.add(s)
 		}
 	}
-	ps.DistinctSubjects = len(subjects)
+	ps.DistinctSubjects = subjects.n
 	m.predStats[p] = ps
 	return ps
+}
+
+// idSet is a set of IDs as a bitmap.
+type idSet struct {
+	words []uint64
+	n     int
+}
+
+func (s *idSet) add(id ID) {
+	w := int(id >> 6)
+	if w >= len(s.words) {
+		s.words = append(s.words, make([]uint64, w+1-len(s.words))...)
+	}
+	if bit := uint64(1) << (id & 63); s.words[w]&bit == 0 {
+		s.words[w] |= bit
+		s.n++
+	}
+}
+
+// keys returns the number of distinct first positions of path ix's
+// triples: distinct subjects (0), predicates (1) or objects (2).
+func (m *Model) keys(ix int) int {
+	r := &m.base.ix[ix]
+	n := r.nkeys
+	// A base key is gone when the tombstones cover its every triple.
+	var dead map[ID]int
+	if len(m.tomb) > 0 {
+		dead = make(map[ID]int)
+		for t := range m.tomb {
+			a, _, _ := order(t, ix)
+			dead[a]++
+		}
+		for a, k := range dead {
+			if lo, hi := r.span(a); hi-lo == k {
+				n--
+			}
+		}
+	}
+	for a := range m.index(ix) {
+		if lo, hi := r.span(a); hi-lo == dead[a] {
+			n++ // no live base triple has it
+		}
+	}
+	return n
 }
 
 // Subjects returns the distinct subjects of triples matching (p, o).
 func (m *Model) Subjects(p, o ID) []ID {
 	if p != Wildcard && o != Wildcard {
-		out := make([]ID, len(m.pos[p][o]))
-		copy(out, m.pos[p][o])
-		return out
+		return m.thirds(1, p, o)
 	}
 	seen := make(map[ID]bool)
 	var out []ID
@@ -399,9 +706,7 @@ func (m *Model) Subjects(p, o ID) []ID {
 // Objects returns the objects of triples matching (s, p).
 func (m *Model) Objects(s, p ID) []ID {
 	if s != Wildcard && p != Wildcard {
-		out := make([]ID, len(m.spo[s][p]))
-		copy(out, m.spo[s][p])
-		return out
+		return m.thirds(0, s, p)
 	}
 	seen := make(map[ID]bool)
 	var out []ID
@@ -415,12 +720,31 @@ func (m *Model) Objects(s, p ID) []ID {
 	return out
 }
 
+// thirds returns, in a fresh slice, the third positions of path ix's
+// triples whose first two are a and b.
+func (m *Model) thirds(ix int, a, b ID) []ID {
+	r, dl := &m.base.ix[ix], m.index(ix)[a][b]
+	lo, hi := r.pair(a, b)
+	out := make([]ID, 0, hi-lo+len(dl))
+	if len(m.tomb) == 0 {
+		out = append(out, r.c[lo:hi]...)
+	} else {
+		for x := lo; x < hi; x++ {
+			if !m.dead(unorder(ix, a, b, r.c[x])) {
+				out = append(out, r.c[x])
+			}
+		}
+	}
+	return append(out, dl...)
+}
+
 // Clone returns a copy-on-write copy of the model under a new name.
 // Historization uses this to snapshot a release before the next one
 // mutates it; the reasoner uses it to compute entailment closures off to
-// the side. Only the outer index maps are copied — inner nodes are
-// shared until either side first mutates them (see cowFor) — so a clone
-// costs O(distinct terms), not O(triples).
+// the side. The base is shared by pointer and only the delta's outer maps
+// are copied — its inner nodes are shared until either side first
+// mutates them (see cowFor), the tombstones until either side first
+// writes them — so a clone costs O(delta keys), not O(triples).
 //
 // The copy gets a generation disjoint from the source's: its high word
 // is one past the source's, so the two generation sequences can never
@@ -439,15 +763,16 @@ func (m *Model) cloneAt(name string, gen uint64) *Model {
 	c.size = m.size
 	c.gen = gen
 	c.basis = m.gen
+	c.base, c.dsize = m.base, m.dsize
+	if c.tomb = m.tomb; c.tomb != nil {
+		m.tombShared, c.tombShared = true, true
+	}
 	c.spo = copyOuter(m.spo)
 	c.pos = copyOuter(m.pos)
 	c.osp = copyOuter(m.osp)
-	c.predSize = make(map[ID]int, len(m.predSize))
-	for p, n := range m.predSize {
-		c.predSize[p] = n
-	}
-	// Every inner node is now shared between m and c: reset ownership on
-	// both sides so the first mutation of a node copies it first.
+	c.predSize = maps.Clone(m.predSize)
+	// Every inner delta node is now shared between m and c: reset
+	// ownership on both sides so the first mutation of a node copies it.
 	m.ownSPO, m.ownPOS, m.ownOSP = map[ID]bool{}, map[ID]bool{}, map[ID]bool{}
 	c.ownSPO, c.ownPOS, c.ownOSP = map[ID]bool{}, map[ID]bool{}, map[ID]bool{}
 	return c
@@ -458,14 +783,15 @@ func (m *Model) cloneAt(name string, gen uint64) *Model {
 // split a model into the version readers hold and the live model writers
 // move on: whichever of the two stays unwritten is the version, and the
 // other's next mutation takes it to a generation the version never had.
+// Like a clone it shares the base and copies the delta's outer maps.
 func (m *Model) fork() *Model {
 	c := m.cloneAt(m.name, m.gen)
 	c.basis, c.uid, c.feed = m.basis, m.uid, m.feed
 	return c
 }
 
-// copyOuter copies only the outer map of one index; the inner maps (and
-// their slices) stay shared until cowNode copies them on first write.
+// copyOuter copies only the outer map of one delta index; the inner maps
+// (and their slices) stay shared until cowNode copies them on first write.
 func copyOuter(idx map[ID]map[ID][]ID) map[ID]map[ID][]ID {
 	out := make(map[ID]map[ID][]ID, len(idx))
 	for a, inner := range idx {

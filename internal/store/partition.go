@@ -7,27 +7,31 @@ import "slices"
 // morsel scan hands the parts out to its workers.
 type Parts struct {
 	v *View
-	// ix is the index the pattern walks (0 SPO, 1 POS, 2 OSP), a and b its
-	// bound leading keys in that index's order (Wildcard when free), and c
-	// the bound third position of a fully bound pattern.
+	// ix is the path the pattern reads (see path), a and b its bound
+	// leading keys in that path's order (Wildcard when free), and c the
+	// bound third position of a fully bound pattern.
 	ix      int
 	a, b, c ID
 	key     int // KeyPos of the pattern
 	parts   []part
 }
 
-// part is a run of one member's enumeration: keys[lo:hi] of the index keys
-// it walks, grouped by ID range, or entries lo..hi of the index slice a
-// pattern with two bound positions reads.
+// part is a stretch of one member's enumeration: positions lo..hi of the
+// member's base run and entries dlo..dhi of its delta. For a pattern that
+// walks keys, the delta's entries are its keys (dkeys, ascending, shared
+// by the member's parts) and the part is a run of ascending keys whose
+// triples all lie inside it; for a pattern with two bound positions, they
+// are the delta's list of third positions, read after the base's.
 type part struct {
-	m      int
-	keys   []keyed
-	lo, hi int
+	m        int
+	lo, hi   int
+	dkeys    []keyed
+	dlo, dhi int
 }
 
-// keyed is a walked index key packed with its weight, the number of the
-// member's triples under it: key in the high half, so that sorting packed
-// values sorts by key (a part holds each key once).
+// keyed is a walked delta key packed with its weight, the number of the
+// delta's triples under it: key in the high half, so that sorting packed
+// values sorts by key.
 type keyed uint64
 
 func pack(k ID, w int) keyed { return keyed(uint64(k)<<32 | uint64(uint32(w))) }
@@ -52,105 +56,107 @@ func KeyPos(s, p, o bool) int {
 
 // Split cuts the pattern's matches into parts of about size (>= 1) triples.
 // Scanning the parts in order enumerates the matches in one fixed order:
-// member by member, a member's walked index keys in ascending ID order (a
-// pattern with two bound positions in index-slice order, the order ForEach
-// streams), and a triple an earlier member holds skipped, as ForEach skips
-// it. For a view nobody writes, every call agrees, whatever the size.
+// member by member, a member's walked index keys in ascending ID order,
+// each key's base triples in path order before its delta's (a pattern
+// with two bound positions in the order ForEach streams), and a triple an
+// earlier member holds skipped, as ForEach skips it. For a view nobody
+// writes, every call agrees, whatever the size. A key's triples are never
+// split across parts.
 //
-// Split itself only buckets: one pass over each member's walked keys
-// groups them by ID range, sorting nothing and copying no triple, and
-// keeps each key's triple count beside it. A part's keys are tested and
-// sorted by its Scan, so that work runs wherever the parts are scanned.
-// A key's triples are never split across parts.
+// Over a member's base Split only searches: a part ends at the key group
+// that holds its size-th triple, found from the run's offsets, so it
+// copies no triple and visits no key. Only the delta's keys are collected
+// and sorted, and the delta is small.
 func (v *View) Split(s, p, o ID, size int) *Parts {
 	ps := &Parts{v: v, key: KeyPos(s != Wildcard, p != Wildcard, o != Wildcard)}
-	switch { // ForEach's choice of index
-	case s != Wildcard && p != Wildcard:
-		ps.a, ps.b, ps.c = s, p, o
-	case p != Wildcard && o != Wildcard:
-		ps.ix, ps.a, ps.b = 1, p, o
-	case s != Wildcard && o != Wildcard:
-		ps.ix, ps.a, ps.b = 2, o, s
-	case s != Wildcard:
-		ps.a = s
-	case p != Wildcard:
-		ps.ix, ps.a = 1, p
-	case o != Wildcard:
-		ps.ix, ps.a = 2, o
+	ps.ix, ps.a, ps.b = path(s, p, o)
+	if s != Wildcard && p != Wildcard {
+		ps.c = o
 	}
 	n := 0
 	for _, m := range v.models {
 		n += m.Count(s, p, o)
 	}
-	ps.parts = make([]part, 0, n/size+len(v.models))
+	ps.parts = make([]part, 0, n/size+2*len(v.models))
 	for i, m := range v.models {
-		idx := m.index(ps.ix)
+		r, idx := &m.base.ix[ps.ix], m.index(ps.ix)
 		switch {
 		case ps.b != Wildcard:
-			for lo, n := 0, len(idx[ps.a][ps.b]); lo < n; lo += size {
-				ps.parts = append(ps.parts, part{m: i, lo: lo, hi: min(lo+size, n)})
+			lo, hi := r.pair(ps.a, ps.b)
+			nb := hi - lo
+			for x, n := 0, nb+len(idx[ps.a][ps.b]); x < n; x += size {
+				y := min(x+size, n)
+				ps.parts = append(ps.parts, part{m: i, lo: lo + min(x, nb), hi: lo + min(y, nb), dlo: max(x-nb, 0), dhi: max(y-nb, 0)})
 			}
 		case ps.a != Wildcard:
-			bucket(ps, i, idx[ps.a], size, func(l []ID) int { return len(l) })
+			lo, hi := r.span(ps.a)
+			ps.cut(i, r, lo, hi, deltaKeys(idx[ps.a], func(l []ID) int { return len(l) }), size)
 		default:
-			bucket(ps, i, idx, size, func(in map[ID][]ID) int {
+			ps.cut(i, r, 0, len(r.b), deltaKeys(idx, func(in map[ID][]ID) int {
 				w := 0
 				for _, l := range in {
 					w += len(l)
 				}
 				return w
-			})
+			}), size)
 		}
 	}
 	return ps
 }
 
-// bucket appends member m's parts over the keys of idx, weighing a key by
-// its triples. One pass over the map collects the keys, a counting sort
-// groups them into about 4×triples/size equal-width ID ranges, and runs of
-// consecutive ranges holding at least size triples become parts. A member
-// with at most size triples is one part, unsorted: its Scan sorts it.
-func bucket[V any](ps *Parts, m int, idx map[ID]V, size int, weight func(V) int) {
-	all := make([]keyed, 0, len(idx))
-	lo, hi, total := ^ID(0), ID(0), 0
+// deltaKeys returns the keys of a delta index level with their weights,
+// ascending.
+func deltaKeys[V any](idx map[ID]V, weight func(V) int) []keyed {
+	if len(idx) == 0 {
+		return nil
+	}
+	keys := make([]keyed, 0, len(idx))
 	for k, v := range idx {
-		w := weight(v)
-		all = append(all, pack(k, w))
-		lo, hi, total = min(lo, k), max(hi, k), total+w
+		keys = append(keys, pack(k, weight(v)))
 	}
-	if len(all) == 0 {
-		return
-	}
-	if total <= size { // one part: nothing to group
-		ps.parts = append(ps.parts, part{m: m, keys: all, hi: len(all)})
-		return
-	}
-	nb := min(len(all), 4*total/size+1)
-	span := uint64(hi-lo) + 1
-	rangeOf := func(k ID) int { return int(uint64(k-lo) * uint64(nb) / span) }
-	end := make([]int, nb) // keys per range, then where each range starts, then (after the scatter) ends
-	w := make([]int, nb)   // triples per range
-	for _, e := range all {
-		r := rangeOf(e.key())
-		end[r]++
-		w[r] += e.weight()
-	}
-	for r, at := 0, 0; r < nb; r++ {
-		end[r], at = at, at+end[r]
-	}
-	keys := make([]keyed, len(all))
-	for _, e := range all {
-		r := rangeOf(e.key())
-		keys[end[r]] = e
-		end[r]++
-	}
-	from, run := 0, 0
-	for r := range nb {
-		if run += w[r]; (run >= size || r == nb-1) && end[r] > from {
-			ps.parts = append(ps.parts, part{m: m, keys: keys, lo: from, hi: end[r]})
-			from, run = end[r], 0
+	slices.Sort(keys)
+	return keys
+}
+
+// cut appends member i's parts over the keys the walk visits: the key
+// groups of base positions lo..hi of run r and the delta's keys dk. A part
+// takes the base's next size triples, rounded up to a whole key group,
+// and the delta keys up to that key; the last base part takes the rest of
+// the delta, and a delta reached alone is cut by weight.
+func (ps *Parts) cut(i int, r *run, lo, hi int, dk []keyed, size int) {
+	x, di, slot := lo, 0, 0
+	for x < hi || di < len(dk) {
+		p := part{m: i, lo: x, dkeys: dk, dlo: di}
+		if x < hi {
+			var k ID
+			k, x = ps.group(r, min(x+size, hi)-1, hi, &slot)
+			if x == hi {
+				di = len(dk)
+			}
+			for di < len(dk) && dk[di].key() <= k {
+				di++
+			}
+		} else {
+			for w := 0; di < len(dk) && w < size; di++ {
+				w += dk[di].weight()
+			}
 		}
+		p.hi, p.dhi = x, di
+		ps.parts = append(ps.parts, p)
 	}
+}
+
+// group returns the walked key at base position x of run r and the end
+// of that key's positions, hi at most. slot is a walk over every key's
+// cursor: at or before x's slot, and moved to it.
+func (ps *Parts) group(r *run, x, hi int, slot *int) (ID, int) {
+	if ps.a != Wildcard {
+		return r.b[x], groupEnd(r.b, x, hi)
+	}
+	for int(r.off[*slot+1]) <= x {
+		*slot++
+	}
+	return r.key(*slot), int(r.off[*slot+1])
 }
 
 // Len returns the number of parts.
@@ -167,38 +173,82 @@ func (ps *Parts) KeyPos() int { return ps.key }
 // A non-nil keep is called once per walked key of the part, with the
 // key's triple count in its member (triples an earlier member also holds
 // included), before the key's triples are looked up; a key it rejects is
-// never looked up, visited or sorted, so fn sees exactly the triples of
-// the accepted keys, in the order a Scan without keep streams them. A
-// pattern that walks no keys (KeyPos -1) never calls keep.
+// never looked up or visited, so fn sees exactly the triples of the
+// accepted keys, in the order a Scan without keep streams them. A pattern
+// that walks no keys (KeyPos -1) never calls keep.
 func (ps *Parts) Scan(i int, keep func(key ID, n int) bool, fn func(ETriple) bool) bool {
 	pt := ps.parts[i]
-	idx := ps.v.models[pt.m].index(ps.ix)
-	switch {
-	case ps.b != Wildcard:
-		for _, c := range idx[ps.a][ps.b][pt.lo:pt.hi] {
+	m := ps.v.models[pt.m]
+	r, idx, live := &m.base.ix[ps.ix], m.index(ps.ix), len(m.tomb) == 0
+	if ps.b != Wildcard {
+		for _, c := range r.c[pt.lo:pt.hi] {
+			if (ps.c == Wildcard || c == ps.c) && (live || !m.dead(unorder(ps.ix, ps.a, ps.b, c))) && !ps.visit(pt.m, ps.a, ps.b, c, fn) {
+				return false
+			}
+		}
+		for _, c := range idx[ps.a][ps.b][pt.dlo:pt.dhi] {
 			if (ps.c == Wildcard || c == ps.c) && !ps.visit(pt.m, ps.a, ps.b, c, fn) {
 				return false
 			}
 		}
-	case ps.a != Wildcard:
-		inner := idx[ps.a]
-		for _, e := range pt.accepted(keep) {
-			b := e.key()
-			for _, c := range inner[b] {
-				if !ps.visit(pt.m, ps.a, b, c, fn) {
+		return true
+	}
+	x, dk, slot := pt.lo, pt.dkeys[pt.dlo:pt.dhi], 0
+	if ps.a == Wildcard && x < pt.hi {
+		slot = r.slotAt(x)
+	}
+	for x < pt.hi || len(dk) > 0 {
+		// The next key: the base's next group, the delta's next key, or
+		// both when they are the same key.
+		var k ID
+		end, dw := x, 0
+		if x < pt.hi {
+			k, end = ps.group(r, x, pt.hi, &slot)
+		}
+		if len(dk) > 0 && (x == pt.hi || dk[0].key() <= k) {
+			if x == pt.hi || dk[0].key() < k {
+				k, end = dk[0].key(), x
+			}
+			dw, dk = dk[0].weight(), dk[1:]
+		}
+		lo := x
+		x = end
+		a, b := ps.a, k // the key's triples' leading positions
+		if a == Wildcard {
+			a, b = k, Wildcard
+		}
+		n := end - lo + dw
+		if !live {
+			n -= m.deadIn(ps.ix, a, b, lo, end)
+		}
+		if n == 0 || keep != nil && !keep(k, n) {
+			continue
+		}
+		for y := lo; y < end; y++ {
+			bb := b
+			if bb == Wildcard {
+				bb = r.b[y]
+			}
+			if c := r.c[y]; (live || !m.dead(unorder(ps.ix, a, bb, c))) && !ps.visit(pt.m, a, bb, c, fn) {
+				return false
+			}
+		}
+		if dw == 0 {
+			continue
+		}
+		if b != Wildcard {
+			for _, c := range idx[a][b] {
+				if !ps.visit(pt.m, a, b, c, fn) {
 					return false
 				}
 			}
+			continue
 		}
-	default:
-		for _, e := range pt.accepted(keep) {
-			a := e.key()
-			inner := idx[a]
-			for _, b := range sortedKeys(inner) {
-				for _, c := range inner[b] {
-					if !ps.visit(pt.m, a, b, c, fn) {
-						return false
-					}
+		inner := idx[a]
+		for _, b := range sortedKeys(inner) {
+			for _, c := range inner[b] {
+				if !ps.visit(pt.m, a, b, c, fn) {
+					return false
 				}
 			}
 		}
@@ -206,53 +256,16 @@ func (ps *Parts) Scan(i int, keep func(key ID, n int) bool, fn func(ETriple) boo
 	return true
 }
 
-// accepted returns the part's keys that keep accepts (all of them when
-// keep is nil), sorted. The accepted keys are moved to the front of the
-// part's range and the rejected ones kept behind them, so the part can be
-// scanned again, with or without keep.
-func (pt part) accepted(keep func(ID, int) bool) []keyed {
-	keys := pt.keys[pt.lo:pt.hi]
-	if keep != nil {
-		n := 0
-		for i, e := range keys {
-			if keep(e.key(), e.weight()) {
-				keys[n], keys[i] = e, keys[n]
-				n++
-			}
-		}
-		keys = keys[:n]
-	}
-	slices.Sort(keys)
-	return keys
-}
-
-// visit passes the triple of index entry (a, b, c) to fn, unless a member
+// visit passes the triple at (a, b, c) of the path to fn, unless a member
 // before m holds it.
 func (ps *Parts) visit(m int, a, b, c ID, fn func(ETriple) bool) bool {
-	t := ETriple{S: a, P: b, O: c}
-	switch ps.ix {
-	case 1:
-		t = ETriple{S: c, P: a, O: b}
-	case 2:
-		t = ETriple{S: b, P: c, O: a}
-	}
+	t := unorder(ps.ix, a, b, c)
 	for _, prev := range ps.v.models[:m] {
 		if prev.Contains(t) {
 			return true
 		}
 	}
 	return fn(t)
-}
-
-// index returns the model's SPO (0), POS (1) or OSP (2) index.
-func (m *Model) index(ix int) map[ID]map[ID][]ID {
-	switch ix {
-	case 1:
-		return m.pos
-	case 2:
-		return m.osp
-	}
-	return m.spo
 }
 
 // sortedKeys returns the map's keys in ascending ID order.

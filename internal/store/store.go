@@ -158,8 +158,9 @@ func (s *Store) Current(base, idx string) bool {
 // freely while other goroutines keep writing to the store — the way to
 // build a successor off to the side and publish it with InstallModel
 // (readers want Snapshot, which shares one copy). The brief write lock
-// covers the ownership bookkeeping on the source; the copy itself is
-// O(distinct terms), not O(triples). It carries a fresh generation; the
+// covers the ownership bookkeeping on the source; the copy itself shares
+// the base run and copies the delta's outer maps, O(delta keys), not
+// O(triples). It carries a fresh generation; the
 // source generation it was taken at is Basis().
 func (s *Store) SnapshotModel(model string) *Model {
 	s.mu.Lock()
@@ -266,10 +267,14 @@ func (s *Store) AddAll(model string, ts []rdf.Triple) int {
 	// commit hook reads it from there.
 	l, run := s.runLocked(m)
 	n0 := len(run.added)
-	for _, t := range ts {
-		if et := s.encode(t); m.Add(et) {
-			run.added = append(run.added, et)
-		}
+	enc := make([]ETriple, len(ts))
+	for i, t := range ts {
+		enc[i] = s.encode(t)
+	}
+	if added := m.AddAll(enc); len(run.added) == 0 {
+		run.added = added
+	} else {
+		run.added = append(run.added, added...)
 	}
 	n := len(run.added) - n0
 	obsAdds.Add(int64(n))
@@ -444,9 +449,9 @@ func (s *Store) Triples(model string) []rdf.Triple {
 }
 
 // CloneModel publishes a copy-on-write copy of the src model under the
-// dst name. It fails if dst already exists. The clone shares index nodes
-// with its source until either side mutates them, so the exclusive lock
-// is held for O(distinct terms), not O(triples). The clone's generation
+// dst name. It fails if dst already exists. The clone shares the base run
+// with its source, and the delta's nodes until either side mutates them,
+// so the exclusive lock is held for O(delta keys), not O(triples). The clone's generation
 // is fresh (store-wide unique) and its Basis records the source
 // generation it was taken at, so no cache key or derivation check can
 // alias clone and source after they diverge.
@@ -507,8 +512,8 @@ func (s *Store) ModelStats(model string) Stats {
 	return Stats{
 		Model:      model,
 		Triples:    m.Len(),
-		Subjects:   len(m.spo),
-		Predicates: len(m.pos),
-		Objects:    len(m.osp),
+		Subjects:   m.keys(0),
+		Predicates: m.keys(1),
+		Objects:    m.keys(2),
 	}
 }

@@ -257,8 +257,8 @@ func (v *View) Subjects(p, o ID) []ID {
 // A model's version is shared by every snapshot until the model's next
 // write, so reading an unchanged store costs the read lock and a
 // comparison per name. The first snapshot after a write takes the write
-// lock to copy the outer index maps (O(distinct terms)): that is all a
-// writer ever waits for.
+// lock to share the base run and copy the delta's outer maps (O(delta
+// keys)): that is all a writer ever waits for.
 func (s *Store) Snapshot(names ...string) *View {
 	return s.snapshot(names, false, nil)
 }
