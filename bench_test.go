@@ -598,13 +598,14 @@ func BenchmarkGraphVsRelational(b *testing.B) {
 		if _, err := (staging.Pipeline{Store: st, Model: "m"}).Run(plain, l.Ontology.Triples()); err != nil {
 			b.Fatal(err)
 		}
-		tbl := staging.NewTable()
+		var newTriples []rdf.Triple
 		for _, e := range concepts {
-			if err := tbl.InsertExport(e); err != nil {
+			ts, err := staging.Transform(e)
+			if err != nil {
 				b.Fatal(err)
 			}
+			newTriples = append(newTriples, ts...)
 		}
-		newTriples := tbl.Triples()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			st.AddAll("m", newTriples) // idempotent after the first pass

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"mdw/internal/ontology"
 	"mdw/internal/rdf"
 	"mdw/internal/staging"
+	"mdw/internal/store"
 	"mdw/internal/turtle"
 )
 
@@ -52,64 +54,70 @@ func Seed(w *Warehouse, dataDir, scale string) error {
 // generate` — *.xml meta-data exports, *.ttl ontology documents,
 // dbpedia.nt synonym/homonym extract, and any other *.nt raw triples —
 // into an existing warehouse, typically an empty one: a fresh New, or an
-// OpenDurable whose directory held nothing yet.
+// OpenDurable whose directory held nothing yet. The whole directory is
+// parsed before the first write, so a bad file anywhere loads nothing;
+// files are read one at a time, and exports and raw triples are held as
+// IDs, each export's document dropped once it is staged.
 func LoadDirInto(w *Warehouse, dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
-	var exports []*staging.Export
-	var ontTriples []rdf.Triple
-	var raw []rdf.Triple
-	var dbp []rdf.Triple
+	facts := staging.NewTable(w.st)
+	var ont, dbp []rdf.Triple
+	var raw []store.ETriple
+	stage := func(path string) error {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		switch name := filepath.Base(path); {
+		case strings.HasSuffix(name, ".xml"):
+			e, err := staging.Decode(f)
+			if err != nil {
+				return err
+			}
+			return facts.InsertExport(e)
+		case strings.HasSuffix(name, ".ttl"):
+			doc, err := io.ReadAll(f)
+			if err != nil {
+				return err
+			}
+			ts, err := turtle.Unmarshal(string(doc))
+			ont = append(ont, ts...)
+			return err
+		case name == "dbpedia.nt":
+			return ntriples.Scan(f, func(t rdf.Triple) { dbp = append(dbp, t) })
+		case strings.HasSuffix(name, ".nt"):
+			return ntriples.Scan(f, func(t rdf.Triple) { raw = append(raw, w.st.Dict().Encode(t)) })
+		}
+		return nil
+	}
 	for _, ent := range entries {
 		if ent.IsDir() {
 			continue
 		}
 		path := filepath.Join(dir, ent.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		switch {
-		case strings.HasSuffix(ent.Name(), ".xml"):
-			e, err := staging.Decode(string(data))
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			exports = append(exports, e)
-		case strings.HasSuffix(ent.Name(), ".ttl"):
-			ts, err := turtle.Unmarshal(string(data))
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			ontTriples = append(ontTriples, ts...)
-		case ent.Name() == "dbpedia.nt":
-			ts, err := ntriples.Unmarshal(string(data))
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			dbp = ts
-		case strings.HasSuffix(ent.Name(), ".nt"):
-			ts, err := ntriples.Unmarshal(string(data))
-			if err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			raw = append(raw, ts...)
+		if err := stage(path); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
-	if len(ontTriples) > 0 {
-		if _, err := w.LoadOntology(ontology.FromTriples("loaded", ontTriples)); err != nil {
+	if len(ont) > 0 {
+		if _, err := w.LoadOntology(ontology.FromTriples("loaded", ont)); err != nil {
 			return err
 		}
 	}
-	if len(exports) > 0 {
-		if _, err := w.LoadExports(exports); err != nil {
+	if facts.Len() > 0 {
+		if _, err := facts.BulkLoad(w.model, true); err != nil {
+			return err
+		}
+		if _, err := w.TextIndex(); err != nil {
 			return err
 		}
 	}
 	if len(raw) > 0 {
-		w.LoadTriples(raw)
+		w.st.AddIDs(w.model, raw)
 	}
 	if len(dbp) > 0 {
 		w.IntegrateDBpedia(dbp)

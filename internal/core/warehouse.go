@@ -90,9 +90,9 @@ func (w *Warehouse) LoadOntology(o *ontology.Ontology) (staging.LoadStats, error
 	if errs := o.Validate(); len(errs) > 0 {
 		return staging.LoadStats{}, fmt.Errorf("core: ontology invalid: %v", errs[0])
 	}
-	tbl := staging.NewTable()
+	tbl := staging.NewTable(w.st)
 	tbl.InsertTriples(o.Triples())
-	stats, err := tbl.BulkLoad(w.st, w.model, true)
+	stats, err := tbl.BulkLoad(w.model, true)
 	if err != nil {
 		return stats, err
 	}

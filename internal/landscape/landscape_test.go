@@ -126,7 +126,7 @@ func TestXMLRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := staging.Decode(doc)
+		back, err := staging.Decode(strings.NewReader(doc))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,27 +36,34 @@ func Marshal(ts []rdf.Triple) string {
 	return b.String()
 }
 
-// Read parses an N-Triples document from r. Blank lines and #-comments are
-// skipped. Errors carry the 1-based line number.
-func Read(r io.Reader) ([]rdf.Triple, error) {
-	var out []rdf.Triple
+// Read parses an N-Triples document from r (see Scan).
+func Read(r io.Reader) (out []rdf.Triple, err error) {
+	if err = Scan(r, func(t rdf.Triple) { out = append(out, t) }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Scan parses an N-Triples document from r one line at a time, handing
+// each statement to fn as it is read. Blank lines and #-comments are
+// skipped. Errors carry the 1-based line number; fn has seen every
+// statement above the bad line.
+func Scan(r io.Reader, fn func(rdf.Triple)) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
+	for line := 1; sc.Scan(); line++ {
 		t, ok, err := ParseLine(sc.Text())
 		if err != nil {
-			return nil, fmt.Errorf("ntriples: line %d: %w", line, err)
+			return fmt.Errorf("ntriples: line %d: %w", line, err)
 		}
 		if ok {
-			out = append(out, t)
+			fn(t)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("ntriples: %w", err)
+		return fmt.Errorf("ntriples: %w", err)
 	}
-	return out, nil
+	return nil
 }
 
 // Unmarshal parses an N-Triples document from a string.

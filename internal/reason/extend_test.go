@@ -3,6 +3,7 @@ package reason
 import (
 	"context"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"mdw/internal/obs"
@@ -270,5 +271,42 @@ func TestMaterializeUnderConcurrentLoads(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("index maintained under load differs at %d: %v, from-scratch %v", i, got[i], want[i])
 		}
+	}
+}
+
+// The triples an extension installs are kept by the index's change feed
+// until it is cut back. They must be an array of their own, exactly as
+// long as the extension: a window of the derivation queue would keep the
+// whole queue live, the delta the run started from included.
+func TestExtensionKeepsExactWindow(t *testing.T) {
+	st := store.New()
+	var chain []rdf.Triple
+	for i := 0; i < 9; i++ {
+		chain = append(chain, rdf.T(iri("A"+strconv.Itoa(i)), rdf.SubClassOf, iri("A"+strconv.Itoa(i+1))))
+	}
+	st.AddAll("m", chain)
+	if _, err := Materialize(st, "m"); err != nil {
+		t.Fatal(err)
+	}
+	var delta []rdf.Triple
+	for i := 0; i < 100; i++ {
+		delta = append(delta, rdf.T(iri("x"+strconv.Itoa(i)), rdf.Type, iri("A0")))
+	}
+	st.AddAll("m", delta)
+	var kept []store.ETriple
+	st.SetCommitHook(func(mut store.Mutation) {
+		if mut.Op == store.OpExtend {
+			kept = mut.Triples
+		}
+	})
+	if _, err := Materialize(st, "m"); err != nil {
+		t.Fatal(err)
+	}
+	st.SetCommitHook(nil)
+	if want := 9 * len(delta); len(kept) != want {
+		t.Fatalf("extension installed %d triples, want %d", len(kept), want)
+	}
+	if cap(kept) != len(kept) {
+		t.Errorf("extension window has cap %d for %d triples: it shares the derivation queue's array", cap(kept), len(kept))
 	}
 }

@@ -194,7 +194,11 @@ func pinEntailed(ctx context.Context, st *store.Store, model string) (*store.Vie
 		derived = derived[:0]
 	}
 	e.idx.SetBasis(d.Base.Gen())
-	st.InstallExtension(e.idx, d.PrevGen, queue[nDelta:], asserted)
+	// The index's change feed keeps what it is handed: a window of the
+	// queue would keep the whole queue, the delta in front included.
+	added := make([]store.ETriple, len(queue)-nDelta)
+	copy(added, queue[nDelta:])
+	st.InstallExtension(e.idx, d.PrevGen, added, asserted)
 
 	obsMaterializeHist.ObserveSince(t0)
 	obsDelta.Add(int64(nDelta))

@@ -6,7 +6,10 @@
 // the flow the paper describes in Section III.B.
 package staging
 
-import "encoding/xml"
+import (
+	"encoding/xml"
+	"io"
+)
 
 // Export is one source meta-data XML document. Every subject area of
 // Figure 1 (applications with their databases and data structures,
@@ -133,10 +136,10 @@ func (e *Export) Encode() (string, error) {
 	return xml.Header + string(b) + "\n", nil
 }
 
-// Decode parses an XML export document.
-func Decode(doc string) (*Export, error) {
+// Decode parses an XML export document from r.
+func Decode(r io.Reader) (*Export, error) {
 	var e Export
-	if err := xml.Unmarshal([]byte(doc), &e); err != nil {
+	if err := xml.NewDecoder(r).Decode(&e); err != nil {
 		return nil, err
 	}
 	return &e, nil

@@ -24,39 +24,37 @@ func init() {
 // Table is a staging table: the intermediate triple buffer between the
 // XML→RDF transform and the bulk load into the RDF model tables
 // (Figure 4). Both meta-data facts and the ontology export are inserted
-// into the same staging tables before loading.
+// into the same staging tables before loading. A table belongs to one
+// store and holds its triples as that store's IDs, interned on insert.
 type Table struct {
+	st      *store.Store
 	mu      sync.Mutex
-	triples []rdf.Triple
+	triples []store.ETriple
 }
 
-// NewTable returns an empty staging table.
-func NewTable() *Table { return &Table{} }
+// NewTable returns an empty staging table for st.
+func NewTable(st *store.Store) *Table { return &Table{st: st} }
 
 // InsertTriples appends raw triples (the ontology-file import path).
 func (t *Table) InsertTriples(ts []rdf.Triple) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.triples = append(t.triples, ts...)
+	for _, tr := range ts {
+		t.triples = append(t.triples, t.st.Dict().Encode(tr))
+	}
 }
 
-// InsertExport transforms one XML export and appends its triples.
+// InsertExport transforms one XML export and appends its triples as they
+// are emitted. An export that fails to transform stages nothing.
 func (t *Table) InsertExport(e *Export) error {
-	ts, err := Transform(e)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := len(t.triples)
+	err := transform(e, func(tr rdf.Triple) { t.triples = append(t.triples, t.st.Dict().Encode(tr)) })
 	if err != nil {
-		return err
+		t.triples = t.triples[:n]
 	}
-	t.InsertTriples(ts)
-	return nil
-}
-
-// InsertXML parses and transforms one XML document string.
-func (t *Table) InsertXML(doc string) error {
-	e, err := Decode(doc)
-	if err != nil {
-		return fmt.Errorf("staging: decode: %w", err)
-	}
-	return t.InsertExport(e)
+	return err
 }
 
 // Len returns the number of staged triples (duplicates included; the
@@ -65,22 +63,6 @@ func (t *Table) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.triples)
-}
-
-// Triples returns a copy of the staged triples.
-func (t *Table) Triples() []rdf.Triple {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]rdf.Triple, len(t.triples))
-	copy(out, t.triples)
-	return out
-}
-
-// Clear empties the staging table (after a successful load).
-func (t *Table) Clear() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.triples = t.triples[:0]
 }
 
 // LoadStats summarizes one bulk load.
@@ -92,47 +74,39 @@ type LoadStats struct {
 	IndexMod string
 }
 
-// BulkLoad moves the staged triples into the named model of st and, when
-// materialize is true, brings the model's OWLPRIME index up to date — the
-// "indexes for semantic web reasoning" of Figure 4. On success only the
-// snapshot that was actually loaded is removed from the staging table:
-// triples inserted concurrently while the load ran stay staged for the
-// next load instead of being silently discarded.
-func (t *Table) BulkLoad(st *store.Store, model string, materialize bool) (LoadStats, error) {
-	return t.BulkLoadCtx(context.Background(), st, model, materialize)
+// BulkLoad moves the staged triples into the named model of the table's
+// store and, when materialize is true, brings the model's OWLPRIME index
+// up to date — the "indexes for semantic web reasoning" of Figure 4. The
+// load takes what is staged when it starts; triples inserted while it
+// runs stay staged for the next load instead of being silently discarded.
+func (t *Table) BulkLoad(model string, materialize bool) (LoadStats, error) {
+	return t.BulkLoadCtx(context.Background(), model, materialize)
 }
 
 // BulkLoadCtx is BulkLoad carrying a request context: the load runs
 // under a "staging.bulkload" span — nested in the request's trace when
 // ctx carries one, the root of a new trace otherwise — labelled with the
 // staged/loaded/derived triple counts.
-func (t *Table) BulkLoadCtx(ctx context.Context, st *store.Store, model string, materialize bool) (LoadStats, error) {
+func (t *Table) BulkLoadCtx(ctx context.Context, model string, materialize bool) (LoadStats, error) {
 	sp, ctx := obs.StartChildCtx(ctx, "staging.bulkload")
 	sp.SetLabel("model", model)
 	defer sp.Finish()
 	t0 := time.Now()
 	t.mu.Lock()
-	n := len(t.triples)
-	staged := make([]rdf.Triple, n)
-	copy(staged, t.triples)
+	staged := t.triples
+	t.triples = nil
 	t.mu.Unlock()
 
-	stats := LoadStats{Staged: n, Model: model}
-	stats.Loaded = st.AddAll(model, staged)
+	stats := LoadStats{Staged: len(staged), Model: model}
+	stats.Loaded = t.st.AddIDs(model, staged)
 	if materialize {
-		idx, err := reason.MaterializeCtx(ctx, st, model)
+		idx, err := reason.MaterializeCtx(ctx, t.st, model)
 		if err != nil {
 			return stats, err
 		}
 		stats.IndexMod = idx
-		stats.Derived = st.Len(idx)
+		stats.Derived = t.st.Len(idx)
 	}
-	// Trim exactly the loaded prefix under the same mutex the insert
-	// paths use; anything appended since the snapshot shifts down.
-	t.mu.Lock()
-	k := copy(t.triples, t.triples[n:])
-	t.triples = t.triples[:k]
-	t.mu.Unlock()
 	obsLoadHist.ObserveSince(t0)
 	sp.SetLabel("staged", strconv.Itoa(stats.Staged)).
 		SetLabel("loaded", strconv.Itoa(stats.Loaded)).
@@ -155,12 +129,12 @@ func (p Pipeline) Run(exports []*Export, ontologyTriples []rdf.Triple) (LoadStat
 
 // RunCtx is Run carrying a request context (see Table.BulkLoadCtx).
 func (p Pipeline) RunCtx(ctx context.Context, exports []*Export, ontologyTriples []rdf.Triple) (LoadStats, error) {
-	tbl := NewTable()
+	tbl := NewTable(p.Store)
 	for i, e := range exports {
 		if err := tbl.InsertExport(e); err != nil {
 			return LoadStats{}, fmt.Errorf("staging: export %d: %w", i, err)
 		}
 	}
 	tbl.InsertTriples(ontologyTriples)
-	return tbl.BulkLoadCtx(ctx, p.Store, p.Model, true)
+	return tbl.BulkLoadCtx(ctx, p.Model, true)
 }

@@ -140,7 +140,7 @@ func TestXMLEncodeDecode(t *testing.T) {
 	if !strings.Contains(doc, `<metadata source="unit-test">`) {
 		t.Errorf("doc:\n%s", doc)
 	}
-	back, err := Decode(doc)
+	back, err := Decode(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +150,14 @@ func TestXMLEncodeDecode(t *testing.T) {
 	if len(back.Mappings) != 1 || back.Mappings[0].Rule != "x > 0" {
 		t.Errorf("mappings = %+v", back.Mappings)
 	}
-	if _, err := Decode("not xml"); err == nil {
+	if _, err := Decode(strings.NewReader("not xml")); err == nil {
 		t.Error("invalid XML accepted")
 	}
 }
 
 func TestStagingTableAndBulkLoad(t *testing.T) {
-	tbl := NewTable()
+	st := store.New()
+	tbl := NewTable(st)
 	if err := tbl.InsertExport(sampleExport()); err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +173,7 @@ func TestStagingTableAndBulkLoad(t *testing.T) {
 	if tbl.Len() != 2*staged {
 		t.Errorf("staged = %d, want %d", tbl.Len(), 2*staged)
 	}
-	st := store.New()
-	stats, err := tbl.BulkLoad(st, "m", true)
+	stats, err := tbl.BulkLoad("m", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,20 +185,6 @@ func TestStagingTableAndBulkLoad(t *testing.T) {
 	}
 	if tbl.Len() != 0 {
 		t.Error("staging table not cleared after load")
-	}
-}
-
-func TestInsertXML(t *testing.T) {
-	doc, _ := sampleExport().Encode()
-	tbl := NewTable()
-	if err := tbl.InsertXML(doc); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() == 0 {
-		t.Error("nothing staged from XML")
-	}
-	if err := tbl.InsertXML("garbage"); err == nil {
-		t.Error("garbage XML accepted")
 	}
 }
 
@@ -218,14 +204,6 @@ func TestPipelineRun(t *testing.T) {
 	if !st.Contains("m$OWLPRIME", rdf.T(col, rdf.Type, rdf.IRI(rdf.DMNS+"Column"))) {
 		t.Error("derived type missing")
 	}
-	// Triples() returns copies.
-	tbl := NewTable()
-	tbl.InsertTriples([]rdf.Triple{rdf.T(col, rdf.Type, rdf.Class)})
-	got := tbl.Triples()
-	got[0] = rdf.Triple{}
-	if tbl.Triples()[0] == (rdf.Triple{}) {
-		t.Error("Triples() exposes internal slice")
-	}
 }
 
 // TestBulkLoadConcurrentInsertNoLoss is the regression test for the
@@ -236,8 +214,8 @@ func TestPipelineRun(t *testing.T) {
 // end up in the model.
 func TestBulkLoadConcurrentInsertNoLoss(t *testing.T) {
 	const total = 2000
-	tbl := NewTable()
 	st := store.New()
+	tbl := NewTable(st)
 
 	done := make(chan struct{})
 	go func() {
@@ -252,7 +230,7 @@ func TestBulkLoadConcurrentInsertNoLoss(t *testing.T) {
 	}()
 
 	for {
-		if _, err := tbl.BulkLoad(st, "m", false); err != nil {
+		if _, err := tbl.BulkLoad("m", false); err != nil {
 			t.Fatal(err)
 		}
 		select {
@@ -263,7 +241,7 @@ func TestBulkLoadConcurrentInsertNoLoss(t *testing.T) {
 		break
 	}
 	// Drain anything staged after the last in-loop load.
-	if _, err := tbl.BulkLoad(st, "m", false); err != nil {
+	if _, err := tbl.BulkLoad("m", false); err != nil {
 		t.Fatal(err)
 	}
 

@@ -38,7 +38,15 @@ func dmClass(local string) rdf.Term { return rdf.IRI(rdf.DMNS + local) }
 // carrying the rule condition.
 func Transform(e *Export) ([]rdf.Triple, error) {
 	var out []rdf.Triple
-	add := func(s, p, o rdf.Term) { out = append(out, rdf.T(s, p, o)) }
+	if err := transform(e, func(t rdf.Triple) { out = append(out, t) }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// transform is Transform handing each triple to emit as it is made.
+func transform(e *Export, emit func(rdf.Triple)) error {
+	add := func(s, p, o rdf.Term) { emit(rdf.T(s, p, o)) }
 
 	typed := func(node rdf.Term, class string, name string) {
 		add(node, rdf.Type, dmClass(class))
@@ -133,7 +141,7 @@ func Transform(e *Export) ([]rdf.Triple, error) {
 		node := InstanceIRI("interfaces", itf.Name)
 		typed(node, "Interface", itf.Name)
 		if itf.From == "" || itf.To == "" {
-			return nil, fmt.Errorf("staging: interface %q missing from/to", itf.Name)
+			return fmt.Errorf("staging: interface %q missing from/to", itf.Name)
 		}
 		add(InstanceIRI(itf.From), rdf.IRI(rdf.MDWSourceOf), node)
 		add(node, rdf.IRI(rdf.MDWConnectsTo), InstanceIRI(itf.To))
@@ -142,7 +150,7 @@ func Transform(e *Export) ([]rdf.Triple, error) {
 
 	for i, m := range e.Mappings {
 		if m.From == "" || m.To == "" {
-			return nil, fmt.Errorf("staging: mapping %d missing from/to", i)
+			return fmt.Errorf("staging: mapping %d missing from/to", i)
 		}
 		from := InstanceIRI(strings.Split(m.From, "/")...)
 		to := InstanceIRI(strings.Split(m.To, "/")...)
@@ -184,8 +192,7 @@ func Transform(e *Export) ([]rdf.Triple, error) {
 			add(InstanceIRI(strings.Split(impl, "/")...), rdf.IRI(rdf.MDWImplements), node)
 		}
 	}
-
-	return out, nil
+	return nil
 }
 
 // roleClass maps well-known role names onto the role hierarchy; unknown

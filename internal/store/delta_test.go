@@ -92,7 +92,7 @@ func TestSnapshotDeltaFallsBackWhenTheLogCannotAnswer(t *testing.T) {
 	derive(t, s)
 
 	// A write behind the store's back leaves the log short of the model.
-	s.Model("base").Add(s.encode(tr(3)))
+	s.Model("base").Add(s.dict.Encode(tr(3)))
 	s.Add("base", tr(4))
 	if d := derive(t, s); len(d.Added) != 4 || d.PrevGen != 0 {
 		t.Fatalf("after an unlogged write: %d delta triples (want all 4), prevGen %d", len(d.Added), d.PrevGen)
@@ -128,7 +128,7 @@ func TestSnapshotDeltaFallsBackWhenTheLogCannotAnswer(t *testing.T) {
 func TestInstallModelStartsTheLog(t *testing.T) {
 	s := New()
 	base := NewModel("base")
-	base.Add(s.encode(tr(1)))
+	base.Add(s.dict.Encode(tr(1)))
 	derived := NewModel("base$X")
 	derived.SetBasis(base.Gen())
 	s.InstallModel(base)

@@ -79,6 +79,11 @@ func (d *Dict) Intern(t rdf.Term) ID {
 	return id
 }
 
+// Encode interns the three terms of t.
+func (d *Dict) Encode(t rdf.Triple) ETriple {
+	return ETriple{S: d.Intern(t.S), P: d.Intern(t.P), O: d.Intern(t.O)}
+}
+
 // Lookup returns the ID for term without interning. The second result
 // reports whether the term is known.
 func (d *Dict) Lookup(t rdf.Term) (ID, bool) {

@@ -15,7 +15,7 @@ func cutOf(s *Store, name string) Cut { return s.Snapshot(name).Cut(name) }
 func encodeAll(s *Store, ts ...rdf.Triple) []ETriple {
 	var out []ETriple
 	for _, t := range ts {
-		out = append(out, s.encode(t))
+		out = append(out, s.dict.Encode(t))
 	}
 	return out
 }
@@ -125,7 +125,7 @@ func extend(t *testing.T, s *Store, name string, add, remove []ETriple) {
 // extensions are part of the same feed.
 func TestChangesAcrossExtensions(t *testing.T) {
 	s := New()
-	e := func(i int) ETriple { return s.encode(tr(i)) }
+	e := func(i int) ETriple { return s.dict.Encode(tr(i)) }
 	s.AddAll("x", []rdf.Triple{tr(1), tr(2)})
 	p0 := cutOf(s, "x")
 	extend(t, s, "x", []ETriple{e(3), e(4)}, []ETriple{e(1)})
@@ -197,7 +197,7 @@ func TestFeedNeverOutgrowsTheModel(t *testing.T) {
 	}
 
 	// Churn: each extension takes one triple out and the next puts it back.
-	e := s.encode(rdf.T(rdf.IRI("http://t/s0"), rdf.IRI("http://t/p"), rdf.IRI("http://t/o")))
+	e := s.dict.Encode(rdf.T(rdf.IRI("http://t/s0"), rdf.IRI("http://t/p"), rdf.IRI("http://t/o")))
 	start := cutOf(s, "m")
 	var recent Cut
 	for i := 0; i < n; i++ {
@@ -228,5 +228,27 @@ func TestFeedNeverOutgrowsTheModel(t *testing.T) {
 	}
 	if l := s.deltas["x"]; len(l.steps) > logFloor+1 {
 		t.Errorf("%d empty extension steps kept", len(l.steps))
+	}
+}
+
+// The change feed keeps what AddIDs was handed, so it takes a batch's own
+// array only when nothing lies past its end: a staging slice grown by
+// append would otherwise keep its spare capacity live with the feed.
+func TestAddIDsFeedKeepsNoSpareCapacity(t *testing.T) {
+	for _, spare := range []int{0, 1000} {
+		s := New()
+		n := 2 * mergeFloor // a bulk batch: Model.AddAll returns it as is
+		ts := make([]ETriple, 0, n+spare)
+		for i := 0; i < n; i++ {
+			ts = append(ts, s.dict.Encode(tr(i)))
+		}
+		var kept []ETriple
+		s.SetCommitHook(func(mut Mutation) { kept = mut.Triples })
+		if got := s.AddIDs("m", ts); got != n {
+			t.Fatalf("spare %d: added %d, want %d", spare, got, n)
+		}
+		if shared := &kept[0] == &ts[0]; shared != (spare == 0) {
+			t.Errorf("spare %d: the feed shares the batch's array: %v", spare, shared)
+		}
 	}
 }

@@ -42,7 +42,7 @@ func TestSnapshotIsBitStable(t *testing.T) {
 		s.Add("a", tr(i))
 	}
 	idx := NewModel("a$X")
-	idx.Add(s.encode(tr(1000)))
+	idx.Add(s.dict.Encode(tr(1000)))
 	idx.SetBasis(s.Generation("a"))
 	s.InstallModel(idx)
 

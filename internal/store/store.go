@@ -245,7 +245,7 @@ func (s *Store) Add(model string, t rdf.Triple) bool {
 	defer s.mu.Unlock()
 	m := s.writableLocked(model)
 	l, run := s.runLocked(m)
-	et := s.encode(t)
+	et := s.dict.Encode(t)
 	added := m.Add(et)
 	if added {
 		obsAdds.Inc()
@@ -260,18 +260,25 @@ func (s *Store) Add(model string, t rdf.Triple) bool {
 // AddAll bulk-inserts triples into the named model and returns the number
 // actually added (duplicates are skipped).
 func (s *Store) AddAll(model string, ts []rdf.Triple) int {
+	enc := make([]ETriple, len(ts))
+	for i, t := range ts {
+		enc[i] = s.dict.Encode(t)
+	}
+	return s.AddIDs(model, enc)
+}
+
+// AddIDs is AddAll for triples already encoded by the store's Dict. The
+// caller gives ts up: the model's change feed may keep it.
+func (s *Store) AddIDs(model string, ts []ETriple) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := s.writableLocked(model)
 	// What was actually added goes to the model's change feed, and the
-	// commit hook reads it from there.
+	// commit hook reads it from there. The feed takes a batch's own array
+	// only when it is exactly full; spare capacity would stay live with it.
 	l, run := s.runLocked(m)
 	n0 := len(run.added)
-	enc := make([]ETriple, len(ts))
-	for i, t := range ts {
-		enc[i] = s.encode(t)
-	}
-	if added := m.AddAll(enc); len(run.added) == 0 {
+	if added := m.AddAll(ts); len(run.added) == 0 && cap(added) == len(added) {
 		run.added = added
 	} else {
 		run.added = append(run.added, added...)
@@ -336,16 +343,6 @@ func (s *Store) Len(model string) int {
 		return 0
 	}
 	return m.Len()
-}
-
-// encode interns the terms of t. Caller must hold the write lock (interning
-// itself is thread-safe, but encode is paired with model mutation).
-func (s *Store) encode(t rdf.Triple) ETriple {
-	return ETriple{
-		S: s.dict.Intern(t.S),
-		P: s.dict.Intern(t.P),
-		O: s.dict.Intern(t.O),
-	}
 }
 
 // encodeLookup encodes without interning; ok is false when any term is
