@@ -334,7 +334,7 @@ func TestImpactCommandDataDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.Seed(w, "", ""); err != nil {
+	if err := mgr.Seed(func() error { return core.Seed(w, "", "") }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Snapshot("R1", time.Date(2009, 1, 15, 0, 0, 0, 0, time.UTC)); err != nil {

@@ -14,9 +14,9 @@
 // condense the log into a binary snapshot and a chain of deltas on it
 // (periodically via -checkpoint-every, or on demand via POST
 // /api/checkpoint), and a restart recovers the exact pre-crash state from
-// the newest snapshot, its chain and the WAL tail. On a fresh (empty) data directory the usual seeding
-// flags apply once; afterwards the directory itself is the source of
-// truth and -data and -scale are ignored.
+// the newest snapshot, its chain and the WAL tail. A fresh data directory
+// is seeded by the usual flags as its first base checkpoint (a crash before
+// its rename leaves the directory empty); then -data and -scale are ignored.
 // Metrics are served at /api/metrics (Prometheus text exposition,
 // including runtime gauges refreshed by a background sampler), recent
 // traces at /api/traces (every response carries its trace ID in
@@ -197,8 +197,8 @@ func shutdown(hs *http.Server, mgr *durable.Manager) {
 
 // buildWarehouse returns the warehouse to serve: in memory and seeded
 // from -scale, -data or the built-in example, or — with a durable
-// directory — recovered from it, and seeded the same way only while the
-// directory is still empty.
+// directory — recovered from it, and seeded the same way, as its first
+// base checkpoint, only while the directory is still empty.
 func buildWarehouse(dataDir, scale, durableDir, fsync string, ckptEvery time.Duration) (*core.Warehouse, *durable.Manager, error) {
 	if durableDir == "" {
 		w := core.New("")
@@ -232,7 +232,7 @@ func buildWarehouse(dataDir, scale, durableDir, fsync string, ckptEvery time.Dur
 		}
 		return w, mgr, nil
 	}
-	if err := core.Seed(w, dataDir, scale); err != nil {
+	if err := mgr.Seed(func() error { return core.Seed(w, dataDir, scale) }); err != nil {
 		mgr.Close()
 		return nil, nil, err
 	}

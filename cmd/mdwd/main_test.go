@@ -2,17 +2,23 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"mdw/internal/core"
+	"mdw/internal/durable"
 	"mdw/internal/httpapi"
+	"mdw/internal/landscape"
 	"mdw/internal/rdf"
+	"mdw/internal/store"
 )
 
 func TestBuildWarehouseDefault(t *testing.T) {
@@ -96,6 +102,92 @@ func TestBuildWarehouseDurable(t *testing.T) {
 	if mgr2.Recovery().SnapshotLSN != cp.LSN {
 		t.Errorf("recovery used snapshot LSN %d, checkpoint wrote %d", mgr2.Recovery().SnapshotLSN, cp.LSN)
 	}
+}
+
+// census lists every model of st with its generation, basis and size.
+func census(st *store.Store) []string {
+	var out []string
+	for _, c := range st.Snapshot(st.ModelNames()...).Cuts() {
+		out = append(out, fmt.Sprintf("%s gen=%d basis=%d n=%d", c.Name, c.Gen, c.Basis, c.Triples))
+	}
+	return out
+}
+
+// sameAsMemorySeed fails the test unless the directory recovers to the
+// models, generations and sizes the in-memory seed of the same scale has.
+func sameAsMemorySeed(t *testing.T, dir, scale string) {
+	t.Helper()
+	mem, _, err := buildWarehouse("", scale, "", "none", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, mgr, err := buildWarehouse("", "", dir, "none", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	if rec := mgr.Recovery(); rec.ReplayedRecords != 0 {
+		t.Errorf("recovery replayed %d WAL records; the seed is one base checkpoint", rec.ReplayedRecords)
+	}
+	if got, want := census(w.Store()), census(mem.Store()); !slices.Equal(got, want) {
+		t.Errorf("the seeded directory recovers\n%s\nthe in-memory seed holds\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestDurableSeedAgreesWithMemory: a directory seeded by -data-dir
+// recovers to the same models, generations and sizes as the in-memory
+// seed, with nothing replayed from the WAL.
+func TestDurableSeedAgreesWithMemory(t *testing.T) {
+	dir := t.TempDir()
+	_, mgr, err := buildWarehouse("", "small", dir, "none", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sameAsMemorySeed(t, dir, "small")
+}
+
+// TestFailedSeedIsSeededAgain: a seed that stops after LoadOntology and
+// LoadExports — a crash before LoadTriples and IntegrateDBpedia — leaves a
+// directory that recovers empty, and the next start seeds it whole.
+func TestFailedSeedIsSeededAgain(t *testing.T) {
+	dir := t.TempDir()
+	w, mgr, err := core.OpenDurable("", durable.Options{Dir: dir, Fsync: durable.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash := errors.New("killed before LoadTriples")
+	err = mgr.Seed(func() error {
+		l := landscape.Generate(landscape.Small())
+		if _, err := w.LoadOntology(l.Ontology); err != nil {
+			return err
+		}
+		if _, err := w.LoadExports(l.Exports); err != nil {
+			return err
+		}
+		return crash
+	})
+	if !errors.Is(err, crash) {
+		t.Fatalf("Seed returned %v, want the seed's error", err)
+	}
+	if w.Store().Len(w.Model()) == 0 {
+		t.Fatal("the failed seed wrote nothing before failing: the test shows nothing")
+	}
+	mgr.Close()
+	if _, rec, err := durable.RecoverReadOnly(dir, nil); err != nil || rec.Triples != 0 {
+		t.Fatalf("the directory of the failed seed recovers %d triples (%v), want 0", rec.Triples, err)
+	}
+
+	_, mgr2, err := buildWarehouse("", "small", dir, "none", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sameAsMemorySeed(t, dir, "small")
 }
 
 // TestCheckpointWithoutDurability documents the 503 contract of

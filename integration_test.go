@@ -175,7 +175,7 @@ func TestWarehouseDumpPreservesBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.Seed(w, "", "small"); err != nil {
+	if err := mgr.Seed(func() error { return core.Seed(w, "", "small") }); err != nil {
 		t.Fatal(err)
 	}
 	l := landscape.Generate(landscape.Small())

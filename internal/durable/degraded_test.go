@@ -1,10 +1,13 @@
 package durable
 
 import (
+	"fmt"
+	"os"
 	"testing"
 
 	"mdw/internal/obs"
 	"mdw/internal/rdf"
+	"mdw/internal/store"
 )
 
 // TestWALDegradedMode breaks the active segment's file under FsyncAlways
@@ -49,5 +52,35 @@ func TestWALDegradedMode(t *testing.T) {
 	// The failure was reported once, by Err; Close does not repeat it.
 	if err := mgr.Close(); err != nil {
 		t.Errorf("Close in degraded mode: %v", err)
+	}
+}
+
+// TestWALScratchBounded installs a 100 000-triple model from scratch: its
+// record is encoded whole in the manager's scratch buffer, and the buffer
+// must not keep that capacity once the record is written.
+func TestWALScratchBounded(t *testing.T) {
+	dir := t.TempDir()
+	mgr, st, err := Open(Options{Dir: dir, Fsync: FsyncNone, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	m := store.NewModel("m$OWLPRIME")
+	for i := range 100_000 {
+		m.Add(st.Dict().Encode(rdf.T(rdf.IRI(fmt.Sprintf("http://example.com/s%d", i)), rdf.IRI(rdf.RDFType), rdf.IRI("http://example.com/C"))))
+	}
+	st.InstallModel(m)
+	if err := mgr.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(mgr.w.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mgr.LastLSN() != 1 || fi.Size() <= maxScratch {
+		t.Fatalf("the install logged %d records in %d bytes, want one record above %d bytes", mgr.LastLSN(), fi.Size(), maxScratch)
+	}
+	if c := cap(mgr.buf); c > maxScratch {
+		t.Errorf("the WAL scratch buffer keeps %d bytes after the install, bound %d", c, maxScratch)
 	}
 }

@@ -131,8 +131,9 @@ type Manager struct {
 	walErr error  // sticky: first append/sync failure flips to degraded mode
 	buf    []byte // payload scratch
 
-	cpMu sync.Mutex // one checkpoint at a time
-	ck   chainState // where the checkpoint files stand; guarded by cpMu
+	cpMu    sync.Mutex // one checkpoint at a time
+	ck      chainState // where the checkpoint files stand; guarded by cpMu
+	seedErr error      // why Seed failed: the store is ahead of the files; guarded by cpMu
 
 	rec RecoveryStats
 
@@ -219,6 +220,9 @@ func (m *Manager) Err() error {
 	return m.walErr
 }
 
+// maxScratch bounds the capacity the record scratch buffer keeps between records.
+const maxScratch = 1 << 20
+
 // committed is the store commit hook: it runs under the store's write
 // lock, so records are framed and appended in exactly the store's
 // serialization order.
@@ -236,6 +240,9 @@ func (m *Manager) committed(mut store.Mutation) {
 	}
 	m.lastLSN.Store(lsn)
 	obsWALBytes.Add(int64(frameHeaderSize + len(m.buf)))
+	if cap(m.buf) > maxScratch {
+		m.buf = nil // one bulk record does not pin its size for the server's life
+	}
 	if m.opts.Fsync == FsyncAlways {
 		d, err := m.w.sync()
 		if err != nil {
@@ -382,6 +389,37 @@ func (m *Manager) checkpointLoop() {
 func (m *Manager) Checkpoint() (CheckpointStats, error) {
 	m.cpMu.Lock()
 	defer m.cpMu.Unlock()
+	return m.checkpoint()
+}
+
+// Seed runs fn with the WAL detached and writes the store fn leaves as the
+// directory's first base checkpoint: until that file's rename a crash or
+// error leaves the directory empty, and after an error m writes nothing.
+// It refuses a directory holding a checkpoint or a WAL record. No other
+// writer may run, and fn must not call Checkpoint (Seed holds its lock).
+func (m *Manager) Seed(fn func() error) error {
+	m.cpMu.Lock()
+	defer m.cpMu.Unlock()
+	if m.ck.path != "" || m.lastLSN.Load() != 0 {
+		return fmt.Errorf("durable: seed: %s already holds a checkpoint or WAL records", m.opts.Dir)
+	}
+	m.st.SetCommitHook(nil)
+	err := fn()
+	if err == nil {
+		_, err = m.checkpoint()
+	}
+	if err != nil {
+		m.seedErr = err
+		return fmt.Errorf("durable: seed: %w", err)
+	}
+	m.st.SetCommitHook(m.committed)
+	return nil
+}
+
+func (m *Manager) checkpoint() (CheckpointStats, error) {
+	if m.seedErr != nil {
+		return CheckpointStats{}, fmt.Errorf("durable: checkpoint: the seed failed: %w", m.seedErr)
+	}
 	t0 := time.Now()
 	var lsn uint64
 	v := m.st.SnapshotAll(func() { lsn = m.lastLSN.Load() })
