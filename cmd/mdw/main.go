@@ -43,6 +43,7 @@ import (
 	"mdw/internal/audit"
 	"mdw/internal/core"
 	"mdw/internal/dbpedia"
+	"mdw/internal/durable"
 	"mdw/internal/impact"
 	"mdw/internal/landscape"
 	"mdw/internal/lineage"
@@ -651,21 +652,15 @@ func cmdCheckpoint(args []string) error {
 		}
 		return fmt.Errorf("checkpoint: %s returned %s", *url, resp.Status)
 	}
-	var stats struct {
-		Path            string        `json:"path"`
-		Kind            string        `json:"kind"`
-		LSN             uint64        `json:"lsn"`
-		Bytes           int64         `json:"bytes"`
-		Models          int           `json:"models"`
-		Triples         int           `json:"triples"`
-		Written         int           `json:"written"`
-		SegmentsRemoved int           `json:"segmentsRemoved"`
-		Duration        time.Duration `json:"duration"`
-	}
+	var stats durable.CheckpointStats
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		return fmt.Errorf("checkpoint: decoding response: %w", err)
 	}
-	fmt.Printf("checkpoint written: %s\n", stats.Path)
+	if stats.Kind == durable.CheckpointNone {
+		fmt.Printf("no checkpoint needed: %s still covers the store\n", stats.Path)
+	} else {
+		fmt.Printf("checkpoint written: %s\n", stats.Path)
+	}
 	fmt.Printf("  kind     %s\n", stats.Kind)
 	fmt.Printf("  lsn      %d\n", stats.LSN)
 	fmt.Printf("  size     %d bytes\n", stats.Bytes)
@@ -675,11 +670,10 @@ func cmdCheckpoint(args []string) error {
 	return nil
 }
 
-// cmdClone clones a model copy-on-write under a new name — sub-second
-// even at paper scale, because the base run is shared and only the
-// delta's outer maps are copied, its triples shared until either side
-// diverges. The clone starts at a
-// fresh generation, so cached query results never alias source and
+// cmdClone clones a model copy-on-write under a new name — O(1) at any
+// scale, because the clone shares its source's immutable base, delta and
+// tombstones, and each side's writes replace its own. The clone starts at
+// a fresh generation, so cached query results never alias source and
 // clone. With -url the clone happens on a running mdwd (and, in
 // -data-dir mode, lands in its write-ahead log); without, it runs
 // locally against the loaded data set and reports the clone size.

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"mdw/internal/core"
 	"mdw/internal/durable"
+	"mdw/internal/httpapi"
 	"mdw/internal/impact"
 	"mdw/internal/rdf"
 	"mdw/internal/staging"
@@ -460,5 +462,30 @@ func TestCloneCommand(t *testing.T) {
 	}
 	if err := run([]string{"clone", "MDW$META"}); err == nil || !contains(err.Error(), "reserved") {
 		t.Errorf("clone into a reserved name: %v, want the reserved-name error", err)
+	}
+}
+
+// TestCheckpointCommand: against a durable mdwd, a checkpoint after a
+// load reports the file it wrote, and one that finds nothing new says so
+// and claims no file.
+func TestCheckpointCommand(t *testing.T) {
+	w, mgr, err := core.OpenDurable("", durable.Options{Dir: t.TempDir(), Fsync: durable.FsyncNone, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	srv := httpapi.NewServer(w)
+	srv.SetDurable(mgr)
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	w.Store().Add(w.Model(), rdf.T(rdf.IRI("http://example.com/s"), rdf.IRI("http://example.com/p"), rdf.Literal("o")))
+	for _, want := range []struct{ head, kind string }{{"checkpoint written: ", "base"}, {"no checkpoint needed: ", "none"}} {
+		out, err := capture(t, func() error { return run([]string{"checkpoint", "-url", hs.URL}) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(out, want.head) || !strings.Contains(out, "\n  kind     "+want.kind+"\n") {
+			t.Errorf("checkpoint output = %q, want it to start %q and name kind %s", out, want.head, want.kind)
+		}
 	}
 }

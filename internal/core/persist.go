@@ -16,20 +16,26 @@ import (
 // warehouse and come back with the rest of the data directory.
 const metaModel = "MDW$META"
 
-// syncMeta rewrites the meta model from the historian's records.
+// syncMeta rewrites the meta model from the historian's records, all of
+// them in one write.
 func (w *Warehouse) syncMeta() {
 	w.st.DropModel(metaModel)
+	var ts []rdf.Triple
 	for _, v := range w.hist.Versions() {
 		subj := rdf.IRI(fmt.Sprintf("%sversions/%d", rdf.MDWNS, v.Number))
-		w.st.Add(metaModel, rdf.T(subj, rdf.Type, rdf.IRI(rdf.MDWVersion)))
-		w.st.Add(metaModel, rdf.T(subj, rdf.IRI(rdf.MDWVersionNumber), rdf.Integer(int64(v.Number))))
-		w.st.Add(metaModel, rdf.T(subj, rdf.IRI(rdf.MDWVersionTag), rdf.Literal(v.Tag)))
-		w.st.Add(metaModel, rdf.T(subj, rdf.IRI(rdf.MDWVersionAt), rdf.TypedLiteral(v.At.UTC().Format(time.RFC3339), rdf.XSDDate)))
-		w.st.Add(metaModel, rdf.T(subj, rdf.IRI(rdf.MDWVersionModel), rdf.Literal(v.Model)))
-		w.st.Add(metaModel, rdf.T(subj, rdf.IRI(rdf.MDWVersionTriples), rdf.Integer(int64(v.Triples))))
+		ts = append(ts,
+			rdf.T(subj, rdf.Type, rdf.IRI(rdf.MDWVersion)),
+			rdf.T(subj, rdf.IRI(rdf.MDWVersionNumber), rdf.Integer(int64(v.Number))),
+			rdf.T(subj, rdf.IRI(rdf.MDWVersionTag), rdf.Literal(v.Tag)),
+			rdf.T(subj, rdf.IRI(rdf.MDWVersionAt), rdf.TypedLiteral(v.At.UTC().Format(time.RFC3339), rdf.XSDDate)),
+			rdf.T(subj, rdf.IRI(rdf.MDWVersionModel), rdf.Literal(v.Model)),
+			rdf.T(subj, rdf.IRI(rdf.MDWVersionTriples), rdf.Integer(int64(v.Triples))))
 		if v.Pruned {
-			w.st.Add(metaModel, rdf.T(subj, rdf.IRI(rdf.MDWVersionPruned), rdf.Literal("true")))
+			ts = append(ts, rdf.T(subj, rdf.IRI(rdf.MDWVersionPruned), rdf.Literal("true")))
 		}
+	}
+	if len(ts) > 0 {
+		w.st.AddAll(metaModel, ts)
 	}
 }
 

@@ -323,8 +323,8 @@ func (w *Warehouse) SemMatchAnalyzeCtx(ctx context.Context, call string) (*sparq
 }
 
 // CloneModel clones model src ("" selects the base model) into dst via
-// the store's zero-copy clone path: the two models share index nodes
-// copy-on-write and the clone starts at a fresh salted generation, so
+// the store's zero-copy clone path: the two models share their immutable
+// sorted sets, each side's writes replace its own, and the clone starts at a fresh salted generation, so
 // cached query results and entailment-currency checks can never alias
 // source and clone. On a durable warehouse the clone is one WAL record,
 // not a triple-by-triple copy, and survives recovery. Names containing

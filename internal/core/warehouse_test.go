@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"mdw/internal/rdf"
 	"mdw/internal/search"
 	"mdw/internal/staging"
+	"mdw/internal/store"
 )
 
 func buildWarehouse(t *testing.T) *Warehouse {
@@ -163,6 +165,26 @@ func TestSnapshotAndHistory(t *testing.T) {
 	}
 	if w.Stats().Versions != 2 {
 		t.Error("version count wrong")
+	}
+}
+
+// TestSnapshotWritesMetaOnce: historizing a release rewrites the meta
+// model's version records in one write, whatever their number.
+func TestSnapshotWritesMetaOnce(t *testing.T) {
+	w := buildWarehouse(t)
+	for i := 1; i <= 2; i++ {
+		var adds []store.Mutation
+		w.Store().SetCommitHook(func(m store.Mutation) {
+			if m.Op == store.OpAdd && m.Model == metaModel {
+				adds = append(adds, m)
+			}
+		})
+		if _, err := w.Snapshot(fmt.Sprintf("R%d", i), time.Date(2009, time.Month(i), 1, 0, 0, 0, 0, time.UTC)); err != nil {
+			t.Fatal(err)
+		}
+		if len(adds) != 1 || len(adds[0].Triples) != 6*i {
+			t.Fatalf("release %d: %d adds to %s, want one of %d records", i, len(adds), metaModel, 6*i)
+		}
 	}
 }
 

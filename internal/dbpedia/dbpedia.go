@@ -183,31 +183,25 @@ func sorted(set map[string]bool) []string {
 
 // Integrate loads the extract into the named model of st and derives the
 // warehouse's own synonym/homonym edges (mdw:synonymOf, mdw:homonymOf)
-// between the DBpedia resource nodes, increasing graph density exactly as
-// Section III.B describes. It returns the number of triples added.
+// between the DBpedia resource nodes, all of them in one write, increasing
+// graph density exactly as Section III.B describes. It returns the number
+// of triples added.
 func Integrate(st *store.Store, model string, extract []rdf.Triple) int {
 	n := st.AddAll(model, extract)
 	th := FromTriples(extract)
-	for term, syns := range th.syn {
-		for s := range syns {
-			n += boolToInt(st.Add(model, rdf.T(resFor(term), rdf.IRI(rdf.MDWSynonymOf), resFor(s))))
+	var edges []rdf.Triple
+	link := func(pred string, rel map[string]map[string]bool) {
+		for term, others := range rel {
+			for o := range others {
+				edges = append(edges, rdf.T(resFor(term), rdf.IRI(pred), resFor(o)))
+			}
 		}
 	}
-	for term, homs := range th.hom {
-		for h := range homs {
-			n += boolToInt(st.Add(model, rdf.T(resFor(term), rdf.IRI(rdf.MDWHomonymOf), resFor(h))))
-		}
-	}
-	return n
+	link(rdf.MDWSynonymOf, th.syn)
+	link(rdf.MDWHomonymOf, th.hom)
+	return n + st.AddAll(model, edges)
 }
 
 func resFor(term string) rdf.Term {
 	return res(strings.ReplaceAll(term, " ", "_"))
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -112,6 +112,31 @@ func TestIntegrate(t *testing.T) {
 	}
 }
 
+// TestIntegrateWritesTwice: the extract and the derived edges reach the
+// store as one write each, so a write-ahead log holds two records.
+func TestIntegrateWritesTwice(t *testing.T) {
+	st := store.New()
+	var adds []store.Mutation
+	st.SetCommitHook(func(m store.Mutation) {
+		if m.Op == store.OpAdd {
+			adds = append(adds, m)
+		}
+	})
+	Integrate(st, "aux", Banking())
+	if len(adds) != 2 {
+		t.Fatalf("Integrate committed %d adds, want 2", len(adds))
+	}
+	syn, hom := st.Dict().Intern(rdf.IRI(rdf.MDWSynonymOf)), st.Dict().Intern(rdf.IRI(rdf.MDWHomonymOf))
+	for _, tr := range adds[1].Triples {
+		if tr.P != syn && tr.P != hom {
+			t.Fatalf("the second add holds %v, not a synonym or homonym edge", tr)
+		}
+	}
+	if n := st.CountPattern("aux", rdf.Term{}, rdf.IRI(rdf.MDWSynonymOf), rdf.Term{}) + st.CountPattern("aux", rdf.Term{}, rdf.IRI(rdf.MDWHomonymOf), rdf.Term{}); n != len(adds[1].Triples) {
+		t.Errorf("the model holds %d edges, the second add %d", n, len(adds[1].Triples))
+	}
+}
+
 func TestNormalization(t *testing.T) {
 	th := FromTriples(Banking())
 	a := th.Synonyms("ACCOUNT_holder")

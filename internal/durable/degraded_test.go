@@ -55,9 +55,10 @@ func TestWALDegradedMode(t *testing.T) {
 	}
 }
 
-// TestWALScratchBounded installs a 100 000-triple model from scratch: its
-// record is encoded whole in the manager's scratch buffer, and the buffer
-// must not keep that capacity once the record is written.
+// TestWALScratchBounded: records the size of a release's entailment
+// extension (≈ 3 MB at paper scale) are encoded into one reused scratch
+// buffer, and a 110 000-triple model installed from scratch — a record
+// above 10 MB — is encoded whole but does not leave the buffer that large.
 func TestWALScratchBounded(t *testing.T) {
 	dir := t.TempDir()
 	mgr, st, err := Open(Options{Dir: dir, Fsync: FsyncNone, Logf: t.Logf})
@@ -65,20 +66,45 @@ func TestWALScratchBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
+	triples := func(from, n int) []rdf.Triple {
+		ts := make([]rdf.Triple, n)
+		for i := range ts {
+			ts[i] = rdf.T(rdf.IRI(fmt.Sprintf("http://example.com/s%d", from+i)), rdf.IRI(rdf.RDFType), rdf.IRI("http://example.com/C"))
+		}
+		return ts
+	}
+	st.AddAll("m", triples(0, 30_000))
+	if c := cap(mgr.buf); c < 3<<20 || c > maxScratch {
+		t.Fatalf("a 30 000-triple record left a %d-byte buffer, want 3 MiB to %d bytes", c, maxScratch)
+	}
+	first := mgr.buf[:1]
+	st.AddAll("m", triples(30_000, 30_000))
+	if &mgr.buf[:1][0] != &first[0] {
+		t.Error("a second 3 MB record regrew the WAL scratch buffer")
+	}
+
+	size := func() int64 {
+		t.Helper()
+		if err := mgr.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(mgr.w.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	before := size()
 	m := store.NewModel("m$OWLPRIME")
-	for i := range 100_000 {
-		m.Add(st.Dict().Encode(rdf.T(rdf.IRI(fmt.Sprintf("http://example.com/s%d", i)), rdf.IRI(rdf.RDFType), rdf.IRI("http://example.com/C"))))
+	ts := triples(0, 110_000)
+	ids := make([]store.ETriple, len(ts))
+	for i, tr := range ts {
+		ids[i] = st.Dict().Encode(tr)
 	}
+	m.AddAll(ids)
 	st.InstallModel(m)
-	if err := mgr.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(mgr.w.path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mgr.LastLSN() != 1 || fi.Size() <= maxScratch {
-		t.Fatalf("the install logged %d records in %d bytes, want one record above %d bytes", mgr.LastLSN(), fi.Size(), maxScratch)
+	if n := size() - before; mgr.LastLSN() != 3 || n <= 10<<20 {
+		t.Fatalf("the install logged record %d in %d bytes, want record 3 above 10 MiB", mgr.LastLSN(), n)
 	}
 	if c := cap(mgr.buf); c > maxScratch {
 		t.Errorf("the WAL scratch buffer keeps %d bytes after the install, bound %d", c, maxScratch)

@@ -220,8 +220,11 @@ func (m *Manager) Err() error {
 	return m.walErr
 }
 
-// maxScratch bounds the capacity the record scratch buffer keeps between records.
-const maxScratch = 1 << 20
+// maxScratch bounds the capacity the record scratch buffer keeps between
+// records: a release's entailment extension record (≈ 3 MB at paper
+// scale) reuses the buffer, and a larger one, such as a whole-model
+// install record, does not pin its size for the server's life.
+const maxScratch = 8 << 20
 
 // committed is the store commit hook: it runs under the store's write
 // lock, so records are framed and appended in exactly the store's
@@ -241,7 +244,7 @@ func (m *Manager) committed(mut store.Mutation) {
 	m.lastLSN.Store(lsn)
 	obsWALBytes.Add(int64(frameHeaderSize + len(m.buf)))
 	if cap(m.buf) > maxScratch {
-		m.buf = nil // one bulk record does not pin its size for the server's life
+		m.buf = nil
 	}
 	if m.opts.Fsync == FsyncAlways {
 		d, err := m.w.sync()

@@ -270,9 +270,7 @@ func applyDelta(dict *store.Dict, models map[string]*store.Model, d *Delta, at u
 		switch md.Kind {
 		case ModelChanged:
 			m := models[md.Name]
-			for _, t := range md.Removed {
-				m.Remove(t)
-			}
+			m.RemoveAll(md.Removed)
 			m.AddAll(md.Added)
 			m.SetGen(md.Gen)
 			m.SetBasis(md.Basis)
@@ -422,9 +420,10 @@ func applyRecord(st *store.Store, rec *Record) error {
 		}
 		added, removed := make([]store.ETriple, len(rec.Triples)), make([]store.ETriple, len(rec.Removed))
 		for i, t := range rec.Removed {
-			if removed[i] = intern(st.Dict(), t); !m.Remove(removed[i]) {
-				return fmt.Errorf("extend: removed triple absent (replay divergence)")
-			}
+			removed[i] = intern(st.Dict(), t)
+		}
+		if n := len(m.RemoveAll(removed)); n != len(removed) {
+			return fmt.Errorf("extend: %d removed triples absent (replay divergence)", len(removed)-n)
 		}
 		for i, t := range rec.Triples {
 			added[i] = intern(st.Dict(), t)

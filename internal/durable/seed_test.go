@@ -241,3 +241,24 @@ func TestSeedRefusesUsedDirectory(t *testing.T) {
 		})
 	}
 }
+
+// TestSeedKilledAtReadyHasNoTornTail: a seeded directory whose server is
+// killed before its first write recovers without a torn WAL tail. The
+// manager is abandoned, as kill -9 leaves it — never closed, its buffers
+// never flushed — so the WAL's segment holds only what its creation wrote.
+func TestSeedKilledAtReadyHasNoTornTail(t *testing.T) {
+	dir := t.TempDir()
+	mgr, st := openTest(t, dir, nil)
+	if err := mgr.Seed(func() error { seedFixture(t, st); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	want := fingerprint(st)
+	mgr2, st2 := openTest(t, dir, nil)
+	defer mgr2.Close()
+	if torn := mgr2.Recovery().TornTail; torn != "" {
+		t.Errorf("a seeded directory killed at ready recovers with a torn tail: %s", torn)
+	}
+	if fingerprint(st2) != want {
+		t.Error("the seeded directory does not recover the seeded store")
+	}
+}

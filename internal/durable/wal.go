@@ -45,29 +45,28 @@ type segmentWriter struct {
 
 // createSegment creates (truncating any leftover file of the same name —
 // a collision is only possible when the previous incarnation held no
-// valid records) and syncs the containing directory so the new file
-// itself survives a crash.
+// valid records), writes and syncs the header, and syncs the containing
+// directory, so that the new file survives a crash whole: a segment
+// nobody has appended to yet recovers as empty, not as a torn tail.
 func createSegment(dir string, firstLSN uint64) (*segmentWriter, error) {
 	path := filepath.Join(dir, segmentName(firstLSN))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	w := &segmentWriter{f: f, bw: bufio.NewWriterSize(f, 1<<16), path: path, firstLSN: firstLSN}
 	hdr := make([]byte, 0, segHeaderSize)
 	hdr = append(hdr, segMagic...)
 	hdr = binary.LittleEndian.AppendUint64(hdr, firstLSN)
-	if _, err := w.bw.Write(hdr); err != nil {
+	if _, err = f.Write(hdr); err == nil {
+		if err = f.Sync(); err == nil {
+			err = syncDir(dir)
+		}
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	w.size = int64(segHeaderSize)
-	w.dirty = true
-	if err := syncDir(dir); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return w, nil
+	return &segmentWriter{f: f, bw: bufio.NewWriterSize(f, 1<<16), path: path, firstLSN: firstLSN, size: int64(segHeaderSize)}, nil
 }
 
 // append frames payload and writes it to the buffer.
@@ -152,12 +151,12 @@ func scanSegment(path string) (*segmentScan, error) {
 	}
 	scan := &segmentScan{path: path}
 	if len(data) < segHeaderSize {
-		// A crash between segment creation and the first sync leaves the
-		// header short (possibly zero bytes: the header sits in the write
-		// buffer until the first flush). If what IS on disk is a prefix of
-		// the header this file would carry, that's a torn creation — only
-		// tolerable as the final segment, like any other torn tail. Any
-		// other short content is damage.
+		// A crash while the segment is created can leave the header short
+		// (possibly zero bytes: the file exists before its header is
+		// synced). If what IS on disk is a prefix of the header this file
+		// would carry, that's a torn creation — only tolerable as the final
+		// segment, like any other torn tail. Any other short content is
+		// damage.
 		fromName, ok := parseSegmentName(filepath.Base(path))
 		want := append([]byte(segMagic), make([]byte, 8)...)
 		binary.LittleEndian.PutUint64(want[len(segMagic):], fromName)

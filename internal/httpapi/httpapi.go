@@ -152,12 +152,25 @@ func (s *Server) handleClone(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, http.StatusOK, CloneResponse{Src: src, Dst: dst, Triples: n})
 }
 
+// maxLoadBytes bounds the body of one /api/load request.
+const maxLoadBytes = 16 << 20
+
 // handleLoad adds raw triples to the base model, posted as N-Triples
 // text (the auxiliary-triples path of `mdw generate`). The write bumps
 // the model generation, so cached query results and the entailment
-// index are invalidated implicitly.
+// index are invalidated implicitly. A body of declared length is read
+// into a buffer of that size; a chunked one, or one over the limit, is
+// read to its end or to the limit's error.
 func (s *Server) handleLoad(rw http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(rw, r.Body, 16<<20))
+	in := http.MaxBytesReader(rw, r.Body, maxLoadBytes)
+	var body []byte
+	var err error
+	if n := r.ContentLength; n >= 0 && n <= maxLoadBytes {
+		body = make([]byte, n)
+		_, err = io.ReadFull(in, body)
+	} else {
+		body, err = io.ReadAll(in)
+	}
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, err)
 		return

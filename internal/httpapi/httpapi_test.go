@@ -511,6 +511,37 @@ func TestLoadEndpointInvalidatesCache(t *testing.T) {
 	}
 }
 
+// TestLoadBody: /api/load takes a body of declared length and a chunked
+// one alike, and refuses either above 16 MiB.
+func TestLoadBody(t *testing.T) {
+	srv := testServer(t)
+	post := func(body io.Reader) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/api/load", "application/n-triples", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	nt := "<http://x/s> <http://x/p> <http://x/o2> .\n"
+	big := strings.Repeat("# padding\n", 2<<20) + nt // 20 MiB of comments
+	for _, c := range []struct {
+		name string
+		body io.Reader
+		want int
+	}{
+		{"declared length", strings.NewReader(nt), 200},
+		{"chunked", io.MultiReader(strings.NewReader(nt)), 200},
+		{"declared length over the limit", strings.NewReader(big), 400},
+		{"chunked over the limit", io.MultiReader(strings.NewReader(big)), 400},
+	} {
+		if code := post(c.body); code != c.want {
+			t.Errorf("%s: status %d, want %d", c.name, code, c.want)
+		}
+	}
+}
+
 // TestServiceErrorStatuses: every route that calls a service answers a
 // failure through serveError — under the status the error's kind
 // deserves, with the error's message as the body — and search validates

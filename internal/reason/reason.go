@@ -174,12 +174,7 @@ func pinEntailed(ctx context.Context, st *store.Store, model string) (*store.Vie
 	// queued triple is in the closure before the rules run on it, so each
 	// rule still meets its other premise, whichever came later.
 	queue, nDelta := d.Added, len(d.Added)
-	var asserted []store.ETriple
-	for _, t := range queue {
-		if e.idx.Remove(t) {
-			asserted = append(asserted, t)
-		}
-	}
+	asserted := e.idx.RemoveAll(queue)
 	var derived []store.ETriple
 	emit := func(t store.ETriple) {
 		if !e.base.Contains(t) && !e.idx.Contains(t) {

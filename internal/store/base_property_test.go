@@ -9,12 +9,15 @@ import (
 
 // TestBaseAndDeltaAgainstReference drives models with a frozen base, a
 // delta and tombstones through random writes — Add, Remove, AddAll small
-// and bulk, merges with and without tombstones pending, a base triple
-// removed and added again, Clone and fork with writes on either side —
-// and after every step checks each model against a reference set through
-// every read: ForEach, Count, Contains, Subjects, Objects, sorted, the
-// distinct-key and predicate statistics, and Split + Scan at every part
-// size with and without keep, alone and as the second member of a view.
+// and bulk, RemoveAll of batches mixing delta, base and absent triples,
+// merges with and without tombstones pending, a base triple removed and
+// added again, tombstones and delta triples under the same keys, Clone and
+// fork with writes on either side, and clones of clones written on both
+// sides — and after every step checks each model against a reference set
+// through every read: ForEach, Count, Contains, Subjects, Objects, sorted,
+// the distinct-key and predicate statistics, and Split + Scan at every
+// part size with and without keep, alone and as the second member of a
+// view.
 func TestBaseAndDeltaAgainstReference(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -25,10 +28,67 @@ func TestBaseAndDeltaAgainstReference(t *testing.T) {
 			ref refModel
 		}
 		ps := []*pair{{NewModel("m"), refModel{}}}
-		for step := 0; step < 40; step++ {
+		step := 0
+		// write adds batch to m and ref, or removes it, and checks that m
+		// reports the triples that changed, each once, in batch order.
+		write := func(m *Model, ref refModel, batch []ETriple, add bool) {
+			var want []ETriple
+			seen := map[ETriple]bool{}
+			for _, tr := range batch {
+				if ref[tr] != add && !seen[tr] {
+					seen[tr] = true
+					want = append(want, tr)
+				}
+			}
+			write := m.RemoveAll
+			if add {
+				write = m.AddAll
+			}
+			got := write(batch)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: writing %v (add %v) reported %v, want %v", seed, step, batch, add, got, want)
+			}
+			for _, tr := range want {
+				if add {
+					ref[tr] = true
+				} else {
+					delete(ref, tr)
+				}
+			}
+		}
+		// baseTriple returns a random triple of m's base, tombstoned or not.
+		baseTriple := func(m *Model) (ETriple, bool) {
+			r := &m.base.ix[0]
+			if len(r.b) == 0 {
+				return ETriple{}, false
+			}
+			k := rng.Intn(len(r.b))
+			return ETriple{r.key(r.slotAt(k)), r.b[k], r.c[k]}, true
+		}
+		randomBatch := func(m *Model, ref refModel) []ETriple {
+			in := members(ref)
+			SortETriples(in)
+			var batch []ETriple
+			for n := 1 + rng.Intn(8); len(batch) < n; {
+				switch rng.Intn(3) {
+				case 0:
+					if len(in) > 0 {
+						batch = append(batch, in[rng.Intn(len(in))])
+					}
+				case 1:
+					if tr, ok := baseTriple(m); ok {
+						batch = append(batch, tr)
+					}
+				default:
+					batch = append(batch, triple())
+				}
+			}
+			return append(batch, batch[0]) // a repeat
+		}
+		for ; step < 60; step++ {
 			x := ps[rng.Intn(len(ps))]
 			m, ref := x.m, x.ref
-			switch op := rng.Intn(10); op {
+			switch op := rng.Intn(13); op {
 			case 0, 1:
 				tr := triple()
 				if m.Add(tr) == ref[tr] {
@@ -47,35 +107,20 @@ func TestBaseAndDeltaAgainstReference(t *testing.T) {
 			case 3, 4:
 				n := 1 + rng.Intn(20)
 				if op == 4 {
-					n = m.mergeAt() + rng.Intn(200) // takes the bulk path
+					n = m.mergeAt() + rng.Intn(200) // merges
 				}
 				batch := make([]ETriple, n)
 				for i := range batch {
 					batch[i] = triple()
 				}
-				var want []ETriple
-				seen := map[ETriple]bool{}
-				for _, tr := range batch {
-					if !ref[tr] && !seen[tr] {
-						seen[tr] = true
-						want = append(want, tr)
-					}
-				}
-				if got := m.AddAll(batch); !slices.Equal(got, want) {
-					t.Fatalf("seed %d step %d: AddAll of %d returned %d triples, want %d in batch order", seed, step, n, len(got), len(want))
-				}
-				for _, tr := range want {
-					ref[tr] = true
-				}
+				write(m, ref, batch, true)
 			case 5:
 				// Remove a base triple, so a tombstone is pending, and maybe
 				// add it straight back.
-				r := &m.base.ix[0]
-				if len(r.b) == 0 {
+				tr, ok := baseTriple(m)
+				if !ok {
 					continue
 				}
-				k := rng.Intn(len(r.b))
-				tr := ETriple{r.key(r.slotAt(k)), r.b[k], r.c[k]}
 				if m.Remove(tr) != ref[tr] {
 					t.Fatalf("seed %d step %d: Remove of base triple %v disagrees", seed, step, tr)
 				}
@@ -88,9 +133,9 @@ func TestBaseAndDeltaAgainstReference(t *testing.T) {
 				}
 			case 6:
 				gen := m.Gen()
-				m.merge(nil)
-				if m.Gen() != gen || m.dsize != 0 || len(m.tomb) != 0 {
-					t.Fatalf("seed %d step %d: merge left gen %d→%d, %d delta, %d tombstones", seed, step, gen, m.Gen(), m.dsize, len(m.tomb))
+				m.merge()
+				if m.Gen() != gen || m.delta.size() != 0 || m.tomb.size() != 0 {
+					t.Fatalf("seed %d step %d: merge left gen %d→%d, %d delta, %d tombstones", seed, step, gen, m.Gen(), m.delta.size(), m.tomb.size())
 				}
 			case 7, 8:
 				if len(ps) >= 3 {
@@ -109,6 +154,45 @@ func TestBaseAndDeltaAgainstReference(t *testing.T) {
 					m.Add(tr)
 					ref[tr] = true
 				}
+			case 10:
+				// Tombstones and delta triples under the same key of each
+				// path: remove a base triple and every other one of its
+				// subject and predicate, and add triples that share two of
+				// its positions.
+				tr, ok := baseTriple(m)
+				if !ok {
+					continue
+				}
+				gone := []ETriple{tr}
+				for i, o := range m.Objects(tr.S, tr.P) {
+					if i%2 == 0 {
+						gone = append(gone, ETriple{tr.S, tr.P, o})
+					}
+				}
+				write(m, ref, gone, false)
+				write(m, ref, []ETriple{{tr.S, tr.P, id()}, {id(), tr.P, tr.O}, {tr.S, id(), tr.O}}, true)
+				// Parts that start between the pair's tombstones.
+				stream := collectForEach(m, tr.S, tr.P, Wildcard)
+				if !sameTriples(stream, members(ref.match(tr.S, tr.P, Wildcard))) {
+					t.Fatalf("seed %d step %d: ForEach(%d, %d, *) = %v", seed, step, tr.S, tr.P, stream)
+				}
+				checkSplit(t, NewView(m), tr.S, tr.P, Wildcard, stream, func(format string, args ...any) {
+					t.Helper()
+					t.Fatalf("seed %d step %d: "+format, append([]any{seed, step}, args...)...)
+				})
+			case 11:
+				write(m, ref, randomBatch(m, ref), false)
+			case 12:
+				// A clone written on both sides, itself cloned later on.
+				if len(ps) >= 4 {
+					continue
+				}
+				c := &pair{m.Clone("c"), maps.Clone(ref)}
+				for _, y := range []*pair{x, c} {
+					write(y.m, y.ref, randomBatch(y.m, y.ref), rng.Intn(2) == 0)
+					write(y.m, y.ref, randomBatch(y.m, y.ref), true)
+				}
+				ps = append(ps, c)
 			}
 			for i, y := range ps {
 				checkAgainstReference(t, y.m, y.ref, rng, seed, step, i)

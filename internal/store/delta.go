@@ -223,7 +223,7 @@ func (s *Store) runLocked(m *Model) (*deltaLog, *step) {
 		s.startLogLocked(m)
 		l = s.deltas[m.name]
 	}
-	l.bound(m.size)
+	l.bound(m.Len())
 	return l, l.run()
 }
 
@@ -260,7 +260,7 @@ type Delta struct {
 	// of this generation, to be read only. Base.Gen() is the basis of
 	// whatever is derived from it.
 	Base *Model
-	// Derived is a copy-on-write clone of the installed derived model for
+	// Derived is a clone of the installed derived model for
 	// the caller to extend in place, or an empty model when there is
 	// nothing to extend from. It is detached; the caller owns it.
 	Derived *Model
@@ -302,7 +302,7 @@ func (s *Store) SnapshotDelta(base, derived string) *Delta {
 			countFallback("reason")
 		}
 		d.Derived = NewModel(derived)
-		d.Added = make([]ETriple, 0, d.Base.size)
+		d.Added = make([]ETriple, 0, d.Base.Len())
 		d.Base.ForEach(Wildcard, Wildcard, Wildcard, func(t ETriple) bool {
 			d.Added = append(d.Added, t)
 			return true
@@ -334,7 +334,7 @@ func (s *Store) InstallExtension(m *Model, prevGen uint64, added, removed []ETri
 		s.models[m.name], s.cuts[m.name], m.feed = m, m, l.id
 		l.steps = append(l.steps, step{gen: m.gen, ext: true, added: added, removed: removed})
 		l.n += 1 + len(added) + len(removed)
-		l.bound(m.size)
+		l.bound(m.Len())
 	}
 	s.installedLocked(m, Mutation{Op: OpExtend, Model: m.name, PrevGen: prevGen, Gen: m.gen, Basis: m.basis, Triples: added, Removed: removed})
 }

@@ -6,8 +6,8 @@
 // models (SEM_MODELS('DWH_CURR') in Listing 1 addresses one such model),
 // terms are dictionary-encoded once, and each model keeps SPO/POS/OSP
 // indexes so that every triple-pattern access path is supported: sorted
-// runs for the bulk a release loads, and small maps for what was written
-// since.
+// runs for the bulk a release loads, for what was added since, and for
+// what was removed.
 package store
 
 import (

@@ -136,12 +136,14 @@ func (v *View) States() []ModelState {
 	return states
 }
 
-// sorted returns the model's triples ascending by (S, P, O): the base's
-// SPO run, already in that order, merged with the sorted delta.
+// sorted returns the model's triples ascending by (S, P, O): its SPO
+// run, merged from the base's, the tombstones' and the delta's.
 func (m *Model) sorted() []ETriple {
-	out := make([]ETriple, 0, m.size)
-	m.base.ix[0].walk(0, m.tomb, m.deltaSorted(), func(s, p, o ID) {
-		out = append(out, ETriple{S: s, P: p, O: o})
+	r := merged(&m.base.ix[0], &m.tomb.ix[0], &m.delta.ix[0])
+	out := make([]ETriple, 0, len(r.b))
+	each(0, r.find(Wildcard, Wildcard), cursor{}, func(t ETriple) bool {
+		out = append(out, t)
+		return true
 	})
 	return out
 }

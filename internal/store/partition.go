@@ -17,26 +17,15 @@ type Parts struct {
 }
 
 // part is a stretch of one member's enumeration: positions lo..hi of the
-// member's base run and entries dlo..dhi of its delta. For a pattern that
-// walks keys, the delta's entries are its keys (dkeys, ascending, shared
-// by the member's parts) and the part is a run of ascending keys whose
-// triples all lie inside it; for a pattern with two bound positions, they
-// are the delta's list of third positions, read after the base's.
+// member's base run and dlo..dhi of its delta's run of the same path. For
+// a pattern that walks keys, the part is a run of ascending keys whose
+// triples, in either run, all lie inside it; for a pattern with two bound
+// positions, the delta's triples are read after the base's.
 type part struct {
 	m        int
 	lo, hi   int
-	dkeys    []keyed
 	dlo, dhi int
 }
-
-// keyed is a walked delta key packed with its weight, the number of the
-// delta's triples under it: key in the high half, so that sorting packed
-// values sorts by key.
-type keyed uint64
-
-func pack(k ID, w int) keyed { return keyed(uint64(k)<<32 | uint64(uint32(w))) }
-func (e keyed) key() ID      { return ID(e >> 32) }
-func (e keyed) weight() int  { return int(uint32(e)) }
 
 // KeyPos returns the position, 0 S, 1 P or 2 O, that the index keys Split
 // walks bind for a pattern whose bound positions are given, or -1 when two
@@ -63,10 +52,8 @@ func KeyPos(s, p, o bool) int {
 // writes, every call agrees, whatever the size. A key's triples are never
 // split across parts.
 //
-// Over a member's base Split only searches: a part ends at the key group
-// that holds its size-th triple, found from the run's offsets, so it
-// copies no triple and visits no key. Only the delta's keys are collected
-// and sorted, and the delta is small.
+// Split only searches: a part ends at the key group that holds its
+// size-th triple, found from the runs' offsets, so it copies no triple.
 func (v *View) Split(s, p, o ID, size int) *Parts {
 	ps := &Parts{v: v, key: KeyPos(s != Wildcard, p != Wildcard, o != Wildcard)}
 	ps.ix, ps.a, ps.b = path(s, p, o)
@@ -79,84 +66,56 @@ func (v *View) Split(s, p, o ID, size int) *Parts {
 	}
 	ps.parts = make([]part, 0, n/size+2*len(v.models))
 	for i, m := range v.models {
-		r, idx := &m.base.ix[ps.ix], m.index(ps.ix)
-		switch {
-		case ps.b != Wildcard:
-			lo, hi := r.pair(ps.a, ps.b)
-			nb := hi - lo
-			for x, n := 0, nb+len(idx[ps.a][ps.b]); x < n; x += size {
-				y := min(x+size, n)
-				ps.parts = append(ps.parts, part{m: i, lo: lo + min(x, nb), hi: lo + min(y, nb), dlo: max(x-nb, 0), dhi: max(y-nb, 0)})
-			}
-		case ps.a != Wildcard:
-			lo, hi := r.span(ps.a)
-			ps.cut(i, r, lo, hi, deltaKeys(idx[ps.a], func(l []ID) int { return len(l) }), size)
-		default:
-			ps.cut(i, r, 0, len(r.b), deltaKeys(idx, func(in map[ID][]ID) int {
-				w := 0
-				for _, l := range in {
-					w += len(l)
-				}
-				return w
-			}), size)
+		base, delta := m.base.ix[ps.ix].find(ps.a, ps.b), m.delta.ix[ps.ix].find(ps.a, ps.b)
+		if ps.b == Wildcard {
+			ps.cut(i, base, delta, size)
+			continue
+		}
+		nb := base.hi - base.x
+		for x, n := 0, nb+delta.hi-delta.x; x < n; x += size {
+			y := min(x+size, n)
+			ps.parts = append(ps.parts, part{m: i, lo: base.x + min(x, nb), hi: base.x + min(y, nb), dlo: delta.x + max(x-nb, 0), dhi: delta.x + max(y-nb, 0)})
 		}
 	}
 	return ps
 }
 
-// deltaKeys returns the keys of a delta index level with their weights,
-// ascending.
-func deltaKeys[V any](idx map[ID]V, weight func(V) int) []keyed {
-	if len(idx) == 0 {
-		return nil
-	}
-	keys := make([]keyed, 0, len(idx))
-	for k, v := range idx {
-		keys = append(keys, pack(k, weight(v)))
-	}
-	slices.Sort(keys)
-	return keys
-}
-
 // cut appends member i's parts over the keys the walk visits: the key
-// groups of base positions lo..hi of run r and the delta's keys dk. A part
-// takes the base's next size triples, rounded up to a whole key group,
-// and the delta keys up to that key; the last base part takes the rest of
-// the delta, and a delta reached alone is cut by weight.
-func (ps *Parts) cut(i int, r *run, lo, hi int, dk []keyed, size int) {
-	x, di, slot := lo, 0, 0
-	for x < hi || di < len(dk) {
-		p := part{m: i, lo: x, dkeys: dk, dlo: di}
-		if x < hi {
-			var k ID
-			k, x = ps.group(r, min(x+size, hi)-1, hi, &slot)
-			if x == hi {
-				di = len(dk)
-			}
-			for di < len(dk) && dk[di].key() <= k {
-				di++
-			}
-		} else {
-			for w := 0; di < len(dk) && w < size; di++ {
-				w += dk[di].weight()
-			}
+// groups of the base's and the delta's cursors. A part takes the base's
+// next size triples, rounded up to a whole key group, and the delta's
+// groups up to that key; a delta reached alone is cut the same way.
+func (ps *Parts) cut(i int, base, delta cursor, size int) {
+	for base.x < base.hi || delta.x < delta.hi {
+		p := part{m: i, lo: base.x, dlo: delta.x}
+		lead := &base
+		if base.x == base.hi {
+			lead = &delta
 		}
-		p.hi, p.dhi = x, di
+		k, end := ps.group(lead, min(lead.x+size, lead.hi)-1)
+		for lead.x = end; delta.x < delta.hi; {
+			dk, dend := ps.group(&delta, delta.x)
+			if dk > k {
+				break
+			}
+			delta.x = dend
+		}
+		p.hi, p.dhi = base.x, delta.x
 		ps.parts = append(ps.parts, p)
 	}
 }
 
-// group returns the walked key at base position x of run r and the end
-// of that key's positions, hi at most. slot is a walk over every key's
-// cursor: at or before x's slot, and moved to it.
-func (ps *Parts) group(r *run, x, hi int, slot *int) (ID, int) {
+// group returns the walked key at position x of c's run and the end of
+// that key's positions, c.hi at most; c.slot moves to x's slot. Calls on
+// one cursor ask for ascending positions.
+func (ps *Parts) group(c *cursor, x int) (ID, int) {
+	r := c.r
 	if ps.a != Wildcard {
-		return r.b[x], groupEnd(r.b, x, hi)
+		return r.b[x], groupEnd(r.b, x, c.hi)
 	}
-	for int(r.off[*slot+1]) <= x {
-		*slot++
+	for int(r.off[c.slot+1]) <= x {
+		c.slot++
 	}
-	return r.key(*slot), int(r.off[*slot+1])
+	return r.key(c.slot), int(r.off[c.slot+1])
 }
 
 // Len returns the number of parts.
@@ -179,101 +138,68 @@ func (ps *Parts) KeyPos() int { return ps.key }
 func (ps *Parts) Scan(i int, keep func(key ID, n int) bool, fn func(ETriple) bool) bool {
 	pt := ps.parts[i]
 	m := ps.v.models[pt.m]
-	r, idx, live := &m.base.ix[ps.ix], m.index(ps.ix), len(m.tomb) == 0
+	base, tomb, delta := &m.base.ix[ps.ix], &m.tomb.ix[ps.ix], &m.delta.ix[ps.ix]
+	emit := fn // the first member's triples go straight to fn
+	if ps.c != Wildcard || pt.m > 0 {
+		emit = func(t ETriple) bool {
+			return ps.c != Wildcard && t.O != ps.c || ps.visit(pt.m, t, fn)
+		}
+	}
+	bc, dc := base.at(pt.lo, pt.hi), delta.at(pt.dlo, pt.dhi)
 	if ps.b != Wildcard {
-		for _, c := range r.c[pt.lo:pt.hi] {
-			if (ps.c == Wildcard || c == ps.c) && (live || !m.dead(unorder(ps.ix, ps.a, ps.b, c))) && !ps.visit(pt.m, ps.a, ps.b, c, fn) {
-				return false
-			}
+		// The part may start inside the pair's range: so do its tombstones.
+		dead := tomb.find(ps.a, ps.b)
+		if bc.x < bc.hi {
+			j, _ := slices.BinarySearch(tomb.c[dead.x:dead.hi], base.c[bc.x])
+			dead.x += j
 		}
-		for _, c := range idx[ps.a][ps.b][pt.dlo:pt.dhi] {
-			if (ps.c == Wildcard || c == ps.c) && !ps.visit(pt.m, ps.a, ps.b, c, fn) {
-				return false
-			}
-		}
-		return true
+		return each(ps.ix, bc, dead, emit) && each(ps.ix, dc, cursor{}, emit)
 	}
-	x, dk, slot := pt.lo, pt.dkeys[pt.dlo:pt.dhi], 0
-	if ps.a == Wildcard && x < pt.hi {
-		slot = r.slotAt(x)
-	}
-	for x < pt.hi || len(dk) > 0 {
-		// The next key: the base's next group, the delta's next key, or
+	for bc.x < bc.hi || dc.x < dc.hi {
+		// The next key: the base's next group, the delta's next group, or
 		// both when they are the same key.
-		var k ID
-		end, dw := x, 0
-		if x < pt.hi {
-			k, end = ps.group(r, x, pt.hi, &slot)
+		bk, be, dk, de := noKey, 0, noKey, 0
+		if bc.x < bc.hi {
+			bk, be = ps.group(&bc, bc.x)
 		}
-		if len(dk) > 0 && (x == pt.hi || dk[0].key() <= k) {
-			if x == pt.hi || dk[0].key() < k {
-				k, end = dk[0].key(), x
-			}
-			dw, dk = dk[0].weight(), dk[1:]
+		if dc.x < dc.hi {
+			dk, de = ps.group(&dc, dc.x)
 		}
-		lo := x
-		x = end
+		k := min(bk, dk)
+		var bg, dg cursor // the key's groups
+		if k == bk {
+			bg, bc.x = bc, be
+			bg.hi = be
+		}
+		if k == dk {
+			dg, dc.x = dc, de
+			dg.hi = de
+		}
 		a, b := ps.a, k // the key's triples' leading positions
 		if a == Wildcard {
 			a, b = k, Wildcard
 		}
-		n := end - lo + dw
-		if !live {
-			n -= m.deadIn(ps.ix, a, b, lo, end)
-		}
+		dead := tomb.find(a, b)
+		n := bg.hi - bg.x - (dead.hi - dead.x) + dg.hi - dg.x
 		if n == 0 || keep != nil && !keep(k, n) {
 			continue
 		}
-		for y := lo; y < end; y++ {
-			bb := b
-			if bb == Wildcard {
-				bb = r.b[y]
-			}
-			if c := r.c[y]; (live || !m.dead(unorder(ps.ix, a, bb, c))) && !ps.visit(pt.m, a, bb, c, fn) {
-				return false
-			}
-		}
-		if dw == 0 {
-			continue
-		}
-		if b != Wildcard {
-			for _, c := range idx[a][b] {
-				if !ps.visit(pt.m, a, b, c, fn) {
-					return false
-				}
-			}
-			continue
-		}
-		inner := idx[a]
-		for _, b := range sortedKeys(inner) {
-			for _, c := range inner[b] {
-				if !ps.visit(pt.m, a, b, c, fn) {
-					return false
-				}
-			}
+		if !each(ps.ix, bg, dead, emit) || dg.x < dg.hi && !each(ps.ix, dg, cursor{}, emit) {
+			return false
 		}
 	}
 	return true
 }
 
-// visit passes the triple at (a, b, c) of the path to fn, unless a member
-// before m holds it.
-func (ps *Parts) visit(m int, a, b, c ID, fn func(ETriple) bool) bool {
-	t := unorder(ps.ix, a, b, c)
+// noKey sorts after every key.
+const noKey = ^ID(0)
+
+// visit passes t to fn, unless a member before m holds it.
+func (ps *Parts) visit(m int, t ETriple, fn func(ETriple) bool) bool {
 	for _, prev := range ps.v.models[:m] {
 		if prev.Contains(t) {
 			return true
 		}
 	}
 	return fn(t)
-}
-
-// sortedKeys returns the map's keys in ascending ID order.
-func sortedKeys[V any](m map[ID]V) []ID {
-	keys := make([]ID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -162,5 +163,42 @@ func TestSnapshotsShareOneCopy(t *testing.T) {
 	}
 	if n := obsSnapCopies.Value() - c0; n != 2 {
 		t.Errorf("install, read and delta took %d more copies, want 0", n-2)
+	}
+}
+
+// TestSnapshotAfterWriteIndependentOfDelta: the first Snapshot after a
+// write copies the model's version in constant time — three set pointers
+// — so it allocates the same for a model whose delta holds 100 triples
+// as for one whose delta holds 6 000, just below the merge point of its
+// 420 000-triple base.
+func TestSnapshotAfterWriteIndependentOfDelta(t *testing.T) {
+	allocs := func(delta int) uint64 {
+		s := New()
+		base := make([]ETriple, 420_000)
+		for i := range base {
+			base[i] = ETriple{S: ID(1 + i/8), P: ID(1 + i%16), O: ID(1 + i%1000)}
+		}
+		s.AddIDs("m", base)
+		added := make([]ETriple, delta)
+		for i := range added {
+			added[i] = ETriple{S: ID(100_000 + i), P: 1, O: 1}
+		}
+		s.AddIDs("m", added)
+		if m := s.models["m"]; m.delta.size() != delta {
+			t.Fatalf("the model's delta holds %d triples, want %d", m.delta.size(), delta)
+		}
+		var before, after runtime.MemStats
+		var n uint64
+		for i := range 10 {
+			s.AddIDs("m", []ETriple{{S: ID(200_000 + i), P: 2, O: 2}})
+			runtime.ReadMemStats(&before)
+			s.Snapshot("m")
+			runtime.ReadMemStats(&after)
+			n += after.Mallocs - before.Mallocs
+		}
+		return n
+	}
+	if small, large := allocs(100), allocs(6_000); small != large {
+		t.Errorf("10 snapshots after a write allocated %d objects with a 100-triple delta, %d with a 6 000-triple one", small, large)
 	}
 }

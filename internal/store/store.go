@@ -153,15 +153,14 @@ func (s *Store) Current(base, idx string) bool {
 	return ok && i.basis == b.gen
 }
 
-// SnapshotModel returns a copy-on-write copy of the named model (nil if
-// absent). The copy is detached: the caller owns it and may mutate it
-// freely while other goroutines keep writing to the store — the way to
-// build a successor off to the side and publish it with InstallModel
-// (readers want Snapshot, which shares one copy). The brief write lock
-// covers the ownership bookkeeping on the source; the copy itself shares
-// the base run and copies the delta's outer maps, O(delta keys), not
-// O(triples). It carries a fresh generation; the
-// source generation it was taken at is Basis().
+// SnapshotModel returns a copy of the named model (nil if absent). The
+// copy is detached: the caller owns it and may mutate it freely while
+// other goroutines keep writing to the store — the way to build a
+// successor off to the side and publish it with InstallModel (readers
+// want Snapshot, which shares one copy). The copy shares the model's
+// three immutable sets, so it costs O(1), not O(triples), under a brief
+// write lock that allocates its generation: a fresh one; the source
+// generation it was taken at is Basis().
 func (s *Store) SnapshotModel(model string) *Model {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -445,10 +444,10 @@ func (s *Store) Triples(model string) []rdf.Triple {
 	return ts
 }
 
-// CloneModel publishes a copy-on-write copy of the src model under the
-// dst name. It fails if dst already exists. The clone shares the base run
-// with its source, and the delta's nodes until either side mutates them,
-// so the exclusive lock is held for O(delta keys), not O(triples). The clone's generation
+// CloneModel publishes a copy of the src model under the dst name. It
+// fails if dst already exists. The clone shares its source's three
+// immutable sets, so the exclusive lock is held for O(1), not
+// O(triples). The clone's generation
 // is fresh (store-wide unique) and its Basis records the source
 // generation it was taken at, so no cache key or derivation check can
 // alias clone and source after they diverge.

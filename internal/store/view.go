@@ -61,7 +61,7 @@ type Cut struct {
 func (v *View) Cut(name string) Cut {
 	for _, m := range v.models {
 		if m.name == name {
-			return Cut{Name: name, Exists: true, Gen: m.gen, Basis: m.basis, Triples: m.size, feed: m.feed}
+			return Cut{Name: name, Exists: true, Gen: m.gen, Basis: m.basis, Triples: m.Len(), feed: m.feed}
 		}
 	}
 	return Cut{Name: name}
@@ -257,8 +257,8 @@ func (v *View) Subjects(p, o ID) []ID {
 // A model's version is shared by every snapshot until the model's next
 // write, so reading an unchanged store costs the read lock and a
 // comparison per name. The first snapshot after a write takes the write
-// lock to share the base run and copy the delta's outer maps (O(delta
-// keys)): that is all a writer ever waits for.
+// lock to copy the model's three set pointers, O(1) whatever the size of
+// its delta: that is all a writer ever waits for.
 func (s *Store) Snapshot(names ...string) *View {
 	return s.snapshot(names, false, nil)
 }
