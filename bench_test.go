@@ -11,6 +11,7 @@ package mdw
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -524,6 +525,86 @@ func BenchmarkMaterialize(b *testing.B) {
 	}
 	b.Run("scratch", func(b *testing.B) { run(b, false) })
 	b.Run("extend-3pct", func(b *testing.B) { run(b, true) })
+}
+
+// BenchmarkReleaseCycle replays the writes of the mdwbench release_cycle
+// workload in process: four releases (landscape.Evolve at 3% growth, the
+// triples each adds and no earlier one had), each added in 200-triple
+// batches, the /api/load size, and then the OWLPRIME index brought up to
+// date, which the release's first search does. It reports the time of
+// the two steps per release, and the bytes allocated and the collections
+// run over all four. Run with -benchtime 1x: every iteration sets up a
+// model and its index of its own.
+func BenchmarkReleaseCycle(b *testing.B) {
+	f := paperLandscape(b)
+	ctx := context.Background()
+	const releases, batch = 4, 200
+	next := landscape.Generate(landscape.PaperScale())
+	seen := map[rdf.Triple]bool{}
+	fresh := func() []rdf.Triple {
+		var out []rdf.Triple
+		for _, e := range next.Exports {
+			ts, err := staging.Transform(e)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, t := range ts {
+				if !seen[t] {
+					seen[t] = true
+					out = append(out, t)
+				}
+			}
+		}
+		return out
+	}
+	fresh()
+	var deltas [][]rdf.Triple
+	for r := 2; r < 2+releases; r++ {
+		if _, err := landscape.Evolve(next, r, 0.03); err != nil {
+			b.Fatal(err)
+		}
+		deltas = append(deltas, fresh())
+	}
+	seen = nil
+	b.ResetTimer()
+	var load, reindex time.Duration
+	var allocated, collections uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := fmt.Sprintf("release-%d", i)
+		if err := f.st.CloneModel("DWH_CURR", m); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := reason.MaterializeCtx(ctx, f.st, m); err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		for _, d := range deltas {
+			t0 := time.Now()
+			for k := 0; k < len(d); k += batch {
+				f.st.AddAll(m, d[k:min(k+batch, len(d))])
+			}
+			t1 := time.Now()
+			if _, err := reason.MaterializeCtx(ctx, f.st, m); err != nil {
+				b.Fatal(err)
+			}
+			load, reindex = load+t1.Sub(t0), reindex+time.Since(t1)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		allocated += after.TotalAlloc - before.TotalAlloc
+		collections += uint64(after.NumGC - before.NumGC)
+		f.st.DropModel(m)
+		f.st.DropModel(reason.IndexModelName(m, reason.RulebaseOWLPrime))
+	}
+	n := float64(b.N)
+	b.ReportMetric(load.Seconds()*1000/n/releases, "load-ms/release")
+	b.ReportMetric(reindex.Seconds()*1000/n/releases, "reindex-ms/release")
+	b.ReportMetric(float64(allocated)/n/(1<<20), "MB-alloc")
+	b.ReportMetric(float64(collections)/n, "GCs")
 }
 
 // ---------------------------------------------------------------------

@@ -6,6 +6,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -152,30 +153,28 @@ func (s *Server) handleClone(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, http.StatusOK, CloneResponse{Src: src, Dst: dst, Triples: n})
 }
 
-// maxLoadBytes bounds the body of one /api/load request.
-const maxLoadBytes = 16 << 20
+// maxLoadBytes bounds the body of one /api/load request, and
+// loadPrealloc the room reserved for it before its first byte arrives:
+// a release's 200-triple batch fits, and a declared length beyond it
+// costs memory only as its bytes come in.
+const (
+	maxLoadBytes = 16 << 20
+	loadPrealloc = 64 << 10
+)
 
 // handleLoad adds raw triples to the base model, posted as N-Triples
 // text (the auxiliary-triples path of `mdw generate`). The write bumps
 // the model generation, so cached query results and the entailment
-// index are invalidated implicitly. A body of declared length is read
-// into a buffer of that size; a chunked one, or one over the limit, is
-// read to its end or to the limit's error.
+// index are invalidated implicitly. A body that declares a length up to
+// loadPrealloc is read without regrowing the buffer.
 func (s *Server) handleLoad(rw http.ResponseWriter, r *http.Request) {
-	in := http.MaxBytesReader(rw, r.Body, maxLoadBytes)
-	var body []byte
-	var err error
-	if n := r.ContentLength; n >= 0 && n <= maxLoadBytes {
-		body = make([]byte, n)
-		_, err = io.ReadFull(in, body)
-	} else {
-		body, err = io.ReadAll(in)
-	}
-	if err != nil {
+	var body bytes.Buffer
+	body.Grow(int(min(max(r.ContentLength, 0), loadPrealloc)) + bytes.MinRead)
+	if _, err := body.ReadFrom(http.MaxBytesReader(rw, r.Body, maxLoadBytes)); err != nil {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
-	ts, err := ntriples.Unmarshal(string(body))
+	ts, err := ntriples.Unmarshal(body.String())
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, err)
 		return

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -539,6 +540,26 @@ func TestLoadBody(t *testing.T) {
 		if code := post(c.body); code != c.want {
 			t.Errorf("%s: status %d, want %d", c.name, code, c.want)
 		}
+	}
+}
+
+// TestLoadBodyDeclaredNotSent: a request that declares a 16 MiB body and
+// sends a few bytes costs the server memory for what it sent, not for
+// what it declared.
+func TestLoadBodyDeclaredNotSent(t *testing.T) {
+	srv := NewServer(core.New(""))
+	req := httptest.NewRequest("POST", "/api/load", strings.NewReader("<http://x/s> "))
+	req.ContentLength = maxLoadBytes
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	srv.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("status %d, want 400", rec.Code)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("allocated %d bytes for a 13-byte body", n)
 	}
 }
 

@@ -62,23 +62,3 @@ func BenchmarkCloneFirstWrite(b *testing.B) {
 		m.Clone("c").AddAll(ts)
 	}
 }
-
-// BenchmarkLoadBatches prices one 200-triple AddAll, the /api/load batch
-// of a release, and the copy the first read after it takes, on a model
-// with a paper-sized base of 558 000 triples, averaged over the delta's
-// growth and the merges it triggers.
-func BenchmarkLoadBatches(b *testing.B) {
-	m := benchCloneModel(558_000)
-	m.merge()
-	rng := rand.New(rand.NewSource(9))
-	ts := make([]ETriple, 200)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := range ts {
-			ts[k] = ETriple{S: ID(1_000_000 + i*20 + k/10), P: ID(rng.Intn(16) + 1), O: ID(rng.Intn(70_000) + 1)}
-		}
-		m.AddAll(ts)
-		m = m.fork()
-	}
-}

@@ -262,7 +262,8 @@ type Delta struct {
 	Base *Model
 	// Derived is a clone of the installed derived model for
 	// the caller to extend in place, or an empty model when there is
-	// nothing to extend from. It is detached; the caller owns it.
+	// nothing to extend from. It is detached; the caller owns it. Its
+	// writes leave merging to InstallExtension, which merges at most once.
 	Derived *Model
 	// PrevGen is the generation of the installed model Derived was cloned
 	// from; 0 when Derived starts empty.
@@ -308,6 +309,7 @@ func (s *Store) SnapshotDelta(base, derived string) *Delta {
 			return true
 		})
 	}
+	d.Derived.extending = true
 	return d
 }
 
@@ -320,6 +322,8 @@ func (s *Store) SnapshotDelta(base, derived string) *Delta {
 // slices); otherwise (nothing to extend, or someone replaced the model
 // meanwhile) the hook sees a full OpInstall and the feed starts over.
 func (s *Store) InstallExtension(m *Model, prevGen uint64, added, removed []ETriple) {
+	m.extending = false
+	m.settle() // before publication, while m is still the caller's alone
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur, ok := s.models[m.name]

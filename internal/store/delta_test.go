@@ -138,3 +138,41 @@ func TestInstallModelStartsTheLog(t *testing.T) {
 		t.Fatalf("after install + adds: %d delta triples (want 2), prevGen %d", len(d.Added), d.PrevGen)
 	}
 }
+
+// TestDerivationMergesOnce: the rounds a derivation writes to its
+// Delta.Derived leave the base alone however far the delta grows, and
+// InstallExtension merges once.
+func TestDerivationMergesOnce(t *testing.T) {
+	s := New()
+	batch := func(from, n int) []rdf.Triple {
+		var ts []rdf.Triple
+		for i := from; i < from+n; i++ {
+			ts = append(ts, tr(i))
+		}
+		return ts
+	}
+	s.AddAll("base", batch(0, 4000))
+	derive(t, s)
+	s.AddAll("base", batch(4000, 2000))
+	d := s.SnapshotDelta("base", "base$X")
+	m, base := d.Derived, d.Derived.base
+	var added []ETriple
+	for i := 0; i < len(d.Added); i += 100 { // 20 rounds, past mergeAt
+		round := make([]ETriple, 0, 100)
+		for _, a := range d.Added[i : i+100] {
+			round = append(round, ETriple{S: a.O, P: a.P, O: a.S})
+		}
+		added = append(added, m.AddAll(round)...)
+	}
+	if m.base != base || m.delta.size() != 2000 || m.mergeAt() > 2000 {
+		t.Fatalf("after the rounds: base replaced %v, delta %d, mergeAt %d", m.base != base, m.delta.size(), m.mergeAt())
+	}
+	m.SetBasis(d.Base.Gen())
+	s.InstallExtension(m, d.PrevGen, added, nil)
+	if m.base.size() != 6000 || m.delta.size() != 0 {
+		t.Fatalf("installed: base %d, delta %d, want one merge to 6000 and 0", m.base.size(), m.delta.size())
+	}
+	if m.AddAll([]ETriple{{S: 1, P: 2, O: 3}}); m.delta.size() != 1 {
+		t.Fatalf("a write after the install: delta %d, want 1", m.delta.size())
+	}
+}

@@ -52,6 +52,10 @@ type Model struct {
 	// base, delta and tomb are never written, only replaced: the delta
 	// holds no base triple, and the tombstones only base triples.
 	base, delta, tomb *frozen
+	// extending marks a Delta.Derived while its deriver writes it: its
+	// writes do not merge, and InstallExtension merges once if due, so
+	// the rounds of one derivation pay for at most one pass over the base.
+	extending bool
 	// statsMu guards the lazily built per-generation PredStats cache.
 	// Reads of a quiescent model stay safe to share: concurrent PredStats
 	// callers serialize only on this cache, never on the indexes.
@@ -89,7 +93,7 @@ type Model struct {
 // stays a small share of it.
 const (
 	mergeFloor = 1024
-	mergeShare = 64
+	mergeShare = 32
 )
 
 // modelUIDs allocates Model.uid values.
@@ -148,7 +152,7 @@ func (m *Model) Remove(t ETriple) bool { return len(m.RemoveAll([]ETriple{t})) =
 func (m *Model) AddAll(ts []ETriple) []ETriple {
 	fresh := ts
 	if m.Len() > 0 || !strictlySorted(ts) {
-		fresh = m.held(sortedSet(ts), false)
+		fresh = slices.DeleteFunc(sortedSet(ts), m.Contains)
 	}
 	m.tomb, m.delta = move(fresh, m.tomb, m.delta)
 	return m.wrote(ts, fresh)
@@ -156,17 +160,19 @@ func (m *Model) AddAll(ts []ETriple) []ETriple {
 
 // RemoveAll removes the triples of ts the model holds and returns them,
 // each once, in the order of ts, like AddAll: the delta's leave it, and
-// the base's join the tombstones.
+// the base's join the tombstones. Only the triples held are sorted, so a
+// batch the model mostly lacks — the materializer's queue against its
+// index — costs a probe per triple.
 func (m *Model) RemoveAll(ts []ETriple) []ETriple {
-	gone := m.held(sortedSet(ts), true)
+	var gone []ETriple
+	for _, t := range ts {
+		if m.Contains(t) {
+			gone = append(gone, t)
+		}
+	}
+	gone = sortedSet(gone)
 	m.delta, m.tomb = move(gone, m.delta, m.tomb)
 	return m.wrote(ts, gone)
-}
-
-// held returns the triples of set that the model holds (want true) or
-// lacks, in set's array.
-func (m *Model) held(set []ETriple, want bool) []ETriple {
-	return slices.DeleteFunc(set, func(t ETriple) bool { return m.Contains(t) != want })
 }
 
 // move returns from less the triples of ts — sorted by (S, P, O),
@@ -191,8 +197,8 @@ func move(ts []ETriple, from, to *frozen) (*frozen, *frozen) {
 // the order of ts.
 func (m *Model) wrote(ts, changed []ETriple) []ETriple {
 	m.gen += uint64(len(changed))
-	if m.delta.size()+m.tomb.size() >= m.mergeAt() {
-		m.merge()
+	if !m.extending {
+		m.settle()
 	}
 	if len(changed) == len(ts) {
 		return ts
@@ -204,6 +210,13 @@ func (m *Model) wrote(ts, changed []ETriple) []ETriple {
 // merge.
 func (m *Model) mergeAt() int {
 	return max(mergeFloor, m.base.size()/mergeShare)
+}
+
+// settle merges if the delta and the tombstones have reached mergeAt.
+func (m *Model) settle() {
+	if m.delta.size()+m.tomb.size() >= m.mergeAt() {
+		m.merge()
+	}
 }
 
 // merge folds the delta and the tombstones into a new base. The contents,

@@ -94,6 +94,11 @@ func (r *run) find(a, b ID) cursor {
 	}
 	i := int(a)
 	if r.keys != nil {
+		// A delta's keys are often a narrow band of recent IDs: a key
+		// outside them is rejected before the search.
+		if n := len(r.keys); n == 0 || a < r.keys[0] || a > r.keys[n-1] {
+			return cursor{}
+		}
 		var ok bool
 		if i, ok = slices.BinarySearch(r.keys, a); !ok {
 			return cursor{}
